@@ -21,7 +21,9 @@
 //
 // Every error renders one envelope: {"error":{"code","message","retryable"}}
 // with 400 invalid_request, 404 unknown_customer, 405 method_not_allowed,
-// 429 overloaded / refresh_in_progress, 503 unavailable, 504 timeout.
+// 413 request_too_large (more ids than -queue admits, or a body over the
+// endpoint's cap), 429 overloaded / refresh_in_progress, 503 unavailable,
+// 504 timeout.
 //
 // Serving path: vectors resolve through a single provider chain — live event
 // overlay, then the artifact's precomputed snapshot (churnctl train
@@ -78,10 +80,7 @@ func main() {
 	warehouse := fs.String("warehouse", "./warehouse", "warehouse directory")
 	month := fs.Int("month", 0, "feature month to serve (0 = latest)")
 	addr := fs.String("addr", ":8080", "listen address")
-	maxBatch := fs.Int("max-batch", 0, "largest micro-batch (0 = default 256)")
-	maxDelay := fs.Duration("max-delay", 0, "micro-batch linger (0 = default 2ms)")
-	queue := fs.Int("queue", 0, "pending-score queue bound (0 = default 4096)")
-	shards := fs.Int("shards", 0, "batching shards (0 = one per core)")
+	queue := fs.Int("queue", 0, "bound on customer scores in flight across batch requests, 429 past it (0 = default 4096)")
 	cacheTTL := fs.Duration("cache-ttl", 10*time.Minute, "feature-vector cache TTL (0 disables)")
 	workers := fs.Int("workers", 0, "parallelism for the feature build (0 = all cores)")
 	degraded := fs.Bool("degraded", false, "serve even when raw tables are unavailable (impute their feature groups, report the mask)")
@@ -100,7 +99,7 @@ func main() {
 		artifact:   *artifact,
 		warehouse:  *warehouse,
 		month:      *month,
-		cfg:        serve.Config{MaxBatch: *maxBatch, MaxDelay: *maxDelay, QueueSize: *queue, Shards: *shards},
+		cfg:        serve.Config{QueueSize: *queue},
 		cacheTTL:   *cacheTTL,
 		workers:    *workers,
 		degraded:   *degraded,
@@ -460,7 +459,7 @@ func (s *service) foldLocked() (int, int, error) {
 // warehouse and event log) and swaps it in only if the build fully
 // succeeds; a failed build counts a reload_failure and leaves the old
 // engine serving. The old scorer is closed after the swap: requests
-// already queued on it complete, and any that race the closure shed with
+// already scoring on it complete, and any that race the closure shed with
 // 503 + Retry-After like any other transient overload.
 func (s *service) reload() error {
 	e, err := s.buildEngine()
@@ -483,7 +482,7 @@ func (s *service) reload() error {
 	return nil
 }
 
-// Close stops the current engine's batching loop and flushes any event-log
+// Close closes the current engine's scorer and flushes any event-log
 // commits the durability policy is still holding, so an interval-mode
 // daemon exits with its accepted batches on stable storage.
 func (s *service) Close() {
@@ -598,13 +597,16 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryable b
 }
 
 // scoreStatus maps scoring failures onto the envelope: a full queue is
-// load-shed the client should retry (429), a closed scorer means a reload
-// is mid-swap (503), a dead deadline is a timeout (504), an unknown
-// customer is the caller's data (404).
+// load-shed the client should retry (429), a request no queue could ever
+// admit is not (413), a closed scorer means a reload is mid-swap (503), a
+// dead deadline is a timeout (504), an unknown customer is the caller's
+// data (404).
 func scoreStatus(err error) (int, string, bool) {
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
 		return http.StatusTooManyRequests, "overloaded", true
+	case errors.Is(err, serve.ErrTooManyIDs):
+		return http.StatusRequestEntityTooLarge, "request_too_large", false
 	case errors.Is(err, serve.ErrClosed):
 		return http.StatusServiceUnavailable, "unavailable", true
 	case errors.Is(err, context.DeadlineExceeded):
@@ -617,6 +619,32 @@ func scoreStatus(err error) (int, string, bool) {
 }
 
 // ---- handlers ----
+
+// Request-body caps: an unbounded body is memory a client controls. Each is
+// far above what a legitimate caller sends — the largest admissible score
+// request (4096 ids at the default -queue) is under 100 KB, and
+// `churnctl ingest -synth 500 -addr` posts under 100 KB of events.
+const (
+	maxScoreBody  = 1 << 20
+	maxEventsBody = 8 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it renders the envelope itself — 413 for a body over the cap, 400
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request_too_large", fmt.Sprintf("request body exceeds %d bytes", limit), false)
+	} else {
+		writeError(w, http.StatusBadRequest, "invalid_request", "bad request body: "+err.Error(), false)
+	}
+	return false
+}
 
 // scoreRequest accepts either a single customer or a batch.
 type scoreRequest struct {
@@ -640,8 +668,7 @@ func (s *service) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req scoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "bad request body: "+err.Error(), false)
+	if !decodeBody(w, r, maxScoreBody, &req) {
 		return
 	}
 	single := req.ID != nil
@@ -696,9 +723,8 @@ func (s *service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serve.EventBatch
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !decodeBody(w, r, maxEventsBody, &req) {
 		s.metrics.EventsRejected.Add(1)
-		writeError(w, http.StatusBadRequest, "invalid_request", "bad request body: "+err.Error(), false)
 		return
 	}
 	tables, err := serve.BuildEventTables(req.Events)

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"telcochurn/internal/core"
 	"telcochurn/internal/features"
+	"telcochurn/internal/serve"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/tree"
@@ -198,6 +200,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if _, ok := metrics["latency_ns"].(map[string]any); !ok {
 		t.Errorf("latency_ns missing: %v", metrics["latency_ns"])
+	}
+	if _, ok := metrics["queue_full"]; !ok {
+		t.Error("queue_full missing")
+	}
+	// There is no batcher to describe any more.
+	for _, gone := range []string{"batches", "batch_size", "sync_scored"} {
+		if _, ok := metrics[gone]; ok {
+			t.Errorf("/metrics still reports %q", gone)
+		}
 	}
 }
 
@@ -396,6 +407,12 @@ func TestErrorEnvelope(t *testing.T) {
 		{"refresh wrong method", "GET", "/v1/refresh", ``, 405, "method_not_allowed", false},
 		{"customers wrong method", "POST", "/v1/customers", ``, 405, "method_not_allowed", false},
 		{"customers bad limit", "GET", "/v1/customers?limit=-1", ``, 400, "invalid_request", false},
+		// One id more than the default -queue admits; ids may repeat, and the
+		// size check runs before any lookup.
+		{"score too many ids", "POST", "/v1/score", `{"ids":[` + strings.Repeat("1,", 4096) + `1]}`, 413, "request_too_large", false},
+		// JSON whitespace pads these just past each endpoint's body cap.
+		{"score body over cap", "POST", "/v1/score", `{"ids":[` + strings.Repeat(" ", maxScoreBody) + `1]}`, 413, "request_too_large", false},
+		{"events body over cap", "POST", "/v1/events", `{"events":[` + strings.Repeat(" ", maxEventsBody) + `]}`, 413, "request_too_large", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -432,7 +449,17 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Errorf("busy refresh = %d %s (Retry-After %q), want 429 refresh_in_progress retryable", status, body, hdr.Get("Retry-After"))
 	}
 
-	// Queue overload sheds with 429 overloaded; a closed scorer is a 503.
+	// A request shed by admission is a 429 the client should retry (the
+	// scorer's own TestScorerQueueFull produces the error; this pins how it
+	// renders).
+	rec := httptest.NewRecorder()
+	status, code, retryable := scoreStatus(serve.ErrQueueFull)
+	writeError(rec, status, code, serve.ErrQueueFull.Error(), retryable)
+	if rec.Code != 429 || code != "overloaded" || !retryable || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("shed request = %d %s (Retry-After %q), want 429 overloaded retryable", rec.Code, code, rec.Header().Get("Retry-After"))
+	}
+
+	// A closed scorer is a 503.
 	svc.Close()
 	status, body, hdr = doRequest(t, ts, "POST", "/v1/score", `{"id":`+int64String(want.IDs[0])+`}`)
 	json.Unmarshal(body, &env)

@@ -13,9 +13,7 @@
 //
 // Target ids come from churnd's GET /v1/customers unless -ids pins them.
 // Latencies land in the same log-2 histogram churnd's /metrics uses; the
-// report is a benchjson-compatible JSON document, so two runs diff with:
-//
-//	benchjson -compare -tolerance 1.5x LOAD_BASE.json LOAD.json
+// result is a JSON report (-out).
 //
 // With -max-p99 and/or -max-non2xx the run self-gates (non-zero exit on
 // violation), which is how CI's loadtest job turns a 10-second run into a
@@ -55,7 +53,7 @@ func main() {
 	batch := fs.Int("batch", 1, "ids per request (1 = single-score path)")
 	idSpec := fs.String("ids", "", "comma-separated target ids (default: discover via /v1/customers)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request timeout")
-	out := fs.String("out", "", "benchjson-compatible report path (default stdout)")
+	out := fs.String("out", "", "JSON report path (default stdout)")
 	name := fs.String("name", "BenchmarkChurnload", "benchmark name in the report")
 	seed := fs.Int64("seed", 1, "target-selection seed")
 	ingestMix := fs.Float64("ingest-mix", 0, "fraction of requests that POST a one-event batch to /v1/events (0 = read-only)")
@@ -280,8 +278,8 @@ func (r *run) eventBody(rng *rand.Rand, body []byte) []byte {
 	return body
 }
 
-// report renders the run in benchjson's document shape, so a saved run
-// works as a `benchjson -compare` baseline for later runs.
+// report renders the run as the JSON report: one named benchmark entry with
+// the latency quantiles and error counts under "extra".
 func (r *run) report(name string, rps float64, batch int, mix float64, total int64, elapsed, want time.Duration) map[string]any {
 	full := fmt.Sprintf("%s/rps=%g/batch=%d", name, rps, batch)
 	if mix > 0 {

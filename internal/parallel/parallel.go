@@ -46,12 +46,13 @@ func ForGrain(workers, n, grain int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
+	// step is assigned exactly once so the worker closure captures it by
+	// value: clamping grain in place would move it to the heap on every
+	// call, including the inline (w <= 1) path serving requests take.
+	step := max(grain, 1)
 	w := Workers(workers)
-	if w > (n+grain-1)/grain {
-		w = (n + grain - 1) / grain
+	if w > (n+step-1)/step {
+		w = (n + step - 1) / step
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
@@ -70,11 +71,11 @@ func ForGrain(workers, n, grain int, fn func(i int)) {
 			defer wg.Done()
 			defer pc.recover()
 			for {
-				lo := int(atomic.AddInt64(&cursor, int64(grain))) - grain
+				lo := int(atomic.AddInt64(&cursor, int64(step))) - step
 				if lo >= n {
 					return
 				}
-				hi := lo + grain
+				hi := lo + step
 				if hi > n {
 					hi = n
 				}

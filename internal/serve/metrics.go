@@ -13,16 +13,14 @@ import (
 // log-scale histograms, snapshotted as a flat JSON-friendly map in the
 // expvar style (stdlib only, scraped via GET /metrics).
 type Metrics struct {
-	// Requests counts Score calls; Scored counts individual customer
-	// scores produced; SyncScored counts the subset served on the
-	// synchronous single-score fast path (no queue hop); Batches counts
-	// classifier invocations on the micro-batch path.
-	Requests   atomic.Uint64
-	Scored     atomic.Uint64
-	SyncScored atomic.Uint64
-	Batches    atomic.Uint64
-	// Errors counts failed Score calls (unknown customer, closed scorer);
-	// QueueFull and Canceled break out the two load-shedding paths.
+	// Requests counts Score and ScoreOne calls; Scored counts individual
+	// customer scores produced.
+	Requests atomic.Uint64
+	Scored   atomic.Uint64
+	// Errors counts failed Score calls (unknown customer, oversized
+	// request, closed scorer, shed load); QueueFull breaks out the requests
+	// shed by admission, Canceled counts calls whose context was already
+	// done.
 	Errors    atomic.Uint64
 	QueueFull atomic.Uint64
 	Canceled  atomic.Uint64
@@ -62,9 +60,8 @@ type Metrics struct {
 	Refreshes       atomic.Uint64
 	RefreshFailures atomic.Uint64
 	RefreshUnixNano atomic.Int64
-	// BatchSize observes items per flushed micro-batch; LatencyNs observes
-	// end-to-end per-request latency.
-	BatchSize Histogram
+	// LatencyNs observes per-request latency of successful Score and
+	// ScoreOne calls.
 	LatencyNs Histogram
 }
 
@@ -79,8 +76,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	return map[string]any{
 		"requests":           m.Requests.Load(),
 		"scored":             m.Scored.Load(),
-		"sync_scored":        m.SyncScored.Load(),
-		"batches":            m.Batches.Load(),
 		"errors":             m.Errors.Load(),
 		"queue_full":         m.QueueFull.Load(),
 		"canceled":           m.Canceled.Load(),
@@ -107,7 +102,6 @@ func (m *Metrics) Snapshot() map[string]any {
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
 		}(),
-		"batch_size": m.BatchSize.Snapshot(),
 		"latency_ns": m.LatencyNs.Snapshot(),
 	}
 }
@@ -115,7 +109,7 @@ func (m *Metrics) Snapshot() map[string]any {
 // Histogram is a lock-free base-2 exponential histogram: observation v
 // lands in bucket floor(log2(v))+1 (bucket 0 holds v==0), so 64 buckets
 // cover the full uint64 range. Good enough to read p50/p90/p99 off a
-// latency or batch-size distribution without any dependency.
+// latency distribution without any dependency.
 type Histogram struct {
 	buckets [65]atomic.Uint64
 	count   atomic.Uint64

@@ -1,38 +1,42 @@
 // Package serve is the online scoring layer over a fitted core.Pipeline.
-// Single-customer requests take a synchronous fast path — feature-vector
-// lookup plus a compiled-ensemble walk, zero allocations steady-state — when
-// the classifier implements core.SingleScorer. Multi-customer requests
-// coalesce into micro-batches on per-core shards (customer-hash affinity via
-// table.ShardOf) that feed the vectorized ScoreAll path, behind a globally
-// bounded queue with per-request cancellation and pooled request/item
-// buffers. The paper's system applies the trained model to the full prepaid
-// base monthly (§5-6); this package is the same scorer turned into a
-// long-lived service (cf. Diaz-Aviles et al., "Towards Real-time Customer
-// Experience Prediction for Telecommunication Operators").
+// There is one scoring path and it runs on the caller's goroutine: resolve
+// each customer's feature vector through the provider (an in-memory lookup),
+// then walk the compiled ensemble — core.SingleScorer for one id (zero
+// allocations steady-state), one Classifier.ScoreAll call for several (which
+// itself fans out across cores only for requests above parallel.DefaultGrain
+// rows). Multi-id requests are admitted against one bound on customer scores
+// in flight and shed with ErrQueueFull past it; nothing is queued, lingered
+// or handed between goroutines. The paper's system applies the trained model
+// to the full prepaid base monthly (§5-6); this package is the same scorer
+// turned into a long-lived service (cf. Diaz-Aviles et al., "Towards
+// Real-time Customer Experience Prediction for Telecommunication
+// Operators").
 //
 // Determinism: every built-in classifier scores rows independently, so
-// neither the batch a request lands in nor the path it takes (sync vs
-// sharded queue) can change its scores — served outputs are bit-identical to
-// batch Pipeline.Predict over the same window.
+// neither the request a customer is scored in nor the method that asked
+// (ScoreOne vs Score) can alter its score — served outputs are bit-identical
+// to batch Pipeline.Predict over the same window.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"telcochurn/internal/core"
-	"telcochurn/internal/table"
 )
 
 var (
-	// ErrQueueFull is returned when the bounded request queue cannot accept
-	// more work — shed load instead of buffering unboundedly.
+	// ErrQueueFull is returned when admitting a request would put more than
+	// Config.QueueSize customer scores in flight — shed load instead of
+	// piling up unboundedly.
 	ErrQueueFull = errors.New("serve: scoring queue full")
+	// ErrTooManyIDs is wrapped into the error for a single request larger
+	// than Config.QueueSize: it could never be admitted, so retrying is
+	// pointless (unlike ErrQueueFull).
+	ErrTooManyIDs = errors.New("serve: too many customers in one request")
 	// ErrClosed is returned by Score after Close.
 	ErrClosed = errors.New("serve: scorer closed")
 	// ErrUnknownCustomer is wrapped into Score errors for ids outside the
@@ -40,108 +44,41 @@ var (
 	ErrUnknownCustomer = errors.New("serve: unknown customer")
 )
 
-// Config tunes the scorer. Zero values mean defaults.
+// Config tunes the scorer. The zero value means the default.
 type Config struct {
-	// MaxBatch is the largest micro-batch handed to the classifier
-	// (default 256). Larger batches amortize dispatch; smaller bound
-	// worst-case queueing delay.
-	MaxBatch int
-	// MaxDelay is how long a shard's batcher waits for more items after
-	// the first before flushing a partial batch (default 2ms). This is the
-	// latency the slowest request in a quiet period pays for batching.
-	MaxDelay time.Duration
-	// QueueSize bounds the number of customer scores pending across all
-	// shards (default 4096). Enqueueing past it fails fast with
-	// ErrQueueFull.
+	// QueueSize bounds the customer scores in flight across all concurrent
+	// multi-id Score calls (default 4096), and so also the largest single
+	// request. A request that would exceed it fails fast with ErrQueueFull.
 	QueueSize int
-	// Shards is the number of batching shards, each with its own queue and
-	// goroutine (default GOMAXPROCS). Items route to shards by customer
-	// hash (table.ShardOf), so a hot customer's scores serialize on one
-	// shard while the rest of the id space stays unaffected.
-	Shards int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueSize == 0 {
-		c.QueueSize = 4096
-	}
-	if c.Shards == 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
-// Scorer scores customers against a fitted classifier: synchronously for
-// single lookups when the classifier supports it, micro-batched on sharded
-// queues otherwise.
+// Scorer scores customers against a fitted classifier, synchronously on the
+// calling goroutine. It is safe for concurrent use.
 type Scorer struct {
-	clf     core.Classifier
-	single  core.SingleScorer // non-nil: the zero-alloc sync fast path
-	prov    Provider
-	cfg     Config
-	metrics *Metrics
+	clf       core.Classifier
+	single    core.SingleScorer // non-nil: ScoreOne walks it with zero allocations
+	prov      Provider
+	queueSize int64
+	metrics   *Metrics
 
-	mu     sync.RWMutex // guards shard sends against Close
-	closed bool
-	shards []chan *item
-	// pending counts items sitting in shard queues (not yet picked up by a
-	// batcher); the admission check bounds it by QueueSize, which also
-	// guarantees shard channel sends never block.
+	closed atomic.Bool
+	// pending counts customer scores in flight on the multi-id path; the
+	// admission check bounds it by queueSize.
 	pending atomic.Int64
-	wg      sync.WaitGroup
-
-	itemPool sync.Pool // *item
-	reqPool  sync.Pool // *request; canceled requests are never pooled
 }
 
-// item is one customer score pending in a shard queue.
-type item struct {
-	vec []float64
-	pos int
-	req *request
-}
-
-// request is the shared state of one Score call's items.
-type request struct {
-	out       []float64
-	remaining atomic.Int64
-	canceled  atomic.Bool
-	// done is buffered (cap 1) and signaled — not closed — by the last
-	// delivery, so the request struct can be pooled and reused.
-	done chan struct{}
-}
-
-// NewScorer starts the shard batching loops. metrics may be nil (a private
-// one is created); retrieve it with Metrics for the /metrics endpoint.
+// NewScorer wires a classifier to a vector provider. metrics may be nil (a
+// private one is created); retrieve it with Metrics for the /metrics
+// endpoint.
 func NewScorer(clf core.Classifier, prov Provider, cfg Config, m *Metrics) *Scorer {
 	if m == nil {
 		m = &Metrics{}
 	}
-	cfg = cfg.withDefaults()
-	s := &Scorer{
-		clf:     clf,
-		prov:    prov,
-		cfg:     cfg,
-		metrics: m,
-		shards:  make([]chan *item, cfg.Shards),
+	if cfg.QueueSize == 0 {
+		cfg.QueueSize = 4096
 	}
+	s := &Scorer{clf: clf, prov: prov, queueSize: int64(cfg.QueueSize), metrics: m}
 	s.single, _ = clf.(core.SingleScorer)
-	s.itemPool.New = func() any { return new(item) }
-	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	for i := range s.shards {
-		// Capacity QueueSize per shard: the global pending bound admits at
-		// most QueueSize items total, so sends never block even if every
-		// admitted item hashes to one shard.
-		s.shards[i] = make(chan *item, cfg.QueueSize)
-		s.wg.Add(1)
-		go s.loop(s.shards[i])
-	}
 	return s
 }
 
@@ -149,8 +86,8 @@ func NewScorer(clf core.Classifier, prov Provider, cfg Config, m *Metrics) *Scor
 func (s *Scorer) Metrics() *Metrics { return s.metrics }
 
 // ScoreOne scores a single customer. With a SingleScorer classifier this is
-// the synchronous fast path — vector lookup plus one compiled-ensemble walk,
-// no queue hop, zero allocations — and bit-identical to the batched path.
+// a vector lookup plus one compiled-ensemble walk — zero allocations — and
+// bit-identical to the same customer scored inside a Score call.
 func (s *Scorer) ScoreOne(ctx context.Context, id int64) (float64, error) {
 	if s.single != nil {
 		start := time.Now()
@@ -159,21 +96,17 @@ func (s *Scorer) ScoreOne(ctx context.Context, id int64) (float64, error) {
 			s.metrics.Canceled.Add(1)
 			return 0, err
 		}
+		if s.closed.Load() {
+			s.metrics.Errors.Add(1)
+			return 0, ErrClosed
+		}
 		vec, ok := s.prov.Vector(id)
 		if !ok {
 			s.metrics.Errors.Add(1)
 			return 0, unknownCustomer(id)
 		}
-		s.mu.RLock()
-		if s.closed {
-			s.mu.RUnlock()
-			s.metrics.Errors.Add(1)
-			return 0, ErrClosed
-		}
 		score := s.single.Score(vec)
-		s.mu.RUnlock()
 		s.metrics.Scored.Add(1)
-		s.metrics.SyncScored.Add(1)
 		s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
 		return score, nil
 	}
@@ -184,23 +117,23 @@ func (s *Scorer) ScoreOne(ctx context.Context, id int64) (float64, error) {
 	return out[0], nil
 }
 
-// unknownCustomer is split out so the fast path's happy case stays free of
-// the error allocation.
+// unknownCustomer is split out so ScoreOne's happy case stays free of the
+// error allocation.
 func unknownCustomer(id int64) error {
 	return fmt.Errorf("%w %d", ErrUnknownCustomer, id)
 }
 
-// Score resolves the customers' feature vectors (through the provider,
-// typically cache- or precomputed-matrix-backed), enqueues them for
-// micro-batched scoring on their hash shards, and waits for the scores or
-// the context. Scores are positionally aligned with ids and bit-identical to
-// the batch Pipeline.Predict output for the same window. A full queue fails
-// fast with ErrQueueFull; an expired context abandons the request (its items
-// are skipped if not yet scored).
+// Score resolves the customers' feature vectors through the provider and
+// scores them with one ScoreAll call on the calling goroutine. Scores are
+// positionally aligned with ids (which may repeat) and bit-identical to the
+// batch Pipeline.Predict output for the same window. A context that is
+// already done fails with its error; a request larger than QueueSize fails
+// with ErrTooManyIDs; one that does not fit beside the requests already in
+// flight fails fast with ErrQueueFull.
 func (s *Scorer) Score(ctx context.Context, ids []int64) ([]float64, error) {
 	if len(ids) == 1 && s.single != nil {
-		// The sync fast path (which counts its own request metric); one
-		// result allocation for the API shape.
+		// ScoreOne counts its own request metric; one result allocation
+		// for the API shape.
 		score, err := s.ScoreOne(ctx, ids[0])
 		if err != nil {
 			return nil, err
@@ -212,10 +145,27 @@ func (s *Scorer) Score(ctx context.Context, ids []int64) ([]float64, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	if len(ids) > s.cfg.QueueSize {
-		s.metrics.Errors.Add(1)
-		return nil, fmt.Errorf("serve: request of %d customers exceeds queue capacity %d", len(ids), s.cfg.QueueSize)
+	if err := ctx.Err(); err != nil {
+		s.metrics.Canceled.Add(1)
+		return nil, err
 	}
+	n := int64(len(ids))
+	if n > s.queueSize {
+		s.metrics.Errors.Add(1)
+		return nil, fmt.Errorf("%w: %d, limit %d", ErrTooManyIDs, n, s.queueSize)
+	}
+	if s.closed.Load() {
+		s.metrics.Errors.Add(1)
+		return nil, ErrClosed
+	}
+	if s.pending.Add(n) > s.queueSize {
+		s.pending.Add(-n)
+		s.metrics.QueueFull.Add(1)
+		s.metrics.Errors.Add(1)
+		return nil, ErrQueueFull
+	}
+	defer s.pending.Add(-n)
+
 	vecs := make([][]float64, len(ids))
 	for i, id := range ids {
 		vec, ok := s.prov.Vector(id)
@@ -225,159 +175,15 @@ func (s *Scorer) Score(ctx context.Context, ids []int64) ([]float64, error) {
 		}
 		vecs[i] = vec
 	}
-
-	req := s.newRequest(len(ids))
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.metrics.Errors.Add(1)
-		return nil, ErrClosed
-	}
-	nshards := len(s.shards)
-	for i, id := range ids {
-		if s.pending.Add(1) > int64(s.cfg.QueueSize) {
-			s.pending.Add(-1)
-			s.mu.RUnlock()
-			// Items already enqueued score into a canceled request and are
-			// dropped at flush; the request struct is abandoned to GC.
-			req.canceled.Store(true)
-			s.metrics.QueueFull.Add(1)
-			s.metrics.Errors.Add(1)
-			return nil, ErrQueueFull
-		}
-		it := s.itemPool.Get().(*item)
-		it.vec, it.pos, it.req = vecs[i], i, req
-		s.shards[table.ShardOf(id, nshards)] <- it
-	}
-	s.mu.RUnlock()
-
-	select {
-	case <-req.done:
-		out := req.out
-		req.out = nil // the result belongs to the caller, not the pool
-		s.reqPool.Put(req)
-		s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
-		return out, nil
-	case <-ctx.Done():
-		req.canceled.Store(true)
-		s.metrics.Canceled.Add(1)
-		return nil, ctx.Err()
-	}
+	out := s.clf.ScoreAll(vecs)
+	s.metrics.Scored.Add(uint64(n))
+	s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
+	return out, nil
 }
 
-// newRequest takes a pooled request and resets it for n items. Pooled
-// requests have always fully delivered (canceled ones are never returned),
-// so done is empty. The result slice is always fresh — it is handed to the
-// caller on completion, so it cannot be pooled.
-func (s *Scorer) newRequest(n int) *request {
-	req := s.reqPool.Get().(*request)
-	req.out = make([]float64, n)
-	req.remaining.Store(int64(n))
-	req.canceled.Store(false)
-	return req
-}
-
-// Close drains the shard queues, stops the batching loops and waits for
-// them. Score calls concurrent with Close either complete or return
-// ErrClosed.
-func (s *Scorer) Close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		for _, q := range s.shards {
-			close(q)
-		}
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// Close makes every later Score and ScoreOne call fail with ErrClosed. Calls
+// already scoring finish normally — they hold nothing Close could take away.
+func (s *Scorer) Close() { s.closed.Store(true) }
 
 // Closed reports whether Close has been called (readiness probes use it).
-func (s *Scorer) Closed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closed
-}
-
-// loop is one shard's batching goroutine: it blocks for the first item,
-// then collects until MaxBatch or MaxDelay, then flushes — so an idle
-// service adds no latency beyond one queue hop, and a busy one amortizes
-// dispatch over whole batches. The batch and vector buffers live for the
-// goroutine's lifetime, so steady-state batching allocates only what the
-// classifier itself allocates.
-func (s *Scorer) loop(queue chan *item) {
-	defer s.wg.Done()
-	batch := make([]*item, 0, s.cfg.MaxBatch)
-	vecs := make([][]float64, 0, s.cfg.MaxBatch)
-	timer := time.NewTimer(s.cfg.MaxDelay)
-	defer timer.Stop()
-	for {
-		first, ok := <-queue
-		if !ok {
-			return
-		}
-		s.pending.Add(-1)
-		batch = append(batch[:0], first)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(s.cfg.MaxDelay)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case it, ok := <-queue:
-				if !ok {
-					break collect
-				}
-				s.pending.Add(-1)
-				batch = append(batch, it)
-			case <-timer.C:
-				break collect
-			}
-		}
-		s.flush(batch, vecs)
-	}
-}
-
-// flush scores one micro-batch and distributes results. Items whose
-// request was canceled are dropped before scoring (their waiter is gone).
-func (s *Scorer) flush(batch []*item, vecs [][]float64) {
-	live := batch[:0]
-	for _, it := range batch {
-		if it.req.canceled.Load() {
-			it.vec, it.req = nil, nil
-			s.itemPool.Put(it)
-			continue
-		}
-		live = append(live, it)
-	}
-	if len(live) == 0 {
-		return
-	}
-	vecs = vecs[:0]
-	for _, it := range live {
-		vecs = append(vecs, it.vec)
-	}
-	scores := s.clf.ScoreAll(vecs)
-	for i, it := range live {
-		it.req.deliver(it.pos, scores[i])
-		it.vec, it.req = nil, nil
-		s.itemPool.Put(it)
-	}
-	s.metrics.Batches.Add(1)
-	s.metrics.Scored.Add(uint64(len(live)))
-	s.metrics.BatchSize.Observe(uint64(len(live)))
-}
-
-// deliver stores one positional score; the last delivery signals the
-// waiter. The signal is a buffered send, not a close, so the request can be
-// pooled.
-func (r *request) deliver(pos int, score float64) {
-	r.out[pos] = score
-	if r.remaining.Add(-1) == 0 {
-		r.done <- struct{}{}
-	}
-}
+func (s *Scorer) Closed() bool { return s.closed.Load() }

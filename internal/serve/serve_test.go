@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,56 +82,6 @@ func (c *sumClassifier) ScoreAll(x [][]float64) []float64 {
 	return out
 }
 
-func TestScorerParityAndBatching(t *testing.T) {
-	prov := newMapProvider(500)
-	clf := &sumClassifier{}
-	s := NewScorer(clf, prov, Config{MaxBatch: 64, MaxDelay: time.Millisecond, QueueSize: 2048}, nil)
-	defer s.Close()
-
-	// Many concurrent requests with overlapping ids.
-	var wg sync.WaitGroup
-	errs := make([]error, 20)
-	for g := 0; g < 20; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ids := make([]int64, 25)
-			for i := range ids {
-				ids[i] = int64((g*13 + i*7) % 500)
-			}
-			out, err := s.Score(context.Background(), ids)
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			for i, id := range ids {
-				want := float64(id) + float64(id)*0.5
-				if out[i] != want {
-					errs[g] = fmt.Errorf("id %d: got %v want %v", id, out[i], want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := s.Metrics()
-	if got := m.Scored.Load(); got != 20*25 {
-		t.Errorf("scored = %d, want %d", got, 20*25)
-	}
-	// Coalescing must have happened: far fewer classifier calls than items.
-	if b := clf.batches.Load(); b >= 20*25 {
-		t.Errorf("no batching: %d classifier calls for %d items", b, 20*25)
-	}
-	if m.BatchSize.Quantile(1) < 2 {
-		t.Error("max batch size < 2: requests never coalesced")
-	}
-}
-
 func TestScorerUnknownCustomer(t *testing.T) {
 	s := NewScorer(&sumClassifier{}, newMapProvider(3), Config{}, nil)
 	defer s.Close()
@@ -142,77 +93,94 @@ func TestScorerUnknownCustomer(t *testing.T) {
 	}
 }
 
+// TestScorerContextCancel: a context that is already done fails the call at
+// entry with the context's error — the daemon's 504 — before any vector is
+// looked up or scored.
 func TestScorerContextCancel(t *testing.T) {
-	gate := make(chan struct{})
-	clf := &sumClassifier{entered: make(chan struct{}, 8), gate: gate}
-	// One shard, so the gated first request deterministically blocks the
-	// batcher the second request's item lands on.
-	s := NewScorer(clf, newMapProvider(10), Config{MaxBatch: 1, MaxDelay: time.Microsecond, Shards: 1}, nil)
-
-	// First request occupies the classifier at the gate, so the second
-	// cannot be scored before its context is seen as canceled.
-	go s.Score(context.Background(), []int64{0})
-	<-clf.entered
+	clf := &sumClassifier{}
+	prov := newMapProvider(10)
+	s := NewScorer(clf, prov, Config{}, nil)
+	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Score(ctx, []int64{1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if _, err := s.Score(ctx, []int64{1, 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Score err = %v, want context.Canceled", err)
 	}
-	if got := s.Metrics().Canceled.Load(); got != 1 {
-		t.Errorf("canceled = %d, want 1", got)
+	if _, err := s.ScoreOne(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScoreOne err = %v, want context.Canceled", err)
 	}
-	close(gate)
-	s.Close()
-	// The canceled item must have been dropped, not scored.
-	if got := s.Metrics().Scored.Load(); got != 1 {
-		t.Errorf("scored = %d, want 1 (canceled item dropped)", got)
+	m := s.Metrics()
+	if got := m.Canceled.Load(); got != 2 {
+		t.Errorf("canceled = %d, want 2", got)
+	}
+	if m.Scored.Load() != 0 || clf.batches.Load() != 0 || prov.calls.Load() != 0 {
+		t.Errorf("canceled calls did work: scored %d, classifier calls %d, lookups %d",
+			m.Scored.Load(), clf.batches.Load(), prov.calls.Load())
+	}
+	if got := s.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after canceled calls, want 0", got)
 	}
 }
 
+// TestScorerQueueFull is the admission contract: QueueSize bounds the
+// customer scores in flight, a request past the bound sheds with
+// ErrQueueFull, one that could never fit fails with ErrTooManyIDs, and the
+// bound is released on every exit — a leak on any of them would shed forever.
 func TestScorerQueueFull(t *testing.T) {
 	gate := make(chan struct{})
 	clf := &sumClassifier{entered: make(chan struct{}, 8), gate: gate}
-	s := NewScorer(clf, newMapProvider(100), Config{MaxBatch: 1, MaxDelay: time.Hour, QueueSize: 1, Shards: 1}, nil)
+	s := NewScorer(clf, newMapProvider(100), Config{QueueSize: 4}, nil)
+	ctx := context.Background()
 
-	// First request is pulled by the batcher and parks at the gate.
-	done1 := make(chan error, 1)
+	// Three scores park inside the classifier at the gate.
+	done := make(chan error, 1)
 	go func() {
-		_, err := s.Score(context.Background(), []int64{1})
-		done1 <- err
+		_, err := s.Score(ctx, []int64{1, 2, 3})
+		done <- err
 	}()
 	<-clf.entered
-	// Second request fills the one admission slot.
-	done2 := make(chan error, 1)
-	go func() {
-		_, err := s.Score(context.Background(), []int64{2})
-		done2 <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.pending.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
+	if got := s.pending.Load(); got != 3 {
+		t.Fatalf("pending = %d with three scores in flight, want 3", got)
 	}
-	// Third request must shed immediately.
-	if _, err := s.Score(context.Background(), []int64{3}); !errors.Is(err, ErrQueueFull) {
+	// Two more do not fit beside them: shed, and the failed admission
+	// gives back what it took.
+	if _, err := s.Score(ctx, []int64{4, 5}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	// Requests larger than the queue are rejected up front.
-	if _, err := s.Score(context.Background(), []int64{4, 5}); err == nil || errors.Is(err, ErrQueueFull) {
-		t.Errorf("oversized request err = %v, want a capacity error", err)
+	if got := s.pending.Load(); got != 3 {
+		t.Errorf("pending = %d after a shed request, want 3", got)
+	}
+	// A request larger than the bound is a different, non-retryable error.
+	if _, err := s.Score(ctx, []int64{4, 5, 6, 7, 8}); !errors.Is(err, ErrTooManyIDs) || errors.Is(err, ErrQueueFull) {
+		t.Errorf("oversized request err = %v, want ErrTooManyIDs", err)
 	}
 	close(gate)
-	if err := <-done1; err != nil {
-		t.Errorf("request 1: %v", err)
+	if err := <-done; err != nil {
+		t.Errorf("in-flight request: %v", err)
 	}
-	if err := <-done2; err != nil {
-		t.Errorf("request 2: %v", err)
+
+	// Release on the failure exits: an unknown id mid-way, then ErrClosed.
+	// After each, a request of the full bound must still be admitted.
+	full := []int64{1, 2, 3, 4}
+	if _, err := s.Score(ctx, []int64{1, 2, 999, 3}); !errors.Is(err, ErrUnknownCustomer) {
+		t.Fatalf("err = %v, want ErrUnknownCustomer", err)
+	}
+	if got := s.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after an unknown-customer failure, want 0", got)
+	}
+	if _, err := s.Score(ctx, full); err != nil {
+		t.Errorf("full-bound request after an unknown-customer failure: %v", err)
 	}
 	s.Close()
+	if _, err := s.Score(ctx, full); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if got := s.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after ErrClosed, want 0", got)
+	}
 	if got := s.Metrics().QueueFull.Load(); got != 1 {
-		t.Errorf("queue_full = %d, want 1", got)
+		t.Errorf("queue_full = %d, want 1 (only the shed request counts)", got)
 	}
 }
 
@@ -294,9 +262,9 @@ func TestHistogram(t *testing.T) {
 }
 
 // TestServeMatchesPipelinePredict is the determinism contract end to end:
-// a real pipeline, served through the cache + micro-batcher in many small
-// concurrent requests, must emit bit-identical scores to one batch
-// Pipeline.Predict call over the same window.
+// a real pipeline, served off the warehouse frame through the TTL cache in
+// many small concurrent requests, must emit bit-identical scores to one
+// batch Pipeline.Predict call over the same window.
 func TestServeMatchesPipelinePredict(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 300
@@ -325,7 +293,7 @@ func TestServeMatchesPipelinePredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScorer(pipe.Classifier(), NewCache(prov, time.Minute, nil), Config{MaxBatch: 32, MaxDelay: time.Millisecond}, nil)
+	s := NewScorer(pipe.Classifier(), NewCache(prov, time.Minute, nil), Config{}, nil)
 	defer s.Close()
 
 	ids := prov.IDs()
@@ -360,8 +328,9 @@ func TestServeMatchesPipelinePredict(t *testing.T) {
 }
 
 // servingFixture fits a pipeline, precomputes its serving vectors, and
-// returns the vectors-backed provider — the production churnd configuration.
-func servingFixture(tb testing.TB, trees int) (*core.Pipeline, *VectorsProvider) {
+// returns the vectors-backed provider — the production churnd configuration
+// — with the batch Pipeline.Predict output over the same window.
+func servingFixture(tb testing.TB, trees int) (*core.Pipeline, *VectorsProvider, *core.Predictions) {
 	tb.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 400
@@ -376,21 +345,27 @@ func servingFixture(tb testing.TB, trees int) (*core.Pipeline, *VectorsProvider)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := pipe.Precompute(src, features.MonthWindow(3, cfg.DaysPerMonth), 3); err != nil {
+	win := features.MonthWindow(3, cfg.DaysPerMonth)
+	if err := pipe.Precompute(src, win, 3); err != nil {
 		tb.Fatal(err)
 	}
 	prov, err := NewVectorsProvider(pipe)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return pipe, prov
+	want, err := pipe.Predict(src, win)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pipe, prov, want
 }
 
-// TestScoreOneFastPath: the sync fast path (SingleScorer over precomputed
-// vectors) returns bit-identical scores to the batched queue path and to
-// PredictVectors, and allocates nothing per call.
+// TestScoreOneFastPath: ScoreOne (SingleScorer over precomputed vectors)
+// returns bit-identical scores to a whole-base Score call and to
+// PredictVectors, and allocates nothing per call; a 64-id Score allocates
+// only its vector and result slices plus the classifier's fan-out closure.
 func TestScoreOneFastPath(t *testing.T) {
-	pipe, prov := servingFixture(t, 10)
+	pipe, prov, _ := servingFixture(t, 10)
 	want, err := pipe.PredictVectors()
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +382,7 @@ func TestScoreOneFastPath(t *testing.T) {
 			t.Fatalf("ScoreOne(%d) = %v, want %v", id, got, want.Scores[i])
 		}
 	}
-	// Batched requests agree with the fast path.
+	// Multi-id requests agree with ScoreOne.
 	out, err := s.Score(ctx, want.IDs)
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +391,6 @@ func TestScoreOneFastPath(t *testing.T) {
 		if out[i] != want.Scores[i] {
 			t.Fatalf("batched score %d diverged from PredictVectors", i)
 		}
-	}
-	if s.Metrics().SyncScored.Load() == 0 {
-		t.Error("fast path never taken for single-id requests")
 	}
 	if _, err := s.ScoreOne(ctx, -999); !errors.Is(err, ErrUnknownCustomer) {
 		t.Fatalf("unknown customer err = %v", err)
@@ -431,6 +403,14 @@ func TestScoreOneFastPath(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ScoreOne allocates %.1f/op, want 0", n)
+	}
+	batch := want.IDs[:64]
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.Score(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("64-id Score allocates %.1f/op, want <= 3", n)
 	}
 }
 
@@ -460,72 +440,100 @@ func TestFallbackProvider(t *testing.T) {
 	}
 }
 
-// TestScorerShardedParity hammers a multi-shard scorer from many goroutines
-// with mixed single and batch requests; every score must stay bit-identical
-// to PredictVectors.
-func TestScorerShardedParity(t *testing.T) {
-	pipe, prov := servingFixture(t, 10)
-	want, err := pipe.PredictVectors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByID := make(map[int64]float64, len(want.IDs))
+// TestScoreEquivalence is the one-path contract on the real fixture: however
+// a customer's score is asked for — inside a Score request of any size
+// (below and above the classifier's parallel fan-out grain, ids repeating),
+// from many callers at once, or through ScoreOne — it is Float64bits-equal
+// to batch Pipeline.Predict over the same window.
+func TestScoreEquivalence(t *testing.T) {
+	pipe, prov, want := servingFixture(t, 10)
+	wantBits := make(map[int64]uint64, len(want.IDs))
 	for i, id := range want.IDs {
-		wantByID[id] = want.Scores[i]
+		wantBits[id] = math.Float64bits(want.Scores[i])
 	}
-	s := NewScorer(pipe.Classifier(), prov, Config{Shards: 4, MaxBatch: 16, MaxDelay: 100 * time.Microsecond}, nil)
+	const callers = 16
+	sizes := []int{1, 2, 64, 257}
+	// Room for every caller's largest request at once, so none is shed.
+	queue := callers * sizes[len(sizes)-1]
+	s := NewScorer(pipe.Classifier(), prov, Config{QueueSize: queue}, nil)
 	defer s.Close()
 
 	ids := prov.IDs()
-	var wg sync.WaitGroup
-	var failed atomic.Int64
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx := context.Background()
-			for rep := 0; rep < 20; rep++ {
-				if g%2 == 0 {
-					id := ids[(g*31+rep*7)%len(ids)]
-					got, err := s.ScoreOne(ctx, id)
-					if err != nil || got != wantByID[id] {
-						failed.Add(1)
-						return
-					}
-				} else {
-					part := make([]int64, 9)
-					for i := range part {
-						part[i] = ids[(g*17+rep*5+i)%len(ids)]
-					}
-					out, err := s.Score(ctx, part)
-					if err != nil {
-						failed.Add(1)
-						return
-					}
-					for i, id := range part {
-						if out[i] != wantByID[id] {
-							failed.Add(1)
-							return
-						}
-					}
-				}
-			}
-		}(g)
+	ctx := context.Background()
+	request := func(caller, size int) []int64 {
+		req := make([]int64, size)
+		for i := range req {
+			req[i] = ids[(caller*31+i*7)%len(ids)]
+		}
+		return req
 	}
-	wg.Wait()
-	if failed.Load() != 0 {
-		t.Fatal("sharded serving diverged from PredictVectors")
+	check := func(req []int64) error {
+		out, err := s.Score(ctx, req)
+		if err != nil {
+			return err
+		}
+		if len(out) != len(req) {
+			return fmt.Errorf("%d scores for %d ids", len(out), len(req))
+		}
+		for i, id := range req {
+			one, err := s.ScoreOne(ctx, id)
+			if err != nil {
+				return err
+			}
+			if got := math.Float64bits(out[i]); got != wantBits[id] {
+				return fmt.Errorf("Score(%d ids)[%d] for customer %d = %x, Predict %x", len(req), i, id, got, wantBits[id])
+			}
+			if got := math.Float64bits(one); got != wantBits[id] {
+				return fmt.Errorf("ScoreOne(%d) = %x, Predict %x", id, got, wantBits[id])
+			}
+		}
+		return nil
+	}
+
+	scored := 0
+	for _, size := range sizes {
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				errs[g] = check(request(g, size))
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("size %d, caller %d: %v", size, g, err)
+			}
+		}
+		scored += callers * size * 2 // once by Score, once by ScoreOne
+	}
+	// The largest admissible request, alone.
+	if err := check(request(0, queue)); err != nil {
+		t.Fatalf("size %d (QueueSize): %v", queue, err)
+	}
+	scored += queue * 2
+
+	m := s.Metrics()
+	if got := m.Scored.Load(); got != uint64(scored) {
+		t.Errorf("scored = %d, want %d", got, scored)
+	}
+	if m.Errors.Load() != 0 || m.QueueFull.Load() != 0 {
+		t.Errorf("errors/queue_full = %d/%d, want 0/0", m.Errors.Load(), m.QueueFull.Load())
+	}
+	if got := s.pending.Load(); got != 0 {
+		t.Errorf("pending = %d at rest, want 0", got)
 	}
 }
 
 // BenchmarkServeScore reports serving latency in the production churnd
 // configuration — precomputed feature vectors plus compiled forests:
-// "single" issues one-customer requests on the sync fast path (the 0
-// allocs/op contract lives here), "batch64" issues 64-customer requests
-// through the sharded micro-batch path. p50-ns/req is read off the latency
-// histogram at the end of each run.
+// "single" issues one-customer ScoreOne calls (the 0 allocs/op contract
+// lives here), "batch64" issues 64-customer Score calls. p50-ns/req is read
+// off the latency histogram at the end of each run.
 func BenchmarkServeScore(b *testing.B) {
-	pipe, prov := servingFixture(b, 50)
+	pipe, prov, _ := servingFixture(b, 50)
 	ids := prov.IDs()
 
 	b.Run("single", func(b *testing.B) {
@@ -544,7 +552,7 @@ func BenchmarkServeScore(b *testing.B) {
 		b.ReportMetric(1, "req-size")
 	})
 	b.Run("batch64", func(b *testing.B) {
-		s := NewScorer(pipe.Classifier(), prov, Config{MaxBatch: 256, MaxDelay: 200 * time.Microsecond}, nil)
+		s := NewScorer(pipe.Classifier(), prov, Config{}, nil)
 		defer s.Close()
 		ctx := context.Background()
 		req := make([]int64, 64)

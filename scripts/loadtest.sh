@@ -3,8 +3,7 @@
 # snapshot, start churnd, and drive an open-loop churnload run against it.
 # The run self-gates — non-zero exit when p99 exceeds LOAD_MAX_P99 or any
 # request comes back non-2xx — so `make loadtest` doubles as CI's serving
-# latency regression guard. The report lands in LOAD.json (benchjson's
-# document shape) for diffing across runs with `benchjson -compare`.
+# latency regression guard. The JSON report lands in LOAD.json.
 #
 # A second, mixed read/write pass (-ingest-mix) interleaves event posts to
 # /v1/events with the scores under the same gates, so the latency cost of
