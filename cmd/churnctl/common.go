@@ -59,26 +59,27 @@ func (f *sourceFlags) detectShards(wh *store.Warehouse) (int, error) {
 	return wh.DetectShards(synth.TableCustomers)
 }
 
-// source opens the warehouse as a retrying, shard-aware pipeline source:
-// reads retry with seeded backoff per -retries, and AsSharded callers get
-// the bounded-memory sharded path at the layout's (or -shards') count.
-// Whole-window reads stay bit-identical for any shard count.
-func (f *sourceFlags) source(label string) (*core.RetrySource, *store.Warehouse, int, error) {
+// source opens the warehouse as the pipeline source every subcommand
+// reads through: a sharded warehouse view at the layout's (or -shards')
+// count with each table read retried under seeded backoff per -retries, so
+// AsSharded callers get the bounded-memory sharded path. Whole-window
+// reads stay bit-identical for any shard count.
+func (f *sourceFlags) source(label string) (core.Source, *store.Warehouse, int, error) {
 	wh, err := f.open()
 	if err != nil {
-		return nil, nil, 0, err
+		return core.Source{}, nil, 0, err
 	}
 	days := synth.DefaultConfig().DaysPerMonth
 	shards, err := f.detectShards(wh)
 	if err != nil {
-		return nil, nil, 0, err
+		return core.Source{}, nil, 0, err
 	}
 	if shards < 1 {
 		shards = 1
 	}
 	sw, err := wh.Sharded(shards)
 	if err != nil {
-		return nil, nil, 0, err
+		return core.Source{}, nil, 0, err
 	}
 	rs := core.NewRetrySource(core.NewShardedWarehouseSource(sw, days), core.RetryConfig{
 		MaxAttempts: *f.retries,
@@ -86,5 +87,5 @@ func (f *sourceFlags) source(label string) (*core.RetrySource, *store.Warehouse,
 			fmt.Fprintf(os.Stderr, "%s: retrying %s (attempt %d, backoff %v): %v\n", label, op, attempt, delay, err)
 		},
 	})
-	return rs, wh, days, nil
+	return rs.Source, wh, days, nil
 }

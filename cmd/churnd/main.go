@@ -13,7 +13,10 @@
 //	POST /v1/events     append raw BSS/OSS event records; affected customers'
 //	                    serving vectors refresh incrementally within the call
 //	POST /v1/refresh    rebuild the serving base over the event log and
-//	                    hot-swap vectors atomically (graph/topic groups catch up)
+//	                    hot-swap vectors atomically (graph/topic groups catch
+//	                    up); from then on the rebuilt frame answers for every
+//	                    customer it holds, the artifact snapshot only for ids
+//	                    it lacks
 //	GET  /v1/customers  scorable customer ids (?limit=N caps the list)
 //	GET  /healthz       liveness + model identity (200 while the process is up)
 //	GET  /readyz        readiness (503 + Retry-After until scores are servable)
@@ -27,9 +30,11 @@
 //
 // Serving path: vectors resolve through a single provider chain — live event
 // overlay, then the artifact's precomputed snapshot (churnctl train
-// -precompute), then the warehouse frame — reported uniformly by /healthz,
-// /readyz and /metrics. Scores stay bit-identical to `churnctl score` over
-// the same artifact, month and merged events.
+// -precompute), then the warehouse frame ("vectors+frame"); a /v1/refresh
+// puts the frame it rebuilt ahead of the train-time snapshot
+// ("frame+vectors") — reported uniformly by /healthz, /readyz and /metrics.
+// Scores stay bit-identical to `churnctl score` over the same
+// artifact, month and merged events.
 //
 // Streaming ingest: events append durably to the warehouse event log first,
 // then fold into the incremental feature maintainer; each affected
@@ -326,19 +331,19 @@ func (s *service) buildEngine() (*engine, error) {
 				log.Printf("churnd: retrying %s (attempt %d, backoff %v): %v", op, attempt, delay, err)
 			},
 		})
-		e.src = rs
+		e.src = rs.Source
 		// The durable event log rides inside the warehouse; the serving
 		// frame builds over it (base partitions + unmerged events, the
 		// exact post-merge layout), so a restart loses nothing.
-		var buildSrc core.Source = rs
+		buildSrc := e.src
 		if elog, logErr := wh.EventLog(); logErr != nil {
 			log.Printf("churnd: event log unavailable, ingest disabled: %v", logErr)
 		} else {
 			e.log = elog
-			if ov, ovErr := core.NewEventOverlaySource(rs, elog); ovErr != nil {
+			if ov, ovErr := core.NewEventOverlaySource(e.src, elog); ovErr != nil {
 				log.Printf("churnd: event overlay unavailable, serving base partitions only: %v", ovErr)
 			} else {
-				buildSrc = ov
+				buildSrc = ov.Source
 				e.buildSeq = ov.Seq()
 			}
 		}
@@ -359,7 +364,7 @@ func (s *service) buildEngine() (*engine, error) {
 			// The maintainer folds streamed events between full builds; its
 			// tables start at the base partitions and the fold (foldLocked)
 			// replays the log over them.
-			inc, incErr := core.NewIncremental(pipe, rs, e.win)
+			inc, incErr := core.NewIncremental(pipe, e.src, e.win)
 			if incErr != nil {
 				log.Printf("churnd: incremental maintenance unavailable, ingest disabled: %v", incErr)
 			} else {
@@ -373,7 +378,7 @@ func (s *service) buildEngine() (*engine, error) {
 	}
 	e.frame.Store(frameProv)
 
-	inner, err := s.chainFor(e, frameProv)
+	inner, err := s.chainFor(e, frameProv, false)
 	if err != nil {
 		return nil, err
 	}
@@ -385,13 +390,21 @@ func (s *service) buildEngine() (*engine, error) {
 }
 
 // chainFor composes the immutable provider chain under the overlay from
-// the available leaves: precomputed snapshot first (an index lookup, zero
-// allocations) with the TTL-cached frame answering for customers outside
-// it; either leaf alone when the other is unavailable.
-func (s *service) chainFor(e *engine, frameProv *serve.FrameProvider) (serve.Provider, error) {
+// the available leaves; either leaf alone when the other is unavailable.
+// With both, the boot chain answers from the precomputed snapshot first (an
+// index lookup, zero allocations) and the TTL-cached frame covers customers
+// outside it. A refresh passes rebuilt and turns that around: the rebuilt
+// frame holds the logged events and the caught-up graph/topic groups the
+// train-time snapshot cannot, so it answers for every customer it has and
+// the snapshot only for ids it lacks.
+func (s *service) chainFor(e *engine, frameProv *serve.FrameProvider, rebuilt bool) (serve.Provider, error) {
 	switch {
 	case e.useVectors && frameProv != nil:
-		return serve.NewFallbackProvider(e.vp, serve.NewCache(frameProv, s.opts.cacheTTL, s.metrics))
+		cached := serve.NewCache(frameProv, s.opts.cacheTTL, s.metrics)
+		if rebuilt {
+			return serve.NewFallbackProvider(cached, e.vp)
+		}
+		return serve.NewFallbackProvider(e.vp, cached)
 	case e.useVectors:
 		return e.vp, nil
 	case frameProv != nil:
@@ -797,7 +810,7 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.cur.Load()
-	if e == nil || !e.ingestReady() || e.src == nil {
+	if e == nil || !e.ingestReady() {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", errIngestUnavailable.Error(), true)
 		return
 	}
@@ -828,9 +841,9 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 
 	var newFrame *serve.FrameProvider
 	if s.opts.degraded {
-		newFrame, err = serve.NewFrameProviderDegraded(e.pipe, ovSrc, e.win)
+		newFrame, err = serve.NewFrameProviderDegraded(e.pipe, ovSrc.Source, e.win)
 	} else {
-		newFrame, err = serve.NewFrameProvider(e.pipe, ovSrc, e.win)
+		newFrame, err = serve.NewFrameProvider(e.pipe, ovSrc.Source, e.win)
 	}
 	if err != nil {
 		s.metrics.RefreshFailures.Add(1)
@@ -855,7 +868,7 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "engine reloaded during refresh, retry", true)
 		return
 	}
-	inner, err := s.chainFor(e, newFrame)
+	inner, err := s.chainFor(e, newFrame, true)
 	if err != nil {
 		s.metrics.RefreshFailures.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error(), true)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +23,14 @@ import (
 // makeWorld generates a warehouse, trains and saves an artifact, and
 // returns healthy batch predictions for the latest month.
 func makeWorld(t *testing.T) (whDir, artifact string, want *core.Predictions) {
+	t.Helper()
+	return makeWorldPrecomputed(t, false)
+}
+
+// makeWorldPrecomputed is makeWorld whose artifact optionally carries the
+// served month's precomputed vectors (churnctl train -precompute), which
+// makes churnd serve the vectors+frame chain.
+func makeWorldPrecomputed(t *testing.T, precompute bool) (whDir, artifact string, want *core.Predictions) {
 	t.Helper()
 	dir := t.TempDir()
 	whDir = filepath.Join(dir, "wh")
@@ -45,6 +54,11 @@ func makeWorld(t *testing.T) (whDir, artifact string, want *core.Predictions) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if precompute {
+		if err := pipe.Precompute(src, features.MonthWindow(4, cfg.DaysPerMonth), 4); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := pipe.SaveFile(artifact); err != nil {
 		t.Fatal(err)
@@ -471,9 +485,35 @@ func TestErrorEnvelope(t *testing.T) {
 // TestIngestFreshnessAndRefresh is the streaming contract end to end at the
 // HTTP layer: a posted event changes the customer's served vector within
 // the same call, and the incrementally refreshed score is bit-identical to
-// the one a full rebuild over the event log produces (/v1/refresh).
+// the one a full rebuild over the event log produces (/v1/refresh). It runs
+// over a plain artifact (the frame chain) and a precomputed one (the
+// vectors+frame chain train -precompute, loadtest and the benchmark serve):
+// after a refresh the rebuilt frame answers, never the train-time snapshot.
 func TestIngestFreshnessAndRefresh(t *testing.T) {
-	svc, want := buildTestService(t)
+	for _, fx := range []struct {
+		name       string
+		precompute bool
+		provider   string
+	}{
+		{"plain artifact", false, "frame"},
+		{"precomputed artifact", true, "vectors+frame"},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			whDir, artifact, want := makeWorldPrecomputed(t, fx.precompute)
+			svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute})
+			if err != nil {
+				t.Fatalf("buildService: %v", err)
+			}
+			t.Cleanup(svc.Close)
+			if got := svc.cur.Load().overlay.Info().Source; got != fx.provider {
+				t.Fatalf("boot provider = %q, want %q", got, fx.provider)
+			}
+			testIngestFreshnessAndRefresh(t, svc, want)
+		})
+	}
+}
+
+func testIngestFreshnessAndRefresh(t *testing.T, svc *service, want *core.Predictions) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -536,6 +576,19 @@ func TestIngestFreshnessAndRefresh(t *testing.T) {
 	}
 	if svc.cur.Load().overlay.Overridden() != 0 {
 		t.Error("overrides survived the refresh")
+	}
+	// The served vector is the rebuilt frame's row, which the incremental
+	// override already equalled bit for bit. Scores alone cannot tell: ten
+	// trees may not split on the columns that moved.
+	rebuilt, _ := e.overlay.Vector(id)
+	frameRow, _ := e.frame.Load().Vector(id)
+	for i := range served {
+		if math.Float64bits(rebuilt[i]) != math.Float64bits(served[i]) {
+			t.Fatalf("col %q after refresh: served %v, pre-refresh override %v", e.overlay.FeatureNames()[i], rebuilt[i], served[i])
+		}
+		if math.Float64bits(rebuilt[i]) != math.Float64bits(frameRow[i]) {
+			t.Fatalf("col %q after refresh: served %v, rebuilt frame %v", e.overlay.FeatureNames()[i], rebuilt[i], frameRow[i])
+		}
 	}
 	status, sr, raw = postScore(t, ts, `{"id":`+int64String(id)+`}`)
 	if status != http.StatusOK {

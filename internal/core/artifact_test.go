@@ -14,7 +14,7 @@ import (
 )
 
 // artifactWorld simulates a small world once for all artifact tests.
-func artifactWorld(t *testing.T) (*MemorySource, []WindowSpec, features.Window) {
+func artifactWorld(t *testing.T) (Source, []WindowSpec, features.Window) {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 400
@@ -25,7 +25,7 @@ func artifactWorld(t *testing.T) (*MemorySource, []WindowSpec, features.Window) 
 	return src, []WindowSpec{MonthSpec(2, cfg.DaysPerMonth)}, features.MonthWindow(3, cfg.DaysPerMonth)
 }
 
-func fitSaveLoadPredict(t *testing.T, src *MemorySource, train []WindowSpec, win features.Window, cfg Config) {
+func fitSaveLoadPredict(t *testing.T, src Source, train []WindowSpec, win features.Window, cfg Config) {
 	t.Helper()
 	p, err := Fit(src, train, cfg)
 	if err != nil {

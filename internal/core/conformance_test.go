@@ -1,0 +1,342 @@
+package core_test
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"math"
+	"testing"
+	"time"
+
+	"telcochurn/internal/core"
+	"telcochurn/internal/faults"
+	"telcochurn/internal/features"
+	"telcochurn/internal/store"
+	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
+)
+
+// The source-conformance matrix: a source is a reader factory and a
+// decorator is one ReadMonths, so every decorator — alone or stacked, in
+// either order — over every base must read exactly what the base reads
+// when it has nothing to add, and must pass a failing table through to the
+// loaders unchanged in kind.
+
+func conformanceCfg() synth.Config {
+	cfg := synth.DefaultConfig()
+	cfg.Customers = 150
+	cfg.Months = 2
+	cfg.Seed = 17
+	cfg.BurnInMonths = 1
+	return cfg
+}
+
+func tempWarehouse(t *testing.T) *store.Warehouse {
+	t.Helper()
+	wh, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wh
+}
+
+func emptyLog(t *testing.T) *store.EventLog {
+	t.Helper()
+	log, err := tempWarehouse(t).EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+func noSleep(time.Duration) {}
+
+func retrying(src core.Source) core.Source {
+	return core.NewRetrySource(src, core.RetryConfig{Sleep: noSleep}).Source
+}
+
+func overlaid(t *testing.T, src core.Source) core.Source {
+	t.Helper()
+	ov, err := core.NewEventOverlaySource(src, emptyLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov.Source
+}
+
+// failingReader fails every read of one table with a fixed error.
+type failingReader struct {
+	features.TableReader
+	name string
+	err  error
+}
+
+func (r failingReader) ReadMonths(name string, months []int) (*table.Table, error) {
+	if name == r.name {
+		return nil, r.err
+	}
+	return r.TableReader.ReadMonths(name, months)
+}
+
+// failing makes one table of src unreadable at the reader, below whatever
+// decorators are stacked on the result.
+func failing(src core.Source, name string, err error) core.Source {
+	return src.With(func(_, _ int, r features.TableReader) features.TableReader {
+		return failingReader{TableReader: r, name: name, err: err}
+	})
+}
+
+func sameTable(t *testing.T, what string, got, want *table.Table) {
+	t.Helper()
+	if !got.Schema.Equal(want.Schema) {
+		t.Fatalf("%s: schema %s, want %s", what, got.Schema, want.Schema)
+	}
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
+	}
+	for c, wc := range want.Cols {
+		gc, name := got.Cols[c], want.Schema.Fields[c].Name
+		for i := 0; i < want.NumRows(); i++ {
+			var same bool
+			switch wc.Type {
+			case table.Int64:
+				same = gc.Ints[i] == wc.Ints[i]
+			case table.Float64:
+				same = math.Float64bits(gc.Floats[i]) == math.Float64bits(wc.Floats[i])
+			default:
+				same = gc.Strings[i] == wc.Strings[i]
+			}
+			if !same {
+				t.Fatalf("%s: column %q row %d differs", what, name, i)
+			}
+		}
+	}
+}
+
+func sameTables(t *testing.T, what string, got, want features.Tables) {
+	t.Helper()
+	for _, p := range []struct {
+		name      string
+		got, want *table.Table
+	}{
+		{synth.TableCalls, got.Calls, want.Calls},
+		{synth.TableMessages, got.Messages, want.Messages},
+		{synth.TableRecharges, got.Recharges, want.Recharges},
+		{synth.TableBilling, got.Billing, want.Billing},
+		{synth.TableCustomers, got.Customers, want.Customers},
+		{synth.TableComplaints, got.Complaints, want.Complaints},
+		{synth.TableWeb, got.Web, want.Web},
+		{synth.TableSearch, got.Search, want.Search},
+		{synth.TableLocations, got.Locations, want.Locations},
+	} {
+		sameTable(t, what+" "+p.name, p.got, p.want)
+	}
+}
+
+func TestSourceConformance(t *testing.T) {
+	cfg := conformanceCfg()
+	days := cfg.DaysPerMonth
+	plain := tempWarehouse(t)
+	if err := synth.GenerateToWarehouse(cfg, plain); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := tempWarehouse(t).Sharded(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := synth.GenerateToShardedWarehouse(cfg, sw); err != nil {
+		t.Fatal(err)
+	}
+	bases := []struct {
+		name string
+		src  core.Source
+	}{
+		{"memory", core.NewMemorySource(synth.Simulate(cfg), days)},
+		{"warehouse", core.NewWarehouseSource(plain, days)},
+		{"sharded4", core.NewShardedWarehouseSource(sw, days)},
+	}
+	wraps := []struct {
+		name string
+		wrap func(*testing.T, core.Source) core.Source
+	}{
+		{"none", func(_ *testing.T, s core.Source) core.Source { return s }},
+		{"retry", func(_ *testing.T, s core.Source) core.Source { return retrying(s) }},
+		{"overlay", overlaid},
+		{"faults", func(_ *testing.T, s core.Source) core.Source { return faults.Wrap(s, faults.New(faults.Config{})) }},
+		{"retry(overlay)", func(t *testing.T, s core.Source) core.Source { return retrying(overlaid(t, s)) }},
+		{"overlay(retry)", func(t *testing.T, s core.Source) core.Source { return overlaid(t, retrying(s)) }},
+	}
+	// Two months, so every read also concatenates.
+	win := features.Window{FromAbs: 1, ToAbs: 2 * days}
+	months := win.Months(days)
+	graph := core.NewFrameBuilder(core.Config{Groups: []features.Group{features.F1Baseline, features.F4CallGraph}})
+	down := fmt.Errorf("feed down: %w", fs.ErrNotExist)
+
+	for _, b := range bases {
+		want, err := b.src.Tables(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTruth, err := b.src.Truth(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range wraps {
+			t.Run(b.name+"/"+w.name, func(t *testing.T) {
+				src := w.wrap(t, b.src)
+				if src.DaysPerMonth() != days || src.NumShards() != b.src.NumShards() {
+					t.Fatalf("days/shards = %d/%d, want %d/%d", src.DaysPerMonth(), src.NumShards(), days, b.src.NumShards())
+				}
+				if _, ok := core.AsSharded(src); ok != (b.src.NumShards() > 0) {
+					t.Fatalf("AsSharded = %v over %d shards", ok, b.src.NumShards())
+				}
+				got, err := src.Tables(win)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTables(t, "Tables", got, want)
+				got, missing, err := src.TablesPartial(win)
+				if err != nil || len(missing) != 0 {
+					t.Fatalf("TablesPartial: missing %v, err %v", missing, err)
+				}
+				sameTables(t, "TablesPartial", got, want)
+				truth, err := src.Truth(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTable(t, "Truth", truth, wantTruth)
+				rows := 0
+				for s := 0; s < src.NumShards(); s++ {
+					gs, err := src.ShardReader(s).ReadMonths(synth.TableCalls, months)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ws, err := b.src.ShardReader(s).ReadMonths(synth.TableCalls, months)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameTable(t, fmt.Sprintf("shard %d calls", s), gs, ws)
+					rows += gs.NumRows()
+				}
+				if src.NumShards() > 0 && rows != want.Calls.NumRows() {
+					t.Fatalf("shard readers hold %d calls rows, whole months %d", rows, want.Calls.NumRows())
+				}
+
+				// One table down at the reader: strict fails with the
+				// reader's error, partial reports exactly that table.
+				src = w.wrap(t, failing(b.src, synth.TableWeb, down))
+				if _, err := src.Tables(win); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("strict load with web down: %v, want ErrNotExist", err)
+				}
+				got, missing, err = src.TablesPartial(win)
+				if err != nil || len(missing) != 1 || missing[0] != synth.TableWeb {
+					t.Fatalf("partial load with web down: missing %v, err %v", missing, err)
+				}
+				if got.Web.NumRows() != 0 {
+					t.Fatal("web stand-in is not empty")
+				}
+				sameTable(t, "calls beside the missing web", got.Calls, want.Calls)
+				src = w.wrap(t, failing(b.src, synth.TableCustomers, down))
+				if _, _, err := src.TablesPartial(win); !errors.Is(err, features.ErrUniverseUnavailable) {
+					t.Fatalf("partial load with customers down: %v, want ErrUniverseUnavailable", err)
+				}
+
+				// The truth feed down: strict builds fail on it, degraded
+				// builds flag the graph groups it seeds and nothing else.
+				src = w.wrap(t, failing(b.src, synth.TableTruth, down))
+				if _, err := src.Truth(2); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("Truth with the feed down: %v, want ErrNotExist", err)
+				}
+				month2 := features.MonthWindow(2, days)
+				if _, err := graph.BuildFrame(src, month2, false, nil); err == nil {
+					t.Fatal("strict build survived a dead truth feed")
+				}
+				_, deg, err := graph.BuildFrameDegraded(src, month2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if deg.String() != "F4" {
+					t.Fatalf("degraded mask with truth down = %s, want F4", deg)
+				}
+			})
+		}
+	}
+}
+
+// TestSourceConformanceOverlayCopies: once any source can sit under an
+// overlay, the overlay may be handed tables it does not own — a memory
+// source shares the simulator's — and must append events to a copy.
+func TestSourceConformanceOverlayCopies(t *testing.T) {
+	cfg := conformanceCfg()
+	days := cfg.DaysPerMonth
+	sim := synth.Simulate(cfg)
+	log := emptyLog(t)
+	ids := sim[1].Customers.MustCol("imsi").Ints[:20]
+	events := synth.GenerateEvents(ids, 2, days, 120, 3)
+	if _, err := log.Append(events); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]int{}
+	for name, tb := range sim[1].Tables() {
+		before[name] = tb.NumRows()
+	}
+	ov, err := core.NewEventOverlaySource(core.NewMemorySource(sim, days), log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		tbl, err := ov.Tables(features.MonthWindow(2, days))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := before[synth.TableRecharges] + events[synth.TableRecharges].NumRows(); tbl.Recharges.NumRows() != want {
+			t.Fatalf("pass %d: overlaid recharges = %d rows, want %d", pass, tbl.Recharges.NumRows(), want)
+		}
+	}
+	for name, tb := range sim[1].Tables() {
+		if tb.NumRows() != before[name] {
+			t.Errorf("overlay grew the simulator's %s table from %d to %d rows", name, before[name], tb.NumRows())
+		}
+	}
+}
+
+// TestSourceConformanceRetryDeadlinePerOpen: the retry budget is per window
+// load. The view opens one reader per load and each starts its own
+// deadline, so a load begun after an earlier one's budget has run out
+// still gets to retry.
+func TestSourceConformanceRetryDeadlinePerOpen(t *testing.T) {
+	cfg := conformanceCfg()
+	base := core.NewMemorySource(synth.Simulate(cfg), cfg.DaysPerMonth)
+	// calls is the first table a window load reads, so its retry is
+	// decided right after the reader opens.
+	failures := 0
+	flaky := base.With(func(_, _ int, r features.TableReader) features.TableReader {
+		failures = 1
+		return readerFunc(func(name string, months []int) (*table.Table, error) {
+			if name == synth.TableCalls && failures > 0 {
+				failures--
+				return nil, errors.New("transient blip")
+			}
+			return r.ReadMonths(name, months)
+		})
+	})
+	const budget = 50 * time.Millisecond
+	rs := core.NewRetrySource(flaky, core.RetryConfig{BaseDelay: time.Millisecond, WindowBudget: budget, Sleep: noSleep})
+	win := features.MonthWindow(1, cfg.DaysPerMonth)
+	if _, err := rs.Tables(win); err != nil {
+		t.Fatalf("first load: %v", err)
+	}
+	time.Sleep(budget + 10*time.Millisecond)
+	if _, err := rs.Tables(win); err != nil {
+		t.Fatalf("load after the first one's budget ran out: %v", err)
+	}
+	if rs.Retries() != 2 || rs.Exhausted() != 0 {
+		t.Fatalf("retries=%d exhausted=%d, want 2/0", rs.Retries(), rs.Exhausted())
+	}
+}
+
+type readerFunc func(name string, months []int) (*table.Table, error)
+
+func (f readerFunc) ReadMonths(name string, months []int) (*table.Table, error) {
+	return f(name, months)
+}

@@ -10,7 +10,6 @@ import (
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
-	"telcochurn/internal/table"
 	"telcochurn/internal/tree"
 )
 
@@ -42,12 +41,12 @@ func dropTables(t *testing.T, wh *store.Warehouse, names ...string) {
 	}
 }
 
-// noTruthSource serves tables normally but fails every truth read — the
-// label feed being down while the raw feeds are healthy.
-type noTruthSource struct{ Source }
-
-func (s noTruthSource) Truth(month int) (*table.Table, error) {
-	return nil, errors.New("truth feed down")
+// noTruth serves tables normally but fails every truth read — the label
+// feed being down while the raw feeds are healthy.
+func noTruth(src Source) Source {
+	return src.With(func(_, _ int, r features.TableReader) features.TableReader {
+		return &countingReader{inner: r, failLeft: map[string]int{synth.TableTruth: 1 << 30}}
+	})
 }
 
 func samePredictions(t *testing.T, a, b *Predictions) {
@@ -101,7 +100,7 @@ func TestPredictDegraded(t *testing.T) {
 	})
 
 	t.Run("truth feed down degrades graph groups", func(t *testing.T) {
-		down := noTruthSource{src}
+		down := noTruth(src)
 		if _, err := p.Predict(down, win); err == nil {
 			t.Error("strict Predict survived a dead truth feed")
 		}

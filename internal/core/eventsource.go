@@ -1,49 +1,46 @@
 package core
 
 import (
-	"fmt"
-
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/table"
 )
 
-// EventOverlaySource is a Source that reads the warehouse as if the event
-// log had already been merged: each table's month partition is followed by
+// EventOverlaySource is a view of a Source that reads as if the event log
+// had already been merged: each table's month partition is followed by
 // that month's logged-but-unmerged event rows, in log order — exactly the
 // row layout store.EventLog.MergeInto commits. A frame built from it is
 // therefore Float64bits-identical to a frame built after merge + rebuild,
 // which is what lets churnd's /v1/refresh fold streamed events into the
 // full wide table (graph groups included) without stopping ingest or
-// touching the durable partitions.
+// touching the durable partitions. The embedded Source is the overlaid
+// view; pass it wherever a Source is wanted.
 //
 // The overlay snapshots the log's last sequence at construction: segments
 // appended afterwards are invisible, so a refresh sees a consistent
 // prefix and can report exactly which events it covers.
 type EventOverlaySource struct {
-	inner Source
-	rd    features.TableReader
-	seq   uint64
+	Source
+	seq uint64
 	// events buckets the snapshot's rows by table name, then month, rows
 	// in log order.
 	events map[string]map[int]*table.Table
 }
 
 // NewEventOverlaySource snapshots the log at its current last sequence and
-// overlays its unmerged events on src, which must expose a per-table
-// reader (ReaderSource). Wrap in RetrySource *outside* the overlay if
-// retries are wanted; the overlay itself adds no policy.
+// overlays its unmerged events on src. The overlay adds no policy: over a
+// RetrySource's view each base month read retries on its own.
 func NewEventOverlaySource(src Source, log *store.EventLog) (*EventOverlaySource, error) {
-	rs, ok := src.(ReaderSource)
-	if !ok || rs.TableReader() == nil {
-		return nil, fmt.Errorf("core: event overlay needs a per-table reader source, got %T", src)
-	}
 	o := &EventOverlaySource{
-		inner:  src,
-		rd:     rs.TableReader(),
 		seq:    log.LastSeq(),
 		events: map[string]map[int]*table.Table{},
 	}
+	// A shard reader takes only its shard's events, by the same customer
+	// hash the sharded writer splits on, so the per-shard overlay mirrors
+	// WritePartition's stable post-merge split.
+	o.Source = src.With(func(shard, shards int, rd features.TableReader) features.TableReader {
+		return overlayReader{rd: rd, shard: shard, shards: shards, events: o.events}
+	})
 	snap := o.seq
 	err := log.Replay(0, func(seq uint64, name string, t *table.Table) error {
 		if seq > snap {
@@ -104,11 +101,10 @@ func (o *EventOverlaySource) PendingEvents() int {
 // base rows — the merge layout.
 type overlayReader struct {
 	rd features.TableReader
-	// filter restricts events to one shard (nil reads all): a customer's
-	// rows all hash to one shard, so the per-shard overlay mirrors what
-	// WritePartition's stable split would produce after a merge.
-	filter func(imsi int64) bool
-	events map[string]map[int]*table.Table
+	// shard restricts events to one of shards customer-hash shards (< 0
+	// reads all): a customer's rows all hash to one shard.
+	shard, shards int
+	events        map[string]map[int]*table.Table
 }
 
 func (r overlayReader) ReadMonths(name string, months []int) (*table.Table, error) {
@@ -116,86 +112,35 @@ func (r overlayReader) ReadMonths(name string, months []int) (*table.Table, erro
 	if len(byMonth) == 0 {
 		return r.rd.ReadMonths(name, months)
 	}
-	var out *table.Table
-	app := func(t *table.Table) error {
-		if out == nil {
-			out = t
-			return nil
-		}
-		return out.AppendTable(t)
-	}
+	var parts []*table.Table
 	for _, m := range months {
 		base, err := r.rd.ReadMonths(name, []int{m})
 		if err != nil {
 			return nil, err
 		}
-		if err := app(base); err != nil {
-			return nil, err
-		}
+		parts = append(parts, base)
 		ev := byMonth[m]
 		if ev == nil {
 			continue
 		}
-		if r.filter != nil {
+		if r.shard >= 0 {
 			keys := ev.MustCol("imsi").Ints
-			ev = ev.Filter(func(i int) bool { return r.filter(keys[i]) })
+			ev = ev.Filter(func(i int) bool { return table.ShardOf(keys[i], r.shards) == r.shard })
 		}
-		if ev.NumRows() == 0 {
-			continue
+		if ev.NumRows() > 0 {
+			parts = append(parts, ev)
 		}
-		if err := app(ev); err != nil {
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	// The base reader may hand out tables it does not own (a memory source
+	// shares the simulator's), so the parts concatenate into a fresh table.
+	out := table.NewTable(parts[0].Schema)
+	for _, p := range parts {
+		if err := out.AppendTable(p); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// Tables implements Source over the overlay reader.
-func (o *EventOverlaySource) Tables(win features.Window) (features.Tables, error) {
-	return features.LoadTablesFrom(o.TableReader(), win, o.inner.DaysPerMonth())
-}
-
-// Truth implements Source. Truth is batch-only; events never carry labels.
-func (o *EventOverlaySource) Truth(month int) (*table.Table, error) {
-	return o.inner.Truth(month)
-}
-
-// DaysPerMonth implements Source.
-func (o *EventOverlaySource) DaysPerMonth() int { return o.inner.DaysPerMonth() }
-
-// TablesPartial implements PartialSource when the inner source does: a
-// table whose base partitions are unavailable degrades as usual and its
-// pending events ride along to the next healthy refresh.
-func (o *EventOverlaySource) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	if _, ok := o.inner.(PartialSource); !ok {
-		t, err := o.Tables(win)
-		return t, nil, err
-	}
-	return features.LoadTablesPartial(o.TableReader(), win, o.inner.DaysPerMonth())
-}
-
-// TableReader implements ReaderSource.
-func (o *EventOverlaySource) TableReader() features.TableReader {
-	return overlayReader{rd: o.rd, events: o.events}
-}
-
-// shardedOverlaySource is the ShardedSource view of an overlay whose inner
-// source is itself sharded; AsSharded constructs it on demand.
-type shardedOverlaySource struct {
-	*EventOverlaySource
-	sharded ShardedSource
-}
-
-func (s shardedOverlaySource) NumShards() int { return s.sharded.NumShards() }
-
-// ShardReader returns the shard's base rows followed by the shard's events
-// (filtered by the same customer hash the sharded writer splits on, so the
-// per-shard overlay mirrors WritePartition's stable post-merge split).
-func (s shardedOverlaySource) ShardReader(shard int) features.TableReader {
-	n := s.sharded.NumShards()
-	return overlayReader{
-		rd:     s.sharded.ShardReader(shard),
-		filter: func(imsi int64) bool { return table.ShardOf(imsi, n) == shard },
-		events: s.events,
-	}
 }

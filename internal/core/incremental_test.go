@@ -83,7 +83,7 @@ func TestIncrementalRefreshMatchesOverlayAndMerge(t *testing.T) {
 	if overlay.PendingEvents() == 0 {
 		t.Fatal("overlay sees no pending events")
 	}
-	sharded, ok := AsSharded(overlay)
+	sharded, ok := AsSharded(overlay.Source)
 	if !ok {
 		t.Fatal("overlay over a sharded source not recognized as sharded")
 	}
@@ -190,7 +190,7 @@ func TestIncrementalRefreshKeepsGraphSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _ := AsSharded(overlay)
+	sharded, _ := AsSharded(overlay.Source)
 	rebuilt, _, err := p.BuildFrameSharded(sharded, win)
 	if err != nil {
 		t.Fatal(err)

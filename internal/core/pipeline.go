@@ -237,8 +237,8 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, fitModels bool, t
 		deg     features.Degradation
 		err     error
 	)
-	if ps, ok := src.(PartialSource); partial && ok {
-		tbl, missing, err = ps.TablesPartial(win)
+	if partial {
+		tbl, missing, err = src.TablesPartial(win)
 	} else {
 		tbl, err = src.Tables(win)
 	}

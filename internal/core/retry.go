@@ -84,14 +84,15 @@ func DefaultRetryable(err error) bool {
 	return true
 }
 
-// RetrySource wraps a Source with per-operation retries: seeded-jitter
-// exponential backoff, a per-window retry budget, and context awareness via
-// WithContext. When the inner source exposes its per-table reader
-// (ReaderSource), table loads retry independently — one flaky feed does not
-// force re-reading the healthy eight — and degraded assembly
+// RetrySource is a view of a Source whose every table read — whole-month,
+// per-shard or truth — retries alone: seeded-jitter exponential backoff, a
+// per-window retry budget, and context awareness via WithContext. One flaky
+// feed does not force re-reading the healthy eight, and degraded assembly
 // (TablesPartial) only gives a table up for imputation after its retries
-// are exhausted.
+// are exhausted. The embedded Source is the retrying view; pass it wherever
+// a Source is wanted.
 type RetrySource struct {
+	Source
 	inner Source
 	cfg   RetryConfig
 	ctx   context.Context
@@ -102,13 +103,12 @@ type RetrySource struct {
 
 // NewRetrySource wraps inner. Zero cfg fields take defaults.
 func NewRetrySource(inner Source, cfg RetryConfig) *RetrySource {
-	return &RetrySource{
+	return (&RetrySource{
 		inner:     inner,
 		cfg:       cfg.withDefaults(),
-		ctx:       context.Background(),
 		retries:   &atomic.Uint64{},
 		exhausted: &atomic.Uint64{},
-	}
+	}).WithContext(context.Background())
 }
 
 // WithContext returns a view of the source whose backoff waits abort when
@@ -116,6 +116,11 @@ func NewRetrySource(inner Source, cfg RetryConfig) *RetrySource {
 func (r *RetrySource) WithContext(ctx context.Context) *RetrySource {
 	cp := *r
 	cp.ctx = ctx
+	// Every reader the view opens — one per window load, truth read or
+	// shard — starts its own retry deadline.
+	cp.Source = cp.inner.With(func(_, _ int, rd features.TableReader) features.TableReader {
+		return retryingReader{r: rd, rs: &cp, deadline: time.Now().Add(cp.cfg.WindowBudget)}
+	})
 	return &cp
 }
 
@@ -193,28 +198,6 @@ func (r *RetrySource) sleep(d time.Duration) bool {
 	}
 }
 
-// deadline computes the window retry deadline from now.
-func (r *RetrySource) deadline() time.Time {
-	return time.Now().Add(r.cfg.WindowBudget)
-}
-
-// DaysPerMonth implements Source.
-func (r *RetrySource) DaysPerMonth() int { return r.inner.DaysPerMonth() }
-
-// Truth implements Source with retries.
-func (r *RetrySource) Truth(month int) (*table.Table, error) {
-	var t *table.Table
-	err := r.do(fmt.Sprintf("truth month=%d", month), r.deadline(), func() error {
-		var e error
-		t, e = r.inner.Truth(month)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // retryingReader retries each per-table read under a shared window
 // deadline.
 type retryingReader struct {
@@ -234,56 +217,4 @@ func (rr retryingReader) ReadMonths(name string, months []int) (*table.Table, er
 		return nil, err
 	}
 	return t, nil
-}
-
-// TableReader implements ReaderSource when the inner source exposes a
-// per-table reader, retrying each read under a shared backoff window; it
-// returns nil otherwise. Wrappers that interpose per table (the event
-// overlay) compose through it.
-func (r *RetrySource) TableReader() features.TableReader {
-	rs, ok := r.inner.(ReaderSource)
-	if !ok {
-		return nil
-	}
-	return retryingReader{r: rs.TableReader(), rs: r, deadline: r.deadline()}
-}
-
-// Tables implements Source. With a ReaderSource inner, each raw table
-// retries independently; otherwise the whole window load is retried as one
-// operation.
-func (r *RetrySource) Tables(win features.Window) (features.Tables, error) {
-	if rs, ok := r.inner.(ReaderSource); ok {
-		return features.LoadTablesFrom(
-			retryingReader{r: rs.TableReader(), rs: r, deadline: r.deadline()},
-			win, r.inner.DaysPerMonth())
-	}
-	var t features.Tables
-	err := r.do(fmt.Sprintf("tables [%d,%d]", win.FromAbs, win.ToAbs), r.deadline(), func() error {
-		var e error
-		t, e = r.inner.Tables(win)
-		return e
-	})
-	return t, err
-}
-
-// TablesPartial implements PartialSource: tables whose retries exhaust are
-// handed to the degraded assembler instead of failing the window.
-func (r *RetrySource) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	if rs, ok := r.inner.(ReaderSource); ok {
-		return features.LoadTablesPartial(
-			retryingReader{r: rs.TableReader(), rs: r, deadline: r.deadline()},
-			win, r.inner.DaysPerMonth())
-	}
-	if ps, ok := r.inner.(PartialSource); ok {
-		var t features.Tables
-		var missing []string
-		err := r.do(fmt.Sprintf("tables-partial [%d,%d]", win.FromAbs, win.ToAbs), r.deadline(), func() error {
-			var e error
-			t, missing, e = ps.TablesPartial(win)
-			return e
-		})
-		return t, missing, err
-	}
-	t, err := r.Tables(win)
-	return t, nil, err
 }

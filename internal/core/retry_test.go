@@ -14,26 +14,25 @@ import (
 	"telcochurn/internal/table"
 )
 
-// flakyTruth fails Truth a set number of times before succeeding.
-type flakyTruth struct {
+// flakyReader fails every read a set number of times before succeeding.
+type flakyReader struct {
 	failures int
 	calls    int
 	err      error
 }
 
-func (s *flakyTruth) Tables(win features.Window) (features.Tables, error) {
-	return features.Tables{}, errors.New("not used")
-}
-
-func (s *flakyTruth) Truth(month int) (*table.Table, error) {
-	s.calls++
-	if s.calls <= s.failures {
-		return nil, s.err
+func (r *flakyReader) ReadMonths(name string, months []int) (*table.Table, error) {
+	r.calls++
+	if r.calls <= r.failures {
+		return nil, r.err
 	}
 	return nil, nil
 }
 
-func (s *flakyTruth) DaysPerMonth() int { return 30 }
+// readerSource is a source whose every reader is r.
+func readerSource(r features.TableReader) Source {
+	return Source{days: 30, open: func(int) features.TableReader { return r }}
+}
 
 func fakeClock(delays *[]time.Duration) func(time.Duration) {
 	return func(d time.Duration) { *delays = append(*delays, d) }
@@ -42,8 +41,8 @@ func fakeClock(delays *[]time.Duration) func(time.Duration) {
 func TestRetryRecoversAfterTransients(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		var delays []time.Duration
-		src := &flakyTruth{failures: 2, err: errors.New("transient blip")}
-		rs := NewRetrySource(src, RetryConfig{Seed: seed, Sleep: fakeClock(&delays)})
+		src := &flakyReader{failures: 2, err: errors.New("transient blip")}
+		rs := NewRetrySource(readerSource(src), RetryConfig{Seed: seed, Sleep: fakeClock(&delays)})
 		if _, err := rs.Truth(1); err != nil {
 			t.Fatalf("Truth after transients: %v", err)
 		}
@@ -79,8 +78,8 @@ func TestRetryRecoversAfterTransients(t *testing.T) {
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	var delays []time.Duration
 	boom := errors.New("hard down")
-	src := &flakyTruth{failures: 100, err: boom}
-	rs := NewRetrySource(src, RetryConfig{MaxAttempts: 3, Sleep: fakeClock(&delays)})
+	src := &flakyReader{failures: 100, err: boom}
+	rs := NewRetrySource(readerSource(src), RetryConfig{MaxAttempts: 3, Sleep: fakeClock(&delays)})
 	if _, err := rs.Truth(1); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped inner error", err)
 	}
@@ -91,8 +90,8 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 
 func TestRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 	var delays []time.Duration
-	src := &flakyTruth{failures: 100, err: fmt.Errorf("read: %w", fs.ErrNotExist)}
-	rs := NewRetrySource(src, RetryConfig{Sleep: fakeClock(&delays)})
+	src := &flakyReader{failures: 100, err: fmt.Errorf("read: %w", fs.ErrNotExist)}
+	rs := NewRetrySource(readerSource(src), RetryConfig{Sleep: fakeClock(&delays)})
 	if _, err := rs.Truth(1); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want ErrNotExist", err)
 	}
@@ -103,8 +102,8 @@ func TestRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 
 func TestRetryRespectsWindowBudget(t *testing.T) {
 	var delays []time.Duration
-	src := &flakyTruth{failures: 100, err: errors.New("slow outage")}
-	rs := NewRetrySource(src, RetryConfig{
+	src := &flakyReader{failures: 100, err: errors.New("slow outage")}
+	rs := NewRetrySource(readerSource(src), RetryConfig{
 		BaseDelay:    time.Hour,
 		MaxDelay:     time.Hour,
 		WindowBudget: time.Millisecond,
@@ -124,8 +123,8 @@ func TestRetryRespectsWindowBudget(t *testing.T) {
 
 func TestRetryAbortsOnContextCancel(t *testing.T) {
 	var delays []time.Duration
-	src := &flakyTruth{failures: 100, err: errors.New("outage")}
-	rs := NewRetrySource(src, RetryConfig{Sleep: fakeClock(&delays)})
+	src := &flakyReader{failures: 100, err: errors.New("outage")}
+	rs := NewRetrySource(readerSource(src), RetryConfig{Sleep: fakeClock(&delays)})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := rs.WithContext(ctx).Truth(1)
@@ -156,28 +155,16 @@ func (r *countingReader) ReadMonths(name string, months []int) (*table.Table, er
 	return r.inner.ReadMonths(name, months)
 }
 
-// flakyReaderSource is a warehouse source whose per-table reader flakes.
-type flakyReaderSource struct {
-	*WarehouseSource
-	rd features.TableReader
-}
-
-func (s *flakyReaderSource) TableReader() features.TableReader { return s.rd }
-
-// TestRetrySourcePerTable: with a ReaderSource inner, only the flaky table
-// retries — and a table that stays down past its attempts degrades instead
-// of failing the window.
+// TestRetrySourcePerTable: only the flaky table retries — and a table that
+// stays down past its attempts degrades instead of failing the window.
 func TestRetrySourcePerTable(t *testing.T) {
 	wh, cfg := diskWorld(t)
 	src := NewWarehouseSource(wh, cfg.DaysPerMonth)
 	win := features.MonthWindow(1, cfg.DaysPerMonth)
 
 	var delays []time.Duration
-	flaky := &flakyReaderSource{
-		WarehouseSource: src,
-		rd:              &countingReader{inner: wh, failLeft: map[string]int{synth.TableWeb: 2}},
-	}
-	rs := NewRetrySource(flaky, RetryConfig{Sleep: fakeClock(&delays)})
+	flaky := &countingReader{inner: wh, failLeft: map[string]int{synth.TableWeb: 2}}
+	rs := NewRetrySource(readerSource(flaky), RetryConfig{Sleep: fakeClock(&delays)})
 	tbl, err := rs.Tables(win)
 	if err != nil {
 		t.Fatalf("Tables with transient web outage: %v", err)
@@ -194,8 +181,8 @@ func TestRetrySourcePerTable(t *testing.T) {
 	}
 
 	// A persistent outage exhausts retries, then degrades.
-	flaky.rd = &countingReader{inner: wh, failLeft: map[string]int{synth.TableSearch: 1 << 30}}
-	rs = NewRetrySource(flaky, RetryConfig{MaxAttempts: 2, Sleep: fakeClock(&delays)})
+	flaky.failLeft = map[string]int{synth.TableSearch: 1 << 30}
+	rs = NewRetrySource(readerSource(flaky), RetryConfig{MaxAttempts: 2, Sleep: fakeClock(&delays)})
 	tbl, missing, err := rs.TablesPartial(win)
 	if err != nil {
 		t.Fatalf("TablesPartial: %v", err)

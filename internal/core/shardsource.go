@@ -4,81 +4,9 @@ import (
 	"fmt"
 
 	"telcochurn/internal/features"
-	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 )
-
-// ShardedSource is a Source whose raw tables can also be read one
-// customer-hash shard at a time, enabling the out-of-core wide-table build.
-type ShardedSource interface {
-	Source
-	// NumShards returns the shard count the readers cover.
-	NumShards() int
-	// ShardReader returns a per-table reader restricted to one shard.
-	ShardReader(shard int) features.TableReader
-}
-
-// ShardedWarehouseSource serves a sharded view of an on-disk warehouse. The
-// embedded WarehouseSource keeps every whole-month path (Truth, Tables,
-// degraded loading) working unchanged; the shard readers add the
-// out-of-core path.
-type ShardedWarehouseSource struct {
-	*WarehouseSource
-	sw *store.ShardedWarehouse
-}
-
-// NewShardedWarehouseSource wraps a sharded warehouse view.
-func NewShardedWarehouseSource(sw *store.ShardedWarehouse, daysPerMonth int) *ShardedWarehouseSource {
-	return &ShardedWarehouseSource{
-		WarehouseSource: NewWarehouseSource(sw.Warehouse(), daysPerMonth),
-		sw:              sw,
-	}
-}
-
-// NumShards implements ShardedSource.
-func (s *ShardedWarehouseSource) NumShards() int { return s.sw.Shards() }
-
-// ShardReader implements ShardedSource.
-func (s *ShardedWarehouseSource) ShardReader(shard int) features.TableReader {
-	return s.sw.ShardReader(shard)
-}
-
-// AsSharded reports whether src can serve shard-at-a-time reads, unwrapping
-// retry decoration: a RetrySource over a sharded source is itself sharded,
-// with every per-shard table read retried under the usual policy.
-func AsSharded(src Source) (ShardedSource, bool) {
-	switch s := src.(type) {
-	case *RetrySource:
-		inner, ok := AsSharded(s.inner)
-		if !ok {
-			return nil, false
-		}
-		return retryShardedSource{RetrySource: s, sharded: inner}, true
-	case *EventOverlaySource:
-		inner, ok := AsSharded(s.inner)
-		if !ok {
-			return nil, false
-		}
-		return shardedOverlaySource{EventOverlaySource: s, sharded: inner}, true
-	case ShardedSource:
-		return s, true
-	}
-	return nil, false
-}
-
-// retryShardedSource decorates a sharded source's shard readers with the
-// retry source's backoff policy (and inherits its Source methods).
-type retryShardedSource struct {
-	*RetrySource
-	sharded ShardedSource
-}
-
-func (r retryShardedSource) NumShards() int { return r.sharded.NumShards() }
-
-func (r retryShardedSource) ShardReader(shard int) features.TableReader {
-	return retryingReader{r: r.sharded.ShardReader(shard), rs: r.RetrySource, deadline: r.RetrySource.deadline()}
-}
 
 // BuildFrameSharded builds the window's wide table shard by shard with
 // bounded peak memory. The frame is bit-identical for any shard count and

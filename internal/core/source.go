@@ -6,127 +6,103 @@
 package core
 
 import (
-	"fmt"
-
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 )
 
-// Source provides raw tables for feature windows and truth tables for
-// labeling. Implementations: MemorySource over simulator output and
-// WarehouseSource over the on-disk store.
-type Source interface {
-	// Tables returns the raw tables covering the window.
-	Tables(win features.Window) (features.Tables, error)
-	// Truth returns the hidden ground-truth table of a month (used only for
-	// labels and for the retention simulation).
-	Truth(month int) (*table.Table, error)
-	// DaysPerMonth returns the calendar granularity of the source.
-	DaysPerMonth() int
-}
-
-// PartialSource is a Source that can assemble a window even when some raw
-// tables are unavailable, reporting which tables were replaced by empty
-// stand-ins instead of failing the whole window.
-type PartialSource interface {
-	Source
-	// TablesPartial returns the window's tables with unavailable ones
-	// substituted by schema-correct empties, plus the names of the missing
-	// tables. Only a missing customer snapshot is fatal
-	// (features.ErrUniverseUnavailable).
-	TablesPartial(win features.Window) (features.Tables, []string, error)
-}
-
-// ReaderSource is a Source backed by a per-table reader. Wrappers (retry,
-// fault injection) use it to interpose per table instead of per window, so
-// one flaky feed retries alone and degrades alone.
-type ReaderSource interface {
-	Source
-	TableReader() features.TableReader
-}
-
-// MemorySource serves simulator output held in memory.
-type MemorySource struct {
-	months map[int]*synth.MonthData
+// Source is a reader factory: every raw-table read of the pipeline — a
+// window's nine tables, strict or degraded, a month's truth table, one
+// shard's slice of either — goes through a features.TableReader the source
+// opens. Retry, the event overlay and fault injection interpose through
+// With, so a decorator is one ReadMonths and composes in any order over any
+// base. The zero Source is not usable; construct one with NewMemorySource,
+// NewWarehouseSource or NewShardedWarehouseSource.
+type Source struct {
 	days   int
+	shards int
+	// open returns the reader for one customer-hash shard, or for whole
+	// months when shard < 0. It runs once per window load, truth read or
+	// shard reader, so per-load decorator state (the retry deadline) starts
+	// fresh each time.
+	open func(shard int) features.TableReader
 }
 
-// NewMemorySource indexes the given months. daysPerMonth should match the
-// generator config (synth.DefaultConfig().DaysPerMonth unless overridden).
-func NewMemorySource(months []*synth.MonthData, daysPerMonth int) *MemorySource {
-	m := make(map[int]*synth.MonthData, len(months))
+// ShardedSource names a Source used for shard-at-a-time reads (see
+// AsSharded); it is the same type.
+type ShardedSource = Source
+
+// With returns a view of the source whose readers are wrapped by wrap,
+// which receives the shard the reader serves (< 0 = whole months) and the
+// source's shard count.
+func (s Source) With(wrap func(shard, shards int, r features.TableReader) features.TableReader) Source {
+	open, shards := s.open, s.shards
+	s.open = func(shard int) features.TableReader { return wrap(shard, shards, open(shard)) }
+	return s
+}
+
+// Tables returns the raw tables covering the window, failing on the first
+// unavailable one.
+func (s Source) Tables(win features.Window) (features.Tables, error) {
+	return features.LoadTablesFrom(s.open(-1), win, s.days)
+}
+
+// TablesPartial returns the window's tables with unavailable ones
+// substituted by schema-correct empties, plus the names of the missing
+// tables. Only a missing customer snapshot is fatal
+// (features.ErrUniverseUnavailable).
+func (s Source) TablesPartial(win features.Window) (features.Tables, []string, error) {
+	return features.LoadTablesPartial(s.open(-1), win, s.days)
+}
+
+// Truth returns the hidden ground-truth table of a month (used only for
+// labels and for the retention simulation).
+func (s Source) Truth(month int) (*table.Table, error) {
+	return s.open(-1).ReadMonths(synth.TableTruth, []int{month})
+}
+
+// DaysPerMonth returns the calendar granularity of the source.
+func (s Source) DaysPerMonth() int { return s.days }
+
+// NumShards returns how many customer-hash shards ShardReader covers; 0
+// means the source serves whole months only.
+func (s Source) NumShards() int { return s.shards }
+
+// ShardReader returns a per-table reader restricted to one shard.
+func (s Source) ShardReader(shard int) features.TableReader { return s.open(shard) }
+
+// AsSharded reports whether src can serve shard-at-a-time reads, enabling
+// the out-of-core wide-table build.
+func AsSharded(src Source) (ShardedSource, bool) { return src, src.NumShards() > 0 }
+
+// NewMemorySource serves simulator output held in memory. daysPerMonth
+// should match the generator config (synth.DefaultConfig().DaysPerMonth
+// unless overridden).
+func NewMemorySource(months []*synth.MonthData, daysPerMonth int) Source {
+	r := make(features.MonthReader, len(months))
 	for _, md := range months {
-		m[md.Month] = md
+		r[md.Month] = md
 	}
-	return &MemorySource{months: m, days: daysPerMonth}
+	return Source{days: daysPerMonth, open: func(int) features.TableReader { return r }}
 }
 
-// Tables implements Source by concatenating the window's months.
-func (s *MemorySource) Tables(win features.Window) (features.Tables, error) {
-	var mds []*synth.MonthData
-	for _, m := range win.Months(s.days) {
-		md, ok := s.months[m]
-		if !ok {
-			return features.Tables{}, fmt.Errorf("core: month %d not in memory source", m)
+// NewWarehouseSource serves tables from the on-disk store.
+func NewWarehouseSource(wh *store.Warehouse, daysPerMonth int) Source {
+	return Source{days: daysPerMonth, open: func(int) features.TableReader { return wh }}
+}
+
+// NewShardedWarehouseSource serves a sharded view of an on-disk warehouse:
+// whole-month reads go to the warehouse underneath, shard reads to the
+// view's per-shard readers.
+func NewShardedWarehouseSource(sw *store.ShardedWarehouse, daysPerMonth int) Source {
+	return Source{days: daysPerMonth, shards: sw.Shards(), open: func(shard int) features.TableReader {
+		if shard < 0 {
+			return sw.Warehouse()
 		}
-		mds = append(mds, md)
-	}
-	return features.FromMonthData(mds)
+		return sw.ShardReader(shard)
+	}}
 }
-
-// Truth implements Source.
-func (s *MemorySource) Truth(month int) (*table.Table, error) {
-	md, ok := s.months[month]
-	if !ok {
-		return nil, fmt.Errorf("core: truth month %d not in memory source", month)
-	}
-	return md.Truth, nil
-}
-
-// DaysPerMonth implements Source.
-func (s *MemorySource) DaysPerMonth() int { return s.days }
-
-// TablesPartial implements PartialSource. Memory months are all-or-nothing
-// (the simulator emits whole months), so there is no per-table degradation:
-// a healthy load reports no missing tables and a missing month fails.
-func (s *MemorySource) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	t, err := s.Tables(win)
-	return t, nil, err
-}
-
-// WarehouseSource serves tables from the on-disk store.
-type WarehouseSource struct {
-	wh   *store.Warehouse
-	days int
-}
-
-// NewWarehouseSource wraps a warehouse.
-func NewWarehouseSource(wh *store.Warehouse, daysPerMonth int) *WarehouseSource {
-	return &WarehouseSource{wh: wh, days: daysPerMonth}
-}
-
-// Tables implements Source.
-func (s *WarehouseSource) Tables(win features.Window) (features.Tables, error) {
-	return features.LoadTables(s.wh, win, s.days)
-}
-
-// Truth implements Source.
-func (s *WarehouseSource) Truth(month int) (*table.Table, error) {
-	return s.wh.ReadPartition(synth.TableTruth, month)
-}
-
-// DaysPerMonth implements Source.
-func (s *WarehouseSource) DaysPerMonth() int { return s.days }
-
-// TablesPartial implements PartialSource via degraded wide-table loading.
-func (s *WarehouseSource) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	return features.LoadTablesPartial(s.wh, win, s.days)
-}
-
-// TableReader implements ReaderSource.
-func (s *WarehouseSource) TableReader() features.TableReader { return s.wh }
 
 // LabelsOf converts a truth table into a label map: customer -> 0/1 churn
 // per the paper's 15-day recharge rule (already applied by the generator,

@@ -12,7 +12,7 @@ import (
 	"telcochurn/internal/tree"
 )
 
-func precomputedPipeline(t *testing.T) (*Pipeline, *MemorySource, features.Window) {
+func precomputedPipeline(t *testing.T) (*Pipeline, Source, features.Window) {
 	t.Helper()
 	src, train, win := artifactWorld(t)
 	p, err := Fit(src, train, Config{

@@ -88,7 +88,7 @@ func (o Options) scaleU(paperU int) int { return synth.ScaleU(paperU, o.Customer
 type Env struct {
 	Opts   Options
 	Months []*synth.MonthData
-	Src    *core.MemorySource
+	Src    core.Source
 	days   int
 }
 

@@ -17,7 +17,7 @@ import (
 
 // chaosWorld builds a small warehouse world plus a clean fitted pipeline
 // and its healthy predictions for the scoring window.
-func chaosWorld(t *testing.T) (*store.Warehouse, *core.WarehouseSource, *core.Pipeline, features.Window, *core.Predictions) {
+func chaosWorld(t *testing.T) (*store.Warehouse, core.Source, *core.Pipeline, features.Window, *core.Predictions) {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 250
@@ -52,7 +52,7 @@ func noSleep(time.Duration) {}
 // runSchedule scores the window under one seeded fault schedule, with the
 // production resilience stack (fault source -> retry source -> degraded
 // predict).
-func runSchedule(src *core.WarehouseSource, p *core.Pipeline, win features.Window, seed int64) (*core.Predictions, Counts, error) {
+func runSchedule(src core.Source, p *core.Pipeline, win features.Window, seed int64) (*core.Predictions, Counts, error) {
 	inj := New(Config{
 		Seed:      seed,
 		Transient: 0.30,
@@ -62,7 +62,7 @@ func runSchedule(src *core.WarehouseSource, p *core.Pipeline, win features.Windo
 		Sleep:     noSleep,
 	})
 	rs := core.NewRetrySource(Wrap(src, inj), core.RetryConfig{Seed: seed, Sleep: noSleep})
-	preds, err := p.PredictDegraded(rs, win)
+	preds, err := p.PredictDegraded(rs.Source, win)
 	return preds, inj.Counts(), err
 }
 
@@ -149,7 +149,7 @@ func TestChaosZeroRateBitIdentical(t *testing.T) {
 	_, src, p, win, clean := chaosWorld(t)
 	inj := New(Config{Seed: 123})
 	rs := core.NewRetrySource(Wrap(src, inj), core.RetryConfig{Seed: 123, Sleep: noSleep})
-	preds, err := p.PredictDegraded(rs, win)
+	preds, err := p.PredictDegraded(rs.Source, win)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,10 @@
 // seed: chaos tests are property tests, not flake generators.
 //
 // The injector interposes at the same seams production resilience hooks
-// into: it wraps a features.TableReader (per-table reads), a core.Source
-// (windows and truth), and plugs into store.Warehouse via SetHook (I/O
-// errors and simulated crash points around partition writes). Layering
-// core.RetrySource above a faulty source exercises the full
+// into: it wraps a features.TableReader (Reader; Wrap interposes it on
+// every reader a core.Source opens), and plugs into store.Warehouse via
+// SetHook (I/O errors and simulated crash points around partition writes).
+// Layering core.RetrySource above a faulty source exercises the full
 // retry-then-degrade path.
 package faults
 
@@ -174,11 +174,6 @@ type Reader struct {
 	inj   *Injector
 }
 
-// NewReader wraps r.
-func NewReader(r features.TableReader, inj *Injector) Reader {
-	return Reader{inner: r, inj: inj}
-}
-
 // ReadMonths implements features.TableReader.
 func (r Reader) ReadMonths(name string, months []int) (*table.Table, error) {
 	if err := r.inj.readFault("read:"+name, months); err != nil {
@@ -187,44 +182,13 @@ func (r Reader) ReadMonths(name string, months []int) (*table.Table, error) {
 	return r.inner.ReadMonths(name, months)
 }
 
-// Source wraps a reader-backed source (e.g. core.WarehouseSource) with the
-// injector: per-table reads and truth reads roll faults; window assembly
-// goes through the standard loaders so retry/degraded layers stacked above
-// see exactly the per-table failures they would see in production.
-type Source struct {
-	inner core.ReaderSource
-	inj   *Injector
-}
-
-// Wrap builds a faulty view of src.
-func Wrap(src core.ReaderSource, inj *Injector) *Source {
-	return &Source{inner: src, inj: inj}
-}
-
-// DaysPerMonth implements core.Source.
-func (s *Source) DaysPerMonth() int { return s.inner.DaysPerMonth() }
-
-// TableReader implements core.ReaderSource.
-func (s *Source) TableReader() features.TableReader {
-	return NewReader(s.inner.TableReader(), s.inj)
-}
-
-// Tables implements core.Source via the strict loader over the faulty
-// reader.
-func (s *Source) Tables(win features.Window) (features.Tables, error) {
-	return features.LoadTablesFrom(s.TableReader(), win, s.inner.DaysPerMonth())
-}
-
-// TablesPartial implements core.PartialSource via the degraded loader over
-// the faulty reader.
-func (s *Source) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	return features.LoadTablesPartial(s.TableReader(), win, s.inner.DaysPerMonth())
-}
-
-// Truth implements core.Source with read faults on the truth feed.
-func (s *Source) Truth(month int) (*table.Table, error) {
-	if err := s.inj.readFault("truth", []int{month}); err != nil {
-		return nil, err
-	}
-	return s.inner.Truth(month)
+// Wrap returns a faulty view of src: every read it serves — whole-month,
+// per-shard and truth alike — rolls the injector's read faults, and window
+// assembly goes through the standard loaders, so retry/degraded layers
+// stacked above see exactly the per-table failures they would see in
+// production.
+func Wrap(src core.Source, inj *Injector) core.Source {
+	return src.With(func(_, _ int, r features.TableReader) features.TableReader {
+		return Reader{inner: r, inj: inj}
+	})
 }

@@ -257,12 +257,13 @@ func (p *Proxy) serve(client net.Conn, idx uint64) {
 // kernel emits an RST instead of a graceful FIN.
 func (st *connState) abort(p *Proxy) {
 	st.resetter.Do(func() {
+		// Count first: the client can observe the RST before Close returns.
+		p.counts.resets.Add(1)
 		if tc, ok := st.client.(*net.TCPConn); ok {
 			tc.SetLinger(0)
 		}
 		st.client.Close()
 		st.server.Close()
-		p.counts.resets.Add(1)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"telcochurn/internal/parallel"
-	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 )
@@ -59,95 +58,56 @@ func (w Window) Months(daysPerMonth int) []int {
 	return months
 }
 
-// LoadTables reads every raw table overlapping the window from the
-// warehouse, failing on the first unavailable table. For assembly that
-// survives missing feeds, see LoadTablesPartial.
-func LoadTables(wh *store.Warehouse, win Window, daysPerMonth int) (Tables, error) {
-	return LoadTablesFrom(wh, win, daysPerMonth)
+// LoadTablesFrom reads every raw table overlapping the window through r (a
+// raw warehouse, one shard of it, or a retry/overlay/fault-injection
+// wrapper around either), failing on the first unavailable table. For
+// assembly that survives missing feeds, see LoadTablesPartial.
+func LoadTablesFrom(r TableReader, win Window, daysPerMonth int) (Tables, error) {
+	t, _, err := loadTables(r, win.Months(daysPerMonth), true)
+	return t, err
 }
 
-// LoadTablesFrom is LoadTables over any TableReader (a raw warehouse, or a
-// retry/fault-injection wrapper around one).
-func LoadTablesFrom(r TableReader, win Window, daysPerMonth int) (Tables, error) {
-	months := win.Months(daysPerMonth)
-	var t Tables
-	read := func(name string) (*table.Table, error) { return r.ReadMonths(name, months) }
-	var err error
-	if t.Calls, err = read(synth.TableCalls); err != nil {
-		return t, fmt.Errorf("features: load calls: %w", err)
+// MonthReader is the TableReader over in-memory simulator output, keyed by
+// month. A single month shares the simulator's table; several months are
+// concatenated into a fresh table, so the simulator output is never
+// mutated.
+type MonthReader map[int]*synth.MonthData
+
+// ReadMonths implements TableReader.
+func (r MonthReader) ReadMonths(name string, months []int) (*table.Table, error) {
+	var out *table.Table
+	for _, m := range months {
+		md, ok := r[m]
+		if !ok {
+			return nil, fmt.Errorf("features: %s month %d not in memory", name, m)
+		}
+		t := md.Tables()[name]
+		if t == nil {
+			return nil, fmt.Errorf("features: unknown table %q", name)
+		}
+		if len(months) == 1 {
+			return t, nil
+		}
+		if out == nil {
+			out = table.NewTable(t.Schema)
+		}
+		if err := out.AppendTable(t); err != nil {
+			return nil, err
+		}
 	}
-	if t.Messages, err = read(synth.TableMessages); err != nil {
-		return t, fmt.Errorf("features: load messages: %w", err)
-	}
-	if t.Recharges, err = read(synth.TableRecharges); err != nil {
-		return t, fmt.Errorf("features: load recharges: %w", err)
-	}
-	if t.Billing, err = read(synth.TableBilling); err != nil {
-		return t, fmt.Errorf("features: load billing: %w", err)
-	}
-	if t.Customers, err = read(synth.TableCustomers); err != nil {
-		return t, fmt.Errorf("features: load customers: %w", err)
-	}
-	if t.Complaints, err = read(synth.TableComplaints); err != nil {
-		return t, fmt.Errorf("features: load complaints: %w", err)
-	}
-	if t.Web, err = read(synth.TableWeb); err != nil {
-		return t, fmt.Errorf("features: load web: %w", err)
-	}
-	if t.Search, err = read(synth.TableSearch); err != nil {
-		return t, fmt.Errorf("features: load search: %w", err)
-	}
-	if t.Locations, err = read(synth.TableLocations); err != nil {
-		return t, fmt.Errorf("features: load locations: %w", err)
-	}
-	return t, nil
+	return out, nil
 }
 
 // FromMonthData builds Tables directly from in-memory simulator output
-// (concatenating the given months), bypassing the warehouse. A single month
-// shares the simulator's tables; multiple months are concatenated into fresh
-// tables so the simulator output is never mutated.
+// (concatenating the given months), bypassing the warehouse.
 func FromMonthData(months []*synth.MonthData) (Tables, error) {
-	var t Tables
-	if len(months) == 0 {
-		return t, nil
+	r := make(MonthReader, len(months))
+	idx := make([]int, len(months))
+	for i, md := range months {
+		r[md.Month], idx[i] = md, md.Month
 	}
-	if len(months) == 1 {
-		md := months[0]
-		return Tables{
-			Calls: md.Calls, Messages: md.Messages, Recharges: md.Recharges,
-			Billing: md.Billing, Customers: md.Customers, Complaints: md.Complaints,
-			Web: md.Web, Search: md.Search, Locations: md.Locations,
-		}, nil
-	}
-	first := months[0]
-	t = Tables{
-		Calls:      table.NewTable(first.Calls.Schema),
-		Messages:   table.NewTable(first.Messages.Schema),
-		Recharges:  table.NewTable(first.Recharges.Schema),
-		Billing:    table.NewTable(first.Billing.Schema),
-		Customers:  table.NewTable(first.Customers.Schema),
-		Complaints: table.NewTable(first.Complaints.Schema),
-		Web:        table.NewTable(first.Web.Schema),
-		Search:     table.NewTable(first.Search.Schema),
-		Locations:  table.NewTable(first.Locations.Schema),
-	}
-	for _, md := range months {
-		pairs := []struct {
-			dst *table.Table
-			src *table.Table
-		}{
-			{t.Calls, md.Calls}, {t.Messages, md.Messages}, {t.Recharges, md.Recharges},
-			{t.Billing, md.Billing}, {t.Customers, md.Customers}, {t.Complaints, md.Complaints},
-			{t.Web, md.Web}, {t.Search, md.Search}, {t.Locations, md.Locations},
-		}
-		for _, p := range pairs {
-			if err := p.dst.AppendTable(p.src); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
+	t, _, err := loadTables(r, idx, true)
+	return t, err
 }
 
 // inWindow returns a row predicate filtering an event table (with month and

@@ -26,8 +26,10 @@ import (
 var ErrUniverseUnavailable = errors.New("features: customer universe unavailable")
 
 // TableReader reads one raw table's partitions for the given months,
-// concatenated in month order. *store.Warehouse implements it; retry and
-// fault-injection layers wrap it.
+// concatenated in month order. It is the one read seam: *store.Warehouse
+// and its per-shard readers implement it, a core.Source opens one per
+// load, and the retry, event-overlay and fault-injection layers each wrap
+// it with a single ReadMonths.
 type TableReader interface {
 	ReadMonths(name string, months []int) (*table.Table, error)
 }
@@ -143,26 +145,16 @@ func DegradationOf(missing []string, configured []Group) Degradation {
 // with ErrUniverseUnavailable. With no tables missing the result is
 // identical to LoadTablesFrom.
 func LoadTablesPartial(r TableReader, win Window, daysPerMonth int) (Tables, []string, error) {
-	months := win.Months(daysPerMonth)
-	var missing []string
-	load := func(name string, dst **table.Table) error {
-		t, err := r.ReadMonths(name, months)
-		if err == nil {
-			*dst = t
-			return nil
-		}
-		if name == synth.TableCustomers {
-			return fmt.Errorf("%w: %v", ErrUniverseUnavailable, err)
-		}
-		empty, eerr := EmptyRawTable(name)
-		if eerr != nil {
-			return eerr
-		}
-		*dst = empty
-		missing = append(missing, name)
-		return nil
-	}
+	return loadTables(r, win.Months(daysPerMonth), false)
+}
+
+// loadTables is the one window load: the nine raw tables in canonical
+// order, each a single ReadMonths. Strict fails on the first error;
+// otherwise a failed table other than the customer snapshot becomes an
+// empty stand-in and is reported missing.
+func loadTables(r TableReader, months []int, strict bool) (Tables, []string, error) {
 	var t Tables
+	var missing []string
 	for _, p := range []struct {
 		name string
 		dst  **table.Table
@@ -177,9 +169,20 @@ func LoadTablesPartial(r TableReader, win Window, daysPerMonth int) (Tables, []s
 		{synth.TableSearch, &t.Search},
 		{synth.TableLocations, &t.Locations},
 	} {
-		if err := load(p.name, p.dst); err != nil {
-			return t, missing, err
+		tb, err := r.ReadMonths(p.name, months)
+		switch {
+		case err == nil:
+		case strict:
+			return t, missing, fmt.Errorf("features: load %s: %w", p.name, err)
+		case p.name == synth.TableCustomers:
+			return t, missing, fmt.Errorf("%w: %v", ErrUniverseUnavailable, err)
+		default:
+			if tb, err = EmptyRawTable(p.name); err != nil {
+				return t, missing, err
+			}
+			missing = append(missing, p.name)
 		}
+		*p.dst = tb
 	}
 	return t, missing, nil
 }

@@ -44,7 +44,7 @@ func TestLoadTablesPartialHealthyMatchesStrict(t *testing.T) {
 	wh, cfg := genWarehouse(t)
 	win := MonthWindow(1, cfg.DaysPerMonth)
 
-	strict, err := LoadTables(wh, win, cfg.DaysPerMonth)
+	strict, err := LoadTablesFrom(wh, win, cfg.DaysPerMonth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLoadTablesPartialSubstitutesEmpties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := LoadTables(wh, win, cfg.DaysPerMonth)
+	healthy, err := LoadTablesFrom(wh, win, cfg.DaysPerMonth)
 	if err != nil {
 		t.Fatal(err)
 	}

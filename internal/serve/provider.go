@@ -30,8 +30,9 @@ type Provider interface {
 
 // ProviderInfo is the uniform self-description every provider reports.
 type ProviderInfo struct {
-	// Source names the vector path: "vectors", "frame", "vectors+frame" —
-	// leaf names joined by the chain that composes them.
+	// Source names the vector path: "vectors", "frame", "vectors+frame"
+	// ("frame+vectors" once a refresh has put the rebuilt frame first) —
+	// leaf names joined in the order the chain asks them.
 	Source string
 	// Rows is the scorable-universe size.
 	Rows int
@@ -93,11 +94,12 @@ func (vp *VectorsProvider) Info() ProviderInfo {
 // nothing to drop.
 func (vp *VectorsProvider) Invalidate(int64) {}
 
-// FallbackProvider resolves vectors from a primary provider (typically the
-// precomputed matrix) and falls back to a secondary (typically the frame
-// path) for customers the primary does not know — e.g. customers who joined
-// after the artifact was trained, or a degraded-mode frame widened beyond
-// the snapshot.
+// FallbackProvider resolves vectors from a primary provider and falls back
+// to a secondary for customers the primary does not know. churnd boots with
+// the precomputed matrix first and the frame behind it (customers who
+// joined after the artifact was trained, or a degraded-mode frame widened
+// beyond the snapshot); after /v1/refresh the rebuilt frame is primary and
+// the matrix answers only for ids the frame lacks.
 type FallbackProvider struct {
 	primary   Provider
 	secondary Provider
@@ -110,9 +112,8 @@ func NewFallbackProvider(primary, secondary Provider) (*FallbackProvider, error)
 	if primary == nil || secondary == nil {
 		return nil, errors.New("serve: fallback provider needs both providers")
 	}
-	// The scorable universe is the union: secondary (the frame, the served
-	// window's truth) first in its order, then primary-only ids (snapshot
-	// customers the window no longer carries).
+	// The scorable universe is the union: secondary first in its order,
+	// then primary-only ids.
 	ids := append([]int64(nil), secondary.IDs()...)
 	seen := make(map[int64]struct{}, len(ids))
 	for _, id := range ids {

@@ -260,13 +260,14 @@ func (l *EventLog) readSegment(seq uint64) ([]string, []*table.Table, error) {
 	if gotSeq != seq {
 		return nil, nil, fmt.Errorf("%w: segment %d claims seq %d", ErrCorrupt, seq, gotSeq)
 	}
-	ntables, err := r.uvarint()
+	// A table is at least a name length, a column count and a row count.
+	ntables, err := r.count(3)
 	if err != nil {
 		return nil, nil, err
 	}
 	names := make([]string, 0, ntables)
 	tables := make([]*table.Table, 0, ntables)
-	for i := uint64(0); i < ntables; i++ {
+	for i := 0; i < ntables; i++ {
 		name, err := r.str()
 		if err != nil {
 			return nil, nil, err

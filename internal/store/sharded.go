@@ -184,24 +184,9 @@ func (w *Warehouse) partitionSchema(name string, month int) (*table.Schema, erro
 		return nil, ErrCorrupt
 	}
 	r := &sliceReader{b: head[len(magic):]}
-	ncols, err := r.uvarint()
+	fields, err := readFields(r)
 	if err != nil {
 		return nil, err
-	}
-	fields := make([]table.Field, ncols)
-	for i := range fields {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if typ > uint64(table.String) {
-			return nil, fmt.Errorf("%w: bad column type %d", ErrCorrupt, typ)
-		}
-		fields[i] = table.Field{Name: name, Type: table.ColType(typ)}
 	}
 	return table.NewSchema(fields...)
 }

@@ -444,34 +444,19 @@ func readTable(f *os.File) (*table.Table, error) {
 // readTableBody decodes one schema + rows + columns body from the reader's
 // current position, the inverse of writeTableBody.
 func readTableBody(r *sliceReader) (*table.Table, error) {
-	ncols, err := r.uvarint()
+	fields, err := readFields(r)
 	if err != nil {
 		return nil, err
-	}
-	fields := make([]table.Field, ncols)
-	for i := range fields {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if typ > uint64(table.String) {
-			return nil, fmt.Errorf("%w: bad column type %d", ErrCorrupt, typ)
-		}
-		fields[i] = table.Field{Name: name, Type: table.ColType(typ)}
 	}
 	schema, err := table.NewSchema(fields...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	nrows64, err := r.uvarint()
+	// Every value takes at least one byte, so a row takes one per column.
+	nrows, err := r.count(max(len(fields), 1))
 	if err != nil {
 		return nil, err
 	}
-	nrows := int(nrows64)
 
 	t := table.NewTable(schema)
 	for _, col := range t.Cols {
@@ -506,6 +491,31 @@ func readTableBody(r *sliceReader) (*table.Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// readFields decodes a body's leading column list: a count, then a name
+// and a type per column (at least two bytes each).
+func readFields(r *sliceReader) ([]table.Field, error) {
+	ncols, err := r.count(2)
+	if err != nil {
+		return nil, err
+	}
+	fields := make([]table.Field, ncols)
+	for i := range fields {
+		name, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		typ, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if typ > uint64(table.String) {
+			return nil, fmt.Errorf("%w: bad column type %d", ErrCorrupt, typ)
+		}
+		fields[i] = table.Field{Name: name, Type: table.ColType(typ)}
+	}
+	return fields, nil
 }
 
 func writeUvarint(w io.Writer, v uint64) {
@@ -548,8 +558,23 @@ func (r *sliceReader) varint() (int64, error) {
 	return v, nil
 }
 
+// count reads the stored number of items that each occupy at least perItem
+// bytes and rejects one the remaining input cannot hold: on-disk counts
+// size allocations, and a checksum only proves the writer wrote them, not
+// that they are sane.
+func (r *sliceReader) count(perItem int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64((len(r.b)-r.pos)/perItem) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorrupt, n, len(r.b)-r.pos)
+	}
+	return int(n), nil
+}
+
 func (r *sliceReader) bytes(n int) ([]byte, error) {
-	if r.pos+n > len(r.b) {
+	if n > len(r.b)-r.pos {
 		return nil, fmt.Errorf("%w: truncated", ErrCorrupt)
 	}
 	b := r.b[r.pos : r.pos+n]
@@ -558,11 +583,11 @@ func (r *sliceReader) bytes(n int) ([]byte, error) {
 }
 
 func (r *sliceReader) str() (string, error) {
-	n, err := r.uvarint()
+	n, err := r.count(1)
 	if err != nil {
 		return "", err
 	}
-	b, err := r.bytes(int(n))
+	b, err := r.bytes(n)
 	if err != nil {
 		return "", err
 	}

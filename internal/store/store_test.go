@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -233,5 +236,87 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCorruptCountsRejected: a checksum only proves the writer wrote the
+// bytes, so a CRC-valid partition or event-log segment whose stored counts
+// exceed the bytes behind them must come back as ErrCorrupt — not a
+// makeslice/slice-bounds panic, and not an allocation sized by the count
+// (churnd replays the log at boot: a panic there is a crash loop, an
+// ErrCorrupt tail is quarantined).
+func TestCorruptCountsRejected(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.AppendUvarint(out, v)
+		}
+		return out
+	}
+	seal := func(magic string, body []byte) []byte {
+		out := append([]byte(magic), body...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	oneIntColumn := append(uv(1, 1), 'a', byte(table.Int64)) // ncols, len("a"), "a", type
+	for _, tc := range []struct {
+		name string
+		body []byte // a table body: schema, row count, columns
+	}{
+		{"nrows 1<<62", append(oneIntColumn, uv(1<<62)...)},
+		{"string length 1<<63", uv(1, 1<<63)},
+		{"ncols 1<<40", uv(1 << 40)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wh := openTemp(t)
+			if err := os.MkdirAll(filepath.Join(wh.Root(), "calls"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wh.partitionPath("calls", 1), seal(magic, tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wh.EventLog()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := append(uv(1, 1, 5), "calls"...) // seq, ntables, len(name), name
+			if err := os.WriteFile(filepath.Join(log.Dir(), segName(1)), seal(eventMagic, append(seg, tc.body...)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, perr := wh.ReadPartition("calls", 1)
+			_, _, serr := log.readSegment(1)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(perr, ErrCorrupt) {
+				t.Errorf("ReadPartition: %v, want ErrCorrupt", perr)
+			}
+			if !errors.Is(serr, ErrCorrupt) {
+				t.Errorf("readSegment: %v, want ErrCorrupt", serr)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("decoding %d hostile bytes allocated %d", len(tc.body), got)
+			}
+			// The bad segment is the log's tail, so replay quarantines it.
+			if err := log.Replay(0, func(uint64, string, *table.Table) error { return nil }); err != nil {
+				t.Errorf("Replay: %v, want the tail quarantined", err)
+			}
+			if q := log.Quarantines(); len(q) != 1 || q[0].Seq != 1 {
+				t.Errorf("quarantines = %+v, want segment 1", q)
+			}
+		})
+	}
+
+	// The segment's own table count is bounded the same way.
+	wh := openTemp(t)
+	log, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(log.Dir(), segName(1)), seal(eventMagic, uv(1, 1<<62)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := log.readSegment(1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ntables 1<<62: %v, want ErrCorrupt", err)
 	}
 }

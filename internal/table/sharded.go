@@ -1,16 +1,12 @@
 package table
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Shard-aware execution: hash partitioning plus shard-local operators whose
-// merged output matches the single-table operators. This is the engine-level
-// half of the out-of-core story — the warehouse partitions rows by the same
-// hash (store.ShardedWarehouse), so per-customer aggregations and customer-
-// keyed joins never cross shards and the wide-table build can stream one
-// shard at a time with bounded memory.
+// Hash partitioning: the engine-level half of the out-of-core story. The
+// warehouse partitions rows by the same hash (store.ShardedWarehouse), so
+// per-customer aggregations and customer-keyed joins never cross shards and
+// the wide-table build runs the ordinary operators one shard at a time with
+// bounded memory.
 
 // ShardOf maps an Int64 key to a shard in [0, shards) with the splitmix64
 // finalizer, so shard assignment is uniform, stable across processes and
@@ -56,231 +52,6 @@ func PartitionByHash(t *Table, key string, shards int) ([]*Table, error) {
 	out := make([]*Table, shards)
 	for s := range out {
 		out[s] = takeRows(t, idx[s])
-	}
-	return out, nil
-}
-
-// GroupByShards aggregates key-partitioned table parts shard-locally and
-// merges the partials, without ever materializing the concatenated table.
-// Sum, Count, Min, Max and First are merged directly; Mean is decomposed
-// into sum and count partials and divided once at the end; CountDistinct
-// requires the parts to be key-disjoint (true for hash-partitioned data).
-//
-// When the parts partition rows by the key — every key value confined to one
-// part, row order preserved within it — the result is cell-for-cell
-// identical to GroupByExec over the concatenation: per-key float
-// accumulation touches the same values in the same order, and output rows
-// are ordered by ascending key either way.
-func GroupByShards(parts []*Table, key string, ex Exec, aggs ...Agg) (*Table, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("table: group-by over zero shards")
-	}
-	if len(parts) == 1 {
-		return GroupByExec(parts[0], key, ex, aggs...)
-	}
-	for _, p := range parts[1:] {
-		if !p.Schema.Equal(parts[0].Schema) {
-			return nil, fmt.Errorf("table: group-by shards schema mismatch: %s vs %s", parts[0].Schema, p.Schema)
-		}
-	}
-
-	// Rewrite the aggregate list into mergeable partials: Mean becomes a
-	// sum/count pair, everything else passes through. plan[i] records where
-	// agg i's partial columns land in the per-shard output (offset by one for
-	// the key column).
-	var partials []Agg
-	plan := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.As == "" {
-			return nil, fmt.Errorf("table: aggregation %d has empty output name", i)
-		}
-		plan[i] = len(partials) + 1
-		if a.Func == Mean {
-			partials = append(partials,
-				Agg{Col: a.Col, Func: Sum, As: fmt.Sprintf("__shard_sum_%d", i)},
-				Agg{Col: a.Col, Func: Count, As: fmt.Sprintf("__shard_cnt_%d", i)})
-		} else {
-			partials = append(partials, Agg{Col: a.Col, Func: a.Func, As: a.As})
-		}
-	}
-
-	shardOut := make([]*Table, len(parts))
-	for s, p := range parts {
-		o, err := GroupByExec(p, key, ex, partials...)
-		if err != nil {
-			return nil, err
-		}
-		shardOut[s] = o
-	}
-
-	// Merged key order: ascending union of the per-shard key sets, matching
-	// what a single GroupBy over all rows would emit.
-	var allKeys []int64
-	for _, o := range shardOut {
-		allKeys = append(allKeys, o.Cols[0].Ints...)
-	}
-	sort.Slice(allKeys, func(a, b int) bool { return allKeys[a] < allKeys[b] })
-	outKeys := allKeys[:0]
-	for i, k := range allKeys {
-		if i == 0 || k != allKeys[i-1] {
-			outKeys = append(outKeys, k)
-		}
-	}
-	rowOf := make(map[int64]int, len(outKeys))
-	for i, k := range outKeys {
-		rowOf[k] = i
-	}
-
-	// Per-key contributor counts, to police the merges that need exclusivity.
-	contrib := make([]int, len(outKeys))
-	for _, o := range shardOut {
-		for _, k := range o.Cols[0].Ints {
-			contrib[rowOf[k]]++
-		}
-	}
-	overlapping := false
-	for _, c := range contrib {
-		if c > 1 {
-			overlapping = true
-			break
-		}
-	}
-
-	// Output schema mirrors GroupBy's: key first, then one column per agg.
-	fields := []Field{{Name: key, Type: Int64}}
-	for i, a := range aggs {
-		f := Field{Name: a.As, Type: Float64}
-		if a.Func == First {
-			f.Type = shardOut[0].Schema.Fields[plan[i]].Type
-		}
-		fields = append(fields, f)
-	}
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(schema)
-	out.Cols[0].Ints = outKeys
-
-	n := len(outKeys)
-	for i, a := range aggs {
-		dst := out.Cols[i+1]
-		switch a.Func {
-		case Sum, Count:
-			// Fold in shard order: for any one key the additions happen in
-			// the same order its rows would appear in the concatenation.
-			vals := make([]float64, n)
-			for _, o := range shardOut {
-				keys, src := o.Cols[0].Ints, o.Cols[plan[i]].Floats
-				for g, k := range keys {
-					vals[rowOf[k]] += src[g]
-				}
-			}
-			dst.Floats = vals
-		case Mean:
-			sums := make([]float64, n)
-			cnts := make([]float64, n)
-			for _, o := range shardOut {
-				keys := o.Cols[0].Ints
-				ps, pc := o.Cols[plan[i]].Floats, o.Cols[plan[i]+1].Floats
-				for g, k := range keys {
-					r := rowOf[k]
-					sums[r] += ps[g]
-					cnts[r] += pc[g]
-				}
-			}
-			for r := range sums {
-				sums[r] /= cnts[r]
-			}
-			dst.Floats = sums
-		case Min, Max:
-			vals := make([]float64, n)
-			seen := make([]bool, n)
-			for _, o := range shardOut {
-				keys, src := o.Cols[0].Ints, o.Cols[plan[i]].Floats
-				for g, k := range keys {
-					r := rowOf[k]
-					if !seen[r] || (a.Func == Max && src[g] > vals[r]) || (a.Func == Min && src[g] < vals[r]) {
-						vals[r] = src[g]
-						seen[r] = true
-					}
-				}
-			}
-			dst.Floats = vals
-		case First:
-			// First contributing shard wins — the same row the concatenated
-			// table's first-in-row-order pass would pick.
-			taken := make([]bool, n)
-			switch dst.Type {
-			case Int64:
-				dst.Ints = make([]int64, n)
-			case Float64:
-				dst.Floats = make([]float64, n)
-			default:
-				dst.Strings = make([]string, n)
-			}
-			for _, o := range shardOut {
-				keys, src := o.Cols[0].Ints, o.Cols[plan[i]]
-				for g, k := range keys {
-					r := rowOf[k]
-					if taken[r] {
-						continue
-					}
-					taken[r] = true
-					switch dst.Type {
-					case Int64:
-						dst.Ints[r] = src.Ints[g]
-					case Float64:
-						dst.Floats[r] = src.Floats[g]
-					default:
-						dst.Strings[r] = src.Strings[g]
-					}
-				}
-			}
-		case CountDistinct:
-			// Distinct counts only merge by addition when no key spans
-			// shards; hash-partitioned inputs guarantee that.
-			if overlapping {
-				return nil, fmt.Errorf("table: COUNT_DISTINCT merge needs key-disjoint shards")
-			}
-			vals := make([]float64, n)
-			for _, o := range shardOut {
-				keys, src := o.Cols[0].Ints, o.Cols[plan[i]].Floats
-				for g, k := range keys {
-					vals[rowOf[k]] = src[g]
-				}
-			}
-			dst.Floats = vals
-		default:
-			return nil, fmt.Errorf("table: unsupported aggregation %v", a.Func)
-		}
-	}
-	return out, nil
-}
-
-// HashJoinShards joins aligned shard pairs independently and concatenates
-// the results in shard order. When both sides are partitioned by the same
-// hash of the join key (PartitionByHash, or the warehouse's shard layout),
-// equal keys always share a shard index, so no match is lost and the output
-// is exactly HashJoin of the concatenations up to the shard-major row
-// order. Peak memory is one shard pair plus its output, not the whole join.
-func HashJoinShards(left, right []*Table, key string, kind JoinKind, ex Exec) (*Table, error) {
-	if len(left) == 0 || len(left) != len(right) {
-		return nil, fmt.Errorf("table: join over %d left and %d right shards", len(left), len(right))
-	}
-	var out *Table
-	for s := range left {
-		j, err := HashJoinExec(left[s], right[s], key, kind, ex)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = j
-			continue
-		}
-		if err := out.AppendTable(j); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

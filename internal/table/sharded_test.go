@@ -3,7 +3,6 @@ package table
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -22,47 +21,6 @@ func randomEvents(seed int64, rows, customers int) *Table {
 		t.Cols[2].AppendInt(int64(rng.Intn(7)))
 	}
 	return t
-}
-
-func concat(t *testing.T, parts []*Table) *Table {
-	t.Helper()
-	out := NewTable(parts[0].Schema)
-	for _, p := range parts {
-		if err := out.AppendTable(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
-func tablesBitIdentical(t *testing.T, a, b *Table) {
-	t.Helper()
-	if !a.Schema.Equal(b.Schema) {
-		t.Fatalf("schema %s vs %s", a.Schema, b.Schema)
-	}
-	if a.NumRows() != b.NumRows() {
-		t.Fatalf("rows %d vs %d", a.NumRows(), b.NumRows())
-	}
-	for c := range a.Cols {
-		ca, cb := a.Cols[c], b.Cols[c]
-		switch ca.Type {
-		case Int64:
-			if !reflect.DeepEqual(ca.Ints, cb.Ints) {
-				t.Fatalf("column %q differs", a.Schema.Fields[c].Name)
-			}
-		case Float64:
-			for i := range ca.Floats {
-				if math.Float64bits(ca.Floats[i]) != math.Float64bits(cb.Floats[i]) {
-					t.Fatalf("column %q row %d: %v vs %v (not bit-identical)",
-						a.Schema.Fields[c].Name, i, ca.Floats[i], cb.Floats[i])
-				}
-			}
-		default:
-			if !reflect.DeepEqual(ca.Strings, cb.Strings) {
-				t.Fatalf("column %q differs", a.Schema.Fields[c].Name)
-			}
-		}
-	}
 }
 
 func TestPartitionByHashPreservesRowsAndOrder(t *testing.T) {
@@ -104,120 +62,6 @@ func TestPartitionByHashPreservesRowsAndOrder(t *testing.T) {
 				}
 				if !found {
 					t.Fatal("part rows are not an ordered subsequence of the source")
-				}
-			}
-		}
-	}
-}
-
-func TestGroupByShardsMatchesGroupByBitwise(t *testing.T) {
-	src := randomEvents(2, 2000, 64)
-	aggs := []Agg{
-		{Col: "dur", Func: Sum, As: "dur_sum"},
-		{Col: "dur", Func: Count, As: "n"},
-		{Col: "dur", Func: Mean, As: "dur_avg"},
-		{Col: "dur", Func: Min, As: "dur_min"},
-		{Col: "dur", Func: Max, As: "dur_max"},
-		{Col: "cell", Func: First, As: "first_cell"},
-		{Col: "cell", Func: CountDistinct, As: "cells"},
-	}
-	want, err := GroupBy(src, "imsi", aggs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 4, 16} {
-		parts, err := PartitionByHash(src, "imsi", shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 8} {
-			got, err := GroupByShards(parts, "imsi", Exec{Workers: workers}, aggs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesBitIdentical(t, want, got)
-		}
-	}
-}
-
-func TestGroupByShardsCountDistinctRejectsOverlap(t *testing.T) {
-	a := randomEvents(3, 100, 10)
-	b := randomEvents(4, 100, 10) // same key space: overlapping keys
-	_, err := GroupByShards([]*Table{a, b}, "imsi", Exec{Workers: 1},
-		Agg{Col: "cell", Func: CountDistinct, As: "cells"})
-	if err == nil {
-		t.Fatal("COUNT_DISTINCT over overlapping shards accepted")
-	}
-	// Mergeable aggregates still work over overlapping parts.
-	got, err := GroupByShards([]*Table{a, b}, "imsi", Exec{Workers: 1},
-		Agg{Col: "dur", Func: Sum, As: "dur_sum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := GroupBy(concat(t, []*Table{a, b}), "imsi", Agg{Col: "dur", Func: Sum, As: "dur_sum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("merged groups %d, want %d", got.NumRows(), want.NumRows())
-	}
-	// Overlapping parts merge partial sums, so equality is numeric, not
-	// bitwise — the bit-identity contract only covers key-disjoint parts
-	// (TestGroupByShardsMatchesGroupByBitwise).
-	for i := range want.Cols[1].Floats {
-		if math.Abs(want.Cols[1].Floats[i]-got.Cols[1].Floats[i]) > 1e-9 {
-			t.Fatalf("row %d: merged sum %v, want %v", i, got.Cols[1].Floats[i], want.Cols[1].Floats[i])
-		}
-	}
-}
-
-func TestHashJoinShardsMatchesHashJoin(t *testing.T) {
-	left := randomEvents(5, 800, 50)
-	right, err := GroupBy(randomEvents(6, 400, 60), "imsi",
-		Agg{Col: "dur", Func: Sum, As: "r_sum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []JoinKind{InnerJoin, LeftJoin} {
-		want, err := HashJoin(left, right, "imsi", kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 4} {
-			lp, err := PartitionByHash(left, "imsi", shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := PartitionByHash(right, "imsi", shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := HashJoinShards(lp, rp, "imsi", kind, Exec{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Same rows, shard-major order: compare sorted by (imsi, dur).
-			sg, err := SortByInt(got, "imsi")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw, err := SortByInt(want, "imsi")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sg.NumRows() != sw.NumRows() {
-				t.Fatalf("join rows %d, want %d", sg.NumRows(), sw.NumRows())
-			}
-			sumCol := func(tb *Table, name string) float64 {
-				var s float64
-				for _, v := range tb.MustCol(name).Floats {
-					s += v
-				}
-				return s
-			}
-			for _, col := range []string{"dur", "r_sum"} {
-				if math.Abs(sumCol(sg, col)-sumCol(sw, col)) > 1e-6 {
-					t.Fatalf("join column %q content differs", col)
 				}
 			}
 		}

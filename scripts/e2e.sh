@@ -4,7 +4,8 @@
 # the batch path (`churnctl score -full`), then knock out a raw table and
 # assert degraded-mode scoring still serves with the mask reported. The
 # final section exercises the streaming path: ingest a recharge event into a
-# live churnd and assert the served score moves on the very next request AND
+# live churnd serving a -precompute artifact and assert the served score
+# moves on the very next request, survives POST /v1/refresh unchanged AND
 # lands bit-identical to a full rebuild over the merged warehouse. Run via
 # `make e2e`; CI runs the same script. Needs the go toolchain, bash and
 # standard POSIX tools.
@@ -188,12 +189,21 @@ kill "$CHURND_PID"
 wait "$CHURND_PID" 2>/dev/null || true
 CHURND_PID=""
 "$WORK/churnctl" generate -out "$WORK/whs" -customers 400 -months 4
+# churnd serves the -precompute artifact — the vectors+frame chain loadtest
+# and the benchmark run. The same training run without -precompute (shown
+# above to score identically) is the batch reference further down:
+# `churnctl score` prefers the snapshot when the month matches, so after a
+# merge the precomputed artifact cannot be its own oracle.
 "$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/models.tcpa" -trees 20
-"$WORK/churnd" -artifact "$WORK/models.tcpa" -warehouse "$WORK/whs" -addr "127.0.0.1:$PORT" &
+"$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/modelsp.tcpa" -trees 20 -precompute
+"$WORK/churnd" -artifact "$WORK/modelsp.tcpa" -warehouse "$WORK/whs" -addr "127.0.0.1:$PORT" &
 CHURND_PID=$!
 wait_healthy
-curl -sf "http://127.0.0.1:$PORT/readyz" | grep -q '"ingest":true' \
+READY="$(curl -sf "http://127.0.0.1:$PORT/readyz")"
+echo "$READY" | grep -q '"ingest":true' \
     || { echo "e2e: churnd did not enable ingest over the warehouse"; exit 1; }
+echo "$READY" | grep -q '"provider":"vectors+frame"' \
+    || { echo "e2e: churnd did not serve the vectors+frame chain: $READY"; exit 1; }
 
 CUST="$(curl -sf "http://127.0.0.1:$PORT/v1/customers?limit=10")"
 CAND="$(echo "$CUST" | sed -n 's/.*"ids":\[\([0-9,]*\)\].*/\1/p' | tr ',' ' ')"
@@ -231,6 +241,16 @@ done
 [ -n "$FID" ] || { echo "e2e: no served score moved after ingest bursts"; exit 1; }
 echo "   score for customer $FID moved $BEFORE -> $AFTER on the next request"
 
+# A full refresh rebuilds the frame over the logged events and must serve
+# it: the score may not snap back to the artifact's train-time snapshot.
+REFRESH="$(curl -sf -X POST "http://127.0.0.1:$PORT/v1/refresh")"
+echo "$REFRESH" | grep -q '"stale_vectors":0' \
+    || { echo "e2e: refresh left overrides behind: $REFRESH"; exit 1; }
+REFRESHED="$(score_one "$FID")"
+[ "$REFRESHED" = "$AFTER" ] \
+    || { echo "e2e: score $AFTER became $REFRESHED after /v1/refresh"; exit 1; }
+echo "   score unchanged by /v1/refresh (the rebuilt frame answers)"
+
 # Bit-equality with the batch path: quiesce churnd, fold the log into the
 # monthly partitions, and rebuild from scratch. Same rows, same order —
 # the incremental fold and the full rebuild must print the same bits.
@@ -243,6 +263,6 @@ FULL="$("$WORK/churnctl" score -warehouse "$WORK/whs" -model "$WORK/models.tcpa"
     | awk -F, -v id="$FID" '$2 == id { print $3 }')"
 [ "$AFTER" = "$FULL" ] \
     || { echo "e2e: incremental score $AFTER != full-rebuild score $FULL"; exit 1; }
-echo "   incremental score bit-identical to the full rebuild after merge"
+echo "   incremental and refreshed scores bit-identical to the full rebuild after merge"
 
 echo "e2e: OK"
