@@ -61,9 +61,10 @@ func (f *sourceFlags) detectShards(wh *store.Warehouse) (int, error) {
 
 // source opens the warehouse as the pipeline source every subcommand
 // reads through: a sharded warehouse view at the layout's (or -shards')
-// count with each table read retried under seeded backoff per -retries, so
-// AsSharded callers get the bounded-memory sharded path. Whole-window
-// reads stay bit-identical for any shard count.
+// count (1 for a plain layout) with each table read retried under seeded
+// backoff per -retries, so build and score take the bounded-memory
+// shard-at-a-time path. Whole-window and sharded builds over it give the
+// same frame bit for bit, whatever the layout or shard count.
 func (f *sourceFlags) source(label string) (core.Source, *store.Warehouse, int, error) {
 	wh, err := f.open()
 	if err != nil {

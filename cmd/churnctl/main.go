@@ -7,8 +7,7 @@
 //	churnctl eval <experiment-id> [flags]
 //	    run one of the paper's experiments (fig1 fig5 fig7 fig8 fig9
 //	    tab1 tab2 tab3 tab4 tab5 tab6 tab7) and print the paper-style table
-//	    ("eval all" runs every experiment in order; "run" is a deprecated
-//	    alias)
+//	    ("eval all" runs every experiment in order)
 //
 //	churnctl train -warehouse DIR -out FILE
 //	    fit the full pipeline on the warehouse and save a versioned
@@ -48,8 +47,6 @@ func main() {
 		err = cmdGenerate(os.Args[2:])
 	case "eval":
 		err = cmdEval(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
 	case "build":
@@ -91,7 +88,6 @@ func usage() {
   churnctl ingest -warehouse DIR [-events F|-synth N] [-addr URL] [-merge]
                                              append raw events to the event log (or POST to churnd);
                                              -merge folds the log into the monthly partitions
-  churnctl run ...                           deprecated alias for eval
 
 every warehouse-opening subcommand also takes -workers, -shards, -retries, -degraded
 
@@ -195,14 +191,6 @@ func generateDaily(cfg synth.Config, wh *store.Warehouse) error {
 		}
 	}
 	return nil
-}
-
-// cmdRun is the deprecated alias for eval, kept so existing scripts keep
-// working while the note steers them to the new command split.
-func cmdRun(args []string) error {
-	fmt.Fprintln(os.Stderr, "churnctl: `run` is deprecated — use `churnctl eval` (same behavior);"+
-		" `train` and `score` now work on the versioned pipeline artifact")
-	return cmdEval(args)
 }
 
 func cmdEval(args []string) error {

@@ -116,11 +116,11 @@ func TestParseGroups(t *testing.T) {
 	}
 }
 
-func TestRunAliasForwardsToEval(t *testing.T) {
-	if err := cmdRun([]string{"nope", "-customers", "500"}); err == nil {
+func TestEvalRejectsBadExperimentID(t *testing.T) {
+	if err := cmdEval([]string{"nope", "-customers", "500"}); err == nil {
 		t.Error("want error for unknown experiment id")
 	}
-	if err := cmdRun(nil); err == nil {
+	if err := cmdEval(nil); err == nil {
 		t.Error("want error for missing experiment id")
 	}
 }

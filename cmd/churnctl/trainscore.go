@@ -179,16 +179,15 @@ func cmdScore(args []string) error {
 		if whErr != nil {
 			return whErr
 		}
-		// Always the whole-window build: it is the path precompute, churnd
-		// and the parity contract are anchored on. The sharded build
-		// (churnctl build, PredictSharded) is bit-stable across shard
-		// counts but canonicalizes graph features differently, so scoring
-		// through it would break serving parity for F4-F6.
+		// Every build path produces the same frame bit for bit, so strict
+		// scoring takes the one that holds a single shard's tables at a
+		// time (sf.source always yields a sharded view; a plain layout is
+		// its 1-shard case). The degraded assembler is whole-window.
 		win := features.MonthWindow(m, days)
 		if *sf.degraded {
 			res, err = pipe.PredictDegraded(src, win)
 		} else {
-			res, err = pipe.Predict(src, win)
+			res, _, err = pipe.PredictSharded(src, win)
 		}
 	}
 	if err != nil {

@@ -294,20 +294,7 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, fitModels bool, t
 		// churner's final-month CDRs are sparse) but measurably dilutes
 		// label propagation with stale edges; see the abl-graphwin
 		// experiment.
-		full := frame
-		scratch := features.NewFrame(frame.IDs())
-		features.AddGraphFeatures(scratch, tbl, win, days, in, p.cfg.Workers)
-		// Copy over only the requested graph groups, preserving order.
-		for _, g := range []features.Group{features.F4CallGraph, features.F5MessageGraph, features.F6CooccurrenceGraph} {
-			if !p.cfg.hasGroup(g) {
-				continue
-			}
-			sub := scratch.SelectGroups(g)
-			if err := appendFrame(full, sub, g); err != nil {
-				return nil, 0, err
-			}
-		}
-		frame = full
+		features.AddGraphGroups(frame, p.cfg.Groups, tbl, win, days, in, p.cfg.Workers)
 	}
 
 	if p.cfg.hasGroup(features.F7ComplaintTopics) {
@@ -357,20 +344,6 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, fitModels bool, t
 		}
 	}
 	return frame, deg, nil
-}
-
-// appendFrame copies src's columns (all tagged with group g) onto dst.
-func appendFrame(dst, src *features.Frame, g features.Group) error {
-	names := src.Names()
-	for j, name := range names {
-		col := make(map[int64]float64, src.NumRows())
-		for _, id := range src.IDs() {
-			row, _ := src.Row(id)
-			col[id] = row[j]
-		}
-		dst.AddColumn(g, name, col, 0)
-	}
-	return nil
 }
 
 // Predictions holds scored customers for one window.

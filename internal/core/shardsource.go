@@ -13,11 +13,6 @@ import (
 // any worker count; see features.BuildShardedFrame for the contract. F7-F9
 // need a fitted pipeline (their feature models are trained by Fit on merged
 // data); F1-F6 work on an unfitted NewFrameBuilder pipeline.
-//
-// Label-propagation seeds canonicalize the truth table by customer id
-// before sampling, because the stable-seed stride walks rows in order and a
-// sharded truth partition concatenates in shard order. The generator emits
-// truth sorted by id, so the canonical order matches the plain layout.
 func (p *Pipeline) BuildFrameSharded(src ShardedSource, win features.Window) (*features.Frame, features.ShardStats, error) {
 	days := src.DaysPerMonth()
 	var groups []features.Group
@@ -48,13 +43,9 @@ func (p *Pipeline) BuildFrameSharded(src ShardedSource, win features.Window) (*f
 		if err != nil {
 			return nil, features.ShardStats{}, fmt.Errorf("core: graph features need truth of month %d: %w", seedMonth, err)
 		}
-		sorted, err := table.SortByInt(truth, "imsi")
-		if err != nil {
-			return nil, features.ShardStats{}, fmt.Errorf("core: canonicalize truth: %w", err)
-		}
 		spec.GraphIn = features.GraphFeatureInput{
-			PrevChurners: features.ChurnersOf(sorted),
-			StableSample: features.StableOf(sorted, p.cfg.StableSeedStride),
+			PrevChurners: features.ChurnersOf(truth),
+			StableSample: features.StableOf(truth, p.cfg.StableSeedStride),
 		}
 	}
 	if p.cfg.hasGroup(features.F7ComplaintTopics) {

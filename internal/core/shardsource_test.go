@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
+	"telcochurn/internal/tree"
 )
 
 func shardWorldCfg() synth.Config {
@@ -119,7 +121,7 @@ func TestPredictShardedMatchesPredict(t *testing.T) {
 	sw := shardedWorld(t, cfg, 4)
 	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
 	p, err := Fit(src, []WindowSpec{MonthSpec(1, cfg.DaysPerMonth)}, Config{
-		Groups: []features.Group{features.F1Baseline, features.F3PS},
+		Groups: features.AllGroups(),
 		Seed:   5,
 	})
 	if err != nil {
@@ -144,6 +146,59 @@ func TestPredictShardedMatchesPredict(t *testing.T) {
 		if got.IDs[i] != want.IDs[i] || math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
 			t.Fatalf("row %d: (%d, %v) vs (%d, %v)", i, got.IDs[i], got.Scores[i], want.IDs[i], want.Scores[i])
 		}
+	}
+}
+
+// TestFrameIdenticalAcrossBuildPathsAndLandings is the determinism contract
+// in one table: one world landed four ways, built whole-window on every
+// landing and shard by shard on the warehouse ones, at two worker counts —
+// every F1-F9 cell of every customer has the same bits.
+func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
+	cfg := shardWorldCfg()
+	days := cfg.DaysPerMonth
+	memory := NewMemorySource(synth.Simulate(cfg), days)
+	p, err := Fit(memory, []WindowSpec{MonthSpec(1, days)}, Config{
+		Groups: features.AllGroups(),
+		Forest: tree.ForestConfig{NumTrees: 2},
+		Seed:   5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type landing struct {
+		name string
+		src  Source
+	}
+	landings := []landing{{"memory", memory}}
+	for _, shards := range []int{1, 4, 16} {
+		src := NewShardedWarehouseSource(shardedWorld(t, cfg, shards), days)
+		landings = append(landings, landing{fmt.Sprintf("warehouse%d", shards), src})
+	}
+	win := features.MonthWindow(2, days)
+	var ref *features.Frame
+	for _, l := range landings {
+		for _, workers := range []int{1, 8} {
+			p.SetWorkers(workers)
+			context := fmt.Sprintf("%s workers=%d", l.name, workers)
+			whole, err := p.BuildFrame(l.src, win, false, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", context, err)
+			}
+			if ref == nil {
+				ref = whole
+			}
+			coreFramesBitIdentical(t, ref, whole, context+" whole-window")
+			if ss, ok := AsSharded(l.src); ok {
+				sharded, _, err := p.BuildFrameSharded(ss, win)
+				if err != nil {
+					t.Fatalf("%s: %v", context, err)
+				}
+				coreFramesBitIdentical(t, ref, sharded, context+" sharded")
+			}
+		}
+	}
+	if n := len(ref.Groups()); n == 0 || ref.Groups()[n-1] != features.F9SecondOrder {
+		t.Fatalf("frame does not reach F9: %d columns", n)
 	}
 }
 

@@ -179,7 +179,8 @@ func TestUniverseIsSnapshotMonth(t *testing.T) {
 
 func TestGraphBuildersExcludeNonCustomers(t *testing.T) {
 	_, tbl, win, days := baseFrame(t, 2)
-	g := BuildCallGraph(tbl, win, days, synth.IsCustomerID)
+	graphs := BuildGraphs(AllGroups(), tbl, win, days, synth.IsCustomerID)
+	g := graphs[0]
 	for _, id := range g.IDs() {
 		if !synth.IsCustomerID(id) {
 			t.Fatalf("non-customer %d in call graph", id)
@@ -191,12 +192,10 @@ func TestGraphBuildersExcludeNonCustomers(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Errorf("call graph invalid: %v", err)
 	}
-	mg := BuildMessageGraph(tbl, win, days, synth.IsCustomerID)
-	if mg.NumEdges() == 0 {
+	if graphs[1].NumEdges() == 0 {
 		t.Error("message graph has no edges")
 	}
-	cg := BuildCooccurrenceGraph(tbl, win, days, synth.IsCustomerID)
-	if cg.NumEdges() == 0 {
+	if graphs[2].NumEdges() == 0 {
 		t.Error("co-occurrence graph has no edges")
 	}
 }

@@ -1,0 +1,427 @@
+package features
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"telcochurn/internal/graph"
+	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
+)
+
+// The map-based graph accumulator the sort-based GraphAccumulator replaced,
+// kept verbatim as the reference: per-directed-edge map sums, min-30 cube
+// sets, edges inserted through graph.AddEdge (so AddDistinctEdge is checked
+// too). TestGraphFoldMatchesMapOracle and TestGraphFoldEdgeCases pin the
+// production fold to it bit for bit.
+const mapCubeCap = 30
+
+type dirEdge struct{ from, to int64 }
+
+type cubeKey struct{ abs, slot, cell int64 }
+
+type mapPartials struct {
+	call  map[dirEdge]float64
+	msg   map[dirEdge]float64
+	cubes map[cubeKey][]int64 // sorted ascending, <= mapCubeCap ids
+}
+
+// mapAccumulator merges shard-local graph partials into the canonical
+// F4-F6 graphs. Feed each shard's tables (any order, one goroutine per shard
+// is safe — partials are per-shard), then Finalize once.
+type mapAccumulator struct {
+	wantCall, wantMsg, wantCooc bool
+	parts                       []mapPartials
+}
+
+// newMapAccumulator sizes an accumulator for the given shard count,
+// collecting only the graphs backing the requested groups.
+func newMapAccumulator(shards int, groups []Group) *mapAccumulator {
+	a := &mapAccumulator{parts: make([]mapPartials, shards)}
+	for _, g := range groups {
+		switch g {
+		case F4CallGraph:
+			a.wantCall = true
+		case F5MessageGraph:
+			a.wantMsg = true
+		case F6CooccurrenceGraph:
+			a.wantCooc = true
+		}
+	}
+	for i := range a.parts {
+		if a.wantCall {
+			a.parts[i].call = map[dirEdge]float64{}
+		}
+		if a.wantMsg {
+			a.parts[i].msg = map[dirEdge]float64{}
+		}
+		if a.wantCooc {
+			a.parts[i].cubes = map[cubeKey][]int64{}
+		}
+	}
+	return a
+}
+
+// Feed accumulates one shard's slice of the raw tables. Row filters mirror
+// the in-memory builders exactly; isCustomer must be the same universe-or-
+// previous-churner predicate AddGraphFeatures uses, over the FULL merged
+// universe — which is why the sharded build resolves the universe before
+// loading event tables.
+func (a *mapAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) {
+	p := &a.parts[shard]
+	if a.wantCall {
+		calls := tbl.Calls
+		inWin := inWindow(calls, win, daysPerMonth)
+		imsi := calls.MustCol("imsi").Ints
+		peer := calls.MustCol("peer").Ints
+		dur := calls.MustCol("dur").Floats
+		success := calls.MustCol("success").Ints
+		svc := calls.MustCol("svc").Ints
+		for i := 0; i < calls.NumRows(); i++ {
+			if !inWin(i) || success[i] != 1 || svc[i] == 1 || dur[i] <= 0 {
+				continue
+			}
+			if !isCustomer(peer[i]) {
+				continue
+			}
+			p.call[dirEdge{imsi[i], peer[i]}] += dur[i]
+		}
+	}
+	if a.wantMsg {
+		msgs := tbl.Messages
+		inWin := inWindow(msgs, win, daysPerMonth)
+		imsi := msgs.MustCol("imsi").Ints
+		peer := msgs.MustCol("peer").Ints
+		kind := msgs.MustCol("kind").Ints
+		for i := 0; i < msgs.NumRows(); i++ {
+			if !inWin(i) || kind[i] != 0 {
+				continue
+			}
+			if !isCustomer(peer[i]) {
+				continue
+			}
+			p.msg[dirEdge{imsi[i], peer[i]}]++
+		}
+	}
+	if a.wantCooc {
+		loc := tbl.Locations
+		inWin := inWindow(loc, win, daysPerMonth)
+		imsi := loc.MustCol("imsi").Ints
+		day := loc.MustCol("day").Ints
+		month := loc.MustCol("month").Ints
+		slot := loc.MustCol("slot").Ints
+		cell := loc.MustCol("cell").Ints
+		for i := 0; i < loc.NumRows(); i++ {
+			if !inWin(i) || !isCustomer(imsi[i]) {
+				continue
+			}
+			c := cubeKey{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}
+			p.cubes[c] = insertCapped(p.cubes[c], imsi[i], mapCubeCap)
+		}
+	}
+}
+
+// insertCapped inserts id into the sorted set m, keeping only the cap
+// smallest members. The min-cap of a union is merge-order independent, which
+// is what makes cube membership shard-count invariant.
+func insertCapped(m []int64, id int64, cap int) []int64 {
+	i := sort.Search(len(m), func(j int) bool { return m[j] >= id })
+	if i < len(m) && m[i] == id {
+		return m
+	}
+	if len(m) >= cap {
+		if i >= cap {
+			return m
+		}
+		copy(m[i+1:], m[i:len(m)-1])
+		m[i] = id
+		return m
+	}
+	m = append(m, 0)
+	copy(m[i+1:], m[i:len(m)-1])
+	m[i] = id
+	return m
+}
+
+// mergeCapped merges two sorted capped sets, keeping the cap smallest.
+func mergeCapped(a, b []int64, cap int) []int64 {
+	if len(a) == 0 {
+		return append([]int64(nil), b...)
+	}
+	out := make([]int64, 0, min(len(a)+len(b), cap))
+	i, j := 0, 0
+	for len(out) < cap && (i < len(a) || j < len(b)) {
+		switch {
+		case j >= len(b) || (i < len(a) && a[i] < b[j]):
+			out = append(out, a[i])
+			i++
+		case i >= len(a) || b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default: // equal
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// Finalize materializes the requested graphs (nil for groups not collected).
+// Vertices appear in ascending-id order of their first sorted edge and edges
+// insert in sorted (min-id, max-id) order, so downstream PageRank and label
+// propagation fold adjacencies in a canonical order.
+func (a *mapAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
+	if a.wantCall {
+		call = a.finalizeDirected(func(p *mapPartials) map[dirEdge]float64 { return p.call })
+	}
+	if a.wantMsg {
+		msg = a.finalizeDirected(func(p *mapPartials) map[dirEdge]float64 { return p.msg })
+	}
+	if a.wantCooc {
+		cooc = a.finalizeCooccurrence()
+	}
+	return call, msg, cooc
+}
+
+func (a *mapAccumulator) finalizeDirected(sel func(*mapPartials) map[dirEdge]float64) *graph.Graph {
+	merged := map[dirEdge]float64{}
+	for i := range a.parts {
+		for e, w := range sel(&a.parts[i]) {
+			merged[e] += w
+		}
+	}
+	pairs := make([]dirEdge, 0, len(merged))
+	seen := map[dirEdge]bool{}
+	for e := range merged {
+		u := dirEdge{min(e.from, e.to), max(e.from, e.to)}
+		if !seen[u] {
+			seen[u] = true
+			pairs = append(pairs, u)
+		}
+	}
+	sort.Slice(pairs, func(x, y int) bool {
+		if pairs[x].from != pairs[y].from {
+			return pairs[x].from < pairs[y].from
+		}
+		return pairs[x].to < pairs[y].to
+	})
+	g := graph.New()
+	for _, u := range pairs {
+		w := merged[dirEdge{u.from, u.to}]
+		if u.from != u.to {
+			w += merged[dirEdge{u.to, u.from}]
+		}
+		g.AddEdge(u.from, u.to, w)
+	}
+	return g
+}
+
+func (a *mapAccumulator) finalizeCooccurrence() *graph.Graph {
+	merged := map[cubeKey][]int64{}
+	for i := range a.parts {
+		for c, ids := range a.parts[i].cubes {
+			merged[c] = mergeCapped(merged[c], ids, mapCubeCap)
+		}
+	}
+	weights := map[dirEdge]float64{}
+	for _, m := range merged {
+		// Members are sorted, so every pair is already (min-id, max-id);
+		// integer counts make the accumulation order irrelevant.
+		for x := 0; x < len(m); x++ {
+			for y := x + 1; y < len(m); y++ {
+				weights[dirEdge{m[x], m[y]}]++
+			}
+		}
+	}
+	pairs := make([]dirEdge, 0, len(weights))
+	for e := range weights {
+		pairs = append(pairs, e)
+	}
+	sort.Slice(pairs, func(x, y int) bool {
+		if pairs[x].from != pairs[y].from {
+			return pairs[x].from < pairs[y].from
+		}
+		return pairs[x].to < pairs[y].to
+	})
+	g := graph.New()
+	for _, e := range pairs {
+		g.AddEdge(e.from, e.to, weights[e])
+	}
+	return g
+}
+
+// graphsBitIdentical compares what the feature columns can see of a graph:
+// vertex numbering, and PageRank / label-propagation outputs bit for bit
+// (both fold adjacency lists in insertion order, so they also pin edge order
+// and weights).
+func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]int, context string) {
+	t.Helper()
+	if (want == nil) != (got == nil) {
+		t.Fatalf("%s: graph presence differs: want nil=%v, got nil=%v", context, want == nil, got == nil)
+	}
+	if want == nil {
+		return
+	}
+	if !slices.Equal(want.IDs(), got.IDs()) {
+		t.Fatalf("%s: vertex order differs (%d vs %d vertices)", context, want.NumVertices(), got.NumVertices())
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", context, err)
+	}
+	wpr, gpr := want.PageRank(graph.PageRankOptions{}), got.PageRank(graph.PageRankOptions{})
+	wlp := want.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
+	glp := got.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
+	for _, id := range want.IDs() {
+		if math.Float64bits(wpr[id]) != math.Float64bits(gpr[id]) {
+			t.Fatalf("%s: pagerank of %d: %v vs %v", context, id, wpr[id], gpr[id])
+		}
+		if math.Float64bits(wlp[id][1]) != math.Float64bits(glp[id][1]) {
+			t.Fatalf("%s: label propagation of %d: %v vs %v", context, id, wlp[id][1], glp[id][1])
+		}
+	}
+}
+
+// foldBoth feeds the same per-shard tables to the map oracle and to the
+// production fold and compares all three graphs.
+func foldBoth(t *testing.T, parts []Tables, win Window, days int, isCustomer func(int64) bool, seeds map[int64]int, context string) *GraphAccumulator {
+	t.Helper()
+	want := newMapAccumulator(len(parts), AllGroups())
+	got := NewGraphAccumulator(len(parts), AllGroups())
+	for s, tbl := range parts {
+		want.Feed(s, tbl, win, days, isCustomer)
+		got.Feed(s, tbl, win, days, isCustomer)
+	}
+	wantCall, wantMsg, wantCooc := want.Finalize()
+	gotCall, gotMsg, gotCooc := got.Finalize()
+	graphsBitIdentical(t, wantCall, gotCall, seeds, context+": call")
+	graphsBitIdentical(t, wantMsg, gotMsg, seeds, context+": message")
+	graphsBitIdentical(t, wantCooc, gotCooc, seeds, context+": co-occurrence")
+	return got
+}
+
+func TestGraphFoldMatchesMapOracle(t *testing.T) {
+	months, cfg := simOnce(t)
+	tbl, err := FromMonthData(months)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := cfg.DaysPerMonth
+	seeds := seedMap(GraphFeatureInput{
+		PrevChurners: ChurnersOf(months[1].Truth),
+		StableSample: StableOf(months[1].Truth, 10),
+	})
+	for _, win := range []Window{MonthWindow(2, days), {FromAbs: 1, ToAbs: 2 * days}} {
+		for _, shards := range []int{1, 4, 16} {
+			foldBoth(t, shardTables(t, tbl, shards), win, days, synth.IsCustomerID, seeds,
+				fmt.Sprintf("window %d-%d shards=%d", win.FromAbs, win.ToAbs, shards))
+		}
+	}
+}
+
+// TestGraphFoldEdgeCases drives the fold's corner cases with hand-made rows
+// spread over two shards, against the oracle and against expected weights.
+func TestGraphFoldEdgeCases(t *testing.T) {
+	const base = int64(1_000_000)
+	gone := int64(7) // a previous churner outside the id universe
+	isCustomer := func(id int64) bool { return synth.IsCustomerID(id) || id == gone }
+	win := MonthWindow(1, 30)
+
+	newTables := func() Tables {
+		return Tables{
+			Calls:     table.NewTable(synth.CallsSchema),
+			Messages:  table.NewTable(synth.MessagesSchema),
+			Locations: table.NewTable(synth.LocationsSchema),
+		}
+	}
+	parts := []Tables{newTables(), newTables()}
+	call := func(shard int, from, to int64, dur float64) {
+		t.Helper()
+		err := parts[shard].Calls.AppendRow(from, to, int64(1), int64(5), dur,
+			int64(synth.CallLocalInner), int64(1), int64(synth.OpSelf), int64(1),
+			int64(0), 1.0, 4.0, 4.0, 4.0, int64(0), int64(0), int64(0),
+			int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fix := func(shard int, id, day, slot, cell int64) {
+		t.Helper()
+		if err := parts[shard].Locations.AppendRow(id, int64(1), day, slot, cell, int64(0), 31.0, 121.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c, d := base+1, base+2, base+3, base+4
+	call(0, a, a, 50) // self-call: no edge, no vertex
+	// One edge whose weight is order-sensitive in floating point: the forward
+	// direction fed through both shards, the reverse through one.
+	call(0, a, b, 0.1)
+	call(0, a, b, 0.2)
+	call(0, a, b, 0.3)
+	call(1, a, b, 0.6)
+	call(1, a, b, 0.9)
+	call(1, b, a, 0.7)
+	call(1, b, a, 0.4)
+	call(1, d, c, 12)        // seen only in the reverse (max-id → min-id) direction
+	call(1, c, gone, 33)     // a previous churner outside the universe is a vertex
+	call(0, a, 5_000_001, 9) // off-net peer: dropped
+
+	// One cube with 40 members alternating between the shards (20 each):
+	// only the 30 smallest ids survive the merge.
+	for k := int64(0); k < 40; k++ {
+		fix(int(k%2), base+100+k, 3, 4, 77)
+	}
+	// Repeated fixes of one customer in one cube, in both shards' rows.
+	fix(0, a, 1, 0, 7)
+	fix(0, a, 1, 0, 7)
+	fix(0, c, 1, 0, 7)
+	fix(0, a, 1, 0, 7)
+	fix(0, gone, 1, 0, 7)
+
+	acc := foldBoth(t, parts, win, 30, isCustomer, map[int64]int{a: 1, c: 0}, "edge cases")
+	cg, mg, og := acc.Finalize()
+	if cg.Has(5_000_001) || cg.EdgeWeight(a, a) != 0 {
+		t.Error("self-call or off-net peer reached the call graph")
+	}
+	x1, x2, x3, y1, y2, r1, r2 := 0.1, 0.2, 0.3, 0.6, 0.9, 0.7, 0.4
+	if got, want := cg.EdgeWeight(a, b), ((x1+x2+x3)+(y1+y2))+(r1+r2); got != want {
+		t.Errorf("w(a,b) = %v, want (shard sums in shard order) forward + reverse = %v", got, want)
+	}
+	if got := cg.EdgeWeight(c, d); got != 12 {
+		t.Errorf("w(c,d) = %v, want 12 from the reverse-only rows", got)
+	}
+	if got := cg.EdgeWeight(c, gone); got != 33 {
+		t.Errorf("w(c,previous churner) = %v, want 33", got)
+	}
+	if mg.NumVertices() != 0 {
+		t.Errorf("empty messages table built %d vertices", mg.NumVertices())
+	}
+	if got := og.EdgeWeight(base+100, base+129); got != 1 {
+		t.Errorf("30 smallest cube members: w = %v, want 1", got)
+	}
+	if og.Has(base + 130) {
+		t.Error("31st smallest member of a crowded cube was kept")
+	}
+	if got := og.EdgeWeight(a, c); got != 1 {
+		t.Errorf("repeated fixes: w(a,c) = %v, want 1", got)
+	}
+	if got := og.EdgeWeight(gone, a); got != 1 {
+		t.Errorf("previous churner in a cube: w = %v, want 1", got)
+	}
+
+	// Finalize does not consume the partials.
+	cg2, mg2, og2 := acc.Finalize()
+	seeds := map[int64]int{a: 1, c: 0}
+	graphsBitIdentical(t, cg, cg2, seeds, "second Finalize: call")
+	graphsBitIdentical(t, mg, mg2, seeds, "second Finalize: message")
+	graphsBitIdentical(t, og, og2, seeds, "second Finalize: co-occurrence")
+
+	// Empty tables everywhere: three empty graphs, not nil and not a panic.
+	empty := foldBoth(t, []Tables{newTables(), newTables()}, win, 30, isCustomer, nil, "empty")
+	if g, _, _ := empty.Finalize(); g == nil || g.NumVertices() != 0 {
+		t.Error("empty tables did not produce an empty call graph")
+	}
+}

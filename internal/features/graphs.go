@@ -1,120 +1,26 @@
 package features
 
 import (
+	"slices"
+
 	"telcochurn/internal/graph"
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/table"
 )
 
-// BuildCallGraph builds the call graph of Section 4.1.2 from the window's
-// CDRs: undirected, edge weight = accumulated mutual calling seconds.
-// Off-net peers and service numbers are excluded (they are not customers).
+// BuildGraphs builds the call, message and co-occurrence graphs of Section
+// 4.1.2 (in that order; nil for a graph none of the groups asks for) from
+// one in-memory window: the single-shard case of GraphAccumulator.
+func BuildGraphs(groups []Group, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) [3]*graph.Graph {
+	acc := NewGraphAccumulator(1, groups)
+	acc.Feed(0, tbl, win, daysPerMonth, isCustomer)
+	call, msg, cooc := acc.Finalize()
+	return [3]*graph.Graph{call, msg, cooc}
+}
+
+// BuildCallGraph builds the window's call graph alone.
 func BuildCallGraph(tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) *graph.Graph {
-	g := graph.New()
-	calls := tbl.Calls
-	inWin := inWindow(calls, win, daysPerMonth)
-	imsi := calls.MustCol("imsi").Ints
-	peer := calls.MustCol("peer").Ints
-	dur := calls.MustCol("dur").Floats
-	success := calls.MustCol("success").Ints
-	svc := calls.MustCol("svc").Ints
-	n := calls.NumRows()
-	for i := 0; i < n; i++ {
-		if !inWin(i) || success[i] != 1 || svc[i] == 1 || dur[i] <= 0 {
-			continue
-		}
-		if !isCustomer(peer[i]) {
-			continue
-		}
-		g.AddEdge(imsi[i], peer[i], dur[i])
-	}
-	return g
-}
-
-// BuildMessageGraph builds the message graph: edge weight = number of P2P
-// messages between two customers.
-func BuildMessageGraph(tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) *graph.Graph {
-	g := graph.New()
-	msgs := tbl.Messages
-	inWin := inWindow(msgs, win, daysPerMonth)
-	imsi := msgs.MustCol("imsi").Ints
-	peer := msgs.MustCol("peer").Ints
-	kind := msgs.MustCol("kind").Ints
-	n := msgs.NumRows()
-	for i := 0; i < n; i++ {
-		if !inWin(i) || kind[i] != 0 {
-			continue
-		}
-		if !isCustomer(peer[i]) {
-			continue
-		}
-		g.AddEdge(imsi[i], peer[i], 1)
-	}
-	return g
-}
-
-// BuildCooccurrenceGraph builds the co-occurrence graph: edge weight = the
-// number of spatiotemporal cubes (cell × day × time slot, the paper's
-// "within 20 minute and 100x100 meter cube") two customers share in the
-// window. Cube populations are capped to avoid quadratic blowup on very
-// crowded cells; within a cap of c members a cube contributes c(c-1)/2
-// edges, which preserves the community structure the feature needs.
-func BuildCooccurrenceGraph(tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) *graph.Graph {
-	const cubeCap = cooccurrenceCubeCap
-	g := graph.New()
-	loc := tbl.Locations
-	inWin := inWindow(loc, win, daysPerMonth)
-	imsi := loc.MustCol("imsi").Ints
-	day := loc.MustCol("day").Ints
-	month := loc.MustCol("month").Ints
-	slot := loc.MustCol("slot").Ints
-	cell := loc.MustCol("cell").Ints
-
-	type cube struct {
-		abs  int64 // month*100+day packed with slot and cell below
-		slot int64
-		cell int64
-	}
-	members := make(map[cube][]int64)
-	// Cubes are emitted in first-seen order, not map order: edge insertion
-	// order fixes the adjacency-list fold order of later PageRank sweeps, so
-	// it must depend only on the input rows for graph scores to be
-	// reproducible bit for bit.
-	var order []cube
-	n := loc.NumRows()
-	for i := 0; i < n; i++ {
-		if !inWin(i) || !isCustomer(imsi[i]) {
-			continue
-		}
-		c := cube{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}
-		m, seen := members[c]
-		if !seen {
-			order = append(order, c)
-		}
-		if len(m) >= cubeCap {
-			continue
-		}
-		// Deduplicate repeated fixes of the same customer in one cube.
-		dup := false
-		for _, id := range m {
-			if id == imsi[i] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			members[c] = append(m, imsi[i])
-		}
-	}
-	for _, c := range order {
-		m := members[c]
-		for a := 0; a < len(m); a++ {
-			for b := a + 1; b < len(m); b++ {
-				g.AddEdge(m[a], m[b], 1)
-			}
-		}
-	}
-	return g
+	return BuildGraphs([]Group{F4CallGraph}, tbl, win, daysPerMonth, isCustomer)[0]
 }
 
 // GraphFeatureInput bundles what the graph features need beyond the raw
@@ -132,41 +38,21 @@ type GraphFeatureInput struct {
 
 // AddGraphFeatures computes PageRank and label-propagation features on the
 // three graphs and adds the six F4-F6 columns (paper names from Table 4).
-// The three graphs build and iterate concurrently across `workers`
-// goroutines (0 = GOMAXPROCS) and the per-graph algorithms parallelize
-// internally; columns land in fixed graph order, so the frame is
-// bit-identical for any worker count.
 func AddGraphFeatures(f *Frame, tbl Tables, win Window, daysPerMonth int, in GraphFeatureInput, workers int) {
+	AddGraphGroups(f, AllGroups(), tbl, win, daysPerMonth, in, workers)
+}
+
+// AddGraphGroups is AddGraphFeatures for the graph groups among groups
+// only. The graphs come from one pass per table through the fold and are
+// scored concurrently across `workers` goroutines (0 = GOMAXPROCS), the
+// per-graph algorithms parallelizing internally; columns land in fixed
+// graph order, so the frame is bit-identical for any worker count.
+func AddGraphGroups(f *Frame, groups []Group, tbl Tables, win Window, daysPerMonth int, in GraphFeatureInput, workers int) {
 	isCustomer := func(id int64) bool {
 		_, ok := f.index[id]
 		return ok || in.PrevChurners[id]
 	}
-	type graphSpec struct {
-		build  func(Tables, Window, int, func(int64) bool) *graph.Graph
-		group  Group
-		suffix string
-	}
-	specs := []graphSpec{
-		{BuildCallGraph, F4CallGraph, "voice"},
-		{BuildMessageGraph, F5MessageGraph, "message"},
-		{BuildCooccurrenceGraph, F6CooccurrenceGraph, "cooccurrence"},
-	}
-
-	seeds := seedMap(in)
-	type graphCols struct {
-		pr, lp map[int64]float64
-	}
-	results := make([]graphCols, len(specs))
-	parallel.ForGrain(workers, len(specs), 1, func(i int) {
-		g := specs[i].build(tbl, win, daysPerMonth, isCustomer)
-		pr, lp := scoreGraph(g, seeds, workers)
-		results[i] = graphCols{pr: pr, lp: lp}
-	})
-
-	for i, spec := range specs {
-		f.AddColumn(spec.group, "pagerank_"+spec.suffix, results[i].pr, 0)
-		f.AddColumn(spec.group, "labelpropagation_"+spec.suffix, results[i].lp, 0.5)
-	}
+	scoreGraphsInto(f, BuildGraphs(groups, tbl, win, daysPerMonth, isCustomer), in, workers)
 }
 
 // seedMap flattens the seed input into label-propagation class seeds; the
@@ -184,11 +70,36 @@ func seedMap(in GraphFeatureInput) map[int64]int {
 	return seeds
 }
 
+// scoreGraphsInto computes the graph feature columns of the built graphs
+// (nil = group not requested) and adds them to f in canonical F4, F5, F6
+// order. The graphs score concurrently; every build path ends here.
+func scoreGraphsInto(f *Frame, graphs [3]*graph.Graph, in GraphFeatureInput, workers int) {
+	suffixes := [3]string{"voice", "message", "cooccurrence"}
+	groups := [3]Group{F4CallGraph, F5MessageGraph, F6CooccurrenceGraph}
+	seeds := seedMap(in)
+	type graphCols struct {
+		pr, lp map[int64]float64
+	}
+	var results [3]graphCols
+	parallel.ForGrain(workers, len(graphs), 1, func(i int) {
+		if graphs[i] == nil {
+			return
+		}
+		pr, lp := scoreGraph(graphs[i], seeds, workers)
+		results[i] = graphCols{pr: pr, lp: lp}
+	})
+	for i := range graphs {
+		if graphs[i] == nil {
+			continue
+		}
+		f.AddColumn(groups[i], "pagerank_"+suffixes[i], results[i].pr, 0)
+		f.AddColumn(groups[i], "labelpropagation_"+suffixes[i], results[i].lp, 0.5)
+	}
+}
+
 // scoreGraph runs the two per-graph feature algorithms — PageRank scaled by
 // vertex count (population-size invariant) and 2-round label propagation —
-// returning the per-customer column maps. Both the in-memory and the sharded
-// builders score through here, so their columns differ only by how the graph
-// itself was assembled.
+// returning the per-customer column maps.
 func scoreGraph(g *graph.Graph, seeds map[int64]int, workers int) (prCol, lpCol map[int64]float64) {
 	pr := g.PageRank(graph.PageRankOptions{Workers: workers})
 	prCol = make(map[int64]float64, len(pr))
@@ -218,22 +129,23 @@ func ChurnersOf(truth *table.Table) map[int64]bool {
 }
 
 // StableOf extracts labeled non-churners of a month, downsampled by taking
-// every strideth one (deterministic, no RNG needed for seeds).
+// every strideth one in ascending id order (deterministic, no RNG needed for
+// seeds, and independent of the order the truth rows were landed or read in).
 func StableOf(truth *table.Table, stride int) map[int64]bool {
 	if stride < 1 {
 		stride = 1
 	}
-	out := make(map[int64]bool)
-	imsi := truth.MustCol("imsi").Ints
+	var stable []int64
 	churn := truth.MustCol("churn").Ints
-	k := 0
-	for i, id := range imsi {
+	for i, id := range truth.MustCol("imsi").Ints {
 		if churn[i] == 0 {
-			if k%stride == 0 {
-				out[id] = true
-			}
-			k++
+			stable = append(stable, id)
 		}
+	}
+	slices.Sort(stable)
+	out := make(map[int64]bool)
+	for k := 0; k < len(stable); k += stride {
+		out[stable[k]] = true
 	}
 	return out
 }

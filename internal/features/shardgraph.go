@@ -1,52 +1,142 @@
 package features
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"telcochurn/internal/graph"
-	"telcochurn/internal/parallel"
 )
 
-// Canonical graph accumulation for the sharded wide-table build.
+// The one graph fold: GraphAccumulator turns raw call, message and location
+// rows into the three graphs of Section 4.1.2 for every build path. The
+// whole-window builds (AddGraphFeatures, BuildGraphs) are its one-shard
+// case, so F4-F6 are bit-identical whichever path, warehouse layout, shard
+// count or worker count produced them.
 //
-// The in-memory builders (BuildCallGraph etc.) insert edges in raw row
-// order, which fixes the adjacency fold order of PageRank and label
-// propagation — fine for one table, but row order depends on how rows were
-// partitioned, so a shard-by-shard build could never match itself across
-// shard counts. The accumulator instead collects shard-local partials whose
-// merge is order-independent, then materializes each graph canonically:
-// vertices and edges inserted in sorted-id order, every edge weight reduced
-// in a fixed direction order. The result is bit-identical for any shard
-// count and any worker count (including a single shard), at the price of
-// diverging bitwise from the row-order in-memory builders — the per-column
-// divergence is the adjacency fold order, not the graph itself.
+// Edge insertion order fixes the adjacency fold order of PageRank and label
+// propagation, and row order depends on how rows were partitioned, so the
+// fold never lets row order reach the graph. It is sort + run-length over
+// flat records: per shard the observations are sorted and reduced to
+// partials whose merge is order-independent, and Finalize materializes each
+// graph canonically — edges inserted in sorted (min-id, max-id) order,
+// vertices numbered by first appearance in that list, every weight reduced
+// in one fixed order.
 //
 // Why the partials merge exactly:
 //
-//   - Call/message partials are per-DIRECTED-edge sums keyed (caller,
-//     callee). A caller's rows live in the caller's shard in original row
-//     order, so each directed partial is computed from the same values in
-//     the same order whatever the shard count — the merged map is identical,
-//     and the undirected weight folds the two directions in fixed
-//     (min-id, max-id) order.
-//   - Co-occurrence cube membership keeps the cubeCap smallest customer ids
-//     per cube (a semilattice: the min-k of a union is independent of merge
-//     order), replacing the in-memory builder's first-k-in-row-order cap.
+//   - Call/message partials are per-DIRECTED-edge sums. A caller's rows live
+//     in the caller's shard in original row order, and the sort is stable, so
+//     each directed sum adds the same values in the same order whatever the
+//     shard count; the undirected weight is forward + reverse, (min-id →
+//     max-id) first.
+//   - Co-occurrence cube membership keeps the cooccurrenceCubeCap smallest
+//     customer ids per cube (a semilattice: the min-k of a union is
+//     independent of merge order). Cubes are capped to avoid quadratic
+//     blowup on very crowded cells; a cube of c members contributes
+//     c(c-1)/2 edges, which preserves the community structure the feature
+//     needs.
 const cooccurrenceCubeCap = 30
 
-type dirEdge struct{ from, to int64 }
-
-type cubeKey struct{ abs, slot, cell int64 }
-
-type graphPartials struct {
-	call  map[dirEdge]float64
-	msg   map[dirEdge]float64
-	cubes map[cubeKey][]int64 // sorted ascending, <= cooccurrenceCubeCap ids
+// edgeRec is one observation (later: one sum) of the undirected edge
+// {lo, hi} in one direction: dir 0 is lo → hi, 1 is hi → lo.
+type edgeRec struct {
+	lo, hi int64
+	dir    int8
+	w      float64
 }
 
-// GraphAccumulator merges shard-local graph partials into the canonical
-// F4-F6 graphs. Feed each shard's tables (any order, one goroutine per shard
-// is safe — partials are per-shard), then Finalize once.
+func directed(from, to int64, w float64) edgeRec {
+	if from > to {
+		return edgeRec{lo: to, hi: from, dir: 1, w: w}
+	}
+	return edgeRec{lo: from, hi: to, w: w}
+}
+
+func compareEdgeKeys(a, b edgeRec) int {
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.dir, b.dir)
+}
+
+// foldEdges reduces recs in place to one record per directed edge, sorted
+// by (lo, hi, direction). The sort is stable and each run is summed left to
+// right from zero, so a sum depends only on the order its own observations
+// were appended in.
+func foldEdges(recs []edgeRec) []edgeRec {
+	slices.SortStableFunc(recs, compareEdgeKeys)
+	out := recs[:0]
+	for i := 0; i < len(recs); {
+		sum := recs[i]
+		sum.w = 0
+		for ; i < len(recs) && compareEdgeKeys(recs[i], sum) == 0; i++ {
+			sum.w += recs[i].w
+		}
+		out = append(out, sum)
+	}
+	return out
+}
+
+// fix is one sighting of a customer in a spatiotemporal cube (cell × day ×
+// time slot, the paper's "within 20 minute and 100x100 meter cube").
+type fix struct {
+	abs, slot, cell int64 // abs packs month and day
+	id              int64
+}
+
+func (f fix) sameCube(o fix) bool { return f.abs == o.abs && f.slot == o.slot && f.cell == o.cell }
+
+func compareFixes(a, b fix) int {
+	if c := cmp.Compare(a.abs, b.abs); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.slot, b.slot); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.cell, b.cell); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// capCubes reduces fixes in place to sorted (cube, id) order with repeated
+// fixes of one customer dropped and each cube cut to its
+// cooccurrenceCubeCap smallest ids.
+func capCubes(fixes []fix) []fix {
+	slices.SortFunc(fixes, compareFixes)
+	out := fixes[:0]
+	members := 0 // of the cube out currently ends in
+	for _, f := range fixes {
+		switch {
+		case len(out) == 0 || !f.sameCube(out[len(out)-1]):
+			members = 0
+		case f.id == out[len(out)-1].id || members == cooccurrenceCubeCap:
+			continue
+		}
+		out = append(out, f)
+		members++
+	}
+	return out
+}
+
+// withRoom copies a shard's reduced partial into a buffer with room for
+// every row of the table about to be scanned, so a second Feed of one
+// shard continues its sums.
+func withRoom[T any](partial []T, rows int) []T {
+	return append(make([]T, 0, len(partial)+rows), partial...)
+}
+
+type graphPartials struct {
+	call, msg []edgeRec // foldEdges output
+	fixes     []fix     // capCubes output
+}
+
+// GraphAccumulator folds raw rows into the F4-F6 graphs. Feed each shard's
+// tables (any order, one goroutine per shard is safe — partials are
+// per-shard), then Finalize; a whole-window build is one shard.
 type GraphAccumulator struct {
 	wantCall, wantMsg, wantCooc bool
 	parts                       []graphPartials
@@ -66,28 +156,20 @@ func NewGraphAccumulator(shards int, groups []Group) *GraphAccumulator {
 			a.wantCooc = true
 		}
 	}
-	for i := range a.parts {
-		if a.wantCall {
-			a.parts[i].call = map[dirEdge]float64{}
-		}
-		if a.wantMsg {
-			a.parts[i].msg = map[dirEdge]float64{}
-		}
-		if a.wantCooc {
-			a.parts[i].cubes = map[cubeKey][]int64{}
-		}
-	}
 	return a
 }
 
-// Feed accumulates one shard's slice of the raw tables. Row filters mirror
-// the in-memory builders exactly; isCustomer must be the same universe-or-
-// previous-churner predicate AddGraphFeatures uses, over the FULL merged
-// universe — which is why the sharded build resolves the universe before
-// loading event tables.
+// Feed accumulates one shard's slice of the raw tables — the only place
+// graph building reads them. isCustomer must be the universe-or-previous-
+// churner predicate over the FULL merged universe (off-net peers and
+// service numbers are not customers), which is why the sharded build
+// resolves the universe before loading event tables. Each table's records
+// are collected in a slice sized for every row, reduced, and kept as a
+// right-sized copy, so an out-of-core run holds only the partials.
 func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) {
 	p := &a.parts[shard]
 	if a.wantCall {
+		// Call graph: edge weight = accumulated mutual calling seconds.
 		calls := tbl.Calls
 		inWin := inWindow(calls, win, daysPerMonth)
 		imsi := calls.MustCol("imsi").Ints
@@ -95,6 +177,7 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 		dur := calls.MustCol("dur").Floats
 		success := calls.MustCol("success").Ints
 		svc := calls.MustCol("svc").Ints
+		recs := withRoom(p.call, calls.NumRows())
 		for i := 0; i < calls.NumRows(); i++ {
 			if !inWin(i) || success[i] != 1 || svc[i] == 1 || dur[i] <= 0 {
 				continue
@@ -102,15 +185,18 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 			if !isCustomer(peer[i]) {
 				continue
 			}
-			p.call[dirEdge{imsi[i], peer[i]}] += dur[i]
+			recs = append(recs, directed(imsi[i], peer[i], dur[i]))
 		}
+		p.call = slices.Clone(foldEdges(recs))
 	}
 	if a.wantMsg {
+		// Message graph: edge weight = number of P2P messages.
 		msgs := tbl.Messages
 		inWin := inWindow(msgs, win, daysPerMonth)
 		imsi := msgs.MustCol("imsi").Ints
 		peer := msgs.MustCol("peer").Ints
 		kind := msgs.MustCol("kind").Ints
+		recs := withRoom(p.msg, msgs.NumRows())
 		for i := 0; i < msgs.NumRows(); i++ {
 			if !inWin(i) || kind[i] != 0 {
 				continue
@@ -118,10 +204,13 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 			if !isCustomer(peer[i]) {
 				continue
 			}
-			p.msg[dirEdge{imsi[i], peer[i]}]++
+			recs = append(recs, directed(imsi[i], peer[i], 1))
 		}
+		p.msg = slices.Clone(foldEdges(recs))
 	}
 	if a.wantCooc {
+		// Co-occurrence graph: edge weight = number of cubes two customers
+		// share in the window.
 		loc := tbl.Locations
 		inWin := inWindow(loc, win, daysPerMonth)
 		imsi := loc.MustCol("imsi").Ints
@@ -129,72 +218,25 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 		month := loc.MustCol("month").Ints
 		slot := loc.MustCol("slot").Ints
 		cell := loc.MustCol("cell").Ints
+		fixes := withRoom(p.fixes, loc.NumRows())
 		for i := 0; i < loc.NumRows(); i++ {
 			if !inWin(i) || !isCustomer(imsi[i]) {
 				continue
 			}
-			c := cubeKey{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}
-			p.cubes[c] = insertCapped(p.cubes[c], imsi[i], cooccurrenceCubeCap)
+			fixes = append(fixes, fix{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i], id: imsi[i]})
 		}
+		p.fixes = slices.Clone(capCubes(fixes))
 	}
 }
 
-// insertCapped inserts id into the sorted set m, keeping only the cap
-// smallest members. The min-cap of a union is merge-order independent, which
-// is what makes cube membership shard-count invariant.
-func insertCapped(m []int64, id int64, cap int) []int64 {
-	i := sort.Search(len(m), func(j int) bool { return m[j] >= id })
-	if i < len(m) && m[i] == id {
-		return m
-	}
-	if len(m) >= cap {
-		if i >= cap {
-			return m
-		}
-		copy(m[i+1:], m[i:len(m)-1])
-		m[i] = id
-		return m
-	}
-	m = append(m, 0)
-	copy(m[i+1:], m[i:len(m)-1])
-	m[i] = id
-	return m
-}
-
-// mergeCapped merges two sorted capped sets, keeping the cap smallest.
-func mergeCapped(a, b []int64, cap int) []int64 {
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	out := make([]int64, 0, min(len(a)+len(b), cap))
-	i, j := 0, 0
-	for len(out) < cap && (i < len(a) || j < len(b)) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default: // equal
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Finalize materializes the requested graphs (nil for groups not collected).
-// Vertices appear in ascending-id order of their first sorted edge and edges
-// insert in sorted (min-id, max-id) order, so downstream PageRank and label
-// propagation fold adjacencies in a canonical order.
+// Finalize materializes the requested graphs (nil for groups not
+// collected). It leaves the partials untouched, so it may be called again.
 func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 	if a.wantCall {
-		call = a.finalizeDirected(func(p *graphPartials) map[dirEdge]float64 { return p.call })
+		call = a.finalizeDirected(func(p *graphPartials) []edgeRec { return p.call })
 	}
 	if a.wantMsg {
-		msg = a.finalizeDirected(func(p *graphPartials) map[dirEdge]float64 { return p.msg })
+		msg = a.finalizeDirected(func(p *graphPartials) []edgeRec { return p.msg })
 	}
 	if a.wantCooc {
 		cooc = a.finalizeCooccurrence()
@@ -202,97 +244,69 @@ func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 	return call, msg, cooc
 }
 
-func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) map[dirEdge]float64) *graph.Graph {
-	merged := map[dirEdge]float64{}
+// merged returns one kind of partial over all shards: concatenated in shard
+// order and reduced again (so a directed edge fed through several shards
+// adds its shard sums in shard order). A single shard's partial is already
+// that, and is returned as is rather than copied — the whole-window build
+// holds its tables in memory beside this.
+func merged[T any](a *GraphAccumulator, sel func(*graphPartials) []T, reduce func([]T) []T) []T {
+	if len(a.parts) == 1 {
+		return sel(&a.parts[0])
+	}
+	var all []T
 	for i := range a.parts {
-		for e, w := range sel(&a.parts[i]) {
-			merged[e] += w
-		}
+		all = append(all, sel(&a.parts[i])...)
 	}
-	pairs := make([]dirEdge, 0, len(merged))
-	seen := map[dirEdge]bool{}
-	for e := range merged {
-		u := dirEdge{min(e.from, e.to), max(e.from, e.to)}
-		if !seen[u] {
-			seen[u] = true
-			pairs = append(pairs, u)
-		}
-	}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].from != pairs[y].from {
-			return pairs[x].from < pairs[y].from
-		}
-		return pairs[x].to < pairs[y].to
-	})
+	return reduce(all)
+}
+
+func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeRec) *graph.Graph {
+	all := merged(a, sel, foldEdges)
 	g := graph.New()
-	for _, u := range pairs {
-		w := merged[dirEdge{u.from, u.to}]
-		if u.from != u.to {
-			w += merged[dirEdge{u.to, u.from}]
+	for i := 0; i < len(all); {
+		e := all[i]
+		i++
+		if i < len(all) && all[i].lo == e.lo && all[i].hi == e.hi {
+			e.w += all[i].w // forward + reverse
+			i++
 		}
-		g.AddEdge(u.from, u.to, w)
+		g.AddDistinctEdge(e.lo, e.hi, e.w)
 	}
 	return g
 }
 
 func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
-	merged := map[cubeKey][]int64{}
-	for i := range a.parts {
-		for c, ids := range a.parts[i].cubes {
-			merged[c] = mergeCapped(merged[c], ids, cooccurrenceCubeCap)
-		}
+	fixes := merged(a, func(p *graphPartials) []fix { return p.fixes }, capCubes)
+
+	// Visit the fixes customer by customer in ascending id. A cube's members
+	// are sorted, so the co-members with a larger id than fixes[k] are the
+	// rest of its cube. Per customer, gather them over all their cubes into
+	// one reused list, sort it, and emit one edge per run — already in
+	// (min-id, max-id) order, never materializing the pair list.
+	byCustomer := make([]int, len(fixes))
+	for k := range byCustomer {
+		byCustomer[k] = k
 	}
-	weights := map[dirEdge]float64{}
-	for _, m := range merged {
-		// Members are sorted, so every pair is already (min-id, max-id);
-		// integer counts make the accumulation order irrelevant.
-		for x := 0; x < len(m); x++ {
-			for y := x + 1; y < len(m); y++ {
-				weights[dirEdge{m[x], m[y]}]++
+	slices.SortFunc(byCustomer, func(x, y int) int { return cmp.Compare(fixes[x].id, fixes[y].id) })
+	g := graph.New()
+	var others []int64
+	for i := 0; i < len(byCustomer); {
+		id := fixes[byCustomer[i]].id
+		others = others[:0]
+		for ; i < len(byCustomer) && fixes[byCustomer[i]].id == id; i++ {
+			k := byCustomer[i]
+			for m := k + 1; m < len(fixes) && fixes[m].sameCube(fixes[k]); m++ {
+				others = append(others, fixes[m].id)
 			}
 		}
-	}
-	pairs := make([]dirEdge, 0, len(weights))
-	for e := range weights {
-		pairs = append(pairs, e)
-	}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].from != pairs[y].from {
-			return pairs[x].from < pairs[y].from
+		slices.Sort(others)
+		for k := 0; k < len(others); {
+			run := k
+			for k < len(others) && others[k] == others[run] {
+				k++
+			}
+			g.AddDistinctEdge(id, others[run], float64(k-run))
 		}
-		return pairs[x].to < pairs[y].to
-	})
-	g := graph.New()
-	for _, e := range pairs {
-		g.AddEdge(e.from, e.to, weights[e])
 	}
 	return g
-}
-
-// scoreGraphsInto computes the graph feature columns for prebuilt canonical
-// graphs (nil = group not requested) and adds the requested columns to f in
-// canonical F4, F5, F6 order with the same names and imputation defaults as
-// AddGraphFeatures.
-func scoreGraphsInto(f *Frame, graphs [3]*graph.Graph, in GraphFeatureInput, workers int) {
-	suffixes := [3]string{"voice", "message", "cooccurrence"}
-	groups := [3]Group{F4CallGraph, F5MessageGraph, F6CooccurrenceGraph}
-	seeds := seedMap(in)
-	type graphCols struct {
-		pr, lp map[int64]float64
-	}
-	var results [3]graphCols
-	parallel.ForGrain(workers, len(graphs), 1, func(i int) {
-		if graphs[i] == nil {
-			return
-		}
-		pr, lp := scoreGraph(graphs[i], seeds, workers)
-		results[i] = graphCols{pr: pr, lp: lp}
-	})
-	for i := range graphs {
-		if graphs[i] == nil {
-			continue
-		}
-		f.AddColumn(groups[i], "pagerank_"+suffixes[i], results[i].pr, 0)
-		f.AddColumn(groups[i], "labelpropagation_"+suffixes[i], results[i].lp, 0.5)
-	}
 }

@@ -73,6 +73,22 @@ func (g *Graph) AddEdge(a, b int64, w float64) {
 	g.addHalf(bi, ai, w)
 }
 
+// AddDistinctEdge is AddEdge for a pair the caller guarantees it adds at
+// most once (an already aggregated edge list): it appends the two half
+// edges without AddEdge's linear scan for an existing one, which on the
+// dense co-occurrence graph is most of the cost of building it. Vertex
+// numbering, adjacency order and degree sums are those AddEdge would give.
+func (g *Graph) AddDistinctEdge(a, b int64, w float64) {
+	if a == b || w <= 0 {
+		return
+	}
+	ai, bi := g.ensure(a), g.ensure(b)
+	g.adj[ai] = append(g.adj[ai], halfEdge{to: bi, weight: w})
+	g.degree[ai] += w
+	g.adj[bi] = append(g.adj[bi], halfEdge{to: ai, weight: w})
+	g.degree[bi] += w
+}
+
 func (g *Graph) addHalf(from, to int, w float64) {
 	for i := range g.adj[from] {
 		if g.adj[from][i].to == to {

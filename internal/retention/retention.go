@@ -463,22 +463,14 @@ func (r *Runner) campaignLPFeatures(prev *CampaignResult) (*lpFeatures, error) {
 	for id := range seeds {
 		known[id] = true
 	}
-	isCustomer := synth.IsCustomerID
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"voice", features.BuildCallGraph(tbl, win, days, isCustomer)},
-		{"message", features.BuildMessageGraph(tbl, win, days, isCustomer)},
-		{"cooccurrence", features.BuildCooccurrenceGraph(tbl, win, days, isCustomer)},
-	}
+	graphs := features.BuildGraphs(features.AllGroups(), tbl, win, days, synth.IsCustomerID)
 	C := synth.NumRetentionClass
 	out := &lpFeatures{rows: make(map[int64][]float64), width: 3 * C}
-	for gi, ng := range graphs {
+	for gi, name := range []string{"voice", "message", "cooccurrence"} {
 		for c := 0; c < C; c++ {
-			out.names = append(out.names, fmt.Sprintf("retlp_%s_class%d", ng.name, c))
+			out.names = append(out.names, fmt.Sprintf("retlp_%s_class%d", name, c))
 		}
-		probs := ng.g.LabelPropagation(seeds, C, graph.LabelPropOptions{})
+		probs := graphs[gi].LabelPropagation(seeds, C, graph.LabelPropOptions{})
 		for id, p := range probs {
 			row, ok := out.rows[id]
 			if !ok {

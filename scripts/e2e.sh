@@ -142,6 +142,14 @@ N4="$(wc -l < "$WORK/batch4.csv")"
 [ "$N4" -gt 0 ] || { echo "e2e: sharded batch score produced no rows"; exit 1; }
 echo "   trained and scored $N4 customers from the sharded layout"
 
+# One model, two landings of the same world: the ranked lists must be the
+# same bytes (the graph fold and its seeds never see the layout's row order).
+"$WORK/churnctl" score -warehouse "$WORK/wh1" -model "$WORK/model4.tcpa" -top 0 -full \
+    | tail -n +2 > "$WORK/batch1.csv"
+cmp -s "$WORK/batch1.csv" "$WORK/batch4.csv" \
+    || { echo "e2e: plain and sharded landings score differently:"; diff "$WORK/batch1.csv" "$WORK/batch4.csv" | head; exit 1; }
+echo "   plain and 4-shard landings score byte-identically"
+
 echo "== precomputed vectors (train -precompute) =="
 # The same training config with -precompute must not change a single score:
 # the embedded snapshot is the strict serving frame, persisted.
