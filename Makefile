@@ -55,7 +55,7 @@ bench-profile:
 # the storage/source/assembly/serving resilience stack (see DESIGN.md §11).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|GraphFold|FrameIdenticalAcross' \
+		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|GraphFold|FrameIdenticalAcross|Unfitted' \
 		./internal/faults/ ./internal/store/ ./internal/features/ \
 		./internal/core/ ./internal/serve/ ./cmd/churnd/
 

@@ -21,7 +21,7 @@ func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	sf := addSourceFlags(fs)
 	month := fs.Int("month", 0, "feature month (0 = latest customers partition)")
-	groupsFlag := fs.String("groups", "default", "feature groups to build (default = F1-F6; F7-F9 need a fitted model)")
+	groupsFlag := fs.String("groups", "default", "feature groups to build (default = F1-F6; F7-F9 need a fitted model and are rejected here)")
 	rssLimitMB := fs.Int("rss-limit-mb", 0, "fail if peak RSS exceeds this many MB (0 = no limit)")
 	checksum := fs.Bool("checksum", false, "print a frame checksum (bit-exact across shard counts and workers)")
 	fs.Parse(args)
@@ -51,16 +51,14 @@ func cmdBuild(args []string) error {
 	var frame *features.Frame
 	var stats features.ShardStats
 	if *sf.degraded {
-		// The degraded assembler is whole-window: missing tables are imputed
-		// around instead of failing the build.
+		// Missing tables are imputed around instead of failing the build.
 		var deg features.Degradation
-		frame, deg, err = p.BuildFrameDegraded(src, win)
+		frame, stats, deg, err = p.BuildFrameShardedDegraded(src, win)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "degraded groups: %s\n", deg)
 		}
 	} else {
-		ss, _ := core.AsSharded(src)
-		frame, stats, err = p.BuildFrameSharded(ss, win)
+		frame, stats, err = p.BuildFrameSharded(src, win)
 	}
 	if err != nil {
 		return err

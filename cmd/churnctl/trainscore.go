@@ -179,13 +179,12 @@ func cmdScore(args []string) error {
 		if whErr != nil {
 			return whErr
 		}
-		// Every build path produces the same frame bit for bit, so strict
-		// scoring takes the one that holds a single shard's tables at a
+		// Strict or degraded, scoring holds a single shard's tables at a
 		// time (sf.source always yields a sharded view; a plain layout is
-		// its 1-shard case). The degraded assembler is whole-window.
+		// its 1-shard case) and sees the same frame bit for bit.
 		win := features.MonthWindow(m, days)
 		if *sf.degraded {
-			res, err = pipe.PredictDegraded(src, win)
+			res, _, err = pipe.PredictShardedDegraded(src, win)
 		} else {
 			res, _, err = pipe.PredictSharded(src, win)
 		}

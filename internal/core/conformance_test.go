@@ -195,11 +195,10 @@ func TestSourceConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameTables(t, "Tables", got, want)
-				got, missing, err := src.TablesPartial(win)
-				if err != nil || len(missing) != 0 {
-					t.Fatalf("TablesPartial: missing %v, err %v", missing, err)
+				healthy, deg, err := graph.BuildFrameDegraded(src, win)
+				if err != nil || !deg.Empty() {
+					t.Fatalf("degraded build with nothing down: mask %s, err %v", deg, err)
 				}
-				sameTables(t, "TablesPartial", got, want)
 				truth, err := src.Truth(2)
 				if err != nil {
 					t.Fatal(err)
@@ -223,22 +222,35 @@ func TestSourceConformance(t *testing.T) {
 				}
 
 				// One table down at the reader: strict fails with the
-				// reader's error, partial reports exactly that table.
+				// reader's error, a degraded build flags exactly the groups
+				// that table backs and leaves the rest (the call graph's
+				// columns) as the healthy build has them.
 				src = w.wrap(t, failing(b.src, synth.TableWeb, down))
 				if _, err := src.Tables(win); !errors.Is(err, fs.ErrNotExist) {
 					t.Fatalf("strict load with web down: %v, want ErrNotExist", err)
 				}
-				got, missing, err = src.TablesPartial(win)
-				if err != nil || len(missing) != 1 || missing[0] != synth.TableWeb {
-					t.Fatalf("partial load with web down: missing %v, err %v", missing, err)
+				if _, err := graph.BuildFrame(src, win, false, nil); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("strict build with web down: %v, want ErrNotExist", err)
 				}
-				if got.Web.NumRows() != 0 {
-					t.Fatal("web stand-in is not empty")
+				imputed, deg, err := graph.BuildFrameDegraded(src, win)
+				if err != nil || deg.String() != "F1" {
+					t.Fatalf("degraded build with web down: mask %s, err %v", deg, err)
 				}
-				sameTable(t, "calls beside the missing web", got.Calls, want.Calls)
+				for j, g := range imputed.Groups() {
+					if g != features.F4CallGraph {
+						continue
+					}
+					for _, id := range imputed.IDs() {
+						got, _ := imputed.Row(id)
+						want, _ := healthy.Row(id)
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("imsi %d: call-graph column %d moved with web down", id, j)
+						}
+					}
+				}
 				src = w.wrap(t, failing(b.src, synth.TableCustomers, down))
-				if _, _, err := src.TablesPartial(win); !errors.Is(err, features.ErrUniverseUnavailable) {
-					t.Fatalf("partial load with customers down: %v, want ErrUniverseUnavailable", err)
+				if _, _, err := graph.BuildFrameDegraded(src, win); !errors.Is(err, features.ErrUniverseUnavailable) {
+					t.Fatalf("degraded build with customers down: %v, want ErrUniverseUnavailable", err)
 				}
 
 				// The truth feed down: strict builds fail on it, degraded
@@ -251,8 +263,7 @@ func TestSourceConformance(t *testing.T) {
 				if _, err := graph.BuildFrame(src, month2, false, nil); err == nil {
 					t.Fatal("strict build survived a dead truth feed")
 				}
-				_, deg, err := graph.BuildFrameDegraded(src, month2)
-				if err != nil {
+				if _, deg, err = graph.BuildFrameDegraded(src, month2); err != nil {
 					t.Fatal(err)
 				}
 				if deg.String() != "F4" {

@@ -41,11 +41,11 @@ func dropTables(t *testing.T, wh *store.Warehouse, names ...string) {
 	}
 }
 
-// noTruth serves tables normally but fails every truth read — the label
-// feed being down while the raw feeds are healthy.
-func noTruth(src Source) Source {
+// without serves src with every read of one table failing — that feed
+// being down while the others are healthy.
+func without(src Source, name string) Source {
 	return src.With(func(_, _ int, r features.TableReader) features.TableReader {
-		return &countingReader{inner: r, failLeft: map[string]int{synth.TableTruth: 1 << 30}}
+		return &countingReader{inner: r, failLeft: map[string]int{name: 1 << 30}}
 	})
 }
 
@@ -100,7 +100,7 @@ func TestPredictDegraded(t *testing.T) {
 	})
 
 	t.Run("truth feed down degrades graph groups", func(t *testing.T) {
-		down := noTruth(src)
+		down := without(src, synth.TableTruth)
 		if _, err := p.Predict(down, win); err == nil {
 			t.Error("strict Predict survived a dead truth feed")
 		}

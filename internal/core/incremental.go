@@ -52,12 +52,8 @@ func NewIncremental(pipe *Pipeline, src Source, win features.Window) (*Increment
 		return nil, err
 	}
 	inc := &Incremental{pipe: pipe, maint: maint, colOf: map[string]int{}, f9Start: -1}
-	for _, g := range []features.Group{features.F1Baseline, features.F2CS, features.F3PS,
-		features.F7ComplaintTopics, features.F8SearchTopics} {
-		if pipe.cfg.hasGroup(g) {
-			inc.perCust = append(inc.perCust, g)
-		}
-	}
+	want := pipe.cfg.groupSet()
+	inc.perCust = (want & (features.BaseGroups | features.TopicGroups)).Groups()
 	idxOf := make(map[string]int, len(names))
 	for i, n := range names {
 		idxOf[n] = i
@@ -75,7 +71,7 @@ func NewIncremental(pipe *Pipeline, src Source, win features.Window) (*Increment
 		}
 		inc.colOf[n] = i
 	}
-	if pipe.cfg.hasGroup(features.F9SecondOrder) {
+	if want.Has(features.F9SecondOrder) {
 		if pipe.so == nil {
 			return nil, fmt.Errorf("core: F9 configured but no fitted second-order selector")
 		}

@@ -11,6 +11,8 @@ import (
 	"telcochurn/internal/fm"
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/sampling"
+	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
 	"telcochurn/internal/tree"
 )
@@ -70,14 +72,7 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-func (c Config) hasGroup(g features.Group) bool {
-	for _, x := range c.Groups {
-		if x == g {
-			return true
-		}
-	}
-	return false
-}
+func (c Config) groupSet() features.GroupSet { return features.GroupSetOf(c.Groups...) }
 
 // WindowSpec pairs a feature window with the month whose churn outcomes
 // label it (Figure 6: features month N-1, labels month N).
@@ -100,12 +95,14 @@ func MonthSpec(featureMonth, daysPerMonth int) WindowSpec {
 	}
 }
 
-// NewFrameBuilder returns an unfitted pipeline usable only for BuildFrame,
-// for feature groups that need no fitted feature models (F1-F6: base
-// aggregates and graph features). Topic (F7/F8) and second-order (F9)
-// groups require Fit, which trains their LDA/FM models on the first
-// training window. Zero-valued cfg fields mean paper defaults — cfg is
-// passed through Config.WithDefaults.
+// NewFrameBuilder returns an unfitted pipeline usable only for building
+// frames (BuildFrame and its degraded / sharded variants), for feature
+// groups that need no fitted feature models (F1-F6: base aggregates and
+// graph features). Topic (F7/F8) and second-order (F9) groups require Fit,
+// which trains their LDA/FM models on the first training window; a frame
+// build never trains one and fails with ErrUnfitted instead. Zero-valued
+// cfg fields mean paper defaults — cfg is passed through
+// Config.WithDefaults.
 func NewFrameBuilder(cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg.WithDefaults()}
 }
@@ -206,13 +203,19 @@ func (p *Pipeline) buildLabeledFrame(src Source, spec WindowSpec, fitModels bool
 	return frame, labels, nil
 }
 
+// ErrUnfitted is returned by every frame build and Predict variant when a
+// configured F7/F8/F9 group has no fitted feature model: only Fit (and
+// BuildFrame with fitModels) trains one, a read path never does.
+var ErrUnfitted = errors.New("core: feature group needs a fitted pipeline")
+
 // BuildFrame assembles the wide table for a window with the configured
 // feature groups. When fitModels is true the window also fits the LDA topic
 // models and the FM second-order selector (trainLabels must then hold the
-// window's churn labels); otherwise the previously fitted models are
-// applied. trainLabels may be nil when fitModels is false.
+// window's churn labels) and stores them on the pipeline; otherwise the
+// previously fitted models are applied, and a configured group without one
+// fails with ErrUnfitted. trainLabels may be nil when fitModels is false.
 func (p *Pipeline) BuildFrame(src Source, win features.Window, fitModels bool, trainLabels map[int64]int) (*features.Frame, error) {
-	frame, _, err := p.buildFrame(src, win, fitModels, trainLabels, false)
+	frame, _, _, err := p.buildFrame(src, win, 0, fitModels, trainLabels, false)
 	return frame, err
 }
 
@@ -226,116 +229,113 @@ func (p *Pipeline) BuildFrame(src Source, win features.Window, fitModels bool, t
 // assembly is for scoring only: model fitting on imputed data would bake
 // the outage into the artifact, so training paths keep the strict loader.
 func (p *Pipeline) BuildFrameDegraded(src Source, win features.Window) (*features.Frame, features.Degradation, error) {
-	return p.buildFrame(src, win, false, nil, true)
+	frame, _, deg, err := p.buildFrame(src, win, 0, false, nil, true)
+	return frame, deg, err
 }
 
-func (p *Pipeline) buildFrame(src Source, win features.Window, fitModels bool, trainLabels map[int64]int, partial bool) (*features.Frame, features.Degradation, error) {
-	days := src.DaysPerMonth()
+// buildFrame is the one frame build behind every entry point: it describes
+// the window to features.BuildShardedFrame — shards readers of src's, or
+// one whole-month reader when shards is 0 — then fits (fit) or applies F9
+// on the merged frame. partial selects the degraded loader and turns a dead
+// truth feed from an error into flagged graph groups; the returned mask
+// names every configured group built from imputed data.
+func (p *Pipeline) buildFrame(src Source, win features.Window, shards int, fit bool, trainLabels map[int64]int, partial bool) (*features.Frame, features.ShardStats, features.Degradation, error) {
 	var (
-		tbl     features.Tables
-		missing []string
-		deg     features.Degradation
-		err     error
+		days  = src.DaysPerMonth()
+		want  = p.cfg.groupSet()
+		stats features.ShardStats
+		deg   features.Degradation
 	)
-	if partial {
-		tbl, missing, err = src.TablesPartial(win)
-	} else {
-		tbl, err = src.Tables(win)
+	if !fit && (want.Has(features.F7ComplaintTopics) && p.complaints == nil ||
+		want.Has(features.F8SearchTopics) && p.search == nil ||
+		want.Has(features.F9SecondOrder) && p.so == nil) {
+		return nil, stats, 0, fmt.Errorf("%w (configured groups %s)", ErrUnfitted, want)
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	deg = features.DegradationOf(missing, p.cfg.Groups)
-	base, err := features.BuildBaseFeatures(tbl, win, days, p.cfg.Workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Keep only requested base groups, in canonical order.
-	var keep []features.Group
-	for _, g := range []features.Group{features.F1Baseline, features.F2CS, features.F3PS} {
-		if p.cfg.hasGroup(g) {
-			keep = append(keep, g)
+	reader := func(shard int) features.TableReader {
+		if shards == 0 {
+			shard = -1
 		}
+		return src.ShardReader(shard)
 	}
-	frame := base.SelectGroups(keep...)
-
-	wantGraph := p.cfg.hasGroup(features.F4CallGraph) || p.cfg.hasGroup(features.F5MessageGraph) || p.cfg.hasGroup(features.F6CooccurrenceGraph)
-	if wantGraph {
+	spec := features.ShardedBuildSpec{
+		Shards:       max(shards, 1),
+		Win:          win,
+		DaysPerMonth: days,
+		Workers:      p.cfg.Workers,
+		Groups:       want &^ features.GroupSetOf(features.F9SecondOrder),
+		Complaints:   p.complaints,
+		Search:       p.search,
+		Load: func(s int) (features.Tables, []string, error) {
+			return features.LoadTables(reader(s), win, days, !partial)
+		},
+		LoadCustomers: func(s int) (*table.Table, error) {
+			return reader(s).ReadMonths(synth.TableCustomers, win.Months(days))
+		},
+	}
+	if graphs := want & features.GraphGroups; graphs != 0 {
 		// Label-propagation seeds are "the churners in the previous month"
 		// (Section 4.1.2) — previous relative to the predicted month, i.e.
 		// the feature month itself. Its churn outcomes are known by the
 		// time the prediction for the next month is made, so this does not
-		// leak labels.
+		// leak labels. The graphs themselves are built over the feature
+		// window — the paper's "accumulated mutual calling time ... in a
+		// fixed period (e.g., a month)". Extending the window back a month
+		// sounds tempting (a churner's final-month CDRs are sparse) but
+		// measurably dilutes label propagation with stale edges; see the
+		// abl-graphwin experiment.
 		seedMonth := win.SnapshotMonth(days)
-		var in features.GraphFeatureInput
-		prevTruth, err := src.Truth(seedMonth)
+		truth, err := src.Truth(seedMonth)
 		switch {
 		case err == nil:
-			in = features.GraphFeatureInput{
-				PrevChurners: features.ChurnersOf(prevTruth),
-				StableSample: features.StableOf(prevTruth, p.cfg.StableSeedStride),
+			spec.GraphIn = features.GraphFeatureInput{
+				PrevChurners: features.ChurnersOf(truth),
+				StableSample: features.StableOf(truth, p.cfg.StableSeedStride),
 			}
 		case partial:
 			// No label-propagation seeds: the graph columns still build (over
 			// whatever tables are present) but every propagated probability
 			// sits at its uninformative prior, so the graph groups are
 			// imputed in all but name — flag them.
-			for _, g := range []features.Group{features.F4CallGraph, features.F5MessageGraph, features.F6CooccurrenceGraph} {
-				if p.cfg.hasGroup(g) {
-					deg.Add(g)
-				}
-			}
+			deg = graphs
 		default:
-			return nil, 0, fmt.Errorf("core: graph features need truth of month %d: %w", seedMonth, err)
+			return nil, stats, 0, fmt.Errorf("core: graph features need truth of month %d: %w", seedMonth, err)
 		}
-		// Graphs are built over the feature window itself — the paper's
-		// "accumulated mutual calling time ... in a fixed period (e.g., a
-		// month)". Extending the window back a month sounds tempting (a
-		// churner's final-month CDRs are sparse) but measurably dilutes
-		// label propagation with stale edges; see the abl-graphwin
-		// experiment.
-		features.AddGraphGroups(frame, p.cfg.Groups, tbl, win, days, in, p.cfg.Workers)
 	}
-
-	if p.cfg.hasGroup(features.F7ComplaintTopics) {
-		if fitModels || p.complaints == nil {
-			tfz, err := features.FitTopicFeaturizer(tbl.Complaints, win, days, features.F7ComplaintTopics, "complaint",
-				topic.Config{K: p.cfg.TopicK, Seed: p.cfg.Seed + 3})
-			if err != nil {
-				return nil, 0, err
+	if fit && want&features.TopicGroups != 0 {
+		spec.FitTopics = func(tbl features.Tables) (*features.TopicFeaturizer, *features.TopicFeaturizer, error) {
+			var err error
+			if want.Has(features.F7ComplaintTopics) {
+				p.complaints, err = features.FitTopicFeaturizer(tbl.Complaints, win, days, features.F7ComplaintTopics, "complaint",
+					topic.Config{K: p.cfg.TopicK, Seed: p.cfg.Seed + 3})
 			}
-			p.complaints = tfz
-		}
-		p.complaints.Apply(frame, tbl.Complaints, win, days)
-	}
-	if p.cfg.hasGroup(features.F8SearchTopics) {
-		if fitModels || p.search == nil {
-			tfz, err := features.FitTopicFeaturizer(tbl.Search, win, days, features.F8SearchTopics, "search",
-				topic.Config{K: p.cfg.TopicK, Seed: p.cfg.Seed + 5})
-			if err != nil {
-				return nil, 0, err
+			if err == nil && want.Has(features.F8SearchTopics) {
+				p.search, err = features.FitTopicFeaturizer(tbl.Search, win, days, features.F8SearchTopics, "search",
+					topic.Config{K: p.cfg.TopicK, Seed: p.cfg.Seed + 5})
 			}
-			p.search = tfz
+			return p.complaints, p.search, err
 		}
-		p.search.Apply(frame, tbl.Search, win, days)
 	}
+	frame, stats, err := features.BuildShardedFrame(spec)
+	if err != nil {
+		return nil, stats, 0, err
+	}
+	deg |= features.DegradationOf(stats.Missing, want)
 
-	if p.cfg.hasGroup(features.F9SecondOrder) {
-		if fitModels || p.so == nil {
+	if want.Has(features.F9SecondOrder) {
+		if fit {
 			if trainLabels == nil {
-				return nil, 0, errors.New("core: second-order selection needs training labels")
+				return nil, stats, 0, errors.New("core: second-order selection needs training labels")
 			}
-			sel, err := features.FitSecondOrder(frame, trainLabels, features.SecondOrderConfig{
+			p.so, err = features.FitSecondOrder(frame, trainLabels, features.SecondOrderConfig{
 				NumPairs: p.cfg.SecondOrderPairs,
 				FM:       fm.Config{Seed: p.cfg.Seed + 7},
 			})
 			if err != nil {
-				return nil, 0, err
+				return nil, stats, 0, err
 			}
-			p.so = sel
 		}
 		if err := p.so.Apply(frame); err != nil {
-			return nil, 0, err
+			return nil, stats, 0, err
 		}
 		// Second-order features are products of base columns, so any
 		// imputed upstream group degrades them too.
@@ -343,7 +343,7 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, fitModels bool, t
 			deg.Add(features.F9SecondOrder)
 		}
 	}
-	return frame, deg, nil
+	return frame, stats, deg, nil
 }
 
 // Predictions holds scored customers for one window.
@@ -358,11 +358,8 @@ type Predictions struct {
 
 // Predict scores every customer of the window (Eq. 4's likelihood).
 func (p *Pipeline) Predict(src Source, win features.Window) (*Predictions, error) {
-	frame, err := p.BuildFrame(src, win, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.scoreFrame(frame, 0), nil
+	preds, _, err := p.predict(src, win, 0, false)
+	return preds, err
 }
 
 // PredictDegraded scores the window even when raw tables are unavailable,
@@ -370,11 +367,16 @@ func (p *Pipeline) Predict(src Source, win features.Window) (*Predictions, error
 // was fully healthy and identical to Predict). Only a missing customer
 // snapshot still fails, with features.ErrUniverseUnavailable.
 func (p *Pipeline) PredictDegraded(src Source, win features.Window) (*Predictions, error) {
-	frame, deg, err := p.BuildFrameDegraded(src, win)
+	preds, _, err := p.predict(src, win, 0, true)
+	return preds, err
+}
+
+func (p *Pipeline) predict(src Source, win features.Window, shards int, partial bool) (*Predictions, features.ShardStats, error) {
+	frame, stats, deg, err := p.buildFrame(src, win, shards, false, nil, partial)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	return p.scoreFrame(frame, deg), nil
+	return p.scoreFrame(frame, deg), stats, nil
 }
 
 func (p *Pipeline) scoreFrame(frame *features.Frame, deg features.Degradation) *Predictions {

@@ -23,8 +23,8 @@ type RetryConfig struct {
 	// double up to MaxDelay (default 2s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// WindowBudget is the per-window retry deadline: one Tables or
-	// TablesPartial call — across every per-table retry it performs — never
+	// WindowBudget is the per-window retry deadline: one window load,
+	// strict or degraded — across every per-table retry it performs — never
 	// spends longer than this backing off (default 30s). Zero-delay
 	// attempts themselves are not preempted.
 	WindowBudget time.Duration
@@ -88,7 +88,7 @@ func DefaultRetryable(err error) bool {
 // per-shard or truth — retries alone: seeded-jitter exponential backoff, a
 // per-window retry budget, and context awareness via WithContext. One flaky
 // feed does not force re-reading the healthy eight, and degraded assembly
-// (TablesPartial) only gives a table up for imputation after its retries
+// (BuildFrameDegraded) only gives a table up for imputation after its retries
 // are exhausted. The embedded Source is the retrying view; pass it wherever
 // a Source is wanted.
 type RetrySource struct {

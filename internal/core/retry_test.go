@@ -183,9 +183,9 @@ func TestRetrySourcePerTable(t *testing.T) {
 	// A persistent outage exhausts retries, then degrades.
 	flaky.failLeft = map[string]int{synth.TableSearch: 1 << 30}
 	rs = NewRetrySource(readerSource(flaky), RetryConfig{MaxAttempts: 2, Sleep: fakeClock(&delays)})
-	tbl, missing, err := rs.TablesPartial(win)
+	tbl, missing, err := features.LoadTables(rs.ShardReader(-1), win, cfg.DaysPerMonth, false)
 	if err != nil {
-		t.Fatalf("TablesPartial: %v", err)
+		t.Fatalf("LoadTables: %v", err)
 	}
 	if len(missing) != 1 || missing[0] != synth.TableSearch {
 		t.Errorf("missing = %v, want [search]", missing)

@@ -96,63 +96,13 @@ func TestBuildFrameShardedInvariantAcrossLayoutsAndWorkers(t *testing.T) {
 	}
 }
 
-func TestBuildFrameShardedBaseMatchesInMemoryBuild(t *testing.T) {
-	cfg := shardWorldCfg()
-	pcfg := Config{Groups: []features.Group{features.F1Baseline, features.F2CS, features.F3PS}}
-	win := features.MonthWindow(2, cfg.DaysPerMonth)
-
-	sw := shardedWorld(t, cfg, 4)
-	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
-	sharded, _, err := NewFrameBuilder(pcfg).BuildFrameSharded(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The whole-month path over the same (sharded) warehouse reads every
-	// shard concatenated; per-customer aggregates must come out bit-equal.
-	legacy, err := NewFrameBuilder(pcfg).BuildFrame(src, win, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreFramesBitIdentical(t, legacy, sharded, "sharded vs whole-month build")
-}
-
-func TestPredictShardedMatchesPredict(t *testing.T) {
-	cfg := shardWorldCfg()
-	sw := shardedWorld(t, cfg, 4)
-	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
-	p, err := Fit(src, []WindowSpec{MonthSpec(1, cfg.DaysPerMonth)}, Config{
-		Groups: features.AllGroups(),
-		Seed:   5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := features.MonthWindow(2, cfg.DaysPerMonth)
-	want, err := p.Predict(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := p.PredictSharded(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shards != 4 {
-		t.Fatalf("stats.Shards = %d, want 4", stats.Shards)
-	}
-	if len(got.Scores) != len(want.Scores) {
-		t.Fatalf("scored %d customers, want %d", len(got.Scores), len(want.Scores))
-	}
-	for i := range want.Scores {
-		if got.IDs[i] != want.IDs[i] || math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
-			t.Fatalf("row %d: (%d, %v) vs (%d, %v)", i, got.IDs[i], got.Scores[i], want.IDs[i], want.Scores[i])
-		}
-	}
-}
-
 // TestFrameIdenticalAcrossBuildPathsAndLandings is the determinism contract
 // in one table: one world landed four ways, built whole-window on every
-// landing and shard by shard on the warehouse ones, at two worker counts —
-// every F1-F9 cell of every customer has the same bits.
+// landing and shard by shard on the warehouse ones, at two worker counts,
+// strict and degraded — every F1-F9 cell of every customer has the same
+// bits, a degraded build with nothing down is the strict build, and with a
+// feed down the imputed frame and its mask do not depend on the path
+// either. Scores and the streaming refresh are rows of the same table.
 func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 	cfg := shardWorldCfg()
 	days := cfg.DaysPerMonth
@@ -170,35 +120,139 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 		src  Source
 	}
 	landings := []landing{{"memory", memory}}
+	worlds := map[int]*store.ShardedWarehouse{}
 	for _, shards := range []int{1, 4, 16} {
-		src := NewShardedWarehouseSource(shardedWorld(t, cfg, shards), days)
+		worlds[shards] = shardedWorld(t, cfg, shards)
+		src := NewShardedWarehouseSource(worlds[shards], days)
 		landings = append(landings, landing{fmt.Sprintf("warehouse%d", shards), src})
 	}
+	modes := []struct {
+		name    string
+		down    string // table made unreadable, "" = none
+		partial bool
+		mask    string
+		ref     int // mode whose first frame is the reference
+	}{
+		{"strict", "", false, "none", 0},
+		{"degraded healthy", "", true, "none", 0},
+		{"degraded web down", synth.TableWeb, true, "F1,F3,F9", 2},
+		{"degraded truth down", synth.TableTruth, true, "F4,F5,F6,F9", 3},
+	}
 	win := features.MonthWindow(2, days)
-	var ref *features.Frame
+	refs := make([]*features.Frame, len(modes))
 	for _, l := range landings {
+		// Whole-window always, shard by shard where the landing can.
+		paths := []int{0}
+		if n := l.src.NumShards(); n > 0 {
+			paths = append(paths, n)
+		}
 		for _, workers := range []int{1, 8} {
 			p.SetWorkers(workers)
-			context := fmt.Sprintf("%s workers=%d", l.name, workers)
-			whole, err := p.BuildFrame(l.src, win, false, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", context, err)
-			}
-			if ref == nil {
-				ref = whole
-			}
-			coreFramesBitIdentical(t, ref, whole, context+" whole-window")
-			if ss, ok := AsSharded(l.src); ok {
-				sharded, _, err := p.BuildFrameSharded(ss, win)
-				if err != nil {
-					t.Fatalf("%s: %v", context, err)
+			for _, m := range modes {
+				src := l.src
+				if m.down != "" {
+					src = without(src, m.down)
 				}
-				coreFramesBitIdentical(t, ref, sharded, context+" sharded")
+				for _, shards := range paths {
+					context := fmt.Sprintf("%s workers=%d %s shards=%d", l.name, workers, m.name, shards)
+					frame, stats, deg, err := p.buildFrame(src, win, shards, false, nil, m.partial)
+					if err != nil {
+						t.Fatalf("%s: %v", context, err)
+					}
+					if deg.String() != m.mask || stats.Shards != max(shards, 1) || stats.RawRows == 0 {
+						t.Fatalf("%s: mask %s (want %s), stats %+v", context, deg, m.mask, stats)
+					}
+					if refs[m.ref] == nil {
+						refs[m.ref] = frame
+					}
+					coreFramesBitIdentical(t, refs[m.ref], frame, context)
+				}
 			}
 		}
 	}
+	ref := refs[0]
 	if n := len(ref.Groups()); n == 0 || ref.Groups()[n-1] != features.F9SecondOrder {
 		t.Fatalf("frame does not reach F9: %d columns", n)
+	}
+
+	// Scores: the sharded entry points, strict and degraded, against the
+	// whole-window ones on the memory landing.
+	want, err := p.Predict(memory, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDown, err := p.PredictDegraded(without(memory, synth.TableWeb), win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{4, 16} {
+		src := NewShardedWarehouseSource(worlds[shards], days)
+		got, stats, err := p.PredictSharded(src, win)
+		if err != nil || stats.Shards != shards {
+			t.Fatalf("PredictSharded over %d shards: stats %+v, err %v", shards, stats, err)
+		}
+		samePredictions(t, want, got)
+		got, stats, err = p.PredictShardedDegraded(without(src, synth.TableWeb), win)
+		if err != nil || stats.Shards != shards || got.Degraded != wantDown.Degraded {
+			t.Fatalf("PredictShardedDegraded over %d shards: mask %s, stats %+v, err %v", shards, got.Degraded, stats, err)
+		}
+		samePredictions(t, wantDown, got)
+	}
+
+	// Streaming: events refreshed into the reference frame's rows give the
+	// per-customer columns of a rebuild after the log is merged into the
+	// partitions (graph columns wait for that rebuild, and F9 multiplies
+	// them in). Last, because the merge rewrites the landing.
+	src := NewShardedWarehouseSource(worlds[4], days)
+	log, err := worlds[4].Warehouse().EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := synth.GenerateEvents(ref.IDs()[:25], 2, days, 200, 9)
+	if _, err := log.Append(events); err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncremental(p, src, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affected := map[int64]bool{}
+	for _, name := range features.StreamableTables {
+		if events[name] == nil {
+			continue
+		}
+		ids, _, err := inc.Ingest(name, events[name])
+		if err != nil {
+			t.Fatalf("ingest %s: %v", name, err)
+		}
+		for _, id := range ids {
+			affected[id] = true
+		}
+	}
+	if len(affected) == 0 {
+		t.Fatal("no customers affected")
+	}
+	if _, err := log.MergeInto(); err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := p.BuildFrameSharded(src, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, groups := merged.Names(), merged.Groups()
+	for _, id := range ref.IDs() {
+		row, _ := ref.Row(id)
+		if affected[id] {
+			if row, err = inc.Refresh(id, row); err != nil {
+				t.Fatalf("refresh %d: %v", id, err)
+			}
+		}
+		wrow, _ := merged.Row(id)
+		for j, g := range groups {
+			if (features.BaseGroups | features.TopicGroups).Has(g) && math.Float64bits(row[j]) != math.Float64bits(wrow[j]) {
+				t.Fatalf("imsi %d (affected=%v) col %q: refreshed %v vs merged rebuild %v", id, affected[id], names[j], row[j], wrow[j])
+			}
+		}
 	}
 }
 
@@ -261,6 +315,9 @@ func TestShardReadsRetry(t *testing.T) {
 	coreFramesBitIdentical(t, clean, frame, "retried vs clean sharded build")
 }
 
+// TestBuildFrameShardedUnfittedRejectsTopicGroups: no read path trains a
+// feature model. Every frame-build and Predict entry point fails with
+// ErrUnfitted on an unfitted F7/F8/F9 and leaves the pipeline as it was.
 func TestBuildFrameShardedUnfittedRejectsTopicGroups(t *testing.T) {
 	cfg := shardWorldCfg()
 	sw := shardedWorld(t, cfg, 2)
@@ -268,8 +325,22 @@ func TestBuildFrameShardedUnfittedRejectsTopicGroups(t *testing.T) {
 	win := features.MonthWindow(2, cfg.DaysPerMonth)
 	for _, g := range []features.Group{features.F7ComplaintTopics, features.F8SearchTopics, features.F9SecondOrder} {
 		p := NewFrameBuilder(Config{Groups: []features.Group{features.F1Baseline, g}})
-		if _, _, err := p.BuildFrameSharded(src, win); err == nil {
-			t.Fatalf("unfitted sharded build of %s accepted", g)
+		for name, call := range map[string]func() error{
+			"BuildFrame":                func() error { _, err := p.BuildFrame(src, win, false, nil); return err },
+			"BuildFrameDegraded":        func() error { _, _, err := p.BuildFrameDegraded(src, win); return err },
+			"BuildFrameSharded":         func() error { _, _, err := p.BuildFrameSharded(src, win); return err },
+			"BuildFrameShardedDegraded": func() error { _, _, _, err := p.BuildFrameShardedDegraded(src, win); return err },
+			"Predict":                   func() error { _, err := p.Predict(src, win); return err },
+			"PredictDegraded":           func() error { _, err := p.PredictDegraded(src, win); return err },
+			"PredictSharded":            func() error { _, _, err := p.PredictSharded(src, win); return err },
+			"PredictShardedDegraded":    func() error { _, _, err := p.PredictShardedDegraded(src, win); return err },
+		} {
+			if err := call(); !errors.Is(err, ErrUnfitted) {
+				t.Errorf("unfitted %s of %s: %v, want ErrUnfitted", name, g, err)
+			}
+		}
+		if p.complaints != nil || p.search != nil || p.so != nil {
+			t.Errorf("a frame build of %s stored a feature model on the pipeline", g)
 		}
 	}
 }

@@ -48,14 +48,6 @@ func (s Source) Tables(win features.Window) (features.Tables, error) {
 	return features.LoadTablesFrom(s.open(-1), win, s.days)
 }
 
-// TablesPartial returns the window's tables with unavailable ones
-// substituted by schema-correct empties, plus the names of the missing
-// tables. Only a missing customer snapshot is fatal
-// (features.ErrUniverseUnavailable).
-func (s Source) TablesPartial(win features.Window) (features.Tables, []string, error) {
-	return features.LoadTablesPartial(s.open(-1), win, s.days)
-}
-
 // Truth returns the hidden ground-truth table of a month (used only for
 // labels and for the retention simulation).
 func (s Source) Truth(month int) (*table.Table, error) {

@@ -161,7 +161,7 @@ func (e *Env) runExtendedGraphArm(trainMonth, testMonth, u int) (eval.Report, er
 		if err != nil {
 			return nil, err
 		}
-		frame, err := features.BaseFeatures(base, win, days)
+		frame, err := features.BuildBaseFeatures(base, win, days, 1)
 		if err != nil {
 			return nil, err
 		}

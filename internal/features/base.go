@@ -61,9 +61,9 @@ func (w Window) Months(daysPerMonth int) []int {
 // LoadTablesFrom reads every raw table overlapping the window through r (a
 // raw warehouse, one shard of it, or a retry/overlay/fault-injection
 // wrapper around either), failing on the first unavailable table. For
-// assembly that survives missing feeds, see LoadTablesPartial.
+// assembly that survives missing feeds, see LoadTables.
 func LoadTablesFrom(r TableReader, win Window, daysPerMonth int) (Tables, error) {
-	t, _, err := loadTables(r, win.Months(daysPerMonth), true)
+	t, _, err := LoadTables(r, win, daysPerMonth, true)
 	return t, err
 }
 
@@ -243,11 +243,6 @@ func runJobs(f *Frame, workers int, jobs []colJob) {
 			f.AddColumn(c.group, c.name, c.values, c.def)
 		}
 	}
-}
-
-// BaseFeatures builds the F1-F3 columns sequentially; see BuildBaseFeatures.
-func BaseFeatures(tbl Tables, win Window, daysPerMonth int) (*Frame, error) {
-	return BuildBaseFeatures(tbl, win, daysPerMonth, 1)
 }
 
 // BuildBaseFeatures builds the F1 (baseline BSS), F2 (CS KPI/KQI) and F3 (PS

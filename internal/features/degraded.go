@@ -3,7 +3,6 @@ package features
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
@@ -34,42 +33,10 @@ type TableReader interface {
 	ReadMonths(name string, months []int) (*table.Table, error)
 }
 
-// Degradation is a bitmask of feature groups that were assembled from
-// imputed data because a backing raw table was unavailable. Zero means a
-// fully healthy build. Bit i-1 corresponds to group Fi.
-type Degradation uint16
-
-// Add marks a group degraded.
-func (d *Degradation) Add(g Group) { *d |= 1 << (g - 1) }
-
-// Has reports whether the group was degraded.
-func (d Degradation) Has(g Group) bool { return d&(1<<(g-1)) != 0 }
-
-// Empty reports a fully healthy build.
-func (d Degradation) Empty() bool { return d == 0 }
-
-// Groups returns the degraded groups in canonical order.
-func (d Degradation) Groups() []Group {
-	var out []Group
-	for _, g := range AllGroups() {
-		if d.Has(g) {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// String renders the mask as "none" or a comma-joined group list ("F3,F6").
-func (d Degradation) String() string {
-	if d.Empty() {
-		return "none"
-	}
-	var parts []string
-	for _, g := range d.Groups() {
-		parts = append(parts, g.String())
-	}
-	return strings.Join(parts, ",")
-}
+// Degradation is the set of feature groups that were assembled from
+// imputed data because a backing raw table was unavailable. Empty means a
+// fully healthy build.
+type Degradation = GroupSet
 
 // tableGroups maps each raw table to the feature groups it backs. A missing
 // table degrades exactly these groups (intersected with the configured
@@ -122,36 +89,25 @@ func EmptyRawTable(name string) (*table.Table, error) {
 // DegradationOf maps missing raw tables onto the feature groups they
 // degrade, restricted to the configured groups (a missing search log does
 // not degrade an F1-only pipeline).
-func DegradationOf(missing []string, configured []Group) Degradation {
-	cfg := make(map[Group]bool, len(configured))
-	for _, g := range configured {
-		cfg[g] = true
-	}
+func DegradationOf(missing []string, configured GroupSet) Degradation {
 	var d Degradation
 	for _, name := range missing {
-		for _, g := range tableGroups[name] {
-			if cfg[g] {
-				d.Add(g)
-			}
-		}
+		d |= GroupSetOf(tableGroups[name]...)
 	}
-	return d
+	return d & configured
 }
 
-// LoadTablesPartial reads every raw table overlapping the window, replacing
-// unavailable tables (after whatever retries the reader performs) with
-// empty schema-correct stand-ins and reporting their names in canonical
-// load order. Only the customer snapshot is required; its failure aborts
-// with ErrUniverseUnavailable. With no tables missing the result is
-// identical to LoadTablesFrom.
-func LoadTablesPartial(r TableReader, win Window, daysPerMonth int) (Tables, []string, error) {
-	return loadTables(r, win.Months(daysPerMonth), false)
+// LoadTables is the one window load: the nine raw tables overlapping the
+// window in canonical order, each a single ReadMonths. Strict fails on the
+// first unavailable table; otherwise a table still unavailable after
+// whatever retries the reader performs becomes an empty schema-correct
+// stand-in and is reported missing, in load order. Only the customer
+// snapshot is required; its failure aborts with ErrUniverseUnavailable.
+// With no tables missing the result is the strict one.
+func LoadTables(r TableReader, win Window, daysPerMonth int, strict bool) (Tables, []string, error) {
+	return loadTables(r, win.Months(daysPerMonth), strict)
 }
 
-// loadTables is the one window load: the nine raw tables in canonical
-// order, each a single ReadMonths. Strict fails on the first error;
-// otherwise a failed table other than the customer snapshot becomes an
-// empty stand-in and is reported missing.
 func loadTables(r TableReader, months []int, strict bool) (Tables, []string, error) {
 	var t Tables
 	var missing []string

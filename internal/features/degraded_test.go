@@ -48,7 +48,7 @@ func TestLoadTablesPartialHealthyMatchesStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, missing, err := LoadTablesPartial(wh, win, cfg.DaysPerMonth)
+	partial, missing, err := LoadTables(wh, win, cfg.DaysPerMonth, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLoadTablesPartialSubstitutesEmpties(t *testing.T) {
 		synth.TableSearch:    true,
 		synth.TableLocations: true,
 	}}
-	tbl, missing, err := LoadTablesPartial(r, win, cfg.DaysPerMonth)
+	tbl, missing, err := LoadTables(r, win, cfg.DaysPerMonth, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLoadTablesPartialSubstitutesEmpties(t *testing.T) {
 	}
 
 	// A degraded build over these tables still produces the full schema.
-	frame, err := BaseFeatures(tbl, win, cfg.DaysPerMonth)
+	frame, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLoadTablesPartialSubstitutesEmpties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BaseFeatures(healthy, win, cfg.DaysPerMonth)
+	want, err := BuildBaseFeatures(healthy, win, cfg.DaysPerMonth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLoadTablesPartialCustomerFloor(t *testing.T) {
 	wh, cfg := genWarehouse(t)
 	win := MonthWindow(1, cfg.DaysPerMonth)
 	r := &failReader{inner: wh, fail: map[string]bool{synth.TableCustomers: true}}
-	_, _, err := LoadTablesPartial(r, win, cfg.DaysPerMonth)
+	_, _, err := LoadTables(r, win, cfg.DaysPerMonth, false)
 	if !errors.Is(err, ErrUniverseUnavailable) {
 		t.Fatalf("err = %v, want ErrUniverseUnavailable", err)
 	}
@@ -145,12 +145,12 @@ func TestDegradationOfRespectsConfiguredGroups(t *testing.T) {
 	missing := []string{synth.TableWeb, synth.TableLocations, synth.TableSearch}
 	// F1-only pipeline: web degrades F1 columns; locations/search do not
 	// touch F1.
-	d := DegradationOf(missing, []Group{F1Baseline})
+	d := DegradationOf(missing, GroupSetOf(F1Baseline))
 	if d.String() != "F1" {
 		t.Errorf("F1-only mask = %q, want F1", d)
 	}
 	// Full pipeline: all backed groups flagged.
-	d = DegradationOf(missing, AllGroups())
+	d = DegradationOf(missing, GroupSetOf(AllGroups()...))
 	for _, g := range []Group{F1Baseline, F3PS, F6CooccurrenceGraph, F8SearchTopics} {
 		if !d.Has(g) {
 			t.Errorf("full mask missing %v (got %q)", g, d)

@@ -31,7 +31,7 @@ func baseFrame(t *testing.T, month int) (*Frame, Tables, Window, int) {
 		t.Fatal(err)
 	}
 	win := MonthWindow(month, cfg.DaysPerMonth)
-	frame, err := BaseFeatures(tbl, win, cfg.DaysPerMonth)
+	frame, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestDeclineFeaturesSeparateChurners(t *testing.T) {
 		t.Fatal(err)
 	}
 	win := MonthWindow(2, cfg.DaysPerMonth)
-	frame, err := BaseFeatures(tbl, win, cfg.DaysPerMonth)
+	frame, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ package features
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"telcochurn/internal/dataset"
 )
@@ -69,6 +70,60 @@ func (g Group) String() string {
 func AllGroups() []Group {
 	return []Group{F1Baseline, F2CS, F3PS, F4CallGraph, F5MessageGraph,
 		F6CooccurrenceGraph, F7ComplaintTopics, F8SearchTopics, F9SecondOrder}
+}
+
+// GroupSet is a set of feature groups as a bitmask: bit i-1 stands for
+// group Fi. It serves as the configured-groups set of every build and, as
+// Degradation, as the mask of groups assembled from imputed data.
+type GroupSet uint16
+
+// The group families by how they are built: per-customer aggregates, the
+// three cross-customer graphs, per-customer topic mixtures.
+const (
+	BaseGroups  GroupSet = 1<<(F1Baseline-1) | 1<<(F2CS-1) | 1<<(F3PS-1)
+	GraphGroups GroupSet = 1<<(F4CallGraph-1) | 1<<(F5MessageGraph-1) | 1<<(F6CooccurrenceGraph-1)
+	TopicGroups GroupSet = 1<<(F7ComplaintTopics-1) | 1<<(F8SearchTopics-1)
+)
+
+// GroupSetOf returns the set holding the given groups.
+func GroupSetOf(groups ...Group) GroupSet {
+	var s GroupSet
+	for _, g := range groups {
+		s.Add(g)
+	}
+	return s
+}
+
+// Add puts a group into the set.
+func (s *GroupSet) Add(g Group) { *s |= 1 << (g - 1) }
+
+// Has reports whether the group is in the set.
+func (s GroupSet) Has(g Group) bool { return s&(1<<(g-1)) != 0 }
+
+// Empty reports a set with no groups (as a Degradation: a healthy build).
+func (s GroupSet) Empty() bool { return s == 0 }
+
+// Groups returns the set's groups in canonical order.
+func (s GroupSet) Groups() []Group {
+	var out []Group
+	for _, g := range AllGroups() {
+		if s.Has(g) {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// String renders the set as "none" or a comma-joined group list ("F3,F6").
+func (s GroupSet) String() string {
+	if s.Empty() {
+		return "none"
+	}
+	var parts []string
+	for _, g := range s.Groups() {
+		parts = append(parts, g.String())
+	}
+	return strings.Join(parts, ",")
 }
 
 // Frame is a wide table under construction: rows are customers (fixed at
@@ -169,13 +224,10 @@ func (f *Frame) Value(id int64, name string) (float64, bool) {
 // SelectGroups returns a new frame containing only columns whose group is in
 // keep (row universe shared).
 func (f *Frame) SelectGroups(keep ...Group) *Frame {
-	keepSet := make(map[Group]bool, len(keep))
-	for _, g := range keep {
-		keepSet[g] = true
-	}
+	keepSet := GroupSetOf(keep...)
 	var cols []int
 	for j, g := range f.group {
-		if keepSet[g] {
+		if keepSet.Has(g) {
 			cols = append(cols, j)
 		}
 	}

@@ -38,21 +38,16 @@ type GraphFeatureInput struct {
 
 // AddGraphFeatures computes PageRank and label-propagation features on the
 // three graphs and adds the six F4-F6 columns (paper names from Table 4).
+// The graphs come from one pass per table through the fold and are scored
+// concurrently across `workers` goroutines (0 = GOMAXPROCS), the per-graph
+// algorithms parallelizing internally; columns land in fixed graph order,
+// so the frame is bit-identical for any worker count.
 func AddGraphFeatures(f *Frame, tbl Tables, win Window, daysPerMonth int, in GraphFeatureInput, workers int) {
-	AddGraphGroups(f, AllGroups(), tbl, win, daysPerMonth, in, workers)
-}
-
-// AddGraphGroups is AddGraphFeatures for the graph groups among groups
-// only. The graphs come from one pass per table through the fold and are
-// scored concurrently across `workers` goroutines (0 = GOMAXPROCS), the
-// per-graph algorithms parallelizing internally; columns land in fixed
-// graph order, so the frame is bit-identical for any worker count.
-func AddGraphGroups(f *Frame, groups []Group, tbl Tables, win Window, daysPerMonth int, in GraphFeatureInput, workers int) {
 	isCustomer := func(id int64) bool {
 		_, ok := f.index[id]
 		return ok || in.PrevChurners[id]
 	}
-	scoreGraphsInto(f, BuildGraphs(groups, tbl, win, daysPerMonth, isCustomer), in, workers)
+	scoreGraphsInto(f, BuildGraphs(AllGroups(), tbl, win, daysPerMonth, isCustomer), in, workers)
 }
 
 // seedMap flattens the seed input into label-propagation class seeds; the

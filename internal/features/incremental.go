@@ -260,35 +260,11 @@ func (m *Maintainer) CustomerFrame(id int64, groups []Group, complaints, search 
 	if _, ok := m.universe[id]; !ok {
 		return nil, fmt.Errorf("%w: imsi %d", ErrNotInUniverse, id)
 	}
-	want := map[Group]bool{}
-	for _, g := range groups {
-		want[g] = true
-	}
-	var baseGroups []Group
-	for _, g := range []Group{F1Baseline, F2CS, F3PS} {
-		if want[g] {
-			baseGroups = append(baseGroups, g)
-		}
-	}
-	if want[F7ComplaintTopics] && complaints == nil {
-		return nil, fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
-	}
-	if want[F8SearchTopics] && search == nil {
-		return nil, fmt.Errorf("features: F8 requested but no fitted search featurizer")
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ct := m.customerTables(id)
-	bf, err := BuildBaseFeatures(ct, m.win, m.days, 1)
+	sel, err := perCustomerFrame(m.customerTables(id), m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
 	if err != nil {
 		return nil, fmt.Errorf("features: recompute imsi %d: %w", id, err)
-	}
-	sel := bf.SelectGroups(baseGroups...)
-	if want[F7ComplaintTopics] {
-		complaints.Apply(sel, ct.Complaints, m.win, m.days)
-	}
-	if want[F8SearchTopics] {
-		search.Apply(sel, ct.Search, m.win, m.days)
 	}
 	return sel, nil
 }

@@ -1,7 +1,9 @@
 package features
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"telcochurn/internal/graph"
@@ -9,17 +11,20 @@ import (
 	"telcochurn/internal/table"
 )
 
-// ShardedBuildSpec parameterizes an out-of-core wide-table build: the raw
-// tables arrive one customer-hash shard at a time through the Load callbacks
-// instead of as one in-memory Tables bundle, so peak memory is bounded by
-// the largest shard (times the worker count), not the dataset.
+// ShardedBuildSpec parameterizes the wide-table build: the raw tables
+// arrive one customer-hash shard at a time through the Load callbacks, so
+// peak memory is bounded by the largest shard (times the worker count), not
+// the dataset. A whole-window build is the Shards = 1 case, its loaders
+// reading whole months.
 type ShardedBuildSpec struct {
 	// Shards is the number of hash shards the loaders cover. 1 is valid and
 	// produces the same frame as any other count.
 	Shards int
 	// Load returns the raw tables of one shard restricted to the window's
-	// months. Called once per shard.
-	Load func(shard int) (Tables, error)
+	// months, plus the names of the tables it replaced by empty stand-ins
+	// (LoadTables; none for a strict load, which fails instead).
+	// Called once per shard.
+	Load func(shard int) (Tables, []string, error)
 	// LoadCustomers returns one shard's customers table over the window's
 	// months. Called once per shard, before Load, to resolve the customer
 	// universe up front (graph edges need the full universe predicate).
@@ -34,53 +39,76 @@ type ShardedBuildSpec struct {
 	// Groups selects the feature groups to build. F9 is rejected here: the
 	// second-order featurizer is a trained model applied to the merged
 	// frame, so the pipeline layer applies it after this build returns.
-	Groups []Group
+	Groups GroupSet
 	// GraphIn seeds label propagation when a graph group is requested.
 	GraphIn GraphFeatureInput
 	// Complaints and Search must be fitted featurizers when F7 / F8 are
-	// requested (topic models are fitted on a merged corpus, not per shard).
+	// requested, unless FitTopics supplies them.
 	Complaints *TopicFeaturizer
 	Search     *TopicFeaturizer
+	// FitTopics, when set, trains the F7 / F8 featurizers on the loaded
+	// tables; its results replace Complaints and Search. Topic models are
+	// fitted on a merged corpus, not per shard, so it is legal only at
+	// Shards = 1 (ErrFitNeedsOneShard otherwise).
+	FitTopics func(Tables) (complaints, search *TopicFeaturizer, err error)
 }
 
-// ShardStats reports what a sharded build consumed.
+// ErrFitNeedsOneShard rejects fitting feature models in a multi-shard build.
+var ErrFitNeedsOneShard = errors.New("features: feature models are fitted on one whole-window shard")
+
+// ShardStats reports what a build consumed.
 type ShardStats struct {
 	Shards  int
 	RawRows int64 // total raw-table rows streamed across all shards
+	// Missing names the raw tables some shard's loader replaced by an empty
+	// stand-in, in first-reported order; empty for a healthy or strict build.
+	Missing []string
 }
 
-// BuildShardedFrame assembles the wide table shard by shard and merges the
-// per-shard results into one frame over the full customer universe.
+// perCustomerFrame builds the columns that depend on one customer's rows
+// only, for every snapshot customer of tbl: the base groups among groups in
+// canonical order, then the F7 / F8 topic mixtures. It is the shard body of
+// BuildShardedFrame and, over one customer's rows, Maintainer.CustomerFrame.
+func perCustomerFrame(tbl Tables, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) (*Frame, error) {
+	if groups.Has(F7ComplaintTopics) && complaints == nil {
+		return nil, fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
+	}
+	if groups.Has(F8SearchTopics) && search == nil {
+		return nil, fmt.Errorf("features: F8 requested but no fitted search featurizer")
+	}
+	bf, err := BuildBaseFeatures(tbl, win, daysPerMonth, workers)
+	if err != nil {
+		return nil, err
+	}
+	sel := bf.SelectGroups((groups & BaseGroups).Groups()...)
+	if groups.Has(F7ComplaintTopics) {
+		complaints.Apply(sel, tbl.Complaints, win, daysPerMonth)
+	}
+	if groups.Has(F8SearchTopics) {
+		search.Apply(sel, tbl.Search, win, daysPerMonth)
+	}
+	return sel, nil
+}
+
+// BuildShardedFrame is the one wide-table assembler: it builds the table
+// shard by shard and merges the per-shard results into one frame over the
+// full customer universe.
 //
 // The output is bit-identical for any shard count and any worker count:
 // per-customer aggregates (F1-F3, F7, F8) are shard-local because customers
 // are hash-partitioned, and the graph groups (F4-F6) merge through
-// GraphAccumulator's canonical order-independent reduction. Column order
-// matches the in-memory pipeline build: base groups, graph groups, topic
-// groups, each in canonical group order.
+// GraphAccumulator's canonical order-independent reduction. Columns land as
+// base groups, graph groups, topic groups, each in canonical group order.
 func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	stats := ShardStats{Shards: spec.Shards}
 	if spec.Shards < 1 {
 		return nil, stats, fmt.Errorf("features: sharded build needs at least 1 shard, got %d", spec.Shards)
 	}
-	want := map[Group]bool{}
-	for _, g := range spec.Groups {
-		if g == F9SecondOrder {
-			return nil, stats, fmt.Errorf("features: F9 is applied to the merged frame, not built per shard")
-		}
-		want[g] = true
+	if spec.Groups.Has(F9SecondOrder) {
+		return nil, stats, fmt.Errorf("features: F9 is applied to the merged frame, not built per shard")
 	}
-	var baseGroups []Group
-	for _, g := range []Group{F1Baseline, F2CS, F3PS} {
-		if want[g] {
-			baseGroups = append(baseGroups, g)
-		}
-	}
-	if want[F7ComplaintTopics] && spec.Complaints == nil {
-		return nil, stats, fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
-	}
-	if want[F8SearchTopics] && spec.Search == nil {
-		return nil, stats, fmt.Errorf("features: F8 requested but no fitted search featurizer")
+	if spec.FitTopics != nil && spec.Shards != 1 {
+		return nil, stats, fmt.Errorf("%w, got %d", ErrFitNeedsOneShard, spec.Shards)
 	}
 
 	// Pass 1: resolve the customer universe from the per-shard demographic
@@ -92,7 +120,7 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	parallel.ForGrain(spec.Workers, spec.Shards, 1, func(s int) {
 		cust, err := spec.LoadCustomers(s)
 		if err != nil {
-			errs[s] = fmt.Errorf("features: load customers shard %d: %w", s, err)
+			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrUniverseUnavailable, s, err)
 			return
 		}
 		snap := snapshotMonth(cust, spec.Win, spec.DaysPerMonth)
@@ -122,21 +150,23 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	// accumulator and building the shard-local per-customer columns. Inner
 	// builds run single-threaded when shards provide the parallelism, so
 	// worker count scales concurrent shard residency, not thread count².
-	wantGraph := want[F4CallGraph] || want[F5MessageGraph] || want[F6CooccurrenceGraph]
-	wantPerCustomer := len(baseGroups) > 0 || want[F7ComplaintTopics] || want[F8SearchTopics]
-	acc := NewGraphAccumulator(spec.Shards, spec.Groups)
+	wantGraph := spec.Groups&GraphGroups != 0
+	wantPerCustomer := spec.Groups&(BaseGroups|TopicGroups) != 0
+	acc := NewGraphAccumulator(spec.Shards, spec.Groups.Groups())
 	shardFrames := make([]*Frame, spec.Shards)
+	missing := make([][]string, spec.Shards)
 	innerWorkers := spec.Workers
 	if spec.Shards > 1 {
 		innerWorkers = 1
 	}
 	var rawRows int64
 	parallel.ForGrain(spec.Workers, spec.Shards, 1, func(s int) {
-		tbl, err := spec.Load(s)
+		tbl, miss, err := spec.Load(s)
 		if err != nil {
 			errs[s] = fmt.Errorf("features: load shard %d: %w", s, err)
 			return
 		}
+		missing[s] = miss
 		for _, t := range []*table.Table{tbl.Calls, tbl.Messages, tbl.Recharges, tbl.Billing,
 			tbl.Customers, tbl.Complaints, tbl.Web, tbl.Search, tbl.Locations} {
 			atomic.AddInt64(&rawRows, int64(t.NumRows()))
@@ -149,19 +179,17 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		if !wantPerCustomer || len(shardIDs[s]) == 0 {
 			return
 		}
-		bf, err := BuildBaseFeatures(tbl, spec.Win, spec.DaysPerMonth, innerWorkers)
+		complaints, search := spec.Complaints, spec.Search
+		if spec.FitTopics != nil {
+			if complaints, search, err = spec.FitTopics(tbl); err != nil {
+				errs[s] = err
+				return
+			}
+		}
+		shardFrames[s], err = perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, spec.Groups, complaints, search)
 		if err != nil {
 			errs[s] = fmt.Errorf("features: build shard %d: %w", s, err)
-			return
 		}
-		sel := bf.SelectGroups(baseGroups...)
-		if want[F7ComplaintTopics] {
-			spec.Complaints.Apply(sel, tbl.Complaints, spec.Win, spec.DaysPerMonth)
-		}
-		if want[F8SearchTopics] {
-			spec.Search.Apply(sel, tbl.Search, spec.Win, spec.DaysPerMonth)
-		}
-		shardFrames[s] = sel
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -169,70 +197,57 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		}
 	}
 	stats.RawRows = rawRows
+	for _, miss := range missing {
+		for _, name := range miss {
+			if !slices.Contains(stats.Missing, name) {
+				stats.Missing = append(stats.Missing, name)
+			}
+		}
+	}
 
-	// Merge. Shard universes are disjoint, so every merged row maps to
-	// exactly one (shard, row); columns copy group by group in the canonical
-	// order of the in-memory build: [F1 F2 F3] graphs [F7 F8].
+	// Merge. Shard universes are disjoint, so every merged row comes from
+	// exactly one shard row. A shard frame holds [base | topic] columns;
+	// they copy row by row around the graph columns into the canonical
+	// order [F1 F2 F3] graphs [F7 F8].
 	var ref *Frame
+	nb, ncols := 0, 0 // base columns lead every shard frame
 	for _, sf := range shardFrames {
 		if sf != nil {
-			ref = sf
+			ref, ncols = sf, len(sf.names)
+			for nb < ncols && BaseGroups.Has(sf.group[nb]) {
+				nb++
+			}
 			break
 		}
 	}
-	type rowLoc struct{ shard, row int32 }
-	var loc []rowLoc
-	if ref != nil {
-		loc = make([]rowLoc, uni.NumRows())
-		for i := range loc {
-			loc[i] = rowLoc{-1, -1}
+	copyColumns := func(from, to int) {
+		if from == to {
+			return
 		}
-		for s, sf := range shardFrames {
+		uni.names = append(uni.names, ref.names[from:to]...)
+		uni.group = append(uni.group, ref.group[from:to]...)
+		for _, sf := range shardFrames {
 			if sf == nil {
 				continue
 			}
 			for r, id := range sf.ids {
-				i, ok := uni.index[id]
-				if !ok {
-					continue
-				}
-				loc[i] = rowLoc{int32(s), int32(r)}
-			}
-		}
-	}
-	copyGroups := func(keep ...Group) error {
-		if ref == nil {
-			return nil
-		}
-		keepSet := map[Group]bool{}
-		for _, g := range keep {
-			keepSet[g] = true
-		}
-		for j, name := range ref.names {
-			if !keepSet[ref.group[j]] {
-				continue
-			}
-			dense := make([]float64, uni.NumRows())
-			for i := range dense {
-				if l := loc[i]; l.shard >= 0 {
-					dense[i] = shardFrames[l.shard].x[l.row][j]
+				if i, ok := uni.index[id]; ok {
+					uni.x[i] = append(uni.x[i], sf.x[r][from:to]...)
 				}
 			}
-			if err := uni.AddDense(ref.group[j], name, dense); err != nil {
-				return err
+		}
+		// A universe customer no shard frame holds keeps zeros.
+		for i := range uni.x {
+			for len(uni.x[i]) < len(uni.names) {
+				uni.x[i] = append(uni.x[i], 0)
 			}
 		}
-		return nil
 	}
-	if err := copyGroups(F1Baseline, F2CS, F3PS); err != nil {
-		return nil, stats, err
-	}
+	copyColumns(0, nb)
 	if wantGraph {
 		call, msg, cooc := acc.Finalize()
 		scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, spec.GraphIn, spec.Workers)
 	}
-	if err := copyGroups(F7ComplaintTopics, F8SearchTopics); err != nil {
-		return nil, stats, err
-	}
+	copyColumns(nb, ncols)
 	return uni, stats, nil
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -71,12 +72,12 @@ func shardedSpec(t *testing.T, tbl Tables, shards, workers int, win Window, days
 	parts := shardTables(t, tbl, shards)
 	return ShardedBuildSpec{
 		Shards:        shards,
-		Load:          func(s int) (Tables, error) { return parts[s], nil },
+		Load:          func(s int) (Tables, []string, error) { return parts[s], nil, nil },
 		LoadCustomers: func(s int) (*table.Table, error) { return parts[s].Customers, nil },
 		Win:           win,
 		DaysPerMonth:  days,
 		Workers:       workers,
-		Groups:        groups,
+		Groups:        GroupSetOf(groups...),
 	}
 }
 
@@ -91,12 +92,20 @@ func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
 		PrevChurners: ChurnersOf(months[1].Truth),
 		StableSample: StableOf(months[1].Truth, 10),
 	}
-	groups := []Group{F1Baseline, F2CS, F3PS, F4CallGraph, F5MessageGraph, F6CooccurrenceGraph}
+	comp, err := FitTopicFeaturizer(tbl.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := FitTopicFeaturizer(tbl.Search, win, cfg.DaysPerMonth, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := AllGroups()[:8] // F9 is applied to the merged frame by core
 	var ref *Frame
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 8} {
 			spec := shardedSpec(t, tbl, shards, workers, win, cfg.DaysPerMonth, groups)
-			spec.GraphIn = in
+			spec.GraphIn, spec.Complaints, spec.Search = in, comp, search
 			got, stats, err := BuildShardedFrame(spec)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
@@ -111,46 +120,9 @@ func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
 			framesBitIdentical(t, ref, got, "shards/workers variation")
 		}
 	}
-	if n := ref.NumColumns(); n != 70+9+25+6 {
-		t.Fatalf("sharded frame has %d columns, want 110", n)
+	if n := ref.NumColumns(); n != 70+9+25+6+5+5 {
+		t.Fatalf("sharded frame has %d columns, want 120", n)
 	}
-}
-
-func TestBuildShardedFrameBaseMatchesInMemoryBitwise(t *testing.T) {
-	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := MonthWindow(2, cfg.DaysPerMonth)
-
-	// F1-F3 and the topic groups are per-customer aggregates, so the sharded
-	// build must reproduce the in-memory build bit for bit.
-	comp, err := FitTopicFeaturizer(tbl.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	search, err := FitTopicFeaturizer(tbl.Search, win, cfg.DaysPerMonth, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.SelectGroups(F1Baseline, F2CS, F3PS)
-	comp.Apply(want, tbl.Complaints, win, cfg.DaysPerMonth)
-	search.Apply(want, tbl.Search, win, cfg.DaysPerMonth)
-
-	spec := shardedSpec(t, tbl, 4, 2, win, cfg.DaysPerMonth,
-		[]Group{F1Baseline, F2CS, F3PS, F7ComplaintTopics, F8SearchTopics})
-	spec.Complaints = comp
-	spec.Search = search
-	got, _, err := BuildShardedFrame(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framesBitIdentical(t, want, got, "sharded vs in-memory")
 }
 
 func TestBuildShardedFrameGraphColumnsPopulated(t *testing.T) {
@@ -199,5 +171,9 @@ func TestBuildShardedFrameRejectsF9AndMissingFeaturizer(t *testing.T) {
 	spec = shardedSpec(t, tbl, 2, 1, win, cfg.DaysPerMonth, []Group{F7ComplaintTopics})
 	if _, _, err := BuildShardedFrame(spec); err == nil {
 		t.Fatal("F7 without a fitted featurizer accepted")
+	}
+	spec.FitTopics = func(Tables) (*TopicFeaturizer, *TopicFeaturizer, error) { return nil, nil, nil }
+	if _, _, err := BuildShardedFrame(spec); !errors.Is(err, ErrFitNeedsOneShard) {
+		t.Fatalf("topic fit over 2 shards: %v, want ErrFitNeedsOneShard", err)
 	}
 }

@@ -17,7 +17,7 @@ func TestVelocityWindowFiltersEvents(t *testing.T) {
 	// Window: day 16 of month 2 through day 15 of month 3.
 	win := Window{FromAbs: AbsDay(2, 16, days), ToAbs: AbsDay(3, 15, days)}
 
-	frame, err := BaseFeatures(tbl, win, days)
+	frame, err := BuildBaseFeatures(tbl, win, days, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestDeclineFeatureUsesWindowMidpoint(t *testing.T) {
 	aligned := MonthWindow(2, days)
 	shifted := Window{FromAbs: aligned.FromAbs + 10, ToAbs: aligned.ToAbs + 10}
 
-	fa, err := BaseFeatures(tbl, aligned, days)
+	fa, err := BuildBaseFeatures(tbl, aligned, days, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := BaseFeatures(tbl, shifted, days)
+	fs, err := BuildBaseFeatures(tbl, shifted, days, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,25 @@ cmp -s "$WORK/batch1.csv" "$WORK/batch4.csv" \
     || { echo "e2e: plain and sharded landings score differently:"; diff "$WORK/batch1.csv" "$WORK/batch4.csv" | head; exit 1; }
 echo "   plain and 4-shard landings score byte-identically"
 
+# Degraded assembly is the same shard-by-shard build: with the web feed
+# knocked out of both landings, the imputed scores and the mask must not
+# depend on the layout either, and the build reports what it streamed.
+cp -r "$WORK/wh1" "$WORK/wh1d"
+cp -r "$WORK/wh4" "$WORK/wh4d"
+rm -rf "$WORK/wh1d/web" "$WORK/wh4d/web"
+for L in 1 4; do
+    "$WORK/churnctl" score -degraded -warehouse "$WORK/wh${L}d" -model "$WORK/model4.tcpa" -top 0 -full \
+        > "$WORK/deg$L.csv" 2> "$WORK/deg$L.err"
+    grep -q "degraded groups: F1,F3" "$WORK/deg$L.err" \
+        || { echo "e2e: score -degraded on the $L-shard landing did not report F1,F3:"; cat "$WORK/deg$L.err"; exit 1; }
+done
+cmp -s "$WORK/deg1.csv" "$WORK/deg4.csv" \
+    || { echo "e2e: degraded scores differ between landings:"; diff "$WORK/deg1.csv" "$WORK/deg4.csv" | head; exit 1; }
+DEG_BUILD="$("$WORK/churnctl" build -degraded -warehouse "$WORK/wh4d" 2>/dev/null)"
+echo "$DEG_BUILD" | grep -q "shards=4 raw_rows=[1-9]" \
+    || { echo "e2e: build -degraded did not report its shards and rows: $DEG_BUILD"; exit 1; }
+echo "   degraded scores byte-identical across landings; build -degraded streamed 4 shards"
+
 echo "== precomputed vectors (train -precompute) =="
 # The same training config with -precompute must not change a single score:
 # the embedded snapshot is the strict serving frame, persisted.
