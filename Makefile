@@ -52,12 +52,17 @@ bench-profile:
 		-benchtime=5x -benchmem -cpuprofile=cpu.out -memprofile=mem.out .
 
 # Fault-schedule property tests under the race detector: seeded chaos over
-# the storage/source/assembly/serving resilience stack (see DESIGN.md §11).
+# the storage/source/assembly/serving resilience stack (see DESIGN.md §11),
+# then a time-boxed run of each decoder fuzz target (their seeds already ran
+# as ordinary tests; a failing input lands in the package's testdata/fuzz/).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|GraphFold|FrameIdenticalAcross|Unfitted' \
-		./internal/faults/ ./internal/store/ ./internal/features/ \
+		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|GraphFold|FrameIdenticalAcross|Unfitted' \
+		./internal/faults/ ./internal/store/ ./internal/codec/ ./internal/features/ \
 		./internal/core/ ./internal/serve/ ./cmd/churnd/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/codec/
 
 # Network chaos: the seeded TCP fault proxy's property tests under -race,
 # then the full proxied harness — churnd behind cmd/netproxy under a mixed

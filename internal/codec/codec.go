@@ -1,9 +1,11 @@
 // Package codec implements the repository's binary persistence framing,
-// shared by every model/artifact format: an ASCII magic outside the
-// checksum, a varint/float64/string body, and a trailing CRC32 (IEEE) over
-// the body. The tree package's forest format (TCRF) defined the layout;
-// codec extracts it so the full pipeline artifact (core), topic models,
-// binarizers and boosted ensembles all frame their bytes identically.
+// shared by every on-disk format: an ASCII magic outside the checksum, a
+// varint/float64/string body, and a trailing CRC32 (IEEE) over the body.
+// The tree package's forest format (TCRF) defined the layout; the pipeline
+// artifact (core), topic models, binarizers, boosted ensembles, and the
+// warehouse's .tct partitions and TEV1 event-log segments (store) all
+// write through Writer and decode through Reader, so there is one place
+// where stored bytes become lengths and allocations.
 package codec
 
 import (
@@ -26,17 +28,15 @@ var ErrCorrupt = errors.New("codec: corrupt data")
 // the one returned by Close.
 type Writer struct {
 	w   *bufio.Writer
-	crc interface {
-		Write([]byte) (int, error)
-		Sum32() uint32
-	}
+	crc uint32
 	n   int64
 	err error
+	buf [binary.MaxVarintLen64]byte // scratch for the fixed-size encodings
 }
 
 // NewWriter starts a framed stream on w by writing magic verbatim.
 func NewWriter(w io.Writer, magic string) *Writer {
-	cw := &Writer{w: bufio.NewWriterSize(w, 1<<16), crc: crc32.NewIEEE()}
+	cw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := cw.w.WriteString(magic); err != nil {
 		cw.err = err
 	}
@@ -46,7 +46,7 @@ func NewWriter(w io.Writer, magic string) *Writer {
 
 // Write appends raw bytes to the body (and the checksum).
 func (cw *Writer) Write(p []byte) (int, error) {
-	cw.crc.Write(p)
+	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
 	n, err := cw.w.Write(p)
 	cw.n += int64(n)
 	if err != nil && cw.err == nil {
@@ -57,24 +57,19 @@ func (cw *Writer) Write(p []byte) (int, error) {
 
 // Uvarint appends an unsigned varint.
 func (cw *Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	cw.Write(buf[:n])
+	cw.Write(cw.buf[:binary.PutUvarint(cw.buf[:], v)])
 }
 
 // Int appends a signed value (zig-zag varint).
 func (cw *Writer) Int(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	cw.Write(buf[:n])
+	cw.Write(cw.buf[:binary.PutVarint(cw.buf[:], v)])
 }
 
 // Float appends a float64 as its exact IEEE-754 bits (little endian), so
 // round trips are bit-identical.
 func (cw *Writer) Float(v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	cw.Write(buf[:])
+	binary.LittleEndian.PutUint64(cw.buf[:8], math.Float64bits(v))
+	cw.Write(cw.buf[:8])
 }
 
 // Floats appends a length-prefixed float64 slice.
@@ -109,9 +104,8 @@ func (cw *Writer) Bytes(b []byte) {
 // Close writes the CRC32 trailer, flushes, and returns the total bytes
 // written (magic + body + trailer) and the first error encountered.
 func (cw *Writer) Close() (int64, error) {
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], cw.crc.Sum32())
-	if _, err := cw.w.Write(sum[:]); err != nil && cw.err == nil {
+	binary.LittleEndian.PutUint32(cw.buf[:4], cw.crc)
+	if _, err := cw.w.Write(cw.buf[:4]); err != nil && cw.err == nil {
 		cw.err = err
 	}
 	cw.n += 4
@@ -143,15 +137,31 @@ func NewReader(r io.Reader, magic string) (*Reader, error) {
 
 // NewReaderBytes is NewReader over an in-memory buffer.
 func NewReaderBytes(data []byte, magic string) (*Reader, error) {
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic (want %q)", ErrCorrupt, magic)
+	rd, err := NewHeadReader(data, magic)
+	if err != nil {
+		return nil, err
 	}
-	body := data[len(magic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
+	if len(rd.b) < 4 {
+		return nil, fmt.Errorf("%w: no room for a checksum", ErrCorrupt)
+	}
+	body := rd.b[:len(rd.b)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rd.b[len(body):]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return &Reader{b: body}, nil
+	rd.b = body
+	return rd, nil
+}
+
+// NewHeadReader decodes the leading bytes of a framed stream without the
+// rest of it: the magic is checked, the checksum (which needs every byte)
+// is not, and Close is meaningless. It is for bounded peeks at a header —
+// the warehouse's schema probe — where a full verified read follows before
+// the data is trusted.
+func NewHeadReader(head []byte, magic string) (*Reader, error) {
+	if len(head) < len(magic) || string(head[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic (want %q)", ErrCorrupt, magic)
+	}
+	return &Reader{b: head[len(magic):]}, nil
 }
 
 // Fail records a decoding error (e.g. an out-of-range value found by the
@@ -179,16 +189,22 @@ func (rd *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Len reads a uvarint and validates it as a length against the bytes that
-// remain, so corrupt counts fail instead of allocating absurd slices.
-func (rd *Reader) Len() int {
+// Count reads the stored number of items that each occupy at least perItem
+// bytes and fails on one the remaining input cannot hold. Every stored
+// count that sizes an allocation goes through it: a checksum only proves
+// the writer wrote the number, not that it is sane, so what a decoder
+// allocates stays proportional to the bytes it was given.
+func (rd *Reader) Count(perItem int) int {
 	v := rd.Uvarint()
-	if rd.err == nil && v > uint64(len(rd.b)-rd.pos) {
-		rd.Fail(fmt.Sprintf("length %d exceeds %d remaining bytes", v, len(rd.b)-rd.pos))
+	if rd.err == nil && v > uint64((len(rd.b)-rd.pos)/perItem) {
+		rd.Fail(fmt.Sprintf("count %d of %d-byte items exceeds %d remaining bytes", v, perItem, len(rd.b)-rd.pos))
 		return 0
 	}
 	return int(v)
 }
+
+// Len reads a byte length: a count of one-byte items.
+func (rd *Reader) Len() int { return rd.Count(1) }
 
 // Int reads a signed (zig-zag) varint.
 func (rd *Reader) Int() int64 {
@@ -220,7 +236,7 @@ func (rd *Reader) Float() float64 {
 
 // Floats reads a length-prefixed float64 slice.
 func (rd *Reader) Floats() []float64 {
-	n := rd.Len()
+	n := rd.Count(8)
 	if rd.err != nil {
 		return nil
 	}

@@ -1,0 +1,117 @@
+package codec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// FuzzReader drives a Reader with an arbitrary op sequence over an arbitrary
+// sealed body (the harness adds magic and CRC so mutations reach the value
+// methods). Whatever the bytes: no panic; a failure is ErrCorrupt; a clean
+// Close means replaying the values through a Writer gives the same bytes, or
+// strictly fewer when the input spelled a varint non-minimally; and the
+// reader allocates no more than a constant multiple of the input.
+func FuzzReader(f *testing.F) {
+	const magic = "TEST"
+	// One op per byte: the low three bits pick the method, the rest the
+	// item size for Count.
+	const (
+		opUvarint = iota
+		opInt
+		opFloat
+		opFloats
+		opStr
+		opStrs
+		opBytes
+		opCount
+	)
+	// run applies ops to rd and replays each value read into w.
+	run := func(rd *Reader, ops []byte, w *Writer) {
+		for _, op := range ops {
+			switch op & 7 {
+			case opUvarint:
+				w.Uvarint(rd.Uvarint())
+			case opInt:
+				w.Int(rd.Int())
+			case opFloat:
+				w.Float(rd.Float())
+			case opFloats:
+				w.Floats(rd.Floats())
+			case opStr:
+				w.Str(rd.Str())
+			case opStrs:
+				w.Strs(rd.Strs())
+			case opBytes:
+				w.Bytes(rd.Bytes())
+			case opCount:
+				w.Uvarint(uint64(rd.Count(1 + int(op>>3))))
+			}
+		}
+	}
+
+	var own bytes.Buffer
+	w := NewWriter(&own, magic)
+	w.Uvarint(42)
+	w.Int(-7)
+	w.Float(math.Inf(-1))
+	w.Floats([]float64{1.5, math.NaN(), math.Copysign(0, -1)})
+	w.Str("héllo")
+	w.Strs([]string{"a", "", "bc"})
+	w.Bytes([]byte{9, 8, 7})
+	w.Uvarint(0)
+	if _, err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{opUvarint, opInt, opFloat, opFloats, opStr, opStrs, opBytes, opCount | 9<<3}, own.Bytes()[len(magic):own.Len()-4])
+	for _, count := range []uint64{1 << 62, 1 << 33} {
+		hostile := binary.AppendUvarint(nil, count)
+		for _, op := range []byte{opFloats, opStr, opStrs, opBytes, opCount, opCount | 23<<3} {
+			f.Add([]byte{op}, hostile)
+		}
+	}
+	f.Add([]byte{opUvarint, opInt}, []byte{0x80, 0x00, 0x81, 0x00}) // non-minimal varints
+
+	f.Fuzz(func(t *testing.T, ops, body []byte) {
+		data := binary.LittleEndian.AppendUint32(append([]byte(magic), body...), crc32.ChecksumIEEE(body))
+		if _, err := NewReaderBytes(body, magic); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("unsealed: %v is not ErrCorrupt", err)
+		}
+
+		rd, err := NewReaderBytes(data, magic)
+		if err != nil {
+			t.Fatalf("sealed body rejected: %v", err)
+		}
+		discard := NewWriter(new(bytes.Buffer), magic)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(rd, ops, discard)
+		runtime.ReadMemStats(&after)
+		// A string header per input byte is the densest legitimate case;
+		// the discarding writer's own buffer growth rides on the same bound.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		if err := rd.Close(); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v is not ErrCorrupt", err)
+			}
+			return
+		}
+
+		rd, _ = NewReaderBytes(data, magic)
+		var enc bytes.Buffer
+		w := NewWriter(&enc, magic)
+		run(rd, ops, w)
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), data) && enc.Len() >= len(data) {
+			t.Fatalf("replay differs without being shorter:\n in  %x\n out %x", data, enc.Bytes())
+		}
+	})
+}

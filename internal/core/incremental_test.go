@@ -17,7 +17,7 @@ import (
 // must match exactly.
 func TestIncrementalRefreshMatchesOverlayAndMerge(t *testing.T) {
 	cfg := shardWorldCfg()
-	sw := shardedWorld(t, cfg, 4)
+	wh, sw := shardedWorldIn(t, cfg, 4)
 	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
 	p, err := Fit(src, []WindowSpec{MonthSpec(1, cfg.DaysPerMonth)}, Config{
 		Groups: []features.Group{
@@ -36,7 +36,7 @@ func TestIncrementalRefreshMatchesOverlayAndMerge(t *testing.T) {
 	}
 
 	// Land a batch of streamed events in the durable log.
-	log, err := sw.Warehouse().EventLog()
+	log, err := wh.EventLog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestIncrementalRefreshMatchesOverlayAndMerge(t *testing.T) {
 // columns keep their snapshot values until the next full refresh.
 func TestIncrementalRefreshKeepsGraphSnapshot(t *testing.T) {
 	cfg := shardWorldCfg()
-	sw := shardedWorld(t, cfg, 2)
+	wh, sw := shardedWorldIn(t, cfg, 2)
 	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
 	p, err := Fit(src, []WindowSpec{MonthSpec(1, cfg.DaysPerMonth)}, Config{
 		Groups: []features.Group{features.F1Baseline, features.F4CallGraph},
@@ -158,7 +158,7 @@ func TestIncrementalRefreshKeepsGraphSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, err := sw.Warehouse().EventLog()
+	log, err := wh.EventLog()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,14 @@ func shardWorldCfg() synth.Config {
 // given shard count (1 = plain layout).
 func shardedWorld(t *testing.T, cfg synth.Config, shards int) *store.ShardedWarehouse {
 	t.Helper()
+	_, sw := shardedWorldIn(t, cfg, shards)
+	return sw
+}
+
+// shardedWorldIn is shardedWorld that also hands back the warehouse under
+// the view, for tests that hook its I/O or open its event log.
+func shardedWorldIn(t *testing.T, cfg synth.Config, shards int) (*store.Warehouse, *store.ShardedWarehouse) {
+	t.Helper()
 	wh, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +46,7 @@ func shardedWorld(t *testing.T, cfg synth.Config, shards int) *store.ShardedWare
 	if err := synth.GenerateToShardedWarehouse(cfg, sw); err != nil {
 		t.Fatal(err)
 	}
-	return sw
+	return wh, sw
 }
 
 func coreFramesBitIdentical(t *testing.T, a, b *features.Frame, context string) {
@@ -121,8 +129,9 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 	}
 	landings := []landing{{"memory", memory}}
 	worlds := map[int]*store.ShardedWarehouse{}
+	whs := map[int]*store.Warehouse{}
 	for _, shards := range []int{1, 4, 16} {
-		worlds[shards] = shardedWorld(t, cfg, shards)
+		whs[shards], worlds[shards] = shardedWorldIn(t, cfg, shards)
 		src := NewShardedWarehouseSource(worlds[shards], days)
 		landings = append(landings, landing{fmt.Sprintf("warehouse%d", shards), src})
 	}
@@ -204,7 +213,7 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 	// partitions (graph columns wait for that rebuild, and F9 multiplies
 	// them in). Last, because the merge rewrites the landing.
 	src := NewShardedWarehouseSource(worlds[4], days)
-	log, err := worlds[4].Warehouse().EventLog()
+	log, err := whs[4].EventLog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +269,10 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 // sharded, and every per-shard table read retries under the usual policy.
 func TestShardReadsRetry(t *testing.T) {
 	cfg := shardWorldCfg()
-	sw := shardedWorld(t, cfg, 4)
+	wh, sw := shardedWorldIn(t, cfg, 4)
 	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
 
-	if _, ok := AsSharded(NewWarehouseSource(sw.Warehouse(), cfg.DaysPerMonth)); ok {
+	if _, ok := AsSharded(NewWarehouseSource(wh, cfg.DaysPerMonth)); ok {
 		t.Fatal("plain warehouse source claims to be sharded")
 	}
 
@@ -272,7 +281,7 @@ func TestShardReadsRetry(t *testing.T) {
 	var mu sync.Mutex
 	failures := 3
 	transient := errors.New("transient feed outage")
-	sw.Warehouse().SetHook(func(op store.Op, name string, month int) error {
+	wh.SetHook(func(op store.Op, name string, month int) error {
 		if op != store.OpReadPartition {
 			return nil
 		}
@@ -284,7 +293,7 @@ func TestShardReadsRetry(t *testing.T) {
 		}
 		return nil
 	})
-	defer sw.Warehouse().SetHook(nil)
+	defer wh.SetHook(nil)
 
 	rs := NewRetrySource(src, RetryConfig{
 		MaxAttempts: 5,
@@ -307,7 +316,7 @@ func TestShardReadsRetry(t *testing.T) {
 		t.Fatal("no retries recorded despite injected failures")
 	}
 
-	sw.Warehouse().SetHook(nil)
+	wh.SetHook(nil)
 	clean, _, err := NewFrameBuilder(pcfg).BuildFrameSharded(src, win)
 	if err != nil {
 		t.Fatal(err)

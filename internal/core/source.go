@@ -84,14 +84,10 @@ func NewWarehouseSource(wh *store.Warehouse, daysPerMonth int) Source {
 	return Source{days: daysPerMonth, open: func(int) features.TableReader { return wh }}
 }
 
-// NewShardedWarehouseSource serves a sharded view of an on-disk warehouse:
-// whole-month reads go to the warehouse underneath, shard reads to the
-// view's per-shard readers.
+// NewShardedWarehouseSource serves a sharded view of an on-disk warehouse
+// through the view's readers (shard < 0 reads whole months).
 func NewShardedWarehouseSource(sw *store.ShardedWarehouse, daysPerMonth int) Source {
 	return Source{days: daysPerMonth, shards: sw.Shards(), open: func(shard int) features.TableReader {
-		if shard < 0 {
-			return sw.Warehouse()
-		}
 		return sw.ShardReader(shard)
 	}}
 }

@@ -47,7 +47,7 @@ func DecodeSecondOrder(r *codec.Reader) (*SecondOrderSelector, error) {
 		means:       r.Floats(),
 		stds:        r.Floats(),
 	}
-	n := int(r.Uvarint())
+	n := r.Count(10) // two indices and an 8-byte weight
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

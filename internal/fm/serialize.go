@@ -18,7 +18,7 @@ func (m *Model) Encode(w *codec.Writer) {
 // DecodeModel reads a model written by (*Model).Encode.
 func DecodeModel(r *codec.Reader) (*Model, error) {
 	m := &Model{W0: r.Float(), W: r.Floats()}
-	n := int(r.Uvarint())
+	n := r.Count(1) // a row is at least its own length prefix
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func (b *Binarizer) Encode(w *codec.Writer) {
 
 // DecodeBinarizer reads a binarizer written by (*Binarizer).Encode.
 func DecodeBinarizer(r *codec.Reader) (*Binarizer, error) {
-	n := int(r.Uvarint())
+	n := r.Count(1) // a feature's cuts are at least their own length prefix
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

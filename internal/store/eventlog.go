@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"telcochurn/internal/codec"
 	"telcochurn/internal/table"
 )
 
@@ -35,7 +34,7 @@ import (
 //	<root>/.events/seq=00000002.tev
 //	...
 //
-// Each .tev (telco event segment) file is:
+// Each .tev (telco event segment) file is an internal/codec frame:
 //
 //	magic "TEV1" | uvarint seq | uvarint ntables |
 //	  ntables × (table name | table body) | CRC32
@@ -202,85 +201,57 @@ func (l *EventLog) Append(batch map[string]*table.Table) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq := l.last + 1
-	write := func(f *os.File) error { return writeSegment(f, seq, names, batch) }
 	dst := filepath.Join(l.dir, segName(seq))
-	if err := l.w.runHook(OpAppendEvents, eventsHookName, int(seq)); err != nil {
-		var cr *Crash
-		if errors.As(err, &cr) {
-			return 0, crashingWriteFile(cr, l.dir, dst, write)
-		}
-		return 0, err
-	}
-	if err := l.w.atomicWriteFile(l.dir, dst, write); err != nil {
+	err := l.w.commit(OpAppendEvents, eventsHookName, int(seq), l.dir, dst, func(f io.Writer) error {
+		return writeSegment(f, seq, names, batch)
+	})
+	if err != nil {
 		return 0, err
 	}
 	l.last = seq
 	return seq, nil
 }
 
-func writeSegment(f *os.File, seq uint64, names []string, batch map[string]*table.Table) error {
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := bw.WriteString(eventMagic); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	writeUvarint(cw, seq)
-	writeUvarint(cw, uint64(len(names)))
+func writeSegment(w io.Writer, seq uint64, names []string, batch map[string]*table.Table) error {
+	cw := codec.NewWriter(w, eventMagic)
+	cw.Uvarint(seq)
+	cw.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		writeString(cw, name)
+		cw.Str(name)
 		writeTableBody(cw, batch[name])
 	}
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], cw.crc.Sum32())
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := cw.Close()
+	return err
 }
 
-// readSegment decodes one committed segment.
+// readSegment reads and decodes one committed segment.
 func (l *EventLog) readSegment(seq uint64) ([]string, []*table.Table, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, segName(seq)))
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(data) < len(eventMagic)+4 || string(data[:len(eventMagic)]) != eventMagic {
-		return nil, nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
-	}
-	body := data[len(eventMagic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, nil, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
-	}
-	r := &sliceReader{b: body}
-	gotSeq, err := r.uvarint()
+	return decodeSegment(data, seq)
+}
+
+// decodeSegment decodes the bytes of the segment numbered seq.
+func decodeSegment(data []byte, seq uint64) ([]string, []*table.Table, error) {
+	rd, err := codec.NewReaderBytes(data, eventMagic)
 	if err != nil {
 		return nil, nil, err
 	}
-	if gotSeq != seq {
-		return nil, nil, fmt.Errorf("%w: segment %d claims seq %d", ErrCorrupt, seq, gotSeq)
+	if got := rd.Uvarint(); got != seq {
+		rd.Fail(fmt.Sprintf("segment %d claims seq %d", seq, got))
 	}
 	// A table is at least a name length, a column count and a row count.
-	ntables, err := r.count(3)
-	if err != nil {
-		return nil, nil, err
-	}
+	ntables := rd.Count(3)
 	names := make([]string, 0, ntables)
 	tables := make([]*table.Table, 0, ntables)
-	for i := 0; i < ntables; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, nil, err
-		}
-		t, err := readTableBody(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		names = append(names, name)
-		tables = append(tables, t)
+	for i := 0; i < ntables && rd.Err() == nil; i++ {
+		names = append(names, rd.Str())
+		tables = append(tables, readTableBody(rd))
 	}
-	if r.pos != len(r.b) {
-		return nil, nil, fmt.Errorf("%w: %d trailing segment bytes", ErrCorrupt, len(r.b)-r.pos)
+	if err := rd.Close(); err != nil {
+		return nil, nil, err
 	}
 	return names, tables, nil
 }

@@ -7,22 +7,24 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
+	"telcochurn/internal/codec"
 	"telcochurn/internal/table"
 )
 
 // Sharded warehouse layout. A partition month is stored either as the plain
-// single file ("month=3.tct", the TCPA-era layout every existing warehouse
-// uses) or as a complete set of per-shard files split by
-// table.ShardOf(imsi, N):
+// single file ("month=3.tct", the 1-shard case) or as a complete set of
+// per-shard files split by table.ShardOf(imsi, N):
 //
 //	month=3.shard=0of4.tct ... month=3.shard=3of4.tct
 //
-// Read resolution, everywhere, is: plain file wins; otherwise the largest
-// COMPLETE shard set wins; an incomplete set is an uncommitted write and
-// reads as absent. Writers exploit that order for crash safety — a sharded
+// Read resolution is decided in one place, layout: plain file wins;
+// otherwise the largest COMPLETE shard set wins; an incomplete set is an
+// uncommitted write and reads as absent. Writers exploit that order for
+// crash safety — a sharded
 // rewrite removes the plain file only after its whole set is committed, so
 // at every crash point readers see either the complete old partition or the
 // complete new set, never a mix of layouts and never a torn file.
@@ -73,103 +75,106 @@ func parsePartName(base string) (partInfo, bool) {
 	return partInfo{month: m, shard: s, of: of}, true
 }
 
-// monthLayout is the committed on-disk layout of one partition month.
-type monthLayout struct {
-	plain bool // the plain single file exists
-	of    int  // shard count of the largest complete shard set; 0 if none
-}
-
-func (l monthLayout) committed() bool { return l.plain || l.of > 0 }
-
-// layoutOf scans the table directory and resolves one month's committed
-// layout per the plain-wins / complete-set-wins rule above.
-func (w *Warehouse) layoutOf(name string, month int) (monthLayout, error) {
-	entries, err := os.ReadDir(filepath.Join(w.root, name))
+// layout resolves a table directory, in one scan, to its committed months:
+// month -> the ordered files whose concatenation is that month. One file is
+// the plain layout; N > 1 files are shards 0..N-1 of the winning set. Every
+// reader of "what is on disk for this month" — Months, HasPartition, whole
+// and per-shard reads, the schema probe, block streams, DetectShards —
+// takes its answer from here, so the rule above exists once.
+func (w *Warehouse) layout(name string) (map[int][]string, error) {
+	dir := filepath.Join(w.root, name)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return monthLayout{}, nil
+			return nil, nil
 		}
-		return monthLayout{}, err
+		return nil, err
 	}
-	var lay monthLayout
-	seen := map[int]int{}
+	present := map[[2]int]int{} // (month, shard count) -> files seen
+	wins := map[int]int{}       // month -> shard count of the winning layout
 	for _, e := range entries {
 		p, ok := parsePartName(e.Name())
-		if !ok || p.month != month {
+		if !ok {
 			continue
 		}
-		if p.of == 1 {
-			lay.plain = true
-		} else if seen[p.of]++; seen[p.of] == p.of && p.of > lay.of {
-			lay.of = p.of
+		k := [2]int{p.month, p.of}
+		if present[k]++; present[k] != p.of {
+			continue // set not (yet) complete
 		}
+		if cur := wins[p.month]; p.of == 1 || (cur != 1 && p.of > cur) {
+			wins[p.month] = p.of
+		}
+	}
+	lay := make(map[int][]string, len(wins))
+	for m, of := range wins {
+		files := make([]string, of)
+		for s := range files {
+			files[s] = filepath.Join(dir, partName(m, s, of))
+		}
+		lay[m] = files
 	}
 	return lay, nil
 }
 
-// readMonth loads one committed month whatever its layout: the plain file,
-// or the winning shard set concatenated ascending (the partition's row order
-// is then shard-major, row order preserved within each shard). Unhooked;
-// ReadPartition adds the fault hook and error context.
-func (w *Warehouse) readMonth(name string, month int) (*table.Table, error) {
-	t, err := readTableFile(filepath.Join(w.root, name, partName(month, 0, 1)))
-	if err == nil || !errors.Is(err, fs.ErrNotExist) {
-		return t, err
+// sortedMonths lists a layout's committed months, ascending.
+func sortedMonths(lay map[int][]string) []int {
+	months := make([]int, 0, len(lay))
+	for m := range lay {
+		months = append(months, m)
 	}
-	lay, lerr := w.layoutOf(name, month)
-	if lerr != nil {
-		return nil, lerr
-	}
-	if lay.of == 0 {
-		return nil, err // the plain path's fs.ErrNotExist
-	}
-	var out *table.Table
-	for s := 0; s < lay.of; s++ {
-		st, err := readTableFile(filepath.Join(w.root, name, partName(month, s, lay.of)))
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = st
-			continue
-		}
-		if err := out.AppendTable(st); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	sort.Ints(months)
+	return months
 }
 
-// readTableFile opens and decodes one partition file. Errors pass through
-// unwrapped so callers can test fs.ErrNotExist and add their own context.
-func readTableFile(path string) (*table.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
+// read loads one month's rows for one shard of a shards-way view, or the
+// whole month when shard < 0, whatever layout is committed on disk. A set
+// at the view's own count is read directly — one file, the out-of-core fast
+// path. Anything else is the month's files concatenated in order (so a
+// sharded month reads shard-major, row order preserved within each shard)
+// and, for a shard read, filtered by hash, which keeps plain warehouses and
+// mid-re-shard months readable shard by shard at the cost of a full scan.
+func (w *Warehouse) read(name string, month, shard, shards int) (*table.Table, error) {
+	if shard >= shards {
+		return nil, fmt.Errorf("store: shard %d out of range [0,%d)", shard, shards)
+	}
+	if err := w.runHook(OpReadPartition, name, month); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return readTable(f)
-}
-
-// partitionSchema reads just the schema block from the head of one committed
-// partition — a bounded read, not the whole table — so the write path's
-// schema probe stays cheap at out-of-core scale. The checksum is not
-// verified; corruption is still caught by real reads.
-func (w *Warehouse) partitionSchema(name string, month int) (*table.Schema, error) {
-	lay, err := w.layoutOf(name, month)
-	if err != nil {
-		return nil, err
-	}
-	var base string
+	lay, err := w.layout(name)
+	files := lay[month]
+	var t *table.Table
 	switch {
-	case lay.plain:
-		base = partName(month, 0, 1)
-	case lay.of > 0:
-		base = partName(month, 0, lay.of)
+	case err != nil:
+	case files == nil:
+		return nil, &fs.PathError{Op: "open", Path: filepath.Join(w.root, name, partName(month, 0, 1)), Err: fs.ErrNotExist}
+	case shard >= 0 && shards > 1 && len(files) == shards:
+		t, err = readTableFile(files[shard])
 	default:
-		return nil, fs.ErrNotExist
+		t, err = concat(len(files), func(i int) (*table.Table, error) { return readTableFile(files[i]) })
+		if err == nil && shard >= 0 && shards > 1 {
+			col := t.Col(shardKey)
+			if col == nil || col.Type != table.Int64 {
+				return nil, fmt.Errorf("store: table %q has no BIGINT %q column to shard by", name, shardKey)
+			}
+			t = t.Filter(func(i int) bool { return table.ShardOf(col.Ints[i], shards) == shard })
+		}
 	}
-	f, err := os.Open(filepath.Join(w.root, name, base))
+	switch {
+	case err == nil || errors.Is(err, fs.ErrNotExist):
+		return t, err
+	case shard < 0:
+		return nil, fmt.Errorf("store: read %s month=%d: %w", name, month, err)
+	default:
+		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", name, month, shard, shards, err)
+	}
+}
+
+// partitionSchema reads just the schema block from the head of one partition
+// file — a bounded read, not the whole table — so the write path's schema
+// probe stays cheap at out-of-core scale. The checksum is not verified;
+// corruption is still caught by real reads.
+func partitionSchema(path string) (*table.Schema, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -179,80 +184,53 @@ func (w *Warehouse) partitionSchema(name string, month int) (*table.Schema, erro
 	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 		return nil, err
 	}
-	head = head[:n]
-	if len(head) < len(magic) || string(head[:len(magic)]) != magic {
-		return nil, ErrCorrupt
-	}
-	r := &sliceReader{b: head[len(magic):]}
-	fields, err := readFields(r)
+	rd, err := codec.NewHeadReader(head[:n], magic)
 	if err != nil {
+		return nil, err
+	}
+	fields := readFields(rd)
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	return table.NewSchema(fields...)
 }
 
 // checkPartitionSchema rejects a write whose schema differs from an existing
-// partition's, so a warehouse never holds a table that ReadMonths cannot
-// concatenate.
+// partition's (the first committed month other than the one being written),
+// so a warehouse never holds a table that ReadMonths cannot concatenate.
 func (w *Warehouse) checkPartitionSchema(name string, month int, t *table.Table) error {
-	months, err := w.Months(name)
-	if err != nil || len(months) == 0 {
-		return nil
-	}
-	probe := months[0]
-	if probe == month && len(months) > 1 {
-		probe = months[1]
-	}
-	if probe == month {
-		return nil
-	}
-	existing, err := w.partitionSchema(name, probe)
-	if err == nil && !existing.Equal(t.Schema) {
-		return fmt.Errorf("store: schema mismatch for table %q: partition month=%d has %s, new partition has %s",
-			name, probe, existing, t.Schema)
+	lay, _ := w.layout(name)
+	for _, probe := range sortedMonths(lay) {
+		if probe == month {
+			continue
+		}
+		existing, err := partitionSchema(lay[probe][0])
+		if err == nil && !existing.Equal(t.Schema) {
+			return fmt.Errorf("store: schema mismatch for table %q: partition month=%d has %s, new partition has %s",
+				name, probe, existing, t.Schema)
+		}
+		break
 	}
 	return nil
-}
-
-// removeShardFiles deletes month's shard-layout files except a kept set of
-// keepOf shards (0 keeps none). Called after a layout-changing rewrite so
-// the superseded layout stops shadowing per-shard reads; removal failures
-// are ignored — a leftover file loses to the plain-wins resolution rule.
-func (w *Warehouse) removeShardFiles(name string, month, keepOf int) {
-	entries, err := os.ReadDir(filepath.Join(w.root, name))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		p, ok := parsePartName(e.Name())
-		if ok && p.month == month && p.of > 1 && p.of != keepOf {
-			os.Remove(filepath.Join(w.root, name, e.Name()))
-		}
-	}
 }
 
 // DetectShards reports the shard count of the named table's newest committed
 // month — 1 for the plain layout or an empty table — so tools can open a
 // warehouse at the shard count it was written with.
 func (w *Warehouse) DetectShards(name string) (int, error) {
-	months, err := w.Months(name)
-	if err != nil || len(months) == 0 {
+	lay, err := w.layout(name)
+	if err != nil || len(lay) == 0 {
 		return 1, err
 	}
-	lay, err := w.layoutOf(name, months[len(months)-1])
-	if err != nil {
-		return 1, err
-	}
-	if !lay.plain && lay.of > 1 {
-		return lay.of, nil
-	}
-	return 1, nil
+	months := sortedMonths(lay)
+	return len(lay[months[len(months)-1]]), nil
 }
 
 // ShardedWarehouse is a fixed-shard-count view of a warehouse: writes split
 // every table by hash of the imsi column into per-shard partition files, and
 // ReadShard serves one slice of a month whatever layout is on disk. A
-// 1-shard view writes the plain layout, bit-identical to a legacy warehouse.
+// 1-shard view writes the plain layout; Warehouse.WritePartition is exactly
+// that.
 type ShardedWarehouse struct {
 	w      *Warehouse
 	shards int
@@ -266,143 +244,97 @@ func (w *Warehouse) Sharded(shards int) (*ShardedWarehouse, error) {
 	return &ShardedWarehouse{w: w, shards: shards}, nil
 }
 
-// Warehouse returns the underlying warehouse.
-func (sw *ShardedWarehouse) Warehouse() *Warehouse { return sw.w }
-
 // Shards returns the view's shard count.
 func (sw *ShardedWarehouse) Shards() int { return sw.shards }
 
 // WritePartition stores t as partition month of the named table, split into
-// per-shard files by hash of the imsi column. Each shard file commits
-// atomically (temp + rename) through the same fault-hook seam as a plain
-// write; superseded layouts are removed only after the full set is
-// committed. Rewriting an existing month at the same shard count is atomic
-// per shard file, not across the set — run re-shards against quiesced
-// months.
+// per-shard files by hash of the imsi column (one plain file at one shard).
+// Each file commits atomically (temp + rename) through the fault-hook seam;
+// superseded layouts are removed only after the full set is committed.
+// Rewriting an existing month at the same shard count is atomic per shard
+// file, not across the set — run re-shards against quiesced months. All
+// partitions of a table must share a schema: a write whose schema differs
+// from an existing partition's is rejected, so a warehouse can never hold a
+// table that ReadMonths cannot concatenate.
 func (sw *ShardedWarehouse) WritePartition(name string, month int, t *table.Table) error {
-	if sw.shards == 1 {
-		return sw.w.WritePartition(name, month, t)
-	}
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("store: refusing to write invalid table: %w", err)
 	}
-	ki := t.Schema.Index(shardKey)
-	if ki < 0 || t.Schema.Fields[ki].Type != table.Int64 {
-		return fmt.Errorf("store: sharded write of %q needs a BIGINT %q column", name, shardKey)
+	var idx [][]int
+	if sw.shards > 1 {
+		ki := t.Schema.Index(shardKey)
+		if ki < 0 || t.Schema.Fields[ki].Type != table.Int64 {
+			return fmt.Errorf("store: sharded write of %q needs a BIGINT %q column", name, shardKey)
+		}
+		idx = make([][]int, sw.shards)
+		for i, k := range t.Cols[ki].Ints {
+			s := table.ShardOf(k, sw.shards)
+			idx[s] = append(idx[s], i)
+		}
 	}
 	if err := sw.w.checkPartitionSchema(name, month, t); err != nil {
 		return err
-	}
-	keys := t.Cols[ki].Ints
-	idx := make([][]int, sw.shards)
-	for i, k := range keys {
-		s := table.ShardOf(k, sw.shards)
-		idx[s] = append(idx[s], i)
 	}
 	dir := filepath.Join(sw.w.root, name)
 	for s := 0; s < sw.shards; s++ {
 		// One shard slice is materialized at a time, so the write path's
 		// peak memory is the input table plus 1/N of it.
-		part := t.Take(idx[s])
-		dst := filepath.Join(dir, partName(month, s, sw.shards))
-		if err := sw.w.runHook(OpWritePartition, name, month); err != nil {
-			var cr *Crash
-			if errors.As(err, &cr) {
-				return sw.w.crashingWrite(cr, dir, dst, part)
-			}
-			return err
+		part := t
+		if idx != nil {
+			part = t.Take(idx[s])
 		}
-		if err := sw.w.atomicWrite(dir, dst, part); err != nil {
+		dst := filepath.Join(dir, partName(month, s, sw.shards))
+		if err := sw.w.commit(OpWritePartition, name, month, dir, dst, func(f io.Writer) error { return writeTable(f, part) }); err != nil {
 			return err
 		}
 	}
-	// Commit point for layout changes: drop the plain file and any
-	// different-count shard sets now that the new set is complete.
-	os.Remove(filepath.Join(dir, partName(month, 0, 1)))
-	sw.w.removeShardFiles(name, month, sw.shards)
+	// Commit point for layout changes: now that the new layout is complete,
+	// drop the plain file it replaces (a plain write just committed its own)
+	// and every shard set of another count, so a superseded layout stops
+	// shadowing per-shard reads. Removal failures are ignored — a leftover
+	// file loses to the resolution rule.
+	if sw.shards > 1 {
+		os.Remove(filepath.Join(dir, partName(month, 0, 1)))
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if p, ok := parsePartName(e.Name()); ok && p.month == month && p.of > 1 && p.of != sw.shards {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 	return nil
 }
 
-// ReadShard loads shard's slice of one month. A committed shard set at the
-// view's own count is read directly — one file, the out-of-core fast path.
-// Plain or different-count layouts are read whole and filtered by hash,
-// which keeps legacy warehouses and mid-re-shard months readable shard by
-// shard at the cost of a full partition scan.
+// ReadShard loads shard's slice of one month (see Warehouse.read for how
+// each on-disk layout is served).
 func (sw *ShardedWarehouse) ReadShard(name string, month, shard int) (*table.Table, error) {
-	if shard < 0 || shard >= sw.shards {
+	if shard < 0 {
 		return nil, fmt.Errorf("store: shard %d out of range [0,%d)", shard, sw.shards)
 	}
-	if err := sw.w.runHook(OpReadPartition, name, month); err != nil {
-		return nil, err
-	}
-	t, err := sw.readShard(name, month, shard)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", name, month, shard, sw.shards, err)
-	}
-	return t, nil
+	return sw.w.read(name, month, shard, sw.shards)
 }
 
-func (sw *ShardedWarehouse) readShard(name string, month, shard int) (*table.Table, error) {
-	lay, err := sw.w.layoutOf(name, month)
-	if err != nil {
-		return nil, err
-	}
-	if !lay.plain && lay.of == sw.shards && sw.shards > 1 {
-		return readTableFile(filepath.Join(sw.w.root, name, partName(month, shard, sw.shards)))
-	}
-	whole, err := sw.w.readMonth(name, month)
-	if err != nil {
-		return nil, err
-	}
-	if sw.shards == 1 {
-		return whole, nil
-	}
-	col := whole.Col(shardKey)
-	if col == nil || col.Type != table.Int64 {
-		return nil, fmt.Errorf("store: table %q has no BIGINT %q column to shard by", name, shardKey)
-	}
-	keys := col.Ints
-	return whole.Filter(func(i int) bool { return table.ShardOf(keys[i], sw.shards) == shard }), nil
-}
-
-// ShardReader is a features.TableReader view of a single shard: ReadMonths
-// returns only that shard's rows of each table. core.RetrySource, fault
-// injection and degraded-mode loading compose over it exactly as over a
-// whole warehouse.
+// ShardReader is a features.TableReader over a warehouse: ReadMonths
+// returns one shard's rows of each table, or whole months when the shard is
+// negative (which is also what Warehouse.ReadMonths is). core.RetrySource,
+// fault injection and degraded-mode loading compose over it the same way
+// either side of that line.
 type ShardReader struct {
-	sw    *ShardedWarehouse
-	shard int
+	w      *Warehouse
+	shard  int
+	shards int
 }
 
-// ShardReader returns the reader for one shard of the view.
+// ShardReader returns the reader for one shard of the view; shard < 0 reads
+// whole months.
 func (sw *ShardedWarehouse) ShardReader(shard int) *ShardReader {
-	return &ShardReader{sw: sw, shard: shard}
+	return &ShardReader{w: sw.w, shard: shard, shards: sw.shards}
 }
 
-// Shard reports which slice this reader serves.
-func (r *ShardReader) Shard() int { return r.shard }
-
-// ReadMonths reads the shard's slice of the given partitions, concatenated
+// ReadMonths reads the reader's slice of the given partitions, concatenated
 // in month order.
 func (r *ShardReader) ReadMonths(name string, months []int) (*table.Table, error) {
-	var out *table.Table
-	for _, m := range months {
-		t, err := r.sw.ReadShard(name, m, r.shard)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = t
-			continue
-		}
-		if err := out.AppendTable(t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return concat(len(months), func(i int) (*table.Table, error) { return r.w.read(name, months[i], r.shard, r.shards) })
 }
 
 // Block is one stored chunk of a table: the rows of a single partition file,
@@ -422,36 +354,34 @@ type Block struct {
 type BlockReader struct {
 	w    *Warehouse
 	name string
-	refs []partInfo
+	refs []blockRef
 	next int
+}
+
+// blockRef is a block still on disk: its grid position and its file.
+type blockRef struct {
+	Block
+	path string
 }
 
 // OpenBlocks opens a block stream over the given months of a table (nil
 // months = every committed month, ascending). A requested month with no
 // committed layout fails with fs.ErrNotExist.
 func (w *Warehouse) OpenBlocks(name string, months []int) (*BlockReader, error) {
+	lay, err := w.layout(name)
+	if err != nil {
+		return nil, err
+	}
 	if months == nil {
-		var err error
-		months, err = w.Months(name)
-		if err != nil {
-			return nil, err
-		}
+		months = sortedMonths(lay)
 	}
 	br := &BlockReader{w: w, name: name}
 	for _, m := range months {
-		lay, err := w.layoutOf(name, m)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case lay.plain:
-			br.refs = append(br.refs, partInfo{month: m, shard: 0, of: 1})
-		case lay.of > 0:
-			for s := 0; s < lay.of; s++ {
-				br.refs = append(br.refs, partInfo{month: m, shard: s, of: lay.of})
-			}
-		default:
+		if lay[m] == nil {
 			return nil, fmt.Errorf("store: open blocks %s month=%d: %w", name, m, fs.ErrNotExist)
+		}
+		for s, path := range lay[m] {
+			br.refs = append(br.refs, blockRef{Block{Month: m, Shard: s, Shards: len(lay[m])}, path})
 		}
 	}
 	return br, nil
@@ -465,12 +395,12 @@ func (br *BlockReader) Next() (*Block, error) {
 	}
 	ref := br.refs[br.next]
 	br.next++
-	if err := br.w.runHook(OpReadPartition, br.name, ref.month); err != nil {
+	if err := br.w.runHook(OpReadPartition, br.name, ref.Month); err != nil {
 		return nil, err
 	}
-	t, err := readTableFile(filepath.Join(br.w.root, br.name, partName(ref.month, ref.shard, ref.of)))
-	if err != nil {
-		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", br.name, ref.month, ref.shard, ref.of, err)
+	var err error
+	if ref.Table, err = readTableFile(ref.path); err != nil {
+		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", br.name, ref.Month, ref.Shard, ref.Shards, err)
 	}
-	return &Block{Month: ref.month, Shard: ref.shard, Shards: ref.of, Table: t}, nil
+	return &ref.Block, nil
 }

@@ -1,8 +1,8 @@
 package store
 
 import (
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,14 +54,8 @@ func (w *Warehouse) StageDay(name string, month, day int, t *table.Table) error 
 		}
 		break // one probe suffices; staged days are mutually consistent
 	}
-	if err := w.runHook(OpStageDay, name, month); err != nil {
-		var cr *Crash
-		if errors.As(err, &cr) {
-			return w.crashingWrite(cr, w.stagingDir(name, month), w.stagedDayPath(name, month, day), t)
-		}
-		return err
-	}
-	return w.atomicWrite(w.stagingDir(name, month), w.stagedDayPath(name, month, day), t)
+	return w.commit(OpStageDay, name, month, w.stagingDir(name, month), w.stagedDayPath(name, month, day),
+		func(f io.Writer) error { return writeTable(f, t) })
 }
 
 // StagedDays lists the staged days of a month, ascending.
@@ -93,12 +87,7 @@ func (w *Warehouse) readStagedDay(name string, month, day int) (*table.Table, er
 	if err := w.runHook(OpReadStagedDay, name, month); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(w.stagedDayPath(name, month, day))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, err := readTable(f)
+	t, err := readTableFile(w.stagedDayPath(name, month, day))
 	if err != nil {
 		return nil, fmt.Errorf("store: read staged %s month=%d day=%d: %w", name, month, day, err)
 	}
@@ -118,19 +107,9 @@ func (w *Warehouse) CompactMonth(name string, month int) error {
 	if len(days) == 0 {
 		return fmt.Errorf("store: no staged days for %q month=%d", name, month)
 	}
-	var out *table.Table
-	for _, d := range days {
-		t, err := w.readStagedDay(name, month, d)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			out = t
-			continue
-		}
-		if err := out.AppendTable(t); err != nil {
-			return fmt.Errorf("store: compact %q month=%d day=%d: %w", name, month, d, err)
-		}
+	out, err := concat(len(days), func(i int) (*table.Table, error) { return w.readStagedDay(name, month, days[i]) })
+	if err != nil {
+		return fmt.Errorf("store: compact %q month=%d: %w", name, month, err)
 	}
 	if err := w.WritePartition(name, month, out); err != nil {
 		return err

@@ -6,40 +6,43 @@
 //
 // Layout:
 //
-//	<root>/<tableName>/month=<n>.tct                  (plain, single shard)
+//	<root>/<tableName>/month=<n>.tct                  (plain: the 1-shard case)
 //	<root>/<tableName>/month=<n>.shard=<s>of<N>.tct   (hash-sharded, see sharded.go)
 //
-// Each .tct (telco columnar table) file is:
+// Format: every file is an internal/codec frame — an ASCII magic, a body of
+// varints, 8-byte little-endian floats and length-prefixed strings, and a
+// trailing CRC32 of the body — written through codec.Writer and decoded
+// through codec.Reader, which bounds every stored count by the bytes behind
+// it. A .tct (telco columnar table) body is
 //
-//	magic "TCT1" | schema block | row count | per-column data blocks
+//	schema block | row count | per-column data blocks
 //
-// Integers use varint encoding; floats are fixed 8-byte little endian;
-// strings are length-prefixed. A CRC32 of everything after the magic is
-// appended so corrupt files are detected on read.
+// and an event-log segment (eventlog.go) packs several such bodies into one
+// frame. Every file reaches disk through one function, commit.
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"io/fs"
-	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
+	"telcochurn/internal/codec"
 	"telcochurn/internal/table"
 )
 
 const magic = "TCT1"
 
 // ErrCorrupt is returned when a file fails checksum or structural checks.
-var ErrCorrupt = errors.New("store: corrupt table file")
+// It is codec's sentinel, so errors.Is matches whichever layer found the
+// damage.
+var ErrCorrupt = codec.ErrCorrupt
+
+// ErrNoMonths is returned by ReadMonths for an empty month list: there is
+// no table, not even an empty one, to hand back.
+var ErrNoMonths = errors.New("store: no months to read")
 
 // Op identifies a warehouse I/O operation for fault hooks.
 type Op string
@@ -132,52 +135,25 @@ func Open(dir string) (*Warehouse, error) {
 // Root returns the warehouse directory.
 func (w *Warehouse) Root() string { return w.root }
 
-func (w *Warehouse) partitionPath(name string, month int) string {
-	return filepath.Join(w.root, name, fmt.Sprintf("month=%d.tct", month))
-}
-
-// WritePartition stores t as partition month of the named table, replacing
-// any existing partition atomically (write temp + rename). All partitions
-// of a table must share a schema: a write whose schema differs from an
-// existing partition's is rejected, so a warehouse can never hold a table
-// that ReadMonths cannot concatenate.
-func (w *Warehouse) WritePartition(name string, month int, t *table.Table) error {
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("store: refusing to write invalid table: %w", err)
-	}
-	if err := w.checkPartitionSchema(name, month, t); err != nil {
+// commit is the warehouse's one write protocol — partitions, staged days
+// and event-log segments all land through it: run the fault hook, write a
+// temp file in the destination directory, then rename it over dst. A reader
+// can therefore only ever observe the complete old file, the complete new
+// file, or no file — never a torn mix (rename within one directory is
+// atomic on POSIX filesystems). The warehouse SyncPolicy decides whether
+// the commit also survives power loss: in always mode the temp file is
+// fsynced before the rename and the directory after it; in interval mode
+// the pair is queued for the next SyncNow flush.
+//
+// A *Crash from the hook simulates the process dying at cr.Point instead,
+// leaving the filesystem exactly as a real crash would — a torn or complete
+// temp file that no reader ever opens, or (after-rename) the committed new
+// file, never fsynced — and is returned so callers observe the "crash".
+func (w *Warehouse) commit(op Op, name string, month int, dir, dst string, write func(io.Writer) error) error {
+	var cr *Crash
+	if err := w.runHook(op, name, month); err != nil && !errors.As(err, &cr) {
 		return err
 	}
-	if err := w.runHook(OpWritePartition, name, month); err != nil {
-		var cr *Crash
-		if errors.As(err, &cr) {
-			return w.crashingWrite(cr, filepath.Join(w.root, name), w.partitionPath(name, month), t)
-		}
-		return err
-	}
-	if err := w.atomicWrite(filepath.Join(w.root, name), w.partitionPath(name, month), t); err != nil {
-		return err
-	}
-	// The plain file now wins every read; drop shard sets it supersedes.
-	w.removeShardFiles(name, month, 0)
-	return nil
-}
-
-// atomicWrite is the warehouse commit protocol for tables: write a temp
-// file in the destination directory, then rename over the target.
-func (w *Warehouse) atomicWrite(dir, dst string, t *table.Table) error {
-	return w.atomicWriteFile(dir, dst, func(f *os.File) error { return writeTable(f, t) })
-}
-
-// atomicWriteFile is the generic commit protocol: write a temp file in the
-// destination directory via the callback, then rename over the target. A
-// reader can therefore only ever observe the complete old file, the
-// complete new file, or no file — never a torn mix (rename within one
-// directory is atomic on POSIX filesystems). The warehouse SyncPolicy
-// decides whether the commit also survives power loss: in always mode the
-// temp file is fsynced before the rename and the directory after it; in
-// interval mode the pair is queued for the next SyncNow flush.
-func (w *Warehouse) atomicWriteFile(dir, dst string, write func(*os.File) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -185,66 +161,42 @@ func (w *Warehouse) atomicWriteFile(dir, dst string, write func(*os.File) error)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if w.sync.Mode == SyncAlways {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return err
+	err = write(tmp)
+	if cr != nil && (err != nil || cr.Point != CrashAfterRename) {
+		if err == nil && cr.Point == CrashMidWrite {
+			// Tear the temp file in half, as a crash between write syscalls
+			// would. It must stay invisible to every read path.
+			if info, serr := tmp.Stat(); serr == nil {
+				tmp.Truncate(info.Size() / 2)
+			}
 		}
+		tmp.Close()
+		return cr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil && cr == nil && w.sync.Mode == SyncAlways {
+		err = tmp.Sync()
 	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if cr != nil {
+		return cr // died just after the commit, before any directory fsync
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
 	return w.commitSync(dir, dst)
 }
 
-// crashingWrite simulates a process dying at cr.Point during atomicWrite,
-// leaving the filesystem exactly as a real crash would: a torn or complete
-// temp file that no reader ever opens, or (after-rename) the committed new
-// partition. It always returns cr so callers observe the "crash".
-func (w *Warehouse) crashingWrite(cr *Crash, dir, dst string, t *table.Table) error {
-	return crashingWriteFile(cr, dir, dst, func(f *os.File) error { return writeTable(f, t) })
-}
-
-// crashingWriteFile is crashingWrite for arbitrary file contents (partition
-// tables and event-log segments share it).
-func crashingWriteFile(cr *Crash, dir, dst string, write func(*os.File) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return cr
-	}
-	if cr.Point == CrashMidWrite {
-		// Tear the temp file in half, as a crash between write syscalls
-		// would. It must stay invisible to every read path.
-		if info, err := tmp.Stat(); err == nil {
-			tmp.Truncate(info.Size() / 2)
-		}
-		tmp.Close()
-		return cr
-	}
-	tmp.Close()
-	if cr.Point == CrashAfterRename {
-		os.Rename(tmp.Name(), dst)
-	}
-	return cr
+// WritePartition stores t as partition month of the named table in the
+// plain single-file layout, replacing any existing partition atomically. It
+// is the 1-shard case of ShardedWarehouse.WritePartition.
+func (w *Warehouse) WritePartition(name string, month int, t *table.Table) error {
+	return (&ShardedWarehouse{w: w, shards: 1}).WritePartition(name, month, t)
 }
 
 // ReadPartition loads partition month of the named table, whatever its
@@ -252,70 +204,25 @@ func crashingWriteFile(cr *Crash, dir, dst string, write func(*os.File) error) e
 // concatenated in ascending shard order (see sharded.go for the resolution
 // rule).
 func (w *Warehouse) ReadPartition(name string, month int) (*table.Table, error) {
-	if err := w.runHook(OpReadPartition, name, month); err != nil {
-		return nil, err
-	}
-	t, err := w.readMonth(name, month)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("store: read %s month=%d: %w", name, month, err)
-	}
-	return t, nil
+	return w.read(name, month, -1, 1)
 }
 
 // HasPartition reports whether the partition has a committed layout — a
 // plain file or a complete shard set.
 func (w *Warehouse) HasPartition(name string, month int) bool {
-	lay, err := w.layoutOf(name, month)
-	return err == nil && lay.committed()
+	lay, err := w.layout(name)
+	return err == nil && lay[month] != nil
 }
 
 // Months lists the committed partition months for the named table,
 // ascending. A month counts whether it is stored plain or as a complete
 // shard set; an incomplete shard set is an uncommitted write and is skipped.
 func (w *Warehouse) Months(name string) ([]int, error) {
-	entries, err := os.ReadDir(filepath.Join(w.root, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+	lay, err := w.layout(name)
+	if err != nil || len(lay) == 0 {
 		return nil, err
 	}
-	plain := map[int]bool{}
-	sets := map[int]map[int]int{} // month -> shard count -> files present
-	for _, e := range entries {
-		p, ok := parsePartName(e.Name())
-		if !ok {
-			continue
-		}
-		if p.of == 1 {
-			plain[p.month] = true
-		} else {
-			if sets[p.month] == nil {
-				sets[p.month] = map[int]int{}
-			}
-			sets[p.month][p.of]++
-		}
-	}
-	var months []int
-	for m := range plain {
-		months = append(months, m)
-	}
-	for m, byOf := range sets {
-		if plain[m] {
-			continue
-		}
-		for of, n := range byOf {
-			if n == of {
-				months = append(months, m)
-				break
-			}
-		}
-	}
-	sort.Ints(months)
-	return months, nil
+	return sortedMonths(lay), nil
 }
 
 // Tables lists table names present in the warehouse. Dot-prefixed
@@ -339,257 +246,141 @@ func (w *Warehouse) Tables() ([]string, error) {
 // ReadMonths reads and concatenates the given partitions of a table, in the
 // given order. All partitions must share a schema.
 func (w *Warehouse) ReadMonths(name string, months []int) (*table.Table, error) {
-	var out *table.Table
-	for _, m := range months {
-		t, err := w.ReadPartition(name, m)
-		if err != nil {
-			return nil, err
+	return (&ShardReader{w: w, shard: -1, shards: 1}).ReadMonths(name, months)
+}
+
+// concat reads n parts in order and appends them into one table, reusing
+// the first part's storage. It is the only place the store joins tables:
+// months of a window, shard files of a month, staged days of a month.
+func concat(n int, read func(i int) (*table.Table, error)) (*table.Table, error) {
+	if n == 0 {
+		return nil, ErrNoMonths
+	}
+	out, err := read(0)
+	for i := 1; i < n && err == nil; i++ {
+		var t *table.Table
+		if t, err = read(i); err == nil {
+			err = out.AppendTable(t)
 		}
-		if out == nil {
-			out = t
-			continue
-		}
-		if err := out.AppendTable(t); err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ---- binary encoding ----
 
-type crcWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc.Write(p)
-	return cw.w.Write(p)
-}
-
-func writeTable(f *os.File, t *table.Table) error {
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
+// writeTable frames one table as a .tct file.
+func writeTable(w io.Writer, t *table.Table) error {
+	cw := codec.NewWriter(w, magic)
 	writeTableBody(cw, t)
-
-	// Trailing CRC of everything after the magic.
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], cw.crc.Sum32())
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := cw.Close()
+	return err
 }
 
 // writeTableBody encodes the schema block, row count and column blocks —
 // the framing-free middle of a .tct file. Partition files wrap one body in
 // magic + CRC; event-log segments pack several bodies into one frame.
-func writeTableBody(w io.Writer, t *table.Table) {
-	writeUvarint(w, uint64(t.Schema.Len()))
+func writeTableBody(cw *codec.Writer, t *table.Table) {
+	cw.Uvarint(uint64(t.Schema.Len()))
 	for _, field := range t.Schema.Fields {
-		writeString(w, field.Name)
-		writeUvarint(w, uint64(field.Type))
+		cw.Str(field.Name)
+		cw.Uvarint(uint64(field.Type))
 	}
-	writeUvarint(w, uint64(t.NumRows()))
-
-	var scratch [8]byte
+	cw.Uvarint(uint64(t.NumRows()))
 	for _, col := range t.Cols {
 		switch col.Type {
 		case table.Int64:
 			for _, v := range col.Ints {
-				writeVarint(w, v)
+				cw.Int(v)
 			}
 		case table.Float64:
 			for _, v := range col.Floats {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-				w.Write(scratch[:])
+				cw.Float(v)
 			}
 		case table.String:
 			for _, v := range col.Strings {
-				writeString(w, v)
+				cw.Str(v)
 			}
 		}
 	}
 }
 
-func readTable(f *os.File) (*table.Table, error) {
-	data, err := io.ReadAll(bufio.NewReaderSize(f, 1<<16))
+// readTableFile reads and decodes one .tct file. An open failure passes
+// through unwrapped so callers can test fs.ErrNotExist and add their own
+// context.
+func readTableFile(path string) (*table.Table, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, ErrCorrupt
-	}
-	body := data[len(magic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
+	return readTable(data)
+}
 
-	r := &sliceReader{b: body}
-	t, err := readTableBody(r)
+// readTable decodes the bytes of one .tct file.
+func readTable(data []byte) (*table.Table, error) {
+	rd, err := codec.NewReaderBytes(data, magic)
 	if err != nil {
 		return nil, err
 	}
-	if r.pos != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b)-r.pos)
+	t := readTableBody(rd)
+	if err := rd.Close(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // readTableBody decodes one schema + rows + columns body from the reader's
-// current position, the inverse of writeTableBody.
-func readTableBody(r *sliceReader) (*table.Table, error) {
-	fields, err := readFields(r)
+// current position, the inverse of writeTableBody. A failure is recorded on
+// rd (and the returned table is then not to be used).
+func readTableBody(rd *codec.Reader) *table.Table {
+	schema, err := table.NewSchema(readFields(rd)...)
 	if err != nil {
-		return nil, err
-	}
-	schema, err := table.NewSchema(fields...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		rd.Fail(err.Error())
+		return nil
 	}
 	// Every value takes at least one byte, so a row takes one per column.
-	nrows, err := r.count(max(len(fields), 1))
-	if err != nil {
-		return nil, err
+	nrows := rd.Count(max(schema.Len(), 1))
+	if nrows > 0 && schema.Len() == 0 {
+		rd.Fail("rows without columns")
 	}
-
+	if rd.Err() != nil {
+		return nil
+	}
 	t := table.NewTable(schema)
 	for _, col := range t.Cols {
 		switch col.Type {
 		case table.Int64:
 			col.Ints = make([]int64, nrows)
-			for i := 0; i < nrows; i++ {
-				v, err := r.varint()
-				if err != nil {
-					return nil, err
-				}
-				col.Ints[i] = v
+			for i := range col.Ints {
+				col.Ints[i] = rd.Int()
 			}
 		case table.Float64:
 			col.Floats = make([]float64, nrows)
-			for i := 0; i < nrows; i++ {
-				raw, err := r.bytes(8)
-				if err != nil {
-					return nil, err
-				}
-				col.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			for i := range col.Floats {
+				col.Floats[i] = rd.Float()
 			}
 		case table.String:
 			col.Strings = make([]string, nrows)
-			for i := 0; i < nrows; i++ {
-				s, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				col.Strings[i] = s
+			for i := range col.Strings {
+				col.Strings[i] = rd.Str()
 			}
 		}
 	}
-	return t, nil
+	return t
 }
 
 // readFields decodes a body's leading column list: a count, then a name
 // and a type per column (at least two bytes each).
-func readFields(r *sliceReader) ([]table.Field, error) {
-	ncols, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	fields := make([]table.Field, ncols)
+func readFields(rd *codec.Reader) []table.Field {
+	fields := make([]table.Field, rd.Count(2))
 	for i := range fields {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		name, typ := rd.Str(), rd.Uvarint()
 		if typ > uint64(table.String) {
-			return nil, fmt.Errorf("%w: bad column type %d", ErrCorrupt, typ)
+			rd.Fail(fmt.Sprintf("bad column type %d", typ))
 		}
 		fields[i] = table.Field{Name: name, Type: table.ColType(typ)}
 	}
-	return fields, nil
-}
-
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w io.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w io.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-type sliceReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *sliceReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *sliceReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	r.pos += n
-	return v, nil
-}
-
-// count reads the stored number of items that each occupy at least perItem
-// bytes and rejects one the remaining input cannot hold: on-disk counts
-// size allocations, and a checksum only proves the writer wrote them, not
-// that they are sane.
-func (r *sliceReader) count(perItem int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64((len(r.b)-r.pos)/perItem) {
-		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorrupt, n, len(r.b)-r.pos)
-	}
-	return int(n), nil
-}
-
-func (r *sliceReader) bytes(n int) ([]byte, error) {
-	if n > len(r.b)-r.pos {
-		return nil, fmt.Errorf("%w: truncated", ErrCorrupt)
-	}
-	b := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *sliceReader) str() (string, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return fields
 }

@@ -271,7 +271,7 @@ func TestCorruptCountsRejected(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(wh.Root(), "calls"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(wh.partitionPath("calls", 1), seal(magic, tc.body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(wh.Root(), "calls", partName(1, 0, 1)), seal(magic, tc.body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			log, err := wh.EventLog()
@@ -318,5 +318,19 @@ func TestCorruptCountsRejected(t *testing.T) {
 	}
 	if _, _, err := log.readSegment(1); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ntables 1<<62: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadMonthsRejectsEmptyMonthList: no months is an error, not a nil
+// table with a nil error, for the whole-warehouse reader and a shard's.
+func TestReadMonthsRejectsEmptyMonthList(t *testing.T) {
+	wh := openTemp(t)
+	sw, _ := wh.Sharded(4)
+	for _, r := range []interface {
+		ReadMonths(string, []int) (*table.Table, error)
+	}{wh, sw.ShardReader(2), sw.ShardReader(-1)} {
+		if tb, err := r.ReadMonths("calls", nil); tb != nil || !errors.Is(err, ErrNoMonths) {
+			t.Errorf("%T.ReadMonths(nil) = %v, %v; want ErrNoMonths", r, tb, err)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func Decode(r *codec.Reader) (*Model, error) {
 	for i, word := range vocab {
 		m.vocabIndex[word] = i
 	}
-	k := int(r.Uvarint())
+	k := r.Count(1) // a Phi row is at least its own length prefix
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

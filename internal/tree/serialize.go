@@ -81,9 +81,11 @@ func ReadForest(r io.Reader) (*Forest, error) {
 	}
 	f.features = rd.Strs()
 	f.importance = rd.Floats()
-	nTrees := int(rd.Uvarint())
-	if nTrees > 1<<20 {
-		return nil, fmt.Errorf("%w: tree count %d", ErrBadModel, nTrees)
+	// A tree is at least an importance length and a leaf: tag, n and one
+	// probability per class.
+	nTrees := rd.Count(3 + 8*f.numClasses)
+	if err := rd.Err(); err != nil {
+		return nil, badModel(err)
 	}
 	f.trees = make([]*Tree, nTrees)
 	for t := range f.trees {
@@ -176,9 +178,9 @@ func ReadGBDT(r io.Reader) (*GBDT, error) {
 		return nil, badModel(err)
 	}
 	g := &GBDT{bias: rd.Float(), lr: rd.Float()}
-	nTrees := int(rd.Uvarint())
-	if nTrees > 1<<20 {
-		return nil, fmt.Errorf("%w: tree count %d", ErrBadModel, nTrees)
+	nTrees := rd.Count(10) // a tree is at least a leaf: tag, n, value
+	if err := rd.Err(); err != nil {
+		return nil, badModel(err)
 	}
 	g.trees = make([]*RegressionTree, nTrees)
 	for t := range g.trees {
