@@ -53,13 +53,17 @@ bench-profile:
 
 # Fault-schedule property tests under the race detector: seeded chaos over
 # the storage/source/assembly/serving resilience stack (see DESIGN.md §11),
-# then a time-boxed run of each decoder fuzz target (their seeds already ran
-# as ordinary tests; a failing input lands in the package's testdata/fuzz/).
+# then the whole feature / topic / graph packages (the overlapped frame
+# build, chunked co-occurrence finalize and parallel topic fold-in at several
+# shard and worker counts), then a time-boxed run of each decoder fuzz target
+# (their seeds already ran as ordinary tests; a failing input lands in the
+# package's testdata/fuzz/).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|GraphFold|FrameIdenticalAcross|Unfitted' \
-		./internal/faults/ ./internal/store/ ./internal/codec/ ./internal/features/ \
+		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|FrameIdenticalAcross|Unfitted' \
+		./internal/faults/ ./internal/store/ ./internal/codec/ \
 		./internal/core/ ./internal/serve/ ./cmd/churnd/
+	$(GO) test -race -count=1 ./internal/features/ ./internal/topic/ ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/codec/

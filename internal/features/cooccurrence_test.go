@@ -41,7 +41,7 @@ func TestCooccurrenceEdgeWeights(t *testing.T) {
 		{b, 2, 1, 0, 7},
 	})
 	win := MonthWindow(1, 30)
-	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, win, 30, synth.IsCustomerID)[2]
+	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, win, 30, synth.IsCustomerID, 0)[2]
 
 	if got := g.EdgeWeight(a, b); got != 2 {
 		t.Errorf("w(a,b) = %g, want 2 (two shared cubes, duplicate fix deduped)", got)
@@ -61,7 +61,7 @@ func TestCooccurrenceExcludesNonCustomers(t *testing.T) {
 		{a, 1, 1, 0, 7},
 		{offnet, 1, 1, 0, 7},
 	})
-	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, MonthWindow(1, 30), 30, synth.IsCustomerID)[2]
+	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, MonthWindow(1, 30), 30, synth.IsCustomerID, 0)[2]
 	if g.NumEdges() != 0 {
 		t.Errorf("off-net fix created %d edges", g.NumEdges())
 	}

@@ -1,9 +1,12 @@
 package features
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
 )
 
@@ -179,7 +182,7 @@ func TestUniverseIsSnapshotMonth(t *testing.T) {
 
 func TestGraphBuildersExcludeNonCustomers(t *testing.T) {
 	_, tbl, win, days := baseFrame(t, 2)
-	graphs := BuildGraphs(AllGroups(), tbl, win, days, synth.IsCustomerID)
+	graphs := BuildGraphs(AllGroups(), tbl, win, days, synth.IsCustomerID, 0)
 	g := graphs[0]
 	for _, id := range g.IDs() {
 		if !synth.IsCustomerID(id) {
@@ -249,6 +252,63 @@ func TestTopicFeaturizerSimplexOutput(t *testing.T) {
 		}
 		if sum < 0.99 || sum > 1.01 {
 			t.Fatalf("topic features sum to %g", sum)
+		}
+	}
+}
+
+// TestTopicApplyWorkerInvariant pins the parallel fold-in to a plain serial
+// FoldIn loop bit for bit at several worker counts, including a document of
+// only out-of-vocabulary words (uniform theta) and a customer with no text
+// (the column default).
+func TestTopicApplyWorkerInvariant(t *testing.T) {
+	_, tbl, win, days := baseFrame(t, 2)
+	tf, err := FitTopicFeaturizer(tbl.Search, win, days, F8SearchTopics, "search",
+		topic.Config{K: 5, Iters: 15, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := tbl.Search
+	search := table.NewTable(synth.SearchSchema)
+	imsi, month, day, text := src.MustCol("imsi").Ints, src.MustCol("month").Ints, src.MustCol("day").Ints, src.MustCol("text").Strings
+	for i := range imsi {
+		if err := search.AppendRow(imsi[i], month[i], day[i], text[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const unknown, silent = int64(9_000_001), int64(9_000_002)
+	if err := search.AppendRow(unknown, int64(2), int64(3), "qqzx zzqx"); err != nil {
+		t.Fatal(err)
+	}
+	docs := aggregateTexts(search, win, days)
+	ids := append(sortedKeys(docs), silent)
+
+	k := tf.K()
+	uniform := make([]float64, k)
+	for j := range uniform {
+		uniform[j] = 1 / float64(k)
+	}
+	want := make(map[int64][]float64, len(ids))
+	for _, id := range ids {
+		doc, ok := docs[id]
+		if !ok {
+			want[id] = uniform
+			continue
+		}
+		want[id] = tf.model.FoldIn(doc, 0)
+	}
+	if !slices.Equal(want[unknown], uniform) {
+		t.Fatalf("out-of-vocabulary document: theta = %v, want uniform", want[unknown])
+	}
+	for _, workers := range []int{1, 2, 8} {
+		f := NewFrame(ids)
+		tf.ApplyWorkers(f, search, win, days, workers)
+		for _, id := range ids {
+			row, _ := f.Row(id)
+			for j := range row {
+				if math.Float64bits(row[j]) != math.Float64bits(want[id][j]) {
+					t.Fatalf("workers=%d id %d topic %d: %v, serial fold-in %v", workers, id, j, row[j], want[id][j])
+				}
+			}
 		}
 	}
 }

@@ -255,9 +255,9 @@ func (a *mapAccumulator) finalizeCooccurrence() *graph.Graph {
 }
 
 // graphsBitIdentical compares what the feature columns can see of a graph:
-// vertex numbering, and PageRank / label-propagation outputs bit for bit
-// (both fold adjacency lists in insertion order, so they also pin edge order
-// and weights).
+// vertex numbering, every adjacency list in order with its weights bit for
+// bit (PageRank and label propagation fold them in that order), and the
+// PageRank / label-propagation outputs themselves.
 func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]int, context string) {
 	t.Helper()
 	if (want == nil) != (got == nil) {
@@ -272,6 +272,18 @@ func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]in
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", context, err)
 	}
+	for _, id := range want.IDs() {
+		wto, ww := want.Adjacent(id)
+		gto, gw := got.Adjacent(id)
+		if !slices.Equal(wto, gto) {
+			t.Fatalf("%s: adjacency of %d: %v vs %v", context, id, wto, gto)
+		}
+		for k := range ww {
+			if math.Float64bits(ww[k]) != math.Float64bits(gw[k]) {
+				t.Fatalf("%s: weight %d-%d: %v vs %v", context, id, wto[k], ww[k], gw[k])
+			}
+		}
+	}
 	wpr, gpr := want.PageRank(graph.PageRankOptions{}), got.PageRank(graph.PageRankOptions{})
 	wlp := want.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
 	glp := got.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
@@ -285,8 +297,12 @@ func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]in
 	}
 }
 
+// finalizeWorkers are the worker counts every fold comparison finalizes at.
+var finalizeWorkers = []int{1, 2, 8}
+
 // foldBoth feeds the same per-shard tables to the map oracle and to the
-// production fold and compares all three graphs.
+// production fold and compares all three graphs, finalizing the production
+// fold at every finalizeWorkers count.
 func foldBoth(t *testing.T, parts []Tables, win Window, days int, isCustomer func(int64) bool, seeds map[int64]int, context string) *GraphAccumulator {
 	t.Helper()
 	want := newMapAccumulator(len(parts), AllGroups())
@@ -296,10 +312,14 @@ func foldBoth(t *testing.T, parts []Tables, win Window, days int, isCustomer fun
 		got.Feed(s, tbl, win, days, isCustomer)
 	}
 	wantCall, wantMsg, wantCooc := want.Finalize()
-	gotCall, gotMsg, gotCooc := got.Finalize()
-	graphsBitIdentical(t, wantCall, gotCall, seeds, context+": call")
-	graphsBitIdentical(t, wantMsg, gotMsg, seeds, context+": message")
-	graphsBitIdentical(t, wantCooc, gotCooc, seeds, context+": co-occurrence")
+	for _, workers := range finalizeWorkers {
+		got.Workers = workers
+		gotCall, gotMsg, gotCooc := got.Finalize()
+		ctx := fmt.Sprintf("%s workers=%d", context, workers)
+		graphsBitIdentical(t, wantCall, gotCall, seeds, ctx+": call")
+		graphsBitIdentical(t, wantMsg, gotMsg, seeds, ctx+": message")
+		graphsBitIdentical(t, wantCooc, gotCooc, seeds, ctx+": co-occurrence")
+	}
 	return got
 }
 
@@ -369,9 +389,9 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	call(1, c, gone, 33)     // a previous churner outside the universe is a vertex
 	call(0, a, 5_000_001, 9) // off-net peer: dropped
 
-	// One cube with 40 members alternating between the shards (20 each):
-	// only the 30 smallest ids survive the merge.
-	for k := int64(0); k < 40; k++ {
+	// One cube with cooccurrenceCubeCap+10 members alternating between the
+	// shards: only the cooccurrenceCubeCap smallest ids survive the merge.
+	for k := int64(0); k < cooccurrenceCubeCap+10; k++ {
 		fix(int(k%2), base+100+k, 3, 4, 77)
 	}
 	// Repeated fixes of one customer in one cube, in both shards' rows.
@@ -380,6 +400,26 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	fix(0, c, 1, 0, 7)
 	fix(0, a, 1, 0, 7)
 	fix(0, gone, 1, 0, 7)
+	// One pair sharing three cubes, fixes split across the shards.
+	for k := int64(0); k < 3; k++ {
+		fix(int(k%2), b, 2, k, 8)
+		fix(int(1-k%2), d, 2, k, 8)
+	}
+	// A customer whose only co-member has a smaller id: no edge of its own
+	// to emit, only the one the smaller customer emits to it.
+	e := base + 5
+	fix(1, b, 4, 2, 9)
+	fix(0, e, 4, 2, 9)
+	// A single-member cube: no edge, no vertex.
+	lone := base + 6
+	fix(1, lone, 5, 0, 1)
+	// A chain of two-member cubes over enough ids that the co-occurrence
+	// finalize splits customers into several chunks, with edges crossing
+	// the chunk boundaries.
+	for k := int64(0); k < 150; k++ {
+		fix(int(k%2), base+300+k, 6, k, 3)
+		fix(int(1-k%2), base+301+k, 6, k, 3)
+	}
 
 	acc := foldBoth(t, parts, win, 30, isCustomer, map[int64]int{a: 1, c: 0}, "edge cases")
 	cg, mg, og := acc.Finalize()
@@ -399,17 +439,29 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	if mg.NumVertices() != 0 {
 		t.Errorf("empty messages table built %d vertices", mg.NumVertices())
 	}
-	if got := og.EdgeWeight(base+100, base+129); got != 1 {
-		t.Errorf("30 smallest cube members: w = %v, want 1", got)
+	if got := og.EdgeWeight(base+100, base+99+cooccurrenceCubeCap); got != 1 {
+		t.Errorf("cooccurrenceCubeCap smallest cube members: w = %v, want 1", got)
 	}
-	if og.Has(base + 130) {
-		t.Error("31st smallest member of a crowded cube was kept")
+	if og.Has(base + 100 + cooccurrenceCubeCap) {
+		t.Error("a crowded cube kept more than cooccurrenceCubeCap members")
 	}
 	if got := og.EdgeWeight(a, c); got != 1 {
 		t.Errorf("repeated fixes: w(a,c) = %v, want 1", got)
 	}
 	if got := og.EdgeWeight(gone, a); got != 1 {
 		t.Errorf("previous churner in a cube: w = %v, want 1", got)
+	}
+	if got := og.EdgeWeight(b, d); got != 3 {
+		t.Errorf("three shared cubes: w(b,d) = %v, want 3", got)
+	}
+	if got := og.EdgeWeight(b, e); got != 1 || len(og.Neighbors(e)) != 1 {
+		t.Errorf("smaller-id co-member only: w(b,e) = %v, neighbours %v", got, og.Neighbors(e))
+	}
+	if og.Has(lone) {
+		t.Error("a single-member cube made a vertex")
+	}
+	if got := og.EdgeWeight(base+300, base+450); len(og.Neighbors(base+375)) != 2 || got != 0 {
+		t.Errorf("chain: neighbours of a middle link %v, w(ends) = %v", og.Neighbors(base+375), got)
 	}
 
 	// Finalize does not consume the partials.

@@ -10,9 +10,11 @@ import (
 
 // BuildGraphs builds the call, message and co-occurrence graphs of Section
 // 4.1.2 (in that order; nil for a graph none of the groups asks for) from
-// one in-memory window: the single-shard case of GraphAccumulator.
-func BuildGraphs(groups []Group, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) [3]*graph.Graph {
+// one in-memory window: the single-shard case of GraphAccumulator, its
+// finalize spread over `workers` goroutines (0 = GOMAXPROCS).
+func BuildGraphs(groups []Group, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool, workers int) [3]*graph.Graph {
 	acc := NewGraphAccumulator(1, groups)
+	acc.Workers = workers
 	acc.Feed(0, tbl, win, daysPerMonth, isCustomer)
 	call, msg, cooc := acc.Finalize()
 	return [3]*graph.Graph{call, msg, cooc}
@@ -20,7 +22,7 @@ func BuildGraphs(groups []Group, tbl Tables, win Window, daysPerMonth int, isCus
 
 // BuildCallGraph builds the window's call graph alone.
 func BuildCallGraph(tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) *graph.Graph {
-	return BuildGraphs([]Group{F4CallGraph}, tbl, win, daysPerMonth, isCustomer)[0]
+	return BuildGraphs([]Group{F4CallGraph}, tbl, win, daysPerMonth, isCustomer, 1)[0]
 }
 
 // GraphFeatureInput bundles what the graph features need beyond the raw
@@ -38,16 +40,17 @@ type GraphFeatureInput struct {
 
 // AddGraphFeatures computes PageRank and label-propagation features on the
 // three graphs and adds the six F4-F6 columns (paper names from Table 4).
-// The graphs come from one pass per table through the fold and are scored
-// concurrently across `workers` goroutines (0 = GOMAXPROCS), the per-graph
-// algorithms parallelizing internally; columns land in fixed graph order,
+// The graphs come from one pass per table through the fold, whose
+// co-occurrence finalize splits customers across `workers` goroutines
+// (0 = GOMAXPROCS); they are then scored concurrently, the per-graph
+// algorithms parallelizing internally. Columns land in fixed graph order,
 // so the frame is bit-identical for any worker count.
 func AddGraphFeatures(f *Frame, tbl Tables, win Window, daysPerMonth int, in GraphFeatureInput, workers int) {
 	isCustomer := func(id int64) bool {
 		_, ok := f.index[id]
 		return ok || in.PrevChurners[id]
 	}
-	scoreGraphsInto(f, BuildGraphs(AllGroups(), tbl, win, daysPerMonth, isCustomer), in, workers)
+	scoreGraphsInto(f, BuildGraphs(AllGroups(), tbl, win, daysPerMonth, isCustomer, workers), in, workers)
 }
 
 // seedMap flattens the seed input into label-propagation class seeds; the

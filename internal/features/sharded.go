@@ -32,8 +32,10 @@ type ShardedBuildSpec struct {
 
 	Win          Window
 	DaysPerMonth int
-	// Workers caps how many shards build concurrently (0 = GOMAXPROCS).
-	// More workers = more speed and proportionally more peak memory.
+	// Workers caps the build's goroutines (0 = GOMAXPROCS): how many shards
+	// build concurrently or, at one shard, the graph fold beside the
+	// per-customer columns and the loops inside each. More workers = more
+	// speed and proportionally more peak memory.
 	Workers int
 
 	// Groups selects the feature groups to build. F9 is rejected here: the
@@ -82,10 +84,10 @@ func perCustomerFrame(tbl Tables, win Window, daysPerMonth, workers int, groups 
 	}
 	sel := bf.SelectGroups((groups & BaseGroups).Groups()...)
 	if groups.Has(F7ComplaintTopics) {
-		complaints.Apply(sel, tbl.Complaints, win, daysPerMonth)
+		complaints.ApplyWorkers(sel, tbl.Complaints, win, daysPerMonth, workers)
 	}
 	if groups.Has(F8SearchTopics) {
-		search.Apply(sel, tbl.Search, win, daysPerMonth)
+		search.ApplyWorkers(sel, tbl.Search, win, daysPerMonth, workers)
 	}
 	return sel, nil
 }
@@ -147,12 +149,15 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	}
 
 	// Pass 2: stream each shard's raw tables once, feeding the graph
-	// accumulator and building the shard-local per-customer columns. Inner
+	// accumulator and building the shard-local per-customer columns — two
+	// tasks that only read the shard's tables, so they overlap. Inner
 	// builds run single-threaded when shards provide the parallelism, so
-	// worker count scales concurrent shard residency, not thread count².
+	// worker count scales concurrent shard residency, not thread count²;
+	// at one shard the overlap and the inner builds use the workers.
 	wantGraph := spec.Groups&GraphGroups != 0
 	wantPerCustomer := spec.Groups&(BaseGroups|TopicGroups) != 0
 	acc := NewGraphAccumulator(spec.Shards, spec.Groups.Groups())
+	acc.Workers = spec.Workers
 	shardFrames := make([]*Frame, spec.Shards)
 	missing := make([][]string, spec.Shards)
 	innerWorkers := spec.Workers
@@ -171,25 +176,33 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 			tbl.Customers, tbl.Complaints, tbl.Web, tbl.Search, tbl.Locations} {
 			atomic.AddInt64(&rawRows, int64(t.NumRows()))
 		}
-		if wantGraph {
+		feed := func() {
 			// Every shard feeds the accumulator, even ones with no snapshot
 			// customers: their rows still carry edges to customers elsewhere.
-			acc.Feed(s, tbl, spec.Win, spec.DaysPerMonth, isCustomer)
-		}
-		if !wantPerCustomer || len(shardIDs[s]) == 0 {
-			return
-		}
-		complaints, search := spec.Complaints, spec.Search
-		if spec.FitTopics != nil {
-			if complaints, search, err = spec.FitTopics(tbl); err != nil {
-				errs[s] = err
-				return
+			if wantGraph {
+				acc.Feed(s, tbl, spec.Win, spec.DaysPerMonth, isCustomer)
 			}
 		}
-		shardFrames[s], err = perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, spec.Groups, complaints, search)
-		if err != nil {
-			errs[s] = fmt.Errorf("features: build shard %d: %w", s, err)
+		build := func() {
+			if !wantPerCustomer || len(shardIDs[s]) == 0 {
+				return
+			}
+			complaints, search := spec.Complaints, spec.Search
+			if spec.FitTopics != nil {
+				var err error
+				if complaints, search, err = spec.FitTopics(tbl); err != nil {
+					errs[s] = err
+					return
+				}
+			}
+			sf, err := perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, spec.Groups, complaints, search)
+			if err != nil {
+				errs[s] = fmt.Errorf("features: build shard %d: %w", s, err)
+				return
+			}
+			shardFrames[s] = sf
 		}
+		parallel.Do(innerWorkers, feed, build)
 	})
 	for _, err := range errs {
 		if err != nil {

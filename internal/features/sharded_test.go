@@ -2,6 +2,7 @@ package features
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -122,6 +123,51 @@ func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
 	}
 	if n := ref.NumColumns(); n != 70+9+25+6+5+5 {
 		t.Fatalf("sharded frame has %d columns, want 120", n)
+	}
+}
+
+// TestBuildShardedFrameOverlapF4toF8 runs the graph fold beside the
+// per-customer columns (the overlapped shard body, the chunked
+// co-occurrence finalize and the parallel topic fold-in) at several shard
+// and worker counts; under -race it is the check on those goroutines.
+func TestBuildShardedFrameOverlapF4toF8(t *testing.T) {
+	months, cfg := simOnce(t)
+	tbl, err := FromMonthData(months)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := MonthWindow(2, cfg.DaysPerMonth)
+	comp, err := FitTopicFeaturizer(tbl.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := FitTopicFeaturizer(tbl.Search, win, cfg.DaysPerMonth, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := []Group{F4CallGraph, F5MessageGraph, F6CooccurrenceGraph, F7ComplaintTopics, F8SearchTopics}
+	var ref *Frame
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 8} {
+			spec := shardedSpec(t, tbl, shards, workers, win, cfg.DaysPerMonth, groups)
+			spec.GraphIn = GraphFeatureInput{
+				PrevChurners: ChurnersOf(months[1].Truth),
+				StableSample: StableOf(months[1].Truth, 10),
+			}
+			spec.Complaints, spec.Search = comp, search
+			got, _, err := BuildShardedFrame(spec)
+			if err != nil {
+				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			framesBitIdentical(t, ref, got, fmt.Sprintf("shards=%d workers=%d", shards, workers))
+		}
+	}
+	if n := ref.NumColumns(); n != 6+5+5 {
+		t.Fatalf("F4-F8 frame has %d columns, want 16", n)
 	}
 }
 

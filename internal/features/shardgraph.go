@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"telcochurn/internal/graph"
+	"telcochurn/internal/parallel"
 )
 
 // The one graph fold: GraphAccumulator turns raw call, message and location
@@ -36,6 +37,11 @@ import (
 //     c(c-1)/2 edges, which preserves the community structure the feature
 //     needs.
 const cooccurrenceCubeCap = 30
+
+// coocChunks is how many customer chunks the co-occurrence finalize splits
+// into: enough to balance two to eight workers over skewed per-customer
+// costs.
+const coocChunks = 16
 
 // edgeRec is one observation (later: one sum) of the undirected edge
 // {lo, hi} in one direction: dir 0 is lo → hi, 1 is hi → lo.
@@ -138,6 +144,10 @@ type graphPartials struct {
 // tables (any order, one goroutine per shard is safe — partials are
 // per-shard), then Finalize; a whole-window build is one shard.
 type GraphAccumulator struct {
+	// Workers caps the goroutines Finalize spreads the co-occurrence edge
+	// tally over (0 = GOMAXPROCS). The graphs are identical for any value.
+	Workers int
+
 	wantCall, wantMsg, wantCooc bool
 	parts                       []graphPartials
 }
@@ -275,38 +285,74 @@ func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeRec) 
 	return g
 }
 
+// finalizeCooccurrence emits the co-occurrence edges customer by customer
+// in ascending id, each customer's in ascending co-member id — the sorted
+// (min-id, max-id) list — without sorting the fixes by customer or the
+// pairs at all. Every id gets a dense rank in ascending id order, and a
+// counting sort groups the fixes by rank. A cube's members are sorted, so
+// the co-members ranked above fixes[k] are the rest of its cube: a
+// customer's are tallied over all their cubes in an array indexed by rank,
+// and only the distinct ranks touched are sorted. Customers are
+// independent, so chunks of them run across workers and their edge runs
+// concatenate in rank order; the result does not depend on the chunking.
 func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 	fixes := merged(a, func(p *graphPartials) []fix { return p.fixes }, capCubes)
 
-	// Visit the fixes customer by customer in ascending id. A cube's members
-	// are sorted, so the co-members with a larger id than fixes[k] are the
-	// rest of its cube. Per customer, gather them over all their cubes into
-	// one reused list, sort it, and emit one edge per run — already in
-	// (min-id, max-id) order, never materializing the pair list.
-	byCustomer := make([]int, len(fixes))
-	for k := range byCustomer {
-		byCustomer[k] = k
+	ids := make([]int64, len(fixes))
+	for k, f := range fixes {
+		ids[k] = f.id
 	}
-	slices.SortFunc(byCustomer, func(x, y int) int { return cmp.Compare(fixes[x].id, fixes[y].id) })
-	g := graph.New()
-	var others []int64
-	for i := 0; i < len(byCustomer); {
-		id := fixes[byCustomer[i]].id
-		others = others[:0]
-		for ; i < len(byCustomer) && fixes[byCustomer[i]].id == id; i++ {
-			k := byCustomer[i]
-			for m := k + 1; m < len(fixes) && fixes[m].sameCube(fixes[k]); m++ {
-				others = append(others, fixes[m].id)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	rank := make([]int32, len(fixes))
+	start := make([]int32, len(ids)+1) // fixes of rank r: byRank[start[r]:start[r+1]]
+	for k, f := range fixes {
+		r, _ := slices.BinarySearch(ids, f.id)
+		rank[k] = int32(r)
+		start[r+1]++
+	}
+	for r := range ids {
+		start[r+1] += start[r]
+	}
+	byRank := make([]int32, len(fixes))
+	next := slices.Clone(start[:len(ids)])
+	for k, r := range rank {
+		byRank[next[r]] = int32(k)
+		next[r]++
+	}
+	cubeEnd := make([]int32, len(fixes)) // one past the last fix of k's cube
+	for k := len(fixes) - 1; k >= 0; k-- {
+		if k+1 < len(fixes) && fixes[k+1].sameCube(fixes[k]) {
+			cubeEnd[k] = cubeEnd[k+1]
+		} else {
+			cubeEnd[k] = int32(k + 1)
+		}
+	}
+
+	// At most coocChunks chunks (boundaries depend on the id count alone), so
+	// the per-chunk tally arrays cost coocChunks × len(ids) at any scale.
+	grain := max((len(ids)+coocChunks-1)/coocChunks, 64)
+	runs := parallel.MapChunks(a.Workers, len(ids), grain, func(lo, hi int) []graph.Edge {
+		var edges []graph.Edge
+		count := make([]int32, len(ids)) // co-member rank -> shared cubes
+		var touched []int32
+		for r := lo; r < hi; r++ {
+			touched = touched[:0]
+			for _, k := range byRank[start[r]:start[r+1]] {
+				for _, o := range rank[k+1 : cubeEnd[k]] {
+					if count[o] == 0 {
+						touched = append(touched, o)
+					}
+					count[o]++
+				}
+			}
+			slices.Sort(touched)
+			for _, o := range touched {
+				edges = append(edges, graph.Edge{U: int32(r), V: o, W: float64(count[o])})
+				count[o] = 0
 			}
 		}
-		slices.Sort(others)
-		for k := 0; k < len(others); {
-			run := k
-			for k < len(others) && others[k] == others[run] {
-				k++
-			}
-			g.AddDistinctEdge(id, others[run], float64(k-run))
-		}
-	}
-	return g
+		return edges
+	})
+	return graph.FromEdges(ids, runs...)
 }

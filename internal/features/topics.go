@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"telcochurn/internal/parallel"
 	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
 )
@@ -70,17 +71,30 @@ func FitTopicFeaturizer(t *table.Table, win Window, daysPerMonth int, group Grou
 }
 
 // Apply adds K topic-proportion columns for the window's documents to the
-// frame. Customers with no text get the uniform distribution.
+// frame, folding documents in on the caller's goroutine (ApplyWorkers with
+// one worker). Customers with no text get the uniform distribution.
 func (tf *TopicFeaturizer) Apply(f *Frame, t *table.Table, win Window, daysPerMonth int) {
+	tf.ApplyWorkers(f, t, win, daysPerMonth, 1)
+}
+
+// ApplyWorkers is Apply with the per-document fold-ins spread over
+// `workers` goroutines (0 = GOMAXPROCS). Each document's theta lands in its
+// own slot and the columns fill serially in ascending id order, so the
+// frame is bit-identical for any worker count.
+func (tf *TopicFeaturizer) ApplyWorkers(f *Frame, t *table.Table, win Window, daysPerMonth, workers int) {
 	docs := aggregateTexts(t, win, daysPerMonth)
+	ids := sortedKeys(docs)
+	thetas := make([][]float64, len(ids))
+	parallel.ForGrain(workers, len(ids), 64, func(i int) {
+		thetas[i] = tf.model.FoldIn(docs[ids[i]], 0)
+	})
 	k := tf.model.K()
 	cols := make([]map[int64]float64, k)
 	for i := range cols {
 		cols[i] = make(map[int64]float64, len(docs))
 	}
-	for _, id := range sortedKeys(docs) {
-		theta := tf.model.FoldIn(docs[id], 0)
-		for i, v := range theta {
+	for d, id := range ids {
+		for i, v := range thetas[d] {
 			cols[i][id] = v
 		}
 	}

@@ -89,6 +89,80 @@ func (g *Graph) AddDistinctEdge(a, b int64, w float64) {
 	g.degree[bi] += w
 }
 
+// Edge is one undirected edge {U, V} of weight W, U and V indexing the
+// vertex-id table passed to FromEdges.
+type Edge struct {
+	U, V int32
+	W    float64
+}
+
+// FromEdges builds the graph that calling AddDistinctEdge(ids[e.U],
+// ids[e.V], e.W) for every edge of runs, in order, would build — the same
+// vertex numbering (first appearance), adjacency order and degree sums —
+// in two passes that size every adjacency list exactly and look up no
+// vertex by id. ids must hold distinct ids; entries no edge uses are not
+// vertices.
+func FromEdges(ids []int64, runs ...[]Edge) *Graph {
+	vertex := make([]int32, len(ids)) // ids position -> dense index + 1
+	g := &Graph{}
+	var halves []int // per dense index
+	use := func(u int32) {
+		if vertex[u] == 0 {
+			g.ids = append(g.ids, ids[u])
+			halves = append(halves, 0)
+			vertex[u] = int32(len(g.ids))
+		}
+		halves[vertex[u]-1]++
+	}
+	for _, run := range runs {
+		for _, e := range run {
+			if e.U == e.V || e.W <= 0 {
+				continue
+			}
+			use(e.U)
+			use(e.V)
+		}
+	}
+	n := len(g.ids)
+	g.index = make(map[int64]int, n)
+	g.adj = make([][]halfEdge, n)
+	g.degree = make([]float64, n)
+	for i, id := range g.ids {
+		g.index[id] = i
+		// One exact-size list per vertex rather than one shared backing
+		// array: small lists fit the spans earlier garbage freed, where one
+		// allocation of every half-edge would grow the heap (peak RSS).
+		g.adj[i] = make([]halfEdge, 0, halves[i])
+	}
+	for _, run := range runs {
+		for _, e := range run {
+			if e.U == e.V || e.W <= 0 {
+				continue
+			}
+			a, b := int(vertex[e.U]-1), int(vertex[e.V]-1)
+			g.adj[a] = append(g.adj[a], halfEdge{to: b, weight: e.W})
+			g.degree[a] += e.W
+			g.adj[b] = append(g.adj[b], halfEdge{to: a, weight: e.W})
+			g.degree[b] += e.W
+		}
+	}
+	return g
+}
+
+// Adjacent returns id's neighbors and edge weights in adjacency order —
+// the order PageRank and label propagation fold them in.
+func (g *Graph) Adjacent(id int64) (to []int64, weights []float64) {
+	i, ok := g.index[id]
+	if !ok {
+		return nil, nil
+	}
+	for _, e := range g.adj[i] {
+		to = append(to, g.ids[e.to])
+		weights = append(weights, e.weight)
+	}
+	return to, weights
+}
+
 func (g *Graph) addHalf(from, to int, w float64) {
 	for i := range g.adj[from] {
 		if g.adj[from][i].to == to {

@@ -203,3 +203,54 @@ func TestValidateDetectsBrokenInvariant(t *testing.T) {
 		t.Error("Validate should catch asymmetric edge")
 	}
 }
+
+// TestFromEdgesMatchesAddDistinctEdge pins the bulk constructor to the
+// one-edge-at-a-time build it replaces: vertex numbering, adjacency order
+// and degree bits, with the edge list split into runs at arbitrary points,
+// ids no edge uses, and the self-loops and non-positive weights
+// AddDistinctEdge ignores.
+func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids := make([]int64, 60)
+	for i := range ids {
+		ids[i] = int64(1000 + 7*i)
+	}
+	var edges []Edge
+	for u := range ids {
+		for v := u; v < len(ids); v++ {
+			if rng.Intn(6) == 0 {
+				edges = append(edges, Edge{U: int32(u), V: int32(v), W: float64(rng.Intn(4)) + rng.Float64()})
+			}
+		}
+	}
+	edges = append(edges, Edge{U: 3, V: 4, W: 0}, Edge{U: 5, V: 6, W: -1})
+	want := New()
+	for _, e := range edges {
+		want.AddDistinctEdge(ids[e.U], ids[e.V], e.W)
+	}
+	got := FromEdges(ids, edges[:10], nil, edges[10:37], edges[37:])
+	if len(got.IDs()) != len(want.IDs()) {
+		t.Fatalf("%d vertices, want %d", len(got.IDs()), len(want.IDs()))
+	}
+	for i, id := range want.IDs() {
+		if got.IDs()[i] != id {
+			t.Fatalf("vertex %d is %d, want %d", i, got.IDs()[i], id)
+		}
+		wto, ww := want.Adjacent(id)
+		gto, gw := got.Adjacent(id)
+		if len(gto) != len(wto) {
+			t.Fatalf("vertex %d: %d neighbours, want %d", id, len(gto), len(wto))
+		}
+		for k := range wto {
+			if gto[k] != wto[k] || math.Float64bits(gw[k]) != math.Float64bits(ww[k]) {
+				t.Fatalf("vertex %d slot %d: (%d, %v), want (%d, %v)", id, k, gto[k], gw[k], wto[k], ww[k])
+			}
+		}
+		if math.Float64bits(got.Degree(id)) != math.Float64bits(want.Degree(id)) {
+			t.Fatalf("vertex %d: degree %v, want %v", id, got.Degree(id), want.Degree(id))
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -60,18 +60,23 @@ func (g *Graph) PageRank(opts PageRankOptions) map[int64]float64 {
 	inv := 1.0 / float64(n)
 	x := make([]float64, n)
 	next := make([]float64, n)
+	share := make([]float64, n) // x[j] / degree[j], formed once per sweep
 	for i := range x {
 		x[i] = inv
 	}
 	base := (1 - d) * inv
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		// Mass from dangling (isolated) vertices is redistributed uniformly,
-		// preserving sum(x)=1.
+		// preserving sum(x)=1. The same pass forms each vertex's share
+		// x/deg; share*w in the gather is x/deg*w evaluated left to right,
+		// bit for bit.
 		dangling := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				if g.degree[i] == 0 {
 					s += x[i]
+				} else {
+					share[i] = x[i] / g.degree[i]
 				}
 			}
 			return s
@@ -82,7 +87,7 @@ func (g *Graph) PageRank(opts PageRankOptions) map[int64]float64 {
 			for i := lo; i < hi; i++ {
 				sum := 0.0
 				for _, e := range g.adj[i] {
-					sum += x[e.to] / g.degree[e.to] * e.weight
+					sum += share[e.to] * e.weight
 				}
 				v := base + spread + d*sum
 				next[i] = v

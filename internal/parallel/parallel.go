@@ -94,6 +94,8 @@ func ForGrain(workers, n, grain int, fn func(i int)) {
 // each chunk with fn, and returns the per-chunk results indexed by chunk.
 // Reducing the returned slice left-to-right is therefore a deterministic
 // merge for any Workers setting; this is the package's sharded map-reduce.
+// Chunks are claimed one at a time: a chunk already amortizes scheduling,
+// and For's default grain would run up to 256 of them on one goroutine.
 func MapChunks[T any](workers, n, grain int, fn func(lo, hi int) T) []T {
 	if n <= 0 {
 		return nil
@@ -103,7 +105,7 @@ func MapChunks[T any](workers, n, grain int, fn func(lo, hi int) T) []T {
 	}
 	chunks := (n + grain - 1) / grain
 	out := make([]T, chunks)
-	For(workers, chunks, func(c int) {
+	ForGrain(workers, chunks, 1, func(c int) {
 		lo := c * grain
 		hi := lo + grain
 		if hi > n {
@@ -126,9 +128,11 @@ func SumChunks(workers, n, grain int, fn func(lo, hi int) float64) float64 {
 }
 
 // Do runs the given independent tasks concurrently on at most `workers`
-// goroutines and waits for all of them, re-raising the first panic.
+// goroutines and waits for all of them, re-raising the first panic. Tasks
+// are claimed one at a time (grain 1): For's default grain would hand a
+// handful of tasks to a single goroutine.
 func Do(workers int, tasks ...func()) {
-	For(workers, len(tasks), func(i int) { tasks[i]() })
+	ForGrain(workers, len(tasks), 1, func(i int) { tasks[i]() })
 }
 
 // Seed derives a decorrelated deterministic RNG seed for one logical stream

@@ -165,6 +165,31 @@ func TestDoRunsAllTasks(t *testing.T) {
 	Do(4) // zero tasks is a no-op
 }
 
+// TestDoOverlapsTasks fails by deadlock (test timeout) unless two tasks run
+// at the same time: each waits for the other to start.
+func TestDoOverlapsTasks(t *testing.T) {
+	a, b := make(chan struct{}), make(chan struct{})
+	Do(2,
+		func() { close(a); <-b },
+		func() { close(b); <-a },
+	)
+}
+
+// TestMapChunksOverlapsChunks is the same check for a two-chunk MapChunks:
+// few chunks must still spread across workers.
+func TestMapChunksOverlapsChunks(t *testing.T) {
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	got := MapChunks(2, 20, 10, func(lo, hi int) int {
+		c := lo / 10
+		close(started[c])
+		<-started[1-c]
+		return hi - lo
+	})
+	if len(got) != 2 || got[0] != 10 || got[1] != 10 {
+		t.Fatalf("chunk sizes %v, want [10 10]", got)
+	}
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-1) != runtime.GOMAXPROCS(0) {
 		t.Error("non-positive should resolve to GOMAXPROCS")

@@ -463,14 +463,15 @@ func (r *Runner) campaignLPFeatures(prev *CampaignResult) (*lpFeatures, error) {
 	for id := range seeds {
 		known[id] = true
 	}
-	graphs := features.BuildGraphs(features.AllGroups(), tbl, win, days, synth.IsCustomerID)
+	workers := r.pipe.Config().Workers
+	graphs := features.BuildGraphs(features.AllGroups(), tbl, win, days, synth.IsCustomerID, workers)
 	C := synth.NumRetentionClass
 	out := &lpFeatures{rows: make(map[int64][]float64), width: 3 * C}
 	for gi, name := range []string{"voice", "message", "cooccurrence"} {
 		for c := 0; c < C; c++ {
 			out.names = append(out.names, fmt.Sprintf("retlp_%s_class%d", name, c))
 		}
-		probs := graphs[gi].LabelPropagation(seeds, C, graph.LabelPropOptions{})
+		probs := graphs[gi].LabelPropagation(seeds, C, graph.LabelPropOptions{Workers: workers})
 		for id, p := range probs {
 			row, ok := out.rows[id]
 			if !ok {
