@@ -45,11 +45,16 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# CPU + heap profiles of the tree-training benchmarks; inspect with
-# `go tool pprof cpu.out` / `go tool pprof mem.out` (see DESIGN.md §8).
+# CPU + heap profiles of the tree-training benchmarks. The profiles and the
+# test binary go to PROFILE_DIR, outside the working tree; inspect with
+# `go tool pprof -top $(PROFILE_DIR)/cpu.out` (see DESIGN.md §8).
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/telcochurn-profile
 bench-profile:
+	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run='^$$' -bench='BenchmarkRandomForestFit|BenchmarkTreeFit' \
-		-benchtime=5x -benchmem -cpuprofile=cpu.out -memprofile=mem.out .
+		-benchtime=5x -benchmem -o $(PROFILE_DIR)/telcochurn.test \
+		-outputdir $(PROFILE_DIR) -cpuprofile=cpu.out -memprofile=mem.out .
+	@echo "profiles written to $(PROFILE_DIR) (cpu.out, mem.out, telcochurn.test)"
 
 # Fault-schedule property tests under the race detector: seeded chaos over
 # the storage/source/assembly/serving resilience stack (see DESIGN.md §11),
@@ -115,5 +120,4 @@ examples:
 	$(GO) run ./examples/root_cause
 
 clean:
-	rm -rf warehouse churn-model.bin churn-model.tcpa cpu.out mem.out telcochurn.test \
-		LOAD.json
+	rm -rf warehouse churn-model.bin churn-model.tcpa LOAD.json

@@ -45,53 +45,63 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 		return out
 	}
 
-	y := make([][]float64, n)
-	fixed := make([]int, n) // class+1 for seed rows, 0 otherwise
+	// Row i of y and next is [i*C, (i+1)*C): one flat array each, so the
+	// sweep's gather reads neighbours' rows without a pointer hop.
+	C := numClasses
+	uniform := 1.0 / float64(C)
+	y := make([]float64, n*C)
+	next := make([]float64, n*C)
+	fixed := make([]bool, n) // seed rows
 	for i, id := range g.ids {
-		y[i] = make([]float64, numClasses)
-		if cls, ok := seeds[id]; ok && cls >= 0 && cls < numClasses {
-			y[i][cls] = 1
-			fixed[i] = cls + 1
+		row := y[i*C : (i+1)*C]
+		if cls, ok := seeds[id]; ok && cls >= 0 && cls < C {
+			row[cls] = 1
+			fixed[i] = true
 		} else {
-			for c := range y[i] {
-				y[i][c] = 1.0 / float64(numClasses)
+			for c := range row {
+				row[c] = uniform
 			}
 		}
 	}
 
-	next := make([][]float64, n)
-	for i := range next {
-		next[i] = make([]float64, numClasses)
-	}
-
-	// The sweep is already a gather (row i reads y, writes only next[i]), so
-	// rows parallelize freely across the double buffers; per-chunk deltas
-	// merge in chunk order, keeping the result bit-identical for any Workers.
+	// The sweep is already a gather (row i reads y, writes only its row of
+	// next), so rows parallelize freely across the double buffers;
+	// per-chunk deltas merge in chunk order, keeping the result
+	// bit-identical for any Workers.
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		delta := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			dl := 0.0
 			for i := lo; i < hi; i++ {
 				edges := g.adj[i]
-				if fixed[i] != 0 {
-					copy(next[i], y[i])
+				row, old := next[i*C:(i+1)*C], y[i*C:(i+1)*C]
+				switch {
+				case fixed[i]:
+					copy(row, old)
 					continue
-				}
-				row := next[i]
-				for c := range row {
-					row[c] = 0
-				}
-				if len(edges) == 0 {
+				case len(edges) == 0:
 					// Isolated unlabeled vertex: stays uniform.
 					for c := range row {
-						row[c] = 1.0 / float64(numClasses)
+						row[c] = uniform
 					}
 					continue
-				}
-				// Step 1: Y <- W Y restricted to row i.
-				for _, e := range edges {
-					src := y[e.to]
-					for c := range row {
-						row[c] += e.weight * src[c]
+				case C == 2:
+					// Step 1, Y <- W Y restricted to row i, for the churn
+					// features' two classes: the same products summed in the
+					// same edge order as the general loop below.
+					r0, r1 := 0.0, 0.0
+					for _, e := range edges {
+						j := 2 * e.to
+						r0 += e.weight * y[j]
+						r1 += e.weight * y[j+1]
+					}
+					row[0], row[1] = r0, r1
+				default:
+					clear(row)
+					for _, e := range edges {
+						src := y[e.to*C : (e.to+1)*C]
+						for c := range row {
+							row[c] += e.weight * src[c]
+						}
 					}
 				}
 				// Step 2: row-normalize.
@@ -105,11 +115,11 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 					}
 				} else {
 					for c := range row {
-						row[c] = 1.0 / float64(numClasses)
+						row[c] = uniform
 					}
 				}
 				for c := range row {
-					diff := row[c] - y[i][c]
+					diff := row[c] - old[c]
 					if diff < 0 {
 						diff = -diff
 					}
@@ -124,10 +134,9 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 		}
 	}
 
+	// The returned rows share y's backing array; nothing writes y again.
 	for i, id := range g.ids {
-		probs := make([]float64, numClasses)
-		copy(probs, y[i])
-		out[id] = probs
+		out[id] = y[i*C : (i+1)*C : (i+1)*C]
 	}
 	return out
 }

@@ -17,8 +17,10 @@ package tree
 //   - colLayout: the mutable per-tree state — the node row list and (exact
 //     mode) per-feature order arrays, each partitioned in place at every
 //     split, plus the membership marker and scratch buffer that make the
-//     partition allocation-free. Forest trees derive their bootstrap layout
-//     from the shared colData by a counting remap instead of re-sorting.
+//     partition allocation-free. A forest tree's layout lists the distinct
+//     rows its bootstrap drew, each carrying its draw count as an integer
+//     multiplicity, over colData's shared columns: nothing is gathered or
+//     re-sorted, each order is the shared presort filtered to the drawn rows.
 //   - colGrower / colRegGrower (regression.go): the recursive CART growth,
 //     operating on [start, end) segments of the layout's arrays.
 //
@@ -33,14 +35,18 @@ package tree
 //  3. orders[f][start:end] lists the node's rows ascending by feature f —
 //     the presort invariant the split scan relies on.
 //
-// With unit instance weights (every forest tree: the bootstrap encodes
-// weights in the draw) the exact path is bit-identical to the legacy scan:
-// all class-mass partial sums are integer-valued, so the order in which
-// tied rows are accumulated cannot change them, and thresholds/improvements
-// are computed with the exact same arithmetic. With arbitrary non-dyadic
-// weights, tied feature values may be accumulated in a different order than
-// the legacy unstable sort visited them, which can move improvements by
-// ulps; everything stays deterministic for any worker count either way.
+// With unit instance weights the exact path is bit-identical to the legacy
+// scan: all class-mass partial sums are integer-valued (below 2^53), so the
+// order in which tied rows are accumulated cannot change them, and
+// thresholds/improvements are computed with the exact same arithmetic. The
+// same argument makes a forest tree on its distinct rows identical to the
+// tree on the expanded resample (every row repeated by its draw count): a
+// row drawn c times adds c where the expanded scan adds 1 c times in a row,
+// and no cut falls between copies of one row. With
+// arbitrary non-dyadic weights, tied feature values may be accumulated in a
+// different order than the legacy unstable sort visited them, which can
+// move improvements by ulps; everything stays deterministic for any worker
+// count either way.
 
 import (
 	"math"
@@ -158,8 +164,11 @@ type colLayout struct {
 	binIdx   [][]uint8
 	rows     []int32   // node row lists, stable-partitioned per split
 	orders   [][]int32 // exact mode: per-feature row orders, ditto
-	goesLeft []uint8   // node-membership marker (0/1) for the chosen split
-	scratch  []int32   // stable-partition spill buffer
+	// mult[r] is how many times a forest tree's bootstrap drew row r; nil
+	// means every row counts once. Only unit-weight growers read it.
+	mult     []int32
+	goesLeft []uint8 // node-membership marker (0/1) for the chosen split, by row
+	scratch  []int32 // stable-partition spill buffer
 }
 
 // newLayout builds the identity layout (tree trained on cd's rows
@@ -191,118 +200,63 @@ func newLayout(cd *colData) *colLayout {
 }
 
 // bootBuffers is the reusable per-tree arena for forest training: the
-// layout's arrays plus the counting-sort scratch of the bootstrap remap and
-// the gathered label vector. FitForest keeps them in a sync.Pool so a
-// 500-tree fit allocates the big F·n buffers only ~once per worker.
+// layout's arrays and the flat backing of its order arrays. FitForest keeps
+// them in a sync.Pool so a 500-tree fit allocates them only ~once per
+// worker. Every buffer is sized by the source row count, which bounds any
+// tree's distinct rows, so none is ever reallocated.
 type bootBuffers struct {
-	lay      colLayout
-	y        []int
-	colsFlat []float64
-	ordFlat  []int32
-	binFlat  []uint8
-	count    []int32 // bootstrap multiplicity per source row
-	begin    []int32 // prefix sums of count
-	cursor   []int32
-	posByRow []int32
+	lay     colLayout
+	ordFlat []int32
 }
 
-// newBootstrapLayout derives the layout for the resample x'[j] = x[idx[j]]
-// without re-sorting: bootstrap positions are grouped by source row with
-// one counting pass, then each feature's presorted order is rewritten by
-// walking the source order and emitting every position that drew the row —
-// O(F·n) per tree in place of O(F·n log n). Values are gathered from the
-// row-major matrix x (sequential reads per row) rather than from cd's
-// columns (random reads per feature). All buffers come from b.
-func newBootstrapLayout(cd *colData, x [][]float64, idx []int, b *bootBuffers) *colLayout {
-	n := len(idx)
-	numFeat := len(cd.cols)
+// newBootstrapLayout lays out the tree grown on the bootstrap draw idx as
+// the distinct rows it drew, ascending, each with its draw count in
+// l.mult. Values, bins and labels are cd's and the dataset's own, shared
+// read-only; each feature's order is cd's presort filtered to the drawn
+// rows in one pass. O(F·m) per tree for m source rows, with no gather.
+func newBootstrapLayout(cd *colData, idx []int, b *bootBuffers) *colLayout {
+	m := cd.numRows
 	l := &b.lay
-	l.rows = growInt32(l.rows, n)
-	l.scratch = growInt32(l.scratch, n)
-	if cap(l.goesLeft) < n {
-		l.goesLeft = make([]uint8, n)
+	l.cols, l.binUpper, l.binIdx = cd.cols, cd.binUpper, cd.binIdx
+	l.mult = growInt32(l.mult, m)
+	clear(l.mult)
+	for _, r := range idx {
+		l.mult[r]++
 	}
-	l.goesLeft = l.goesLeft[:n]
-	for i := range l.rows {
-		l.rows[i] = int32(i)
+	// The filters write every row and advance past the drawn ones
+	// (min(count, 1)) without a branch: about 37 % of rows go undrawn, in
+	// no pattern a predictor could learn. The write index never passes the
+	// read index, so a filter stays inside an m-row buffer.
+	rows := growInt32(l.rows, m)
+	u := 0
+	for r, c := range l.mult {
+		rows[u] = int32(r)
+		u += int(min(c, 1))
 	}
-
-	if cap(b.colsFlat) < numFeat*n || len(l.cols) != numFeat {
-		b.colsFlat = make([]float64, numFeat*n)
-		l.cols = make([][]float64, numFeat)
+	l.rows = rows[:u]
+	l.scratch = growInt32(l.scratch, m)
+	if cap(l.goesLeft) < m {
+		l.goesLeft = make([]uint8, m)
 	}
-	for f := range l.cols {
-		l.cols[f] = b.colsFlat[f*n : (f+1)*n : (f+1)*n]
-	}
-	for j, r := range idx {
-		row := x[r]
-		for f, v := range row {
-			l.cols[f][j] = v
-		}
-	}
-
-	if cd.binIdx == nil {
-		l.binUpper, l.binIdx = nil, nil
-	} else {
-		l.binUpper = cd.binUpper // bin edges come from the full matrix
-		if cap(b.binFlat) < numFeat*n || len(l.binIdx) != numFeat {
-			b.binFlat = make([]uint8, numFeat*n)
-			l.binIdx = make([][]uint8, numFeat)
-		}
-		for f, src := range cd.binIdx {
-			dst := b.binFlat[f*n : (f+1)*n : (f+1)*n]
-			for j, r := range idx {
-				dst[j] = src[r]
-			}
-			l.binIdx[f] = dst
-		}
-	}
+	l.goesLeft = l.goesLeft[:m]
 
 	if cd.orders == nil {
 		l.orders = nil
-	} else {
-		// posByRow[begin[r]:begin[r]+count[r]] lists the bootstrap positions
-		// that drew source row r, ascending.
-		m := cd.numRows
-		b.count = growInt32(b.count, m)
-		b.begin = growInt32(b.begin, m)
-		b.cursor = growInt32(b.cursor, m)
-		b.posByRow = growInt32(b.posByRow, n)
-		count, begin, cursor, posByRow := b.count, b.begin, b.cursor, b.posByRow
-		for r := range count {
-			count[r] = 0
+		return l
+	}
+	numFeat := len(cd.orders)
+	if cap(b.ordFlat) < numFeat*m || len(l.orders) != numFeat {
+		b.ordFlat = make([]int32, numFeat*m)
+		l.orders = make([][]int32, numFeat)
+	}
+	for f, src := range cd.orders {
+		dst := b.ordFlat[f*m : (f+1)*m : (f+1)*m]
+		k := 0
+		for _, r := range src {
+			dst[k] = r
+			k += int(min(l.mult[r], 1))
 		}
-		for _, r := range idx {
-			count[r]++
-		}
-		sum := int32(0)
-		for r := range begin {
-			begin[r] = sum
-			sum += count[r]
-		}
-		copy(cursor, begin)
-		for j, r := range idx {
-			posByRow[cursor[r]] = int32(j)
-			cursor[r]++
-		}
-		if cap(b.ordFlat) < numFeat*n || len(l.orders) != numFeat {
-			b.ordFlat = make([]int32, numFeat*n)
-			l.orders = make([][]int32, numFeat)
-		}
-		for f, src := range cd.orders {
-			dst := b.ordFlat[f*n : (f+1)*n : (f+1)*n]
-			k := 0
-			for _, r := range src {
-				c := int(count[r])
-				if c == 0 {
-					continue
-				}
-				bg := begin[r]
-				copy(dst[k:k+c], posByRow[bg:bg+int32(c)])
-				k += c
-			}
-			l.orders[f] = dst
-		}
+		l.orders[f] = dst[:u]
 	}
 	return l
 }
@@ -314,25 +268,33 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// markSplit records which of the node's rows go left under the split and
-// returns their count, without moving anything — the caller checks the
-// min-leaf rule first so a rejected split leaves the layout untouched
-// (leaf reductions must still see the original row order). The marker is
-// computed branch-free: split outcomes are ~50/50, the worst case for
-// branch prediction.
-func (l *colLayout) markSplit(start, end, feature int, threshold float64) int {
+// markSplit records which of the node's rows go left under the split,
+// without moving anything — the caller checks the min-leaf rule first so a
+// rejected split leaves the layout untouched (leaf reductions must still
+// see the original row order). It returns how many layout rows go left
+// (nPos: where commitSplit cuts the segment) and how many instances they
+// stand for with their multiplicities (nLeft: what the min-leaf rule
+// counts). The marker is computed branch-free: split outcomes are ~50/50,
+// the worst case for branch prediction.
+func (l *colLayout) markSplit(start, end, feature int, threshold float64) (nPos, nLeft int) {
 	col := l.cols[feature]
 	goesLeft := l.goesLeft
-	nLeft := 0
-	for _, i := range l.rows[start:end] {
+	rows := l.rows[start:end]
+	for _, i := range rows {
 		b := uint8(0)
 		if col[i] <= threshold {
 			b = 1
 		}
 		goesLeft[i] = b
-		nLeft += int(b)
+		nPos += int(b)
 	}
-	return nLeft
+	if l.mult == nil {
+		return nPos, nPos
+	}
+	for _, i := range rows {
+		nLeft += int(goesLeft[i]) * int(l.mult[i])
+	}
+	return nPos, nLeft
 }
 
 // commitSplit partitions the node's segment of the row list and of every
@@ -404,28 +366,30 @@ func sampleSplitFeatures(rng *rand.Rand, numFeat, k int) []int {
 type colGrower struct {
 	lay        *colLayout
 	y          []int
-	w          []float64
 	numClasses int
 	cfg        Config
 	rng        *rand.Rand
 	importance []float64
-	// unitW marks an all-ones weight vector (every forest tree: the
-	// bootstrap encodes weights in the draw). Mass sums then count in whole
-	// units — bit-identical to accumulating 1.0s, since integer-valued
-	// float64 sums are exact — so the scans skip the weight loads.
-	unitW bool
+	// w holds the instance weights, or is nil when they are all 1 (every
+	// forest tree: the bootstrap encodes weights in the draw). Each row then
+	// counts cnt[i] whole units, its multiplicity — bit-identical to
+	// accumulating cnt[i] 1.0s, since integer-valued float64 sums are
+	// exact — and the min-leaf rule counts the same units.
+	w   []float64
+	cnt []int32 // w == nil: lay.mult, or all ones for a layout without it
 
 	mass     []float64 // node class-mass accumulator
 	leftMass []float64 // split-scan left-side accumulator
 	histMass []float64 // histogram mode: bins × classes masses
-	histCnt  []int     // histogram mode: unweighted counts per bin
+	histCnt  []int     // histogram mode: instance counts per bin
 }
 
+// newColGrower grows over lay with labels y and instance weights w (nil or
+// all ones for unit weights, the only kind a layout with mult may have).
 func newColGrower(lay *colLayout, y []int, w []float64, numClasses, numFeat int, cfg Config) *colGrower {
 	g := &colGrower{
 		lay:        lay,
 		y:          y,
-		w:          w,
 		numClasses: numClasses,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -437,11 +401,17 @@ func newColGrower(lay *colLayout, y []int, w []float64, numClasses, numFeat int,
 		g.histMass = make([]float64, cfg.MaxBins*numClasses)
 		g.histCnt = make([]int, cfg.MaxBins)
 	}
-	g.unitW = true
 	for _, v := range w {
 		if v != 1 {
-			g.unitW = false
-			break
+			g.w = w
+			return g
+		}
+	}
+	g.cnt = lay.mult
+	if g.cnt == nil {
+		g.cnt = make([]int32, len(y))
+		for i := range g.cnt {
+			g.cnt[i] = 1
 		}
 	}
 	return g
@@ -449,19 +419,20 @@ func newColGrower(lay *colLayout, y []int, w []float64, numClasses, numFeat int,
 
 func (g *colGrower) grow(start, end, depth int) *node {
 	mass := g.mass
-	for c := range mass {
-		mass[c] = 0
-	}
-	if g.unitW {
+	clear(mass)
+	n := end - start // the node's training instances
+	if g.w == nil {
+		n = 0
 		for _, i := range g.lay.rows[start:end] {
-			mass[g.y[i]]++
+			c := g.cnt[i]
+			mass[g.y[i]] += float64(c)
+			n += int(c)
 		}
 	} else {
 		for _, i := range g.lay.rows[start:end] {
 			mass[g.y[i]] += g.w[i]
 		}
 	}
-	n := end - start
 	leaf := func() *node {
 		return &node{probs: normalize(mass), n: n}
 	}
@@ -472,11 +443,11 @@ func (g *colGrower) grow(start, end, depth int) *node {
 		return leaf()
 	}
 
-	best := g.bestSplit(start, end, mass)
+	best := g.bestSplit(start, end, n, mass)
 	if best.feature < 0 {
 		return leaf()
 	}
-	nLeft := g.lay.markSplit(start, end, best.feature, best.threshold)
+	nPos, nLeft := g.lay.markSplit(start, end, best.feature, best.threshold)
 	if nLeft < g.cfg.MinLeafSamples || n-nLeft < g.cfg.MinLeafSamples {
 		return leaf()
 	}
@@ -492,14 +463,15 @@ func (g *colGrower) grow(start, end, depth int) *node {
 		// clobbers the shared mass buffer.
 		probs: normalize(mass),
 	}
-	nd.left = g.grow(start, start+nLeft, depth+1)
-	nd.right = g.grow(start+nLeft, end, depth+1)
+	nd.left = g.grow(start, start+nPos, depth+1)
+	nd.right = g.grow(start+nPos, end, depth+1)
 	return nd
 }
 
 // bestSplit searches the sampled feature subset for the split with the
-// maximum weighted Gini improvement (Eq. 5).
-func (g *colGrower) bestSplit(start, end int, parentMass []float64) split {
+// maximum weighted Gini improvement (Eq. 5); n is the node's instance count
+// as grow counted it.
+func (g *colGrower) bestSplit(start, end, n int, parentMass []float64) split {
 	features := sampleSplitFeatures(g.rng, len(g.lay.cols), g.cfg.FeaturesPerSplit)
 	parentGini := Gini(parentMass)
 	parentTotal := 0.0
@@ -509,9 +481,9 @@ func (g *colGrower) bestSplit(start, end int, parentMass []float64) split {
 	best := split{feature: -1}
 	for _, f := range features {
 		if g.lay.orders != nil {
-			g.scanExact(f, start, end, parentMass, parentGini, parentTotal, &best)
+			g.scanExact(f, start, end, n, parentMass, parentGini, parentTotal, &best)
 		} else {
-			g.scanHist(f, start, end, parentMass, parentGini, parentTotal, &best)
+			g.scanHist(f, start, end, n, parentMass, parentGini, parentTotal, &best)
 		}
 	}
 	return best
@@ -519,26 +491,25 @@ func (g *colGrower) bestSplit(start, end int, parentMass []float64) split {
 
 // scanExact walks the node's presorted order for feature f, evaluating a
 // cut between every pair of distinct adjacent values; the min-leaf rule is
-// enforced on unweighted counts.
-func (g *colGrower) scanExact(f, start, end int, parentMass []float64, parentGini, parentTotal float64, best *split) {
+// enforced on instance counts (rows with their multiplicities, not weights).
+func (g *colGrower) scanExact(f, start, end, n int, parentMass []float64, parentGini, parentTotal float64, best *split) {
 	ord := g.lay.orders[f][start:end]
 	col := g.lay.cols[f]
 	leftMass := g.leftMass
-	for c := range leftMass {
-		leftMass[c] = 0
-	}
+	clear(leftMass)
 	minLeaf := g.cfg.MinLeafSamples
-	if g.unitW {
+	if g.w == nil {
+		nLeft := 0
 		for pos := 0; pos < len(ord)-1; pos++ {
 			i := ord[pos]
-			leftMass[g.y[i]]++
+			c := int(g.cnt[i])
+			leftMass[g.y[i]] += float64(c)
+			nLeft += c
 			cur, next := col[i], col[ord[pos+1]]
 			if cur == next {
 				continue
 			}
-			nLeft := pos + 1
-			nRight := len(ord) - nLeft
-			if nLeft < minLeaf || nRight < minLeaf {
+			if nLeft < minLeaf || n-nLeft < minLeaf {
 				continue
 			}
 			leftTotal := float64(nLeft)
@@ -561,8 +532,7 @@ func (g *colGrower) scanExact(f, start, end int, parentMass []float64, parentGin
 			continue
 		}
 		nLeft := pos + 1
-		nRight := len(ord) - nLeft
-		if nLeft < minLeaf || nRight < minLeaf {
+		if nLeft < minLeaf || n-nLeft < minLeaf {
 			continue
 		}
 		q := leftTotal / parentTotal
@@ -578,7 +548,7 @@ func (g *colGrower) scanExact(f, start, end int, parentMass []float64, parentGin
 // bins in one unordered pass over the rows, then evaluates a cut at every
 // non-empty bin boundary. An empty bin's boundary would duplicate the
 // previous cut at a higher threshold, so it is skipped.
-func (g *colGrower) scanHist(f, start, end int, parentMass []float64, parentGini, parentTotal float64, best *split) {
+func (g *colGrower) scanHist(f, start, end, n int, parentMass []float64, parentGini, parentTotal float64, best *split) {
 	upper := g.lay.binUpper[f]
 	if len(upper) == 0 {
 		return // constant feature: nothing to cut
@@ -587,18 +557,15 @@ func (g *colGrower) scanHist(f, start, end int, parentMass []float64, parentGini
 	C := g.numClasses
 	hm := g.histMass[:nb*C]
 	hc := g.histCnt[:nb]
-	for j := range hm {
-		hm[j] = 0
-	}
-	for j := range hc {
-		hc[j] = 0
-	}
+	clear(hm)
+	clear(hc)
 	bins := g.lay.binIdx[f]
-	if g.unitW {
+	if g.w == nil {
 		for _, i := range g.lay.rows[start:end] {
 			b := int(bins[i])
-			hm[b*C+g.y[i]]++
-			hc[b]++
+			c := g.cnt[i]
+			hm[b*C+g.y[i]] += float64(c)
+			hc[b] += int(c)
 		}
 	} else {
 		for _, i := range g.lay.rows[start:end] {
@@ -608,12 +575,9 @@ func (g *colGrower) scanHist(f, start, end int, parentMass []float64, parentGini
 		}
 	}
 	leftMass := g.leftMass
-	for c := range leftMass {
-		leftMass[c] = 0
-	}
+	clear(leftMass)
 	leftTotal := 0.0
 	nLeft := 0
-	total := end - start
 	minLeaf := g.cfg.MinLeafSamples
 	for b := 0; b < nb-1; b++ {
 		for c := 0; c < C; c++ {
@@ -625,8 +589,7 @@ func (g *colGrower) scanHist(f, start, end int, parentMass []float64, parentGini
 		if hc[b] == 0 {
 			continue
 		}
-		nRight := total - nLeft
-		if nLeft < minLeaf || nRight < minLeaf {
+		if nLeft < minLeaf || n-nLeft < minLeaf {
 			continue
 		}
 		q := leftTotal / parentTotal

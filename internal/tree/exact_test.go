@@ -11,8 +11,10 @@ package tree
 // group is then unique, so even arbitrary weights match).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"telcochurn/internal/dataset"
@@ -185,5 +187,72 @@ func TestColumnarForestMatchesLegacyPerTreeFits(t *testing.T) {
 		}, f.numClasses)
 		sameNode(t, f.trees[tr].root, want.root, "root:")
 		sameImportance(t, f.trees[tr].importance, want.importance)
+	}
+}
+
+// expandedLayout lays out the resample x[idx[0]], x[idx[1]], … with one
+// position per draw: values and bins gathered from the forest's shared
+// colData (so bin edges come from the full matrix), each order sorted by
+// value. Grown with unit weights it gives the expanded-resample tree, the
+// reference the multiplicity layout must reproduce.
+func expandedLayout(cd *colData, idx []int) *colLayout {
+	n := len(idx)
+	l := &colLayout{binUpper: cd.binUpper, rows: make([]int32, n), goesLeft: make([]uint8, n), scratch: make([]int32, n)}
+	for j := range l.rows {
+		l.rows[j] = int32(j)
+	}
+	for f, src := range cd.cols {
+		col := make([]float64, n)
+		for j, r := range idx {
+			col[j] = src[r]
+		}
+		l.cols = append(l.cols, col)
+		if cd.binIdx != nil {
+			bins := make([]uint8, n)
+			for j, r := range idx {
+				bins[j] = cd.binIdx[f][r]
+			}
+			l.binIdx = append(l.binIdx, bins)
+			continue
+		}
+		ord := append([]int32(nil), l.rows...)
+		sort.SliceStable(ord, func(a, b int) bool { return col[ord[a]] < col[ord[b]] })
+		l.orders = append(l.orders, ord)
+	}
+	return l
+}
+
+// TestForestMultiplicityMatchesExpandedBootstrap checks every forest tree,
+// grown on its distinct drawn rows with draw counts, against the same tree
+// grown on the expanded resample, in both split modes. The weighted draw
+// repeats rows often, and the min-leaf size sits close to node sizes, so
+// the weighted min-leaf rule decides splits both ways.
+func TestForestMultiplicityMatchesExpandedBootstrap(t *testing.T) {
+	d := tiedDataset(600, 6, 51)
+	d.W = make([]float64, d.NumInstances())
+	for i, y := range d.Y {
+		d.W[i] = 1 + 3*float64(y)
+	}
+	for _, maxBins := range []int{0, 32} {
+		cfg := ForestConfig{NumTrees: 12, MinLeafSamples: 45, FeaturesPerSplit: 3, Seed: 29, MaxBins: maxBins}
+		f, err := FitForest(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd := newColData(d.X, d.NumFeatures(), maxBins)
+		for tr := 0; tr < cfg.NumTrees; tr++ {
+			idx := bootstrapIdx(d, rand.New(rand.NewSource(cfg.Seed+int64(tr)*1_000_003)))
+			y := make([]int, len(idx))
+			for j, r := range idx {
+				y[j] = d.Y[r]
+			}
+			tc := Config{MinLeafSamples: cfg.MinLeafSamples, FeaturesPerSplit: cfg.FeaturesPerSplit,
+				MaxBins: maxBins, Seed: cfg.Seed + int64(tr)*7_000_003}
+			g := newColGrower(expandedLayout(cd, idx), y, nil, f.numClasses, d.NumFeatures(), tc)
+			want := g.grow(0, len(idx), 0)
+			path := fmt.Sprintf("bins=%d tree=%d root:", maxBins, tr)
+			sameNode(t, f.trees[tr].root, want, path)
+			sameImportance(t, f.trees[tr].importance, g.importance)
+		}
 	}
 }

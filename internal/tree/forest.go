@@ -82,8 +82,8 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 	}
 
 	// Transpose + presort (or bin) the training matrix once; every tree
-	// derives its bootstrap's feature orders from this shared view with a
-	// counting remap instead of re-sorting (see newBootstrapLayout).
+	// grows over this shared view, on the distinct rows its bootstrap drew
+	// (see newBootstrapLayout).
 	treeCfg := Config{
 		MinLeafSamples:   cfg.MinLeafSamples,
 		MaxDepth:         cfg.MaxDepth,
@@ -91,19 +91,12 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 		MaxBins:          cfg.MaxBins,
 	}.withDefaults()
 	cd := newColData(d.X, d.NumFeatures(), treeCfg.MaxBins)
-	// Bootstrap rows carry unit weight: weighted datasets encode their
-	// weights in the draw itself (see bootstrapIdx), so all trees share one
-	// read-only weight vector.
-	unitW := make([]float64, n)
-	for i := range unitW {
-		unitW[i] = 1
-	}
 
 	// Each tree draws from its own RNG stream keyed by tree index, so the
-	// ensemble is bit-identical for any worker count. The big per-tree
-	// buffers (gathered columns, remapped orders, partition scratch) cycle
-	// through a pool, so steady state allocates them once per worker rather
-	// than once per tree.
+	// ensemble is bit-identical for any worker count. The per-tree buffers
+	// (draw counts, filtered orders, partition scratch) cycle through a
+	// pool, so steady state allocates them once per worker rather than once
+	// per tree.
 	trees := make([]*Tree, cfg.NumTrees)
 	pool := sync.Pool{New: func() any { return new(bootBuffers) }}
 	parallel.ForGrain(cfg.Workers, cfg.NumTrees, 1, func(t int) {
@@ -112,7 +105,7 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 		tc := treeCfg
 		tc.Seed = cfg.Seed + int64(t)*7_000_003
 		b := pool.Get().(*bootBuffers)
-		trees[t] = fitTreeBoot(cd, d, idx, unitW, tc, numClasses, b)
+		trees[t] = fitTreeBoot(cd, d, idx, tc, numClasses, b)
 		pool.Put(b)
 	})
 
@@ -135,18 +128,13 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 }
 
 // fitTreeBoot fits one forest tree on the bootstrap draw idx over the
-// shared columnar view, gathering labels and deriving presorted orders/bins
-// for the resample without touching the row-major matrix again.
-func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, unitW []float64, cfg Config, numClasses int, b *bootBuffers) *Tree {
-	if cap(b.y) < len(idx) {
-		b.y = make([]int, len(idx))
-	}
-	y := b.y[:len(idx)]
-	for j, r := range idx {
-		y[j] = d.Y[r]
-	}
-	g := newColGrower(newBootstrapLayout(cd, d.X, idx, b), y, unitW, numClasses, d.NumFeatures(), cfg)
-	root := g.grow(0, len(idx), 0)
+// shared columnar view: the tree equals one grown on the resample
+// x[idx[0]], x[idx[1]], …, computed on the distinct rows drawn, with unit
+// weights and the dataset's own labels.
+func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClasses int, b *bootBuffers) *Tree {
+	lay := newBootstrapLayout(cd, idx, b)
+	g := newColGrower(lay, d.Y, nil, numClasses, d.NumFeatures(), cfg)
+	root := g.grow(0, len(lay.rows), 0)
 	return &Tree{root: root, numClasses: numClasses, numFeat: d.NumFeatures(), importance: g.importance}
 }
 
@@ -158,7 +146,7 @@ func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, unitW []float64, cf
 // gives the Weighted Instance method its Table 7 ranking gains. The fit
 // itself then uses unit weights: the draw already encodes them, and
 // carrying them into the Gini computation would square their influence.
-// OOBScores.markBootstrap replays this draw; keep them in sync.
+// OOBScores replays this draw to find each tree's in-bag rows.
 func bootstrapIdx(d *dataset.Dataset, rng *rand.Rand) []int {
 	n := d.NumInstances()
 	idx := make([]int, n)

@@ -3,7 +3,6 @@ package tree
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"telcochurn/internal/dataset"
 )
@@ -32,10 +31,10 @@ func OOBScores(d *dataset.Dataset, cfg ForestConfig, f *Forest) ([]float64, []bo
 	inBag := make([]bool, n)
 	for t := 0; t < cfg.NumTrees; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
-		for i := range inBag {
-			inBag[i] = false
+		clear(inBag)
+		for _, r := range bootstrapIdx(d, rng) {
+			inBag[r] = true
 		}
-		markBootstrap(d, rng, inBag)
 		tr := f.trees[t]
 		for i := 0; i < n; i++ {
 			if inBag[i] {
@@ -54,30 +53,4 @@ func OOBScores(d *dataset.Dataset, cfg ForestConfig, f *Forest) ([]float64, []bo
 		}
 	}
 	return scores, covered, nil
-}
-
-// markBootstrap replays the bootstrap draw of bootstrap() to flag in-bag
-// rows, consuming the RNG identically.
-func markBootstrap(d *dataset.Dataset, rng *rand.Rand, inBag []bool) {
-	n := d.NumInstances()
-	if d.W == nil {
-		for i := 0; i < n; i++ {
-			inBag[rng.Intn(n)] = true
-		}
-		return
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += d.W[i]
-		cum[i] = total
-	}
-	for i := 0; i < n; i++ {
-		r := rng.Float64() * total
-		idx := sort.SearchFloat64s(cum, r)
-		if idx >= n {
-			idx = n - 1
-		}
-		inBag[idx] = true
-	}
 }

@@ -145,7 +145,7 @@ func (g *colRegGrower) grow(start, end, depth int) *node {
 	if best.feature < 0 {
 		return leaf()
 	}
-	nLeft := g.lay.markSplit(start, end, best.feature, best.threshold)
+	nLeft, _ := g.lay.markSplit(start, end, best.feature, best.threshold)
 	if nLeft < g.cfg.MinLeafSamples || n-nLeft < g.cfg.MinLeafSamples {
 		return leaf()
 	}
