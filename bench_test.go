@@ -250,22 +250,51 @@ func BenchmarkLabelPropagation(b *testing.B) {
 	}
 }
 
+// benchSearchTopics returns the search-query featurizer core.Fit trains:
+// per-customer documents of the feature month, K = 10, default iterations.
+func benchSearchTopics(b *testing.B, tbl features.Tables, days int) *features.TopicFeaturizer {
+	b.Helper()
+	tf, err := features.FitTopicFeaturizer(tbl.Search, features.MonthWindow(2, days), days,
+		features.F8SearchTopics, "search", topic.Config{K: 10, Seed: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tf
+}
+
+// BenchmarkLDAFit fits the F8 search-query model the way core.Fit does: the
+// feature month's per-customer corpus through FitTopicFeaturizer (text
+// aggregation and tokenizing included) and the belief-propagation sweeps.
 func BenchmarkLDAFit(b *testing.B) {
 	months := benchWorld(b)
-	search := months[0].Search
-	imsi := search.MustCol("imsi").Ints
-	text := search.MustCol("text").Strings
+	tbl, err := features.FromMonthData(months)
+	if err != nil {
+		b.Fatal(err)
+	}
+	days := synth.DefaultConfig().DaysPerMonth
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := topic.NewCorpus()
-		for j := range imsi {
-			if j%4 == 0 {
-				c.AddDoc(imsi[j], text[j])
-			}
-		}
-		if _, err := topic.Fit(c, topic.Config{K: 10, Iters: 20, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+		benchSearchTopics(b, tbl, days)
+	}
+}
+
+// BenchmarkTopicFoldIn folds the scoring month's search documents into the
+// fitted model on one goroutine: the F8 half of Predict's topic columns.
+func BenchmarkTopicFoldIn(b *testing.B) {
+	months := benchWorld(b)
+	tbl, err := features.FromMonthData(months)
+	if err != nil {
+		b.Fatal(err)
+	}
+	days := synth.DefaultConfig().DaysPerMonth
+	tf := benchSearchTopics(b, tbl, days)
+	win := features.MonthWindow(4, days)
+	ids := tbl.Customers.MustCol("imsi").Ints
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tf.Apply(features.NewFrame(ids), tbl.Search, win, days)
 	}
 }
 

@@ -232,16 +232,50 @@ func oneCol(g Group, name string, def float64, compute func() map[int64]float64)
 }
 
 // runJobs evaluates the jobs across workers and appends every resulting
-// column to the frame in job order. Column layout and values are therefore
-// identical for any worker count — parallelism only reorders the compute,
-// never the merge.
+// column to the frame in job order. Each job turns its column maps into
+// row-aligned values on its own worker, so the maps die with the job rather
+// than all living until the merge, which then sizes every row once. Column
+// layout and values are identical for any worker count — parallelism only
+// reorders the compute, never the merge.
 func runJobs(f *Frame, workers int, jobs []colJob) {
-	results := make([][]column, len(jobs))
-	parallel.ForGrain(workers, len(jobs), 1, func(i int) { results[i] = jobs[i]() })
-	for _, cols := range results {
-		for _, c := range cols {
-			f.AddColumn(c.group, c.name, c.values, c.def)
+	type denseColumn struct {
+		group  Group
+		name   string
+		values []float64
+	}
+	results := make([][]denseColumn, len(jobs))
+	parallel.ForGrain(workers, len(jobs), 1, func(i int) {
+		cols := jobs[i]()
+		out := make([]denseColumn, len(cols))
+		for c, col := range cols {
+			vals := make([]float64, len(f.ids))
+			for r, id := range f.ids {
+				v, ok := col.values[id]
+				if !ok {
+					v = col.def
+				}
+				vals[r] = v
+			}
+			out[c] = denseColumn{group: col.group, name: col.name, values: vals}
 		}
+		results[i] = out
+	})
+	added := 0
+	for _, cols := range results {
+		added += len(cols)
+		for _, c := range cols {
+			f.names = append(f.names, c.name)
+			f.group = append(f.group, c.group)
+		}
+	}
+	for r, row := range f.x {
+		row = append(make([]float64, 0, len(row)+added), row...)
+		for _, cols := range results {
+			for _, c := range cols {
+				row = append(row, c.values[r])
+			}
+		}
+		f.x[r] = row
 	}
 }
 

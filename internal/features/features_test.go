@@ -1,10 +1,12 @@
 package features
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
 
+	"telcochurn/internal/codec"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
@@ -311,6 +313,38 @@ func TestTopicApplyWorkerInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodedTopicApplyMatchesFitted: a featurizer read back from its
+// encoding (what a scorer loads from an artifact) folds in across 8 workers
+// bit-identically to the fitted one on one; under -race it checks that the
+// fold-ins only read the word-major Phi copy Decode built.
+func TestDecodedTopicApplyMatchesFitted(t *testing.T) {
+	_, tbl, win, days := baseFrame(t, 2)
+	tf, err := FitTopicFeaturizer(tbl.Search, win, days, F8SearchTopics, "search",
+		topic.Config{K: 5, Iters: 15, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf, "TEST")
+	tf.Encode(w)
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := codec.NewReaderBytes(buf.Bytes(), "TEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeTopicFeaturizer(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := tbl.Customers.MustCol("imsi").Ints
+	want, got := NewFrame(ids), NewFrame(ids)
+	tf.Apply(want, tbl.Search, win, days)
+	decoded.ApplyWorkers(got, tbl.Search, win, days, 8)
+	framesBitIdentical(t, want, got, "decoded featurizer at 8 workers")
 }
 
 func TestSecondOrderSelectorRoundTrip(t *testing.T) {

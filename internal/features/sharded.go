@@ -33,9 +33,10 @@ type ShardedBuildSpec struct {
 	Win          Window
 	DaysPerMonth int
 	// Workers caps the build's goroutines (0 = GOMAXPROCS): how many shards
-	// build concurrently or, at one shard, the graph fold beside the
-	// per-customer columns and the loops inside each. More workers = more
-	// speed and proportionally more peak memory.
+	// build concurrently or, at one shard, the topic fit beside the rest of
+	// the build, the graph fold beside the per-customer columns and the
+	// loops inside each. More workers = more speed and proportionally more
+	// peak memory.
 	Workers int
 
 	// Groups selects the feature groups to build. F9 is rejected here: the
@@ -49,9 +50,12 @@ type ShardedBuildSpec struct {
 	Complaints *TopicFeaturizer
 	Search     *TopicFeaturizer
 	// FitTopics, when set, trains the F7 / F8 featurizers on the loaded
-	// tables; its results replace Complaints and Search. Topic models are
-	// fitted on a merged corpus, not per shard, so it is legal only at
-	// Shards = 1 (ErrFitNeedsOneShard otherwise).
+	// text tables (only Complaints and Search are set in its argument); its
+	// results replace Complaints and Search. Topic models are fitted on a
+	// merged corpus, not per shard, so it is legal only at Shards = 1
+	// (ErrFitNeedsOneShard otherwise). The fit runs as its own task beside
+	// the rest of the build, and the topic columns are applied to the merged
+	// frame once it returns.
 	FitTopics func(Tables) (complaints, search *TopicFeaturizer, err error)
 }
 
@@ -72,24 +76,35 @@ type ShardStats struct {
 // canonical order, then the F7 / F8 topic mixtures. It is the shard body of
 // BuildShardedFrame and, over one customer's rows, Maintainer.CustomerFrame.
 func perCustomerFrame(tbl Tables, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) (*Frame, error) {
-	if groups.Has(F7ComplaintTopics) && complaints == nil {
-		return nil, fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
-	}
-	if groups.Has(F8SearchTopics) && search == nil {
-		return nil, fmt.Errorf("features: F8 requested but no fitted search featurizer")
-	}
-	bf, err := BuildBaseFeatures(tbl, win, daysPerMonth, workers)
+	sel, err := BuildBaseFeatures(tbl, win, daysPerMonth, workers)
 	if err != nil {
 		return nil, err
 	}
-	sel := bf.SelectGroups((groups & BaseGroups).Groups()...)
-	if groups.Has(F7ComplaintTopics) {
-		complaints.ApplyWorkers(sel, tbl.Complaints, win, daysPerMonth, workers)
+	if base := groups & BaseGroups; base != BaseGroups {
+		sel = sel.SelectGroups(base.Groups()...)
 	}
-	if groups.Has(F8SearchTopics) {
-		search.ApplyWorkers(sel, tbl.Search, win, daysPerMonth, workers)
+	if err := applyTopics(sel, tbl, win, daysPerMonth, workers, groups, complaints, search); err != nil {
+		return nil, err
 	}
 	return sel, nil
+}
+
+// applyTopics appends the F7 / F8 columns among groups to f, folding in
+// tbl's complaint and search documents.
+func applyTopics(f *Frame, tbl Tables, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) error {
+	if groups.Has(F7ComplaintTopics) && complaints == nil {
+		return fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
+	}
+	if groups.Has(F8SearchTopics) && search == nil {
+		return fmt.Errorf("features: F8 requested but no fitted search featurizer")
+	}
+	if groups.Has(F7ComplaintTopics) {
+		complaints.ApplyWorkers(f, tbl.Complaints, win, daysPerMonth, workers)
+	}
+	if groups.Has(F8SearchTopics) {
+		search.ApplyWorkers(f, tbl.Search, win, daysPerMonth, workers)
+	}
+	return nil
 }
 
 // BuildShardedFrame is the one wide-table assembler: it builds the table
@@ -154,8 +169,14 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	// builds run single-threaded when shards provide the parallelism, so
 	// worker count scales concurrent shard residency, not thread count²;
 	// at one shard the overlap and the inner builds use the workers.
+	// A fitting build leaves the topic groups out of the shard frames: they
+	// are applied to the merged frame once their models are fitted.
+	shardGroups := spec.Groups
+	if spec.FitTopics != nil {
+		shardGroups &^= TopicGroups
+	}
 	wantGraph := spec.Groups&GraphGroups != 0
-	wantPerCustomer := spec.Groups&(BaseGroups|TopicGroups) != 0
+	wantPerCustomer := shardGroups&(BaseGroups|TopicGroups) != 0
 	acc := NewGraphAccumulator(spec.Shards, spec.Groups.Groups())
 	acc.Workers = spec.Workers
 	shardFrames := make([]*Frame, spec.Shards)
@@ -165,17 +186,20 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		innerWorkers = 1
 	}
 	var rawRows int64
-	parallel.ForGrain(spec.Workers, spec.Shards, 1, func(s int) {
+	load := func(s int) (Tables, bool) {
 		tbl, miss, err := spec.Load(s)
 		if err != nil {
 			errs[s] = fmt.Errorf("features: load shard %d: %w", s, err)
-			return
+			return Tables{}, false
 		}
 		missing[s] = miss
 		for _, t := range []*table.Table{tbl.Calls, tbl.Messages, tbl.Recharges, tbl.Billing,
 			tbl.Customers, tbl.Complaints, tbl.Web, tbl.Search, tbl.Locations} {
 			atomic.AddInt64(&rawRows, int64(t.NumRows()))
 		}
+		return tbl, true
+	}
+	buildShard := func(s int, tbl Tables) {
 		feed := func() {
 			// Every shard feeds the accumulator, even ones with no snapshot
 			// customers: their rows still carry edges to customers elsewhere.
@@ -187,15 +211,7 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 			if !wantPerCustomer || len(shardIDs[s]) == 0 {
 				return
 			}
-			complaints, search := spec.Complaints, spec.Search
-			if spec.FitTopics != nil {
-				var err error
-				if complaints, search, err = spec.FitTopics(tbl); err != nil {
-					errs[s] = err
-					return
-				}
-			}
-			sf, err := perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, spec.Groups, complaints, search)
+			sf, err := perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, shardGroups, spec.Complaints, spec.Search)
 			if err != nil {
 				errs[s] = fmt.Errorf("features: build shard %d: %w", s, err)
 				return
@@ -203,9 +219,97 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 			shardFrames[s] = sf
 		}
 		parallel.Do(innerWorkers, feed, build)
-	})
-	for _, err := range errs {
-		if err != nil {
+	}
+
+	// Merge. Shard universes are disjoint, so every merged row comes from
+	// exactly one shard row. A shard frame holds [base | topic] columns;
+	// they copy row by row around the graph columns into the canonical
+	// order [F1 F2 F3] graphs [F7 F8].
+	merge := func() {
+		var ref *Frame
+		nb, ncols := 0, 0 // base columns lead every shard frame
+		for _, sf := range shardFrames {
+			if sf != nil {
+				ref, ncols = sf, len(sf.names)
+				for nb < ncols && BaseGroups.Has(sf.group[nb]) {
+					nb++
+				}
+				break
+			}
+		}
+		copyColumns := func(from, to int) {
+			if from == to {
+				return
+			}
+			uni.names = append(uni.names, ref.names[from:to]...)
+			uni.group = append(uni.group, ref.group[from:to]...)
+			for _, sf := range shardFrames {
+				if sf == nil {
+					continue
+				}
+				for r, id := range sf.ids {
+					if i, ok := uni.index[id]; ok {
+						uni.x[i] = append(uni.x[i], sf.x[r][from:to]...)
+					}
+				}
+			}
+			// A universe customer no shard frame holds keeps zeros.
+			for i := range uni.x {
+				for len(uni.x[i]) < len(uni.names) {
+					uni.x[i] = append(uni.x[i], 0)
+				}
+			}
+		}
+		copyColumns(0, nb)
+		if wantGraph {
+			call, msg, cooc := acc.Finalize()
+			scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, spec.GraphIn, spec.Workers)
+		}
+		copyColumns(nb, ncols)
+	}
+
+	if spec.FitTopics == nil {
+		parallel.ForGrain(spec.Workers, spec.Shards, 1, func(s int) {
+			if tbl, ok := load(s); ok {
+				buildShard(s, tbl)
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, stats, err
+			}
+		}
+		merge()
+	} else {
+		// One shard, fitting: the topic fit is a task of its own beside the
+		// shard build, the graph finalize and the merge, and the topic
+		// columns follow the join. It holds only the two text tables, so the
+		// rest of the raw window can go once the other task is done with it.
+		tbl, ok := load(0)
+		if !ok {
+			return nil, stats, errs[0]
+		}
+		texts := Tables{Complaints: tbl.Complaints, Search: tbl.Search}
+		var (
+			complaints, search *TopicFeaturizer
+			fitErr             error
+		)
+		parallel.Do(spec.Workers,
+			func() { complaints, search, fitErr = spec.FitTopics(texts) },
+			func() {
+				buildShard(0, tbl)
+				tbl = Tables{}
+				if errs[0] == nil {
+					merge()
+				}
+			})
+		if fitErr != nil {
+			return nil, stats, fitErr
+		}
+		if errs[0] != nil {
+			return nil, stats, errs[0]
+		}
+		if err := applyTopics(uni, texts, spec.Win, spec.DaysPerMonth, spec.Workers, spec.Groups, complaints, search); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -217,50 +321,5 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 			}
 		}
 	}
-
-	// Merge. Shard universes are disjoint, so every merged row comes from
-	// exactly one shard row. A shard frame holds [base | topic] columns;
-	// they copy row by row around the graph columns into the canonical
-	// order [F1 F2 F3] graphs [F7 F8].
-	var ref *Frame
-	nb, ncols := 0, 0 // base columns lead every shard frame
-	for _, sf := range shardFrames {
-		if sf != nil {
-			ref, ncols = sf, len(sf.names)
-			for nb < ncols && BaseGroups.Has(sf.group[nb]) {
-				nb++
-			}
-			break
-		}
-	}
-	copyColumns := func(from, to int) {
-		if from == to {
-			return
-		}
-		uni.names = append(uni.names, ref.names[from:to]...)
-		uni.group = append(uni.group, ref.group[from:to]...)
-		for _, sf := range shardFrames {
-			if sf == nil {
-				continue
-			}
-			for r, id := range sf.ids {
-				if i, ok := uni.index[id]; ok {
-					uni.x[i] = append(uni.x[i], sf.x[r][from:to]...)
-				}
-			}
-		}
-		// A universe customer no shard frame holds keeps zeros.
-		for i := range uni.x {
-			for len(uni.x[i]) < len(uni.names) {
-				uni.x[i] = append(uni.x[i], 0)
-			}
-		}
-	}
-	copyColumns(0, nb)
-	if wantGraph {
-		call, msg, cooc := acc.Finalize()
-		scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, spec.GraphIn, spec.Workers)
-	}
-	copyColumns(nb, ncols)
 	return uni, stats, nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
@@ -221,5 +223,121 @@ func TestBuildShardedFrameRejectsF9AndMissingFeaturizer(t *testing.T) {
 	spec.FitTopics = func(Tables) (*TopicFeaturizer, *TopicFeaturizer, error) { return nil, nil, nil }
 	if _, _, err := BuildShardedFrame(spec); !errors.Is(err, ErrFitNeedsOneShard) {
 		t.Fatalf("topic fit over 2 shards: %v, want ErrFitNeedsOneShard", err)
+	}
+}
+
+// TestBuildShardedFrameFitTopicsMatchesSequential pins the fitting build —
+// the topic fit running as a task beside the frame build, the topic columns
+// applied to the merged frame after the join — to the sequential reference:
+// fit both featurizers first, then build with them at 1 and 4 shards.
+// Frames, column order and both models' Phi must agree bit for bit at every
+// worker count, so topic columns landing anywhere but after the graph
+// columns fails it.
+func TestBuildShardedFrameFitTopicsMatchesSequential(t *testing.T) {
+	months, cfg := simOnce(t)
+	tbl, err := FromMonthData(months)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := cfg.DaysPerMonth
+	win := MonthWindow(2, days)
+	in := GraphFeatureInput{
+		PrevChurners: ChurnersOf(months[1].Truth),
+		StableSample: StableOf(months[1].Truth, 10),
+	}
+	fit := func(texts Tables) (*TopicFeaturizer, *TopicFeaturizer, error) {
+		comp, err := FitTopicFeaturizer(texts.Complaints, win, days, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
+		if err != nil {
+			return nil, nil, err
+		}
+		search, err := FitTopicFeaturizer(texts.Search, win, days, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
+		return comp, search, err
+	}
+	comp, search, err := fit(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := AllGroups()[:8]
+	var ref *Frame
+	for _, shards := range []int{1, 4} {
+		spec := shardedSpec(t, tbl, shards, 2, win, days, groups)
+		spec.GraphIn, spec.Complaints, spec.Search = in, comp, search
+		got, _, err := BuildShardedFrame(spec)
+		if err != nil {
+			t.Fatalf("reference shards=%d: %v", shards, err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		framesBitIdentical(t, ref, got, fmt.Sprintf("reference shards=%d", shards))
+	}
+
+	samePhi := func(a, b *TopicFeaturizer, what string) {
+		t.Helper()
+		for k := range a.model.Phi {
+			for w, v := range a.model.Phi[k] {
+				if math.Float64bits(v) != math.Float64bits(b.model.Phi[k][w]) {
+					t.Fatalf("%s Phi[%d][%d] = %v, sequential fit %v", what, k, w, b.model.Phi[k][w], v)
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		spec := shardedSpec(t, tbl, 1, workers, win, days, groups)
+		spec.GraphIn = in
+		var fitted [2]*TopicFeaturizer
+		spec.FitTopics = func(texts Tables) (*TopicFeaturizer, *TopicFeaturizer, error) {
+			if texts.Calls != nil || texts.Locations != nil || texts.Customers != nil {
+				t.Error("the topic fit was handed more than the two text tables")
+			}
+			c, s, err := fit(texts)
+			fitted = [2]*TopicFeaturizer{c, s}
+			return c, s, err
+		}
+		got, _, err := BuildShardedFrame(spec)
+		if err != nil {
+			t.Fatalf("fitting build workers=%d: %v", workers, err)
+		}
+		framesBitIdentical(t, ref, got, fmt.Sprintf("fitting build workers=%d", workers))
+		samePhi(comp, fitted[0], "complaint")
+		samePhi(search, fitted[1], "search")
+	}
+}
+
+// TestBuildShardedFrameFitTopicsError: a failing topic fit (no search
+// documents in the window) comes back as the build's error at every worker
+// count, with the concurrent frame build joined rather than left running.
+func TestBuildShardedFrameFitTopicsError(t *testing.T) {
+	months, cfg := simOnce(t)
+	tbl, err := FromMonthData(months)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := cfg.DaysPerMonth
+	win := MonthWindow(2, days)
+	tbl.Search = tbl.Search.Filter(func(int) bool { return false })
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		spec := shardedSpec(t, tbl, 1, workers, win, days, AllGroups()[:8])
+		spec.GraphIn = GraphFeatureInput{PrevChurners: ChurnersOf(months[1].Truth)}
+		var fitErr error
+		spec.FitTopics = func(texts Tables) (*TopicFeaturizer, *TopicFeaturizer, error) {
+			_, fitErr = FitTopicFeaturizer(texts.Search, win, days, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
+			return nil, nil, fitErr
+		}
+		frame, _, err := BuildShardedFrame(spec)
+		if fitErr == nil || !errors.Is(err, fitErr) || frame != nil {
+			t.Fatalf("workers=%d: build = %v, %v; want the fit error %v", workers, frame, err, fitErr)
+		}
+	}
+	// parallel.Do has waited for every task; give their goroutines a moment
+	// to finish exiting before counting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the failed builds, %d before", n, before)
 	}
 }

@@ -79,8 +79,8 @@ func (tf *TopicFeaturizer) Apply(f *Frame, t *table.Table, win Window, daysPerMo
 
 // ApplyWorkers is Apply with the per-document fold-ins spread over
 // `workers` goroutines (0 = GOMAXPROCS). Each document's theta lands in its
-// own slot and the columns fill serially in ascending id order, so the
-// frame is bit-identical for any worker count.
+// own slot and the rows fill serially, so the frame is bit-identical for
+// any worker count.
 func (tf *TopicFeaturizer) ApplyWorkers(f *Frame, t *table.Table, win Window, daysPerMonth, workers int) {
 	docs := aggregateTexts(t, win, daysPerMonth)
 	ids := sortedKeys(docs)
@@ -89,18 +89,25 @@ func (tf *TopicFeaturizer) ApplyWorkers(f *Frame, t *table.Table, win Window, da
 		thetas[i] = tf.model.FoldIn(docs[ids[i]], 0)
 	})
 	k := tf.model.K()
-	cols := make([]map[int64]float64, k)
-	for i := range cols {
-		cols[i] = make(map[int64]float64, len(docs))
+	uniform := make([]float64, k)
+	for i := range uniform {
+		uniform[i] = 1.0 / float64(k)
+	}
+	rows := make([][]float64, len(f.ids)) // each frame row's theta
+	for r := range rows {
+		rows[r] = uniform
 	}
 	for d, id := range ids {
-		for i, v := range thetas[d] {
-			cols[i][id] = v
+		if r, ok := f.index[id]; ok {
+			rows[r] = thetas[d]
 		}
 	}
-	uniform := 1.0 / float64(k)
-	for i := range cols {
-		f.AddColumn(tf.group, fmt.Sprintf("%s_topic_%d", tf.prefix, i), cols[i], uniform)
+	for i := 0; i < k; i++ {
+		f.names = append(f.names, fmt.Sprintf("%s_topic_%d", tf.prefix, i))
+		f.group = append(f.group, tf.group)
+	}
+	for r, theta := range rows {
+		f.x[r] = append(f.x[r], theta...)
 	}
 }
 

@@ -7,6 +7,7 @@ package topic
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -110,7 +111,10 @@ type Model struct {
 	Theta [][]float64
 	// Phi[k][w] is the topic-word distribution.
 	Phi [][]float64
-	// nw[k][w], nk[k]: sufficient statistics kept for fold-in.
+	// phiT[w*K+k] = Phi[k][w]: the word-major copy FoldIn reads, so one
+	// word's K topics are contiguous. Fit and Decode build it before the
+	// model is shared; FoldIn only reads it, so concurrent fold-ins are safe.
+	phiT       []float64
 	vocabIndex map[string]int
 }
 
@@ -124,20 +128,25 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Messages mu[d][j][k] for each nonzero (word j of doc d).
-	mu := make([][][]float64, D)
-	nd := make([][]float64, D) // per-doc topic mass
-	nw := make([][]float64, K) // per-topic word mass
-	nk := make([]float64, K)   // per-topic total mass
-	for k := 0; k < K; k++ {
-		nw[k] = make([]float64, W)
+	// The state lives in flat slices, each a run of K per entry: the
+	// messages of (doc d, word j) at mu[(off[d]+j)*K:] in sweep order, the
+	// per-doc topic mass at nd[d*K:] and the per-word topic mass at nw[w*K:]
+	// (word-major, so an update touches one contiguous run per slice). Every
+	// value sees the same float operations in the same order as a nested
+	// mu[d][j][k] / nw[k][w] layout would give it.
+	off := make([]int, D+1)
+	for d := range c.docs {
+		off[d+1] = off[d] + len(c.docs[d].words)
 	}
+	mu := make([]float64, off[D]*K)
+	nd := make([]float64, D*K)
+	nw := make([]float64, W*K)
+	nk := make([]float64, K)
 	for d := range c.docs {
 		dd := &c.docs[d]
-		mu[d] = make([][]float64, len(dd.words))
-		nd[d] = make([]float64, K)
-		for j := range dd.words {
-			msg := make([]float64, K)
+		ndd := nd[d*K : (d+1)*K]
+		for j, w := range dd.words {
+			msg := mu[(off[d]+j)*K : (off[d]+j+1)*K]
 			total := 0.0
 			for k := range msg {
 				msg[k] = 0.5 + rng.Float64()
@@ -146,12 +155,11 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 			for k := range msg {
 				msg[k] /= total
 			}
-			mu[d][j] = msg
 			cnt := dd.counts[j]
-			w := dd.words[j]
+			nww := nw[w*K : (w+1)*K]
 			for k := range msg {
-				nd[d][k] += cnt * msg[k]
-				nw[k][w] += cnt * msg[k]
+				ndd[k] += cnt * msg[k]
+				nww[k] += cnt * msg[k]
 				nk[k] += cnt * msg[k]
 			}
 		}
@@ -163,14 +171,16 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 	for iter := 0; iter < cfg.Iters; iter++ {
 		for d := range c.docs {
 			dd := &c.docs[d]
+			ndd := nd[d*K : (d+1)*K]
 			for j, w := range dd.words {
 				cnt := dd.counts[j]
-				old := mu[d][j]
+				old := mu[(off[d]+j)*K : (off[d]+j+1)*K]
+				nww := nw[w*K : (w+1)*K]
 				// Exclude this entry's own mass (the "-wd" terms).
 				total := 0.0
 				for k := 0; k < K; k++ {
-					ndk := nd[d][k] - cnt*old[k]
-					nwk := nw[k][w] - cnt*old[k]
+					ndk := ndd[k] - cnt*old[k]
+					nwk := nww[k] - cnt*old[k]
 					nkk := nk[k] - cnt*old[k]
 					if ndk < 0 {
 						ndk = 0
@@ -188,8 +198,8 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 				for k := 0; k < K; k++ {
 					nm := newMsg[k] / total
 					delta := cnt * (nm - old[k])
-					nd[d][k] += delta
-					nw[k][w] += delta
+					ndd[k] += delta
+					nww[k] += delta
 					nk[k] += delta
 					old[k] = nm
 				}
@@ -200,13 +210,33 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 	m := &Model{cfg: cfg, vocabIndex: c.index}
 	m.Theta = make([][]float64, D)
 	for d := range c.docs {
-		m.Theta[d] = distWithPrior(nd[d], alpha)
+		m.Theta[d] = distWithPrior(nd[d*K:(d+1)*K], alpha)
 	}
 	m.Phi = make([][]float64, K)
+	col := make([]float64, W)
 	for k := 0; k < K; k++ {
-		m.Phi[k] = distWithPrior(nw[k], beta)
+		for w := range col {
+			col[w] = nw[w*K+k]
+		}
+		m.Phi[k] = distWithPrior(col, beta)
 	}
+	m.transposePhi()
 	return m, nil
+}
+
+// transposePhi builds the word-major copy of Phi that FoldIn reads.
+func (m *Model) transposePhi() {
+	K := len(m.Phi)
+	W := 0
+	if K > 0 {
+		W = len(m.Phi[0])
+	}
+	m.phiT = make([]float64, W*K)
+	for k, row := range m.Phi {
+		for w, p := range row {
+			m.phiT[w*K+k] = p
+		}
+	}
 }
 
 func distWithPrior(mass []float64, prior float64) []float64 {
@@ -223,53 +253,63 @@ func distWithPrior(mass []float64, prior float64) []float64 {
 
 // FoldIn infers the topic distribution θ for an unseen document given the
 // trained Phi (word distributions fixed), used to featurize test-month
-// customers without refitting.
+// customers without refitting. The document's known words are sorted and
+// run-length counted, so the updates visit distinct words in ascending
+// vocabulary order with their multiplicities.
 func (m *Model) FoldIn(text string, iters int) []float64 {
 	if iters <= 0 {
 		iters = 20
 	}
 	K := m.cfg.K
-	counts := make(map[int]float64)
+	var ids []int
 	for _, tok := range strings.Fields(text) {
 		if w, ok := m.vocabIndex[tok]; ok {
-			counts[w]++
+			ids = append(ids, w)
 		}
 	}
-	theta := make([]float64, K)
-	for k := range theta {
-		theta[k] = 1.0 / float64(K)
-	}
-	if len(counts) == 0 {
+	if len(ids) == 0 {
+		theta := make([]float64, K)
+		for k := range theta {
+			theta[k] = 1.0 / float64(K)
+		}
 		return theta
 	}
-	words := make([]int, 0, len(counts))
-	for w := range counts {
-		words = append(words, w)
+	slices.Sort(ids)
+	// Compact ids in place into the distinct words, counting each run.
+	words, counts := ids[:0], make([]float64, 0, len(ids))
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		words = append(words, ids[i])
+		counts = append(counts, float64(j-i))
+		i = j
 	}
-	sort.Ints(words)
 
+	alpha := m.cfg.Alpha
 	nd := make([]float64, K)
 	msg := make([]float64, K)
-	post := make(map[int][]float64, len(words))
-	for _, w := range words {
-		p := make([]float64, K)
+	post := make([]float64, len(words)*K) // post[i*K+k]: word i's topic posterior
+	for i := range words {
+		p := post[i*K : (i+1)*K]
 		for k := range p {
 			p[k] = 1.0 / float64(K)
-			nd[k] += counts[w] / float64(K)
+			nd[k] += counts[i] / float64(K)
 		}
-		post[w] = p
 	}
 	for it := 0; it < iters; it++ {
-		for _, w := range words {
-			cnt := counts[w]
-			old := post[w]
+		for i, w := range words {
+			cnt := counts[i]
+			old := post[i*K : (i+1)*K]
+			phi := m.phiT[w*K : (w+1)*K]
 			total := 0.0
 			for k := 0; k < K; k++ {
 				ndk := nd[k] - cnt*old[k]
 				if ndk < 0 {
 					ndk = 0
 				}
-				v := (ndk + m.cfg.Alpha) * m.Phi[k][w]
+				v := (ndk + alpha) * phi[k]
 				msg[k] = v
 				total += v
 			}
@@ -280,7 +320,7 @@ func (m *Model) FoldIn(text string, iters int) []float64 {
 			}
 		}
 	}
-	return distWithPrior(nd, m.cfg.Alpha)
+	return distWithPrior(nd, alpha)
 }
 
 // TopWords returns the n highest-probability words of topic k, for

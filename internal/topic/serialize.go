@@ -46,6 +46,16 @@ func Decode(r *codec.Reader) (*Model, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	// Encode writes the vocabulary back out of the index, so a repeated
+	// word would leave it a slot short; K = 0 would fold into an empty theta.
+	if len(m.vocabIndex) != len(vocab) {
+		r.Fail("topic model vocabulary repeats a word")
+		return nil, r.Err()
+	}
+	if m.cfg.K < 1 {
+		r.Fail(fmt.Sprintf("topic model has K=%d topics", m.cfg.K))
+		return nil, r.Err()
+	}
 	if k != m.cfg.K {
 		r.Fail(fmt.Sprintf("topic model has %d Phi rows, config says K=%d", k, m.cfg.K))
 		return nil, r.Err()
@@ -58,5 +68,9 @@ func Decode(r *codec.Reader) (*Model, error) {
 			return nil, r.Err()
 		}
 	}
-	return m, r.Err()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	m.transposePhi()
+	return m, nil
 }
