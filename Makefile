@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short test-race cover bench bench-smoke bench-check bench-profile chaos chaos-net e2e loadtest scale-smoke ci experiments examples clean
+.PHONY: all build vet fmt-check test test-short test-race cover bench bench-smoke bench-check bench-profile chaos chaos-net e2e loadtest scale-smoke ci experiments clean
 
 all: build vet test
 
@@ -72,6 +72,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/tree/
 
 # Network chaos: the seeded TCP fault proxy's property tests under -race,
 # then the full proxied harness — churnd behind cmd/netproxy under a mixed
@@ -110,14 +111,6 @@ ci: build vet fmt-check bench-check test-race chaos chaos-net bench-smoke scale-
 # Regenerate every table and figure at reference scale (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/churnctl eval all -customers 4000 -trees 150 -repeats 2
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/warehouse_etl
-	$(GO) run ./examples/volume_study
-	$(GO) run ./examples/retention_campaign
-	$(GO) run ./examples/velocity_study
-	$(GO) run ./examples/root_cause
 
 clean:
 	rm -rf warehouse churn-model.bin churn-model.tcpa LOAD.json

@@ -57,7 +57,7 @@ func cmdExplain(args []string) error {
 	for _, id := range frame.IDs() {
 		row, _ := frame.Row(id)
 		rows[id] = row
-		preds = append(preds, eval.Prediction{ID: id, Score: rf.Forest().Score(row)})
+		preds = append(preds, eval.Prediction{ID: id, Score: rf.Score(row)})
 	}
 	eval.ByScoreDesc(preds)
 

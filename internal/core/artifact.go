@@ -241,13 +241,22 @@ func Load(r io.Reader) (*Pipeline, error) {
 		if err != nil {
 			return nil, badArtifact(err)
 		}
+		// ReadForest bounds split features by the forest's own names; the
+		// rows it will score are the schema's.
+		if n := len(f.FeatureNames()); n != len(p.featNames) {
+			return nil, fmt.Errorf("%w: forest has %d features, schema %d", ErrBadArtifact, n, len(p.featNames))
+		}
 		p.clf = &RFClassifier{forest: f, compiled: f.Compile()}
 	case tagGBDT:
 		g, err := tree.ReadGBDT(bytes.NewReader(rd.Bytes()))
 		if err != nil {
 			return nil, badArtifact(err)
 		}
-		p.clf = &GBDTClassifier{model: g, compiled: g.Compile()}
+		cg := g.Compile()
+		if w := cg.Width(); w > len(p.featNames) {
+			return nil, fmt.Errorf("%w: GBDT splits on feature %d of a %d-feature schema", ErrBadArtifact, w-1, len(p.featNames))
+		}
+		p.clf = &GBDTClassifier{model: g, compiled: cg}
 	case tagLiblinear:
 		c := &LinearClassifier{Buckets: int(rd.Uvarint())}
 		if c.bin, err = linear.DecodeBinarizer(rd); err != nil {

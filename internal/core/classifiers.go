@@ -43,15 +43,9 @@ func (c *RFClassifier) Fit(d *dataset.Dataset) error {
 	return nil
 }
 
-// ScoreAll implements Classifier. It scores through the compiled ensemble
-// (bit-identical to the pointer walker, proven by the tree package's
-// property tests) when one is available.
-func (c *RFClassifier) ScoreAll(x [][]float64) []float64 {
-	if c.compiled != nil {
-		return c.compiled.ScoreAll(x)
-	}
-	return c.forest.ScoreAll(x)
-}
+// ScoreAll implements Classifier through the compiled ensemble, which Fit
+// and Load always set.
+func (c *RFClassifier) ScoreAll(x [][]float64) []float64 { return c.compiled.ScoreAll(x) }
 
 // Score implements SingleScorer without allocating.
 func (c *RFClassifier) Score(x []float64) float64 { return c.compiled.Score(x) }
@@ -59,7 +53,8 @@ func (c *RFClassifier) Score(x []float64) float64 { return c.compiled.Score(x) }
 // Name implements Classifier.
 func (c *RFClassifier) Name() string { return "RF" }
 
-// Forest exposes the trained forest (for feature importance, Table 4).
+// Forest exposes the trained forest for feature importance (Table 4),
+// attribution and persistence; scores come from Score / ScoreAll.
 func (c *RFClassifier) Forest() *tree.Forest { return c.forest }
 
 // GBDTClassifier wraps gradient boosted decision trees.
@@ -80,13 +75,8 @@ func (c *GBDTClassifier) Fit(d *dataset.Dataset) error {
 	return nil
 }
 
-// ScoreAll implements Classifier (compiled when available, like RF).
-func (c *GBDTClassifier) ScoreAll(x [][]float64) []float64 {
-	if c.compiled != nil {
-		return c.compiled.ScoreAll(x)
-	}
-	return c.model.ScoreAll(x)
-}
+// ScoreAll implements Classifier through the compiled ensemble, like RF.
+func (c *GBDTClassifier) ScoreAll(x [][]float64) []float64 { return c.compiled.ScoreAll(x) }
 
 // Score implements SingleScorer without allocating.
 func (c *GBDTClassifier) Score(x []float64) float64 { return c.compiled.Score(x) }

@@ -207,12 +207,13 @@ func (e *Env) runExtendedGraphArm(trainMonth, testMonth, u int) (eval.Report, er
 		}
 	}
 	d = d.Subset(keep)
-	forest, err := tree.FitForest(d, tree.ForestConfig{
+	fitted, err := tree.FitForest(d, tree.ForestConfig{
 		NumTrees: e.Opts.Trees, MinLeafSamples: e.Opts.MinLeaf, Seed: e.Opts.Seed + 73,
 	})
 	if err != nil {
 		return eval.Report{}, err
 	}
+	forest := fitted.Compile()
 
 	testFrame, err := build(testMonth)
 	if err != nil {

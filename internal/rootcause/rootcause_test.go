@@ -84,7 +84,7 @@ func TestExplainDecomposition(t *testing.T) {
 		if math.Abs(sum-e.Score) > 1e-9 {
 			t.Fatalf("decomposition broken: %g vs %g", sum, e.Score)
 		}
-		if math.Abs(e.Score-rf.Forest().Score(row)) > 1e-9 {
+		if math.Abs(e.Score-rf.Score(row)) > 1e-9 {
 			t.Fatalf("explained score %g != forest score", e.Score)
 		}
 		if len(e.Top) != 5 {

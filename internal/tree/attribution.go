@@ -20,7 +20,7 @@ func (f *Forest) Contributions(x []float64) (bias float64, contrib []float64) {
 	if len(f.trees) == 0 {
 		return 0, nil
 	}
-	contrib = make([]float64, len(f.trees[0].importance))
+	contrib = make([]float64, len(f.features))
 	for _, tr := range f.trees {
 		nd := tr.root
 		bias += nd.probs[1]

@@ -40,12 +40,7 @@ func (c Config) withDefaults() Config {
 	if c.MinLeafSamples == 0 {
 		c.MinLeafSamples = 100
 	}
-	if c.MaxBins > maxBinsLimit {
-		c.MaxBins = maxBinsLimit
-	}
-	if c.MaxBins < 0 {
-		c.MaxBins = 0
-	}
+	c.MaxBins = clampBins(c.MaxBins)
 	return c
 }
 
@@ -131,7 +126,9 @@ func weightsOf(d *dataset.Dataset) []float64 {
 	return w
 }
 
-// PredictProba returns the class-probability vector for one instance.
+// PredictProba returns the class-probability vector for one instance. It is
+// the reference pointer walk the compiled forest is tested against; fitted
+// forests score through Compile.
 func (t *Tree) PredictProba(x []float64) []float64 {
 	nd := t.root
 	for !nd.isLeaf() {
@@ -142,18 +139,6 @@ func (t *Tree) PredictProba(x []float64) []float64 {
 		}
 	}
 	return nd.probs
-}
-
-// Predict returns the most probable class for one instance.
-func (t *Tree) Predict(x []float64) int {
-	probs := t.PredictProba(x)
-	best, bestP := 0, probs[0]
-	for c, p := range probs {
-		if p > bestP {
-			best, bestP = c, p
-		}
-	}
-	return best
 }
 
 // NumClasses returns the number of classes the tree was trained with.

@@ -57,6 +57,9 @@ import (
 // maxBinsLimit caps MaxBins so histogram bin indices fit in a byte.
 const maxBinsLimit = 255
 
+// clampBins maps a configured MaxBins into [0, maxBinsLimit].
+func clampBins(b int) int { return min(max(b, 0), maxBinsLimit) }
+
 // colData is the immutable columnar view of one training matrix, shared by
 // every tree grown on it.
 type colData struct {
@@ -111,9 +114,7 @@ func (cd *colData) presort() {
 }
 
 func (cd *colData) bin(maxBins int) {
-	if maxBins > maxBinsLimit {
-		maxBins = maxBinsLimit
-	}
+	maxBins = clampBins(maxBins)
 	n := cd.numRows
 	cd.binUpper = make([][]float64, len(cd.cols))
 	cd.binIdx = make([][]uint8, len(cd.cols))

@@ -1,11 +1,12 @@
 package tree
 
-// Compiled ensembles: the serving-side representation of trained forests.
+// Compiled ensembles: the only way a fitted forest or GBDT scores a row.
 //
 // The pointer-based Tree/Forest nodes are what training naturally produces,
-// but walking them on the scoring hot path chases a heap pointer per level —
-// every step is a dependent load into an unpredictable cache line. Compiling
-// flattens each ensemble once (at fit or artifact load) into contiguous
+// and they stay for fitting, attribution and persistence; but walking them
+// on the scoring hot path chases a heap pointer per level — every step is a
+// dependent load into an unpredictable cache line. Compiling flattens each
+// ensemble once (at fit or artifact load) into contiguous
 // structure-of-arrays node storage:
 //
 //	feats[i]  split feature index, or -1 marking a leaf
@@ -18,12 +19,12 @@ package tree
 // the compiler lowers to a conditional move rather than a branch — and the
 // whole ensemble sits in a handful of slabs that prefetch well.
 //
-// Compiled scoring is bit-identical to the pointer walkers: node order,
-// comparison polarity (NaN fails `x <= t` and goes right, exactly like
-// Tree.PredictProba) and float accumulation order are all preserved, so
-// CompiledForest.PredictProba == Forest.PredictProba bit for bit (property
-// tests in compiled_test.go keep this honest). Nothing on the scoring paths
-// allocates.
+// Compiled scoring is bit-identical to walking the pointer trees: node
+// order, comparison polarity (NaN fails `x <= t` and goes right, exactly
+// like Tree.PredictProba) and float accumulation order are all preserved,
+// so CompiledForest.PredictProba equals the tree-order average of
+// Tree.PredictProba bit for bit (property tests in compiled_test.go keep
+// this honest). Nothing on the scoring paths allocates.
 
 import "telcochurn/internal/parallel"
 
@@ -40,8 +41,8 @@ type CompiledForest struct {
 	workers    int
 }
 
-// Compile flattens the forest into contiguous node arrays. The result scores
-// bit-identically to the receiver and shares no mutable state with it.
+// Compile flattens the forest into contiguous node arrays. The result shares
+// no mutable state with the receiver.
 func (f *Forest) Compile() *CompiledForest {
 	cf := &CompiledForest{
 		numClasses: f.numClasses,
@@ -123,8 +124,7 @@ func (cf *CompiledForest) leafOf(root int32, x []float64) int32 {
 	return cf.kids[i]
 }
 
-// PredictProba returns the ensemble-average class distribution, bit-identical
-// to Forest.PredictProba.
+// PredictProba returns the ensemble-average class distribution (Eq. 4).
 func (cf *CompiledForest) PredictProba(x []float64) []float64 {
 	out := make([]float64, cf.numClasses)
 	cf.PredictProbaInto(x, out)
@@ -148,9 +148,9 @@ func (cf *CompiledForest) PredictProbaInto(x []float64, out []float64) {
 	}
 }
 
-// Score returns the class-1 (churner) likelihood without allocating. It
-// accumulates only the class-1 column, which is the same float sequence as
-// PredictProba(x)[1], so it is bit-identical to Forest.Score.
+// Score returns the class-1 (churner) likelihood — Eq. (4)'s y — without
+// allocating. It accumulates only the class-1 column, which is the same
+// float sequence as PredictProba(x)[1].
 func (cf *CompiledForest) Score(x []float64) float64 {
 	acc := 0.0
 	for _, r := range cf.roots {
@@ -159,19 +159,7 @@ func (cf *CompiledForest) Score(x []float64) float64 {
 	return acc / float64(len(cf.roots))
 }
 
-// Predict returns the most probable class, bit-identical to Forest.Predict.
-func (cf *CompiledForest) Predict(x []float64) int {
-	probs := cf.PredictProba(x)
-	best, bestP := 0, probs[0]
-	for c, p := range probs {
-		if p > bestP {
-			best, bestP = c, p
-		}
-	}
-	return best
-}
-
-// ScoreAll scores many instances in parallel, like Forest.ScoreAll.
+// ScoreAll scores many instances in parallel, returning class-1 likelihoods.
 func (cf *CompiledForest) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
 	parallel.For(cf.workers, len(x), func(i int) {
@@ -204,8 +192,7 @@ type CompiledGBDT struct {
 	lr    float64
 }
 
-// Compile flattens the boosted ensemble; scores are bit-identical to the
-// pointer-based GBDT.Score.
+// Compile flattens the boosted ensemble for scoring.
 func (g *GBDT) Compile() *CompiledGBDT {
 	cg := &CompiledGBDT{bias: g.bias, lr: g.lr, roots: make([]int32, len(g.trees))}
 	nodes := 0
@@ -247,8 +234,8 @@ func (cg *CompiledGBDT) fillReg(i int32, nd *node) {
 	cg.fillReg(c+1, nd.right)
 }
 
-// Score returns the churn likelihood without allocating, bit-identical to
-// GBDT.Score (same per-tree accumulation order, same sigmoid link).
+// Score returns the churn likelihood without allocating: the sigmoid of the
+// bias plus lr times each round's leaf value, summed in round order.
 func (cg *CompiledGBDT) Score(x []float64) float64 {
 	f := cg.bias
 	for _, r := range cg.roots {
@@ -267,13 +254,24 @@ func (cg *CompiledGBDT) Score(x []float64) float64 {
 	return sigmoid(f)
 }
 
-// ScoreAll scores many instances in parallel, like GBDT.ScoreAll.
+// ScoreAll scores many instances in parallel.
 func (cg *CompiledGBDT) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
 	parallel.For(0, len(x), func(i int) {
 		out[i] = cg.Score(x[i])
 	})
 	return out
+}
+
+// Width returns the shortest row the ensemble can score: one past its
+// largest split feature (0 when every round is a bare leaf). TCGB stores
+// no feature count, so a loader checks this against its own schema.
+func (cg *CompiledGBDT) Width() int {
+	w := 0
+	for _, f := range cg.feats {
+		w = max(w, int(f)+1)
+	}
+	return w
 }
 
 // NumTrees returns the number of boosting rounds.

@@ -50,7 +50,8 @@ func (c ForestConfig) withDefaults() ForestConfig {
 	return c
 }
 
-// Forest is a trained random forest.
+// Forest is a trained random forest: the pointer trees that fitting grows,
+// attribution walks and WriteTo persists. Scoring goes through Compile.
 type Forest struct {
 	trees      []*Tree
 	numClasses int
@@ -146,7 +147,6 @@ func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClas
 // gives the Weighted Instance method its Table 7 ranking gains. The fit
 // itself then uses unit weights: the draw already encodes them, and
 // carrying them into the Gini computation would square their influence.
-// OOBScores replays this draw to find each tree's in-bag rows.
 func bootstrapIdx(d *dataset.Dataset, rng *rand.Rand) []int {
 	n := d.NumInstances()
 	idx := make([]int, n)
@@ -170,58 +170,6 @@ func bootstrapIdx(d *dataset.Dataset, rng *rand.Rand) []int {
 		}
 	}
 	return idx
-}
-
-// PredictProba returns the ensemble-average class distribution (Eq. 4) for
-// one instance.
-func (f *Forest) PredictProba(x []float64) []float64 {
-	probs := make([]float64, f.numClasses)
-	for _, tr := range f.trees {
-		p := tr.PredictProba(x)
-		for c := range probs {
-			probs[c] += p[c]
-		}
-	}
-	for c := range probs {
-		probs[c] /= float64(len(f.trees))
-	}
-	return probs
-}
-
-// Score returns the likelihood of class 1 (churner) for one instance —
-// Eq. (4)'s y.
-func (f *Forest) Score(x []float64) float64 {
-	return f.PredictProba(x)[1]
-}
-
-// Predict returns the most probable class.
-func (f *Forest) Predict(x []float64) int {
-	probs := f.PredictProba(x)
-	best, bestP := 0, probs[0]
-	for c, p := range probs {
-		if p > bestP {
-			best, bestP = c, p
-		}
-	}
-	return best
-}
-
-// ScoreAll scores many instances in parallel, returning class-1 likelihoods.
-func (f *Forest) ScoreAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	parallel.For(f.workers, len(x), func(i int) {
-		out[i] = f.Score(x[i])
-	})
-	return out
-}
-
-// PredictAll predicts classes for many instances in parallel.
-func (f *Forest) PredictAll(x [][]float64) []int {
-	out := make([]int, len(x))
-	parallel.For(f.workers, len(x), func(i int) {
-		out[i] = f.Predict(x[i])
-	})
-	return out
 }
 
 // Importance returns the normalized Gini feature importance (Eq. 7),

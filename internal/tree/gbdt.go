@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"telcochurn/internal/dataset"
-	"telcochurn/internal/parallel"
 )
 
 // GBDTConfig configures gradient boosted decision trees for binary
@@ -22,9 +21,6 @@ type GBDTConfig struct {
 	MinLeafSamples int
 	// Seed for feature subsampling in base trees.
 	Seed int64
-	// Subsample is the stochastic-gradient-boosting row fraction; 1 (or 0)
-	// disables subsampling.
-	Subsample float64
 	// MaxBins enables histogram split search in the base trees (see
 	// Config.MaxBins); 0 keeps exact splits. Bins are computed once and
 	// shared by all boosting rounds.
@@ -44,14 +40,12 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	if c.MinLeafSamples == 0 {
 		c.MinLeafSamples = 50
 	}
-	if c.Subsample == 0 {
-		c.Subsample = 1
-	}
 	return c
 }
 
 // GBDT is a trained boosted-trees binary classifier producing churn
-// likelihoods via the logistic link.
+// likelihoods via the logistic link. Like Forest it holds the pointer trees
+// for fitting and persistence; Compile gives the scorer.
 type GBDT struct {
 	bias  float64
 	trees []*RegressionTree
@@ -76,28 +70,17 @@ func FitGBDT(d *dataset.Dataset, cfg GBDTConfig) (*GBDT, error) {
 		}
 	}
 	w := weightsOf(d)
-
-	// Initialize F0 with the weighted log-odds prior.
-	posW, totW := 0.0, 0.0
-	for i, y := range d.Y {
-		if y == 1 {
-			posW += w[i]
-		}
-		totW += w[i]
-	}
-	p0 := clampProb(posW / totW)
-	bias := math.Log(p0 / (1 - p0))
-
 	if n > math.MaxInt32 {
 		return nil, errors.New("tree: dataset exceeds 2^31 rows")
 	}
 
+	// F0 is the weighted log-odds prior.
+	model := &GBDT{bias: logOddsPrior(d.Y, w), lr: cfg.LearningRate}
 	f := make([]float64, n)
 	for i := range f {
-		f[i] = bias
+		f[i] = model.bias
 	}
 	residual := make([]float64, n)
-	model := &GBDT{bias: bias, lr: cfg.LearningRate}
 
 	// One columnar view (transpose + presort or bins) serves every boosting
 	// round: only the targets change between rounds, never the feature
@@ -106,70 +89,68 @@ func FitGBDT(d *dataset.Dataset, cfg GBDTConfig) (*GBDT, error) {
 	baseCfg := RegressionConfig{
 		MinLeafSamples: cfg.MinLeafSamples,
 		MaxDepth:       cfg.MaxDepth,
-		MaxBins:        cfg.MaxBins,
-	}
-	if baseCfg.MaxBins > maxBinsLimit {
-		baseCfg.MaxBins = maxBinsLimit
-	}
-	if baseCfg.MaxBins < 0 {
-		baseCfg.MaxBins = 0
+		MaxBins:        clampBins(cfg.MaxBins),
 	}
 	cd := newColData(d.X, d.NumFeatures(), baseCfg.MaxBins)
 
 	for t := 0; t < cfg.NumTrees; t++ {
 		// Negative gradient of binomial deviance: y - p.
 		for i := range residual {
-			p := sigmoid(f[i])
-			residual[i] = float64(d.Y[i]) - p
-		}
-		leafValue := func(idx []int) float64 {
-			// Newton step: sum w(y-p) / sum w·p(1-p).
-			num, den := 0.0, 0.0
-			for _, i := range idx {
-				p := sigmoid(f[i])
-				num += w[i] * residual[i]
-				den += w[i] * p * (1 - p)
-			}
-			if den < 1e-12 {
-				return 0
-			}
-			v := num / den
-			// Clip extreme steps for numerical stability.
-			if v > 4 {
-				v = 4
-			} else if v < -4 {
-				v = -4
-			}
-			return v
+			residual[i] = float64(d.Y[i]) - sigmoid(f[i])
 		}
 		rc := baseCfg
 		rc.Seed = cfg.Seed + int64(t)*2_000_003
-		rc.LeafValue = leafValue
-		tr := fitRegressionTreeOnData(cd, residual, w, rc)
-		model.trees = append(model.trees, tr)
-		for i := range f {
-			f[i] += cfg.LearningRate * tr.Predict(d.X[i])
+		// LeafValue sees each training row exactly once, in the leaf that
+		// holds it, which is the leaf a walk of its row reaches: the grower
+		// partitions on the walker's `x <= threshold` (NaN going right in
+		// both). So it also advances those rows' margins by the leaf's step,
+		// and no row is walked through the finished tree.
+		rc.LeafValue = func(idx []int) float64 {
+			v := newtonStep(idx, f, residual, w)
+			for _, i := range idx {
+				f[i] += cfg.LearningRate * v
+			}
+			return v
 		}
+		model.trees = append(model.trees, fitRegressionTreeOnData(cd, residual, w, rc))
 	}
 	return model, nil
 }
 
-// Score returns the churn likelihood (probability of class 1).
-func (g *GBDT) Score(x []float64) float64 {
-	f := g.bias
-	for _, tr := range g.trees {
-		f += g.lr * tr.Predict(x)
+// logOddsPrior is the weighted log-odds of the positive class, clamped away
+// from ±Inf.
+func logOddsPrior(y []int, w []float64) float64 {
+	posW, totW := 0.0, 0.0
+	for i, label := range y {
+		if label == 1 {
+			posW += w[i]
+		}
+		totW += w[i]
 	}
-	return sigmoid(f)
+	p0 := clampProb(posW / totW)
+	return math.Log(p0 / (1 - p0))
 }
 
-// ScoreAll scores many instances in parallel.
-func (g *GBDT) ScoreAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	parallel.For(0, len(x), func(i int) {
-		out[i] = g.Score(x[i])
-	})
-	return out
+// newtonStep is a leaf's binomial-deviance Newton step over the rows idx at
+// margins f, sum w(y-p) / sum w·p(1-p), clipped to ±4 for numerical
+// stability.
+func newtonStep(idx []int, f, residual, w []float64) float64 {
+	num, den := 0.0, 0.0
+	for _, i := range idx {
+		p := sigmoid(f[i])
+		num += w[i] * residual[i]
+		den += w[i] * p * (1 - p)
+	}
+	if den < 1e-12 {
+		return 0
+	}
+	v := num / den
+	if v > 4 {
+		v = 4
+	} else if v < -4 {
+		v = -4
+	}
+	return v
 }
 
 // NumTrees returns the number of boosting rounds fit.

@@ -47,8 +47,8 @@ func TestFitForestDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1 := f1.ScoreAll(d.X)
-	s8 := f8.ScoreAll(d.X)
+	s1 := f1.Compile().ScoreAll(d.X)
+	s8 := f8.Compile().ScoreAll(d.X)
 	for i := range s1 {
 		if s1[i] != s8[i] {
 			t.Fatalf("score %d differs across worker counts: %v vs %v", i, s1[i], s8[i])
@@ -81,8 +81,8 @@ func TestFitForestHistogramDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1 := f1.ScoreAll(d.X)
-	s8 := f8.ScoreAll(d.X)
+	s1 := f1.Compile().ScoreAll(d.X)
+	s8 := f8.Compile().ScoreAll(d.X)
 	for i := range s1 {
 		if s1[i] != s8[i] {
 			t.Fatalf("hist score %d differs across worker counts: %v vs %v", i, s1[i], s8[i])
@@ -102,31 +102,27 @@ func TestScoreAllEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.ScoreAll(nil); len(got) != 0 {
+	cf := f.Compile()
+	if got := cf.ScoreAll(nil); len(got) != 0 {
 		t.Errorf("ScoreAll(nil) = %v, want empty", got)
 	}
-	one := f.ScoreAll(d.X[:1])
-	if len(one) != 1 || one[0] != f.Score(d.X[0]) {
-		t.Errorf("single-row ScoreAll = %v, want [%v]", one, f.Score(d.X[0]))
+	one := cf.ScoreAll(d.X[:1])
+	if want := treeAverage(f, d.X[0])[1]; len(one) != 1 || one[0] != want {
+		t.Errorf("single-row ScoreAll = %v, want [%v]", one, want)
 	}
 }
 
+// TestScoreAllLargeBatchMatchesScore: a batch large enough to fan out across
+// workers scores every row like the per-tree reference.
 func TestScoreAllLargeBatchMatchesScore(t *testing.T) {
 	d := synthDataset(900, 6, 11)
 	f, err := FitForest(d, ForestConfig{NumTrees: 25, MinLeafSamples: 10, Seed: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := f.ScoreAll(d.X)
-	for i, s := range batch {
-		if s != f.Score(d.X[i]) {
-			t.Fatalf("row %d: batch score %v != single score %v", i, s, f.Score(d.X[i]))
-		}
-	}
-	preds := f.PredictAll(d.X)
-	for i, p := range preds {
-		if p != f.Predict(d.X[i]) {
-			t.Fatalf("row %d: batch predict %d != single predict %d", i, p, f.Predict(d.X[i]))
+	for i, s := range f.Compile().ScoreAll(d.X) {
+		if want := treeAverage(f, d.X[i])[1]; s != want {
+			t.Fatalf("row %d: batch score %v != per-tree score %v", i, s, want)
 		}
 	}
 }

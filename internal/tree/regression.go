@@ -35,12 +35,7 @@ func (c RegressionConfig) withDefaults(targets, weights []float64) RegressionCon
 	if c.MinLeafSamples == 0 {
 		c.MinLeafSamples = 20
 	}
-	if c.MaxBins > maxBinsLimit {
-		c.MaxBins = maxBinsLimit
-	}
-	if c.MaxBins < 0 {
-		c.MaxBins = 0
-	}
+	c.MaxBins = clampBins(c.MaxBins)
 	if c.LeafValue == nil {
 		c.LeafValue = func(idx []int) float64 {
 			s, ws := 0.0, 0.0
@@ -104,7 +99,8 @@ func unitWeights(n int) []float64 {
 	return w
 }
 
-// Predict returns the tree's value for one instance.
+// Predict returns the tree's value for one instance. It is the reference
+// pointer walk the compiled GBDT is tested against.
 func (t *RegressionTree) Predict(x []float64) float64 {
 	nd := t.root
 	for !nd.isLeaf() {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"telcochurn/internal/codec"
 )
@@ -91,7 +92,7 @@ func ReadForest(r io.Reader) (*Forest, error) {
 	for t := range f.trees {
 		tr := &Tree{numClasses: f.numClasses, numFeat: len(f.features)}
 		tr.importance = rd.Floats()
-		tr.root = readClassNode(rd, f.numClasses, 0)
+		tr.root = readClassNode(rd, f.numClasses, len(f.features), 0)
 		f.trees[t] = tr
 	}
 	if err := rd.Close(); err != nil {
@@ -102,7 +103,19 @@ func ReadForest(r io.Reader) (*Forest, error) {
 
 const maxTreeDepth = 64
 
-func readClassNode(rd *codec.Reader, numClasses, depth int) *node {
+// readFeature reads a split's feature index and fails on one a row of
+// numFeat features does not have: the compiled walker indexes rows with it
+// unchecked, as an int32.
+func readFeature(rd *codec.Reader, numFeat int) int {
+	f := rd.Uvarint()
+	if f >= uint64(numFeat) {
+		rd.Fail(fmt.Sprintf("split feature %d of %d", f, numFeat))
+		return 0
+	}
+	return int(f)
+}
+
+func readClassNode(rd *codec.Reader, numClasses, numFeat, depth int) *node {
 	if rd.Err() != nil || depth > maxTreeDepth {
 		rd.Fail("tree too deep or truncated")
 		return &node{probs: make([]float64, numClasses)}
@@ -117,7 +130,7 @@ func readClassNode(rd *codec.Reader, numClasses, depth int) *node {
 		return nd
 	case 1:
 		nd := &node{
-			feature:   int(rd.Uvarint()),
+			feature:   readFeature(rd, numFeat),
 			threshold: rd.Float(),
 			probs:     make([]float64, numClasses),
 		}
@@ -125,8 +138,8 @@ func readClassNode(rd *codec.Reader, numClasses, depth int) *node {
 		for i := range nd.probs {
 			nd.probs[i] = rd.Float()
 		}
-		nd.left = readClassNode(rd, numClasses, depth+1)
-		nd.right = readClassNode(rd, numClasses, depth+1)
+		nd.left = readClassNode(rd, numClasses, numFeat, depth+1)
+		nd.right = readClassNode(rd, numClasses, numFeat, depth+1)
 		return nd
 	default:
 		rd.Fail(fmt.Sprintf("bad node tag %d", tag))
@@ -202,7 +215,9 @@ func readRegNode(rd *codec.Reader, depth int) *node {
 	case 0:
 		return &node{n: int(rd.Uvarint()), value: rd.Float()}
 	case 1:
-		nd := &node{feature: int(rd.Uvarint()), threshold: rd.Float()}
+		// TCGB stores no feature count, so only the int32 range is checked
+		// here; the loader holding the schema checks CompiledGBDT.Width.
+		nd := &node{feature: readFeature(rd, math.MaxInt32), threshold: rd.Float()}
 		nd.n = int(rd.Uvarint())
 		nd.left = readRegNode(rd, depth+1)
 		nd.right = readRegNode(rd, depth+1)

@@ -34,7 +34,7 @@ func TestForestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
 		x := []float64{rng.Float64(), rng.NormFloat64()}
-		if got.Score(x) != f.Score(x) {
+		if treeAverage(got, x)[1] != treeAverage(f, x)[1] {
 			t.Fatalf("score mismatch at %v", x)
 		}
 		b1, c1 := f.Contributions(x)
@@ -81,7 +81,7 @@ func TestForestRoundTripMultiClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.7, 0.1}
-	p1, p2 := f.PredictProba(x), got.PredictProba(x)
+	p1, p2 := treeAverage(f, x), treeAverage(got, x)
 	for c := range p1 {
 		if p1[c] != p2[c] {
 			t.Fatal("multi-class proba mismatch")
@@ -138,7 +138,7 @@ func TestGBDTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		x := []float64{rng.Float64(), rng.NormFloat64()}
-		if got.Score(x) != g.Score(x) {
+		if roundSum(got, x) != roundSum(g, x) {
 			t.Fatalf("score mismatch at %v", x)
 		}
 	}

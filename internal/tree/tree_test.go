@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestTreeLearnsSeparableData(t *testing.T) {
 	correct := 0
 	test := separable(200, 2)
 	for i, x := range test.X {
-		if tr.Predict(x) == test.Y[i] {
+		if argmax(tr.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -148,9 +149,10 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1, c2 := f1.Compile(), f2.Compile()
 	for i := 0; i < 20; i++ {
 		x := []float64{float64(i) / 20, 0}
-		if f1.Score(x) != f2.Score(x) {
+		if c1.Score(x) != c2.Score(x) {
 			t.Fatal("same-seed forests disagree")
 		}
 	}
@@ -162,10 +164,11 @@ func TestForestBeatsGuessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cf := f.Compile()
 	test := separable(300, 6)
 	correct := 0
 	for i, x := range test.X {
-		if f.Predict(x) == test.Y[i] {
+		if argmax(cf.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -210,15 +213,16 @@ func TestForestMultiClass(t *testing.T) {
 	if f.NumClasses() != 3 {
 		t.Fatalf("NumClasses = %d", f.NumClasses())
 	}
+	cf := f.Compile()
 	for _, c := range []struct {
 		x    float64
 		want int
 	}{{0.3, 0}, {1.5, 1}, {2.7, 2}} {
-		if got := f.Predict([]float64{c.x}); got != c.want {
-			t.Errorf("Predict(%g) = %d, want %d", c.x, got, c.want)
+		if got := argmax(cf.PredictProba([]float64{c.x})); got != c.want {
+			t.Errorf("most probable class at %g = %d, want %d", c.x, got, c.want)
 		}
 	}
-	probs := f.PredictProba([]float64{1.5})
+	probs := cf.PredictProba([]float64{1.5})
 	sum := 0.0
 	for _, p := range probs {
 		sum += p
@@ -234,9 +238,10 @@ func TestForestScoreAllMatchesScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := f.ScoreAll(d.X[:50])
+	cf := f.Compile()
+	batch := cf.ScoreAll(d.X[:50])
 	for i := 0; i < 50; i++ {
-		if batch[i] != f.Score(d.X[i]) {
+		if batch[i] != cf.Score(d.X[i]) {
 			t.Fatal("ScoreAll disagrees with Score")
 		}
 	}
@@ -286,7 +291,7 @@ func TestHistogramTreeLearnsSeparableData(t *testing.T) {
 	correct := 0
 	test := separable(200, 2)
 	for i, x := range test.X {
-		if tr.Predict(x) == test.Y[i] {
+		if argmax(tr.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -302,10 +307,11 @@ func TestHistogramForestLearnsAndClampsBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cf := f.Compile()
 	test := separable(300, 16)
 	correct := 0
 	for i, x := range test.X {
-		if f.Predict(x) == test.Y[i] {
+		if argmax(cf.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -338,11 +344,12 @@ func TestGBDTHistogramMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cg := g.Compile()
 	test := separable(300, 18)
 	correct := 0
 	for i, x := range test.X {
 		pred := 0
-		if g.Score(x) > 0.5 {
+		if cg.Score(x) > 0.5 {
 			pred = 1
 		}
 		if pred == test.Y[i] {
@@ -401,10 +408,11 @@ func TestGBDTLearnsAndImprovesWithRounds(t *testing.T) {
 	}
 	test := separable(300, 12)
 	acc := func(g *GBDT) float64 {
+		cg := g.Compile()
 		ok := 0
 		for i, x := range test.X {
 			pred := 0
-			if g.Score(x) > 0.5 {
+			if cg.Score(x) > 0.5 {
 				pred = 1
 			}
 			if pred == test.Y[i] {
@@ -428,7 +436,7 @@ func TestGBDTScoresAreProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range g.ScoreAll(d.X[:100]) {
+	for _, s := range g.Compile().ScoreAll(d.X[:100]) {
 		if s < 0 || s > 1 || math.IsNaN(s) {
 			t.Fatalf("score %g out of [0,1]", s)
 		}
@@ -441,4 +449,64 @@ func TestGBDTRejectsNonBinary(t *testing.T) {
 	if _, err := FitGBDT(d, GBDTConfig{}); err == nil {
 		t.Error("want error for non-binary labels")
 	}
+}
+
+// TestGBDTMarginUpdate pins FitGBDT's leaf-side margin update to the
+// per-row walk it replaced: the same TCGB bytes at exact and binned splits,
+// over NaN-poisoned rows, at min-leaf 1 and 25.
+func TestGBDTMarginUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := noisyDataset(rng, 400, 4, 2)
+	for _, x := range d.X {
+		if rng.Intn(4) == 0 {
+			x[rng.Intn(len(x))] = math.NaN()
+		}
+	}
+	for _, bins := range []int{0, 32} {
+		for _, minLeaf := range []int{1, 25} {
+			cfg := GBDTConfig{NumTrees: 15, MaxDepth: 4, MinLeafSamples: minLeaf, Seed: 3, MaxBins: bins}
+			g, err := FitGBDT(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if _, err := g.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fitGBDTRowWalk(d, cfg).WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("bins %d, min leaf %d: TCGB bytes differ from the per-row margin walk", bins, minLeaf)
+			}
+		}
+	}
+}
+
+// fitGBDTRowWalk is FitGBDT with its former margin update: after each
+// round, every training row walks the new tree for its step.
+func fitGBDTRowWalk(d *dataset.Dataset, cfg GBDTConfig) *GBDT {
+	cfg = cfg.withDefaults()
+	w := weightsOf(d)
+	g := &GBDT{bias: logOddsPrior(d.Y, w), lr: cfg.LearningRate}
+	f, residual := make([]float64, len(d.X)), make([]float64, len(d.X))
+	for i := range f {
+		f[i] = g.bias
+	}
+	cd := newColData(d.X, d.NumFeatures(), clampBins(cfg.MaxBins))
+	for t := 0; t < cfg.NumTrees; t++ {
+		for i := range residual {
+			residual[i] = float64(d.Y[i]) - sigmoid(f[i])
+		}
+		tr := fitRegressionTreeOnData(cd, residual, w, RegressionConfig{
+			MinLeafSamples: cfg.MinLeafSamples, MaxDepth: cfg.MaxDepth, MaxBins: clampBins(cfg.MaxBins),
+			Seed:      cfg.Seed + int64(t)*2_000_003,
+			LeafValue: func(idx []int) float64 { return newtonStep(idx, f, residual, w) },
+		})
+		g.trees = append(g.trees, tr)
+		for i, x := range d.X {
+			f[i] += cfg.LearningRate * tr.Predict(x)
+		}
+	}
+	return g
 }
