@@ -24,13 +24,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"telcochurn/internal/experiments"
+	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
@@ -101,7 +102,7 @@ func cmdGenerate(args []string) error {
 	customers := fs.Int("customers", 5000, "customers per month")
 	months := fs.Int("months", 9, "months to simulate")
 	seed := fs.Int64("seed", 1, "generator seed")
-	daily := fs.Bool("daily", false, "land event tables day by day and compact (the platform's daily ETL flow)")
+	daily := fs.Bool("daily", false, "land event tables day by day through the event log, merged monthly (the platform's daily ETL flow)")
 	shards := fs.Int("shards", 1, "hash-shard each month partition N ways (1 = plain layout)")
 	burnin := fs.Int("burnin", 0, "unrecorded burn-in months before month 1 (0 = generator default)")
 	fsyncMode := fs.String("fsync", "always", "write durability: always, off, or a flush interval like 500ms (synthetic data is rebuildable — off is safe here)")
@@ -144,50 +145,51 @@ func cmdGenerate(args []string) error {
 	return nil
 }
 
-// generateDaily lands each event table via the store's daily staging path
-// (split by the day column, staged, compacted), exercising the same flow
-// the paper's platform runs against its 2.3 TB/day feed. Monthly snapshot
-// tables are written directly.
+// generateDaily lands the world the way the paper's platform receives its
+// 2.3 TB/day feed (Section 5.4): each day's rows of every streamable event
+// table are appended to the warehouse event log as one batch, and at month
+// end the log is merged into the month partitions. Snapshot tables are
+// written directly. The event tables' month partitions are first written
+// empty, so re-landing a month replaces it instead of appending to it.
 func generateDaily(cfg synth.Config, wh *store.Warehouse) error {
-	w := synth.NewWorld(cfg)
-	dailyTables := map[string]bool{
-		synth.TableCalls: true, synth.TableMessages: true, synth.TableRecharges: true,
-		synth.TableComplaints: true, synth.TableWeb: true, synth.TableSearch: true,
-		synth.TableLocations: true,
+	elog, err := wh.EventLog()
+	if err != nil {
+		return err
 	}
+	// The month-end merge folds in every logged row, so pending events of
+	// another origin would land inside the generated months.
+	if seq := elog.LastSeq(); seq > 0 {
+		return fmt.Errorf("-daily: the event log holds unmerged segments through seq=%d (churnctl ingest -merge folds them in)", seq)
+	}
+	w := synth.NewWorld(cfg)
 	for i := 0; i < cfg.Months; i++ {
 		md := w.SimulateMonth()
-		for name, t := range md.Tables() {
-			if !dailyTables[name] {
-				if err := wh.WritePartition(name, md.Month, t); err != nil {
-					return err
-				}
-				continue
+		tables := md.Tables()
+		for name, t := range tables {
+			if slices.Contains(features.StreamableTables, name) {
+				t = t.Take(nil)
 			}
-			dayCol := t.MustCol("day").Ints
-			staged := false
-			for day := 1; day <= cfg.DaysPerMonth; day++ {
-				d := int64(day)
-				slice := t.Filter(func(r int) bool { return dayCol[r] == d })
-				if slice.NumRows() == 0 {
-					continue
-				}
-				if err := wh.StageDay(name, md.Month, day, slice); err != nil {
-					return err
-				}
-				staged = true
-			}
-			if !staged {
-				// A month with no events still needs an (empty) partition so
-				// ReadMonths can concatenate the table.
-				if err := wh.WritePartition(name, md.Month, t); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := wh.CompactMonth(name, md.Month); err != nil {
+			if err := wh.WritePartition(name, md.Month, t); err != nil {
 				return err
 			}
+		}
+		for day := int64(1); day <= int64(cfg.DaysPerMonth); day++ {
+			batch := map[string]*table.Table{}
+			rows := 0
+			for _, name := range features.StreamableTables {
+				dayCol := tables[name].MustCol("day").Ints
+				batch[name] = tables[name].Filter(func(r int) bool { return dayCol[r] == day })
+				rows += batch[name].NumRows()
+			}
+			if rows == 0 {
+				continue
+			}
+			if _, err := elog.Append(batch); err != nil {
+				return err
+			}
+		}
+		if _, err := elog.MergeInto(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -285,10 +287,9 @@ func cmdInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		// Count rows block by block so inspecting a sharded out-of-core
-		// warehouse never loads a whole month at once. With -degraded an
-		// unreadable table is reported instead of aborting the walk.
-		total, err := countRows(wh, name, months)
+		// With -degraded an unreadable table is reported instead of
+		// aborting the walk.
+		total, err := countRows(wh, name, months, shards)
 		if err != nil {
 			if !*sf.degraded {
 				return err
@@ -315,21 +316,23 @@ func cmdInspect(args []string) error {
 	return nil
 }
 
-// countRows streams a table's blocks and sums row counts.
-func countRows(wh *store.Warehouse, name string, months []int) (int, error) {
-	br, err := wh.OpenBlocks(name, months)
+// countRows sums a table's rows one shard file at a time, at the table's
+// detected shard count, so inspecting a sharded out-of-core warehouse never
+// loads a whole month at once.
+func countRows(wh *store.Warehouse, name string, months []int, shards int) (int, error) {
+	sw, err := wh.Sharded(shards)
 	if err != nil {
 		return 0, err
 	}
 	total := 0
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			return total, nil
+	for _, m := range months {
+		for s := 0; s < shards; s++ {
+			t, err := sw.ReadShard(name, m, s)
+			if err != nil {
+				return 0, err
+			}
+			total += t.NumRows()
 		}
-		if err != nil {
-			return 0, err
-		}
-		total += b.Table.NumRows()
 	}
+	return total, nil
 }

@@ -1,9 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"telcochurn/internal/features"
+	"telcochurn/internal/store"
+	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
 )
 
 func TestGenerateAndInspect(t *testing.T) {
@@ -23,33 +33,113 @@ func TestGenerateAndInspect(t *testing.T) {
 	}
 }
 
+// TestGenerateDailyMatchesMonthly: landing the same world day by day
+// through the event log gives byte-equal snapshot partitions, the same
+// multiset of rows in every event partition (the daily landing stores them
+// in day order) and an empty log; re-landing it replaces rather than
+// appends; and a warehouse with pending events is refused untouched.
 func TestGenerateDailyMatchesMonthly(t *testing.T) {
 	dir := t.TempDir()
 	monthly := filepath.Join(dir, "monthly")
 	daily := filepath.Join(dir, "daily")
-	if err := cmdGenerate([]string{"-out", monthly, "-customers", "300", "-months", "2"}); err != nil {
+	gen := []string{"-customers", "300", "-months", "2", "-fsync", "off"}
+	if err := cmdGenerate(append([]string{"-out", monthly}, gen...)); err != nil {
 		t.Fatalf("monthly generate: %v", err)
 	}
-	if err := cmdGenerate([]string{"-out", daily, "-customers", "300", "-months", "2", "-daily"}); err != nil {
-		t.Fatalf("daily generate: %v", err)
-	}
-	// Same seed, same world: both paths must land identical row counts.
-	for _, whdir := range []string{monthly, daily} {
-		if err := cmdInspect([]string{"-warehouse", whdir}); err != nil {
-			t.Fatalf("inspect %s: %v", whdir, err)
+	for range 2 {
+		if err := cmdGenerate(append([]string{"-out", daily, "-daily"}, gen...)); err != nil {
+			t.Fatalf("daily generate: %v", err)
 		}
 	}
-	mo, err := os.ReadDir(filepath.Join(monthly, "calls"))
+	mo, err := store.Open(monthly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := os.ReadDir(filepath.Join(daily, "calls"))
+	da, err := store.Open(daily)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mo) != len(da) {
-		t.Errorf("partition counts differ: %d vs %d", len(mo), len(da))
+	for _, name := range []string{synth.TableCustomers, synth.TableBilling, synth.TableTruth} {
+		for m := 1; m <= 2; m++ {
+			file := filepath.Join(name, fmt.Sprintf("month=%d.tct", m))
+			want, err := os.ReadFile(filepath.Join(monthly, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(daily, file))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: daily landing differs from monthly (%v)", file, err)
+			}
+		}
 	}
+	for _, name := range features.StreamableTables {
+		for m := 1; m <= 2; m++ {
+			want, err := mo.ReadPartition(name, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := da.ReadPartition(name, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rowMultiset(got), rowMultiset(want)) {
+				t.Errorf("%s month=%d: daily landing holds %d rows, monthly %d, or different ones", name, m, got.NumRows(), want.NumRows())
+			}
+		}
+	}
+	if segs, err := os.ReadDir(filepath.Join(daily, ".events")); err != nil || len(segs) != 0 {
+		t.Errorf("event log after the daily landing: %d entries, %v; want empty", len(segs), err)
+	}
+
+	// Pending events of another origin would be merged into the generated
+	// months, so the daily landing refuses and writes nothing.
+	pending := filepath.Join(dir, "pending")
+	wh, err := store.Open(pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elog, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, err := mo.ReadPartition(synth.TableCalls, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := elog.Append(map[string]*table.Table{synth.TableCalls: calls}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdGenerate(append([]string{"-out", pending, "-daily"}, gen...)); err == nil {
+		t.Fatal("daily generate over a pending event segment succeeded")
+	}
+	if tables, err := wh.Tables(); err != nil || len(tables) != 0 {
+		t.Errorf("refused daily generate wrote tables %v (%v)", tables, err)
+	}
+	if segs, err := os.ReadDir(elog.Dir()); err != nil || len(segs) != 1 {
+		t.Errorf("refused daily generate left %d log entries (%v), want the 1 pending segment", len(segs), err)
+	}
+}
+
+// rowMultiset renders each row of t as a string, sorted, so two tables
+// holding the same rows in different orders compare equal.
+func rowMultiset(t *table.Table) []string {
+	rows := make([]string, t.NumRows())
+	for i := range rows {
+		var b strings.Builder
+		for _, col := range t.Cols {
+			switch col.Type {
+			case table.Int64:
+				fmt.Fprintf(&b, "%d|", col.Ints[i])
+			case table.Float64:
+				fmt.Fprintf(&b, "%x|", math.Float64bits(col.Floats[i]))
+			default:
+				fmt.Fprintf(&b, "%q|", col.Strings[i])
+			}
+		}
+		rows[i] = b.String()
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 func TestEvalCheapExperiment(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
 	"telcochurn/internal/tree"
 )
 
@@ -169,10 +171,11 @@ func TestChaosZeroRateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosCrashStormNeverTearsWarehouse hammers partition writes and day
-// staging through crash-injecting hooks across many seeds, retrying each
-// crashed write like the ETL driver would, and asserts the warehouse is
-// never left with a torn (listed but unreadable) partition.
+// TestChaosCrashStormNeverTearsWarehouse hammers partition writes and
+// event-log appends through crash-injecting hooks across many seeds,
+// retrying each crashed write like the ETL driver would, and asserts the
+// warehouse is never left with a torn (listed but unreadable) partition and
+// the merged log holds every appended day exactly once.
 func TestChaosCrashStormNeverTearsWarehouse(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 60
@@ -180,6 +183,7 @@ func TestChaosCrashStormNeverTearsWarehouse(t *testing.T) {
 	cfg.Seed = 4
 	months := synth.Simulate(cfg)
 
+	var appendCrashes uint64
 	for seed := int64(1); seed <= 8; seed++ {
 		wh, err := store.Open(t.TempDir())
 		if err != nil {
@@ -210,17 +214,38 @@ func TestChaosCrashStormNeverTearsWarehouse(t *testing.T) {
 				write(fmt.Sprintf("write %s m%d", name, m), func() error { return wh.WritePartition(name, m, tb) })
 			}
 		}
-		// Stage a few extra days of calls into a fresh month and compact.
-		stagedMonth := cfg.Months + 1
-		for day := 1; day <= 3; day++ {
-			d := day
-			write(fmt.Sprintf("stage day %d", d), func() error {
-				return wh.StageDay(synth.TableCalls, stagedMonth, d, months[0].Calls)
+		writeCrashes := inj.Counts().Crashes
+		// Append three days of calls for a fresh month to the event log,
+		// then merge them with the storm over. A crash after the rename
+		// leaves the segment committed but unacknowledged; the retry
+		// rewrites the same sequence number, so no day lands twice.
+		elog, err := wh.EventLog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loggedMonth := int64(cfg.Months + 1)
+		day := months[0].Calls.Filter(func(int) bool { return true })
+		for i := range day.MustCol("month").Ints {
+			day.MustCol("month").Ints[i] = loggedMonth
+		}
+		for d := 1; d <= 3; d++ {
+			write(fmt.Sprintf("append day %d", d), func() error {
+				_, err := elog.Append(map[string]*table.Table{synth.TableCalls: day})
+				return err
 			})
 		}
+		appendCrashes += inj.Counts().Crashes - writeCrashes
 		wh.SetHook(nil)
-		if err := wh.CompactMonth(synth.TableCalls, stagedMonth); err != nil {
-			t.Fatalf("seed %d: compact after storm: %v", seed, err)
+		if n, err := elog.MergeInto(); err != nil || n != 3*day.NumRows() {
+			t.Fatalf("seed %d: merge after storm: %d rows, %v; want %d", seed, n, err, 3*day.NumRows())
+		}
+		merged, err := wh.ReadPartition(synth.TableCalls, int(loggedMonth))
+		if err != nil {
+			t.Fatalf("seed %d: merged month: %v", seed, err)
+		}
+		ids := day.MustCol("imsi").Ints
+		if want := slices.Concat(ids, ids, ids); !slices.Equal(merged.MustCol("imsi").Ints, want) {
+			t.Fatalf("seed %d: merged month holds %d rows, want the %d of three days in order", seed, merged.NumRows(), len(want))
 		}
 
 		// Everything listed must read back whole.
@@ -242,6 +267,9 @@ func TestChaosCrashStormNeverTearsWarehouse(t *testing.T) {
 		if crashes == 0 {
 			t.Errorf("seed %d: storm injected no crashes", seed)
 		}
+	}
+	if appendCrashes == 0 {
+		t.Error("no seed crashed an event-log append")
 	}
 }
 

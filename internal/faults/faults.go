@@ -43,9 +43,10 @@ type Config struct {
 	// Corrupt is the per-(table, month) probability that a partition is
 	// persistently unreadable (store.ErrCorrupt on every attempt).
 	Corrupt float64
-	// CrashWrites is the per-write probability that a warehouse write (via
-	// WarehouseHook) simulates a crash; the crash point cycles
-	// deterministically through mid-write, before-rename and after-rename.
+	// CrashWrites is the per-write probability that a warehouse write — a
+	// partition file or an event-log append, via WarehouseHook — simulates
+	// a crash; the crash point cycles deterministically through mid-write,
+	// before-rename and after-rename.
 	CrashWrites float64
 	// Latency is the maximum injected latency per read attempt; each
 	// attempt sleeps a deterministic fraction of it. Zero disables.
@@ -141,14 +142,15 @@ func (in *Injector) readFault(site string, months []int) error {
 }
 
 // WarehouseHook returns a store.Hook injecting faults at the warehouse's
-// I/O seams: reads roll the transient/missing/corrupt classes; writes roll
-// CrashWrites and, when it fires, return a simulated *store.Crash whose
-// point cycles deterministically.
+// I/O seams: reads roll the transient/missing/corrupt classes; writes
+// (partition files and event-log appends) roll CrashWrites and, when it
+// fires, return a simulated *store.Crash whose point cycles
+// deterministically.
 func (in *Injector) WarehouseHook() store.Hook {
 	return func(op store.Op, name string, month int) error {
 		site := fmt.Sprintf("%s:%s", op, name)
 		switch op {
-		case store.OpWritePartition, store.OpStageDay:
+		case store.OpWritePartition, store.OpAppendEvents:
 			in.mu.Lock()
 			attempt := in.nextAttempt(site)
 			crash := in.roll("crash", site, attempt) < in.cfg.CrashWrites

@@ -392,34 +392,6 @@ func (c *OfferClassifier) BestOffer(id int64, churnFeatures []float64) int {
 	return best
 }
 
-// Accuracy reports how often BestOffer matches the hidden best offer over
-// the given truth table (diagnostic for tests).
-func (c *OfferClassifier) Accuracy(frame interface {
-	Row(int64) ([]float64, bool)
-	IDs() []int64
-}, truth *table.Table) float64 {
-	tm := truthMap(truth)
-	hit, total := 0, 0
-	for _, id := range frame.IDs() {
-		info, ok := tm[id]
-		if !ok {
-			continue
-		}
-		row, ok := frame.Row(id)
-		if !ok {
-			continue
-		}
-		total++
-		if c.BestOffer(id, row) == info.bestOffer {
-			hit++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}
-
 // lpFeatures holds the 3×C label-propagation features from campaign labels.
 type lpFeatures struct {
 	names []string

@@ -119,54 +119,6 @@ func TestCrashNeverTearsPartition(t *testing.T) {
 	}
 }
 
-// TestCrashNeverTearsStagedDay is the same contract for the daily staging
-// flow, plus CompactMonth idempotence over crash debris.
-func TestCrashNeverTearsStagedDay(t *testing.T) {
-	day1 := sampleTable(t)
-	day2 := sampleTable(t)
-	day2.MustCol("imsi").Ints[0] = 888
-
-	for _, point := range []CrashPoint{CrashMidWrite, CrashBeforeRename, CrashAfterRename} {
-		wh := openTemp(t)
-		if err := wh.StageDay("calls", 1, 1, day1); err != nil {
-			t.Fatal(err)
-		}
-		wh.SetHook(crashOnce(OpStageDay, point))
-		err := wh.StageDay("calls", 1, 2, day2)
-		var cr *Crash
-		if !errors.As(err, &cr) {
-			t.Fatalf("point=%d: stage returned %v, want simulated crash", point, err)
-		}
-		wh.SetHook(nil)
-
-		// Every staged day the listing reports must read back complete.
-		days, err := wh.StagedDays("calls", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range days {
-			if _, err := wh.readStagedDay("calls", 1, d); err != nil {
-				t.Errorf("point=%d: staged day=%d unreadable: %v", point, d, err)
-			}
-		}
-
-		// Re-staging the day and compacting works over the debris.
-		if err := wh.StageDay("calls", 1, 2, day2); err != nil {
-			t.Fatalf("point=%d: recovery stage: %v", point, err)
-		}
-		if err := wh.CompactMonth("calls", 1); err != nil {
-			t.Fatalf("point=%d: compact: %v", point, err)
-		}
-		got, err := wh.ReadPartition("calls", 1)
-		if err != nil {
-			t.Fatalf("point=%d: compacted read: %v", point, err)
-		}
-		if got.NumRows() != day1.NumRows()+day2.NumRows() {
-			t.Errorf("point=%d: compacted rows = %d, want %d", point, got.NumRows(), day1.NumRows()+day2.NumRows())
-		}
-	}
-}
-
 // TestHookErrorsPropagate checks that non-crash hook errors surface as I/O
 // failures on both read and write paths without touching disk state.
 func TestHookErrorsPropagate(t *testing.T) {

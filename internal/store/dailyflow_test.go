@@ -9,8 +9,8 @@ import (
 )
 
 // TestDailyFlowMatchesDirectWrite: splitting a simulated month's CDRs by
-// day, staging each day, and compacting must reproduce the direct monthly
-// write row-for-row (modulo day ordering).
+// day, appending each day to the event log, and merging at month end must
+// reproduce the direct monthly write row-for-row (modulo day ordering).
 func TestDailyFlowMatchesDirectWrite(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 400
@@ -25,7 +25,11 @@ func TestDailyFlowMatchesDirectWrite(t *testing.T) {
 	if err := wh.WritePartition("calls_direct", 1, md.Calls); err != nil {
 		t.Fatal(err)
 	}
-	// Daily flow: split by the day column.
+	// Daily flow: split by the day column, one log batch per day.
+	elog, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dayCol := md.Calls.MustCol("day").Ints
 	for day := 1; day <= cfg.DaysPerMonth; day++ {
 		d := int64(day)
@@ -33,11 +37,11 @@ func TestDailyFlowMatchesDirectWrite(t *testing.T) {
 		if slice.NumRows() == 0 {
 			continue
 		}
-		if err := wh.StageDay("calls", 1, day, slice); err != nil {
+		if _, err := elog.Append(map[string]*table.Table{"calls": slice}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := wh.CompactMonth("calls", 1); err != nil {
+	if _, err := elog.MergeInto(); err != nil {
 		t.Fatal(err)
 	}
 	direct, _ := wh.ReadPartition("calls_direct", 1)

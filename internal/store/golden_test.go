@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -166,10 +165,9 @@ func TestLayoutResolution(t *testing.T) {
 			}
 
 			whole, err := wh.ReadPartition(name, month)
-			br, berr := wh.OpenBlocks(name, []int{month})
 			if tc.want == 0 {
-				if !errors.Is(err, fs.ErrNotExist) || !errors.Is(berr, fs.ErrNotExist) {
-					t.Errorf("absent month: ReadPartition %v, OpenBlocks %v; want fs.ErrNotExist", err, berr)
+				if !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("absent month: ReadPartition %v; want fs.ErrNotExist", err)
 				}
 				for _, view := range []int{1, 2, 4} {
 					vw, _ := wh.Sharded(view)
@@ -179,8 +177,8 @@ func TestLayoutResolution(t *testing.T) {
 				}
 				return
 			}
-			if err != nil || berr != nil {
-				t.Fatalf("ReadPartition %v, OpenBlocks %v", err, berr)
+			if err != nil {
+				t.Fatalf("ReadPartition %v", err)
 			}
 			// The month is the winning files concatenated in shard order.
 			var want []int64
@@ -190,16 +188,6 @@ func TestLayoutResolution(t *testing.T) {
 					t.Fatal(err)
 				}
 				want = append(want, ft.MustCol("imsi").Ints...)
-				b, err := br.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b.Month != month || b.Shard != s || b.Shards != tc.want || !reflect.DeepEqual(b.Table.MustCol("imsi").Ints, ft.MustCol("imsi").Ints) {
-					t.Errorf("block %d = month %d shard %d/%d", s, b.Month, b.Shard, b.Shards)
-				}
-			}
-			if _, err := br.Next(); err != io.EOF {
-				t.Errorf("blocks after the last file: %v, want io.EOF", err)
 			}
 			if got := whole.MustCol("imsi").Ints; !reflect.DeepEqual(got, want) {
 				t.Errorf("ReadPartition order = %v, want %v", got, want)

@@ -79,7 +79,7 @@ func parsePartName(base string) (partInfo, bool) {
 // month -> the ordered files whose concatenation is that month. One file is
 // the plain layout; N > 1 files are shards 0..N-1 of the winning set. Every
 // reader of "what is on disk for this month" — Months, HasPartition, whole
-// and per-shard reads, the schema probe, block streams, DetectShards —
+// and per-shard reads, the schema probe, DetectShards —
 // takes its answer from here, so the rule above exists once.
 func (w *Warehouse) layout(name string) (map[int][]string, error) {
 	dir := filepath.Join(w.root, name)
@@ -335,72 +335,4 @@ func (sw *ShardedWarehouse) ShardReader(shard int) *ShardReader {
 // in month order.
 func (r *ShardReader) ReadMonths(name string, months []int) (*table.Table, error) {
 	return concat(len(months), func(i int) (*table.Table, error) { return r.w.read(name, months[i], r.shard, r.shards) })
-}
-
-// Block is one stored chunk of a table: the rows of a single partition file,
-// with its position in the (month, shard) grid. Shards is the shard count of
-// the block's month (1 = plain layout).
-type Block struct {
-	Month  int
-	Shard  int
-	Shards int
-	Table  *table.Table
-}
-
-// BlockReader streams a table's committed partitions one file at a time in
-// (month ascending, shard ascending) order, so consumers can scan
-// arbitrarily large tables without materializing any whole month. The layout
-// of every requested month is resolved at open time.
-type BlockReader struct {
-	w    *Warehouse
-	name string
-	refs []blockRef
-	next int
-}
-
-// blockRef is a block still on disk: its grid position and its file.
-type blockRef struct {
-	Block
-	path string
-}
-
-// OpenBlocks opens a block stream over the given months of a table (nil
-// months = every committed month, ascending). A requested month with no
-// committed layout fails with fs.ErrNotExist.
-func (w *Warehouse) OpenBlocks(name string, months []int) (*BlockReader, error) {
-	lay, err := w.layout(name)
-	if err != nil {
-		return nil, err
-	}
-	if months == nil {
-		months = sortedMonths(lay)
-	}
-	br := &BlockReader{w: w, name: name}
-	for _, m := range months {
-		if lay[m] == nil {
-			return nil, fmt.Errorf("store: open blocks %s month=%d: %w", name, m, fs.ErrNotExist)
-		}
-		for s, path := range lay[m] {
-			br.refs = append(br.refs, blockRef{Block{Month: m, Shard: s, Shards: len(lay[m])}, path})
-		}
-	}
-	return br, nil
-}
-
-// Next returns the next block, or (nil, io.EOF) when the stream is drained.
-// Each block read runs the partition read hook, like ReadPartition.
-func (br *BlockReader) Next() (*Block, error) {
-	if br.next >= len(br.refs) {
-		return nil, io.EOF
-	}
-	ref := br.refs[br.next]
-	br.next++
-	if err := br.w.runHook(OpReadPartition, br.name, ref.Month); err != nil {
-		return nil, err
-	}
-	var err error
-	if ref.Table, err = readTableFile(ref.path); err != nil {
-		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", br.name, ref.Month, ref.Shard, ref.Shards, err)
-	}
-	return &ref.Block, nil
 }

@@ -2,8 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -290,41 +288,6 @@ func TestShardedSchemaMismatchRejected(t *testing.T) {
 	}
 	if err := wh.WritePartition("calls", 2, other); err == nil {
 		t.Fatal("plain write with mismatched schema accepted over sharded layout")
-	}
-}
-
-func TestBlockReaderStreamsAllLayouts(t *testing.T) {
-	wh := openTemp(t)
-	if err := wh.WritePartition("calls", 1, wideTable(t, 100, 11)); err != nil {
-		t.Fatal(err)
-	}
-	sw, _ := wh.Sharded(3)
-	if err := sw.WritePartition("calls", 2, wideTable(t, 200, 13)); err != nil {
-		t.Fatal(err)
-	}
-	br, err := wh.OpenBlocks("calls", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	rows := 0
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen = append(seen, fmt.Sprintf("m%d.s%dof%d", b.Month, b.Shard, b.Shards))
-		rows += b.Table.NumRows()
-	}
-	wantOrder := []string{"m1.s0of1", "m2.s0of3", "m2.s1of3", "m2.s2of3"}
-	if !reflect.DeepEqual(seen, wantOrder) {
-		t.Fatalf("block order = %v, want %v", seen, wantOrder)
-	}
-	if rows != 24 {
-		t.Fatalf("streamed %d rows, want 24", rows)
 	}
 }
 

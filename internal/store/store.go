@@ -51,8 +51,6 @@ type Op string
 const (
 	OpReadPartition  Op = "read-partition"
 	OpWritePartition Op = "write-partition"
-	OpStageDay       Op = "stage-day"
-	OpReadStagedDay  Op = "read-staged-day"
 	// Event-log operations (see eventlog.go). The hook's name argument is
 	// the pseudo-table "events" and month carries the segment sequence
 	// number, so injectors address segments the way they address partitions.
@@ -111,7 +109,7 @@ type Warehouse struct {
 	pend syncState
 }
 
-// SetHook installs a fault-injection hook on every partition and staging
+// SetHook installs a fault-injection hook on every partition and event-log
 // read/write. Install it before concurrent use (it is read without locking
 // on the I/O paths); passing nil removes it.
 func (w *Warehouse) SetHook(h Hook) { w.hook = h }
@@ -135,7 +133,7 @@ func Open(dir string) (*Warehouse, error) {
 // Root returns the warehouse directory.
 func (w *Warehouse) Root() string { return w.root }
 
-// commit is the warehouse's one write protocol — partitions, staged days
+// commit is the warehouse's one write protocol — partitions, shard files
 // and event-log segments all land through it: run the fault hook, write a
 // temp file in the destination directory, then rename it over dst. A reader
 // can therefore only ever observe the complete old file, the complete new
@@ -251,7 +249,7 @@ func (w *Warehouse) ReadMonths(name string, months []int) (*table.Table, error) 
 
 // concat reads n parts in order and appends them into one table, reusing
 // the first part's storage. It is the only place the store joins tables:
-// months of a window, shard files of a month, staged days of a month.
+// months of a window, shard files of a month.
 func concat(n int, read func(i int) (*table.Table, error)) (*table.Table, error) {
 	if n == 0 {
 		return nil, ErrNoMonths

@@ -31,8 +31,9 @@ type partitionWriter interface {
 }
 
 // GenerateToWarehouse simulates cfg.Months months and writes every raw table
-// as month partitions into the warehouse — the equivalent of the paper's
-// daily ETL landing BSS/OSS tables in HDFS.
+// as month partitions into the warehouse — the monthly summary the paper's
+// BSS lands in HDFS. (churnctl generate -daily lands the event tables day by
+// day through the warehouse event log instead.)
 func GenerateToWarehouse(cfg Config, wh *store.Warehouse) error {
 	return generateTo(cfg, wh)
 }
