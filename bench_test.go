@@ -156,12 +156,37 @@ func BenchmarkWideTableBuild(b *testing.B) {
 	win := features.MonthWindow(1, 30)
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := features.BuildBaseFeatures(tbl, win, 30, w); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCustomerFrame re-folds one customer's F1-F3 columns from a
+// maintained month: the work an event post repeats for every customer it
+// touches. Customers rotate so each iteration folds a different row set.
+func BenchmarkCustomerFrame(b *testing.B) {
+	months := benchWorld(b)
+	tbl, err := features.FromMonthData(months[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := months[0].Customers.MustCol("imsi").Ints
+	groups := []features.Group{features.F1Baseline, features.F2CS, features.F3PS}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.CustomerFrame(ids[i%len(ids)], groups, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/synth"
@@ -143,564 +145,655 @@ func snapshotMonth(t *table.Table, win Window, daysPerMonth int) *table.Table {
 	return t.Filter(func(i int) bool { return months[i] == m })
 }
 
-// colMap converts a (key, value) pair of columns into a map.
-func colMap(t *table.Table, valueCol string) map[int64]float64 {
-	keys := t.MustCol("imsi").Ints
-	col := t.MustCol(valueCol)
-	out := make(map[int64]float64, len(keys))
-	for i, k := range keys {
-		out[k] = col.Float(i)
+// The F1–F3 build scans each raw table once. Every in-window row resolves
+// its customer's frame slot, computes its filter bits once, reads its value
+// columns once, and adds into each tally (a per-customer accumulator) whose
+// filter bits it carries; every output column is then a function of one
+// customer's tallies. basePlan fixes the column layout and, per table, the
+// tallies and outputs that fill it.
+//
+// A tally adds the customer's kept rows in table row order from +0.0, each
+// Int64 value converted and then added, so every sum, mean and ratio is
+// Float64bits-equal to a row-at-a-time aggregation of the same rows (the
+// fold-order contract incremental.go relies on). "Present" means at least
+// one kept row, never a non-zero value.
+
+// Window-half filter bits, set on every table's rows. The bits below them
+// are per table: a bit means what its table's flag function makes it mean.
+const (
+	firstHalf  uint32 = 1 << 30 // absolute day at or before the window midpoint
+	secondHalf uint32 = 1 << 31 // after it
+)
+
+// Call filter bits.
+const (
+	cMO    uint32 = 1 << iota // mobile-originated (caller)
+	cMT                       // mobile-terminated
+	cOK                       // alerting reached
+	cInner                    // local, peer on the same operator
+	cOuter                    // local, peer on another operator
+	cLocal                    // cInner or cOuter
+	cLD
+	cRoam
+	cCM // peer on China Mobile
+	cCT // peer on China Telecom
+	cBusy
+	cFest
+	cFree
+	cGift
+	cSvc    // svc = 1: call to the 10010 service line
+	cNotSvc // svc = 0
+	cManual
+	cDropped
+)
+
+// Message filter bits.
+const (
+	mMO uint32 = 1 << iota
+	mMT
+	mSMS
+	mMMS
+	mP2P
+	mInfo
+	mBilling
+	mService
+	mSelf  // peer on the same operator
+	mOther // peer on another operator
+	mCM
+	mCT
+	mRoamInt
+	mGift
+)
+
+// is returns b when v == want.
+func is(v, want int64, b uint32) uint32 {
+	if v == want {
+		return b
 	}
-	return out
+	return 0
 }
 
-// sumBy sums valueCol per customer over the rows passing pred, via the
-// engine's fused filter+group-by (the paper's Spark SQL aggregation queries
-// with predicate pushdown): no filtered copy of t is materialized.
-func sumBy(t *table.Table, pred func(int) bool, valueCol string) map[int64]float64 {
-	g, err := table.GroupByWhere(t, "imsi", pred, table.Agg{Col: valueCol, Func: table.Sum, As: "v"})
-	if err != nil {
-		panic(fmt.Sprintf("features: sumBy(%s): %v", valueCol, err))
+// callFlags returns the call filter bits of a row, reading each filter
+// field once.
+func callFlags(t *table.Table) func(row int) uint32 {
+	kind, mo, peerOp, svc := t.MustCol("kind").Ints, t.MustCol("mo").Ints, t.MustCol("peer_op").Ints, t.MustCol("svc").Ints
+	success, dropped, manual := t.MustCol("success").Ints, t.MustCol("dropped").Ints, t.MustCol("manual").Ints
+	busy, fest, free, gift := t.MustCol("busy").Ints, t.MustCol("fest").Ints, t.MustCol("free").Ints, t.MustCol("gift").Ints
+	return func(i int) uint32 {
+		k, m, op, sv := kind[i], mo[i], peerOp[i], svc[i]
+		return is(m, 1, cMO) | is(m, 0, cMT) | is(success[i], 1, cOK) |
+			is(k, synth.CallLocalInner, cInner|cLocal) | is(k, synth.CallLocalOuter, cOuter|cLocal) |
+			is(k, synth.CallLongDist, cLD) | is(k, synth.CallRoam, cRoam) |
+			is(op, synth.OpChinaMobile, cCM) | is(op, synth.OpChinaTelecom, cCT) |
+			is(busy[i], 1, cBusy) | is(fest[i], 1, cFest) | is(free[i], 1, cFree) | is(gift[i], 1, cGift) |
+			is(sv, 1, cSvc) | is(sv, 0, cNotSvc) | is(manual[i], 1, cManual) | is(dropped[i], 1, cDropped)
 	}
-	return colMap(g, "v")
 }
 
-func countBy(t *table.Table, pred func(int) bool) map[int64]float64 {
-	g, err := table.GroupByWhere(t, "imsi", pred, table.Agg{Func: table.Count, As: "v"})
-	if err != nil {
-		panic(fmt.Sprintf("features: countBy: %v", err))
-	}
-	return colMap(g, "v")
-}
-
-func meanBy(t *table.Table, pred func(int) bool, valueCol string) map[int64]float64 {
-	g, err := table.GroupByWhere(t, "imsi", pred, table.Agg{Col: valueCol, Func: table.Mean, As: "v"})
-	if err != nil {
-		panic(fmt.Sprintf("features: meanBy(%s): %v", valueCol, err))
-	}
-	return colMap(g, "v")
-}
-
-func distinctBy(t *table.Table, pred func(int) bool, col string) map[int64]float64 {
-	g, err := table.GroupByWhere(t, "imsi", pred, table.Agg{Col: col, Func: table.CountDistinct, As: "v"})
-	if err != nil {
-		panic(fmt.Sprintf("features: distinctBy(%s): %v", col, err))
-	}
-	return colMap(g, "v")
-}
-
-// ratio computes num[id]/den[id] per customer present in den, with def when
-// the denominator is missing or zero.
-func ratio(num, den map[int64]float64, def float64) map[int64]float64 {
-	out := make(map[int64]float64, len(den))
-	for id, d := range den {
-		if d == 0 {
-			out[id] = def
-			continue
+// messageFlags returns the message filter bits of a row, reading each
+// filter field once.
+func messageFlags(t *table.Table) func(row int) uint32 {
+	kind, mo, mms := t.MustCol("kind").Ints, t.MustCol("mo").Ints, t.MustCol("mms").Ints
+	peerOp, roamInt, gift := t.MustCol("peer_op").Ints, t.MustCol("roam_int").Ints, t.MustCol("gift").Ints
+	return func(i int) uint32 {
+		k, m, mm, op := kind[i], mo[i], mms[i], peerOp[i]
+		f := is(m, 1, mMO) | is(m, 0, mMT) | is(mm, 0, mSMS) | is(mm, 1, mMMS) |
+			is(k, synth.MsgP2P, mP2P) | is(k, synth.MsgInfo, mInfo) | is(k, synth.MsgBilling, mBilling) |
+			is(k, synth.MsgService, mService) | is(op, synth.OpChinaMobile, mCM) | is(op, synth.OpChinaTelecom, mCT) |
+			is(roamInt[i], 1, mRoamInt) | is(gift[i], 1, mGift)
+		if op == synth.OpSelf {
+			return f | mSelf
 		}
-		out[id] = num[id] / d
-	}
-	return out
-}
-
-func scale(m map[int64]float64, k float64) map[int64]float64 {
-	out := make(map[int64]float64, len(m))
-	for id, v := range m {
-		out[id] = v * k
-	}
-	return out
-}
-
-// column is one computed wide-table column awaiting placement in a frame.
-type column struct {
-	group  Group
-	name   string
-	values map[int64]float64
-	def    float64
-}
-
-// colJob computes one or more columns; jobs share no mutable state, so they
-// are the unit of parallelism for the wide-table build (the role of the
-// paper's per-aggregation Spark SQL queries).
-type colJob func() []column
-
-// oneCol wraps a single-column computation as a job.
-func oneCol(g Group, name string, def float64, compute func() map[int64]float64) colJob {
-	return func() []column {
-		return []column{{group: g, name: name, values: compute(), def: def}}
+		return f | mOther
 	}
 }
 
-// runJobs evaluates the jobs across workers and appends every resulting
-// column to the frame in job order. Each job turns its column maps into
-// row-aligned values on its own worker, so the maps die with the job rather
-// than all living until the merge, which then sizes every row once. Column
-// layout and values are identical for any worker count — parallelism only
-// reorders the compute, never the merge.
-func runJobs(f *Frame, workers int, jobs []colJob) {
-	type denseColumn struct {
-		group  Group
-		name   string
-		values []float64
-	}
-	results := make([][]denseColumn, len(jobs))
-	parallel.ForGrain(workers, len(jobs), 1, func(i int) {
-		cols := jobs[i]()
-		out := make([]denseColumn, len(cols))
-		for c, col := range cols {
-			vals := make([]float64, len(f.ids))
-			for r, id := range f.ids {
-				v, ok := col.values[id]
-				if !ok {
-					v = col.def
-				}
-				vals[r] = v
-			}
-			out[c] = denseColumn{group: col.group, name: col.name, values: vals}
+// tally is one per-customer accumulator of a table scan: every kept row
+// carrying all of need adds its value of source column src (-1: adds 1).
+type tally struct {
+	need uint32
+	src  int
+}
+
+// output is one frame column a scan fills from a customer's tallies.
+type output struct {
+	col int
+	val func(a []float64) float64
+}
+
+// scan plans one raw table's single pass.
+type scan struct {
+	flags   func(t *table.Table) func(row int) uint32 // nil: only the half bits
+	values  []string                                  // value columns, by tally src
+	tallies []tally
+	outs    []output
+	// distinct counts the distinct values of distinctCol over the rows
+	// carrying distinctNeed into frame column distinctOut ("" = none).
+	distinctCol  string
+	distinctNeed uint32
+	distinctOut  int
+	lastDay      bool // track each customer's last in-window absolute day
+}
+
+// tally returns the index of the (need, src) tally, adding it if new; src
+// "" counts rows.
+func (s *scan) tally(need uint32, src string) int {
+	t := tally{need: need, src: -1}
+	if src != "" {
+		if t.src = slices.Index(s.values, src); t.src < 0 {
+			s.values = append(s.values, src)
+			t.src = len(s.values) - 1
 		}
-		results[i] = out
+	}
+	if j := slices.Index(s.tallies, t); j >= 0 {
+		return j
+	}
+	s.tallies = append(s.tallies, t)
+	return len(s.tallies) - 1
+}
+
+// snapCol copies a monthly snapshot column into a frame column.
+type snapCol struct {
+	src string
+	col int
+}
+
+// plan is the F1–F3 column layout and how each table fills it.
+type plan struct {
+	names  []string
+	groups []Group
+
+	calls, messages, recharges, complaints, web scan
+	billing, demographics                       []snapCol
+
+	lastActive, lastRecharge int // frame columns of the cross-table last-day features
+	locTop                   int // first of the locTopN lat/lon pairs, then loc_distinct_cells
+}
+
+// locTopN is how many top stay locations the F3 group carries: 4 lat/lon
+// pairs plus the distinct-cell count make 9 columns (the paper's 10
+// location features minus the slot page_size_mean takes, keeping F3 at 25).
+const locTopN = 4
+
+var basePlan = newBasePlan()
+
+// col appends a column to the layout and returns its index.
+func (p *plan) col(g Group, name string) int {
+	p.names = append(p.names, name)
+	p.groups = append(p.groups, g)
+	return len(p.names) - 1
+}
+
+func (p *plan) out(s *scan, g Group, name string, val func(a []float64) float64) {
+	s.outs = append(s.outs, output{col: p.col(g, name), val: val})
+}
+
+// sum is the kept rows' src values added in row order; src "" counts rows.
+func (p *plan) sum(s *scan, g Group, name string, need uint32, src string) {
+	t := s.tally(need, src)
+	p.out(s, g, name, func(a []float64) float64 { return a[t] })
+}
+
+// minutes is a seconds sum in minutes.
+func (p *plan) minutes(s *scan, g Group, name string, need uint32, src string) {
+	t := s.tally(need, src)
+	p.out(s, g, name, func(a []float64) float64 { return a[t] * (1.0 / 60) })
+}
+
+// mean is the sum over the kept rows' count, 0 without kept rows.
+func (p *plan) mean(s *scan, g Group, name string, need uint32, src string) {
+	sum, n := s.tally(need, src), s.tally(need, "")
+	p.out(s, g, name, func(a []float64) float64 {
+		if a[n] == 0 {
+			return 0
+		}
+		return a[sum] / a[n]
 	})
-	added := 0
-	for _, cols := range results {
-		added += len(cols)
-		for _, c := range cols {
-			f.names = append(f.names, c.name)
-			f.group = append(f.group, c.group)
-		}
-	}
-	for r, row := range f.x {
-		row = append(make([]float64, 0, len(row)+added), row...)
-		for _, cols := range results {
-			for _, c := range cols {
-				row = append(row, c.values[r])
-			}
-		}
-		f.x[r] = row
-	}
 }
 
-// BuildBaseFeatures builds the F1 (baseline BSS), F2 (CS KPI/KQI) and F3 (PS
-// KPI/KQI + location) columns of the wide table for the given window, fanning
-// the independent per-column aggregations across `workers` goroutines
-// (0 = GOMAXPROCS). The customer universe is the window's last-month
-// demographic snapshot. The frame is bit-identical for any worker count.
-func BuildBaseFeatures(tbl Tables, win Window, daysPerMonth, workers int) (*Frame, error) {
-	cust := snapshotMonth(tbl.Customers, win, daysPerMonth)
-	if cust.NumRows() == 0 {
-		return nil, fmt.Errorf("features: no customer snapshot for month %d", win.LastMonth(daysPerMonth))
-	}
-	frame := NewFrame(cust.MustCol("imsi").Ints)
-	jobs := f1Jobs(tbl, cust, win, daysPerMonth)
-	jobs = append(jobs, f2Jobs(tbl, win, daysPerMonth)...)
-	jobs = append(jobs, f3Jobs(tbl, win, daysPerMonth)...)
-	runJobs(frame, workers, jobs)
-	return frame, nil
+// agg names a tally: a filter and a value column ("" = a row count).
+type agg struct {
+	need uint32
+	src  string
 }
 
-func f1Jobs(tbl Tables, cust *table.Table, win Window, daysPerMonth int) []colJob {
-	calls := tbl.Calls
-	inWin := inWindow(calls, win, daysPerMonth)
-	kind := calls.MustCol("kind").Ints
-	mo := calls.MustCol("mo").Ints
-	peerOp := calls.MustCol("peer_op").Ints
-	success := calls.MustCol("success").Ints
-	busy := calls.MustCol("busy").Ints
-	fest := calls.MustCol("fest").Ints
-	free := calls.MustCol("free").Ints
-	gift := calls.MustCol("gift").Ints
-	svc := calls.MustCol("svc").Ints
-	manual := calls.MustCol("manual").Ints
-
-	and := func(preds ...func(int) bool) func(int) bool {
-		return func(i int) bool {
-			for _, p := range preds {
-				if !p(i) {
-					return false
-				}
-			}
-			return true
+// ratio is num / den, def when den has no kept rows or is zero (every ratio
+// column uses one default for both).
+func (p *plan) ratio(s *scan, g Group, name string, num, den agg, def float64) {
+	nt, dt, present := s.tally(num.need, num.src), s.tally(den.need, den.src), s.tally(den.need, "")
+	p.out(s, g, name, func(a []float64) float64 {
+		if a[present] == 0 || a[dt] == 0 {
+			return def
 		}
-	}
-	isMO := func(i int) bool { return mo[i] == 1 }
-	isMT := func(i int) bool { return mo[i] == 0 }
-	ok := func(i int) bool { return success[i] == 1 }
-	kindIs := func(k int64) func(int) bool { return func(i int) bool { return kind[i] == k } }
-	localAny := func(i int) bool { return kind[i] == synth.CallLocalInner || kind[i] == synth.CallLocalOuter }
-	notSvc := func(i int) bool { return svc[i] == 0 }
+		return a[nt] / a[dt]
+	})
+}
 
-	var jobs []colJob
-	sumJob := func(name string, pred func(int) bool) {
-		jobs = append(jobs, oneCol(F1Baseline, name, 0, func() map[int64]float64 {
-			return sumBy(calls, pred, "dur")
-		}))
-	}
-	cntJob := func(name string, pred func(int) bool) {
-		jobs = append(jobs, oneCol(F1Baseline, name, 0, func() map[int64]float64 {
-			return countBy(calls, pred)
-		}))
-	}
+// decline compares the window's two halves: second / (first + k) when the
+// first half has kept rows, second / k when only the second has, else 0.
+func (p *plan) decline(s *scan, g Group, name string, need uint32, src string, k float64) {
+	fh, fn := s.tally(need|firstHalf, src), s.tally(need|firstHalf, "")
+	sh, sn := s.tally(need|secondHalf, src), s.tally(need|secondHalf, "")
+	p.out(s, g, name, func(a []float64) float64 {
+		switch {
+		case a[fn] > 0:
+			return a[sh] / (a[fh] + k)
+		case a[sn] > 0:
+			return a[sh] / k
+		}
+		return 0
+	})
+}
+
+// distinct counts the distinct values of col over the rows carrying need.
+func (p *plan) distinct(s *scan, g Group, name string, need uint32, col string) {
+	s.distinctCol, s.distinctNeed, s.distinctOut = col, need, p.col(g, name)
+}
+
+// named is one column of a table-driven list: a name and a row filter.
+type named struct {
+	name string
+	need uint32
+}
+
+func newBasePlan() *plan {
+	p := &plan{}
+	c, m, w := &p.calls, &p.messages, &p.web
+	c.flags, m.flags = callFlags, messageFlags
+	c.lastDay, w.lastDay, p.recharges.lastDay = true, true, true
 
 	// Call durations (seconds).
-	sumJob("localbase_inner_call_dur", and(inWin, isMO, ok, kindIs(synth.CallLocalInner), notSvc))
-	sumJob("localbase_outer_call_dur", and(inWin, isMO, ok, kindIs(synth.CallLocalOuter)))
-	sumJob("ld_call_dur", and(inWin, isMO, ok, kindIs(synth.CallLongDist)))
-	sumJob("roam_call_dur", and(inWin, isMO, ok, kindIs(synth.CallRoam)))
-	sumJob("localbase_called_dur", and(inWin, isMT, ok, localAny))
-	sumJob("ld_called_dur", and(inWin, isMT, ok, kindIs(synth.CallLongDist)))
-	sumJob("roam_called_dur", and(inWin, isMT, ok, kindIs(synth.CallRoam)))
-	sumJob("cm_dur", and(inWin, ok, func(i int) bool { return peerOp[i] == synth.OpChinaMobile }))
-	sumJob("ct_dur", and(inWin, ok, func(i int) bool { return peerOp[i] == synth.OpChinaTelecom }))
-	sumJob("busy_call_dur", and(inWin, isMO, ok, func(i int) bool { return busy[i] == 1 }))
-	sumJob("fest_call_dur", and(inWin, isMO, ok, func(i int) bool { return fest[i] == 1 }))
-	sumJob("free_call_dur", and(inWin, ok, func(i int) bool { return free[i] == 1 }))
-	sumJob("gift_voice_call_dur", and(inWin, ok, func(i int) bool { return gift[i] == 1 }))
-	sumJob("voice_dur", and(inWin, ok))
-	sumJob("caller_dur", and(inWin, isMO, ok))
-
+	for _, n := range []named{
+		{"localbase_inner_call_dur", cMO | cOK | cInner | cNotSvc},
+		{"localbase_outer_call_dur", cMO | cOK | cOuter},
+		{"ld_call_dur", cMO | cOK | cLD},
+		{"roam_call_dur", cMO | cOK | cRoam},
+		{"localbase_called_dur", cMT | cOK | cLocal},
+		{"ld_called_dur", cMT | cOK | cLD},
+		{"roam_called_dur", cMT | cOK | cRoam},
+		{"cm_dur", cOK | cCM},
+		{"ct_dur", cOK | cCT},
+		{"busy_call_dur", cMO | cOK | cBusy},
+		{"fest_call_dur", cMO | cOK | cFest},
+		{"free_call_dur", cOK | cFree},
+		{"gift_voice_call_dur", cOK | cGift},
+		{"voice_dur", cOK},
+		{"caller_dur", cMO | cOK},
+	} {
+		p.sum(c, F1Baseline, n.name, n.need, "dur")
+	}
 	// Call counts.
-	cntJob("all_call_cnt", inWin)
-	cntJob("voice_cnt", and(inWin, ok))
-	cntJob("local_base_call_cnt", and(inWin, isMO, localAny, notSvc))
-	cntJob("ld_call_cnt", and(inWin, isMO, kindIs(synth.CallLongDist)))
-	cntJob("roam_call_cnt", and(inWin, isMO, kindIs(synth.CallRoam)))
-	cntJob("caller_cnt", and(inWin, isMO))
-	cntJob("call_10010_cnt", and(inWin, func(i int) bool { return svc[i] == 1 }))
-	cntJob("call_10010_manual_cnt", and(inWin, func(i int) bool { return manual[i] == 1 }))
-
+	for _, n := range []named{
+		{"all_call_cnt", 0},
+		{"voice_cnt", cOK},
+		{"local_base_call_cnt", cMO | cLocal | cNotSvc},
+		{"ld_call_cnt", cMO | cLD},
+		{"roam_call_cnt", cMO | cRoam},
+		{"caller_cnt", cMO},
+		{"call_10010_cnt", cSvc},
+		{"call_10010_manual_cnt", cManual},
+	} {
+		p.sum(c, F1Baseline, n.name, n.need, "")
+	}
 	// Call minutes (duration/60 views the BI system reports separately).
-	minuteJob := func(name string, pred func(int) bool) {
-		jobs = append(jobs, oneCol(F1Baseline, name, 0, func() map[int64]float64 {
-			return scale(sumBy(calls, pred, "dur"), 1.0/60)
-		}))
+	for _, n := range []named{
+		{"local_call_minutes", cMO | cOK | cLocal},
+		{"toll_call_minutes", cMO | cOK | cLD},
+		{"roam_call_minutes", cMO | cOK | cRoam},
+		{"voice_call_minutes", cOK},
+	} {
+		p.minutes(c, F1Baseline, n.name, n.need, "dur")
 	}
-	minuteJob("local_call_minutes", and(inWin, isMO, ok, localAny))
-	minuteJob("toll_call_minutes", and(inWin, isMO, ok, kindIs(synth.CallLongDist)))
-	minuteJob("roam_call_minutes", and(inWin, isMO, ok, kindIs(synth.CallRoam)))
-	minuteJob("voice_call_minutes", and(inWin, ok))
-
 	// Messages.
-	msgs := tbl.Messages
-	mInWin := inWindow(msgs, win, daysPerMonth)
-	mKind := msgs.MustCol("kind").Ints
-	mMO := msgs.MustCol("mo").Ints
-	mMMS := msgs.MustCol("mms").Ints
-	mOp := msgs.MustCol("peer_op").Ints
-	mRoamInt := msgs.MustCol("roam_int").Ints
-	mGift := msgs.MustCol("gift").Ints
-
-	mIsMO := func(i int) bool { return mMO[i] == 1 }
-	mIsMT := func(i int) bool { return mMO[i] == 0 }
-	isSMS := func(i int) bool { return mMMS[i] == 0 }
-	isMMS := func(i int) bool { return mMMS[i] == 1 }
-	p2p := func(i int) bool { return mKind[i] == synth.MsgP2P }
-	opIs := func(op int64) func(int) bool { return func(i int) bool { return mOp[i] == op } }
-
-	msgJob := func(name string, pred func(int) bool) {
-		jobs = append(jobs, oneCol(F1Baseline, name, 0, func() map[int64]float64 {
-			return countBy(msgs, pred)
-		}))
+	p2pSMSMO := mP2P | mMO | mSMS
+	p2pMMSMO := mP2P | mMO | mMMS
+	for _, n := range []named{
+		{"sms_p2p_inner_mo_cnt", p2pSMSMO | mSelf},
+		{"sms_p2p_other_mo_cnt", p2pSMSMO | mOther},
+		{"sms_p2p_cm_mo_cnt", p2pSMSMO | mCM},
+		{"sms_p2p_ct_mo_cnt", p2pSMSMO | mCT},
+		{"sms_info_mo_cnt", mInfo},
+		{"sms_p2p_roam_int_mo_cnt", p2pSMSMO | mRoamInt},
+		{"sms_bill_cnt", mBilling},
+		{"sms_p2p_mt_cnt", mP2P | mMT | mSMS},
+		{"serve_sms_count", mService},
+		{"mms_cnt", mMMS},
+		{"mms_p2p_inner_mo_cnt", p2pMMSMO | mSelf},
+		{"mms_p2p_other_mo_cnt", p2pMMSMO | mOther},
+		{"mms_p2p_mt_cnt", mP2P | mMT | mMMS},
+		{"p2p_sms_mo_cnt", p2pSMSMO},
+		{"gift_sms_mo_cnt", mMO | mGift},
+	} {
+		p.sum(m, F1Baseline, n.name, n.need, "")
 	}
-	msgJob("sms_p2p_inner_mo_cnt", and(mInWin, p2p, mIsMO, isSMS, opIs(synth.OpSelf)))
-	msgJob("sms_p2p_other_mo_cnt", and(mInWin, p2p, mIsMO, isSMS, func(i int) bool { return mOp[i] != synth.OpSelf }))
-	msgJob("sms_p2p_cm_mo_cnt", and(mInWin, p2p, mIsMO, isSMS, opIs(synth.OpChinaMobile)))
-	msgJob("sms_p2p_ct_mo_cnt", and(mInWin, p2p, mIsMO, isSMS, opIs(synth.OpChinaTelecom)))
-	msgJob("sms_info_mo_cnt", and(mInWin, func(i int) bool { return mKind[i] == synth.MsgInfo }))
-	msgJob("sms_p2p_roam_int_mo_cnt", and(mInWin, p2p, mIsMO, isSMS, func(i int) bool { return mRoamInt[i] == 1 }))
-	msgJob("sms_bill_cnt", and(mInWin, func(i int) bool { return mKind[i] == synth.MsgBilling }))
-	msgJob("sms_p2p_mt_cnt", and(mInWin, p2p, mIsMT, isSMS))
-	msgJob("serve_sms_count", and(mInWin, func(i int) bool { return mKind[i] == synth.MsgService }))
-	msgJob("mms_cnt", and(mInWin, isMMS))
-	msgJob("mms_p2p_inner_mo_cnt", and(mInWin, p2p, mIsMO, isMMS, opIs(synth.OpSelf)))
-	msgJob("mms_p2p_other_mo_cnt", and(mInWin, p2p, mIsMO, isMMS, func(i int) bool { return mOp[i] != synth.OpSelf }))
-	msgJob("mms_p2p_mt_cnt", and(mInWin, p2p, mIsMT, isMMS))
-	msgJob("p2p_sms_mo_cnt", and(mInWin, p2p, mIsMO, isSMS))
-	msgJob("gift_sms_mo_cnt", and(mInWin, mIsMO, func(i int) bool { return mGift[i] == 1 }))
+	p.distinct(m, F1Baseline, "distinct_serve_count", mService, "peer")
 
-	jobs = append(jobs, oneCol(F1Baseline, "distinct_serve_count", 0, func() map[int64]float64 {
-		return distinctBy(msgs, and(mInWin, func(i int) bool { return mKind[i] == synth.MsgService }), "peer")
-	}))
+	// Billing snapshot (the window's snapshot month).
+	for _, b := range [][2]string{
+		{"balance", "balance"}, {"total_charge", "total_charge"},
+		{"recharge_value", "recharge_value"}, {"balance_rate", "balance_rate"},
+		{"gprs_flux", "gprs_flux"}, {"gprs_charge", "gprs_charge"},
+		{"sms_charge", "p2p_sms_mo_charge"}, {"gift_flux", "gift_flux_value"},
+	} {
+		p.billing = append(p.billing, snapCol{src: b[0], col: p.col(F1Baseline, b[1])})
+	}
+	p.sum(&p.recharges, F1Baseline, "recharge_cnt", 0, "")
+	// Demographics (the window's snapshot month).
+	for _, name := range []string{
+		"age", "gender", "pspt_type", "is_shanghai", "town_id", "sale_id",
+		"product_id", "product_price", "product_knd", "credit_value", "innet_dura",
+	} {
+		p.demographics = append(p.demographics, snapCol{src: name, col: p.col(F1Baseline, name)})
+	}
 
-	// Billing snapshot (window's last month) — one cheap job for all columns.
-	jobs = append(jobs, func() []column {
-		billing := snapshotMonth(tbl.Billing, win, daysPerMonth)
-		var cols []column
-		for _, c := range []struct{ col, name string }{
-			{"balance", "balance"},
-			{"total_charge", "total_charge"},
-			{"recharge_value", "recharge_value"},
-			{"balance_rate", "balance_rate"},
-			{"gprs_flux", "gprs_flux"},
-			{"gprs_charge", "gprs_charge"},
-			{"sms_charge", "p2p_sms_mo_charge"},
-			{"gift_flux", "gift_flux_value"},
-		} {
-			cols = append(cols, column{group: F1Baseline, name: c.name, values: colMap(billing, c.col)})
-		}
-		return cols
-	})
-
-	// Recharge events.
-	rech := tbl.Recharges
-	rInWin := inWindow(rech, win, daysPerMonth)
-	jobs = append(jobs, oneCol(F1Baseline, "recharge_cnt", 0, func() map[int64]float64 {
-		return countBy(rech, rInWin)
-	}))
-
-	// Demographics (window's last month snapshot).
-	jobs = append(jobs, func() []column {
-		var cols []column
-		for _, c := range []string{
-			"age", "gender", "pspt_type", "is_shanghai", "town_id", "sale_id",
-			"product_id", "product_price", "product_knd", "credit_value", "innet_dura",
-		} {
-			cols = append(cols, column{group: F1Baseline, name: c, values: colMap(cust, c)})
-		}
-		return cols
-	})
-
-	// Complaints and activity spread.
-	jobs = append(jobs, oneCol(F1Baseline, "complaint_cnt", 0, func() map[int64]float64 {
-		return countBy(tbl.Complaints, inWindow(tbl.Complaints, win, daysPerMonth))
-	}))
-	jobs = append(jobs, oneCol(F1Baseline, "active_call_days", 0, func() map[int64]float64 {
-		return distinctBy(calls, inWin, "day")
-	}))
-	jobs = append(jobs, oneCol(F1Baseline, "gprs_all_flux", 0, func() map[int64]float64 {
-		return sumBy(tbl.Web, inWindow(tbl.Web, win, daysPerMonth), "flux")
-	}))
+	// Complaints and activity spread. active_call_days counts distinct raw
+	// day values, so a window spanning two months counts day 5 once.
+	p.sum(&p.complaints, F1Baseline, "complaint_cnt", 0, "")
+	p.distinct(c, F1Baseline, "active_call_days", 0, "day")
+	p.sum(w, F1Baseline, "gprs_all_flux", 0, "flux")
 
 	// Within-window usage-trend features: the classic "declining usage"
 	// baseline churn signals every BI churn model carries. Halves are split
 	// at the window midpoint in absolute days.
-	mid := (win.FromAbs + win.ToAbs) / 2
-	absOf := func(t *table.Table) func(int) float64 {
-		ms := t.MustCol("month").Ints
-		ds := t.MustCol("day").Ints
-		return func(i int) float64 { return float64(AbsDay(int(ms[i]), int(ds[i]), daysPerMonth)) }
+	p.decline(c, F1Baseline, "call_dur_decline", cOK, "dur", 60)
+	p.decline(w, F1Baseline, "flux_decline", 0, "flux", 5)
+	// Last day with any voice or data activity, and last recharge day,
+	// relative to window start (0 = none in window).
+	p.lastActive = p.col(F1Baseline, "last_active_day")
+	p.lastRecharge = p.col(F1Baseline, "last_recharge_day")
+
+	// F2: call-quality KPIs, excluding synthetic service-line rows.
+	placed, answered := cNotSvc, cNotSvc|cOK
+	p.ratio(c, F2CS, "call_success_rate", agg{answered, ""}, agg{placed, ""}, 1)
+	p.mean(c, F2CS, "e2e_conn_delay", answered, "conn_delay")
+	p.ratio(c, F2CS, "call_drop_rate", agg{placed | cDropped, ""}, agg{answered, ""}, 0)
+	p.mean(c, F2CS, "uplink_mos", answered, "mos_ul")
+	p.mean(c, F2CS, "voice_quality", answered, "mos_dl")
+	p.mean(c, F2CS, "ip_mos", answered, "mos_ip")
+	p.sum(c, F2CS, "oneway_audio_cnt", placed, "oneway")
+	p.sum(c, F2CS, "noise_cnt", placed, "noise")
+	p.sum(c, F2CS, "echo_cnt", placed, "echo")
+
+	// F3: PS KPIs over every in-window xDR row, then stay locations.
+	p.ratio(w, F3PS, "page_response_success_rate", agg{0, "page_succ"}, agg{0, "page_req"}, 1)
+	p.mean(w, F3PS, "page_response_delay", 0, "resp_delay")
+	p.ratio(w, F3PS, "page_browsing_success_rate", agg{0, "browse_succ"}, agg{0, "page_succ"}, 1)
+	p.mean(w, F3PS, "page_browsing_delay", 0, "browse_delay")
+	p.mean(w, F3PS, "page_download_throughput", 0, "dl_tp")
+	p.mean(w, F3PS, "upload_throughput", 0, "ul_tp")
+	p.sum(w, F3PS, "ps_flux", 0, "flux")
+	p.ratio(w, F3PS, "tcp_conn_rate", agg{0, "tcp_ok"}, agg{0, "tcp_att"}, 1)
+	p.mean(w, F3PS, "tcp_rtt", 0, "tcp_rtt")
+	p.sum(w, F3PS, "streaming_filesize", 0, "stream_size")
+	p.sum(w, F3PS, "streaming_dw_packets", 0, "stream_pkts")
+	p.sum(w, F3PS, "email_cnt", 0, "email_cnt")
+	p.ratio(w, F3PS, "email_success_rate", agg{0, "email_ok"}, agg{0, "email_cnt"}, 1)
+	p.distinct(w, F3PS, "ps_active_days", 0, "day")
+	p.sum(w, F3PS, "page_cnt", 0, "page_req")
+	p.mean(w, F3PS, "page_size_mean", 0, "page_size")
+	p.locTop = p.col(F3PS, "loc_top1_lat")
+	p.col(F3PS, "loc_top1_lon")
+	for k := 2; k <= locTopN; k++ {
+		p.col(F3PS, fmt.Sprintf("loc_top%d_lat", k))
+		p.col(F3PS, fmt.Sprintf("loc_top%d_lon", k))
 	}
-
-	jobs = append(jobs, oneCol(F1Baseline, "call_dur_decline", 0, func() map[int64]float64 {
-		callAbs := absOf(calls)
-		firstHalfDur := sumBy(calls, and(inWin, ok, func(i int) bool { return callAbs(i) <= float64(mid) }), "dur")
-		secondHalfDur := sumBy(calls, and(inWin, ok, func(i int) bool { return callAbs(i) > float64(mid) }), "dur")
-		decline := make(map[int64]float64, len(firstHalfDur))
-		for id, fh := range firstHalfDur {
-			decline[id] = secondHalfDur[id] / (fh + 60)
-		}
-		for id, sh := range secondHalfDur {
-			if _, seen := firstHalfDur[id]; !seen {
-				decline[id] = sh / 60
-			}
-		}
-		return decline
-	}))
-
-	jobs = append(jobs, oneCol(F1Baseline, "flux_decline", 0, func() map[int64]float64 {
-		webAbs := absOf(tbl.Web)
-		webWin := inWindow(tbl.Web, win, daysPerMonth)
-		fhFlux := sumBy(tbl.Web, func(i int) bool { return webWin(i) && webAbs(i) <= float64(mid) }, "flux")
-		shFlux := sumBy(tbl.Web, func(i int) bool { return webWin(i) && webAbs(i) > float64(mid) }, "flux")
-		fluxDecline := make(map[int64]float64, len(fhFlux))
-		for id, fh := range fhFlux {
-			fluxDecline[id] = shFlux[id] / (fh + 5)
-		}
-		for id, sh := range shFlux {
-			if _, seen := fhFlux[id]; !seen {
-				fluxDecline[id] = sh / 5
-			}
-		}
-		return fluxDecline
-	}))
-
-	// Last day with any voice or data activity, relative to window start.
-	jobs = append(jobs, oneCol(F1Baseline, "last_active_day", 0, func() map[int64]float64 {
-		webWin := inWindow(tbl.Web, win, daysPerMonth)
-		lastCall := maxAbsDay(calls, inWin, absOf(calls))
-		lastWeb := maxAbsDay(tbl.Web, webWin, absOf(tbl.Web))
-		lastActive := make(map[int64]float64, len(lastCall))
-		for id, v := range lastCall {
-			lastActive[id] = v - float64(win.FromAbs) + 1
-		}
-		for id, v := range lastWeb {
-			rel := v - float64(win.FromAbs) + 1
-			if rel > lastActive[id] {
-				lastActive[id] = rel
-			}
-		}
-		return lastActive
-	}))
-
-	// Last recharge day relative to window start (0 = none in window).
-	jobs = append(jobs, oneCol(F1Baseline, "last_recharge_day", 0, func() map[int64]float64 {
-		lastRecharge := maxAbsDay(rech, rInWin, absOf(rech))
-		lastRechargeRel := make(map[int64]float64, len(lastRecharge))
-		for id, v := range lastRecharge {
-			lastRechargeRel[id] = v - float64(win.FromAbs) + 1
-		}
-		return lastRechargeRel
-	}))
-
-	return jobs
+	p.col(F3PS, "loc_distinct_cells")
+	return p
 }
 
-// maxAbsDay returns each customer's maximum absolute event day.
-func maxAbsDay(t *table.Table, pred func(int) bool, abs func(int) float64) map[int64]float64 {
-	imsi := t.MustCol("imsi").Ints
-	out := make(map[int64]float64)
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		if !pred(i) {
+// BuildBaseFeatures builds the F1 (baseline BSS), F2 (CS KPI/KQI) and F3 (PS
+// KPI/KQI + location) columns of the wide table for the given window: one
+// pass per raw table, the passes spread across `workers` goroutines
+// (0 = GOMAXPROCS). The customer universe is the window's snapshot-month
+// demographic rows. Every column is written by one pass, so the frame is
+// bit-identical for any worker count.
+func BuildBaseFeatures(tbl Tables, win Window, daysPerMonth, workers int) (*Frame, error) {
+	snap := int64(win.SnapshotMonth(daysPerMonth))
+	var ids []int64
+	months := tbl.Customers.MustCol("month").Ints
+	for i, id := range tbl.Customers.MustCol("imsi").Ints {
+		if months[i] == snap {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("features: no customer snapshot for month %d", win.LastMonth(daysPerMonth))
+	}
+	p := basePlan
+	f := NewFrame(ids)
+	f.names, f.group = slices.Clone(p.names), slices.Clone(p.groups)
+	width := len(p.names)
+	slab := make([]float64, len(f.ids)*width)
+	for r := range f.x {
+		f.x[r] = slab[r*width : (r+1)*width : (r+1)*width]
+	}
+
+	b := baseBuild{f: f, win: win, days: daysPerMonth, mid: (win.FromAbs + win.ToAbs) / 2}
+	var lastCall, lastWeb, lastRecharge []int
+	tasks := []func(){
+		func() { lastCall = b.run(&p.calls, tbl.Calls) },
+		func() { lastWeb = b.run(&p.web, tbl.Web) },
+		func() { b.run(&p.messages, tbl.Messages) },
+		func() { b.locations(tbl.Locations, p.locTop) },
+		func() { lastRecharge = b.run(&p.recharges, tbl.Recharges) },
+		func() { b.run(&p.complaints, tbl.Complaints) },
+		func() { b.snapshot(tbl.Billing, snap, p.billing) },
+		func() { b.snapshot(tbl.Customers, snap, p.demographics) },
+	}
+	parallel.ForGrain(workers, len(tasks), 1, func(i int) { tasks[i]() })
+
+	from := float64(win.FromAbs)
+	for r, row := range f.x {
+		active := 0.0
+		if d := lastCall[r]; d > 0 {
+			active = float64(d) - from + 1
+		}
+		if d := lastWeb[r]; d > 0 {
+			active = max(active, float64(d)-from+1)
+		}
+		row[p.lastActive] = active
+		if d := lastRecharge[r]; d > 0 {
+			row[p.lastRecharge] = float64(d) - from + 1
+		}
+	}
+	return f, nil
+}
+
+// baseBuild is one BuildBaseFeatures call: the frame its passes fill and
+// the window they keep rows of.
+type baseBuild struct {
+	f         *Frame
+	win       Window
+	days, mid int
+}
+
+// rows calls fn for every in-window row of t whose customer has a frame
+// slot, in row order. Consecutive rows of one customer share one lookup.
+func (b *baseBuild) rows(t *table.Table, fn func(i, slot, abs int)) {
+	months, days := t.MustCol("month").Ints, t.MustCol("day").Ints
+	slot, prev, cached := -1, int64(0), false
+	for i, id := range t.MustCol("imsi").Ints {
+		abs := AbsDay(int(months[i]), int(days[i]), b.days)
+		if abs < b.win.FromAbs || abs > b.win.ToAbs {
 			continue
 		}
-		if v := abs(i); v > out[imsi[i]] {
-			out[imsi[i]] = v
+		if !cached || id != prev {
+			s, ok := b.f.index[id]
+			if !ok {
+				s = -1
+			}
+			slot, prev, cached = s, id, true
+		}
+		if slot >= 0 {
+			fn(i, slot, abs)
 		}
 	}
-	return out
 }
 
-func f2Jobs(tbl Tables, win Window, daysPerMonth int) []colJob {
-	calls := tbl.Calls
-	inWin := inWindow(calls, win, daysPerMonth)
-	success := calls.MustCol("success").Ints
-	dropped := calls.MustCol("dropped").Ints
-	svc := calls.MustCol("svc").Ints
-
-	// Exclude synthetic service-line rows from quality KPIs.
-	real := func(i int) bool { return inWin(i) && svc[i] == 0 }
-	okPred := func(i int) bool { return real(i) && success[i] == 1 }
-
-	return []colJob{
-		oneCol(F2CS, "call_success_rate", 1, func() map[int64]float64 {
-			return ratio(countBy(calls, okPred), countBy(calls, real), 1)
-		}),
-		oneCol(F2CS, "e2e_conn_delay", 0, func() map[int64]float64 {
-			return meanBy(calls, okPred, "conn_delay")
-		}),
-		oneCol(F2CS, "call_drop_rate", 0, func() map[int64]float64 {
-			drops := countBy(calls, func(i int) bool { return real(i) && dropped[i] == 1 })
-			return ratio(drops, countBy(calls, okPred), 0)
-		}),
-		oneCol(F2CS, "uplink_mos", 0, func() map[int64]float64 { return meanBy(calls, okPred, "mos_ul") }),
-		oneCol(F2CS, "voice_quality", 0, func() map[int64]float64 { return meanBy(calls, okPred, "mos_dl") }),
-		oneCol(F2CS, "ip_mos", 0, func() map[int64]float64 { return meanBy(calls, okPred, "mos_ip") }),
-		oneCol(F2CS, "oneway_audio_cnt", 0, func() map[int64]float64 { return sumByInt(calls, real, "oneway") }),
-		oneCol(F2CS, "noise_cnt", 0, func() map[int64]float64 { return sumByInt(calls, real, "noise") }),
-		oneCol(F2CS, "echo_cnt", 0, func() map[int64]float64 { return sumByInt(calls, real, "echo") }),
+// run makes s's single pass over t and writes its columns into the frame.
+// It returns each customer's last in-window absolute day (0 = none) when
+// s tracks it.
+func (b *baseBuild) run(s *scan, t *table.Table) (last []int) {
+	n, nt := len(b.f.ids), len(s.tallies)
+	var flags func(int) uint32
+	if s.flags != nil {
+		flags = s.flags(t)
 	}
-}
-
-// sumByInt sums an Int64 column per customer.
-func sumByInt(t *table.Table, pred func(int) bool, col string) map[int64]float64 {
-	return sumBy(t, pred, col)
-}
-
-func f3Jobs(tbl Tables, win Window, daysPerMonth int) []colJob {
-	web := tbl.Web
-	inWin := inWindow(web, win, daysPerMonth)
-
-	jobs := []colJob{
-		oneCol(F3PS, "page_response_success_rate", 1, func() map[int64]float64 {
-			return ratio(sumBy(web, inWin, "page_succ"), sumBy(web, inWin, "page_req"), 1)
-		}),
-		oneCol(F3PS, "page_response_delay", 0, func() map[int64]float64 { return meanBy(web, inWin, "resp_delay") }),
-		oneCol(F3PS, "page_browsing_success_rate", 1, func() map[int64]float64 {
-			return ratio(sumBy(web, inWin, "browse_succ"), sumBy(web, inWin, "page_succ"), 1)
-		}),
-		oneCol(F3PS, "page_browsing_delay", 0, func() map[int64]float64 { return meanBy(web, inWin, "browse_delay") }),
-		oneCol(F3PS, "page_download_throughput", 0, func() map[int64]float64 { return meanBy(web, inWin, "dl_tp") }),
-		oneCol(F3PS, "upload_throughput", 0, func() map[int64]float64 { return meanBy(web, inWin, "ul_tp") }),
-		oneCol(F3PS, "ps_flux", 0, func() map[int64]float64 { return sumBy(web, inWin, "flux") }),
-		oneCol(F3PS, "tcp_conn_rate", 1, func() map[int64]float64 {
-			return ratio(sumBy(web, inWin, "tcp_ok"), sumBy(web, inWin, "tcp_att"), 1)
-		}),
-		oneCol(F3PS, "tcp_rtt", 0, func() map[int64]float64 { return meanBy(web, inWin, "tcp_rtt") }),
-		oneCol(F3PS, "streaming_filesize", 0, func() map[int64]float64 { return sumBy(web, inWin, "stream_size") }),
-		oneCol(F3PS, "streaming_dw_packets", 0, func() map[int64]float64 { return sumBy(web, inWin, "stream_pkts") }),
-		oneCol(F3PS, "email_cnt", 0, func() map[int64]float64 { return sumBy(web, inWin, "email_cnt") }),
-		oneCol(F3PS, "email_success_rate", 1, func() map[int64]float64 {
-			return ratio(sumBy(web, inWin, "email_ok"), sumBy(web, inWin, "email_cnt"), 1)
-		}),
-		oneCol(F3PS, "ps_active_days", 0, func() map[int64]float64 { return distinctBy(web, inWin, "day") }),
-		oneCol(F3PS, "page_cnt", 0, func() map[int64]float64 { return sumBy(web, inWin, "page_req") }),
-		oneCol(F3PS, "page_size_mean", 0, func() map[int64]float64 { return meanBy(web, inWin, "page_size") }),
+	cols := make([]*table.Column, len(s.values))
+	for k, name := range s.values {
+		cols[k] = t.MustCol(name)
 	}
-	jobs = append(jobs, topLocationJob(tbl, win, daysPerMonth))
-	return jobs
-}
-
-// topLocationJob computes the top-5 most frequent stay locations (lat/lon
-// pairs) from MR data — 10 F3 features per the paper (minus one slot used
-// by page_size_mean above, keeping the group at 25 columns). One scan feeds
-// all nine columns, so it is a single multi-column job.
-func topLocationJob(tbl Tables, win Window, daysPerMonth int) colJob {
-	return func() []column {
-		loc := tbl.Locations
-		inWin := inWindow(loc, win, daysPerMonth)
-		imsi := loc.MustCol("imsi").Ints
-		cellCol := loc.MustCol("cell").Ints
-		latCol := loc.MustCol("lat").Floats
-		lonCol := loc.MustCol("lon").Floats
-
-		type cellStat struct {
-			count    int
-			lat, lon float64
+	vals := make([]float64, len(cols))
+	acc := make([]float64, n*nt)
+	var dist *distinctCounter
+	var dcol []int64
+	if s.distinctCol != "" {
+		dist, dcol = &distinctCounter{small: make([]uint64, n)}, t.MustCol(s.distinctCol).Ints
+	}
+	if s.lastDay {
+		last = make([]int, n)
+	}
+	b.rows(t, func(i, slot, abs int) {
+		f := secondHalf
+		if abs <= b.mid {
+			f = firstHalf
 		}
-		perCustomer := make(map[int64]map[int64]*cellStat)
-		n := loc.NumRows()
-		for i := 0; i < n; i++ {
-			if !inWin(i) {
+		if flags != nil {
+			f |= flags(i)
+		}
+		for k, c := range cols {
+			vals[k] = c.Float(i)
+		}
+		a := acc[slot*nt : slot*nt+nt]
+		for j, tl := range s.tallies {
+			if f&tl.need != tl.need {
 				continue
 			}
-			id := imsi[i]
-			cells := perCustomer[id]
-			if cells == nil {
-				cells = make(map[int64]*cellStat)
-				perCustomer[id] = cells
+			if tl.src < 0 {
+				a[j]++
+			} else {
+				a[j] += vals[tl.src]
 			}
-			cs := cells[cellCol[i]]
-			if cs == nil {
-				cs = &cellStat{lat: latCol[i], lon: lonCol[i]}
-				cells[cellCol[i]] = cs
-			}
-			cs.count++
 		}
-
-		const topN = 4 // 4 locations x 2 coords = 8 columns; +visit spread = 9
-		lats := make([]map[int64]float64, topN)
-		lons := make([]map[int64]float64, topN)
-		for k := range lats {
-			lats[k] = make(map[int64]float64)
-			lons[k] = make(map[int64]float64)
+		if dist != nil && f&s.distinctNeed == s.distinctNeed {
+			dist.add(slot, dcol[i])
 		}
-		distinctCells := make(map[int64]float64)
-		for id, cells := range perCustomer {
-			type kv struct {
-				cell int64
-				st   *cellStat
-			}
-			ranked := make([]kv, 0, len(cells))
-			for c, st := range cells {
-				ranked = append(ranked, kv{c, st})
-			}
-			sort.Slice(ranked, func(a, b int) bool {
-				if ranked[a].st.count != ranked[b].st.count {
-					return ranked[a].st.count > ranked[b].st.count
-				}
-				return ranked[a].cell < ranked[b].cell
-			})
-			for k := 0; k < topN && k < len(ranked); k++ {
-				lats[k][id] = ranked[k].st.lat
-				lons[k][id] = ranked[k].st.lon
-			}
-			distinctCells[id] = float64(len(cells))
+		if last != nil && abs > last[slot] {
+			last[slot] = abs
 		}
-		var cols []column
-		for k := 0; k < topN; k++ {
-			cols = append(cols, column{group: F3PS, name: fmt.Sprintf("loc_top%d_lat", k+1), values: lats[k]})
-			cols = append(cols, column{group: F3PS, name: fmt.Sprintf("loc_top%d_lon", k+1), values: lons[k]})
+	})
+	for r, row := range b.f.x {
+		a := acc[r*nt : r*nt+nt]
+		for _, o := range s.outs {
+			row[o.col] = o.val(a)
 		}
-		cols = append(cols, column{group: F3PS, name: "loc_distinct_cells", values: distinctCells})
-		return cols
 	}
+	if dist != nil {
+		for r, v := range dist.counts() {
+			b.f.x[r][s.distinctOut] = v
+		}
+	}
+	return last
+}
+
+// snapshot copies a monthly snapshot table's columns for the given month;
+// a customer with several rows keeps the last.
+func (b *baseBuild) snapshot(t *table.Table, month int64, cols []snapCol) {
+	src := make([]*table.Column, len(cols))
+	for k, c := range cols {
+		src[k] = t.MustCol(c.src)
+	}
+	months := t.MustCol("month").Ints
+	for i, id := range t.MustCol("imsi").Ints {
+		slot, ok := b.f.index[id]
+		if !ok || months[i] != month {
+			continue
+		}
+		for k, c := range cols {
+			b.f.x[slot][c.col] = src[k].Float(i)
+		}
+	}
+}
+
+// locations fills the stay-location columns from MR fixes: each customer's
+// in-window cells ranked by visit count (descending, then cell id), the
+// first-seen lat/lon of the top locTopN, and the number of distinct cells.
+func (b *baseBuild) locations(loc *table.Table, first int) {
+	cells := loc.MustCol("cell").Ints
+	lats, lons := loc.MustCol("lat").Floats, loc.MustCol("lon").Floats
+	// A customer's cells chain through next from head[slot]-1, in
+	// first-seen order; a customer visits few cells, so a walk beats a map.
+	type cellStat struct {
+		cell     int64
+		count    int
+		lat, lon float64
+		next     int
+	}
+	head := make([]int, len(b.f.ids))
+	var stats []cellStat
+	b.rows(loc, func(i, slot, _ int) {
+		j, prev := head[slot]-1, -1
+		for j >= 0 && stats[j].cell != cells[i] {
+			prev, j = j, stats[j].next
+		}
+		if j < 0 {
+			j = len(stats)
+			stats = append(stats, cellStat{cell: cells[i], lat: lats[i], lon: lons[i], next: -1})
+			if prev < 0 {
+				head[slot] = j + 1
+			} else {
+				stats[prev].next = j
+			}
+		}
+		stats[j].count++
+	})
+	var ranked []cellStat
+	for slot, h := range head {
+		ranked = ranked[:0]
+		for j := h - 1; j >= 0; j = stats[j].next {
+			ranked = append(ranked, stats[j])
+		}
+		if len(ranked) == 0 {
+			continue
+		}
+		slices.SortFunc(ranked, func(x, y cellStat) int {
+			return cmp.Or(cmp.Compare(y.count, x.count), cmp.Compare(x.cell, y.cell))
+		})
+		row := b.f.x[slot]
+		for k := 0; k < locTopN && k < len(ranked); k++ {
+			row[first+2*k], row[first+2*k+1] = ranked[k].lat, ranked[k].lon
+		}
+		row[first+2*locTopN] = float64(len(ranked))
+	}
+}
+
+// distinctCounter counts distinct Int64 values per frame slot: values in
+// [0, 64) — every raw day — as bits of a per-slot mask, any other value as
+// a (slot, value) set entry.
+type distinctCounter struct {
+	small []uint64
+	big   map[[2]int64]bool
+}
+
+func (d *distinctCounter) add(slot int, v int64) {
+	if uint64(v) < 64 {
+		d.small[slot] |= 1 << uint64(v)
+		return
+	}
+	if d.big == nil {
+		d.big = map[[2]int64]bool{}
+	}
+	d.big[[2]int64{int64(slot), v}] = true
+}
+
+// counts returns every slot's number of distinct values.
+func (d *distinctCounter) counts() []float64 {
+	out := make([]float64, len(d.small))
+	for s, m := range d.small {
+		out[s] = float64(bits.OnesCount64(m))
+	}
+	for k := range d.big {
+		out[k[0]]++
+	}
+	return out
 }

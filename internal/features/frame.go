@@ -18,7 +18,7 @@ package features
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"telcochurn/internal/dataset"
@@ -139,16 +139,9 @@ type Frame struct {
 // NewFrame creates a frame over the given customer universe. IDs are sorted
 // and deduplicated.
 func NewFrame(ids []int64) *Frame {
-	uniq := append([]int64(nil), ids...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	out := uniq[:0]
-	var last int64 = -1
-	for _, id := range uniq {
-		if id != last {
-			out = append(out, id)
-			last = id
-		}
-	}
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	out = slices.Compact(out)
 	f := &Frame{ids: out, index: make(map[int64]int, len(out)), x: make([][]float64, len(out))}
 	for i, id := range out {
 		f.index[id] = i

@@ -14,11 +14,11 @@ import (
 //
 // Every per-customer feature in this package — the F1–F3 aggregates, the
 // F7/F8 topic mixtures, and (at the pipeline layer) the F9 second-order
-// products — is a fold over one customer's raw rows in row order:
-// table.GroupBy accumulates each group's sums and means across the group's
-// rows in the order they appear, distinct counters and maxes are
-// order-free, and topic fold-in consumes the customer's texts concatenated
-// in row order. Row-order folds decompose over prefixes, so appending a
+// products — is a fold over one customer's raw rows in row order: the base
+// build's single pass per table adds each kept row into its customer's
+// tallies in the order the rows appear (base.go), distinct counters and
+// maxes are order-free, and topic fold-in consumes the customer's texts
+// concatenated in row order. Row-order folds decompose over prefixes, so appending a
 // customer's new event rows at the end of the serving window's tables and
 // re-running the very same builders over just that customer's rows yields
 // values Float64bits-identical to a from-scratch rebuild over the merged

@@ -57,7 +57,10 @@ func TestVelocityWindowFiltersEvents(t *testing.T) {
 
 	// Balance comes from month 2's snapshot, not month 3's.
 	billing2 := snapshotMonth(tbl.Billing, win, days)
-	snapBalance := colMap(billing2, "balance")
+	snapBalance := map[int64]float64{}
+	for i, id := range billing2.MustCol("imsi").Ints {
+		snapBalance[id] = billing2.MustCol("balance").Floats[i]
+	}
 	for _, id := range frame.IDs()[:20] {
 		got, _ := frame.Value(id, "balance")
 		if want, ok := snapBalance[id]; ok && got != want {
