@@ -45,14 +45,14 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# CPU + heap profiles of the tree-training, topic-model and F1-F3 build
-# benchmarks (whole month, one customer). The profiles and the test binary
-# go to PROFILE_DIR, outside the working tree;
+# CPU + heap profiles of the tree-training, topic-model, F1-F3 build and
+# graph-fold benchmarks (whole month, one customer). The profiles and the
+# test binary go to PROFILE_DIR, outside the working tree;
 # inspect with `go tool pprof -top $(PROFILE_DIR)/cpu.out` (see DESIGN.md §8).
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/telcochurn-profile
 bench-profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run='^$$' -bench='BenchmarkRandomForestFit|BenchmarkTreeFit|BenchmarkLDAFit|BenchmarkTopicFoldIn|BenchmarkWideTableBuild|BenchmarkCustomerFrame' \
+	$(GO) test -run='^$$' -bench='BenchmarkRandomForestFit|BenchmarkTreeFit|BenchmarkLDAFit|BenchmarkTopicFoldIn|BenchmarkWideTableBuild|BenchmarkCustomerFrame|BenchmarkGraphFold' \
 		-benchtime=5x -benchmem -o $(PROFILE_DIR)/telcochurn.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile=cpu.out -memprofile=mem.out .
 	@echo "profiles written to $(PROFILE_DIR) (cpu.out, mem.out, telcochurn.test)"

@@ -246,6 +246,53 @@ func BenchmarkShardedWideTableBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphFold folds one month of the bench world into each F4-F6
+// graph through GraphAccumulator: Feed every shard's hash-partitioned
+// tables, then Finalize. shards=1 is the whole-window build; shards=8 adds
+// the cross-shard merge.
+func BenchmarkGraphFold(b *testing.B) {
+	months := benchWorld(b)
+	tbl, err := features.FromMonthData(months[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	win := features.MonthWindow(1, 30)
+	kinds := []struct {
+		name  string
+		group features.Group
+	}{
+		{"call", features.F4CallGraph},
+		{"message", features.F5MessageGraph},
+		{"cooccurrence", features.F6CooccurrenceGraph},
+	}
+	for _, shards := range []int{1, 8} {
+		split := func(t *table.Table) []*table.Table {
+			ps, err := table.PartitionByHash(t, "imsi", shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ps
+		}
+		calls, msgs, locs := split(tbl.Calls), split(tbl.Messages), split(tbl.Locations)
+		parts := make([]features.Tables, shards)
+		for s := range parts {
+			parts[s] = features.Tables{Calls: calls[s], Messages: msgs[s], Locations: locs[s]}
+		}
+		for _, k := range kinds {
+			b.Run(fmt.Sprintf("%s/shards=%d", k.name, shards), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					acc := features.NewGraphAccumulator(shards, []features.Group{k.group})
+					for s, p := range parts {
+						acc.Feed(s, p, win, 30, synth.IsCustomerID)
+					}
+					acc.Finalize()
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkPageRank(b *testing.B) {
 	months := benchWorld(b)
 	tbl, _ := features.FromMonthData(months[:1])

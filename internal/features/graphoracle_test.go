@@ -12,11 +12,11 @@ import (
 	"telcochurn/internal/table"
 )
 
-// The map-based graph accumulator the sort-based GraphAccumulator replaced,
-// kept verbatim as the reference: per-directed-edge map sums, min-30 cube
-// sets, edges inserted through graph.AddEdge (so AddDistinctEdge is checked
-// too). TestGraphFoldMatchesMapOracle and TestGraphFoldEdgeCases pin the
-// production fold to it bit for bit.
+// The map-based graph accumulator GraphAccumulator replaced, kept verbatim
+// as the reference but for its non-finite call filter: per-directed-edge
+// map sums, min-30 cube sets, edges inserted through graph.AddEdge (so the
+// fold's graph.FromEdges build is checked too). TestGraphFoldMatchesMapOracle
+// and TestGraphFoldEdgeCases pin the production fold to it bit for bit.
 const mapCubeCap = 30
 
 type dirEdge struct{ from, to int64 }
@@ -81,7 +81,7 @@ func (a *mapAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth in
 		success := calls.MustCol("success").Ints
 		svc := calls.MustCol("svc").Ints
 		for i := 0; i < calls.NumRows(); i++ {
-			if !inWin(i) || success[i] != 1 || svc[i] == 1 || dur[i] <= 0 {
+			if !inWin(i) || success[i] != 1 || svc[i] == 1 || !(dur[i] > 0 && dur[i] <= math.MaxFloat64) {
 				continue
 			}
 			if !isCustomer(peer[i]) {
@@ -300,16 +300,33 @@ func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]in
 // finalizeWorkers are the worker counts every fold comparison finalizes at.
 var finalizeWorkers = []int{1, 2, 8}
 
+// shardFeed is one Feed call: a table set and the shard it goes to.
+type shardFeed struct {
+	shard int
+	tbl   Tables
+}
+
 // foldBoth feeds the same per-shard tables to the map oracle and to the
 // production fold and compares all three graphs, finalizing the production
 // fold at every finalizeWorkers count.
 func foldBoth(t *testing.T, parts []Tables, win Window, days int, isCustomer func(int64) bool, seeds map[int64]int, context string) *GraphAccumulator {
 	t.Helper()
-	want := newMapAccumulator(len(parts), AllGroups())
-	got := NewGraphAccumulator(len(parts), AllGroups())
+	feeds := make([]shardFeed, len(parts))
 	for s, tbl := range parts {
-		want.Feed(s, tbl, win, days, isCustomer)
-		got.Feed(s, tbl, win, days, isCustomer)
+		feeds[s] = shardFeed{s, tbl}
+	}
+	return foldFeeds(t, len(parts), feeds, win, days, isCustomer, seeds, context)
+}
+
+// foldFeeds is foldBoth over an explicit sequence of Feed calls, in which
+// a shard may be fed more than once.
+func foldFeeds(t *testing.T, shards int, feeds []shardFeed, win Window, days int, isCustomer func(int64) bool, seeds map[int64]int, context string) *GraphAccumulator {
+	t.Helper()
+	want := newMapAccumulator(shards, AllGroups())
+	got := NewGraphAccumulator(shards, AllGroups())
+	for _, f := range feeds {
+		want.Feed(f.shard, f.tbl, win, days, isCustomer)
+		got.Feed(f.shard, f.tbl, win, days, isCustomer)
 	}
 	wantCall, wantMsg, wantCooc := want.Finalize()
 	for _, workers := range finalizeWorkers {
@@ -343,11 +360,12 @@ func TestGraphFoldMatchesMapOracle(t *testing.T) {
 }
 
 // TestGraphFoldEdgeCases drives the fold's corner cases with hand-made rows
-// spread over two shards, against the oracle and against expected weights.
+// spread over three shards, the first fed twice, against the oracle and
+// against expected weights.
 func TestGraphFoldEdgeCases(t *testing.T) {
 	const base = int64(1_000_000)
 	gone := int64(7) // a previous churner outside the id universe
-	isCustomer := func(id int64) bool { return synth.IsCustomerID(id) || id == gone }
+	isCustomer := func(id int64) bool { return synth.IsCustomerID(id) || id == gone || id < 0 }
 	win := MonthWindow(1, 30)
 
 	newTables := func() Tables {
@@ -357,10 +375,12 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 			Locations: table.NewTable(synth.LocationsSchema),
 		}
 	}
-	parts := []Tables{newTables(), newTables()}
-	call := func(shard int, from, to int64, dur float64) {
+	// parts[2] is shard 0's second Feed: its rows continue shard 0's sums
+	// and cubes. parts[3] is shard 2.
+	parts := []Tables{newTables(), newTables(), newTables(), newTables()}
+	call := func(part int, from, to int64, dur float64) {
 		t.Helper()
-		err := parts[shard].Calls.AppendRow(from, to, int64(1), int64(5), dur,
+		err := parts[part].Calls.AppendRow(from, to, int64(1), int64(5), dur,
 			int64(synth.CallLocalInner), int64(1), int64(synth.OpSelf), int64(1),
 			int64(0), 1.0, 4.0, 4.0, 4.0, int64(0), int64(0), int64(0),
 			int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
@@ -368,26 +388,36 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fix := func(shard int, id, day, slot, cell int64) {
+	fix := func(part int, id, day, slot, cell int64) {
 		t.Helper()
-		if err := parts[shard].Locations.AppendRow(id, int64(1), day, slot, cell, int64(0), 31.0, 121.0); err != nil {
+		if err := parts[part].Locations.AppendRow(id, int64(1), day, slot, cell, int64(0), 31.0, 121.0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a, b, c, d := base+1, base+2, base+3, base+4
 	call(0, a, a, 50) // self-call: no edge, no vertex
 	// One edge whose weight is order-sensitive in floating point: the forward
-	// direction fed through both shards, the reverse through one.
+	// direction fed through every shard and continued by shard 0's second
+	// Feed, the reverse through one. Non-finite durations among them are no
+	// calls.
 	call(0, a, b, 0.1)
 	call(0, a, b, 0.2)
+	call(0, a, b, math.NaN())
 	call(0, a, b, 0.3)
 	call(1, a, b, 0.6)
+	call(1, a, b, math.Inf(1))
 	call(1, a, b, 0.9)
 	call(1, b, a, 0.7)
 	call(1, b, a, 0.4)
+	call(2, a, b, 0.01)
+	call(3, a, b, 0.1)
 	call(1, d, c, 12)        // seen only in the reverse (max-id → min-id) direction
 	call(1, c, gone, 33)     // a previous churner outside the universe is a vertex
 	call(0, a, 5_000_001, 9) // off-net peer: dropped
+	call(0, c, d, math.NaN())
+	call(1, d, a, math.Inf(1)) // the only row of d → a: no edge
+	call(0, -5, -3, 4)         // negative ids
+	call(2, -3, -5, 0.5)
 
 	// One cube with cooccurrenceCubeCap+10 members alternating between the
 	// shards: only the cooccurrenceCubeCap smallest ids survive the merge.
@@ -420,14 +450,48 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 		fix(int(k%2), base+300+k, 6, k, 3)
 		fix(int(1-k%2), base+301+k, 6, k, 3)
 	}
+	// Cubes of exactly cooccurrenceCubeCap and cooccurrenceCubeCap+1
+	// distinct members, every member seen twice and some in both shards
+	// and in shard 0's second Feed: the cap counts distinct ids.
+	for k := int64(0); k <= cooccurrenceCubeCap; k++ {
+		for rep := int64(0); rep < 2; rep++ {
+			part := int((k + rep) % 3)
+			if k < cooccurrenceCubeCap {
+				fix(part, base+500+k, 9, 0, 5)
+			}
+			fix(part, base+600+k, 9, 1, 5)
+		}
+	}
+	// Cube keys at the ends of int64, and negative customer ids.
+	x, y := base+700, base+701
+	fix(0, x, 10, math.MinInt64, math.MaxInt64)
+	fix(1, y, 10, math.MinInt64, math.MaxInt64)
+	fix(2, x, 10, math.MaxInt64, math.MinInt64)
+	fix(1, y, 10, math.MaxInt64, math.MinInt64)
+	fix(0, -9, 11, -1, -1)
+	fix(1, -8, 11, -1, -1)
+	fix(1, x, 11, -1, -1)
+	// Both ways of emitting a customer's edges (denseTally). dense's
+	// larger co-members are adjacent ranks (the scan); sparse has two,
+	// far apart in rank, met far one first (the sort, which must put the
+	// near one first).
+	dense, sparse := base+200, base+60
+	for k := int64(0); k < 10; k++ {
+		fix(int(k%2), dense+k, 12, 0, 1)
+	}
+	fix(0, sparse, 12, 1, 1)
+	fix(0, base+449, 12, 1, 1)
+	fix(0, sparse, 12, 2, 1)
+	fix(0, sparse+1, 12, 2, 1)
 
-	acc := foldBoth(t, parts, win, 30, isCustomer, map[int64]int{a: 1, c: 0}, "edge cases")
+	feeds := []shardFeed{{0, parts[0]}, {1, parts[1]}, {0, parts[2]}, {2, parts[3]}}
+	acc := foldFeeds(t, 3, feeds, win, 30, isCustomer, map[int64]int{a: 1, c: 0}, "edge cases")
 	cg, mg, og := acc.Finalize()
 	if cg.Has(5_000_001) || cg.EdgeWeight(a, a) != 0 {
 		t.Error("self-call or off-net peer reached the call graph")
 	}
-	x1, x2, x3, y1, y2, r1, r2 := 0.1, 0.2, 0.3, 0.6, 0.9, 0.7, 0.4
-	if got, want := cg.EdgeWeight(a, b), ((x1+x2+x3)+(y1+y2))+(r1+r2); got != want {
+	x1, x2, x3, z, y1, y2, q, r1, r2 := 0.1, 0.2, 0.3, 0.01, 0.6, 0.9, 0.1, 0.7, 0.4
+	if got, want := cg.EdgeWeight(a, b), ((x1+x2+x3+z)+(y1+y2)+q)+(r1+r2); got != want {
 		t.Errorf("w(a,b) = %v, want (shard sums in shard order) forward + reverse = %v", got, want)
 	}
 	if got := cg.EdgeWeight(c, d); got != 12 {
@@ -435,6 +499,17 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	}
 	if got := cg.EdgeWeight(c, gone); got != 33 {
 		t.Errorf("w(c,previous churner) = %v, want 33", got)
+	}
+	if cg.EdgeWeight(a, d) != 0 {
+		t.Error("an infinite call made an edge")
+	}
+	if got := cg.EdgeWeight(-5, -3); got != 4.5 {
+		t.Errorf("w(-5,-3) = %v, want 4.5", got)
+	}
+	for id, pr := range cg.PageRank(graph.PageRankOptions{}) {
+		if math.IsNaN(pr) || math.IsInf(pr, 0) {
+			t.Fatalf("call-graph PageRank of %d is %v", id, pr)
+		}
 	}
 	if mg.NumVertices() != 0 {
 		t.Errorf("empty messages table built %d vertices", mg.NumVertices())
@@ -462,6 +537,41 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	}
 	if got := og.EdgeWeight(base+300, base+450); len(og.Neighbors(base+375)) != 2 || got != 0 {
 		t.Errorf("chain: neighbours of a middle link %v, w(ends) = %v", og.Neighbors(base+375), got)
+	}
+	if n := len(og.Neighbors(base + 500 + cooccurrenceCubeCap - 1)); n != cooccurrenceCubeCap-1 {
+		t.Errorf("a cube of exactly cooccurrenceCubeCap members: last member has %d neighbours", n)
+	}
+	if og.Has(base+600+cooccurrenceCubeCap) || og.EdgeWeight(base+600, base+599+cooccurrenceCubeCap) != 1 {
+		t.Error("a cube of cooccurrenceCubeCap+1 members did not drop exactly its largest")
+	}
+	if got := og.EdgeWeight(x, y); got != 2 {
+		t.Errorf("cubes at the ends of int64: w(x,y) = %v, want 2", got)
+	}
+	if og.EdgeWeight(-9, -8) != 1 || og.EdgeWeight(-9, x) != 1 {
+		t.Error("negative ids lost their cube")
+	}
+
+	// Both emission branches ran, over the ranks finalize gives the merged
+	// partial's ids.
+	ids := slices.Clone(acc.mergedCubes().ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	scanned := func(u int64) bool {
+		var above []int64
+		for _, v := range og.Neighbors(u) {
+			if v > u {
+				above = append(above, v)
+			}
+		}
+		first, _ := slices.BinarySearch(ids, above[0])
+		last, _ := slices.BinarySearch(ids, above[len(above)-1])
+		return denseTally(len(above), last-first+1)
+	}
+	if len(og.Neighbors(dense)) != 9 || !scanned(dense) {
+		t.Errorf("dense customer: neighbours %v, scanned %v", og.Neighbors(dense), scanned(dense))
+	}
+	if !slices.Equal(og.Neighbors(sparse), []int64{sparse + 1, base + 449}) || scanned(sparse) {
+		t.Errorf("sparse customer: neighbours %v, scanned %v", og.Neighbors(sparse), scanned(sparse))
 	}
 
 	// Finalize does not consume the partials.

@@ -2,6 +2,8 @@ package features
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"telcochurn/internal/graph"
@@ -16,26 +18,29 @@ import (
 //
 // Edge insertion order fixes the adjacency fold order of PageRank and label
 // propagation, and row order depends on how rows were partitioned, so the
-// fold never lets row order reach the graph. It is sort + run-length over
-// flat records: per shard the observations are sorted and reduced to
-// partials whose merge is order-independent, and Finalize materializes each
-// graph canonically — edges inserted in sorted (min-id, max-id) order,
-// vertices numbered by first appearance in that list, every weight reduced
-// in one fixed order.
+// fold never lets row order reach the graph. It groups rows rather than
+// sorting them: per shard, a hash index (keyIndex) groups the observations
+// by edge or by cube as they are scanned, and only what is distinct — the
+// edges, each cube's few members, the customer ids — is ever sorted.
+// Finalize merges the shard partials and materializes each graph
+// canonically: edges inserted in sorted (min-id, max-id) order, vertices
+// numbered by first appearance in that list, every weight reduced in one
+// fixed order.
 //
 // Why the partials merge exactly:
 //
 //   - Call/message partials are per-DIRECTED-edge sums. A caller's rows live
-//     in the caller's shard in original row order, and the sort is stable, so
-//     each directed sum adds the same values in the same order whatever the
-//     shard count; the undirected weight is forward + reverse, (min-id →
-//     max-id) first.
+//     in the caller's shard in original row order, and each direction's sum
+//     adds its observations from zero in the order they were scanned, so it
+//     adds the same values in the same order whatever the shard count;
+//     shards merge by adding their sums in shard order, and the undirected
+//     weight is forward + reverse, (min-id → max-id) first.
 //   - Co-occurrence cube membership keeps the cooccurrenceCubeCap smallest
 //     customer ids per cube (a semilattice: the min-k of a union is
-//     independent of merge order). Cubes are capped to avoid quadratic
-//     blowup on very crowded cells; a cube of c members contributes
-//     c(c-1)/2 edges, which preserves the community structure the feature
-//     needs.
+//     independent of merge order), so shards merge cube by cube by the union
+//     of their member runs. Cubes are capped to avoid quadratic blowup on
+//     very crowded cells; a cube of c members contributes c(c-1)/2 edges,
+//     which preserves the community structure the feature needs.
 const cooccurrenceCubeCap = 30
 
 // coocChunks is how many customer chunks the co-occurrence finalize splits
@@ -43,101 +48,261 @@ const cooccurrenceCubeCap = 30
 // costs.
 const coocChunks = 16
 
-// edgeRec is one observation (later: one sum) of the undirected edge
-// {lo, hi} in one direction: dir 0 is lo → hi, 1 is hi → lo.
-type edgeRec struct {
+// edgeSum is the weight of the undirected edge {lo, hi} in each direction:
+// w[0] sums the lo → hi observations, w[1] the hi → lo ones, 0 if none.
+type edgeSum struct {
 	lo, hi int64
-	dir    int8
-	w      float64
+	w      [2]float64
 }
 
-func directed(from, to int64, w float64) edgeRec {
+// edgeFold groups directed observations by undirected edge. Each direction
+// adds its observations from zero in the order they arrive, so a sum
+// depends only on the order of its own observations.
+type edgeFold struct {
+	index *keyIndex[[2]int64] // {lo, hi} in first-appearance order
+	w     [][2]float64        // per edge: its two direction sums
+}
+
+// newEdgeFold starts a fold that continues the sums of a reduced partial.
+func newEdgeFold(partial []edgeSum) *edgeFold {
+	f := &edgeFold{index: newKeyIndex(hashEdge, len(partial))}
+	for _, e := range partial {
+		w := f.at(e.lo, e.hi)
+		w[0] += e.w[0]
+		w[1] += e.w[1]
+	}
+	return f
+}
+
+// at returns the two direction sums of edge {lo, hi}.
+func (f *edgeFold) at(lo, hi int64) *[2]float64 {
+	i := f.index.of([2]int64{lo, hi})
+	if int(i) == len(f.w) {
+		f.w = append(f.w, [2]float64{})
+	}
+	return &f.w[i]
+}
+
+// observe adds one from → to observation of weight w.
+func (f *edgeFold) observe(from, to int64, w float64) {
 	if from > to {
-		return edgeRec{lo: to, hi: from, dir: 1, w: w}
+		f.at(to, from)[1] += w
+	} else {
+		f.at(from, to)[0] += w
 	}
-	return edgeRec{lo: from, hi: to, w: w}
 }
 
-func compareEdgeKeys(a, b edgeRec) int {
-	if c := cmp.Compare(a.lo, b.lo); c != 0 {
-		return c
+// reduce returns the sums sorted by (lo, hi), the order Finalize inserts
+// edges in. Only the distinct edges are sorted.
+func (f *edgeFold) reduce() []edgeSum {
+	out := make([]edgeSum, len(f.w))
+	for i, k := range f.index.keys {
+		out[i] = edgeSum{lo: k[0], hi: k[1], w: f.w[i]}
 	}
-	if c := cmp.Compare(a.hi, b.hi); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.dir, b.dir)
-}
-
-// foldEdges reduces recs in place to one record per directed edge, sorted
-// by (lo, hi, direction). The sort is stable and each run is summed left to
-// right from zero, so a sum depends only on the order its own observations
-// were appended in.
-func foldEdges(recs []edgeRec) []edgeRec {
-	slices.SortStableFunc(recs, compareEdgeKeys)
-	out := recs[:0]
-	for i := 0; i < len(recs); {
-		sum := recs[i]
-		sum.w = 0
-		for ; i < len(recs) && compareEdgeKeys(recs[i], sum) == 0; i++ {
-			sum.w += recs[i].w
+	slices.SortFunc(out, func(x, y edgeSum) int {
+		if x.lo != y.lo {
+			return cmp.Compare(x.lo, y.lo)
 		}
-		out = append(out, sum)
-	}
+		return cmp.Compare(x.hi, y.hi)
+	})
 	return out
 }
 
-// fix is one sighting of a customer in a spatiotemporal cube (cell × day ×
-// time slot, the paper's "within 20 minute and 100x100 meter cube").
-type fix struct {
-	abs, slot, cell int64 // abs packs month and day
-	id              int64
-}
-
-func (f fix) sameCube(o fix) bool { return f.abs == o.abs && f.slot == o.slot && f.cell == o.cell }
-
-func compareFixes(a, b fix) int {
-	if c := cmp.Compare(a.abs, b.abs); c != 0 {
-		return c
+// mergeEdgeSums merges sorted partials into one sorted list, walking them
+// together; an edge in several adds their sums in partial order.
+func mergeEdgeSums(partials [][]edgeSum) []edgeSum {
+	n := 0
+	for _, p := range partials {
+		n += len(p)
 	}
-	if c := cmp.Compare(a.slot, b.slot); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.cell, b.cell); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.id, b.id)
-}
-
-// capCubes reduces fixes in place to sorted (cube, id) order with repeated
-// fixes of one customer dropped and each cube cut to its
-// cooccurrenceCubeCap smallest ids.
-func capCubes(fixes []fix) []fix {
-	slices.SortFunc(fixes, compareFixes)
-	out := fixes[:0]
-	members := 0 // of the cube out currently ends in
-	for _, f := range fixes {
-		switch {
-		case len(out) == 0 || !f.sameCube(out[len(out)-1]):
-			members = 0
-		case f.id == out[len(out)-1].id || members == cooccurrenceCubeCap:
-			continue
+	out := make([]edgeSum, 0, n)
+	next := make([]int, len(partials)) // per partial: its first edge not yet merged
+	for {
+		var e edgeSum
+		found := false
+		for s, p := range partials {
+			if k := next[s]; k < len(p) && (!found || p[k].lo < e.lo || p[k].lo == e.lo && p[k].hi < e.hi) {
+				e.lo, e.hi, found = p[k].lo, p[k].hi, true
+			}
 		}
-		out = append(out, f)
-		members++
+		if !found {
+			return out
+		}
+		for s, p := range partials {
+			if k := next[s]; k < len(p) && p[k].lo == e.lo && p[k].hi == e.hi {
+				e.w[0] += p[k].w[0]
+				e.w[1] += p[k].w[1]
+				next[s]++
+			}
+		}
+		out = append(out, e)
 	}
-	return out
 }
 
-// withRoom copies a shard's reduced partial into a buffer with room for
-// every row of the table about to be scanned, so a second Feed of one
-// shard continues its sums.
-func withRoom[T any](partial []T, rows int) []T {
-	return append(make([]T, 0, len(partial)+rows), partial...)
+// cube is one spatiotemporal cube: cell × day × time slot, the paper's
+// "within 20 minute and 100x100 meter cube" (abs packs month and day).
+type cube struct{ abs, slot, cell int64 }
+
+// cubeSet is a reduced co-occurrence partial: distinct cubes, and
+// members(c) the ascending, distinct, at most cooccurrenceCubeCap ids seen
+// in cubes[c]. The cubes keep their first-appearance order: nothing reads
+// it, and sorting them cost more than the rest of a shard's fold.
+type cubeSet struct {
+	cubes []cube
+	start []int32 // len(cubes)+1 offsets into ids
+	ids   []int64
+}
+
+func (s *cubeSet) members(c int) []int64 { return s.ids[s.start[c]:s.start[c+1]] }
+
+// cubeFold groups sightings by cube.
+type cubeFold struct {
+	index *keyIndex[cube] // cubes in first-appearance order
+	of    []int32         // per sighting: its cube's position
+	ids   []int64         // per sighting: the customer
+}
+
+// newCubeFold starts a fold with room for rows more sightings that
+// continues the given reduced partials.
+func newCubeFold(rows int, partials ...cubeSet) *cubeFold {
+	cubes := 0 // the largest partial's: a floor on the distinct cubes
+	for _, p := range partials {
+		rows += len(p.ids)
+		cubes = max(cubes, len(p.cubes))
+	}
+	f := &cubeFold{index: newKeyIndex(hashCube, cubes), of: make([]int32, 0, rows), ids: make([]int64, 0, rows)}
+	for _, p := range partials {
+		f.union(p)
+	}
+	return f
+}
+
+func (f *cubeFold) add(k cube, id int64) {
+	f.of = append(f.of, f.index.of(k))
+	f.ids = append(f.ids, id)
+}
+
+// union adds the members of a reduced partial, looking each cube up once.
+func (f *cubeFold) union(s cubeSet) {
+	for c, k := range s.cubes {
+		at := f.index.of(k)
+		for _, id := range s.members(c) {
+			f.of = append(f.of, at)
+			f.ids = append(f.ids, id)
+		}
+	}
+}
+
+// reduce counting-sorts the sightings by cube and sorts each cube's own
+// ids, keeping its cooccurrenceCubeCap smallest distinct ones.
+func (f *cubeFold) reduce() cubeSet {
+	cubes := f.index.keys
+	n := len(cubes)
+	start := make([]int32, n+1) // cube c's sightings: grouped[start[c]:start[c+1]]
+	for _, c := range f.of {
+		start[c+1]++
+	}
+	for c := range n {
+		start[c+1] += start[c]
+	}
+	grouped := make([]int64, len(f.ids))
+	next := slices.Clone(start[:n])
+	for k, c := range f.of {
+		grouped[next[c]] = f.ids[k]
+		next[c]++
+	}
+	// Cap each run and close the gaps behind it.
+	kept := 0
+	for c := range n {
+		run := capRun(grouped[start[c]:start[c+1]])
+		start[c] = int32(kept)
+		kept += copy(grouped[kept:], run)
+	}
+	start[n] = int32(kept)
+	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:kept])}
+}
+
+// capRun sorts one cube's ids in place and returns its cooccurrenceCubeCap
+// smallest distinct ones.
+func capRun(ids []int64) []int64 {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	return ids[:min(len(ids), cooccurrenceCubeCap)]
+}
+
+// keyIndex numbers distinct keys by first appearance: an open-addressing
+// hash table of positions in keys. On the fold's cube and edge keys it
+// takes a third to a half of a Go map's time, and half its allocation.
+type keyIndex[K comparable] struct {
+	hash  func(K) uint64
+	slots []int32 // 1 + position in keys, 0 if empty; a power of two long
+	shift uint8   // hash >> shift is a slot
+	keys  []K
+}
+
+// newKeyIndex returns an empty index with room for n keys.
+func newKeyIndex[K comparable](hash func(K) uint64, n int) *keyIndex[K] {
+	x := &keyIndex[K]{hash: hash}
+	size := 64
+	for size < 2*n {
+		size *= 2
+	}
+	x.rehash(size)
+	return x
+}
+
+// rehash resizes the slot table to size, a power of two, and reinserts the
+// keys.
+func (x *keyIndex[K]) rehash(size int) {
+	x.slots = make([]int32, size)
+	x.shift = uint8(bits.LeadingZeros64(uint64(size)) + 1)
+	mask := len(x.slots) - 1
+	for p, k := range x.keys {
+		i := int(x.hash(k) >> x.shift)
+		for x.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = int32(p + 1)
+	}
+}
+
+// of returns k's position in keys, appending k if it is new.
+func (x *keyIndex[K]) of(k K) int32 {
+	mask := len(x.slots) - 1
+	for i := int(x.hash(k) >> x.shift); ; i = (i + 1) & mask {
+		p := x.slots[i]
+		if p == 0 {
+			x.keys = append(x.keys, k)
+			x.slots[i] = int32(len(x.keys))
+			if 2*len(x.keys) > len(x.slots) {
+				x.rehash(2 * len(x.slots))
+			}
+			return int32(len(x.keys) - 1)
+		}
+		if x.keys[p-1] == k {
+			return p - 1
+		}
+	}
+}
+
+// mix folds v into the hash h (a multiply-xorshift step; the table reads
+// the top bits).
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+func hashID(id int64) uint64 { return mix(0, uint64(id)) }
+
+func hashEdge(e [2]int64) uint64 { return mix(mix(0, uint64(e[0])), uint64(e[1])) }
+
+func hashCube(c cube) uint64 {
+	return mix(mix(mix(0, uint64(c.abs)), uint64(c.slot)), uint64(c.cell))
 }
 
 type graphPartials struct {
-	call, msg []edgeRec // foldEdges output
-	fixes     []fix     // capCubes output
+	call, msg []edgeSum // edgeFold.reduce output
+	cooc      cubeSet
 }
 
 // GraphAccumulator folds raw rows into the F4-F6 graphs. Feed each shard's
@@ -173,9 +338,10 @@ func NewGraphAccumulator(shards int, groups []Group) *GraphAccumulator {
 // graph building reads them. isCustomer must be the universe-or-previous-
 // churner predicate over the FULL merged universe (off-net peers and
 // service numbers are not customers), which is why the sharded build
-// resolves the universe before loading event tables. Each table's records
-// are collected in a slice sized for every row, reduced, and kept as a
-// right-sized copy, so an out-of-core run holds only the partials.
+// resolves the universe before loading event tables. Each table is grouped
+// as it is scanned and kept as a right-sized reduced partial, so an
+// out-of-core run holds only the partials. Feeding a shard again continues
+// its partials.
 func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) {
 	p := &a.parts[shard]
 	if a.wantCall {
@@ -187,17 +353,20 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 		dur := calls.MustCol("dur").Floats
 		success := calls.MustCol("success").Ints
 		svc := calls.MustCol("svc").Ints
-		recs := withRoom(p.call, calls.NumRows())
+		f := newEdgeFold(p.call)
 		for i := 0; i < calls.NumRows(); i++ {
-			if !inWin(i) || success[i] != 1 || svc[i] == 1 || dur[i] <= 0 {
+			// A duration that is not finite and positive (NaN, +Inf) is no
+			// call: one would turn every sum it reaches, and PageRank over
+			// the whole graph, into NaN.
+			if !inWin(i) || success[i] != 1 || svc[i] == 1 || !(dur[i] > 0 && dur[i] <= math.MaxFloat64) {
 				continue
 			}
 			if !isCustomer(peer[i]) {
 				continue
 			}
-			recs = append(recs, directed(imsi[i], peer[i], dur[i]))
+			f.observe(imsi[i], peer[i], dur[i])
 		}
-		p.call = slices.Clone(foldEdges(recs))
+		p.call = f.reduce()
 	}
 	if a.wantMsg {
 		// Message graph: edge weight = number of P2P messages.
@@ -206,7 +375,7 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 		imsi := msgs.MustCol("imsi").Ints
 		peer := msgs.MustCol("peer").Ints
 		kind := msgs.MustCol("kind").Ints
-		recs := withRoom(p.msg, msgs.NumRows())
+		f := newEdgeFold(p.msg)
 		for i := 0; i < msgs.NumRows(); i++ {
 			if !inWin(i) || kind[i] != 0 {
 				continue
@@ -214,9 +383,9 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 			if !isCustomer(peer[i]) {
 				continue
 			}
-			recs = append(recs, directed(imsi[i], peer[i], 1))
+			f.observe(imsi[i], peer[i], 1)
 		}
-		p.msg = slices.Clone(foldEdges(recs))
+		p.msg = f.reduce()
 	}
 	if a.wantCooc {
 		// Co-occurrence graph: edge weight = number of cubes two customers
@@ -228,14 +397,14 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 		month := loc.MustCol("month").Ints
 		slot := loc.MustCol("slot").Ints
 		cell := loc.MustCol("cell").Ints
-		fixes := withRoom(p.fixes, loc.NumRows())
+		f := newCubeFold(loc.NumRows(), p.cooc)
 		for i := 0; i < loc.NumRows(); i++ {
 			if !inWin(i) || !isCustomer(imsi[i]) {
 				continue
 			}
-			fixes = append(fixes, fix{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i], id: imsi[i]})
+			f.add(cube{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}, imsi[i])
 		}
-		p.fixes = slices.Clone(capCubes(fixes))
+		p.cooc = f.reduce()
 	}
 }
 
@@ -243,10 +412,10 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 // collected). It leaves the partials untouched, so it may be called again.
 func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 	if a.wantCall {
-		call = a.finalizeDirected(func(p *graphPartials) []edgeRec { return p.call })
+		call = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.call })
 	}
 	if a.wantMsg {
-		msg = a.finalizeDirected(func(p *graphPartials) []edgeRec { return p.msg })
+		msg = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.msg })
 	}
 	if a.wantCooc {
 		cooc = a.finalizeCooccurrence()
@@ -254,78 +423,101 @@ func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 	return call, msg, cooc
 }
 
-// merged returns one kind of partial over all shards: concatenated in shard
-// order and reduced again (so a directed edge fed through several shards
-// adds its shard sums in shard order). A single shard's partial is already
-// that, and is returned as is rather than copied — the whole-window build
-// holds its tables in memory beside this.
-func merged[T any](a *GraphAccumulator, sel func(*graphPartials) []T, reduce func([]T) []T) []T {
-	if len(a.parts) == 1 {
-		return sel(&a.parts[0])
+// finalizeDirected builds the graph of every edge, in (lo, hi) order, with
+// weight forward + reverse. Over several shards the sorted partials are
+// walked together, so a directed edge fed through several shards adds its
+// shard sums in shard order; a single shard's partial is already that, and
+// is read as is rather than copied. Endpoints are numbered in edge order,
+// the numbering graph.FromEdges gives its vertices.
+func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum) *graph.Graph {
+	sums := sel(&a.parts[0])
+	if len(a.parts) > 1 {
+		partials := make([][]edgeSum, len(a.parts))
+		for i := range a.parts {
+			partials[i] = sel(&a.parts[i])
+		}
+		sums = mergeEdgeSums(partials)
 	}
-	var all []T
-	for i := range a.parts {
-		all = append(all, sel(&a.parts[i])...)
+	number := newKeyIndex(hashID, 0)
+	edges := make([]graph.Edge, len(sums))
+	for i, e := range sums {
+		edges[i] = graph.Edge{U: number.of(e.lo), V: number.of(e.hi), W: e.w[0] + e.w[1]}
 	}
-	return reduce(all)
+	return graph.FromEdges(number.keys, edges)
 }
 
-func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeRec) *graph.Graph {
-	all := merged(a, sel, foldEdges)
-	g := graph.New()
-	for i := 0; i < len(all); {
-		e := all[i]
-		i++
-		if i < len(all) && all[i].lo == e.lo && all[i].hi == e.hi {
-			e.w += all[i].w // forward + reverse
-			i++
-		}
-		g.AddDistinctEdge(e.lo, e.hi, e.w)
+// mergedCubes is the union of the shards' co-occurrence partials: a cube's
+// members are the capped union of its shards' runs. A single shard's
+// partial is already that, and is read as is rather than copied.
+func (a *GraphAccumulator) mergedCubes() cubeSet {
+	if len(a.parts) == 1 {
+		return a.parts[0].cooc
 	}
-	return g
+	partials := make([]cubeSet, len(a.parts))
+	for i := range a.parts {
+		partials[i] = a.parts[i].cooc
+	}
+	return newCubeFold(0, partials...).reduce()
 }
+
+// denseTally reports whether a customer's co-member counts are emitted by
+// scanning the span of ranks they fall in rather than by sorting the
+// touched ranks: once at least one counter in eight is touched, the scan
+// is the cheaper of the two.
+func denseTally(touched, span int) bool { return touched*8 >= span }
 
 // finalizeCooccurrence emits the co-occurrence edges customer by customer
 // in ascending id, each customer's in ascending co-member id — the sorted
-// (min-id, max-id) list — without sorting the fixes by customer or the
-// pairs at all. Every id gets a dense rank in ascending id order, and a
-// counting sort groups the fixes by rank. A cube's members are sorted, so
-// the co-members ranked above fixes[k] are the rest of its cube: a
-// customer's are tallied over all their cubes in an array indexed by rank,
-// and only the distinct ranks touched are sorted. Customers are
-// independent, so chunks of them run across workers and their edge runs
-// concatenate in rank order; the result does not depend on the chunking.
+// (min-id, max-id) list — without sorting the sightings by customer or the
+// pairs at all. The distinct ids are numbered by first appearance and only
+// they are sorted, giving every sighting a dense rank in ascending id
+// order, and a counting sort groups the sightings by rank. A cube's members
+// are sorted, so the co-members ranked above a sighting are the rest of its
+// cube: a customer's are tallied over all their cubes in an array indexed
+// by rank, then read back by scanning the touched span when it is dense
+// (denseTally) or by sorting the touched ranks when it is not. Customers
+// are independent, so chunks of them run across workers and their edge
+// runs concatenate in rank order; the result does not depend on the
+// chunking.
 func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
-	fixes := merged(a, func(p *graphPartials) []fix { return p.fixes }, capCubes)
+	cs := a.mergedCubes()
 
-	ids := make([]int64, len(fixes))
-	for k, f := range fixes {
-		ids[k] = f.id
+	number := newKeyIndex(hashID, 0)
+	rank := make([]int32, len(cs.ids)) // per sighting: its id's number, then its rank
+	for k, id := range cs.ids {
+		rank[k] = number.of(id)
 	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	rank := make([]int32, len(fixes))
-	start := make([]int32, len(ids)+1) // fixes of rank r: byRank[start[r]:start[r+1]]
-	for k, f := range fixes {
-		r, _ := slices.BinarySearch(ids, f.id)
-		rank[k] = int32(r)
-		start[r+1]++
+	ids := number.keys               // by number, then by rank
+	order := make([]int32, len(ids)) // rank -> number
+	for n := range order {
+		order[n] = int32(n)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ids[x], ids[y]) })
+	rankOf := make([]int32, len(ids))
+	sorted := make([]int64, len(ids))
+	for r, n := range order {
+		rankOf[n] = int32(r)
+		sorted[r] = ids[n]
+	}
+	ids = sorted
+	start := make([]int32, len(ids)+1) // sightings of rank r: byRank[start[r]:start[r+1]]
+	for k, n := range rank {
+		rank[k] = rankOf[n]
+		start[rank[k]+1]++
 	}
 	for r := range ids {
 		start[r+1] += start[r]
 	}
-	byRank := make([]int32, len(fixes))
+	byRank := make([]int32, len(rank))
 	next := slices.Clone(start[:len(ids)])
 	for k, r := range rank {
 		byRank[next[r]] = int32(k)
 		next[r]++
 	}
-	cubeEnd := make([]int32, len(fixes)) // one past the last fix of k's cube
-	for k := len(fixes) - 1; k >= 0; k-- {
-		if k+1 < len(fixes) && fixes[k+1].sameCube(fixes[k]) {
-			cubeEnd[k] = cubeEnd[k+1]
-		} else {
-			cubeEnd[k] = int32(k + 1)
+	cubeEnd := make([]int32, len(rank)) // one past the last sighting of k's cube
+	for c := range cs.cubes {
+		for k := cs.start[c]; k < cs.start[c+1]; k++ {
+			cubeEnd[k] = cs.start[c+1]
 		}
 	}
 
@@ -338,13 +530,27 @@ func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 		var touched []int32
 		for r := lo; r < hi; r++ {
 			touched = touched[:0]
+			first, last := int32(len(ids)), int32(-1) // the touched span
 			for _, k := range byRank[start[r]:start[r+1]] {
 				for _, o := range rank[k+1 : cubeEnd[k]] {
 					if count[o] == 0 {
 						touched = append(touched, o)
+						first, last = min(first, o), max(last, o)
 					}
 					count[o]++
 				}
+			}
+			if len(touched) == 0 {
+				continue
+			}
+			if denseTally(len(touched), int(last-first)+1) {
+				for o := first; o <= last; o++ {
+					if count[o] != 0 {
+						edges = append(edges, graph.Edge{U: int32(r), V: o, W: float64(count[o])})
+						count[o] = 0
+					}
+				}
+				continue
 			}
 			slices.Sort(touched)
 			for _, o := range touched {

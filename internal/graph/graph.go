@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -61,11 +62,17 @@ func (g *Graph) ensure(id int64) int {
 // AddVertex adds an isolated vertex (no-op if present).
 func (g *Graph) AddVertex(id int64) { g.ensure(id) }
 
+// usable reports whether w can weigh an edge: finite and positive. A NaN
+// or infinite weight would spread through every PageRank and label
+// propagation value it reaches.
+func usable(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
+
 // AddEdge adds weight w to the undirected edge {a, b}. Adding the same pair
 // again accumulates weight (the paper's edge weights are accumulated call
-// seconds / message counts / co-occurrence counts). Self-loops are ignored.
+// seconds / message counts / co-occurrence counts). Self-loops and weights
+// that are not finite and positive are ignored.
 func (g *Graph) AddEdge(a, b int64, w float64) {
-	if a == b || w <= 0 {
+	if a == b || !usable(w) {
 		return
 	}
 	ai, bi := g.ensure(a), g.ensure(b)
@@ -79,7 +86,7 @@ func (g *Graph) AddEdge(a, b int64, w float64) {
 // dense co-occurrence graph is most of the cost of building it. Vertex
 // numbering, adjacency order and degree sums are those AddEdge would give.
 func (g *Graph) AddDistinctEdge(a, b int64, w float64) {
-	if a == b || w <= 0 {
+	if a == b || !usable(w) {
 		return
 	}
 	ai, bi := g.ensure(a), g.ensure(b)
@@ -116,7 +123,7 @@ func FromEdges(ids []int64, runs ...[]Edge) *Graph {
 	}
 	for _, run := range runs {
 		for _, e := range run {
-			if e.U == e.V || e.W <= 0 {
+			if e.U == e.V || !usable(e.W) {
 				continue
 			}
 			use(e.U)
@@ -136,7 +143,7 @@ func FromEdges(ids []int64, runs ...[]Edge) *Graph {
 	}
 	for _, run := range runs {
 		for _, e := range run {
-			if e.U == e.V || e.W <= 0 {
+			if e.U == e.V || !usable(e.W) {
 				continue
 			}
 			a, b := int(vertex[e.U]-1), int(vertex[e.V]-1)
@@ -228,8 +235,8 @@ func (g *Graph) Validate() error {
 	for i, edges := range g.adj {
 		deg := 0.0
 		for _, e := range edges {
-			if e.weight <= 0 {
-				return fmt.Errorf("graph: non-positive weight on edge %d-%d", i, e.to)
+			if !usable(e.weight) {
+				return fmt.Errorf("graph: weight %v on edge %d-%d", e.weight, i, e.to)
 			}
 			if e.to == i {
 				return fmt.Errorf("graph: self-loop at %d", i)

@@ -30,8 +30,18 @@ func TestAddEdgeIgnoresSelfLoopsAndNonPositive(t *testing.T) {
 	g.AddEdge(1, 1, 5)
 	g.AddEdge(1, 2, 0)
 	g.AddEdge(1, 2, -3)
-	if g.NumEdges() != 0 {
-		t.Errorf("NumEdges = %d, want 0", g.NumEdges())
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g.AddEdge(1, 2, w)
+		g.AddDistinctEdge(3, 4, w)
+	}
+	if g.NumEdges() != 0 || g.NumVertices() != 0 {
+		t.Errorf("NumEdges = %d, NumVertices = %d, want 0", g.NumEdges(), g.NumVertices())
+	}
+	g.AddEdge(1, 2, 2)
+	g.AddEdge(1, 2, math.NaN())
+	g.AddEdge(1, 2, math.Inf(1))
+	if w := g.EdgeWeight(1, 2); w != 2 {
+		t.Errorf("w(1,2) = %v after non-finite additions, want 2", w)
 	}
 }
 
@@ -207,8 +217,8 @@ func TestValidateDetectsBrokenInvariant(t *testing.T) {
 // TestFromEdgesMatchesAddDistinctEdge pins the bulk constructor to the
 // one-edge-at-a-time build it replaces: vertex numbering, adjacency order
 // and degree bits, with the edge list split into runs at arbitrary points,
-// ids no edge uses, and the self-loops and non-positive weights
-// AddDistinctEdge ignores.
+// ids no edge uses, and the self-loops and non-positive or non-finite
+// weights AddDistinctEdge ignores.
 func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids := make([]int64, 60)
@@ -223,7 +233,8 @@ func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 			}
 		}
 	}
-	edges = append(edges, Edge{U: 3, V: 4, W: 0}, Edge{U: 5, V: 6, W: -1})
+	edges = append(edges, Edge{U: 3, V: 4, W: 0}, Edge{U: 5, V: 6, W: -1},
+		Edge{U: 7, V: 8, W: math.NaN()}, Edge{U: 9, V: 10, W: math.Inf(1)}, Edge{U: 11, V: 12, W: math.Inf(-1)})
 	want := New()
 	for _, e := range edges {
 		want.AddDistinctEdge(ids[e.U], ids[e.V], e.W)
