@@ -52,7 +52,7 @@ bench-check:
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/telcochurn-profile
 bench-profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run='^$$' -bench='BenchmarkRandomForestFit|BenchmarkTreeFit|BenchmarkLDAFit|BenchmarkTopicFoldIn|BenchmarkWideTableBuild|BenchmarkCustomerFrame|BenchmarkGraphFold' \
+	$(GO) test -run='^$$' -bench='BenchmarkRandomForestFit|BenchmarkTreeFit|BenchmarkLDAFit|BenchmarkTopicFoldIn|BenchmarkWideTableBuild|BenchmarkCustomerFrame|BenchmarkGraphFold|BenchmarkCompiledScore' \
 		-benchtime=5x -benchmem -o $(PROFILE_DIR)/telcochurn.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile=cpu.out -memprofile=mem.out .
 	@echo "profiles written to $(PROFILE_DIR) (cpu.out, mem.out, telcochurn.test)"

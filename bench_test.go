@@ -424,6 +424,9 @@ func BenchmarkRandomForestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkForestScore times a whole Predict over a month: building the
+// frame (Config's default group, F1) and then scoring every row. The forest
+// walk alone is BenchmarkCompiledScore.
 func BenchmarkForestScore(b *testing.B) {
 	months := benchWorld(b)
 	src := core.NewMemorySource(months, 30)
@@ -440,4 +443,45 @@ func BenchmarkForestScore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompiledScore times the compiled forest walk alone, on the
+// serving model's shape (F1-F6 frame, 100 trees, min-leaf 25): `single` is
+// one row through SingleScorer.Score, `batch64` one 64-row ScoreAll — the
+// batch a 64-id score request hands the classifier.
+func BenchmarkCompiledScore(b *testing.B) {
+	months := benchWorld(b)
+	src := core.NewMemorySource(months, 30)
+	p, err := core.Fit(src, []core.WindowSpec{core.MonthSpec(2, 30)}, core.Config{
+		Groups: []features.Group{features.F1Baseline, features.F2CS, features.F3PS,
+			features.F4CallGraph, features.F5MessageGraph, features.F6CooccurrenceGraph},
+		Forest: tree.ForestConfig{NumTrees: 100, MinLeafSamples: 25, Seed: 1},
+		Seed:   1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, err := p.BuildFrame(src, features.MonthWindow(3, 30), false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]float64, frame.NumRows())
+	for i, id := range frame.IDs() {
+		rows[i], _ = frame.Row(id)
+	}
+	clf := p.Classifier()
+	single := clf.(core.SingleScorer)
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			single.Score(rows[i%len(rows)])
+		}
+	})
+	b.Run("batch64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := i * 64 % (len(rows) - 64)
+			clf.ScoreAll(rows[lo : lo+64])
+		}
+	})
 }

@@ -897,6 +897,20 @@ func TestDegradedBootWithEventLog(t *testing.T) {
 		mergedRebuild(t, whDir, artifact, true, want.IDs))
 }
 
+// TestWriteJSONUnencodable: a reply JSON cannot carry — a NaN score —
+// is the 500 "internal" envelope, not a 200 with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"scores": []float64{0.5, math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN reply = %d, want 500", rec.Code)
+	}
+	var env errEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "internal" {
+		t.Fatalf("NaN reply not the internal envelope: %q", rec.Body.Bytes())
+	}
+}
+
 // TestPanicRecovery: a handler panic becomes a 500 envelope plus a
 // panics_recovered count — except http.ErrAbortHandler, which the
 // middleware re-raises, and panics after the response started, which only

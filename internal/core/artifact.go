@@ -309,9 +309,19 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // SetWorkers sets the pipeline's frame-build/scoring parallelism — the
 // artifact does not carry a worker count (a loaded pipeline defaults to all
-// cores), so the serving host picks its own. Results are bit-identical for
-// any value.
-func (p *Pipeline) SetWorkers(n int) { p.cfg.Workers = n }
+// cores), so the serving host picks its own. It caps the classifier's
+// batch scoring too, so one setting bounds every goroutine the pipeline
+// starts. Results are bit-identical for any value. Call it before the
+// pipeline scores, not while it does.
+func (p *Pipeline) SetWorkers(n int) {
+	p.cfg.Workers = n
+	switch c := p.clf.(type) {
+	case *RFClassifier:
+		c.compiled.SetWorkers(n)
+	case *GBDTClassifier:
+		c.compiled.SetWorkers(n)
+	}
+}
 
 // SchemaChecksum returns the CRC32 of the training feature names, the quick
 // schema-identity check stored in the artifact.

@@ -174,6 +174,9 @@ func Fit(src Source, train []WindowSpec, cfg Config) (*Pipeline, error) {
 	if err := p.clf.Fit(balanced); err != nil {
 		return nil, fmt.Errorf("core: classifier fit: %w", err)
 	}
+	// The pipeline's Workers, not the classifier's own config, caps its
+	// batch scoring, as it does after Load.
+	p.SetWorkers(cfg.Workers)
 	return p, nil
 }
 

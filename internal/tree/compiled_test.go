@@ -307,3 +307,127 @@ func TestCompiledScoreAllocFree(t *testing.T) {
 		t.Errorf("CompiledGBDT.Score allocates %.1f/op, want 0", n)
 	}
 }
+
+// laneForest fits a forest of 9 trees and turns every third tree (the
+// 2nd, 5th and 8th) into a bare leaf, so lockstep groups mix walks that
+// end at the root with walks that go deep.
+func laneForest(t *testing.T, rng *rand.Rand, feats int) *Forest {
+	t.Helper()
+	d := noisyDataset(rng, 300, feats, 2)
+	forest, err := FitForest(d, ForestConfig{NumTrees: 9, MinLeafSamples: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(forest.trees); i += 3 {
+		p := rng.Float64()
+		forest.trees[i] = &Tree{numClasses: 2, numFeat: feats, root: &node{probs: []float64{1 - p, p}}}
+	}
+	return forest
+}
+
+// probes draws n rows of probe cells (NaN and ±Inf included).
+func probes(rng *rand.Rand, n, feats int) [][]float64 {
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = probe(rng, feats)
+	}
+	return xs
+}
+
+// TestCompiledScoreAllLanes pins ScoreAll to the per-tree references
+// across every shape the lane kernel distinguishes: row counts around the
+// 4-row lane group and the 256-row inline limit, at
+// several worker caps, for forests and GBDTs.
+func TestCompiledScoreAllLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const feats = 5
+	forest := laneForest(t, rng, feats)
+	cf := forest.Compile()
+	model, err := FitGBDT(noisyDataset(rng, 300, feats, 2), GBDTConfig{NumTrees: 11, MaxDepth: 4, MinLeafSamples: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := model.Compile()
+	all := probes(rng, 300, feats)
+	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 255, 256, 257, 300} {
+		xs := all[:n]
+		for _, w := range []int{1, 2, 8} {
+			cf.SetWorkers(w)
+			cg.SetWorkers(w)
+			fs, gs := cf.ScoreAll(xs), cg.ScoreAll(xs)
+			if len(fs) != n || len(gs) != n {
+				t.Fatalf("rows=%d workers=%d: %d forest and %d GBDT scores", n, w, len(fs), len(gs))
+			}
+			for i, x := range xs {
+				if want := treeAverage(forest, x)[1]; math.Float64bits(fs[i]) != math.Float64bits(want) {
+					t.Fatalf("rows=%d workers=%d: forest row %d = %v, want %v", n, w, i, fs[i], want)
+				}
+				if want := roundSum(model, x); math.Float64bits(gs[i]) != math.Float64bits(want) {
+					t.Fatalf("rows=%d workers=%d: GBDT row %d = %v, want %v", n, w, i, gs[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledLaneGroups: forests of 1 to 9 trees — a partial last group
+// of one to three lanes, and bare-leaf roots among the walks — score every
+// path bit-identically to the tree-order reference.
+func TestCompiledLaneGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const feats = 4
+	full := laneForest(t, rng, feats)
+	xs := probes(rng, 70, feats)
+	for k := 1; k <= len(full.trees); k++ {
+		forest := &Forest{trees: full.trees[:k], numClasses: 2, features: full.features}
+		cf := forest.Compile()
+		batch := cf.ScoreAll(xs)
+		buf := make([]float64, 2)
+		for i, x := range xs {
+			want := treeAverage(forest, x)
+			cf.PredictProbaInto(x, buf)
+			for c := range want {
+				if math.Float64bits(buf[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("%d trees: PredictProbaInto[%d] = %v, want %v", k, c, buf[c], want[c])
+				}
+			}
+			if got := cf.Score(x); math.Float64bits(got) != math.Float64bits(want[1]) {
+				t.Fatalf("%d trees: Score = %v, want %v", k, got, want[1])
+			}
+			if math.Float64bits(batch[i]) != math.Float64bits(want[1]) {
+				t.Fatalf("%d trees: ScoreAll[%d] = %v, want %v", k, i, batch[i], want[1])
+			}
+		}
+	}
+}
+
+// TestCompiledAllLeavesReadsNoCell: an ensemble of bare leaves scores an
+// empty row without reading it, as the pointer walkers do — the leaf mask
+// must not turn "at a leaf" into a read of cell 0.
+func TestCompiledAllLeavesReadsNoCell(t *testing.T) {
+	forest := &Forest{numClasses: 2}
+	model := &GBDT{bias: 0.25, lr: 0.1}
+	for _, p := range []float64{0.2, 0.7, 0.4, 0.9, 0.35} {
+		forest.trees = append(forest.trees, &Tree{numClasses: 2, root: &node{probs: []float64{1 - p, p}}})
+		model.trees = append(model.trees, &RegressionTree{root: &node{value: p - 0.5}})
+	}
+	cf, cg := forest.Compile(), model.Compile()
+	empty := []float64{}
+	if got, want := cf.Score(empty), treeAverage(forest, empty)[1]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("forest Score = %v, want %v", got, want)
+	}
+	if got, want := cg.Score(empty), roundSum(model, empty); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("GBDT Score = %v, want %v", got, want)
+	}
+	rows := [][]float64{nil, {}, nil, {}, nil}
+	for i, got := range cf.ScoreAll(rows) {
+		if want := treeAverage(forest, nil)[1]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("forest ScoreAll[%d] = %v, want %v", i, got, want)
+		}
+	}
+	for i, got := range cg.ScoreAll(rows) {
+		if want := roundSum(model, nil); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("GBDT ScoreAll[%d] = %v, want %v", i, got, want)
+		}
+	}
+}

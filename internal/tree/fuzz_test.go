@@ -18,9 +18,11 @@ import (
 // and re-encodes to the same bytes — strictly fewer only when the input
 // spelled a varint non-minimally.
 //
-// The seeds are small models, and bodies over 256 bytes are skipped: a
-// structural flaw shows in a one-tree model, and minimizing each new input
-// costs time quadratic in its length, which a 10 s run cannot spare.
+// The seeds are small models, plus the unscorable ones (no trees, NaN or
+// ±Inf payloads) that must come back ErrBadModel. Bodies over 256 bytes
+// are skipped: a structural flaw shows in a one-tree model, and minimizing
+// each new input costs time quadratic in its length, which a 10 s run
+// cannot spare.
 func FuzzReadModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range []struct {
@@ -46,6 +48,9 @@ func FuzzReadModel(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(s.boosted, buf.Bytes()[len(forestMagic):buf.Len()-4])
+	}
+	for _, m := range unscorableModels(f) {
+		f.Add(m.boosted, m.data[len(forestMagic):len(m.data)-4])
 	}
 
 	// decode reads a sealed model and returns it with its row width and a

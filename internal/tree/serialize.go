@@ -88,6 +88,10 @@ func ReadForest(r io.Reader) (*Forest, error) {
 	if err := rd.Err(); err != nil {
 		return nil, badModel(err)
 	}
+	if nTrees == 0 {
+		// The forest's score is the average over its trees: 0/0.
+		return nil, fmt.Errorf("%w: forest has no trees", ErrBadModel)
+	}
 	f.trees = make([]*Tree, nTrees)
 	for t := range f.trees {
 		tr := &Tree{numClasses: f.numClasses, numFeat: len(f.features)}
@@ -115,6 +119,17 @@ func readFeature(rd *codec.Reader, numFeat int) int {
 	return int(f)
 }
 
+// readFinite reads a float that scores are summed from and fails on NaN or
+// ±Inf: one would turn every score it reaches into NaN, which no reply can
+// carry. Split distributions count too: attribution reads them.
+func readFinite(rd *codec.Reader, what string) float64 {
+	v := rd.Float()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		rd.Fail(fmt.Sprintf("non-finite %s %v", what, v))
+	}
+	return v
+}
+
 func readClassNode(rd *codec.Reader, numClasses, numFeat, depth int) *node {
 	if rd.Err() != nil || depth > maxTreeDepth {
 		rd.Fail("tree too deep or truncated")
@@ -125,7 +140,7 @@ func readClassNode(rd *codec.Reader, numClasses, numFeat, depth int) *node {
 	case 0:
 		nd := &node{n: int(rd.Uvarint()), probs: make([]float64, numClasses)}
 		for i := range nd.probs {
-			nd.probs[i] = rd.Float()
+			nd.probs[i] = readFinite(rd, "class probability")
 		}
 		return nd
 	case 1:
@@ -136,7 +151,7 @@ func readClassNode(rd *codec.Reader, numClasses, numFeat, depth int) *node {
 		}
 		nd.n = int(rd.Uvarint())
 		for i := range nd.probs {
-			nd.probs[i] = rd.Float()
+			nd.probs[i] = readFinite(rd, "class probability")
 		}
 		nd.left = readClassNode(rd, numClasses, numFeat, depth+1)
 		nd.right = readClassNode(rd, numClasses, numFeat, depth+1)
@@ -190,7 +205,7 @@ func ReadGBDT(r io.Reader) (*GBDT, error) {
 	if err != nil {
 		return nil, badModel(err)
 	}
-	g := &GBDT{bias: rd.Float(), lr: rd.Float()}
+	g := &GBDT{bias: readFinite(rd, "bias"), lr: readFinite(rd, "learning rate")}
 	nTrees := rd.Count(10) // a tree is at least a leaf: tag, n, value
 	if err := rd.Err(); err != nil {
 		return nil, badModel(err)
@@ -213,7 +228,7 @@ func readRegNode(rd *codec.Reader, depth int) *node {
 	tag := rd.Uvarint()
 	switch tag {
 	case 0:
-		return &node{n: int(rd.Uvarint()), value: rd.Float()}
+		return &node{n: int(rd.Uvarint()), value: readFinite(rd, "leaf value")}
 	case 1:
 		// TCGB stores no feature count, so only the int32 range is checked
 		// here; the loader holding the schema checks CompiledGBDT.Width.

@@ -3,6 +3,9 @@ package tree
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -170,5 +173,94 @@ func TestReadGBDTRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadGBDT(&fbuf); !errors.Is(err, ErrBadModel) {
 		t.Errorf("cross-format error = %v, want ErrBadModel", err)
+	}
+}
+
+// encodedModel is one sealed TCRF (boosted false) or TCGB model file.
+type encodedModel struct {
+	name    string
+	boosted bool
+	data    []byte
+}
+
+// unscorableModels encodes models that decode cleanly but cannot score:
+// a forest with no trees (its average is 0/0) and ensembles carrying a
+// NaN or ±Inf payload, which would reach every score that lands there.
+func unscorableModels(tb testing.TB) []encodedModel {
+	tb.Helper()
+	d := separable(200, 3)
+	fit := func() *Forest {
+		f, err := FitForest(d, ForestConfig{NumTrees: 1, MaxDepth: 2, MinLeafSamples: 10, Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if f.trees[0].root.isLeaf() {
+			tb.Fatal("fitted tree is a bare leaf")
+		}
+		return f
+	}
+	boost := func() *GBDT {
+		g, err := FitGBDT(d, GBDTConfig{NumTrees: 1, MaxDepth: 2, MinLeafSamples: 10, Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return g
+	}
+	leftmost := func(nd *node) *node {
+		for !nd.isLeaf() {
+			nd = nd.left
+		}
+		return nd
+	}
+	var out []encodedModel
+	add := func(name string, m io.WriterTo) {
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		_, boosted := m.(*GBDT)
+		out = append(out, encodedModel{name, boosted, buf.Bytes()})
+	}
+
+	f := fit()
+	f.trees = nil
+	add("forest without trees", f)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := fit()
+		leftmost(f.trees[0].root).probs[1] = v
+		add(fmt.Sprintf("forest leaf probability %v", v), f)
+	}
+	f = fit()
+	f.trees[0].root.probs[0] = math.NaN()
+	add("forest split distribution NaN", f)
+
+	g := boost()
+	g.bias = math.NaN()
+	add("gbdt bias NaN", g)
+	g = boost()
+	g.lr = math.Inf(1)
+	add("gbdt learning rate +Inf", g)
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		g := boost()
+		leftmost(g.trees[0].root).value = v
+		add(fmt.Sprintf("gbdt leaf value %v", v), g)
+	}
+	return out
+}
+
+// TestReadModelRejectsUnscorable: every unscorable encoding is ErrBadModel,
+// which core.Load reports as a bad artifact, instead of a model that
+// serves NaN.
+func TestReadModelRejectsUnscorable(t *testing.T) {
+	for _, m := range unscorableModels(t) {
+		var err error
+		if m.boosted {
+			_, err = ReadGBDT(bytes.NewReader(m.data))
+		} else {
+			_, err = ReadForest(bytes.NewReader(m.data))
+		}
+		if !errors.Is(err, ErrBadModel) {
+			t.Errorf("%s: error = %v, want ErrBadModel", m.name, err)
+		}
 	}
 }
