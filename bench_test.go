@@ -1,7 +1,7 @@
 // Package telcochurn's root benchmark harness regenerates every table and
 // figure of the paper's evaluation (one Benchmark per artifact — run with
 // `go test -bench=. -benchmem`) and micro-benchmarks the substrates the
-// pipeline is built on (table engine, store, graph algorithms, LDA, random
+// pipeline is built on (store, frame build, graph algorithms, LDA, random
 // forest).
 //
 // The experiment benchmarks print their paper-style table once per run via
@@ -95,32 +95,6 @@ func BenchmarkSimulateMonth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.SimulateMonth()
-	}
-}
-
-func BenchmarkTableGroupBy(b *testing.B) {
-	months := benchWorld(b)
-	calls := months[0].Calls
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := table.GroupBy(calls, "imsi",
-			table.Agg{Col: "dur", Func: table.Sum, As: "dur"},
-			table.Agg{Func: table.Count, As: "cnt"},
-		); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableHashJoin(b *testing.B) {
-	months := benchWorld(b)
-	billing := months[0].Billing
-	customers := months[0].Customers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := table.HashJoin(billing, customers, "imsi", table.InnerJoin); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

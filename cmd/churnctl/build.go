@@ -53,7 +53,7 @@ func cmdBuild(args []string) error {
 	if *sf.degraded {
 		// Missing tables are imputed around instead of failing the build.
 		var deg features.Degradation
-		frame, stats, deg, err = p.BuildFrameShardedDegraded(src, win)
+		frame, stats, deg, err = p.BuildFrameDegraded(src, win)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "degraded groups: %s\n", deg)
 		}

@@ -184,7 +184,7 @@ func cmdScore(args []string) error {
 		// its 1-shard case) and sees the same frame bit for bit.
 		win := features.MonthWindow(m, days)
 		if *sf.degraded {
-			res, _, err = pipe.PredictShardedDegraded(src, win)
+			res, _, err = pipe.PredictDegraded(src, win)
 		} else {
 			res, _, err = pipe.PredictSharded(src, win)
 		}

@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
@@ -660,13 +661,21 @@ const (
 	maxEventsBody = 8 << 20
 )
 
-// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// decodeBody decodes a JSON request body of at most limit bytes into v. The
+// body must hold exactly one JSON value (trailing whitespace is fine): a
+// second value or trailing junk is rejected rather than silently dropped. On
 // failure it renders the envelope itself — 413 for a body over the cap, 400
 // for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {

@@ -404,6 +404,7 @@ func TestErrorEnvelope(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
+	recharge := `{"table":"recharges","imsi":` + int64String(want.IDs[0]) + `,"month":4,"day":9,"fields":{"amount":500}}`
 	cases := []struct {
 		name, method, path, body string
 		status                   int
@@ -429,6 +430,10 @@ func TestErrorEnvelope(t *testing.T) {
 		// JSON whitespace pads these just past each endpoint's body cap.
 		{"score body over cap", "POST", "/v1/score", `{"ids":[` + strings.Repeat(" ", maxScoreBody) + `1]}`, 413, "request_too_large", false},
 		{"events body over cap", "POST", "/v1/events", `{"events":[` + strings.Repeat(" ", maxEventsBody) + `]}`, 413, "request_too_large", false},
+		// A body is one JSON value: whatever follows it is refused, not
+		// dropped (the second batch here would otherwise be lost silently).
+		{"score trailing junk", "POST", "/v1/score", `{"id":1} junk`, 400, "invalid_request", false},
+		{"events second value", "POST", "/v1/events", `{"events":[` + recharge + `]}{"events":[` + recharge + `]}`, 400, "invalid_request", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -453,6 +458,17 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Error("retryable without Retry-After")
 			}
 		})
+	}
+
+	// No rejected batch reached the event log, and trailing whitespace after
+	// the one value stays legal.
+	if e := svc.cur.Load(); e.log == nil {
+		t.Error("test service takes no events")
+	} else if seq := e.log.LastSeq(); seq != 0 {
+		t.Errorf("a rejected batch reached the event log at seq %d", seq)
+	}
+	if status, body, _ := doRequest(t, ts, "POST", "/v1/score", `{"id":`+int64String(want.IDs[0])+"}\n\t "); status != http.StatusOK {
+		t.Errorf("score with trailing whitespace = %d %s, want 200", status, body)
 	}
 
 	// A refresh already in flight sheds further refreshes with 429.
@@ -723,7 +739,7 @@ func mergedRebuild(t *testing.T, whDir, artifact string, degraded bool, ids []in
 	win := features.MonthWindow(4, src.DaysPerMonth())
 	var frame *features.Frame
 	if degraded {
-		frame, _, err = pipe.BuildFrameDegraded(src, win)
+		frame, _, _, err = pipe.BuildFrameDegraded(src, win)
 	} else {
 		frame, err = pipe.BuildFrame(src, win, false, nil)
 	}

@@ -199,7 +199,7 @@ func TestSourceConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameTables(t, "Tables", got, want)
-				healthy, deg, err := graph.BuildFrameDegraded(src, win)
+				healthy, _, deg, err := graph.BuildFrameDegraded(src, win)
 				if err != nil || !deg.Empty() {
 					t.Fatalf("degraded build with nothing down: mask %s, err %v", deg, err)
 				}
@@ -236,7 +236,7 @@ func TestSourceConformance(t *testing.T) {
 				if _, err := graph.BuildFrame(src, win, false, nil); !errors.Is(err, fs.ErrNotExist) {
 					t.Fatalf("strict build with web down: %v, want ErrNotExist", err)
 				}
-				imputed, deg, err := graph.BuildFrameDegraded(src, win)
+				imputed, _, deg, err := graph.BuildFrameDegraded(src, win)
 				if err != nil || deg.String() != "F1" {
 					t.Fatalf("degraded build with web down: mask %s, err %v", deg, err)
 				}
@@ -256,7 +256,7 @@ func TestSourceConformance(t *testing.T) {
 				// either way the refusal is the typed one.
 				src, err = w.wrap(failing(b.src, synth.TableCustomers, down))
 				if err == nil {
-					_, _, err = graph.BuildFrameDegraded(src, win)
+					_, _, _, err = graph.BuildFrameDegraded(src, win)
 				}
 				if !errors.Is(err, features.ErrUniverseUnavailable) {
 					t.Fatalf("degraded build with customers down: %v, want ErrUniverseUnavailable", err)
@@ -272,7 +272,7 @@ func TestSourceConformance(t *testing.T) {
 				if _, err := graph.BuildFrame(src, month2, false, nil); err == nil {
 					t.Fatal("strict build survived a dead truth feed")
 				}
-				if _, deg, err = graph.BuildFrameDegraded(src, month2); err != nil {
+				if _, _, deg, err = graph.BuildFrameDegraded(src, month2); err != nil {
 					t.Fatal(err)
 				}
 				if deg.String() != "F4" {

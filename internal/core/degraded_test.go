@@ -89,7 +89,7 @@ func TestPredictDegraded(t *testing.T) {
 	}
 
 	t.Run("healthy run is bit-identical to strict", func(t *testing.T) {
-		got, err := p.PredictDegraded(src, win)
+		got, _, err := p.PredictDegraded(src, win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestPredictDegraded(t *testing.T) {
 		if _, err := p.Predict(down, win); err == nil {
 			t.Error("strict Predict survived a dead truth feed")
 		}
-		got, err := p.PredictDegraded(down, win)
+		got, _, err := p.PredictDegraded(down, win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestPredictDegraded(t *testing.T) {
 		if _, err := p.Predict(src, win); err == nil {
 			t.Error("strict Predict survived missing tables")
 		}
-		got, err := p.PredictDegraded(src, win)
+		got, _, err := p.PredictDegraded(src, win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestPredictDegraded(t *testing.T) {
 
 	t.Run("F1-only floor: every feed but customers gone", func(t *testing.T) {
 		dropTables(t, wh, synth.TableCalls, synth.TableRecharges, synth.TableBilling)
-		got, err := p.PredictDegraded(src, win)
+		got, _, err := p.PredictDegraded(src, win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestPredictDegraded(t *testing.T) {
 
 	t.Run("customer universe gone is fatal", func(t *testing.T) {
 		dropTables(t, wh, synth.TableCustomers)
-		_, err := p.PredictDegraded(src, win)
+		_, _, err := p.PredictDegraded(src, win)
 		if !errors.Is(err, features.ErrUniverseUnavailable) {
 			t.Fatalf("err = %v, want ErrUniverseUnavailable", err)
 		}

@@ -226,14 +226,16 @@ func (p *Pipeline) BuildFrame(src Source, win features.Window, fitModels bool, t
 // tables: tables the source cannot produce (after whatever retries it
 // performs) are replaced by empty stand-ins, their columns land at the
 // schema's imputation defaults, and the returned bitmask names the feature
-// groups built from imputed data. The frame's schema is identical to a
-// healthy build — a fitted classifier scores it unchanged — and with
-// nothing missing the result is bit-identical to BuildFrame. Degraded
-// assembly is for scoring only: model fitting on imputed data would bake
-// the outage into the artifact, so training paths keep the strict loader.
-func (p *Pipeline) BuildFrameDegraded(src Source, win features.Window) (*features.Frame, features.Degradation, error) {
-	frame, _, deg, err := p.buildFrame(src, win, 0, false, nil, true)
-	return frame, deg, err
+// groups built from imputed data. A table unavailable in any one shard is
+// imputed around in that shard and degrades its groups for the whole frame.
+// The build runs over src.NumShards() shards, like BuildFrameSharded. The
+// frame's schema is identical to a healthy build — a fitted classifier
+// scores it unchanged — and with nothing missing the result is
+// bit-identical to BuildFrame. Degraded assembly is for scoring only: model
+// fitting on imputed data would bake the outage into the artifact, so
+// training paths keep the strict loader.
+func (p *Pipeline) BuildFrameDegraded(src Source, win features.Window) (*features.Frame, features.ShardStats, features.Degradation, error) {
+	return p.buildFrame(src, win, src.NumShards(), false, nil, true)
 }
 
 // buildFrame is the one frame build behind every entry point: it describes
@@ -367,11 +369,11 @@ func (p *Pipeline) Predict(src Source, win features.Window) (*Predictions, error
 
 // PredictDegraded scores the window even when raw tables are unavailable,
 // reporting the degradation mask alongside the scores (zero mask = the run
-// was fully healthy and identical to Predict). Only a missing customer
+// was fully healthy and identical to Predict). It builds through
+// BuildFrameDegraded's shard-by-shard path. Only a missing customer
 // snapshot still fails, with features.ErrUniverseUnavailable.
-func (p *Pipeline) PredictDegraded(src Source, win features.Window) (*Predictions, error) {
-	preds, _, err := p.predict(src, win, 0, true)
-	return preds, err
+func (p *Pipeline) PredictDegraded(src Source, win features.Window) (*Predictions, features.ShardStats, error) {
+	return p.predict(src, win, src.NumShards(), true)
 }
 
 func (p *Pipeline) predict(src Source, win features.Window, shards int, partial bool) (*Predictions, features.ShardStats, error) {

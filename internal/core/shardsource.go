@@ -12,21 +12,8 @@ func (p *Pipeline) BuildFrameSharded(src ShardedSource, win features.Window) (*f
 	return frame, stats, err
 }
 
-// BuildFrameShardedDegraded is BuildFrameDegraded shard by shard: a table
-// unavailable in any shard is imputed around in that shard and degrades its
-// groups for the whole frame.
-func (p *Pipeline) BuildFrameShardedDegraded(src ShardedSource, win features.Window) (*features.Frame, features.ShardStats, features.Degradation, error) {
-	return p.buildFrame(src, win, src.NumShards(), false, nil, true)
-}
-
 // PredictSharded scores every customer of the window through the
 // shard-by-shard build.
 func (p *Pipeline) PredictSharded(src ShardedSource, win features.Window) (*Predictions, features.ShardStats, error) {
 	return p.predict(src, win, src.NumShards(), false)
-}
-
-// PredictShardedDegraded is PredictDegraded through the shard-by-shard
-// build.
-func (p *Pipeline) PredictShardedDegraded(src ShardedSource, win features.Window) (*Predictions, features.ShardStats, error) {
-	return p.predict(src, win, src.NumShards(), true)
 }

@@ -190,7 +190,7 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDown, err := p.PredictDegraded(without(memory, synth.TableWeb), win)
+	wantDown, _, err := p.PredictDegraded(without(memory, synth.TableWeb), win)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +201,9 @@ func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
 			t.Fatalf("PredictSharded over %d shards: stats %+v, err %v", shards, stats, err)
 		}
 		samePredictions(t, want, got)
-		got, stats, err = p.PredictShardedDegraded(without(src, synth.TableWeb), win)
+		got, stats, err = p.PredictDegraded(without(src, synth.TableWeb), win)
 		if err != nil || stats.Shards != shards || got.Degraded != wantDown.Degraded {
-			t.Fatalf("PredictShardedDegraded over %d shards: mask %s, stats %+v, err %v", shards, got.Degraded, stats, err)
+			t.Fatalf("PredictDegraded over %d shards: mask %s, stats %+v, err %v", shards, got.Degraded, stats, err)
 		}
 		samePredictions(t, wantDown, got)
 	}
@@ -335,14 +335,12 @@ func TestBuildFrameShardedUnfittedRejectsTopicGroups(t *testing.T) {
 	for _, g := range []features.Group{features.F7ComplaintTopics, features.F8SearchTopics, features.F9SecondOrder} {
 		p := NewFrameBuilder(Config{Groups: []features.Group{features.F1Baseline, g}})
 		for name, call := range map[string]func() error{
-			"BuildFrame":                func() error { _, err := p.BuildFrame(src, win, false, nil); return err },
-			"BuildFrameDegraded":        func() error { _, _, err := p.BuildFrameDegraded(src, win); return err },
-			"BuildFrameSharded":         func() error { _, _, err := p.BuildFrameSharded(src, win); return err },
-			"BuildFrameShardedDegraded": func() error { _, _, _, err := p.BuildFrameShardedDegraded(src, win); return err },
-			"Predict":                   func() error { _, err := p.Predict(src, win); return err },
-			"PredictDegraded":           func() error { _, err := p.PredictDegraded(src, win); return err },
-			"PredictSharded":            func() error { _, _, err := p.PredictSharded(src, win); return err },
-			"PredictShardedDegraded":    func() error { _, _, err := p.PredictShardedDegraded(src, win); return err },
+			"BuildFrame":         func() error { _, err := p.BuildFrame(src, win, false, nil); return err },
+			"BuildFrameDegraded": func() error { _, _, _, err := p.BuildFrameDegraded(src, win); return err },
+			"BuildFrameSharded":  func() error { _, _, err := p.BuildFrameSharded(src, win); return err },
+			"Predict":            func() error { _, err := p.Predict(src, win); return err },
+			"PredictDegraded":    func() error { _, _, err := p.PredictDegraded(src, win); return err },
+			"PredictSharded":     func() error { _, _, err := p.PredictSharded(src, win); return err },
 		} {
 			if err := call(); !errors.Is(err, ErrUnfitted) {
 				t.Errorf("unfitted %s of %s: %v, want ErrUnfitted", name, g, err)

@@ -64,7 +64,7 @@ func runSchedule(src core.Source, p *core.Pipeline, win features.Window, seed in
 		Sleep:     noSleep,
 	})
 	rs := core.NewRetrySource(Wrap(src, inj), core.RetryConfig{Seed: seed, Sleep: noSleep})
-	preds, err := p.PredictDegraded(rs.Source, win)
+	preds, _, err := p.PredictDegraded(rs.Source, win)
 	return preds, inj.Counts(), err
 }
 
@@ -151,7 +151,7 @@ func TestChaosZeroRateBitIdentical(t *testing.T) {
 	_, src, p, win, clean := chaosWorld(t)
 	inj := New(Config{Seed: 123})
 	rs := core.NewRetrySource(Wrap(src, inj), core.RetryConfig{Seed: 123, Sleep: noSleep})
-	preds, err := p.PredictDegraded(rs.Source, win)
+	preds, _, err := p.PredictDegraded(rs.Source, win)
 	if err != nil {
 		t.Fatal(err)
 	}

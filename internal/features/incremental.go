@@ -134,12 +134,6 @@ func (m *Maintainer) Window() Window { return m.win }
 // DaysPerMonth returns the configured month length.
 func (m *Maintainer) DaysPerMonth() int { return m.days }
 
-// Known reports whether the customer is in the serving universe.
-func (m *Maintainer) Known(id int64) bool {
-	_, ok := m.universe[id]
-	return ok
-}
-
 // AnyCustomer returns an arbitrary universe customer — a probe id for
 // schema validation at wiring time. The universe is never empty
 // (NewMaintainer fails on an empty snapshot).
@@ -149,9 +143,6 @@ func (m *Maintainer) AnyCustomer() int64 {
 	}
 	return 0
 }
-
-// UniverseSize returns the number of customers in the serving universe.
-func (m *Maintainer) UniverseSize() int { return len(m.universe) }
 
 // Applied returns the number of event rows folded in so far.
 func (m *Maintainer) Applied() int {

@@ -8,7 +8,7 @@
 // problem size (never on the worker count), and chunked reductions merge in
 // chunk order. Code built on this package therefore produces bit-identical
 // results for any Workers setting, provided randomness is drawn from
-// per-item streams via Seed rather than from a shared RNG.
+// per-item streams keyed by item index rather than from a shared RNG.
 package parallel
 
 import (
@@ -133,18 +133,6 @@ func SumChunks(workers, n, grain int, fn func(lo, hi int) float64) float64 {
 // handful of tasks to a single goroutine.
 func Do(workers int, tasks ...func()) {
 	ForGrain(workers, len(tasks), 1, func(i int) { tasks[i]() })
-}
-
-// Seed derives a decorrelated deterministic RNG seed for one logical stream
-// (a tree index, a shard, an experiment repeat) from a base seed, using a
-// splitmix64 finalization. Stream identity must be the item's index — never
-// the worker's — so results do not depend on scheduling.
-func Seed(base, stream int64) int64 {
-	z := uint64(base)*0x9E3779B97F4A7C15 + uint64(stream) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
 }
 
 // panicCatcher captures the first panic among a group of goroutines so the

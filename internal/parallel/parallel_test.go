@@ -198,20 +198,3 @@ func TestWorkersResolution(t *testing.T) {
 		t.Error("positive count should pass through")
 	}
 }
-
-func TestSeedStreamsDiffer(t *testing.T) {
-	seen := make(map[int64]bool)
-	for stream := int64(0); stream < 1000; stream++ {
-		s := Seed(1, stream)
-		if seen[s] {
-			t.Fatalf("seed collision at stream %d", stream)
-		}
-		seen[s] = true
-	}
-	if Seed(1, 5) != Seed(1, 5) {
-		t.Error("Seed is not deterministic")
-	}
-	if Seed(1, 5) == Seed(2, 5) {
-		t.Error("different bases should give different streams")
-	}
-}

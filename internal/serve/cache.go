@@ -32,7 +32,7 @@ func NewFrameProvider(p *core.Pipeline, src core.Source, win features.Window) (*
 // it (Degradation, /metrics). With everything available the frame is
 // bit-identical to NewFrameProvider's.
 func NewFrameProviderDegraded(p *core.Pipeline, src core.Source, win features.Window) (*FrameProvider, error) {
-	frame, deg, err := p.BuildFrameDegraded(src, win)
+	frame, _, deg, err := p.BuildFrameDegraded(src, win)
 	if err != nil {
 		return nil, err
 	}

@@ -100,18 +100,6 @@ func (o *Overlay) Overridden() int {
 	return len(o.over)
 }
 
-// OverriddenIDs returns the customers currently served from overrides, in
-// no particular order.
-func (o *Overlay) OverriddenIDs() []int64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	ids := make([]int64, 0, len(o.over))
-	for id := range o.over {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // Swap atomically replaces the inner provider with a freshly built one.
 // When recompute is nil every override is retired — the new base fully
 // covers the events that produced them. Otherwise each overridden customer

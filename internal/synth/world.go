@@ -289,8 +289,5 @@ func (w *World) assignNeighbors(c *customer, community, all []int64) {
 // Month returns the next month number that SimulateMonth will produce.
 func (w *World) Month() int { return w.month }
 
-// ActiveCustomers returns the number of live customers.
-func (w *World) ActiveCustomers() int { return len(w.customers) }
-
 // Config returns the effective (defaulted) configuration.
 func (w *World) Config() Config { return w.cfg }

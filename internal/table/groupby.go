@@ -3,13 +3,15 @@ package table
 import (
 	"fmt"
 	"sort"
-
-	"telcochurn/internal/parallel"
 )
 
-// AggFunc enumerates the aggregation functions supported by GroupBy. These
-// cover the monthly summarizations the paper's feature engineering performs
-// (total call duration, call counts, average throughput, max balance, ...).
+// AggFunc enumerates the aggregation functions GroupBy supports.
+//
+// GroupBy, HashJoin and SortByInt are no longer called by any production
+// path — the wide-table build folds each raw table in one pass (DESIGN §9).
+// They remain only because the repository benchmark's table.groupby_ms /
+// table.hashjoin_ms probes and its truth sort still name them; they go
+// together with those benchmark rows, as do Agg, AggFunc and JoinKind.
 type AggFunc int
 
 const (
@@ -17,39 +19,7 @@ const (
 	Sum AggFunc = iota
 	// Count counts rows in the group; the source column is ignored.
 	Count
-	// Mean averages the column.
-	Mean
-	// Min takes the minimum.
-	Min
-	// Max takes the maximum.
-	Max
-	// First takes the group's first value in row order (for columns that are
-	// constant within a group, e.g. demographics keyed by customer).
-	First
-	// CountDistinct counts distinct values in the column.
-	CountDistinct
 )
-
-func (a AggFunc) String() string {
-	switch a {
-	case Sum:
-		return "SUM"
-	case Count:
-		return "COUNT"
-	case Mean:
-		return "AVG"
-	case Min:
-		return "MIN"
-	case Max:
-		return "MAX"
-	case First:
-		return "FIRST"
-	case CountDistinct:
-		return "COUNT_DISTINCT"
-	default:
-		return fmt.Sprintf("AggFunc(%d)", int(a))
-	}
-}
 
 // Agg is one aggregation: apply Func to column Col, emit it as column As.
 type Agg struct {
@@ -59,38 +29,15 @@ type Agg struct {
 }
 
 // GroupBy groups t by the Int64 key column and computes the aggregations.
-// The result has the key column first, then one Float64 column per Agg
-// (First on an Int64/String column keeps the source type), ordered by
-// ascending key for determinism.
+// The result has the key column first, then one Float64 column per Agg,
+// ordered by ascending key for determinism.
 //
-// Execution is vectorized: one dense group-id pass over the key column
-// (already-sorted keys skip the hash map entirely), then one typed columnar
-// accumulation pass per aggregate into exactly-sized output arrays. Floats
-// accumulate per group in row order, so the result is cell-for-cell
-// identical to a row-at-a-time aggregation of the same rows.
+// Execution is one dense group-id pass over the key column (already-sorted
+// keys skip the hash map entirely), then one typed columnar pass per
+// aggregate into exactly-sized output arrays. Sums accumulate per group in
+// row order, so the result is cell-for-cell identical to a row-at-a-time
+// aggregation of the same rows.
 func GroupBy(t *Table, key string, aggs ...Agg) (*Table, error) {
-	return GroupByWhereExec(t, key, nil, Exec{Workers: 1}, aggs...)
-}
-
-// GroupByExec is GroupBy with execution options; aggregation passes run
-// parallel across aggregates and across groups within a pass. The output is
-// bit-identical for any Exec.Workers value.
-func GroupByExec(t *Table, key string, ex Exec, aggs ...Agg) (*Table, error) {
-	return GroupByWhereExec(t, key, nil, ex, aggs...)
-}
-
-// GroupByWhere is GroupBy with the row predicate fused into the aggregation
-// pass: it produces exactly the table GroupBy would produce on
-// t.Filter(pred) — same groups, same values, cell for cell — without
-// materializing the filtered copy. pred is evaluated once per row; nil keeps
-// every row. This is the engine's filter→group-by fusion, the shape of
-// nearly every per-customer aggregation in the wide-table build.
-func GroupByWhere(t *Table, key string, pred func(row int) bool, aggs ...Agg) (*Table, error) {
-	return GroupByWhereExec(t, key, pred, Exec{Workers: 1}, aggs...)
-}
-
-// GroupByWhereExec is GroupByWhere with execution options.
-func GroupByWhereExec(t *Table, key string, pred func(row int) bool, ex Exec, aggs ...Agg) (*Table, error) {
 	ki := t.Schema.Index(key)
 	if ki < 0 {
 		return nil, fmt.Errorf("table: group-by unknown key %q", key)
@@ -105,171 +52,145 @@ func GroupByWhereExec(t *Table, key string, pred func(row int) bool, ex Exec, ag
 		if a.As == "" {
 			return nil, fmt.Errorf("table: aggregation %d has empty output name", i)
 		}
-		outType := Float64
-		if a.Func != Count {
+		switch a.Func {
+		case Count:
+		case Sum:
 			ci := t.Schema.Index(a.Col)
 			if ci < 0 {
 				return nil, fmt.Errorf("table: aggregation on unknown column %q", a.Col)
 			}
-			c := t.Cols[ci]
-			if a.Func == First && c.Type == String {
-				outType = String
-			} else if a.Func == First && c.Type == Int64 {
-				outType = Int64
-			} else if c.Type == String && a.Func != CountDistinct {
-				return nil, fmt.Errorf("table: %s on string column %q", a.Func, a.Col)
+			if t.Cols[ci].Type == String {
+				return nil, fmt.Errorf("table: sum on string column %q", a.Col)
 			}
-			srcs[i] = c
+			srcs[i] = t.Cols[ci]
+		default:
+			return nil, fmt.Errorf("table: unsupported aggregation %d", int(a.Func))
 		}
-		fields = append(fields, Field{Name: a.As, Type: outType})
+		fields = append(fields, Field{Name: a.As, Type: Float64})
 	}
 	schema, err := NewSchema(fields...)
 	if err != nil {
 		return nil, err
 	}
 
-	gi := buildGroupIndex(t.Cols[ki].Ints, pred)
+	gi := buildGroupIndex(t.Cols[ki].Ints)
 	out := NewTable(schema)
 	out.Cols[0].Ints = gi.keys
-
-	// One typed columnar pass per aggregate, parallel across aggregates; each
-	// pass parallelizes across groups (forGroups). Passes only write their own
-	// preallocated output array, so the fan-out is race-free and ordering-free.
-	errs := make([]error, len(aggs))
-	parallelAggs(ex.Workers, len(aggs), func(ai int) {
-		errs[ai] = aggPass(out.Cols[ai+1], srcs[ai], aggs[ai].Func, &gi, ex.Workers)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	ng := len(gi.keys)
+	for ai, src := range srcs {
+		vals := make([]float64, ng)
+		for g := range vals {
+			lo, hi := gi.start[g], gi.start[g+1]
+			switch {
+			case src == nil:
+				vals[g] = float64(hi - lo)
+			case src.Type == Int64:
+				vals[g] = sumRange(src.Ints, &gi, lo, hi)
+			default:
+				vals[g] = sumRange(src.Floats, &gi, lo, hi)
+			}
 		}
+		out.Cols[ai+1].Floats = vals
 	}
 	return out, nil
 }
 
-// parallelAggs fans fn across aggregate indices (grain 1: passes are big).
-func parallelAggs(workers, n int, fn func(ai int)) {
-	if n == 1 { // common case: skip pool setup
-		fn(0)
-		return
-	}
-	parallel.ForGrain(workers, n, 1, fn)
+// groupIndex is the dense group assignment computed once per GroupBy call
+// and shared by every aggregation pass: the distinct keys in ascending
+// order, plus the row indices regrouped key by key with the original row
+// order preserved inside each group. Per-group row order matching the input
+// is what keeps float sums bit-identical to a row-at-a-time aggregation.
+type groupIndex struct {
+	keys  []int64 // distinct key values, ascending
+	start []int32 // group g owns rows perm[start[g]:start[g+1]]; len(keys)+1 entries
+	perm  []int32 // row indices grouped by key; nil = identity (sorted input)
 }
 
-// aggPass computes one aggregate over every group into dst's preallocated
-// backing array. src is nil for Count. The kernel is selected once per pass
-// — no per-value type switches inside the loops.
-func aggPass(dst, src *Column, fn AggFunc, gi *groupIndex, workers int) error {
-	ng := gi.groups()
-	switch fn {
-	case Count:
-		vals := make([]float64, ng)
-		for g := range vals {
-			vals[g] = float64(gi.start[g+1] - gi.start[g])
+// buildGroupIndex assigns dense group ids over the key column. Already-sorted
+// keys — the common case for monthly per-IMSI tables — skip the hash map and
+// the permutation array.
+func buildGroupIndex(keys []int64) groupIndex {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
+			return hashIndex(keys)
 		}
-		dst.Floats = vals
-		return nil
-
-	case First:
-		firstRows := make([]int32, ng)
-		for g := range firstRows {
-			firstRows[g] = gi.row(gi.start[g])
-		}
-		gatherInto(dst, src, firstRows, false)
-		return nil
-
-	case Sum, Mean:
-		vals := make([]float64, ng)
-		if src.Type == Int64 {
-			ints := src.Ints
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				vals[g] = sumRangeInt(ints, gi, lo, hi)
-			})
-		} else {
-			floats := src.Floats
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				vals[g] = sumRange(floats, gi, lo, hi)
-			})
-		}
-		if fn == Mean {
-			for g := range vals {
-				vals[g] /= float64(gi.start[g+1] - gi.start[g])
-			}
-		}
-		dst.Floats = vals
-		return nil
-
-	case Min, Max:
-		vals := make([]float64, ng)
-		if src.Type == Int64 {
-			ints := src.Ints
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				vals[g] = minMaxRangeInt(ints, gi, lo, hi, fn == Max)
-			})
-		} else {
-			floats := src.Floats
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				vals[g] = minMaxRange(floats, gi, lo, hi, fn == Max)
-			})
-		}
-		dst.Floats = vals
-		return nil
-
-	case CountDistinct:
-		vals := make([]float64, ng)
-		switch src.Type {
-		case Int64:
-			ints := src.Ints
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				seen := make(map[int64]struct{}, hi-lo)
-				if gi.perm == nil {
-					for r := lo; r < hi; r++ {
-						seen[ints[r]] = struct{}{}
-					}
-				} else {
-					for _, r := range gi.perm[lo:hi] {
-						seen[ints[r]] = struct{}{}
-					}
-				}
-				vals[g] = float64(len(seen))
-			})
-		case Float64:
-			floats := src.Floats
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				seen := make(map[float64]struct{}, hi-lo)
-				if gi.perm == nil {
-					for r := lo; r < hi; r++ {
-						seen[floats[r]] = struct{}{}
-					}
-				} else {
-					for _, r := range gi.perm[lo:hi] {
-						seen[floats[r]] = struct{}{}
-					}
-				}
-				vals[g] = float64(len(seen))
-			})
-		default:
-			strs := src.Strings
-			forGroups(workers, gi, func(g int, lo, hi int32) {
-				seen := make(map[string]struct{}, hi-lo)
-				if gi.perm == nil {
-					for r := lo; r < hi; r++ {
-						seen[strs[r]] = struct{}{}
-					}
-				} else {
-					for _, r := range gi.perm[lo:hi] {
-						seen[strs[r]] = struct{}{}
-					}
-				}
-				vals[g] = float64(len(seen))
-			})
-		}
-		dst.Floats = vals
-		return nil
-
-	default:
-		return fmt.Errorf("table: unsupported aggregation %v", fn)
 	}
+	var gi groupIndex
+	for j, k := range keys {
+		if j == 0 || k != keys[j-1] {
+			gi.keys = append(gi.keys, k)
+			gi.start = append(gi.start, int32(j))
+		}
+	}
+	gi.start = append(gi.start, int32(len(keys)))
+	return gi
+}
+
+// hashIndex is the general path: first-occurrence dense ids via one hash
+// pass, an ascending-key remap over the (few) distinct keys, then a counting
+// scatter that regroups the rows — no per-group slices, no resizing.
+func hashIndex(keys []int64) groupIndex {
+	ids := make(map[int64]int32, 64)
+	gid := make([]int32, len(keys))
+	var first []int64 // key per first-occurrence id
+	for j, k := range keys {
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(first))
+			ids[k] = id
+			first = append(first, k)
+		}
+		gid[j] = id
+	}
+	ng := len(first)
+
+	// Remap first-occurrence ids to ascending-key order.
+	byKey := make([]int32, ng)
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	sort.Slice(byKey, func(a, b int) bool { return first[byKey[a]] < first[byKey[b]] })
+	remap := make([]int32, ng)
+	keysAsc := make([]int64, ng)
+	for newID, oldID := range byKey {
+		remap[oldID] = int32(newID)
+		keysAsc[newID] = first[oldID]
+	}
+
+	// Count group sizes, prefix-sum into offsets, then scatter the rows
+	// stably (input order within each group is preserved).
+	start := make([]int32, ng+1)
+	for _, id := range gid {
+		start[remap[id]+1]++
+	}
+	for g := 0; g < ng; g++ {
+		start[g+1] += start[g]
+	}
+	cursor := append([]int32(nil), start[:ng]...)
+	perm := make([]int32, len(keys))
+	for j, id := range gid {
+		g := remap[id]
+		perm[cursor[g]] = int32(j)
+		cursor[g]++
+	}
+	return groupIndex{keys: keysAsc, start: start, perm: perm}
+}
+
+// sumRange accumulates one group's values in row order — the same addition
+// order as a row-at-a-time scan of the group. Int64 values are converted,
+// then added, matching Column.Float.
+func sumRange[T int64 | float64](vals []T, gi *groupIndex, lo, hi int32) float64 {
+	s := 0.0
+	if gi.perm == nil {
+		for r := lo; r < hi; r++ {
+			s += float64(vals[r])
+		}
+		return s
+	}
+	for _, r := range gi.perm[lo:hi] {
+		s += float64(vals[r])
+	}
+	return s
 }
 
 // SortByInt returns a new table sorted ascending by the named Int64 column
@@ -288,24 +209,5 @@ func SortByInt(t *Table, key string) (*Table, error) {
 	}
 	keys := t.Cols[ki].Ints
 	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	return t.Take(idx), nil
-}
-
-// SortByFloatDesc returns a new table sorted descending by the named Float64
-// column (stable). Used to rank customers by churn likelihood.
-func SortByFloatDesc(t *Table, key string) (*Table, error) {
-	ki := t.Schema.Index(key)
-	if ki < 0 {
-		return nil, fmt.Errorf("table: sort by unknown column %q", key)
-	}
-	if t.Schema.Fields[ki].Type != Float64 {
-		return nil, fmt.Errorf("table: sort key %q must be DOUBLE", key)
-	}
-	idx := make([]int, t.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	keys := t.Cols[ki].Floats
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] > keys[idx[b]] })
 	return t.Take(idx), nil
 }

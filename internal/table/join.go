@@ -1,44 +1,30 @@
 package table
 
-import (
-	"fmt"
+import "fmt"
 
-	"telcochurn/internal/parallel"
-)
-
-// JoinKind selects the join semantics.
+// JoinKind selects the join semantics. Only InnerJoin remains; the type goes
+// with HashJoin (see AggFunc).
 type JoinKind int
 
-const (
-	// InnerJoin keeps only rows with a match on both sides.
-	InnerJoin JoinKind = iota
-	// LeftJoin keeps every left row; unmatched right columns get zero values
-	// (0, 0.0, "") — the engine has no NULL, matching how the paper's wide
-	// table treats absent activity as zero usage.
-	LeftJoin
-)
+// InnerJoin keeps only rows with a match on both sides.
+const InnerJoin JoinKind = 0
 
-// HashJoin joins left and right on equality of the named Int64 key column,
-// which must exist on both sides (e.g. IMSI, the paper's universal join
-// key). The result schema is left's fields followed by right's fields minus
-// the key. Right-side columns whose names collide with left-side names are
-// suffixed "_r".
+// HashJoin inner-joins left and right on equality of the named Int64 key
+// column, which must exist on both sides (e.g. IMSI, the paper's universal
+// join key). Any kind other than InnerJoin is an error. The result schema is
+// left's fields followed by right's fields minus the key. Right-side columns
+// whose names collide with left-side names are suffixed "_r".
 //
 // The right side is hashed; rows stream from the left, so put the smaller
 // table on the right. Right-side duplicates multiply, as in SQL.
 //
-// Execution is vectorized: one pass over the left keys builds leftRow/
-// rightRow gather-index arrays, then every output column is emitted with a
-// single typed bulk gather into an exactly-sized array — no per-cell
-// appends.
+// One pass over the left keys builds leftRow/rightRow gather-index arrays,
+// then every output column is emitted with a single typed bulk gather into
+// an exactly-sized array — no per-cell appends.
 func HashJoin(left, right *Table, key string, kind JoinKind) (*Table, error) {
-	return HashJoinExec(left, right, key, kind, Exec{Workers: 1})
-}
-
-// HashJoinExec is HashJoin with execution options; output columns gather in
-// parallel. Gathers are pure scatters by precomputed index, so the result is
-// bit-identical for any Exec.Workers value.
-func HashJoinExec(left, right *Table, key string, kind JoinKind, ex Exec) (*Table, error) {
+	if kind != InnerJoin {
+		return nil, fmt.Errorf("table: unsupported join kind %d", int(kind))
+	}
 	lk := left.Schema.Index(key)
 	rk := right.Schema.Index(key)
 	if lk < 0 || rk < 0 {
@@ -101,10 +87,10 @@ func HashJoinExec(left, right *Table, key string, kind JoinKind, ex Exec) (*Tabl
 
 	leftKeys := left.Cols[lk].Ints
 
-	// Pre-count the output cardinality (sum of match multiplicities, plus
-	// unmatched left rows for LeftJoin) so the gather indices and every
-	// output column allocate exactly once. Each left key is probed exactly
-	// once; the resolved group id (-1 = miss) is cached for the build pass.
+	// Pre-count the output cardinality (sum of match multiplicities) so the
+	// gather indices and every output column allocate exactly once. Each
+	// left key is probed exactly once; the resolved group id (-1 = miss) is
+	// cached for the build pass.
 	lg := make([]int32, len(leftKeys))
 	nOut := 0
 	for i, k := range leftKeys {
@@ -113,22 +99,14 @@ func HashJoinExec(left, right *Table, key string, kind JoinKind, ex Exec) (*Tabl
 			nOut += int(start[g+1] - start[g])
 		} else {
 			lg[i] = -1
-			if kind == LeftJoin {
-				nOut++
-			}
 		}
 	}
 
-	// Gather-index build: for each output row, its source row on both sides
-	// (-1 right row = zero-filled LeftJoin miss).
+	// Gather-index build: for each output row, its source row on both sides.
 	leftRow := make([]int32, 0, nOut)
 	rightRow := make([]int32, 0, nOut)
 	for i, g := range lg {
 		if g < 0 {
-			if kind == LeftJoin {
-				leftRow = append(leftRow, int32(i))
-				rightRow = append(rightRow, -1)
-			}
 			continue
 		}
 		for _, m := range perm[start[g]:start[g+1]] {
@@ -137,14 +115,12 @@ func HashJoinExec(left, right *Table, key string, kind JoinKind, ex Exec) (*Tabl
 		}
 	}
 
-	// Emit each output column with one typed bulk gather, parallel per column.
 	nl := left.Schema.Len()
-	parallel.ForGrain(ex.Workers, nl+len(rightOut), 1, func(c int) {
-		if c < nl {
-			gatherInto(out.Cols[c], left.Cols[c], leftRow, false)
-		} else {
-			gatherInto(out.Cols[c], right.Cols[rightOut[c-nl]], rightRow, true)
-		}
-	})
+	for c := range left.Cols {
+		gatherInto(out.Cols[c], left.Cols[c], leftRow)
+	}
+	for j, rc := range rightOut {
+		gatherInto(out.Cols[nl+j], right.Cols[rc], rightRow)
+	}
 	return out, nil
 }

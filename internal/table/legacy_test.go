@@ -1,13 +1,12 @@
 package table
 
-// The pre-vectorization row-at-a-time operators, retained verbatim as test
-// reference implementations (the internal/tree legacy_test.go pattern):
-// equality and property tests assert the vectorized engine matches them cell
-// for cell on arbitrary tables.
+// The row-at-a-time operators the columnar kernels replaced, retained as
+// test reference implementations (the internal/tree legacy_test.go
+// pattern): equality and property tests assert Filter, Take, GroupBy and
+// HashJoin match them cell for cell on arbitrary tables.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -27,18 +26,6 @@ func (c *Column) appendFrom(src *Column, i int) {
 func (t *Table) appendRowFrom(src *Table, i int) {
 	for c := range t.Cols {
 		t.Cols[c].appendFrom(src.Cols[c], i)
-	}
-}
-
-// legacyFloat is the old Column.Float, with the silent NaN for strings.
-func legacyFloat(c *Column, i int) float64 {
-	switch c.Type {
-	case Int64:
-		return float64(c.Ints[i])
-	case Float64:
-		return c.Floats[i]
-	default:
-		return math.NaN()
 	}
 }
 
@@ -80,23 +67,21 @@ func legacyGroupBy(t *Table, key string, aggs ...Agg) (*Table, error) {
 		if a.As == "" {
 			return nil, fmt.Errorf("table: aggregation %d has empty output name", i)
 		}
-		outType := Float64
-		if a.Func != Count {
+		switch a.Func {
+		case Count:
+		case Sum:
 			ci := t.Schema.Index(a.Col)
 			if ci < 0 {
 				return nil, fmt.Errorf("table: aggregation on unknown column %q", a.Col)
 			}
-			c := t.Cols[ci]
-			if a.Func == First && c.Type == String {
-				outType = String
-			} else if a.Func == First && c.Type == Int64 {
-				outType = Int64
-			} else if c.Type == String && a.Func != CountDistinct {
-				return nil, fmt.Errorf("table: %s on string column %q", a.Func, a.Col)
+			if t.Cols[ci].Type == String {
+				return nil, fmt.Errorf("table: sum on string column %q", a.Col)
 			}
-			refs[i] = c
+			refs[i] = t.Cols[ci]
+		default:
+			return nil, fmt.Errorf("table: unsupported aggregation %d", int(a.Func))
 		}
-		fields = append(fields, Field{Name: a.As, Type: outType})
+		fields = append(fields, Field{Name: a.As, Type: Float64})
 	}
 	schema, err := NewSchema(fields...)
 	if err != nil {
@@ -121,74 +106,22 @@ func legacyGroupBy(t *Table, key string, aggs ...Agg) (*Table, error) {
 		for ai, a := range aggs {
 			dst := out.Cols[ai+1]
 			src := refs[ai]
-			switch a.Func {
-			case Count:
+			if a.Func == Count {
 				dst.AppendFloat(float64(len(rows)))
-			case First:
-				dst.appendFrom(src, rows[0])
-			case CountDistinct:
-				dst.AppendFloat(float64(legacyCountDistinct(src, rows)))
-			case Sum:
-				s := 0.0
-				for _, r := range rows {
-					s += legacyFloat(src, r)
-				}
-				dst.AppendFloat(s)
-			case Mean:
-				s := 0.0
-				for _, r := range rows {
-					s += legacyFloat(src, r)
-				}
-				dst.AppendFloat(s / float64(len(rows)))
-			case Min:
-				m := math.Inf(1)
-				for _, r := range rows {
-					if v := legacyFloat(src, r); v < m {
-						m = v
-					}
-				}
-				dst.AppendFloat(m)
-			case Max:
-				m := math.Inf(-1)
-				for _, r := range rows {
-					if v := legacyFloat(src, r); v > m {
-						m = v
-					}
-				}
-				dst.AppendFloat(m)
-			default:
-				return nil, fmt.Errorf("table: unsupported aggregation %v", a.Func)
+				continue
 			}
+			s := 0.0
+			for _, r := range rows {
+				s += src.Float(r)
+			}
+			dst.AppendFloat(s)
 		}
 	}
 	return out, nil
 }
 
-func legacyCountDistinct(c *Column, rows []int) int {
-	switch c.Type {
-	case Int64:
-		seen := make(map[int64]struct{}, len(rows))
-		for _, r := range rows {
-			seen[c.Ints[r]] = struct{}{}
-		}
-		return len(seen)
-	case Float64:
-		seen := make(map[float64]struct{}, len(rows))
-		for _, r := range rows {
-			seen[c.Floats[r]] = struct{}{}
-		}
-		return len(seen)
-	default:
-		seen := make(map[string]struct{}, len(rows))
-		for _, r := range rows {
-			seen[c.Strings[r]] = struct{}{}
-		}
-		return len(seen)
-	}
-}
-
-// legacyHashJoin is the old per-cell append join.
-func legacyHashJoin(left, right *Table, key string, kind JoinKind) (*Table, error) {
+// legacyHashJoin is the old per-cell append inner join.
+func legacyHashJoin(left, right *Table, key string) (*Table, error) {
 	lk := left.Schema.Index(key)
 	rk := right.Schema.Index(key)
 	if lk < 0 || rk < 0 {
@@ -227,17 +160,6 @@ func legacyHashJoin(left, right *Table, key string, kind JoinKind) (*Table, erro
 	nl := left.Schema.Len()
 	for i, k := range leftKeys {
 		matches := index[k]
-		if len(matches) == 0 {
-			if kind == LeftJoin {
-				for c := 0; c < nl; c++ {
-					out.Cols[c].appendFrom(left.Cols[c], i)
-				}
-				for j, rc := range rightOut {
-					legacyAppendZero(out.Cols[nl+j], right.Cols[rc].Type)
-				}
-			}
-			continue
-		}
 		for _, m := range matches {
 			for c := 0; c < nl; c++ {
 				out.Cols[c].appendFrom(left.Cols[c], i)
@@ -248,15 +170,4 @@ func legacyHashJoin(left, right *Table, key string, kind JoinKind) (*Table, erro
 		}
 	}
 	return out, nil
-}
-
-func legacyAppendZero(c *Column, t ColType) {
-	switch t {
-	case Int64:
-		c.AppendInt(0)
-	case Float64:
-		c.AppendFloat(0)
-	default:
-		c.AppendString("")
-	}
 }

@@ -1,14 +1,13 @@
-// Package table implements the in-memory columnar relational engine that
-// stands in for Hive/Spark SQL in the paper's feature-engineering layer
-// (Section 4.1). The feature pipeline expresses the same logical operations
-// the paper describes — joining the local-call and roam-call tables,
-// aggregating daily call tables into monthly summaries, producing the
-// unified wide table — as scans, hash joins, group-by aggregations,
-// projections and sorts over typed columns.
+// Package table is the columnar container every layer shares: the
+// simulator emits tables, the warehouse stores and reads them, the event
+// log appends them and the feature folds scan them. Each column is a dense
+// typed vector, which keeps the folds cache-friendly and makes the store
+// package's binary layout a straight copy of column data.
 //
-// Tables are columnar: each column is a dense typed vector, which keeps
-// aggregation cache-friendly and makes the store package's binary layout a
-// straight memcpy of column data.
+// The paper's Spark SQL joins and monthly aggregations (Section 4.1) are
+// realised in the features package, as one fold per raw table and a
+// grouping graph fold, not as relational operators here. GroupBy, HashJoin
+// and SortByInt remain only for the repository benchmark (see AggFunc).
 package table
 
 import (

@@ -2,11 +2,9 @@ package table
 
 import "fmt"
 
-// Hash partitioning: the engine-level half of the out-of-core story. The
-// warehouse partitions rows by the same hash (store.ShardedWarehouse), so
-// per-customer aggregations and customer-keyed joins never cross shards and
-// the wide-table build runs the ordinary operators one shard at a time with
-// bounded memory.
+// Hash partitioning: the warehouse splits rows by this hash
+// (store.ShardedWarehouse), so per-customer folds never cross shards and the
+// wide-table build runs one shard at a time with bounded memory.
 
 // ShardOf maps an Int64 key to a shard in [0, shards) with the splitmix64
 // finalizer, so shard assignment is uniform, stable across processes and

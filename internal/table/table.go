@@ -17,9 +17,6 @@ type Column struct {
 	Strings []string
 }
 
-// NewColumn returns an empty column of the given type.
-func NewColumn(t ColType) *Column { return &Column{Type: t} }
-
 // Len returns the number of values in the column.
 func (c *Column) Len() int {
 	switch c.Type {
@@ -40,20 +37,6 @@ func (c *Column) AppendFloat(v float64) { c.Floats = append(c.Floats, v) }
 
 // AppendString appends a string value; the column must be String.
 func (c *Column) AppendString(v string) { c.Strings = append(c.Strings, v) }
-
-// Grow reserves capacity for at least n more values, so operators that know
-// their output cardinality up front (GroupBy, HashJoin) append without
-// repeated reallocation.
-func (c *Column) Grow(n int) {
-	switch c.Type {
-	case Int64:
-		c.Ints = slices.Grow(c.Ints, n)
-	case Float64:
-		c.Floats = slices.Grow(c.Floats, n)
-	default:
-		c.Strings = slices.Grow(c.Strings, n)
-	}
-}
 
 // Float returns row i of the column coerced to float64 (Int64 columns are
 // converted). Calling it on a String column is a programming error — it used
@@ -92,13 +75,6 @@ func (t *Table) NumRows() int {
 		return 0
 	}
 	return t.Cols[0].Len()
-}
-
-// Grow reserves capacity for at least n more rows in every column.
-func (t *Table) Grow(n int) {
-	for _, c := range t.Cols {
-		c.Grow(n)
-	}
 }
 
 // Col returns the named column, or nil if absent.
@@ -194,26 +170,6 @@ func (t *Table) Row(i int) []any {
 	return row
 }
 
-// Select returns a new table with only the named columns, in the given
-// order. Column data is shared, not copied.
-func (t *Table) Select(names ...string) (*Table, error) {
-	fields := make([]Field, len(names))
-	cols := make([]*Column, len(names))
-	for i, name := range names {
-		idx := t.Schema.Index(name)
-		if idx < 0 {
-			return nil, fmt.Errorf("table: select unknown column %q", name)
-		}
-		fields[i] = t.Schema.Fields[idx]
-		cols[i] = t.Cols[idx]
-	}
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{Schema: schema, Cols: cols}, nil
-}
-
 // Filter returns a new table containing the rows for which keep returns
 // true. keep receives the row index, is evaluated exactly once per row, and
 // reads values through the table's columns. The kept row indices are
@@ -240,7 +196,7 @@ func (t *Table) Take(indices []int) *Table {
 func takeRows[I rowIndex](t *Table, idx []I) *Table {
 	out := NewTable(t.Schema)
 	for c, col := range t.Cols {
-		gatherInto(out.Cols[c], col, idx, false)
+		gatherInto(out.Cols[c], col, idx)
 	}
 	return out
 }
@@ -278,34 +234,27 @@ func (t *Table) Clip() *Table {
 	return out
 }
 
-// RenameColumn returns a table with one column renamed (data shared).
-func (t *Table) RenameColumn(old, new string) (*Table, error) {
-	idx := t.Schema.Index(old)
-	if idx < 0 {
-		return nil, fmt.Errorf("table: rename unknown column %q", old)
+// rowIndex is the index element type accepted by the gather kernels.
+type rowIndex interface{ ~int | ~int32 }
+
+// gatherSlice bulk-copies src values at the given row indices into a fresh
+// exactly-sized slice.
+func gatherSlice[T any, I rowIndex](src []T, idx []I) []T {
+	out := make([]T, len(idx))
+	for j, r := range idx {
+		out[j] = src[r]
 	}
-	fields := append([]Field(nil), t.Schema.Fields...)
-	fields[idx].Name = new
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{Schema: schema, Cols: t.Cols}, nil
+	return out
 }
 
-// WithColumn returns a table extended by one computed Float64 column whose
-// value for each row is produced by fn. Existing column data is shared.
-func (t *Table) WithColumn(name string, fn func(row int) float64) (*Table, error) {
-	fields := append(append([]Field(nil), t.Schema.Fields...), Field{Name: name, Type: Float64})
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
+// gatherInto fills dst (same type as src) with one typed bulk gather.
+func gatherInto[I rowIndex](dst, src *Column, idx []I) {
+	switch src.Type {
+	case Int64:
+		dst.Ints = gatherSlice(src.Ints, idx)
+	case Float64:
+		dst.Floats = gatherSlice(src.Floats, idx)
+	default:
+		dst.Strings = gatherSlice(src.Strings, idx)
 	}
-	col := &Column{Name: name, Type: Float64}
-	n := t.NumRows()
-	col.Floats = make([]float64, n)
-	for i := 0; i < n; i++ {
-		col.Floats[i] = fn(i)
-	}
-	return &Table{Schema: schema, Cols: append(append([]*Column(nil), t.Cols...), col)}, nil
 }

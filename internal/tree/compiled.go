@@ -143,9 +143,6 @@ func (n *nodes) SetWorkers(w int) { n.workers = w }
 // NumTrees returns the ensemble size (boosting rounds for a GBDT).
 func (n *nodes) NumTrees() int { return len(n.roots) }
 
-// NumNodes returns the total flattened node count (introspection/tests).
-func (n *nodes) NumNodes() int { return len(n.feats) }
-
 // CompiledForest is a Forest flattened for cache-friendly scoring.
 type CompiledForest struct {
 	nodes
