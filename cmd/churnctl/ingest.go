@@ -8,19 +8,24 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 
 	"telcochurn/internal/serve"
 	"telcochurn/internal/synth"
-	"telcochurn/internal/table"
 )
 
 // cmdIngest is the batch loader for the streaming path: it appends raw
 // BSS/OSS event rows to a warehouse's durable event log (or POSTs them to
 // a running churnd), and with -merge folds the log into the monthly
-// partitions so the batch pipeline sees the same rows. A churnd serving
-// the same warehouse picks up directly-appended events at its next fold
-// (ingest, refresh or restart).
+// partitions so the batch pipeline sees the same rows.
+//
+// A direct append never overwrites a segment: the log commits each batch
+// under the next free sequence number, so a churnd serving the same
+// warehouse keeps every batch it took. That churnd picks up a directly
+// appended batch at its next post, refresh, reload or restart. A post
+// normally folds only the batch it parsed, from memory; when its segment
+// lands past the number after the last one churnd folded, another handle
+// appended in between, and churnd reads the log back from that point
+// instead.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	sf := addSourceFlags(fs)
@@ -61,11 +66,7 @@ func cmdIngest(args []string) error {
 		if err != nil {
 			return err
 		}
-		tables := synth.GenerateEvents(ids, m, days, *synthN, *seed)
-		batch.Events, err = eventsFromTables(tables)
-		if err != nil {
-			return err
-		}
+		batch.Events = serve.EventsFromTables(synth.GenerateEvents(ids, m, days, *synthN, *seed))
 	}
 
 	if len(batch.Events) > 0 {
@@ -154,44 +155,6 @@ func ingestUniverse(sf *sourceFlags, addr string, month int) (ids []int64, m, da
 		return nil, 0, 0, err
 	}
 	return cust.MustCol("imsi").Ints, month, days, nil
-}
-
-// eventsFromTables flattens typed event tables back into wire records, in
-// table-name order — the inverse of serve.BuildEventTables, used so the
-// synthetic generator can feed both the direct-append and HTTP paths.
-func eventsFromTables(tables map[string]*table.Table) ([]serve.Event, error) {
-	names := make([]string, 0, len(tables))
-	for name := range tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []serve.Event
-	for _, name := range names {
-		t := tables[name]
-		imsi := t.MustCol("imsi").Ints
-		month := t.MustCol("month").Ints
-		day := t.MustCol("day").Ints
-		for i := 0; i < t.NumRows(); i++ {
-			ev := serve.Event{Table: name, IMSI: imsi[i], Month: month[i], Day: day[i], Fields: map[string]any{}}
-			for _, f := range t.Schema.Fields {
-				switch f.Name {
-				case "imsi", "month", "day":
-					continue
-				}
-				col := t.MustCol(f.Name)
-				switch f.Type {
-				case table.Int64:
-					ev.Fields[f.Name] = col.Ints[i]
-				case table.Float64:
-					ev.Fields[f.Name] = col.Floats[i]
-				default:
-					ev.Fields[f.Name] = col.Strings[i]
-				}
-			}
-			out = append(out, ev)
-		}
-	}
-	return out, nil
 }
 
 // postEvents ships the batch to a running churnd and prints its response.

@@ -40,14 +40,16 @@
 // incremental feature maintainer's tables. Boot reads the served month once,
 // folds the event log into it once and builds the serving frame from those
 // tables. Events append durably to the log first, then fold into the
-// maintainer; each affected customer's full serving row is recomputed
-// (per-customer groups exactly, graph groups at their snapshot values) and
-// installed as an overlay override, so the next score reflects the event
-// within the same second. POST /v1/refresh rebuilds the whole frame (graph
-// groups included) from a snapshot of the maintainer's tables — no raw
-// partition read, no log replay — and swaps it under the overlay without
-// dropping requests; `churnctl ingest -merge` folds the log into the monthly
-// partitions for the batch path.
+// maintainer — the parsed batch itself when its segment is the next one
+// after the last folded, else the log read back from there (another
+// handle appended in between); each affected customer's full serving row
+// is recomputed (per-customer groups exactly, graph groups at their
+// snapshot values) and installed as an overlay override, so the next
+// score reflects the event within the same second. POST /v1/refresh
+// rebuilds the whole frame (graph groups included) from a snapshot of the
+// maintainer's tables — no raw partition read, no log replay — and swaps
+// it under the overlay without dropping requests; `churnctl ingest -merge`
+// folds the log into the monthly partitions for the batch path.
 //
 // Resilience: source reads retry with seeded-jitter backoff (-retries);
 // with -degraded the serving frame builds even when raw tables are missing
@@ -382,7 +384,7 @@ func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvide
 	e.inc = inc
 	if e.log, err = wh.EventLog(); err != nil {
 		log.Printf("churnd: event log unavailable, ingest disabled: %v", err)
-	} else if affected, _, err = s.fold(e); err != nil {
+	} else if affected, _, err = s.fold(e, e.fromLog()); err != nil {
 		log.Printf("churnd: event log replay failed, ingest disabled: %v", err)
 		e.log = nil
 	} else if err = inc.Wire(e.pipe); err != nil {
@@ -434,14 +436,40 @@ func (s *service) chainFor(e *engine, frameProv *serve.FrameProvider, rebuilt bo
 // warehouse, no event log, or no maintainer).
 var errIngestUnavailable = errors.New("ingest unavailable: serving without a warehouse event log")
 
-// fold replays every event-log segment after e.appliedSeq through the
-// engine's maintainer, surfaces any tail segment the replay quarantined,
-// and returns the customers the events touched and the event rows applied.
-// Callers hold ingestMu, or own an engine not yet published.
-func (s *service) fold(e *engine) (map[int64]struct{}, int, error) {
+// eventSource streams committed event tables, in log order, into apply.
+type eventSource func(apply func(seq uint64, name string, t *table.Table) error) error
+
+// fromLog reads back every event-log segment after e.appliedSeq: at boot,
+// at a reload or refresh, and on a post whose batch did not land right
+// after the last folded segment (another handle — churnctl ingest without
+// -addr — appended in between).
+func (e *engine) fromLog() eventSource {
+	return func(apply func(uint64, string, *table.Table) error) error {
+		return e.log.Replay(e.appliedSeq, apply)
+	}
+}
+
+// fromBatch streams the batch this engine just committed at seq, in the
+// order its segment stores it: the very tables a read-back would decode.
+func fromBatch(seq uint64, batch map[string]*table.Table) eventSource {
+	return func(apply func(uint64, string, *table.Table) error) error {
+		for _, name := range store.SegmentNames(batch) {
+			if err := apply(seq, name, batch[name]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// fold folds the committed events src streams through the engine's
+// maintainer, surfaces any tail segment a replay quarantined, and returns
+// the customers the events touched and the event rows applied. Callers
+// hold ingestMu, or own an engine not yet published.
+func (s *service) fold(e *engine, src eventSource) (map[int64]struct{}, int, error) {
 	before := e.inc.Maintainer().Applied()
 	affected := map[int64]struct{}{}
-	err := e.log.Replay(e.appliedSeq, func(seq uint64, name string, t *table.Table) error {
+	err := src(func(seq uint64, name string, t *table.Table) error {
 		ids, _, ierr := e.inc.Ingest(name, t)
 		if ierr != nil {
 			// A malformed or non-streamable logged table cannot stall the
@@ -464,12 +492,11 @@ func (s *service) fold(e *engine) (map[int64]struct{}, int, error) {
 	return affected, e.inc.Maintainer().Applied() - before, err
 }
 
-// foldLocked folds the pending log into a published engine and installs
-// each touched customer's refreshed serving row as an overlay override.
-// Callers hold ingestMu. Returns the event rows applied and customers
-// refreshed.
-func (s *service) foldLocked(e *engine) (int, int, error) {
-	affected, applied, err := s.fold(e)
+// foldLocked folds src into a published engine and installs each touched
+// customer's refreshed serving row as an overlay override. Callers hold
+// ingestMu. Returns the event rows applied and customers refreshed.
+func (s *service) foldLocked(e *engine, src eventSource) (int, int, error) {
+	affected, applied, err := s.fold(e, src)
 	frame := e.frame.Load()
 	for id := range affected {
 		base, ok := frame.Vector(id)
@@ -502,7 +529,7 @@ func (s *service) reload() error {
 	old := s.cur.Swap(e)
 	// Events the old engine took while this one was building.
 	if e.ingestReady() {
-		if _, _, ferr := s.foldLocked(e); ferr != nil {
+		if _, _, ferr := s.foldLocked(e, e.fromLog()); ferr != nil {
 			log.Printf("churnd: event log replay after reload: %v", ferr)
 		}
 	}
@@ -793,9 +820,14 @@ func (s *service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "event log append: "+err.Error(), true)
 		return
 	}
-	// Fold from the log (not the parsed batch): this also catches segments
-	// appended directly by churnctl ingest since the last fold.
-	applied, affected, err := s.foldLocked(e)
+	// Fold the parsed batch when it landed right after the last folded
+	// segment; otherwise another handle appended in between, and the log
+	// is read back from there, this batch included.
+	src := e.fromLog()
+	if seq == e.appliedSeq+1 {
+		src = fromBatch(seq, tables)
+	}
+	applied, affected, err := s.foldLocked(e, src)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "event fold: "+err.Error(), true)
 		return
@@ -851,7 +883,7 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 
 	// Fold anything pending, then snapshot the maintained tables.
 	s.ingestMu.Lock()
-	if _, _, err := s.foldLocked(e); err != nil {
+	if _, _, err := s.foldLocked(e, e.fromLog()); err != nil {
 		s.ingestMu.Unlock()
 		s.metrics.RefreshFailures.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "pre-refresh fold: "+err.Error(), true)

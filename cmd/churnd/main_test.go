@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -31,7 +32,7 @@ func makeWorld(t *testing.T) (whDir, artifact string, want *core.Predictions) {
 // served month's precomputed vectors (churnctl train -precompute), which
 // makes churnd serve the vectors+frame chain, and is trained on groups
 // (none = F1 only).
-func makeWorldPrecomputed(t *testing.T, precompute bool, groups ...features.Group) (whDir, artifact string, want *core.Predictions) {
+func makeWorldPrecomputed(t testing.TB, precompute bool, groups ...features.Group) (whDir, artifact string, want *core.Predictions) {
 	t.Helper()
 	dir := t.TempDir()
 	whDir = filepath.Join(dir, "wh")
@@ -421,6 +422,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"events empty batch", "POST", "/v1/events", `{"events":[]}`, 400, "invalid_request", false},
 		{"events unknown table", "POST", "/v1/events", `{"events":[{"table":"billing","imsi":1,"month":4,"day":1}]}`, 400, "invalid_request", false},
 		{"events unknown column", "POST", "/v1/events", `{"events":[{"table":"recharges","imsi":1,"month":4,"day":1,"fields":{"amonut":3}}]}`, 400, "invalid_request", false},
+		{"events integer past int64", "POST", "/v1/events", `{"events":[{"table":"calls","imsi":1,"month":4,"day":1,"fields":{"peer":9223372036854775808}}]}`, 400, "invalid_request", false},
 		{"refresh wrong method", "GET", "/v1/refresh", ``, 405, "method_not_allowed", false},
 		{"customers wrong method", "POST", "/v1/customers", ``, 405, "method_not_allowed", false},
 		{"customers bad limit", "GET", "/v1/customers?limit=-1", ``, 400, "invalid_request", false},
@@ -713,6 +715,74 @@ func TestRestartReplaysEventLog(t *testing.T) {
 			sameVectors(t, "after restart", ids, servedVectors(t, svc2, ids), fresh)
 		})
 	}
+}
+
+// TestIngestFoldsDirectAppend: a batch appended through a second event-log
+// handle between two posts — churnctl ingest without -addr — is not lost.
+// Its segment takes the next number, so the second post lands one further
+// on and folds the log back from the last folded segment: all three
+// batches are applied, and the served vectors equal a restarted service's
+// and a merged rebuild's.
+func TestIngestFoldsDirectAppend(t *testing.T) {
+	whDir, artifact, want := makeWorld(t)
+	opts := serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute}
+	svc, err := buildService(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	ids := want.IDs[3:9]
+	post := func(batch []int64) eventsResponse {
+		t.Helper()
+		status, body, _ := doRequest(t, ts, "POST", "/v1/events", rechargeBatch(batch))
+		if status != http.StatusOK {
+			t.Fatalf("ingest: %d %s", status, body)
+		}
+		var ev eventsResponse
+		json.Unmarshal(body, &ev)
+		return ev
+	}
+	if ev := post(ids[0:2]); ev.Seq != 1 || ev.Applied != 2 {
+		t.Fatalf("first post = %+v, want seq 1, 2 applied", ev)
+	}
+
+	wh, err := store.Open(whDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elog, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var direct serve.EventBatch
+	if err := json.Unmarshal([]byte(rechargeBatch(ids[2:4])), &direct); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := serve.BuildEventTables(direct.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := elog.Append(tables); err != nil || seq != 2 {
+		t.Fatalf("direct append: seq %d, %v; want seq 2", seq, err)
+	}
+
+	if ev := post(ids[4:6]); ev.Seq != 3 || ev.Applied != 4 || ev.Affected != 4 {
+		t.Fatalf("second post = %+v, want seq 3, 4 applied, 4 affected", ev)
+	}
+	if _, metrics, _ := getJSON(t, ts.URL+"/metrics"); metrics["events_ingested"] != float64(6) {
+		t.Errorf("events_ingested = %v, want 6", metrics["events_ingested"])
+	}
+	served := servedVectors(t, svc, want.IDs)
+
+	restarted, err := buildService(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	sameVectors(t, "after restart", want.IDs, servedVectors(t, restarted, want.IDs), served)
+	sameVectors(t, "merged rebuild", want.IDs, mergedRebuild(t, whDir, artifact, false, want.IDs), served)
 }
 
 // mergedRebuild merges the warehouse's event log into its partitions and
@@ -1137,5 +1207,45 @@ func TestRestartQuarantinesCorruptTail(t *testing.T) {
 	json.Unmarshal(body, &ev)
 	if ev.Seq != 3 {
 		t.Errorf("post-quarantine seq = %d, want 3 (no reuse of the quarantined 2)", ev.Seq)
+	}
+}
+
+// BenchmarkEventIngest times one POST /v1/events of 8 generated events
+// over loopback HTTP: decode, validate, append, fold, and re-fold and
+// override every touched customer's F1–F3 row. The log is not fsynced, so
+// this measures churnd's CPU per post, not the disk.
+func BenchmarkEventIngest(b *testing.B) {
+	whDir, artifact, want := makeWorldPrecomputed(b, true, features.F1Baseline, features.F2CS, features.F3PS)
+	svc, err := buildService(serviceOpts{
+		artifact:  artifact,
+		warehouse: whDir,
+		cacheTTL:  time.Minute,
+		fsync:     store.SyncPolicy{Mode: store.SyncOff},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		events := synth.GenerateEvents(want.IDs, 4, synth.DefaultConfig().DaysPerMonth, 8, int64(i+1))
+		if bodies[i], err = json.Marshal(serve.EventBatch{Events: serve.EventsFromTables(events)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(ts.URL+"/v1/events", "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("post %d: status %d", i, resp.StatusCode)
+		}
 	}
 }

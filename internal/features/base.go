@@ -26,6 +26,28 @@ type Tables struct {
 	Locations  *table.Table
 }
 
+// tableRef is one field of a Tables and its raw table name.
+type tableRef struct {
+	name string
+	dst  **table.Table
+}
+
+// refs returns every field of t with its raw table name, in canonical
+// order.
+func (t *Tables) refs() []tableRef {
+	return []tableRef{
+		{synth.TableCalls, &t.Calls},
+		{synth.TableMessages, &t.Messages},
+		{synth.TableRecharges, &t.Recharges},
+		{synth.TableBilling, &t.Billing},
+		{synth.TableCustomers, &t.Customers},
+		{synth.TableComplaints, &t.Complaints},
+		{synth.TableWeb, &t.Web},
+		{synth.TableSearch, &t.Search},
+		{synth.TableLocations, &t.Locations},
+	}
+}
+
 // Window is an inclusive range of absolute days. Absolute day 1 is day 1 of
 // month 1; month m day d is (m-1)*daysPerMonth + d. A window shorter or
 // shifted relative to month boundaries implements the Velocity experiment's
@@ -548,12 +570,56 @@ func newBasePlan() *plan {
 // demographic rows. Every column is written by one pass, so the frame is
 // bit-identical for any worker count.
 func BuildBaseFeatures(tbl Tables, win Window, daysPerMonth, workers int) (*Frame, error) {
+	return buildBase(tbl, nil, win, daysPerMonth, workers)
+}
+
+// rowSet is the rows of one table a build visits, in visiting order: every
+// row when all is set, else the listed ones.
+type rowSet struct {
+	all  bool
+	list []int
+}
+
+// count returns how many rows of t the set visits.
+func (r rowSet) count(t *table.Table) int {
+	if r.all {
+		return t.NumRows()
+	}
+	return len(r.list)
+}
+
+// row returns the table row the set visits k-th.
+func (r rowSet) row(k int) int {
+	if r.all {
+		return k
+	}
+	return r.list[k]
+}
+
+// selection picks, by raw table name, the rows a build visits. A nil
+// selection visits every row of every table; otherwise each table's listed
+// rows, and none of a table it does not name. Maintainer.CustomerFrame
+// passes one customer's posting lists, so the build folds that customer's
+// rows in place, in row order, without copying them out.
+type selection map[string][]int
+
+// of returns the rows of the named table the selection visits.
+func (s selection) of(name string) rowSet {
+	if s == nil {
+		return rowSet{all: true}
+	}
+	return rowSet{list: s[name]}
+}
+
+// buildBase is BuildBaseFeatures over the rows sel selects.
+func buildBase(tbl Tables, sel selection, win Window, daysPerMonth, workers int) (*Frame, error) {
 	snap := int64(win.SnapshotMonth(daysPerMonth))
 	var ids []int64
-	months := tbl.Customers.MustCol("month").Ints
-	for i, id := range tbl.Customers.MustCol("imsi").Ints {
-		if months[i] == snap {
-			ids = append(ids, id)
+	cust := sel.of(synth.TableCustomers)
+	months, imsi := tbl.Customers.MustCol("month").Ints, tbl.Customers.MustCol("imsi").Ints
+	for k, n := 0, cust.count(tbl.Customers); k < n; k++ {
+		if i := cust.row(k); months[i] == snap {
+			ids = append(ids, imsi[i])
 		}
 	}
 	if len(ids) == 0 {
@@ -571,14 +637,14 @@ func BuildBaseFeatures(tbl Tables, win Window, daysPerMonth, workers int) (*Fram
 	b := baseBuild{f: f, win: win, days: daysPerMonth, mid: (win.FromAbs + win.ToAbs) / 2}
 	var lastCall, lastWeb, lastRecharge []int
 	tasks := []func(){
-		func() { lastCall = b.run(&p.calls, tbl.Calls) },
-		func() { lastWeb = b.run(&p.web, tbl.Web) },
-		func() { b.run(&p.messages, tbl.Messages) },
-		func() { b.locations(tbl.Locations, p.locTop) },
-		func() { lastRecharge = b.run(&p.recharges, tbl.Recharges) },
-		func() { b.run(&p.complaints, tbl.Complaints) },
-		func() { b.snapshot(tbl.Billing, snap, p.billing) },
-		func() { b.snapshot(tbl.Customers, snap, p.demographics) },
+		func() { lastCall = b.run(&p.calls, tbl.Calls, sel.of(synth.TableCalls)) },
+		func() { lastWeb = b.run(&p.web, tbl.Web, sel.of(synth.TableWeb)) },
+		func() { b.run(&p.messages, tbl.Messages, sel.of(synth.TableMessages)) },
+		func() { b.locations(tbl.Locations, sel.of(synth.TableLocations), p.locTop) },
+		func() { lastRecharge = b.run(&p.recharges, tbl.Recharges, sel.of(synth.TableRecharges)) },
+		func() { b.run(&p.complaints, tbl.Complaints, sel.of(synth.TableComplaints)) },
+		func() { b.snapshot(tbl.Billing, sel.of(synth.TableBilling), snap, p.billing) },
+		func() { b.snapshot(tbl.Customers, cust, snap, p.demographics) },
 	}
 	parallel.ForGrain(workers, len(tasks), 1, func(i int) { tasks[i]() })
 
@@ -607,12 +673,15 @@ type baseBuild struct {
 	days, mid int
 }
 
-// rows calls fn for every in-window row of t whose customer has a frame
-// slot, in row order. Consecutive rows of one customer share one lookup.
-func (b *baseBuild) rows(t *table.Table, fn func(i, slot, abs int)) {
-	months, days := t.MustCol("month").Ints, t.MustCol("day").Ints
+// rows calls fn for every in-window row of t in rs whose customer has a
+// frame slot, in rs order. Consecutive rows of one customer share one
+// lookup.
+func (b *baseBuild) rows(t *table.Table, rs rowSet, fn func(i, slot, abs int)) {
+	months, days, imsi := t.MustCol("month").Ints, t.MustCol("day").Ints, t.MustCol("imsi").Ints
 	slot, prev, cached := -1, int64(0), false
-	for i, id := range t.MustCol("imsi").Ints {
+	for k, n := 0, rs.count(t); k < n; k++ {
+		i := rs.row(k)
+		id := imsi[i]
 		abs := AbsDay(int(months[i]), int(days[i]), b.days)
 		if abs < b.win.FromAbs || abs > b.win.ToAbs {
 			continue
@@ -630,10 +699,10 @@ func (b *baseBuild) rows(t *table.Table, fn func(i, slot, abs int)) {
 	}
 }
 
-// run makes s's single pass over t and writes its columns into the frame.
-// It returns each customer's last in-window absolute day (0 = none) when
-// s tracks it.
-func (b *baseBuild) run(s *scan, t *table.Table) (last []int) {
+// run makes s's single pass over the rows rs of t and writes its columns
+// into the frame. It returns each customer's last in-window absolute day
+// (0 = none) when s tracks it.
+func (b *baseBuild) run(s *scan, t *table.Table, rs rowSet) (last []int) {
 	n, nt := len(b.f.ids), len(s.tallies)
 	var flags func(int) uint32
 	if s.flags != nil {
@@ -653,7 +722,7 @@ func (b *baseBuild) run(s *scan, t *table.Table) (last []int) {
 	if s.lastDay {
 		last = make([]int, n)
 	}
-	b.rows(t, func(i, slot, abs int) {
+	b.rows(t, rs, func(i, slot, abs int) {
 		f := secondHalf
 		if abs <= b.mid {
 			f = firstHalf
@@ -696,16 +765,17 @@ func (b *baseBuild) run(s *scan, t *table.Table) (last []int) {
 	return last
 }
 
-// snapshot copies a monthly snapshot table's columns for the given month;
-// a customer with several rows keeps the last.
-func (b *baseBuild) snapshot(t *table.Table, month int64, cols []snapCol) {
+// snapshot copies the columns of a monthly snapshot table's rows rs for
+// the given month; a customer with several rows keeps the last.
+func (b *baseBuild) snapshot(t *table.Table, rs rowSet, month int64, cols []snapCol) {
 	src := make([]*table.Column, len(cols))
 	for k, c := range cols {
 		src[k] = t.MustCol(c.src)
 	}
-	months := t.MustCol("month").Ints
-	for i, id := range t.MustCol("imsi").Ints {
-		slot, ok := b.f.index[id]
+	months, imsi := t.MustCol("month").Ints, t.MustCol("imsi").Ints
+	for k, n := 0, rs.count(t); k < n; k++ {
+		i := rs.row(k)
+		slot, ok := b.f.index[imsi[i]]
 		if !ok || months[i] != month {
 			continue
 		}
@@ -715,10 +785,11 @@ func (b *baseBuild) snapshot(t *table.Table, month int64, cols []snapCol) {
 	}
 }
 
-// locations fills the stay-location columns from MR fixes: each customer's
-// in-window cells ranked by visit count (descending, then cell id), the
-// first-seen lat/lon of the top locTopN, and the number of distinct cells.
-func (b *baseBuild) locations(loc *table.Table, first int) {
+// locations fills the stay-location columns from the MR fixes rs of loc:
+// each customer's in-window cells ranked by visit count (descending, then
+// cell id), the first-seen lat/lon of the top locTopN, and the number of
+// distinct cells.
+func (b *baseBuild) locations(loc *table.Table, rs rowSet, first int) {
 	cells := loc.MustCol("cell").Ints
 	lats, lons := loc.MustCol("lat").Floats, loc.MustCol("lon").Floats
 	// A customer's cells chain through next from head[slot]-1, in
@@ -731,7 +802,7 @@ func (b *baseBuild) locations(loc *table.Table, first int) {
 	}
 	head := make([]int, len(b.f.ids))
 	var stats []cellStat
-	b.rows(loc, func(i, slot, _ int) {
+	b.rows(loc, rs, func(i, slot, _ int) {
 		j, prev := head[slot]-1, -1
 		for j >= 0 && stats[j].cell != cells[i] {
 			prev, j = j, stats[j].next

@@ -307,7 +307,8 @@ func b2f(b bool) float64 {
 }
 
 // TestOneCustomerBaseBuildAllocs bounds the allocations of the per-customer
-// build an event post repeats for every customer it touches.
+// build an event post repeats for every customer it touches: F1–F3 folded
+// over the customer's posting lists, with no row copied out.
 func TestOneCustomerBaseBuildAllocs(t *testing.T) {
 	months, cfg := simOnce(t)
 	win := MonthWindow(2, cfg.DaysPerMonth)
@@ -319,16 +320,16 @@ func TestOneCustomerBaseBuildAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := m.customerTables(slices.Min(months[1].Customers.MustCol("imsi").Ints))
-	if one.Calls.NumRows() == 0 || one.Web.NumRows() == 0 {
+	id := slices.Min(months[1].Customers.MustCol("imsi").Ints)
+	if len(m.idx[synth.TableCalls][id]) == 0 || len(m.idx[synth.TableWeb][id]) == 0 {
 		t.Fatal("probe customer has no calls or web rows")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := BuildBaseFeatures(one, win, cfg.DaysPerMonth, 1); err != nil {
+		if _, err := m.CustomerFrame(id, BaseGroups.Groups(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 400 {
-		t.Errorf("one-customer BuildBaseFeatures: %.0f allocs, want <= 400", allocs)
+	if allocs > 120 {
+		t.Errorf("one-customer base build: %.0f allocs, want <= 120", allocs)
 	}
 }

@@ -111,20 +111,7 @@ func LoadTables(r TableReader, win Window, daysPerMonth int, strict bool) (Table
 func loadTables(r TableReader, months []int, strict bool) (Tables, []string, error) {
 	var t Tables
 	var missing []string
-	for _, p := range []struct {
-		name string
-		dst  **table.Table
-	}{
-		{synth.TableCalls, &t.Calls},
-		{synth.TableMessages, &t.Messages},
-		{synth.TableRecharges, &t.Recharges},
-		{synth.TableBilling, &t.Billing},
-		{synth.TableCustomers, &t.Customers},
-		{synth.TableComplaints, &t.Complaints},
-		{synth.TableWeb, &t.Web},
-		{synth.TableSearch, &t.Search},
-		{synth.TableLocations, &t.Locations},
-	} {
+	for _, p := range t.refs() {
 		tb, err := r.ReadMonths(p.name, months)
 		switch {
 		case err == nil:

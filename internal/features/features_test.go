@@ -281,7 +281,7 @@ func TestTopicApplyWorkerInvariant(t *testing.T) {
 	if err := search.AppendRow(unknown, int64(2), int64(3), "qqzx zzqx"); err != nil {
 		t.Fatal(err)
 	}
-	docs := aggregateTexts(search, win, days)
+	docs := aggregateTexts(search, rowSet{all: true}, win, days)
 	ids := append(sortedKeys(docs), silent)
 
 	k := tf.K()

@@ -55,12 +55,14 @@ var StreamableTables = []string{
 // additionally serializes Apply against refresh swaps.
 type Maintainer struct {
 	mu sync.Mutex
-	// tbl holds the serving month's tables by raw table name, each a
-	// table.Clip of the caller's: appends reallocate rather than write into
-	// memory the caller shares (an in-memory simulator month).
-	tbl  map[string]*table.Table
-	win  Window
-	days int
+	// tables holds the serving month's tables, each a table.Clip of the
+	// caller's: appends reallocate rather than write into memory the caller
+	// shares (an in-memory simulator month). tbl holds the same tables by
+	// raw table name.
+	tables Tables
+	tbl    map[string]*table.Table
+	win    Window
+	days   int
 	// universe is the serving month's customer snapshot (the frame's id
 	// set); events for ids outside it are logged but maintain nothing.
 	universe map[int64]struct{}
@@ -72,7 +74,7 @@ type Maintainer struct {
 }
 
 // NewMaintainer indexes the serving window's nine tables; it never writes
-// into them (see Maintainer.tbl). The window must be a single whole month (the serving shape): merging an event into its month
+// into them (see Maintainer.tables). The window must be a single whole month (the serving shape): merging an event into its month
 // partition appends it after that month's rows, which coincides with
 // appending at the end of the loaded table only when the window holds
 // exactly that one month — the bit-identity argument above needs that.
@@ -89,19 +91,12 @@ func NewMaintainer(tbl Tables, win Window, daysPerMonth int) (*Maintainer, error
 	for _, id := range snap.MustCol("imsi").Ints {
 		m.universe[id] = struct{}{}
 	}
-	m.tbl = map[string]*table.Table{
-		synth.TableCalls:      tbl.Calls.Clip(),
-		synth.TableMessages:   tbl.Messages.Clip(),
-		synth.TableRecharges:  tbl.Recharges.Clip(),
-		synth.TableBilling:    tbl.Billing.Clip(),
-		synth.TableCustomers:  tbl.Customers.Clip(),
-		synth.TableComplaints: tbl.Complaints.Clip(),
-		synth.TableWeb:        tbl.Web.Clip(),
-		synth.TableSearch:     tbl.Search.Clip(),
-		synth.TableLocations:  tbl.Locations.Clip(),
-	}
-	for name, t := range m.tbl {
-		m.idx[name] = postByIMSI(t)
+	m.tables = tbl
+	m.tbl = map[string]*table.Table{}
+	for _, r := range m.tables.refs() {
+		*r.dst = (*r.dst).Clip()
+		m.tbl[r.name] = *r.dst
+		m.idx[r.name] = postByIMSI(*r.dst)
 	}
 	return m, nil
 }
@@ -200,41 +195,28 @@ func (m *Maintainer) Apply(name string, events *table.Table) ([]int64, int, erro
 	return ids, ev.NumRows(), nil
 }
 
-// customerTables assembles one customer's slice of every table, rows in
-// maintained order. Callers hold m.mu.
-func (m *Maintainer) customerTables(id int64) Tables {
-	take := func(name string) *table.Table {
-		return m.tbl[name].Take(m.idx[name][id])
-	}
-	return Tables{
-		Calls:      take(synth.TableCalls),
-		Messages:   take(synth.TableMessages),
-		Recharges:  take(synth.TableRecharges),
-		Billing:    take(synth.TableBilling),
-		Customers:  take(synth.TableCustomers),
-		Complaints: take(synth.TableComplaints),
-		Web:        take(synth.TableWeb),
-		Search:     take(synth.TableSearch),
-		Locations:  take(synth.TableLocations),
-	}
-}
-
 // CustomerFrame rebuilds one customer's per-customer feature columns from
 // the maintained state: the base groups among groups (in canonical order),
 // then F7/F8 topic mixtures when requested (their fitted featurizers must
 // be supplied). Graph groups and F9 in groups are ignored — the former are
 // cross-customer, the latter is applied to the assembled row by the
-// pipeline layer. The resulting one-row frame carries exactly the values a
-// full rebuild over the merged data would put in this customer's row.
+// pipeline layer. The builders visit only the customer's posting lists, in
+// row order, over the maintained tables themselves. The resulting one-row
+// frame carries exactly the values a full rebuild over the merged data
+// would put in this customer's row.
 func (m *Maintainer) CustomerFrame(id int64, groups []Group, complaints, search *TopicFeaturizer) (*Frame, error) {
 	if _, ok := m.universe[id]; !ok {
 		return nil, fmt.Errorf("%w: imsi %d", ErrNotInUniverse, id)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sel, err := perCustomerFrame(m.customerTables(id), m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
+	sel := make(selection, len(m.idx))
+	for name, post := range m.idx {
+		sel[name] = post[id]
+	}
+	f, err := perCustomerFrame(m.tables, sel, m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
 	if err != nil {
 		return nil, fmt.Errorf("features: recompute imsi %d: %w", id, err)
 	}
-	return sel, nil
+	return f, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"telcochurn/internal/graph"
 	"telcochurn/internal/parallel"
+	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 )
 
@@ -72,26 +73,27 @@ type ShardStats struct {
 }
 
 // perCustomerFrame builds the columns that depend on one customer's rows
-// only, for every snapshot customer of tbl: the base groups among groups in
-// canonical order, then the F7 / F8 topic mixtures. It is the shard body of
-// BuildShardedFrame and, over one customer's rows, Maintainer.CustomerFrame.
-func perCustomerFrame(tbl Tables, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) (*Frame, error) {
-	sel, err := BuildBaseFeatures(tbl, win, daysPerMonth, workers)
+// only, for every snapshot customer among the rows sel selects of tbl: the
+// base groups among groups in canonical order, then the F7 / F8 topic
+// mixtures. It is the shard body of BuildShardedFrame (sel nil: every row)
+// and, over one customer's posting lists, Maintainer.CustomerFrame.
+func perCustomerFrame(tbl Tables, sel selection, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) (*Frame, error) {
+	f, err := buildBase(tbl, sel, win, daysPerMonth, workers)
 	if err != nil {
 		return nil, err
 	}
 	if base := groups & BaseGroups; base != BaseGroups {
-		sel = sel.SelectGroups(base.Groups()...)
+		f = f.SelectGroups(base.Groups()...)
 	}
-	if err := applyTopics(sel, tbl, win, daysPerMonth, workers, groups, complaints, search); err != nil {
+	if err := applyTopics(f, tbl, sel, win, daysPerMonth, workers, groups, complaints, search); err != nil {
 		return nil, err
 	}
-	return sel, nil
+	return f, nil
 }
 
 // applyTopics appends the F7 / F8 columns among groups to f, folding in
-// tbl's complaint and search documents.
-func applyTopics(f *Frame, tbl Tables, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) error {
+// the complaint and search documents of the rows sel selects of tbl.
+func applyTopics(f *Frame, tbl Tables, sel selection, win Window, daysPerMonth, workers int, groups GroupSet, complaints, search *TopicFeaturizer) error {
 	if groups.Has(F7ComplaintTopics) && complaints == nil {
 		return fmt.Errorf("features: F7 requested but no fitted complaint featurizer")
 	}
@@ -99,10 +101,10 @@ func applyTopics(f *Frame, tbl Tables, win Window, daysPerMonth, workers int, gr
 		return fmt.Errorf("features: F8 requested but no fitted search featurizer")
 	}
 	if groups.Has(F7ComplaintTopics) {
-		complaints.ApplyWorkers(f, tbl.Complaints, win, daysPerMonth, workers)
+		complaints.apply(f, tbl.Complaints, sel.of(synth.TableComplaints), win, daysPerMonth, workers)
 	}
 	if groups.Has(F8SearchTopics) {
-		search.ApplyWorkers(f, tbl.Search, win, daysPerMonth, workers)
+		search.apply(f, tbl.Search, sel.of(synth.TableSearch), win, daysPerMonth, workers)
 	}
 	return nil
 }
@@ -211,7 +213,7 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 			if !wantPerCustomer || len(shardIDs[s]) == 0 {
 				return
 			}
-			sf, err := perCustomerFrame(tbl, spec.Win, spec.DaysPerMonth, innerWorkers, shardGroups, spec.Complaints, spec.Search)
+			sf, err := perCustomerFrame(tbl, nil, spec.Win, spec.DaysPerMonth, innerWorkers, shardGroups, spec.Complaints, spec.Search)
 			if err != nil {
 				errs[s] = fmt.Errorf("features: build shard %d: %w", s, err)
 				return
@@ -309,7 +311,7 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		if errs[0] != nil {
 			return nil, stats, errs[0]
 		}
-		if err := applyTopics(uni, texts, spec.Win, spec.DaysPerMonth, spec.Workers, spec.Groups, complaints, search); err != nil {
+		if err := applyTopics(uni, texts, nil, spec.Win, spec.DaysPerMonth, spec.Workers, spec.Groups, complaints, search); err != nil {
 			return nil, stats, err
 		}
 	}

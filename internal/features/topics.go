@@ -20,16 +20,16 @@ type TopicFeaturizer struct {
 	prefix string
 }
 
-// aggregateTexts concatenates each customer's texts in the window into one
-// document (Section 4.1.3: "each customer can be represented as a document
-// containing a bag of words").
-func aggregateTexts(t *table.Table, win Window, daysPerMonth int) map[int64]string {
+// aggregateTexts concatenates each customer's texts in the window, over
+// the rows rs of t, into one document (Section 4.1.3: "each customer can be
+// represented as a document containing a bag of words").
+func aggregateTexts(t *table.Table, rs rowSet, win Window, daysPerMonth int) map[int64]string {
 	inWin := inWindow(t, win, daysPerMonth)
 	imsi := t.MustCol("imsi").Ints
 	text := t.MustCol("text").Strings
 	var sb map[int64]*strings.Builder = make(map[int64]*strings.Builder)
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
+	for k, n := 0, rs.count(t); k < n; k++ {
+		i := rs.row(k)
 		if !inWin(i) {
 			continue
 		}
@@ -53,7 +53,7 @@ func aggregateTexts(t *table.Table, win Window, daysPerMonth int) map[int64]stri
 // FitTopicFeaturizer trains LDA (K topics via belief propagation) on the
 // window's customer documents from the given text table.
 func FitTopicFeaturizer(t *table.Table, win Window, daysPerMonth int, group Group, prefix string, cfg topic.Config) (*TopicFeaturizer, error) {
-	docs := aggregateTexts(t, win, daysPerMonth)
+	docs := aggregateTexts(t, rowSet{all: true}, win, daysPerMonth)
 	corpus := topic.NewCorpus()
 	// Deterministic document order.
 	ids := sortedKeys(docs)
@@ -82,7 +82,12 @@ func (tf *TopicFeaturizer) Apply(f *Frame, t *table.Table, win Window, daysPerMo
 // own slot and the rows fill serially, so the frame is bit-identical for
 // any worker count.
 func (tf *TopicFeaturizer) ApplyWorkers(f *Frame, t *table.Table, win Window, daysPerMonth, workers int) {
-	docs := aggregateTexts(t, win, daysPerMonth)
+	tf.apply(f, t, rowSet{all: true}, win, daysPerMonth, workers)
+}
+
+// apply is ApplyWorkers over the documents of the rows rs of t.
+func (tf *TopicFeaturizer) apply(f *Frame, t *table.Table, rs rowSet, win Window, daysPerMonth, workers int) {
+	docs := aggregateTexts(t, rs, win, daysPerMonth)
 	ids := sortedKeys(docs)
 	thetas := make([][]float64, len(ids))
 	parallel.ForGrain(workers, len(ids), 64, func(i int) {

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"telcochurn/internal/features"
 	"telcochurn/internal/table"
@@ -29,6 +33,16 @@ type Event struct {
 // EventBatch is the POST /v1/events request body.
 type EventBatch struct {
 	Events []Event `json:"events"`
+}
+
+// UnmarshalJSON decodes a batch keeping every Fields number exact, as a
+// json.Number: decoded through float64, an integer column value above 2^53
+// would be rounded. churnd and churnctl ingest both decode batches here.
+func (b *EventBatch) UnmarshalJSON(data []byte) error {
+	type plain EventBatch // without this method
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	return dec.Decode((*plain)(b))
 }
 
 // BuildEventTables validates a batch and assembles it into typed tables
@@ -100,14 +114,59 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 	return out, nil
 }
 
-// coerce turns a decoded JSON value (float64, string, int64 from the
-// first-class keys, or nil when omitted) into the column's Go type.
+// EventsFromTables flattens typed event tables back into wire records, in
+// table-name order: the inverse of BuildEventTables, which lets generated
+// events feed the direct-append and HTTP paths alike.
+func EventsFromTables(tables map[string]*table.Table) []Event {
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out []Event
+	for _, name := range names {
+		t := tables[name]
+		imsi, month, day := t.MustCol("imsi").Ints, t.MustCol("month").Ints, t.MustCol("day").Ints
+		for i := 0; i < t.NumRows(); i++ {
+			ev := Event{Table: name, IMSI: imsi[i], Month: month[i], Day: day[i], Fields: map[string]any{}}
+			for _, f := range t.Schema.Fields {
+				switch f.Name {
+				case "imsi", "month", "day":
+					continue
+				}
+				col := t.MustCol(f.Name)
+				switch f.Type {
+				case table.Int64:
+					ev.Fields[f.Name] = col.Ints[i]
+				case table.Float64:
+					ev.Fields[f.Name] = col.Floats[i]
+				default:
+					ev.Fields[f.Name] = col.Strings[i]
+				}
+			}
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// coerce turns a field value (a json.Number from a decoded batch, a
+// float64, int64 or string from a batch built in Go, or nil when omitted)
+// into the column's Go type. A JSON number fills an integer column only if
+// it is an integer that fits in 64 bits; a float column parses it as
+// encoding/json would.
 func coerce(raw any, typ table.ColType) (any, error) {
 	switch typ {
 	case table.Int64:
 		switch v := raw.(type) {
 		case nil:
 			return int64(0), nil
+		case json.Number:
+			n, err := strconv.ParseInt(string(v), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("want a 64-bit integer, got %s", v)
+			}
+			return n, nil
 		case int64:
 			return v, nil
 		case float64:
@@ -123,6 +182,12 @@ func coerce(raw any, typ table.ColType) (any, error) {
 		switch v := raw.(type) {
 		case nil:
 			return float64(0), nil
+		case json.Number:
+			f, err := strconv.ParseFloat(string(v), 64)
+			if err != nil {
+				return nil, fmt.Errorf("want a number, got %s", v)
+			}
+			return f, nil
 		case float64:
 			return v, nil
 		case int64:

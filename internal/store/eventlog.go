@@ -21,12 +21,14 @@ import (
 // Partitions are immutable monthly batch artifacts; events arrive one at a
 // time between rebuilds. The log bridges the two: every accepted ingest
 // batch becomes one immutable segment file under <root>/.events/, committed
-// with the same temp-then-rename protocol as a partition, so a torn append
-// can never become visible. Replaying the segments in ascending sequence
-// order reproduces the exact arrival order of every event row — the
-// property the incremental feature maintainer's bit-identity argument
-// rests on (append-at-end of the serving month's rows, see
-// features/incremental.go).
+// through the same temp-file protocol as a partition, so a torn append can
+// never become visible. Unlike a partition, a segment is linked into place
+// rather than renamed over an existing file, so two handles appending to
+// one log cannot overwrite each other's batches. Replaying the segments in
+// ascending sequence order reproduces the exact arrival order of every
+// event row — the property the incremental feature maintainer's
+// bit-identity argument rests on (append-at-end of the serving month's
+// rows, see features/incremental.go).
 //
 // Layout:
 //
@@ -68,6 +70,10 @@ type EventLog struct {
 
 	mu   sync.Mutex
 	last uint64
+	// unacked is the number of a segment this handle committed for an
+	// append that then failed (0 = none): the next append retries it in
+	// place.
+	unacked uint64
 
 	// qmu guards the quarantine records (separate from mu so a Replay
 	// running inside MergeInto — which holds mu — can still quarantine).
@@ -174,13 +180,23 @@ func (l *EventLog) segments() ([]uint64, error) {
 // BIGINT imsi and month columns (the keys replay, sharding and merging all
 // route by). The whole batch commits atomically: after a crash at any point
 // the segment is either fully visible or absent.
+//
+// A segment never replaces another handle's. Several handles may append
+// to one log (churnctl ingest beside a running churnd): when the next
+// number's segment already exists, another handle committed it, and the
+// batch moves on to the number after. The returned sequence therefore
+// exceeds the handle's previous one by more than 1 exactly when another
+// handle appended in between. The one segment an append may replace is
+// the handle's own from an append that failed after its commit point (a
+// crash, a failed directory sync): the next append retries it in place,
+// so a retried batch lands once.
 func (l *EventLog) Append(batch map[string]*table.Table) (uint64, error) {
-	names := make([]string, 0, len(batch))
-	rows := 0
-	for name, t := range batch {
-		if t == nil || t.NumRows() == 0 {
-			continue
-		}
+	names := SegmentNames(batch)
+	if len(names) == 0 {
+		return 0, errors.New("store: empty event batch")
+	}
+	for _, name := range names {
+		t := batch[name]
 		if err := t.Validate(); err != nil {
 			return 0, fmt.Errorf("store: refusing to append invalid events for %q: %w", name, err)
 		}
@@ -190,26 +206,43 @@ func (l *EventLog) Append(batch map[string]*table.Table) (uint64, error) {
 				return 0, fmt.Errorf("store: event rows for %q need a BIGINT %q column", name, key)
 			}
 		}
-		names = append(names, name)
-		rows += t.NumRows()
 	}
-	if rows == 0 {
-		return 0, errors.New("store: empty event batch")
-	}
-	sort.Strings(names)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq := l.last + 1
-	dst := filepath.Join(l.dir, segName(seq))
-	err := l.w.commit(OpAppendEvents, eventsHookName, int(seq), l.dir, dst, func(f io.Writer) error {
-		return writeSegment(f, seq, names, batch)
-	})
-	if err != nil {
-		return 0, err
+	for {
+		seq := l.last + 1
+		dst := filepath.Join(l.dir, segName(seq))
+		committed, err := l.w.commit(OpAppendEvents, eventsHookName, int(seq), l.dir, dst, seq == l.unacked, func(f io.Writer) error {
+			return writeSegment(f, seq, names, batch)
+		})
+		if errors.Is(err, fs.ErrExist) {
+			l.last = seq
+			continue
+		}
+		if err != nil {
+			if committed {
+				l.unacked = seq
+			}
+			return 0, err
+		}
+		l.last, l.unacked = seq, 0
+		return seq, nil
 	}
-	l.last = seq
-	return seq, nil
+}
+
+// SegmentNames returns the tables of batch a segment stores, in the order
+// Append writes them and Replay streams them back: the names of the
+// non-empty tables, ascending.
+func SegmentNames(batch map[string]*table.Table) []string {
+	names := make([]string, 0, len(batch))
+	for name, t := range batch {
+		if t != nil && t.NumRows() > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 func writeSegment(w io.Writer, seq uint64, names []string, batch map[string]*table.Table) error {

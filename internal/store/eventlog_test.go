@@ -186,6 +186,59 @@ func TestEventLogCrashNeverTearsSegment(t *testing.T) {
 	}
 }
 
+// TestEventLogTwoHandlesKeepEveryBatch: two handles on one log — churnd
+// and a churnctl ingest beside it — each append once. Both batches must
+// replay; the second handle's segment must not overwrite the first's, and
+// its sequence number moves past the one the first handle took.
+func TestEventLogTwoHandlesKeepEveryBatch(t *testing.T) {
+	wh := openTemp(t)
+	a, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqA, err := a.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{10, 1, 30})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqB, err := b.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{11, 1, 40})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqA != 1 || seqB != 2 {
+		t.Fatalf("seqs = %d,%d, want 1,2", seqA, seqB)
+	}
+	// a's next number is taken too: it skips to 3.
+	seqA2, err := a.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{12, 1, 50})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqA2 != 3 {
+		t.Fatalf("third append at seq %d, want 3", seqA2)
+	}
+	var imsis []int64
+	if err := a.Replay(0, func(seq uint64, name string, tb *table.Table) error {
+		imsis = append(imsis, tb.MustCol("imsi").Ints...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(imsis) != 3 || imsis[0] != 10 || imsis[1] != 11 || imsis[2] != 12 {
+		t.Fatalf("replayed imsis %v, want [10 11 12]", imsis)
+	}
+	// No temp file outlives a commit.
+	entries, err := os.ReadDir(a.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Errorf("log dir holds %d entries, want the 3 segments", len(entries))
+	}
+}
+
 func TestEventLogMergeInto(t *testing.T) {
 	wh := openTemp(t)
 	base := eventTable(t, [3]int64{10, 1, 100}, [3]int64{11, 1, 200})

@@ -284,7 +284,7 @@ func (sw *ShardedWarehouse) WritePartition(name string, month int, t *table.Tabl
 			part = t.Take(idx[s])
 		}
 		dst := filepath.Join(dir, partName(month, s, sw.shards))
-		if err := sw.w.commit(OpWritePartition, name, month, dir, dst, func(f io.Writer) error { return writeTable(f, part) }); err != nil {
+		if _, err := sw.w.commit(OpWritePartition, name, month, dir, dst, true, func(f io.Writer) error { return writeTable(f, part) }); err != nil {
 			return err
 		}
 	}

@@ -138,26 +138,31 @@ func (w *Warehouse) Root() string { return w.root }
 // temp file in the destination directory, then rename it over dst. A reader
 // can therefore only ever observe the complete old file, the complete new
 // file, or no file — never a torn mix (rename within one directory is
-// atomic on POSIX filesystems). The warehouse SyncPolicy decides whether
-// the commit also survives power loss: in always mode the temp file is
-// fsynced before the rename and the directory after it; in interval mode
-// the pair is queued for the next SyncNow flush.
+// atomic on POSIX filesystems). Without replace, dst must not exist: the
+// temp file is hard-linked to dst, which fails with fs.ErrExist rather than
+// replace a file another writer committed, and the temp name is then
+// removed. The warehouse SyncPolicy decides whether the commit also
+// survives power loss: in always mode the temp file is fsynced before the
+// rename and the directory after it; in interval mode the pair is queued
+// for the next SyncNow flush.
 //
 // A *Crash from the hook simulates the process dying at cr.Point instead,
 // leaving the filesystem exactly as a real crash would — a torn or complete
 // temp file that no reader ever opens, or (after-rename) the committed new
 // file, never fsynced — and is returned so callers observe the "crash".
-func (w *Warehouse) commit(op Op, name string, month int, dir, dst string, write func(io.Writer) error) error {
+// committed reports whether dst now holds the new file, which it can even
+// when err is set: a crash or a failed sync after the commit point.
+func (w *Warehouse) commit(op Op, name string, month int, dir, dst string, replace bool, write func(io.Writer) error) (committed bool, err error) {
 	var cr *Crash
 	if err := w.runHook(op, name, month); err != nil && !errors.As(err, &cr) {
-		return err
+		return false, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return err
+		return false, err
 	}
 	err = write(tmp)
 	if cr != nil && (err != nil || cr.Point != CrashAfterRename) {
@@ -169,7 +174,7 @@ func (w *Warehouse) commit(op Op, name string, month int, dir, dst string, write
 			}
 		}
 		tmp.Close()
-		return cr
+		return false, cr
 	}
 	if err == nil && cr == nil && w.sync.Mode == SyncAlways {
 		err = tmp.Sync()
@@ -177,17 +182,23 @@ func (w *Warehouse) commit(op Op, name string, month int, dir, dst string, write
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
+	if err == nil && replace {
 		err = os.Rename(tmp.Name(), dst)
+	} else if err == nil {
+		// Once the link exists the commit has happened; a temp name left
+		// behind is debris like a crashed write's, never read.
+		if err = os.Link(tmp.Name(), dst); err == nil {
+			os.Remove(tmp.Name())
+		}
 	}
 	if cr != nil {
-		return cr // died just after the commit, before any directory fsync
+		return err == nil, cr // died just after the commit, before any directory fsync
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return false, err
 	}
-	return w.commitSync(dir, dst)
+	return true, w.commitSync(dir, dst)
 }
 
 // WritePartition stores t as partition month of the named table in the
