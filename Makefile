@@ -66,7 +66,7 @@ bench-profile:
 # package's testdata/fuzz/).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|FrameIdenticalAcross|Unfitted' \
+		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|FrameIdenticalAcross|Unfitted|Merge|Restart|Boot' \
 		./internal/faults/ ./internal/store/ ./internal/codec/ \
 		./internal/core/ ./internal/serve/ ./cmd/churnd/
 	$(GO) test -race -count=1 ./internal/features/ ./internal/topic/ ./internal/graph/

@@ -12,15 +12,13 @@
 //	POST /v1/score      {"id":N} or {"ids":[N,...]} -> churn scores
 //	POST /v1/events     append raw BSS/OSS event records; affected customers'
 //	                    serving vectors refresh incrementally within the call
-//	POST /v1/refresh    rebuild the serving base from the warehouse month
-//	                    plus every logged event and hot-swap vectors
-//	                    atomically (graph/topic groups catch up); from then
-//	                    on the rebuilt frame answers for every customer it
-//	                    holds, the artifact snapshot only for ids it lacks
+//	POST /v1/refresh    rebuild the serving frame from the warehouse month
+//	                    plus every logged event and hot-swap it atomically
+//	                    under the overlay (graph/topic groups catch up)
 //	GET  /v1/customers  scorable customer ids (?limit=N caps the list)
 //	GET  /healthz       liveness + model identity (200 while the process is up)
 //	GET  /readyz        readiness (503 + Retry-After until scores are servable)
-//	GET  /metrics       request/latency (p50/p95/p99)/cache/retry/ingest/degradation
+//	GET  /metrics       request/latency (p50/p95/p99)/retry/ingest/degradation
 //
 // Every error renders one envelope: {"error":{"code","message","retryable"}}
 // with 400 invalid_request, 404 unknown_customer, 405 method_not_allowed,
@@ -28,13 +26,12 @@
 // endpoint's cap), 429 overloaded / refresh_in_progress, 503 unavailable,
 // 504 timeout.
 //
-// Serving path: vectors resolve through a single provider chain — live event
-// overlay, then the artifact's precomputed snapshot (churnctl train
-// -precompute), then the warehouse frame ("vectors+frame"); a /v1/refresh
-// puts the frame it rebuilt ahead of the train-time snapshot
-// ("frame+vectors") — reported uniformly by /healthz, /readyz and /metrics.
-// Scores stay bit-identical to `churnctl score` over the same
-// artifact, month and merged events.
+// Serving path: vectors resolve through the live event overlay over one
+// base — the warehouse frame ("frame") whenever it builds, else the
+// artifact's precomputed snapshot (churnctl train -precompute, "vectors")
+// when there is no warehouse or the frame build fails — reported uniformly
+// by /healthz, /readyz and /metrics. Scores stay bit-identical to
+// `churnctl score` over the same artifact, month and merged events.
 //
 // Streaming ingest: the engine holds one "warehouse + unmerged events" — the
 // incremental feature maintainer's tables. Boot reads the served month once,
@@ -92,7 +89,6 @@ func main() {
 	month := fs.Int("month", 0, "feature month to serve (0 = latest)")
 	addr := fs.String("addr", ":8080", "listen address")
 	queue := fs.Int("queue", 0, "bound on customer scores in flight across batch requests, 429 past it (0 = default 4096)")
-	cacheTTL := fs.Duration("cache-ttl", 10*time.Minute, "feature-vector cache TTL (0 disables)")
 	workers := fs.Int("workers", 0, "parallelism for the feature build (0 = all cores)")
 	degraded := fs.Bool("degraded", false, "serve even when raw tables are unavailable (impute their feature groups, report the mask)")
 	retries := fs.Int("retries", 0, "read attempts per source operation (0 = default 4, 1 = no retries)")
@@ -111,7 +107,6 @@ func main() {
 		warehouse:  *warehouse,
 		month:      *month,
 		cfg:        serve.Config{QueueSize: *queue},
-		cacheTTL:   *cacheTTL,
 		workers:    *workers,
 		degraded:   *degraded,
 		retries:    *retries,
@@ -191,7 +186,6 @@ type serviceOpts struct {
 	warehouse string
 	month     int // 0 = latest available at (re)build time
 	cfg       serve.Config
-	cacheTTL  time.Duration
 	workers   int
 	degraded  bool
 	retries   int
@@ -205,21 +199,16 @@ type serviceOpts struct {
 // engine is the hot-swappable serving unit: one artifact serving one month.
 // Reloads build a whole new engine and atomically replace the pointer;
 // in-flight requests finish on whichever engine they started. A /v1/refresh
-// swaps only the overlay's inner provider and the frame pointer — the
-// scorer and overlay survive, so refreshes never drop requests.
+// swaps only the overlay's base provider — the scorer and overlay survive,
+// so refreshes never drop requests.
 type engine struct {
 	pipe   *core.Pipeline
 	scorer *serve.Scorer
-	// overlay tops the provider chain; every handler reports through its
-	// Info() so the active path and degradation read uniformly everywhere.
+	// overlay holds the live event overrides over the one base provider
+	// (the warehouse frame, else the artifact's snapshot); every handler
+	// reports through its Info() so the active path and degradation read
+	// uniformly everywhere.
 	overlay *serve.Overlay
-	// vp is the artifact's precomputed snapshot (nil without -precompute);
-	// useVectors records whether it matches the served month.
-	vp         *serve.VectorsProvider
-	useVectors bool
-	// frame is the warehouse-built provider behind the overlay; refresh
-	// replaces it. Nil when serving the snapshot alone.
-	frame atomic.Pointer[serve.FrameProvider]
 	// rs is the retrying warehouse source behind every read the engine
 	// makes; nil without a warehouse.
 	rs *core.RetrySource
@@ -269,10 +258,10 @@ func buildService(opts serviceOpts) (*service, error) {
 }
 
 // buildEngine assembles a fully validated engine from the current opts:
-// artifact loaded and decoded, vector source chosen, serving frame built
-// from the served month with the unmerged event log folded in when the
-// warehouse allows it. Any failure leaves no side effects, which is what
-// makes reload rollback free.
+// artifact loaded and decoded, serving frame built from the served month
+// with the unmerged event log folded in when the warehouse allows it, the
+// artifact's snapshot serving only when it does not. Any failure leaves no
+// side effects, which is what makes reload rollback free.
 func (s *service) buildEngine() (*engine, error) {
 	opts := s.opts
 	pipe, err := core.LoadFile(opts.artifact)
@@ -311,19 +300,17 @@ func (s *service) buildEngine() (*engine, error) {
 			return nil, whErr
 		}
 	}
+	useVectors := vp != nil && vp.Month() == month
 	e := &engine{
-		pipe:       pipe,
-		vp:         vp,
-		useVectors: vp != nil && vp.Month() == month,
-		model:      pipe.Classifier().Name(),
-		month:      month,
-		win:        features.MonthWindow(month, days),
+		pipe:  pipe,
+		model: pipe.Classifier().Name(),
+		month: month,
+		win:   features.MonthWindow(month, days),
 	}
 
-	var (
-		frameProv *serve.FrameProvider
-		affected  map[int64]struct{}
-	)
+	// One base under the overlay: the warehouse frame when it builds — it
+	// holds every logged event — and the snapshot only when it does not.
+	var base serve.Provider
 	if whErr == nil {
 		e.rs = core.NewRetrySource(core.NewWarehouseSource(wh, days), core.RetryConfig{
 			MaxAttempts: opts.retries,
@@ -332,36 +319,25 @@ func (s *service) buildEngine() (*engine, error) {
 				log.Printf("churnd: retrying %s (attempt %d, backoff %v): %v", op, attempt, delay, err)
 			},
 		})
-		frameProv, affected, err = s.bootFrame(e, wh)
+		frameProv, err := s.bootFrame(e, wh)
 		s.metrics.RetriesExhausted.Add(e.rs.Exhausted())
-		if err != nil {
-			if !e.useVectors {
-				return nil, fmt.Errorf("build serving frame for month %d: %w", month, err)
-			}
+		switch {
+		case err == nil:
+			base = frameProv
+		case !useVectors:
+			return nil, fmt.Errorf("build serving frame for month %d: %w", month, err)
+		default:
 			log.Printf("churnd: frame path unavailable, serving the precomputed snapshot alone: %v", err)
 		}
-	} else if !e.useVectors {
+	} else if !useVectors {
 		return nil, whErr
 	} else {
 		log.Printf("churnd: warehouse unavailable, serving the precomputed snapshot alone: %v", whErr)
 	}
-	e.frame.Store(frameProv)
-
-	inner, err := s.chainFor(e, frameProv, false)
-	if err != nil {
-		return nil, err
+	if base == nil {
+		base = vp
 	}
-	e.overlay = serve.NewOverlay(inner, s.metrics)
-	if e.ingestReady() {
-		// The frame already holds every logged event; the customers they
-		// touched are served its rows, so a snapshot ahead of the frame in
-		// the chain cannot hide them.
-		for id := range affected {
-			if row, ok := frameProv.Vector(id); ok {
-				e.overlay.Override(id, row)
-			}
-		}
-	}
+	e.overlay = serve.NewOverlay(base, s.metrics)
 	e.scorer = serve.NewScorer(pipe.Classifier(), e.overlay, opts.cfg, s.metrics)
 	s.metrics.DegradedMask.Store(uint64(e.overlay.Info().Degradation))
 	s.metrics.RefreshUnixNano.Store(time.Now().UnixNano())
@@ -373,18 +349,16 @@ func (s *service) buildEngine() (*engine, error) {
 // resumes exactly where the log left off. The engine keeps the maintainer
 // and the log only if it can take writes: a log that will not open or
 // replay, a maintainer that will not wire (schema drift, F9, a degraded
-// window) or a failed frame leave ingest disabled. It returns the customers
-// the log touched.
-func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvider, map[int64]struct{}, error) {
+// window) or a failed frame leave ingest disabled.
+func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvider, error) {
 	inc, err := core.LoadIncremental(e.rs.Source, e.win)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var affected map[int64]struct{}
 	e.inc = inc
 	if e.log, err = wh.EventLog(); err != nil {
 		log.Printf("churnd: event log unavailable, ingest disabled: %v", err)
-	} else if affected, _, err = s.fold(e, e.fromLog()); err != nil {
+	} else if _, _, err = s.fold(e, e.fromLog()); err != nil {
 		log.Printf("churnd: event log replay failed, ingest disabled: %v", err)
 		e.log = nil
 	} else if err = inc.Wire(e.pipe); err != nil {
@@ -395,7 +369,7 @@ func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvide
 	if err != nil || e.log == nil {
 		e.inc, e.log = nil, nil
 	}
-	return frameProv, affected, err
+	return frameProv, err
 }
 
 // newFrame builds the serving frame over src, imputing around unavailable
@@ -405,31 +379,6 @@ func (s *service) newFrame(e *engine, src core.Source) (*serve.FrameProvider, er
 		return serve.NewFrameProviderDegraded(e.pipe, src, e.win)
 	}
 	return serve.NewFrameProvider(e.pipe, src, e.win)
-}
-
-// chainFor composes the immutable provider chain under the overlay from
-// the available leaves; either leaf alone when the other is unavailable.
-// With both, the boot chain answers from the precomputed snapshot first (an
-// index lookup, zero allocations) and the TTL-cached frame covers customers
-// outside it. A refresh passes rebuilt and turns that around: the rebuilt
-// frame holds the logged events and the caught-up graph/topic groups the
-// train-time snapshot cannot, so it answers for every customer it has and
-// the snapshot only for ids it lacks.
-func (s *service) chainFor(e *engine, frameProv *serve.FrameProvider, rebuilt bool) (serve.Provider, error) {
-	switch {
-	case e.useVectors && frameProv != nil:
-		cached := serve.NewCache(frameProv, s.opts.cacheTTL, s.metrics)
-		if rebuilt {
-			return serve.NewFallbackProvider(cached, e.vp)
-		}
-		return serve.NewFallbackProvider(e.vp, cached)
-	case e.useVectors:
-		return e.vp, nil
-	case frameProv != nil:
-		return serve.NewCache(frameProv, s.opts.cacheTTL, s.metrics), nil
-	default:
-		return nil, errors.New("no serving path: neither warehouse frame nor precomputed vectors")
-	}
 }
 
 // errIngestUnavailable marks an engine that cannot take writes (no
@@ -493,13 +442,13 @@ func (s *service) fold(e *engine, src eventSource) (map[int64]struct{}, int, err
 }
 
 // foldLocked folds src into a published engine and installs each touched
-// customer's refreshed serving row as an overlay override. Callers hold
-// ingestMu. Returns the event rows applied and customers refreshed.
+// customer's refreshed serving row, recomputed from the overlay's base row,
+// as an overlay override. Callers hold ingestMu. Returns the event rows
+// applied and customers refreshed.
 func (s *service) foldLocked(e *engine, src eventSource) (int, int, error) {
 	affected, applied, err := s.fold(e, src)
-	frame := e.frame.Load()
 	for id := range affected {
-		base, ok := frame.Vector(id)
+		base, ok := e.overlay.Base(id)
 		if !ok {
 			continue
 		}
@@ -919,12 +868,6 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "engine reloaded during refresh, retry", true)
 		return
 	}
-	inner, err := s.chainFor(e, newFrame, true)
-	if err != nil {
-		s.metrics.RefreshFailures.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error(), true)
-		return
-	}
 	// Overrides for events the new base already covers retire; events that
 	// arrived while the build ran (appliedSeq moved past the snapshot)
 	// recompute against the new base.
@@ -934,12 +877,11 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 			return e.inc.Refresh(id, base)
 		}
 	}
-	if err := e.overlay.Swap(inner, recompute); err != nil {
+	if err := e.overlay.Swap(newFrame, recompute); err != nil {
 		s.metrics.RefreshFailures.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "swap: "+err.Error(), true)
 		return
 	}
-	e.frame.Store(newFrame)
 	s.metrics.DegradedMask.Store(uint64(newFrame.Degradation()))
 	s.metrics.Refreshes.Add(1)
 	s.metrics.RefreshUnixNano.Store(time.Now().UnixNano())
@@ -1039,7 +981,7 @@ func (s *service) handleCustomers(w http.ResponseWriter, r *http.Request) {
 func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	if e := s.cur.Load(); e != nil {
-		// The provider chain reports itself the same way here as in
+		// The serving path reports itself the same way here as in
 		// /healthz and /readyz.
 		info := e.overlay.Info()
 		snap["provider"] = info.Source

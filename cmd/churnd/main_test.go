@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -30,8 +31,8 @@ func makeWorld(t *testing.T) (whDir, artifact string, want *core.Predictions) {
 
 // makeWorldPrecomputed is makeWorld whose artifact optionally carries the
 // served month's precomputed vectors (churnctl train -precompute), which
-// makes churnd serve the vectors+frame chain, and is trained on groups
-// (none = F1 only).
+// churnd serves only when the warehouse frame does not build, and is
+// trained on groups (none = F1 only).
 func makeWorldPrecomputed(t testing.TB, precompute bool, groups ...features.Group) (whDir, artifact string, want *core.Predictions) {
 	t.Helper()
 	dir := t.TempDir()
@@ -80,7 +81,6 @@ func buildTestService(t *testing.T) (*service, *core.Predictions) {
 	svc, err := buildService(serviceOpts{
 		artifact:  artifact,
 		warehouse: whDir,
-		cacheTTL:  time.Minute,
 	})
 	if err != nil {
 		t.Fatalf("buildService: %v", err)
@@ -194,7 +194,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Errorf("customers = %v, want %d", health["customers"], len(want.IDs))
 	}
 
-	// Score twice so the cache registers a hit, then check the counters.
+	// Score twice, then check the counters.
 	body, _ := json.Marshal(scoreRequest{IDs: want.IDs[:3]})
 	postScore(t, ts, string(body))
 	postScore(t, ts, string(body))
@@ -211,9 +211,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if metrics["scored"].(float64) != 6 {
 		t.Errorf("scored = %v, want 6", metrics["scored"])
-	}
-	if metrics["cache_hits"].(float64) != 3 || metrics["cache_misses"].(float64) != 3 {
-		t.Errorf("cache hits/misses = %v/%v, want 3/3", metrics["cache_hits"], metrics["cache_misses"])
 	}
 	if _, ok := metrics["latency_ns"].(map[string]any); !ok {
 		t.Errorf("latency_ns missing: %v", metrics["latency_ns"])
@@ -331,11 +328,11 @@ func TestDegradedServing(t *testing.T) {
 	}
 
 	// Strict mode refuses the window.
-	if _, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute}); err == nil {
+	if _, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir}); err == nil {
 		t.Fatal("strict buildService served a warehouse with a missing table")
 	}
 
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute, degraded: true})
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, degraded: true})
 	if err != nil {
 		t.Fatalf("degraded buildService: %v", err)
 	}
@@ -502,30 +499,30 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// fixtures are the two artifact kinds churnd serves: a plain one (the frame
-// chain) and a precomputed one (the vectors+frame chain train -precompute,
-// loadtest and the benchmark serve), with the boot provider each yields.
+// fixtures are the two artifact kinds churnd serves: a plain one and a
+// precomputed one (train -precompute, as loadtest and the benchmark serve),
+// with the boot provider each yields: the warehouse frame either way.
 var fixtures = []struct {
 	name       string
 	precompute bool
 	provider   string
 }{
 	{"plain artifact", false, "frame"},
-	{"precomputed artifact", true, "vectors+frame"},
+	{"precomputed artifact", true, "frame"},
 }
 
 // TestIngestFreshnessAndRefresh is the streaming contract end to end at the
 // HTTP layer: a posted event changes the customer's served vector within
 // the same call, and the incrementally refreshed score is bit-identical to
 // the one a full rebuild over the event log produces (/v1/refresh). It runs
-// over a plain artifact (the frame chain) and a precomputed one (the
-// vectors+frame chain train -precompute, loadtest and the benchmark serve):
-// after a refresh the rebuilt frame answers, never the train-time snapshot.
+// over a plain artifact and a precomputed one (train -precompute, as
+// loadtest and the benchmark serve): the frame answers either way, never
+// the train-time snapshot.
 func TestIngestFreshnessAndRefresh(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			whDir, artifact, want := makeWorldPrecomputed(t, fx.precompute)
-			svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute})
+			svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
 			if err != nil {
 				t.Fatalf("buildService: %v", err)
 			}
@@ -606,7 +603,7 @@ func testIngestFreshnessAndRefresh(t *testing.T, svc *service, want *core.Predic
 	// override already equalled bit for bit. Scores alone cannot tell: ten
 	// trees may not split on the columns that moved.
 	rebuilt, _ := e.overlay.Vector(id)
-	frameRow, _ := e.frame.Load().Vector(id)
+	frameRow, _ := e.overlay.Base(id)
 	for i := range served {
 		if math.Float64bits(rebuilt[i]) != math.Float64bits(served[i]) {
 			t.Fatalf("col %q after refresh: served %v, pre-refresh override %v", e.overlay.FeatureNames()[i], rebuilt[i], served[i])
@@ -686,13 +683,13 @@ func rechargeBatch(ids []int64) string {
 // unmerged logged events serves them immediately — boot folds the log into
 // the served month before building the frame, and each logged customer is
 // served the vector the first service served, bit for bit. With a
-// -precompute artifact the train-time snapshot is asked first, so this also
-// pins that it cannot hide a logged customer's events.
+// -precompute artifact this also pins that the train-time snapshot cannot
+// hide a logged customer's events.
 func TestRestartReplaysEventLog(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			whDir, artifact, want := makeWorldPrecomputed(t, fx.precompute)
-			opts := serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute}
+			opts := serviceOpts{artifact: artifact, warehouse: whDir}
 			svc, err := buildService(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -717,6 +714,61 @@ func TestRestartReplaysEventLog(t *testing.T) {
 	}
 }
 
+// callBatch is one /v1/events body: n answered calls in the served month,
+// alternating direction between customers a and b.
+func callBatch(a, b int64, n int) string {
+	evs := make([]string, n)
+	for i := range evs {
+		from, to := a, b
+		if i%2 == 1 {
+			from, to = b, a
+		}
+		evs[i] = `{"table":"calls","imsi":` + int64String(from) + `,"month":4,"day":` + strconv.Itoa(3+4*i) +
+			`,"fields":{"peer":` + int64String(to) + `,"dur":240,"mo":1,"success":1}}`
+	}
+	return `{"events":[` + strings.Join(evs, ",") + `]}`
+}
+
+// TestBootServesMergedRebuild is the boot contract over a -precompute
+// artifact with a graph group: calls logged between two served customers
+// move the call graph, so PageRank shifts for customers no event touched
+// too. A service booted over that log serves every customer, touched or
+// not, the row a merged rebuild gives, bit for bit — the boot frame is the
+// one base, not the train-time snapshot.
+func TestBootServesMergedRebuild(t *testing.T) {
+	whDir, artifact, want := makeWorldPrecomputed(t, true, features.F1Baseline, features.F4CallGraph)
+	wh, err := store.Open(whDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elog, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch serve.EventBatch
+	if err := json.Unmarshal([]byte(callBatch(want.IDs[3], want.IDs[5], 5)), &batch); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := serve.BuildEventTables(batch.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := elog.Append(tables); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sameVectors(t, "boot vs merged rebuild", want.IDs, servedVectors(t, svc, want.IDs),
+		mergedRebuild(t, whDir, artifact, false, want.IDs))
+	if got := svc.cur.Load().overlay.Info().Source; got != "frame" {
+		t.Errorf("boot provider = %q, want frame", got)
+	}
+}
+
 // TestIngestFoldsDirectAppend: a batch appended through a second event-log
 // handle between two posts — churnctl ingest without -addr — is not lost.
 // Its segment takes the next number, so the second post lands one further
@@ -725,7 +777,7 @@ func TestRestartReplaysEventLog(t *testing.T) {
 // and a merged rebuild's.
 func TestIngestFoldsDirectAppend(t *testing.T) {
 	whDir, artifact, want := makeWorld(t)
-	opts := serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute}
+	opts := serviceOpts{artifact: artifact, warehouse: whDir}
 	svc, err := buildService(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -851,7 +903,7 @@ func copyDir(t *testing.T, src, dst string) {
 // a rebuild of the untouched warehouse gives once the log is merged.
 func TestRefreshReadsNoRawPartition(t *testing.T) {
 	whDir, artifact, want := makeWorld(t)
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute})
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,7 +938,7 @@ func TestRefreshReadsNoRawPartition(t *testing.T) {
 // memory the maintainer writes.
 func TestRefreshConcurrentWithIngest(t *testing.T) {
 	whDir, artifact, want := makeWorld(t)
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute})
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,7 +976,7 @@ func TestRefreshConcurrentWithIngest(t *testing.T) {
 // counts the exhausted read.
 func TestRefreshCountsExhaustedRetries(t *testing.T) {
 	whDir, artifact, _ := makeWorldPrecomputed(t, false, features.F1Baseline, features.F4CallGraph)
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute})
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -968,7 +1020,7 @@ func TestDegradedBootWithEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, cacheTTL: time.Minute, degraded: true})
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, degraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1059,7 +1111,6 @@ func TestRequestDeadline(t *testing.T) {
 	svc, err := buildService(serviceOpts{
 		artifact:   artifact,
 		warehouse:  whDir,
-		cacheTTL:   time.Minute,
 		reqTimeout: time.Nanosecond, // expired before any handler runs
 	})
 	if err != nil {
@@ -1219,7 +1270,6 @@ func BenchmarkEventIngest(b *testing.B) {
 	svc, err := buildService(serviceOpts{
 		artifact:  artifact,
 		warehouse: whDir,
-		cacheTTL:  time.Minute,
 		fsync:     store.SyncPolicy{Mode: store.SyncOff},
 	})
 	if err != nil {

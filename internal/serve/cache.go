@@ -60,14 +60,10 @@ func (fp *FrameProvider) Info() ProviderInfo {
 	return ProviderInfo{Source: "frame", Rows: fp.frame.NumRows(), Degradation: fp.deg}
 }
 
-// Invalidate implements Provider; the frame is a fixed snapshot.
-func (fp *FrameProvider) Invalidate(int64) {}
-
 // Cache is an in-memory per-customer feature-vector cache with TTL,
 // fronting a Provider. Entries expire CacheTTL after they were fetched, so
 // a provider refreshed behind the cache (e.g. a new warehouse window) is
-// picked up within one TTL; Invalidate drops one customer immediately (the
-// streaming-ingest path). Negative lookups are not cached.
+// picked up within one TTL. Negative lookups are not cached.
 type Cache struct {
 	base    Provider
 	ttl     time.Duration
@@ -142,15 +138,6 @@ func (c *Cache) IDs() []int64 { return c.base.IDs() }
 // Info implements Provider, passing the base through — the cache changes
 // latency, not the universe.
 func (c *Cache) Info() ProviderInfo { return c.base.Info() }
-
-// Invalidate drops the customer's cached entry (and propagates down the
-// chain), so the next lookup re-resolves through the base provider.
-func (c *Cache) Invalidate(id int64) {
-	c.mu.Lock()
-	delete(c.entries, id)
-	c.mu.Unlock()
-	c.base.Invalidate(id)
-}
 
 // Len returns the number of cached entries (fresh or expired-but-unswept).
 func (c *Cache) Len() int {

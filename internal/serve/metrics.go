@@ -24,8 +24,8 @@ type Metrics struct {
 	Errors    atomic.Uint64
 	QueueFull atomic.Uint64
 	Canceled  atomic.Uint64
-	// CacheHits/CacheMisses are fed by the vector cache in front of the
-	// feature provider.
+	// CacheHits/CacheMisses are fed by a Cache; churnd composes none, so
+	// its /metrics reports them as zero.
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
 	// Retries counts source-layer read retries absorbed while assembling

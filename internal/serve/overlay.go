@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Overlay is the mutable top of the provider chain: a per-customer
-// override map on an immutable inner provider. Streamed events refresh one
+// Overlay is the mutable top of the serving path: a per-customer override
+// map on an immutable inner provider. Streamed events refresh one
 // customer's vector by installing an override (Override); a full refresh
 // rebuilds the inner provider off-line and swaps it in atomically (Swap),
 // recomputing or retiring the overrides against the new base. The scorer
@@ -63,8 +63,8 @@ func (o *Overlay) IDs() []int64 {
 	return o.inner.IDs()
 }
 
-// Info implements Provider: the inner chain's info plus the live override
-// count.
+// Info implements Provider: the inner provider's info plus the live
+// override count.
 func (o *Overlay) Info() ProviderInfo {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -80,17 +80,6 @@ func (o *Overlay) Override(id int64, vec []float64) {
 	o.over[id] = vec
 	o.gauge()
 	o.mu.Unlock()
-}
-
-// Invalidate implements Provider: drops the customer's override and
-// propagates down the chain.
-func (o *Overlay) Invalidate(id int64) {
-	o.mu.Lock()
-	delete(o.over, id)
-	o.gauge()
-	inner := o.inner
-	o.mu.Unlock()
-	inner.Invalidate(id)
 }
 
 // Overridden returns the number of live overrides.

@@ -9,7 +9,8 @@ import (
 )
 
 // TestOverlayOverrideAndInvalidate: overrides win lookups, Base bypasses
-// them, Invalidate retires them and propagates down the chain.
+// them, and the stale_vectors gauge counts them. Only a Swap retires them
+// (TestOverlaySwap).
 func TestOverlayOverrideAndInvalidate(t *testing.T) {
 	inner := newMapProvider(3) // ids 0..2, vectors {i, i*0.5}
 	m := &Metrics{}
@@ -34,14 +35,6 @@ func TestOverlayOverrideAndInvalidate(t *testing.T) {
 	// The universe is the inner's: overrides never widen it.
 	if n := len(o.IDs()); n != 3 {
 		t.Errorf("IDs() = %d ids, want 3", n)
-	}
-
-	o.Invalidate(1)
-	if v, _ := o.Vector(1); v[0] != 1 {
-		t.Errorf("Invalidate left the override: %v", v)
-	}
-	if m.StaleVectors.Load() != 0 {
-		t.Errorf("gauge after invalidate = %d, want 0", m.StaleVectors.Load())
 	}
 }
 
@@ -117,11 +110,10 @@ func (p *genProvider) IDs() []int64 {
 	return ids
 }
 func (p *genProvider) Info() ProviderInfo { return ProviderInfo{Source: "gen", Rows: p.n} }
-func (p *genProvider) Invalidate(int64)   {}
 
 // TestOverlayInvalidateRacesSwap pins churnd's shutdown-free consistency
-// contract under -race: POST /v1/events invalidation (Invalidate +
-// Override) racing a /v1/refresh vector swap (Swap with recompute). Every
+// contract under -race: the POST /v1/events fold (Base + Override) racing
+// a /v1/refresh vector swap (Swap with recompute). Every
 // vector is generation-tagged {g, g}; the recompute derives overrides from
 // the *new* base, so any reader observing vec[0] != vec[1] caught an old
 // base mixed with a new overlay (or vice versa) — exactly the bug the
@@ -134,8 +126,8 @@ func TestOverlayInvalidateRacesSwap(t *testing.T) {
 	stop := make(chan struct{})
 	fail := make(chan string, 1)
 	// ingestMu mirrors churnd's: the fold's Base→Override pair and the
-	// refresh swap serialize against each other; Invalidate and every read
-	// stay fully concurrent.
+	// refresh swap serialize against each other; every read stays fully
+	// concurrent.
 	var ingestMu sync.Mutex
 
 	// Refresher: swaps generation g in, recomputing surviving overrides
@@ -162,7 +154,7 @@ func TestOverlayInvalidateRacesSwap(t *testing.T) {
 	}()
 
 	// Ingester: installs overrides derived from the current base (the fold
-	// path: read Base, recompute, Override) and invalidates others.
+	// path: read Base, recompute, Override).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -173,10 +165,6 @@ func TestOverlayInvalidateRacesSwap(t *testing.T) {
 			default:
 			}
 			id := int64(i % n)
-			if i%3 == 0 {
-				o.Invalidate(id)
-				continue
-			}
 			ingestMu.Lock()
 			if base, ok := o.Base(id); ok {
 				o.Override(id, []float64{base[0], base[1]})
@@ -222,7 +210,7 @@ func TestOverlayInvalidateRacesSwap(t *testing.T) {
 	default:
 	}
 	// Settled state: every id serves the final generation, overrides
-	// included (they were recomputed from it or invalidated).
+	// included (they were recomputed from it).
 	for id := int64(0); id < n; id++ {
 		vec, ok := o.Vector(id)
 		if !ok || vec[0] != 300 || vec[1] != 300 {
@@ -232,7 +220,7 @@ func TestOverlayInvalidateRacesSwap(t *testing.T) {
 }
 
 // TestOverlayConcurrentIngestWhileScoring races the write side (Override,
-// Invalidate, Swap — churnd's ingest and refresh paths) against scoring
+// Swap — churnd's ingest and refresh paths) against scoring
 // readers, under -race. Scores must stay well-formed throughout: every
 // vector observed is either the inner's {i, i/2} or an override {i, i},
 // so sumClassifier yields 1.5i or 2i and anything else is a torn read.
@@ -246,7 +234,7 @@ func TestOverlayConcurrentIngestWhileScoring(t *testing.T) {
 	stop := make(chan struct{})
 	fail := make(chan string, 1)
 
-	// Writer: streams overrides, occasionally invalidates or swaps the base.
+	// Writer: streams overrides, occasionally swaps the base.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -255,8 +243,6 @@ func TestOverlayConcurrentIngestWhileScoring(t *testing.T) {
 			switch {
 			case i%97 == 0:
 				o.Swap(newMapProvider(n), nil)
-			case i%13 == 0:
-				o.Invalidate(id)
 			default:
 				o.Override(id, []float64{float64(id), float64(id)})
 			}

@@ -8,10 +8,11 @@ import (
 )
 
 // Provider is the one serving-vector interface: every vector source — the
-// precomputed artifact snapshot, the warehouse frame, the TTL cache, the
-// snapshot+frame fallback chain, and the mutable event overlay — implements
-// it, so the daemon composes them freely and reports them uniformly.
-// Returned slices are read-only and must not be mutated by callers.
+// precomputed artifact snapshot, the warehouse frame and the mutable event
+// overlay churnd stacks on one of them (plus the TTL cache and fallback
+// chain the benchmark's layer probes still compose) — implements it, so
+// every path reports uniformly. Returned slices are read-only and must not
+// be mutated by callers.
 type Provider interface {
 	// Vector returns the feature vector for a customer, or false if the
 	// customer is not in the provider's universe.
@@ -20,19 +21,14 @@ type Provider interface {
 	FeatureNames() []string
 	// IDs returns every scorable customer, in serving order.
 	IDs() []int64
-	// Info describes the provider chain for /healthz, /readyz and /metrics.
+	// Info describes the provider for /healthz, /readyz and /metrics.
 	Info() ProviderInfo
-	// Invalidate drops any derived state held for the customer (cache
-	// entries, event overrides) so the next Vector resolves fresh. A no-op
-	// on immutable providers.
-	Invalidate(id int64)
 }
 
 // ProviderInfo is the uniform self-description every provider reports.
 type ProviderInfo struct {
-	// Source names the vector path: "vectors", "frame", "vectors+frame"
-	// ("frame+vectors" once a refresh has put the rebuilt frame first) —
-	// leaf names joined in the order the chain asks them.
+	// Source names the vector path: "vectors" or "frame" (a
+	// FallbackProvider joins its leaves' names, primary first).
 	Source string
 	// Rows is the scorable-universe size.
 	Rows int
@@ -90,16 +86,10 @@ func (vp *VectorsProvider) Info() ProviderInfo {
 	return ProviderInfo{Source: "vectors", Rows: vp.vecs.NumRows()}
 }
 
-// Invalidate implements Provider; the snapshot is immutable, so there is
-// nothing to drop.
-func (vp *VectorsProvider) Invalidate(int64) {}
-
 // FallbackProvider resolves vectors from a primary provider and falls back
-// to a secondary for customers the primary does not know. churnd boots with
-// the precomputed matrix first and the frame behind it (customers who
-// joined after the artifact was trained, or a degraded-mode frame widened
-// beyond the snapshot); after /v1/refresh the rebuilt frame is primary and
-// the matrix answers only for ids the frame lacks.
+// to a secondary for customers the primary does not know. churnd composes
+// none (it serves one base); the benchmark's serving-layer probe times the
+// precomputed-matrix-over-frame chain it names.
 type FallbackProvider struct {
 	primary   Provider
 	secondary Provider
@@ -150,10 +140,4 @@ func (f *FallbackProvider) Info() ProviderInfo {
 		Degradation: pi.Degradation | si.Degradation,
 		Overridden:  pi.Overridden + si.Overridden,
 	}
-}
-
-// Invalidate implements Provider, propagating to both branches.
-func (f *FallbackProvider) Invalidate(id int64) {
-	f.primary.Invalidate(id)
-	f.secondary.Invalidate(id)
 }

@@ -51,8 +51,6 @@ func (p *mapProvider) IDs() []int64 {
 
 func (p *mapProvider) Info() ProviderInfo { return ProviderInfo{Source: "map", Rows: len(p.vecs)} }
 
-func (p *mapProvider) Invalidate(int64) {}
-
 // sumClassifier scores each row as a pure per-row function, like every
 // real classifier in the repo.
 type sumClassifier struct {

@@ -373,10 +373,13 @@ func (l *EventLog) MergeInto() (int, error) {
 	}
 
 	// Collect every logged row grouped by (table, month), preserving log
-	// order within each group.
+	// order within each group. high is the newest segment replayed, which
+	// may be another handle's: truncation must reach it.
 	grouped := map[string]map[int]*table.Table{}
 	total := 0
+	var high uint64
 	err := l.Replay(0, func(seq uint64, name string, t *table.Table) error {
+		high = seq
 		months := t.MustCol("month").Ints
 		byMonth := grouped[name]
 		if byMonth == nil {
@@ -408,7 +411,7 @@ func (l *EventLog) MergeInto() (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	high := l.last
+	l.last = max(l.last, high)
 
 	// Commit point: from here until truncation, a crash leaves the marker.
 	if err := os.WriteFile(marker, []byte("merge started; see ErrMergeInterrupted\n"), 0o644); err != nil {

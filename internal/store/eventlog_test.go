@@ -239,6 +239,45 @@ func TestEventLogTwoHandlesKeepEveryBatch(t *testing.T) {
 	}
 }
 
+// TestEventLogMergeTwoHandles: a merge truncates every segment it
+// replayed, not only those its own handle wrote. Handles A and B append one
+// row each; A merges twice. The second merge finds an empty log, the
+// partition holds the two rows once, and A's next append takes a number
+// past every merged segment.
+func TestEventLogMergeTwoHandles(t *testing.T) {
+	wh := openTemp(t)
+	a, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wh.EventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{10, 1, 30})}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{11, 1, 40})}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.MergeInto(); err != nil || n != 2 {
+		t.Fatalf("first merge = (%d, %v), want (2, nil)", n, err)
+	}
+	if n, err := a.MergeInto(); err != nil || n != 0 {
+		t.Fatalf("second merge = (%d, %v), want (0, nil)", n, err)
+	}
+	got, err := wh.ReadPartition("recharges", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imsi := got.MustCol("imsi").Ints; len(imsi) != 2 || imsi[0] != 10 || imsi[1] != 11 {
+		t.Fatalf("partition imsis = %v, want [10 11]", imsi)
+	}
+	if seq, err := a.Append(map[string]*table.Table{"recharges": eventTable(t, [3]int64{12, 1, 50})}); err != nil || seq != 3 {
+		t.Fatalf("append after merge: seq %d, %v; want seq 3", seq, err)
+	}
+}
+
 func TestEventLogMergeInto(t *testing.T) {
 	wh := openTemp(t)
 	base := eventTable(t, [3]int64{10, 1, 100}, [3]int64{11, 1, 200})

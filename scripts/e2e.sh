@@ -229,11 +229,12 @@ kill "$CHURND_PID"
 wait "$CHURND_PID" 2>/dev/null || true
 CHURND_PID=""
 "$WORK/churnctl" generate -out "$WORK/whs" -customers 400 -months 4
-# churnd serves the -precompute artifact — the vectors+frame chain loadtest
-# and the benchmark run. The same training run without -precompute (shown
-# above to score identically) is the batch reference further down:
-# `churnctl score` prefers the snapshot when the month matches, so after a
-# merge the precomputed artifact cannot be its own oracle.
+# churnd serves the -precompute artifact loadtest and the benchmark run;
+# with a warehouse its one base is the frame, never the train-time
+# snapshot. The same training run without -precompute (shown above to
+# score identically) is the batch reference further down: `churnctl score`
+# prefers the snapshot when the month matches, so after a merge the
+# precomputed artifact cannot be its own oracle.
 "$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/models.tcpa" -trees 20
 "$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/modelsp.tcpa" -trees 20 -precompute
 "$WORK/churnd" -artifact "$WORK/modelsp.tcpa" -warehouse "$WORK/whs" -addr "127.0.0.1:$PORT" &
@@ -242,8 +243,8 @@ wait_healthy
 READY="$(curl -sf "http://127.0.0.1:$PORT/readyz")"
 echo "$READY" | grep -q '"ingest":true' \
     || { echo "e2e: churnd did not enable ingest over the warehouse"; exit 1; }
-echo "$READY" | grep -q '"provider":"vectors+frame"' \
-    || { echo "e2e: churnd did not serve the vectors+frame chain: $READY"; exit 1; }
+echo "$READY" | grep -q '"provider":"frame"' \
+    || { echo "e2e: churnd did not serve the warehouse frame: $READY"; exit 1; }
 
 CUST="$(curl -sf "http://127.0.0.1:$PORT/v1/customers?limit=10")"
 CAND="$(echo "$CUST" | sed -n 's/.*"ids":\[\([0-9,]*\)\].*/\1/p' | tr ',' ' ')"
