@@ -68,7 +68,7 @@ chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|FrameIdenticalAcross|Unfitted|Merge|Restart|Boot' \
 		./internal/faults/ ./internal/store/ ./internal/codec/ \
-		./internal/core/ ./internal/serve/ ./cmd/churnd/
+		./internal/core/ ./internal/serve/ ./cmd/churnd/ ./cmd/churnctl/
 	$(GO) test -race -count=1 ./internal/features/ ./internal/topic/ ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/

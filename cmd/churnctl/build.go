@@ -12,7 +12,6 @@ import (
 	"telcochurn/internal/core"
 	"telcochurn/internal/features"
 	"telcochurn/internal/procstat"
-	"telcochurn/internal/synth"
 )
 
 // cmdBuild runs the out-of-core wide-table build over a warehouse and
@@ -30,43 +29,35 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
+	var (
+		frame   *features.Frame
+		stats   features.ShardStats
+		elapsed time.Duration
+	)
 	src, wh, days, err := sf.source("build")
+	m, _, err := core.ServeMonth(wh, err, *month, nil, func(m int) (err error) {
+		win := features.MonthWindow(m, days)
+		p := core.NewFrameBuilder(core.Config{Groups: groups, Workers: *sf.workers})
+		start := time.Now()
+		if *sf.degraded {
+			// Missing tables are imputed around instead of failing the build.
+			var deg features.Degradation
+			frame, stats, deg, err = p.BuildFrameDegraded(src, win)
+			if err == nil {
+				fmt.Fprintf(os.Stderr, "degraded groups: %s\n", deg)
+			}
+		} else {
+			frame, stats, err = p.BuildFrameSharded(src, win)
+		}
+		elapsed = time.Since(start)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if *month == 0 {
-		months, err := wh.Months(synth.TableCustomers)
-		if err != nil {
-			return err
-		}
-		if len(months) == 0 {
-			return fmt.Errorf("no customers partitions in %s", *sf.dir)
-		}
-		*month = months[len(months)-1]
-	}
-	win := features.MonthWindow(*month, days)
-	p := core.NewFrameBuilder(core.Config{Groups: groups, Workers: *sf.workers})
-
-	start := time.Now()
-	var frame *features.Frame
-	var stats features.ShardStats
-	if *sf.degraded {
-		// Missing tables are imputed around instead of failing the build.
-		var deg features.Degradation
-		frame, stats, deg, err = p.BuildFrameDegraded(src, win)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "degraded groups: %s\n", deg)
-		}
-	} else {
-		frame, stats, err = p.BuildFrameSharded(src, win)
-	}
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
 
 	fmt.Printf("built month=%d customers=%d features=%d shards=%d raw_rows=%d in %v (%.0f raw rows/sec)\n",
-		*month, frame.NumRows(), frame.NumColumns(), stats.Shards, stats.RawRows,
+		m, frame.NumRows(), frame.NumColumns(), stats.Shards, stats.RawRows,
 		elapsed.Round(time.Millisecond), float64(stats.RawRows)/elapsed.Seconds())
 	peak, ok := procstat.PeakRSSBytes()
 	if ok {

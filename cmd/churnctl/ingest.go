@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 
+	"telcochurn/internal/core"
 	"telcochurn/internal/serve"
 	"telcochurn/internal/synth"
 )
@@ -140,21 +141,14 @@ func ingestUniverse(sf *sourceFlags, addr string, month int) (ids []int64, m, da
 		return body.IDs, month, days, nil
 	}
 	wh, err := sf.open()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	months, err := wh.Months(synth.TableCustomers)
-	if err != nil || len(months) == 0 {
-		return nil, 0, 0, fmt.Errorf("ingest: no customers partitions in %s (run churnctl generate)", *sf.dir)
-	}
-	if month == 0 {
-		month = months[len(months)-1]
-	}
-	cust, err := wh.ReadMonths(synth.TableCustomers, []int{month})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return cust.MustCol("imsi").Ints, month, days, nil
+	m, _, err = core.ServeMonth(wh, err, month, nil, func(m int) error {
+		cust, err := wh.ReadMonths(synth.TableCustomers, []int{m})
+		if err == nil {
+			ids = cust.MustCol("imsi").Ints
+		}
+		return err
+	})
+	return ids, m, days, err
 }
 
 // postEvents ships the batch to a running churnd and prints its response.

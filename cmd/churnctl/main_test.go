@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"telcochurn/internal/core"
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
@@ -213,4 +215,101 @@ func TestEvalRejectsBadExperimentID(t *testing.T) {
 	if err := cmdEval(nil); err == nil {
 		t.Error("want error for missing experiment id")
 	}
+}
+
+// TestScoreAfterMergeReadsWarehouse: after `ingest -merge` folds events
+// into the month a -precompute artifact's snapshot describes, `score -full`
+// prints the merged warehouse's scores — the bits PredictSharded (and
+// churnd) give over it — not the train-time snapshot's.
+func TestScoreAfterMergeReadsWarehouse(t *testing.T) {
+	dir := t.TempDir()
+	wh := filepath.Join(dir, "wh")
+	model := filepath.Join(dir, "model.tcpa")
+	if err := cmdGenerate([]string{"-out", wh, "-customers", "300", "-months", "4", "-fsync", "off"}); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if err := cmdTrain([]string{"-warehouse", wh, "-out", model, "-trees", "10", "-precompute", "-fsync", "off"}); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	if err := cmdIngest([]string{"-warehouse", wh, "-synth", "200", "-merge", "-fsync", "off"}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	out, err := captureStdout(t, func() error {
+		return cmdScore([]string{"-warehouse", wh, "-model", model, "-top", "0", "-full"})
+	})
+	if err != nil {
+		t.Fatalf("score: %v", err)
+	}
+
+	pipe, err := core.LoadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := store.Open(wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := w.Sharded(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := synth.DefaultConfig().DaysPerMonth
+	month := pipe.Vectors().Month()
+	want, _, err := pipe.PredictSharded(core.NewShardedWarehouseSource(sw, days), features.MonthWindow(month, days))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pipe.PredictVectors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBits := make(map[int64]uint64, len(want.IDs))
+	for i, id := range want.IDs {
+		wantBits[id] = math.Float64bits(want.Scores[i])
+	}
+	snapBits := make(map[int64]uint64, len(snap.IDs))
+	for i, id := range snap.IDs {
+		snapBits[id] = math.Float64bits(snap.Scores[i])
+	}
+
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(want.IDs)+1 {
+		t.Fatalf("score printed %d rows, want %d customers", len(lines)-1, len(want.IDs))
+	}
+	moved := 0
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		id, _ := strconv.ParseInt(f[1], 10, 64)
+		score, _ := strconv.ParseFloat(f[2], 64)
+		bits, ok := wantBits[id]
+		if !ok || math.Float64bits(score) != bits {
+			t.Fatalf("imsi %d: score printed %s, merged warehouse scores %v", id, f[2], math.Float64frombits(bits))
+		}
+		if b, ok := snapBits[id]; ok && b != bits {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no score moved after the merge; the test would not tell the snapshot from the warehouse")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	ferr := f()
+	os.Stdout = saved
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
 }

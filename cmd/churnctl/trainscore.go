@@ -103,15 +103,16 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	if *precompute {
-		// The snapshot serves the same month scoring would pick by default:
-		// the latest customer snapshot, not the label-lagged training month.
-		custMonths, err := wh.Months(synth.TableCustomers)
-		if err != nil || len(custMonths) == 0 {
-			return fmt.Errorf("precompute: no customer snapshots in %s", *sf.dir)
-		}
-		serveMonth := custMonths[len(custMonths)-1]
-		if err := pipe.Precompute(src, features.MonthWindow(serveMonth, days), serveMonth); err != nil {
-			return fmt.Errorf("precompute month %d: %w", serveMonth, err)
+		// The snapshot serves the month scoring picks by default: the latest
+		// customers partition, not the label-lagged training month.
+		serveMonth, _, err := core.ServeMonth(wh, nil, 0, nil, func(m int) error {
+			if err := pipe.Precompute(src, features.MonthWindow(m, days), m); err != nil {
+				return fmt.Errorf("precompute month %d: %w", m, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		fmt.Printf("precomputed %d serving vectors for month %d\n", pipe.Vectors().NumRows(), serveMonth)
 	}
@@ -143,51 +144,26 @@ func cmdScore(args []string) error {
 		return err
 	}
 	pipe.SetWorkers(*sf.workers)
-	vecs := pipe.Vectors()
 
-	// The warehouse is optional when the artifact carries a precomputed
-	// snapshot, so open it tolerantly and remember why it is unusable.
-	var monthsAvail []int
+	// The month and base follow the rule churnd serves by: the warehouse
+	// whenever it opens, the artifact's snapshot only without one or when
+	// the build fails. Strict or degraded, the build holds a single shard's
+	// tables at a time (sf.source always yields a sharded view; a plain
+	// layout is its 1-shard case) and sees the same frame bit for bit.
 	src, wh, days, whErr := sf.source("score")
-	if whErr == nil {
-		// Scoring needs no labels, so the customer snapshot — the one table
-		// degraded mode cannot impute — anchors month discovery.
-		monthsAvail, whErr = wh.Months(synth.TableCustomers)
-		if whErr == nil && len(monthsAvail) == 0 {
-			whErr = fmt.Errorf("empty warehouse %s (run churnctl generate)", *sf.dir)
-		}
-	}
-	m := *month
-	if m == 0 {
-		switch {
-		case whErr == nil:
-			m = monthsAvail[len(monthsAvail)-1]
-		case vecs != nil:
-			m = vecs.Month()
-		default:
-			return whErr
-		}
-	}
-
 	var res *core.Predictions
-	if vecs != nil && vecs.Month() == m && !*sf.degraded {
-		// The snapshot holds the strict frame rows for this month, so
-		// scoring it skips the warehouse entirely and stays bit-identical
-		// to the frame path (and to churnd over the same artifact).
-		res, err = pipe.PredictVectors()
-	} else {
-		if whErr != nil {
-			return whErr
-		}
-		// Strict or degraded, scoring holds a single shard's tables at a
-		// time (sf.source always yields a sharded view; a plain layout is
-		// its 1-shard case) and sees the same frame bit for bit.
+	_, fallback, err := core.ServeMonth(wh, whErr, *month, pipe.Vectors(), func(m int) (err error) {
 		win := features.MonthWindow(m, days)
 		if *sf.degraded {
 			res, _, err = pipe.PredictDegraded(src, win)
 		} else {
 			res, _, err = pipe.PredictSharded(src, win)
 		}
+		return err
+	})
+	if fallback != nil {
+		fmt.Fprintf(os.Stderr, "score: scoring the precomputed snapshot alone: %v\n", fallback)
+		res, err = pipe.PredictVectors()
 	}
 	if err != nil {
 		return err

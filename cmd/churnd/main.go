@@ -27,11 +27,13 @@
 // 504 timeout.
 //
 // Serving path: vectors resolve through the live event overlay over one
-// base — the warehouse frame ("frame") whenever it builds, else the
-// artifact's precomputed snapshot (churnctl train -precompute, "vectors")
-// when there is no warehouse or the frame build fails — reported uniformly
-// by /healthz, /readyz and /metrics. Scores stay bit-identical to
-// `churnctl score` over the same artifact, month and merged events.
+// immutable snapshot, picked warehouse first by the rule `churnctl score`
+// shares (core.ServeMonth): the warehouse frame ("frame") whenever the
+// warehouse opens, the artifact's precomputed vectors (churnctl train
+// -precompute, "vectors") only without one or when the frame build fails —
+// reported uniformly by /healthz, /readyz and /metrics. Scores stay
+// bit-identical to `churnctl score` over the same artifact, month and
+// merged events.
 //
 // Streaming ingest: the engine holds one "warehouse + unmerged events" — the
 // incremental feature maintainer's tables. Boot reads the served month once,
@@ -270,48 +272,20 @@ func (s *service) buildEngine() (*engine, error) {
 	}
 	pipe.SetWorkers(opts.workers)
 
-	// The artifact may carry a precomputed feature-vector snapshot (churnctl
-	// train -precompute); when it does, the warehouse becomes optional.
-	vp, _ := serve.NewVectorsProvider(pipe)
-
 	days := synth.DefaultConfig().DaysPerMonth
-	var monthsAvail []int
 	wh, whErr := store.Open(opts.warehouse)
 	if whErr == nil {
-		// The customer snapshot anchors month discovery: it is the one table
-		// serving cannot impute around, so its months are the servable months.
 		wh.SetSync(opts.fsync)
-		monthsAvail, whErr = wh.Months(synth.TableCustomers)
-		if whErr == nil && len(monthsAvail) == 0 {
-			whErr = fmt.Errorf("empty warehouse %s (run churnctl generate)", opts.warehouse)
-		}
 	}
+	e := &engine{pipe: pipe, model: pipe.Classifier().Name()}
 
-	// Month cascade: explicit flag, else the warehouse's latest customer
-	// snapshot, else the month the artifact's vectors were precomputed from.
-	month := opts.month
-	if month == 0 {
-		switch {
-		case whErr == nil:
-			month = monthsAvail[len(monthsAvail)-1]
-		case vp != nil:
-			month = vp.Month()
-		default:
-			return nil, whErr
-		}
-	}
-	useVectors := vp != nil && vp.Month() == month
-	e := &engine{
-		pipe:  pipe,
-		model: pipe.Classifier().Name(),
-		month: month,
-		win:   features.MonthWindow(month, days),
-	}
-
-	// One base under the overlay: the warehouse frame when it builds — it
-	// holds every logged event — and the snapshot only when it does not.
+	// One base under the overlay, picked by the rule `churnctl score`
+	// shares: the warehouse frame whenever the warehouse opens — it holds
+	// every logged event — and the artifact's snapshot (churnctl train
+	// -precompute) only without one or when the frame build fails.
 	var base serve.Provider
-	if whErr == nil {
+	month, fallback, err := core.ServeMonth(wh, whErr, opts.month, pipe.Vectors(), func(month int) error {
+		e.win = features.MonthWindow(month, days)
 		e.rs = core.NewRetrySource(core.NewWarehouseSource(wh, days), core.RetryConfig{
 			MaxAttempts: opts.retries,
 			OnRetry: func(op string, attempt int, delay time.Duration, err error) {
@@ -319,24 +293,22 @@ func (s *service) buildEngine() (*engine, error) {
 				log.Printf("churnd: retrying %s (attempt %d, backoff %v): %v", op, attempt, delay, err)
 			},
 		})
-		frameProv, err := s.bootFrame(e, wh)
+		frame, err := s.bootFrame(e, wh)
 		s.metrics.RetriesExhausted.Add(e.rs.Exhausted())
-		switch {
-		case err == nil:
-			base = frameProv
-		case !useVectors:
-			return nil, fmt.Errorf("build serving frame for month %d: %w", month, err)
-		default:
-			log.Printf("churnd: frame path unavailable, serving the precomputed snapshot alone: %v", err)
+		if err != nil {
+			return fmt.Errorf("build serving frame for month %d: %w", month, err)
 		}
-	} else if !useVectors {
-		return nil, whErr
-	} else {
-		log.Printf("churnd: warehouse unavailable, serving the precomputed snapshot alone: %v", whErr)
+		base = frame
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if base == nil {
-		base = vp
+	if fallback != nil {
+		log.Printf("churnd: serving the precomputed snapshot alone: %v", fallback)
+		base, _ = serve.NewVectorsProvider(pipe) // a fallback implies the snapshot
 	}
+	e.month, e.win = month, features.MonthWindow(month, days)
 	e.overlay = serve.NewOverlay(base, s.metrics)
 	e.scorer = serve.NewScorer(pipe.Classifier(), e.overlay, opts.cfg, s.metrics)
 	s.metrics.DegradedMask.Store(uint64(e.overlay.Info().Degradation))
@@ -350,7 +322,7 @@ func (s *service) buildEngine() (*engine, error) {
 // and the log only if it can take writes: a log that will not open or
 // replay, a maintainer that will not wire (schema drift, F9, a degraded
 // window) or a failed frame leave ingest disabled.
-func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvider, error) {
+func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, error) {
 	inc, err := core.LoadIncremental(e.rs.Source, e.win)
 	if err != nil {
 		return nil, err
@@ -374,7 +346,7 @@ func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.FrameProvide
 
 // newFrame builds the serving frame over src, imputing around unavailable
 // tables under -degraded.
-func (s *service) newFrame(e *engine, src core.Source) (*serve.FrameProvider, error) {
+func (s *service) newFrame(e *engine, src core.Source) (*serve.Snapshot, error) {
 	if s.opts.degraded {
 		return serve.NewFrameProviderDegraded(e.pipe, src, e.win)
 	}
@@ -882,17 +854,18 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "swap: "+err.Error(), true)
 		return
 	}
-	s.metrics.DegradedMask.Store(uint64(newFrame.Degradation()))
+	info := newFrame.Info()
+	s.metrics.DegradedMask.Store(uint64(info.Degradation))
 	s.metrics.Refreshes.Add(1)
 	s.metrics.RefreshUnixNano.Store(time.Now().UnixNano())
 	resp := refreshResponse{
 		Seq:          snapSeq,
-		Rows:         newFrame.NumRows(),
+		Rows:         info.Rows,
 		StaleVectors: e.overlay.Overridden(),
 		TookMs:       time.Since(start).Milliseconds(),
 	}
-	if deg := newFrame.Degradation(); !deg.Empty() {
-		resp.Degraded = deg.String()
+	if !info.Degradation.Empty() {
+		resp.Degraded = info.Degradation.String()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -8,19 +8,21 @@ import (
 )
 
 // Classifier is the pluggable scoring model of the pipeline. Fit trains on a
-// labeled dataset; ScoreAll returns churn likelihoods for feature rows.
+// labeled dataset; ScoreAll returns churn likelihoods for feature rows and
+// Score the likelihood of one.
 type Classifier interface {
 	Fit(d *dataset.Dataset) error
 	ScoreAll(x [][]float64) []float64
 	Name() string
+	SingleScorer
 }
 
-// SingleScorer is the synchronous single-row fast path a serving layer may
-// use instead of batching through ScoreAll. Score must be safe for
-// concurrent use and bit-identical to ScoreAll([][]float64{x})[0]. The tree
-// families (RF, GBDT) score through compiled flat ensembles and allocate
-// nothing; the binarizing families (LIBLINEAR, LIBFM) allocate one
-// transformed row per call.
+// SingleScorer is the single-row half of Classifier, the path a serving
+// layer scores one customer through. Score must be safe for concurrent use
+// and bit-identical to ScoreAll([][]float64{x})[0]. The tree families (RF,
+// GBDT) score through compiled flat ensembles and allocate nothing; the
+// binarizing families (LIBLINEAR, LIBFM) allocate one transformed row per
+// call.
 type SingleScorer interface {
 	Score(x []float64) float64
 }

@@ -5,9 +5,10 @@ package core
 // the serving hot path should not rebuild frames per request. Precompute
 // flattens the wide table into one contiguous row-major []float64 plus a
 // sorted customer index; the matrix persists inside the TCPA artifact
-// (schema version 2) and churnd serves lookups straight out of it with zero
-// allocations, keeping the frame path as a fallback for customers outside
-// the snapshot and for degraded mode.
+// (schema version 2), so a scorer can serve the snapshot's month with no
+// warehouse at all. ServeMonth is the one rule every scorer picks its month
+// and base by: the warehouse whenever it opens, the snapshot only without
+// one or when the warehouse build fails.
 
 import (
 	"errors"
@@ -15,6 +16,8 @@ import (
 
 	"telcochurn/internal/codec"
 	"telcochurn/internal/features"
+	"telcochurn/internal/store"
+	"telcochurn/internal/synth"
 )
 
 // ErrNoVectors is returned by PredictVectors when the pipeline carries no
@@ -22,8 +25,9 @@ import (
 var ErrNoVectors = errors.New("core: pipeline has no precomputed feature vectors")
 
 // FeatureVectors is an immutable row-major feature matrix keyed by customer
-// id. Rows are the exact frame rows a strict BuildFrame produced at
-// precompute time, so scoring them is bit-identical to the frame path.
+// id. Rows are the exact rows of the frame it was flattened from (a strict
+// BuildFrame at precompute time, for an artifact's snapshot), so scoring
+// them is bit-identical to the frame path.
 type FeatureVectors struct {
 	ids   []int64   // ascending, deduped (frame order)
 	data  []float64 // len(ids)*width, row-major
@@ -31,9 +35,10 @@ type FeatureVectors struct {
 	month int // feature (snapshot) month the vectors were built from
 }
 
-// vectorsFromFrame flattens a built frame. The frame's ids are already
-// sorted ascending (features.NewFrame sorts and dedupes them).
-func vectorsFromFrame(frame *features.Frame, month int) *FeatureVectors {
+// VectorsFromFrame flattens a built frame into an immutable matrix; month
+// is recorded as the snapshot's month. The frame's ids are already sorted
+// ascending (features.NewFrame sorts and dedupes them).
+func VectorsFromFrame(frame *features.Frame, month int) *FeatureVectors {
 	ids := frame.IDs()
 	v := &FeatureVectors{
 		ids:   append([]int64(nil), ids...),
@@ -106,7 +111,7 @@ func (p *Pipeline) Precompute(src Source, win features.Window, month int) error 
 		return fmt.Errorf("core: precompute frame schema %08x does not match training schema %08x",
 			got, schemaChecksum(p.featNames))
 	}
-	p.vectors = vectorsFromFrame(frame, month)
+	p.vectors = VectorsFromFrame(frame, month)
 	return nil
 }
 
@@ -129,6 +134,44 @@ func (p *Pipeline) PredictVectors() (*Predictions, error) {
 	}
 	scores := p.clf.ScoreAll(rows)
 	return &Predictions{IDs: append([]int64(nil), v.ids...), Scores: scores}, nil
+}
+
+// ServeMonth is the one rule every scorer picks its month and base by.
+// The month is the requested one (month != 0), else the warehouse's latest
+// customers partition (the one table scoring cannot impute around), else
+// the month of snap (the artifact's snapshot, may be nil). The warehouse
+// serves it whenever it opens (whErr nil and a customers partition
+// present): build runs for the month, and a nil error ends there. The
+// snapshot serves only when there is no warehouse or build fails, and only
+// if it describes that month: fallback then carries the warehouse's
+// failure, for the caller to report before serving snap. Otherwise err is
+// that failure.
+func ServeMonth(wh *store.Warehouse, whErr error, month int, snap *FeatureVectors, build func(month int) error) (m int, fallback, err error) {
+	var months []int
+	if whErr == nil {
+		months, whErr = wh.Months(synth.TableCustomers)
+		if whErr == nil && len(months) == 0 {
+			whErr = fmt.Errorf("empty warehouse %s (run churnctl generate)", wh.Root())
+		}
+	}
+	m = month
+	if m == 0 {
+		switch {
+		case whErr == nil:
+			m = months[len(months)-1]
+		case snap != nil:
+			m = snap.Month()
+		default:
+			return 0, nil, whErr
+		}
+	}
+	if whErr == nil {
+		whErr = build(m)
+	}
+	if whErr == nil || snap == nil || snap.Month() != m {
+		return m, nil, whErr
+	}
+	return m, whErr, nil
 }
 
 // encode writes the matrix as one artifact section (inside the bundle CRC).

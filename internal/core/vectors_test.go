@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
 
 	"telcochurn/internal/features"
+	"telcochurn/internal/store"
+	"telcochurn/internal/synth"
 	"telcochurn/internal/tree"
 )
 
@@ -187,4 +190,66 @@ func writeAsV1(t *testing.T, v2 []byte) []byte {
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body[len(artifactMagic)+1:]))
 	return append(body, tail[:]...)
+}
+
+// TestServeMonth pins the one month-and-base rule every scorer shares: the
+// warehouse's latest customers partition unless a month is asked for, the
+// warehouse whenever it opens, and the snapshot only without one or when
+// the build fails — and then only for its own month.
+func TestServeMonth(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Customers, cfg.Months = 20, 2
+	wh, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh.SetSync(store.SyncPolicy{Mode: store.SyncOff})
+	for m, md := range synth.Simulate(cfg) {
+		if err := wh.WritePartition(synth.TableCustomers, m+1, md.Customers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &FeatureVectors{month: 1}
+	noWarehouse := errors.New("no warehouse")
+	buildFails := errors.New("build fails")
+
+	cases := []struct {
+		name      string
+		wh        *store.Warehouse
+		whErr     error
+		month     int
+		snap      *FeatureVectors
+		buildErr  error
+		wantMonth int
+		wantBuilt bool
+		wantFall  string // fmt.Sprint of the fallback error
+		wantErr   string
+	}{
+		{"latest partition", wh, nil, 0, snap, nil, 2, true, "<nil>", "<nil>"},
+		{"asked month", wh, nil, 1, nil, nil, 1, true, "<nil>", "<nil>"},
+		{"no warehouse, snapshot", nil, noWarehouse, 0, snap, nil, 1, false, "no warehouse", "<nil>"},
+		{"no warehouse, no snapshot", nil, noWarehouse, 0, nil, nil, 0, false, "<nil>", "no warehouse"},
+		{"no warehouse, other month", nil, noWarehouse, 2, snap, nil, 2, false, "<nil>", "no warehouse"},
+		{"empty warehouse, snapshot", empty, nil, 0, snap, nil, 1, false,
+			"empty warehouse " + empty.Root() + " (run churnctl generate)", "<nil>"},
+		{"build fails, snapshot month", wh, nil, 1, snap, buildFails, 1, true, "build fails", "<nil>"},
+		{"build fails, other month", wh, nil, 0, snap, buildFails, 2, true, "<nil>", "build fails"},
+	}
+	for _, c := range cases {
+		built := 0
+		m, fallback, err := ServeMonth(c.wh, c.whErr, c.month, c.snap, func(m int) error {
+			built = m
+			return c.buildErr
+		})
+		if m != c.wantMonth || (built != 0) != c.wantBuilt || (c.wantBuilt && built != m) {
+			t.Errorf("%s: month %d, built for %d; want month %d, built=%v", c.name, m, built, c.wantMonth, c.wantBuilt)
+		}
+		if fmt.Sprint(fallback) != c.wantFall || fmt.Sprint(err) != c.wantErr {
+			t.Errorf("%s: fallback %v, err %v; want %s, %s", c.name, fallback, err, c.wantFall, c.wantErr)
+		}
+	}
 }

@@ -3,62 +3,7 @@ package serve
 import (
 	"sync"
 	"time"
-
-	"telcochurn/internal/core"
-	"telcochurn/internal/features"
 )
-
-// FrameProvider serves vectors out of a wide-table frame built once from a
-// pipeline over one observation window — the batch feature path reused
-// verbatim, so served vectors are the exact rows Pipeline.Predict scores.
-type FrameProvider struct {
-	frame *features.Frame
-	deg   features.Degradation
-}
-
-// NewFrameProvider builds the window's frame with the pipeline's fitted
-// feature models (no refitting — test-month semantics).
-func NewFrameProvider(p *core.Pipeline, src core.Source, win features.Window) (*FrameProvider, error) {
-	frame, err := p.BuildFrame(src, win, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &FrameProvider{frame: frame}, nil
-}
-
-// NewFrameProviderDegraded builds the window's frame in degraded mode:
-// unavailable raw tables are imputed around instead of failing the build,
-// and the provider remembers the degradation mask so the daemon can report
-// it (Degradation, /metrics). With everything available the frame is
-// bit-identical to NewFrameProvider's.
-func NewFrameProviderDegraded(p *core.Pipeline, src core.Source, win features.Window) (*FrameProvider, error) {
-	frame, _, deg, err := p.BuildFrameDegraded(src, win)
-	if err != nil {
-		return nil, err
-	}
-	return &FrameProvider{frame: frame, deg: deg}, nil
-}
-
-// Degradation reports which feature groups of the served window were built
-// from imputed data (zero for a healthy build).
-func (fp *FrameProvider) Degradation() features.Degradation { return fp.deg }
-
-// Vector implements Provider.
-func (fp *FrameProvider) Vector(id int64) ([]float64, bool) { return fp.frame.Row(id) }
-
-// FeatureNames implements Provider.
-func (fp *FrameProvider) FeatureNames() []string { return fp.frame.Names() }
-
-// IDs returns every scorable customer in the window, in frame row order.
-func (fp *FrameProvider) IDs() []int64 { return fp.frame.IDs() }
-
-// NumRows returns the number of scorable customers.
-func (fp *FrameProvider) NumRows() int { return fp.frame.NumRows() }
-
-// Info implements Provider.
-func (fp *FrameProvider) Info() ProviderInfo {
-	return ProviderInfo{Source: "frame", Rows: fp.frame.NumRows(), Degradation: fp.deg}
-}
 
 // Cache is an in-memory per-customer feature-vector cache with TTL,
 // fronting a Provider. Entries expire CacheTTL after they were fetched, so

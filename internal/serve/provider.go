@@ -7,12 +7,11 @@ import (
 	"telcochurn/internal/features"
 )
 
-// Provider is the one serving-vector interface: every vector source — the
-// precomputed artifact snapshot, the warehouse frame and the mutable event
-// overlay churnd stacks on one of them (plus the TTL cache and fallback
-// chain the benchmark's layer probes still compose) — implements it, so
-// every path reports uniformly. Returned slices are read-only and must not
-// be mutated by callers.
+// Provider is the one serving-vector interface. churnd serves an Overlay
+// (live event overrides) over one Snapshot; the benchmark's layer probes
+// still compose the TTL Cache and FallbackProvider over snapshots. Every
+// one reports through Info, so every path reads uniformly. Returned slices
+// are read-only and must not be mutated by callers.
 type Provider interface {
 	// Vector returns the feature vector for a customer, or false if the
 	// customer is not in the provider's universe.
@@ -27,8 +26,9 @@ type Provider interface {
 
 // ProviderInfo is the uniform self-description every provider reports.
 type ProviderInfo struct {
-	// Source names the vector path: "vectors" or "frame" (a
-	// FallbackProvider joins its leaves' names, primary first).
+	// Source names where a snapshot came from: "vectors" (the artifact)
+	// or "frame" (a warehouse build). A FallbackProvider joins its leaves'
+	// names, primary first.
 	Source string
 	// Rows is the scorable-universe size.
 	Rows int
@@ -40,51 +40,73 @@ type ProviderInfo struct {
 	Overridden int
 }
 
-// VectorsProvider serves feature vectors straight out of a pipeline's
-// precomputed matrix (core.FeatureVectors, persisted in v2 artifacts) —
-// a binary search plus a slice view per lookup, zero allocations, no
-// warehouse access. This is the serving-path ideal: the vectors are the
-// exact strict-build frame rows from precompute time, so scores off them
-// are bit-identical to the frame path over the same window.
-type VectorsProvider struct {
+// Snapshot is the one immutable serving base: a row-major feature matrix
+// keyed by customer id (core.FeatureVectors), read with a binary search and
+// a slice view per lookup and no allocation. It comes either from the
+// artifact's precomputed vectors or from a frame build over the warehouse,
+// flattened the way Precompute flattens, so both serve the exact frame
+// rows Pipeline.Predict scores.
+type Snapshot struct {
 	vecs  *core.FeatureVectors
 	names []string
+	info  ProviderInfo
 }
 
-// ErrNoVectors mirrors core.ErrNoVectors for callers probing whether a
-// loaded artifact can serve without a warehouse.
-var ErrNoVectors = core.ErrNoVectors
-
-// NewVectorsProvider wraps the pipeline's precomputed matrix; it fails with
-// ErrNoVectors when the artifact carries none (pre-v2, or trained without
-// -precompute).
-func NewVectorsProvider(p *core.Pipeline) (*VectorsProvider, error) {
+// NewVectorsProvider serves the artifact's precomputed vectors; it fails
+// with core.ErrNoVectors when the artifact carries none (pre-v2, or trained
+// without -precompute).
+func NewVectorsProvider(p *core.Pipeline) (*Snapshot, error) {
 	v := p.Vectors()
 	if v == nil {
-		return nil, ErrNoVectors
+		return nil, core.ErrNoVectors
 	}
-	return &VectorsProvider{vecs: v, names: p.FeatureNames()}, nil
+	info := ProviderInfo{Source: "vectors", Rows: v.NumRows()}
+	return &Snapshot{vecs: v, names: p.FeatureNames(), info: info}, nil
+}
+
+// NewFrameProvider builds the window's frame with the pipeline's fitted
+// feature models (no refitting — test-month semantics) and serves it.
+func NewFrameProvider(p *core.Pipeline, src core.Source, win features.Window) (*Snapshot, error) {
+	frame, err := p.BuildFrame(src, win, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return frameSnapshot(frame, 0), nil
+}
+
+// NewFrameProviderDegraded builds the window's frame in degraded mode:
+// unavailable raw tables are imputed around instead of failing the build,
+// and Info reports the degradation mask. With everything available the
+// snapshot is bit-identical to NewFrameProvider's.
+func NewFrameProviderDegraded(p *core.Pipeline, src core.Source, win features.Window) (*Snapshot, error) {
+	frame, _, deg, err := p.BuildFrameDegraded(src, win)
+	if err != nil {
+		return nil, err
+	}
+	return frameSnapshot(frame, deg), nil
+}
+
+// frameSnapshot flattens a built frame. The matrix records no month: the
+// window, not a snapshot month, names what a frame build served.
+func frameSnapshot(frame *features.Frame, deg features.Degradation) *Snapshot {
+	return &Snapshot{
+		vecs:  core.VectorsFromFrame(frame, 0),
+		names: frame.Names(),
+		info:  ProviderInfo{Source: "frame", Rows: frame.NumRows(), Degradation: deg},
+	}
 }
 
 // Vector implements Provider without allocating.
-func (vp *VectorsProvider) Vector(id int64) ([]float64, bool) { return vp.vecs.Vector(id) }
+func (s *Snapshot) Vector(id int64) ([]float64, bool) { return s.vecs.Vector(id) }
 
 // FeatureNames implements Provider.
-func (vp *VectorsProvider) FeatureNames() []string { return vp.names }
+func (s *Snapshot) FeatureNames() []string { return s.names }
 
 // IDs returns every customer in the snapshot, ascending.
-func (vp *VectorsProvider) IDs() []int64 { return vp.vecs.IDs() }
-
-// NumRows returns the snapshot size.
-func (vp *VectorsProvider) NumRows() int { return vp.vecs.NumRows() }
-
-// Month returns the feature month the snapshot was precomputed from.
-func (vp *VectorsProvider) Month() int { return vp.vecs.Month() }
+func (s *Snapshot) IDs() []int64 { return s.vecs.IDs() }
 
 // Info implements Provider.
-func (vp *VectorsProvider) Info() ProviderInfo {
-	return ProviderInfo{Source: "vectors", Rows: vp.vecs.NumRows()}
-}
+func (s *Snapshot) Info() ProviderInfo { return s.info }
 
 // FallbackProvider resolves vectors from a primary provider and falls back
 // to a secondary for customers the primary does not know. churnd composes

@@ -1,7 +1,7 @@
 // Package serve is the online scoring layer over a fitted core.Pipeline.
 // There is one scoring path and it runs on the caller's goroutine: resolve
 // each customer's feature vector through the provider (an in-memory lookup),
-// then walk the compiled ensemble — core.SingleScorer for one id (zero
+// then walk the compiled ensemble — Classifier.Score for one id (zero
 // allocations steady-state), one Classifier.ScoreAll call for several (which
 // itself fans out across cores only for requests above parallel.DefaultGrain
 // rows). Multi-id requests are admitted against one bound on customer scores
@@ -56,7 +56,6 @@ type Config struct {
 // calling goroutine. It is safe for concurrent use.
 type Scorer struct {
 	clf       core.Classifier
-	single    core.SingleScorer // non-nil: ScoreOne walks it with zero allocations
 	prov      Provider
 	queueSize int64
 	metrics   *Metrics
@@ -77,44 +76,35 @@ func NewScorer(clf core.Classifier, prov Provider, cfg Config, m *Metrics) *Scor
 	if cfg.QueueSize == 0 {
 		cfg.QueueSize = 4096
 	}
-	s := &Scorer{clf: clf, prov: prov, queueSize: int64(cfg.QueueSize), metrics: m}
-	s.single, _ = clf.(core.SingleScorer)
-	return s
+	return &Scorer{clf: clf, prov: prov, queueSize: int64(cfg.QueueSize), metrics: m}
 }
 
 // Metrics returns the scorer's instrumentation.
 func (s *Scorer) Metrics() *Metrics { return s.metrics }
 
-// ScoreOne scores a single customer. With a SingleScorer classifier this is
-// a vector lookup plus one compiled-ensemble walk — zero allocations — and
+// ScoreOne scores a single customer: a vector lookup plus one
+// Classifier.Score walk — zero allocations for the tree families — and
 // bit-identical to the same customer scored inside a Score call.
 func (s *Scorer) ScoreOne(ctx context.Context, id int64) (float64, error) {
-	if s.single != nil {
-		start := time.Now()
-		s.metrics.Requests.Add(1)
-		if err := ctx.Err(); err != nil {
-			s.metrics.Canceled.Add(1)
-			return 0, err
-		}
-		if s.closed.Load() {
-			s.metrics.Errors.Add(1)
-			return 0, ErrClosed
-		}
-		vec, ok := s.prov.Vector(id)
-		if !ok {
-			s.metrics.Errors.Add(1)
-			return 0, unknownCustomer(id)
-		}
-		score := s.single.Score(vec)
-		s.metrics.Scored.Add(1)
-		s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
-		return score, nil
-	}
-	out, err := s.Score(ctx, []int64{id})
-	if err != nil {
+	start := time.Now()
+	s.metrics.Requests.Add(1)
+	if err := ctx.Err(); err != nil {
+		s.metrics.Canceled.Add(1)
 		return 0, err
 	}
-	return out[0], nil
+	if s.closed.Load() {
+		s.metrics.Errors.Add(1)
+		return 0, ErrClosed
+	}
+	vec, ok := s.prov.Vector(id)
+	if !ok {
+		s.metrics.Errors.Add(1)
+		return 0, unknownCustomer(id)
+	}
+	score := s.clf.Score(vec)
+	s.metrics.Scored.Add(1)
+	s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
+	return score, nil
 }
 
 // unknownCustomer is split out so ScoreOne's happy case stays free of the
@@ -131,7 +121,7 @@ func unknownCustomer(id int64) error {
 // with ErrTooManyIDs; one that does not fit beside the requests already in
 // flight fails fast with ErrQueueFull.
 func (s *Scorer) Score(ctx context.Context, ids []int64) ([]float64, error) {
-	if len(ids) == 1 && s.single != nil {
+	if len(ids) == 1 {
 		// ScoreOne counts its own request metric; one result allocation
 		// for the API shape.
 		score, err := s.ScoreOne(ctx, ids[0])

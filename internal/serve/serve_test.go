@@ -71,13 +71,17 @@ func (c *sumClassifier) ScoreAll(x [][]float64) []float64 {
 	c.batches.Add(1)
 	out := make([]float64, len(x))
 	for i, row := range x {
-		s := 0.0
-		for _, v := range row {
-			s += v
-		}
-		out[i] = s
+		out[i] = c.Score(row)
 	}
 	return out
+}
+
+func (c *sumClassifier) Score(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v
+	}
+	return s
 }
 
 func TestScorerUnknownCustomer(t *testing.T) {
@@ -326,9 +330,9 @@ func TestServeMatchesPipelinePredict(t *testing.T) {
 }
 
 // servingFixture fits a pipeline, precomputes its serving vectors, and
-// returns the vectors-backed provider — the production churnd configuration
+// returns the artifact's snapshot — what churnd serves without a warehouse
 // — with the batch Pipeline.Predict output over the same window.
-func servingFixture(tb testing.TB, trees int) (*core.Pipeline, *VectorsProvider, *core.Predictions) {
+func servingFixture(tb testing.TB, trees int) (*core.Pipeline, *Snapshot, *core.Predictions) {
 	tb.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 400

@@ -231,11 +231,8 @@ CHURND_PID=""
 "$WORK/churnctl" generate -out "$WORK/whs" -customers 400 -months 4
 # churnd serves the -precompute artifact loadtest and the benchmark run;
 # with a warehouse its one base is the frame, never the train-time
-# snapshot. The same training run without -precompute (shown above to
-# score identically) is the batch reference further down: `churnctl score`
-# prefers the snapshot when the month matches, so after a merge the
-# precomputed artifact cannot be its own oracle.
-"$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/models.tcpa" -trees 20
+# snapshot — and `churnctl score` picks its base by the same rule, so the
+# same artifact is the batch reference further down.
 "$WORK/churnctl" train -warehouse "$WORK/whs" -out "$WORK/modelsp.tcpa" -trees 20 -precompute
 "$WORK/churnd" -artifact "$WORK/modelsp.tcpa" -warehouse "$WORK/whs" -addr "127.0.0.1:$PORT" &
 CHURND_PID=$!
@@ -313,7 +310,7 @@ wait "$CHURND_PID" 2>/dev/null || true
 CHURND_PID=""
 "$WORK/churnctl" ingest -warehouse "$WORK/whs" -merge | grep -q "merged [1-9]" \
     || { echo "e2e: merge did not fold the logged events"; exit 1; }
-FULL="$("$WORK/churnctl" score -warehouse "$WORK/whs" -model "$WORK/models.tcpa" -top 0 -full \
+FULL="$("$WORK/churnctl" score -warehouse "$WORK/whs" -model "$WORK/modelsp.tcpa" -top 0 -full \
     | awk -F, -v id="$FID" '$2 == id { print $3 }')"
 [ "$AFTER" = "$FULL" ] \
     || { echo "e2e: incremental score $AFTER != full-rebuild score $FULL"; exit 1; }
