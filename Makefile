@@ -62,8 +62,8 @@ bench-profile:
 # then the whole feature / topic / graph packages (the overlapped frame
 # build, chunked co-occurrence finalize and parallel topic fold-in at several
 # shard and worker counts), then a time-boxed run of each decoder fuzz target
-# (their seeds already ran as ordinary tests; a failing input lands in the
-# package's testdata/fuzz/).
+# and of churnd's two request-body targets (their seeds already ran as
+# ordinary tests; a failing input lands in the package's testdata/fuzz/).
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Crash|Atomic|Retry|Degraded|Partial|Cache|Reload|Readyz|Refresh|Conformance|Corrupt|Hostile|Golden|Layout|Fuzz|FrameIdenticalAcross|Unfitted|Merge|Restart|Boot' \
@@ -74,6 +74,8 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/tree/
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./cmd/churnd/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventsRequest$$' -fuzztime 10s ./cmd/churnd/
 
 # Network chaos: the seeded TCP fault proxy's property tests under -race,
 # then the full proxied harness — churnd behind cmd/netproxy under a mixed

@@ -21,10 +21,16 @@
 //	GET  /metrics       request/latency (p50/p95/p99)/retry/ingest/degradation
 //
 // Every error renders one envelope: {"error":{"code","message","retryable"}}
-// with 400 invalid_request, 404 unknown_customer, 405 method_not_allowed,
-// 413 request_too_large (more ids than -queue admits, or a body over the
-// endpoint's cap), 429 overloaded / refresh_in_progress, 503 unavailable,
-// 504 timeout.
+// with 400 invalid_request, 404 unknown_customer, 405 method_not_allowed
+// (with Allow), 413 request_too_large (more ids than -queue admits, or a
+// body over the endpoint's cap), 429 overloaded / refresh_in_progress, 503
+// unavailable, 504 timeout. -request-timeout is a context deadline on
+// /v1/events and /v1/refresh, which check it at their commit points;
+// /v1/score checks it once, at admission, against the request's start.
+//
+// /v1/score decodes and encodes its two fixed shapes by hand over pooled
+// buffers (scorecodec.go): a body the recognizer does not accept takes the
+// encoding/json path, and the reply is byte-identical to json.Marshal's.
 //
 // Serving path: vectors resolve through the live event overlay over one
 // immutable snapshot, picked warehouse first by the rule `churnctl score`
@@ -227,7 +233,10 @@ type engine struct {
 	quarantined int
 	win         features.Window
 	model       string
-	month       int
+	// modelJSON is model rendered once as a JSON string for the /v1/score
+	// appender.
+	modelJSON []byte
+	month     int
 }
 
 // ingestReady reports whether the engine can take POST /v1/events.
@@ -278,6 +287,7 @@ func (s *service) buildEngine() (*engine, error) {
 		wh.SetSync(opts.fsync)
 	}
 	e := &engine{pipe: pipe, model: pipe.Classifier().Name()}
+	e.modelJSON, _ = json.Marshal(e.model) // a string always marshals
 
 	// One base under the overlay, picked by the rule `churnctl score`
 	// shares: the warehouse frame whenever the warehouse opens — it holds
@@ -478,18 +488,19 @@ func (s *service) Close() {
 
 // Handler returns the HTTP mux for the service, wrapped in the lifecycle
 // middleware: panics become 500 envelopes (outermost, so it also covers
-// the deadline layer), and every request carries the -request-timeout
-// deadline.
+// the deadline layer). /v1/events and /v1/refresh carry the
+// -request-timeout deadline in their context; /v1/score checks it itself
+// at admission (see handleScore).
 func (s *service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/score", s.handleScore)
-	mux.HandleFunc("/v1/events", s.handleEvents)
-	mux.HandleFunc("/v1/refresh", s.handleRefresh)
+	mux.Handle("/v1/events", s.withDeadline(s.handleEvents, 1))
+	mux.Handle("/v1/refresh", s.withDeadline(s.handleRefresh, 6))
 	mux.HandleFunc("/v1/customers", s.handleCustomers)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	return s.recoverPanics(s.withDeadline(mux))
+	return s.recoverPanics(mux)
 }
 
 // trackedWriter remembers whether a response has started, so the panic
@@ -534,22 +545,18 @@ func (s *service) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// withDeadline attaches the -request-timeout deadline to every request
-// context. The scoring path observes it inside Score (504 via scoreStatus);
-// the slow handlers check it at their commit points. /v1/refresh rebuilds
-// the whole frame, so it gets six budgets.
-func (s *service) withDeadline(next http.Handler) http.Handler {
+// withDeadline attaches budgets times the -request-timeout deadline to the
+// request context of a handler that checks it at its commit points.
+// /v1/refresh rebuilds the whole frame, so it gets six budgets.
+func (s *service) withDeadline(next http.HandlerFunc, budgets time.Duration) http.Handler {
 	if s.opts.reqTimeout <= 0 {
 		return next
 	}
+	d := budgets * s.opts.reqTimeout
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := s.opts.reqTimeout
-		if r.URL.Path == "/v1/refresh" {
-			d *= 6
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
+		next(w, r.WithContext(ctx))
 	})
 }
 
@@ -574,6 +581,13 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryable b
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorResponse{Error: apiError{Code: code, Message: msg, Retryable: retryable}})
+}
+
+// methodNotAllowed renders the 405 envelope with the Allow header RFC 9110
+// requires on it.
+func methodNotAllowed(w http.ResponseWriter, allow string) {
+	w.Header().Set("Allow", allow)
+	writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", allow+" only", false)
 }
 
 // scoreStatus maps scoring failures onto the envelope: a full queue is
@@ -609,13 +623,13 @@ const (
 	maxEventsBody = 8 << 20
 )
 
-// decodeBody decodes a JSON request body of at most limit bytes into v. The
-// body must hold exactly one JSON value (trailing whitespace is fine): a
-// second value or trailing junk is rejected rather than silently dropped. On
-// failure it renders the envelope itself — 413 for a body over the cap, 400
-// for anything else — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// decodeBody decodes a JSON request body, already capped at limit bytes by
+// http.MaxBytesReader, into v. The body must hold exactly one JSON value
+// (trailing whitespace is fine): a second value or trailing junk is rejected
+// rather than silently dropped. On failure it renders the envelope itself —
+// 413 for a body over the cap, 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, body io.Reader, limit int64, v any) bool {
+	dec := json.NewDecoder(body)
 	err := dec.Decode(v)
 	if err == nil {
 		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
@@ -640,6 +654,8 @@ type scoreRequest struct {
 	IDs []int64 `json:"ids,omitempty"`
 }
 
+// scoreResponse is the reply's wire shape: appendScoreResponse renders
+// exactly json.Marshal's bytes for it.
 type scoreResponse struct {
 	Model  string    `json:"model"`
 	Month  int       `json:"month"`
@@ -650,45 +666,72 @@ type scoreResponse struct {
 	Degraded string `json:"degraded,omitempty"`
 }
 
+// handleScore serves both request shapes. The body is read into a pooled
+// buffer and recognized by parseScoreRequest; anything it does not accept
+// takes decodeBody's encoding/json path over the same bytes. The reply is
+// appended into the same buffer. The -request-timeout deadline is checked
+// once, at admission: scoring has no commit point and reads its context
+// only there, so the timer and request clone of a context deadline would
+// buy nothing.
 func (s *service) handleScore(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", false)
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req scoreRequest
-	if !decodeBody(w, r, maxScoreBody, &req) {
-		return
-	}
-	single := req.ID != nil
-	ids := req.IDs
-	if single {
-		if len(ids) > 0 {
-			writeError(w, http.StatusBadRequest, "invalid_request", `give "id" or "ids", not both`, false)
+	bp := getBuf()
+	defer putBuf(bp)
+	body, err := readBody(w, r, maxScoreBody, *bp)
+	*bp = body
+	id, ids, single, ok := parseScoreRequest(body)
+	if err != nil || !ok {
+		var req scoreRequest
+		if !decodeBody(w, &errAfter{body, err}, maxScoreBody, &req) {
 			return
 		}
-		ids = []int64{*req.ID}
-	} else if len(ids) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request", `need "id" or a non-empty "ids"`, false)
-		return
+		if single = req.ID != nil; single {
+			if len(req.IDs) > 0 {
+				writeError(w, http.StatusBadRequest, "invalid_request", `give "id" or "ids", not both`, false)
+				return
+			}
+			id = *req.ID
+		} else if ids = req.IDs; len(ids) == 0 {
+			writeError(w, http.StatusBadRequest, "invalid_request", `need "id" or a non-empty "ids"`, false)
+			return
+		}
 	}
 
 	e := s.cur.Load()
-	scores, err := e.scorer.Score(r.Context(), ids)
+	var (
+		score  float64
+		scores []float64
+	)
+	switch {
+	case s.opts.reqTimeout > 0 && time.Since(start) >= s.opts.reqTimeout:
+		// Counted as the scorer counts a request whose context is done.
+		s.metrics.Requests.Add(1)
+		s.metrics.Canceled.Add(1)
+		err = context.DeadlineExceeded
+	case single:
+		score, err = e.scorer.ScoreOne(r.Context(), id)
+	default:
+		scores, err = e.scorer.Score(r.Context(), ids)
+	}
 	if err != nil {
 		status, code, retryable := scoreStatus(err)
 		writeError(w, status, code, err.Error(), retryable)
 		return
 	}
-	resp := scoreResponse{Model: e.model, Month: e.month}
+	var degraded string
 	if deg := e.overlay.Info().Degradation; !deg.Empty() {
-		resp.Degraded = deg.String()
+		degraded = deg.String()
 	}
-	if single {
-		resp.Score = &scores[0]
-	} else {
-		resp.Scores = scores
+	*bp, ok = appendScoreResponse(body[:0], e.modelJSON, e.month, single, score, scores, degraded)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, "internal", "internal server error", false)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, *bp)
 }
 
 // eventsResponse reports one accepted ingest batch: the durable log
@@ -707,11 +750,11 @@ type eventsResponse struct {
 
 func (s *service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", false)
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	var req serve.EventBatch
-	if !decodeBody(w, r, maxEventsBody, &req) {
+	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxEventsBody), maxEventsBody, &req) {
 		s.metrics.EventsRejected.Add(1)
 		return
 	}
@@ -781,7 +824,7 @@ type refreshResponse struct {
 // ingest continue); only the final swap serializes with ingest.
 func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", false)
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	if s.draining.Load() {
@@ -923,7 +966,7 @@ func (s *service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // load generators (churnload) and smoke checks use to pick real targets.
 func (s *service) handleCustomers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	e := s.cur.Load()
@@ -972,7 +1015,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, "internal", "internal server error", false)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, append(body, '\n'))
+}
+
+// jsonContentType is shared by every reply; assigning it into the header
+// map directly skips Header.Set's key canonicalization and slice.
+var jsonContentType = []string{"application/json"}
+
+// writeBody commits status and writes an already rendered JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
+	w.Write(body)
 }

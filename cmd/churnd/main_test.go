@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"telcochurn/internal/core"
+	"telcochurn/internal/dataset"
 	"telcochurn/internal/features"
 	"telcochurn/internal/serve"
 	"telcochurn/internal/store"
@@ -165,13 +166,20 @@ func TestScoreEndpointErrors(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("both id and ids: status %d, want 400", status)
 	}
-	resp, err := http.Get(ts.URL + "/v1/score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET score: status %d, want 405", resp.StatusCode)
+	// A 405 names the method the endpoint takes (RFC 9110 §15.5.6).
+	for _, tc := range []struct{ method, path, allow string }{
+		{"GET", "/v1/score", "POST"},
+		{"GET", "/v1/events", "POST"},
+		{"GET", "/v1/refresh", "POST"},
+		{"POST", "/v1/customers", "GET"},
+	} {
+		status, body, hdr := doRequest(t, ts, tc.method, tc.path, "")
+		if status != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405 (%s)", tc.method, tc.path, status, body)
+		}
+		if got := hdr.Get("Allow"); got != tc.allow {
+			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
 	}
 }
 
@@ -1036,7 +1044,8 @@ func TestDegradedBootWithEventLog(t *testing.T) {
 }
 
 // TestWriteJSONUnencodable: a reply JSON cannot carry — a NaN score —
-// is the 500 "internal" envelope, not a 200 with an empty body.
+// is the 500 "internal" envelope, not a 200 with an empty body, through
+// writeJSON and through the /v1/score handler's own appender.
 func TestWriteJSONUnencodable(t *testing.T) {
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, map[string]any{"scores": []float64{0.5, math.NaN()}})
@@ -1047,6 +1056,40 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "internal" {
 		t.Fatalf("NaN reply not the internal envelope: %q", rec.Body.Bytes())
 	}
+
+	// The score path: a classifier whose every score is NaN (or ±Inf).
+	svc, want := buildTestService(t)
+	h := svc.Handler()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := *svc.cur.Load()
+		e.scorer = serve.NewScorer(constClassifier(bad), e.overlay, serve.Config{}, svc.metrics)
+		svc.cur.Store(&e)
+		for _, body := range []string{
+			`{"id":` + int64String(want.IDs[0]) + `}`,
+			`{"ids":[` + int64String(want.IDs[0]) + `,` + int64String(want.IDs[1]) + `]}`,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score", strings.NewReader(body)))
+			var env errEnvelope
+			if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != "internal" {
+				t.Errorf("score %v for %s = %d %q, want the 500 internal envelope", bad, body, rec.Code, rec.Body.Bytes())
+			}
+		}
+	}
+}
+
+// constClassifier scores every row as the same value.
+type constClassifier float64
+
+func (c constClassifier) Fit(*dataset.Dataset) error { return nil }
+func (c constClassifier) Name() string               { return "const" }
+func (c constClassifier) Score(x []float64) float64  { return float64(c) }
+func (c constClassifier) ScoreAll(x [][]float64) []float64 {
+	out := make([]float64, len(x))
+	for i := range out {
+		out[i] = float64(c)
+	}
+	return out
 }
 
 // TestPanicRecovery: a handler panic becomes a 500 envelope plus a
