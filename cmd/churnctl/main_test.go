@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -93,6 +94,15 @@ func TestGenerateDailyMatchesMonthly(t *testing.T) {
 		t.Errorf("event log after the daily landing: %d entries, %v; want empty", len(segs), err)
 	}
 
+	// inspect reads the two landings alike, with no pending "events" line,
+	// and the frame build reads the daily one. Its checksum is not
+	// compared: calls are stored in day order, so per-customer call sums
+	// run in another order (DESIGN.md §12).
+	if m, d := inspect(t, monthly), inspect(t, daily); d != m {
+		t.Errorf("inspect of the daily landing:\n%s\nof the monthly one:\n%s", d, m)
+	}
+	builtChecksum(t, "-warehouse", daily)
+
 	// Pending events of another origin would be merged into the generated
 	// months, so the daily landing refuses and writes nothing.
 	pending := filepath.Join(dir, "pending")
@@ -142,6 +152,99 @@ func rowMultiset(t *table.Table) []string {
 	}
 	slices.Sort(rows)
 	return rows
+}
+
+// inspect returns churnctl inspect's report of the warehouse at dir.
+func inspect(t *testing.T, dir string) string {
+	t.Helper()
+	out, _ := run(t, cmdInspect, "-warehouse", dir)
+	return out
+}
+
+// builtChecksum runs churnctl build -checksum with args and returns the
+// checksum it prints.
+func builtChecksum(t *testing.T, args ...string) string {
+	t.Helper()
+	out, _ := run(t, cmdBuild, append(args, "-checksum")...)
+	m := regexp.MustCompile(`(?m)^frame_checksum=([0-9a-f]{16})$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("build %v printed no checksum:\n%s", args, out)
+	}
+	return m[1]
+}
+
+// TestLandingsScoreAndBuildIdentically is the layout contract at the CLI.
+// One world landed plain and 4-way sharded inspects to the same row counts
+// and builds to the same frame checksum. Under one model both landings
+// print the same ranked list, strict and -degraded with the web feed gone
+// (the same mask on stderr), and build -degraded reports the shards and
+// rows it streamed. A -precompute artifact prints the same list, also with
+// no warehouse at all, where a plain artifact refuses to score.
+func TestLandingsScoreAndBuildIdentically(t *testing.T) {
+	dir := t.TempDir()
+	wh1, wh4 := filepath.Join(dir, "wh1"), filepath.Join(dir, "wh4")
+	gen := []string{"-customers", "300", "-months", "4", "-fsync", "off"}
+	run(t, cmdGenerate, append([]string{"-out", wh1, "-shards", "1"}, gen...)...)
+	run(t, cmdGenerate, append([]string{"-out", wh4, "-shards", "4"}, gen...)...)
+
+	plain, sharded := inspect(t, wh1), inspect(t, wh4)
+	if !strings.Contains(sharded, " shards=4\n") || strings.ReplaceAll(sharded, " shards=4\n", "\n") != plain {
+		t.Errorf("inspect of the sharded landing:\n%s\nof the plain one:\n%s", sharded, plain)
+	}
+	if a, b := builtChecksum(t, "-warehouse", wh1), builtChecksum(t, "-warehouse", wh4); a != b {
+		t.Errorf("frame checksum %s for 1 shard, %s for 4", a, b)
+	}
+
+	model, snapshot := filepath.Join(dir, "model.tcpa"), filepath.Join(dir, "snapshot.tcpa")
+	train := []string{"-warehouse", wh4, "-trees", "10", "-fsync", "off"}
+	run(t, cmdTrain, append(train, "-out", model)...)
+	if out, _ := run(t, cmdTrain, append(train, "-out", snapshot, "-precompute")...); !regexp.MustCompile(`precomputed [1-9][0-9]* serving vectors`).MatchString(out) {
+		t.Errorf("train -precompute reported no snapshot: %s", out)
+	}
+	score := func(wh, model string, flags ...string) (string, string) {
+		t.Helper()
+		return run(t, cmdScore, append([]string{"-warehouse", wh, "-model", model, "-top", "0", "-full"}, flags...)...)
+	}
+	want, _ := score(wh4, model)
+	if rows := strings.Count(want, "\n") - 1; rows < 100 {
+		t.Fatalf("score over the sharded landing printed %d rows", rows)
+	}
+	if got, _ := score(wh1, model); got != want {
+		t.Error("plain and sharded landings score differently")
+	}
+	if got, _ := score(wh4, snapshot); got != want {
+		t.Error("a -precompute artifact scores differently over the warehouse")
+	}
+
+	var degraded [2]string
+	for i, wh := range []string{wh1, wh4} {
+		if err := os.RemoveAll(filepath.Join(wh, synth.TableWeb)); err != nil {
+			t.Fatal(err)
+		}
+		var stderr string
+		degraded[i], stderr = score(wh, model, "-degraded")
+		if !strings.Contains(stderr, "degraded groups: F1,F3\n") {
+			t.Errorf("score -degraded over %s reported no F1,F3 mask on stderr: %q", wh, stderr)
+		}
+	}
+	if degraded[0] != degraded[1] || degraded[0] == want {
+		t.Error("degraded scores differ between landings, or equal the healthy ones")
+	}
+	if out, _ := run(t, cmdBuild, "-warehouse", wh4, "-degraded"); !regexp.MustCompile(`shards=4 raw_rows=[1-9]`).MatchString(out) {
+		t.Errorf("build -degraded did not report its shards and rows: %s", out)
+	}
+
+	if err := os.RemoveAll(wh4); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := score(wh4, snapshot); got != want {
+		t.Error("the snapshot scores differently with no warehouse")
+	}
+	if _, _, err := captureOutput(t, func() error {
+		return cmdScore([]string{"-warehouse", wh4, "-model", model, "-top", "5"})
+	}); err == nil {
+		t.Error("a plain artifact scored with no warehouse")
+	}
 }
 
 func TestEvalCheapExperiment(t *testing.T) {
@@ -231,15 +334,10 @@ func TestScoreAfterMergeReadsWarehouse(t *testing.T) {
 	if err := cmdTrain([]string{"-warehouse", wh, "-out", model, "-trees", "10", "-precompute", "-fsync", "off"}); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	if err := cmdIngest([]string{"-warehouse", wh, "-synth", "200", "-merge", "-fsync", "off"}); err != nil {
-		t.Fatalf("ingest: %v", err)
+	if out, _ := run(t, cmdIngest, "-warehouse", wh, "-synth", "200", "-merge", "-fsync", "off"); !regexp.MustCompile(`merged [1-9]`).MatchString(out) {
+		t.Fatalf("ingest -merge folded no logged rows: %q", out)
 	}
-	out, err := captureStdout(t, func() error {
-		return cmdScore([]string{"-warehouse", wh, "-model", model, "-top", "0", "-full"})
-	})
-	if err != nil {
-		t.Fatalf("score: %v", err)
-	}
+	out, _ := run(t, cmdScore, "-warehouse", wh, "-model", model, "-top", "0", "-full")
 
 	pipe, err := core.LoadFile(model)
 	if err != nil {
@@ -294,22 +392,38 @@ func TestScoreAfterMergeReadsWarehouse(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected to a file and returns
-// what it printed.
-func captureStdout(t *testing.T, f func() error) (string, error) {
+// captureOutput runs f with os.Stdout and os.Stderr redirected to files
+// and returns what it printed on each.
+func captureOutput(t *testing.T, f func() error) (stdout, stderr string, err error) {
 	t.Helper()
-	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	files := [2]*os.File{}
+	for i := range files {
+		if files[i], err = os.CreateTemp(dir, "out"); err != nil {
+			t.Fatal(err)
+		}
+		defer files[i].Close()
 	}
-	defer tmp.Close()
-	saved := os.Stdout
-	os.Stdout = tmp
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
 	ferr := f()
-	os.Stdout = saved
-	out, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
+	os.Stdout, os.Stderr = savedOut, savedErr
+	var out [2][]byte
+	for i, f := range files {
+		if out[i], err = os.ReadFile(f.Name()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return string(out), ferr
+	return string(out[0]), string(out[1]), ferr
+}
+
+// run runs one churnctl command in process and returns its stdout and
+// stderr, failing the test if it errs.
+func run(t *testing.T, cmd func([]string) error, args ...string) (stdout, stderr string) {
+	t.Helper()
+	stdout, stderr, err := captureOutput(t, func() error { return cmd(args) })
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, stderr)
+	}
+	return stdout, stderr
 }

@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
@@ -137,7 +138,11 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal("churnd: ", err)
+	}
+	srv := &http.Server{Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Drain sequence on SIGINT/SIGTERM: mark draining (new readiness probes
@@ -175,9 +180,11 @@ func main() {
 
 	e := svc.cur.Load()
 	info := e.overlay.Info()
+	// The bound address, not -addr: with port 0 this is the only place the
+	// port the kernel picked is reported.
 	log.Printf("churnd: serving %s (month %d, %d customers, %s path, schema %08x, degraded: %s, ingest: %v) on %s",
-		e.model, e.month, info.Rows, info.Source, e.pipe.SchemaChecksum(), info.Degradation, e.ingestReady(), *addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		e.model, e.month, info.Rows, info.Source, e.pipe.SchemaChecksum(), info.Degradation, e.ingestReady(), ln.Addr())
+	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal("churnd: ", err)
 	}
 	// ErrServerClosed means the drain goroutine is mid-shutdown; wait for it
@@ -510,6 +517,10 @@ type trackedWriter struct {
 	wrote bool
 }
 
+// trackedPool recycles the middleware's writers: one allocated per request
+// would be the only allocation on the single-id score path.
+var trackedPool = sync.Pool{New: func() any { return new(trackedWriter) }}
+
 func (t *trackedWriter) WriteHeader(code int) {
 	t.wrote = true
 	t.ResponseWriter.WriteHeader(code)
@@ -526,8 +537,12 @@ func (t *trackedWriter) Write(b []byte) (int, error) {
 // re-panics: it is net/http's sanctioned way to abort a response.
 func (s *service) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackedWriter{ResponseWriter: w}
+		tw := trackedPool.Get().(*trackedWriter)
+		tw.ResponseWriter, tw.wrote = w, false
 		defer func() {
+			wrote := tw.wrote
+			*tw = trackedWriter{}
+			trackedPool.Put(tw)
 			p := recover()
 			if p == nil {
 				return
@@ -537,8 +552,8 @@ func (s *service) recoverPanics(next http.Handler) http.Handler {
 			}
 			s.metrics.PanicsRecovered.Add(1)
 			log.Printf("churnd: recovered panic in %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-			if !tw.wrote {
-				writeError(tw, http.StatusInternalServerError, "internal", "internal server error", false)
+			if !wrote {
+				writeError(w, http.StatusInternalServerError, "internal", "internal server error", false)
 			}
 		}()
 		next.ServeHTTP(tw, r)

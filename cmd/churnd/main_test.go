@@ -519,6 +519,30 @@ var fixtures = []struct {
 	{"precomputed artifact", true, "frame"},
 }
 
+// TestServesSnapshotWithoutWarehouse: a -precompute artifact serves with
+// no warehouse at all, from its snapshot ("vectors"), with the bits the
+// warehouse frame gave, and takes no events.
+func TestServesSnapshotWithoutWarehouse(t *testing.T) {
+	whDir, artifact, want := makeWorldPrecomputed(t, true)
+	if err := os.RemoveAll(whDir); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
+	if err != nil {
+		t.Fatalf("buildService without a warehouse: %v", err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	if status, ready, _ := getJSON(t, ts.URL+"/readyz"); status != http.StatusOK || ready["provider"] != "vectors" || ready["ingest"] != false {
+		t.Fatalf("readyz = %d %v, want 200 from the vectors, ingest false", status, ready)
+	}
+	body, _ := json.Marshal(scoreRequest{IDs: want.IDs})
+	if status, sr, raw := postScore(t, ts, string(body)); status != http.StatusOK || !sameBits(sr.Scores, want.Scores) {
+		t.Fatalf("snapshot scores = %d %s, want the warehouse frame's bits", status, raw)
+	}
+}
+
 // TestIngestFreshnessAndRefresh is the streaming contract end to end at the
 // HTTP layer: a posted event changes the customer's served vector within
 // the same call, and the incrementally refreshed score is bit-identical to
@@ -667,13 +691,8 @@ func servedVectors(t *testing.T, svc *service, ids []int64) [][]float64 {
 func sameVectors(t *testing.T, what string, ids []int64, got, want [][]float64) {
 	t.Helper()
 	for i, id := range ids {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: imsi %d has %d columns, want %d", what, id, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("%s: imsi %d col %d = %v, want %v", what, id, j, got[i][j], want[i][j])
-			}
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: imsi %d serves %v, want %v", what, id, got[i], want[i])
 		}
 	}
 }
