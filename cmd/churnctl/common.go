@@ -36,11 +36,16 @@ func addSourceFlags(fs *flag.FlagSet) *sourceFlags {
 	}
 }
 
-// open opens the warehouse directory under the -fsync durability policy.
+// open opens the existing warehouse directory under the -fsync durability
+// policy. A missing path is an error naming it: store.Open would create an
+// empty warehouse there instead.
 func (f *sourceFlags) open() (*store.Warehouse, error) {
 	policy, err := store.ParseSyncPolicy(*f.fsync)
 	if err != nil {
 		return nil, err
+	}
+	if _, err := os.Stat(*f.dir); err != nil {
+		return nil, fmt.Errorf("open warehouse: %w", err)
 	}
 	wh, err := store.Open(*f.dir)
 	if err != nil {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -271,6 +273,15 @@ func TestTrainScoreWorkflow(t *testing.T) {
 	}
 	if err := cmdScore([]string{"-warehouse", wh, "-model", model, "-top", "5", "-full"}); err != nil {
 		t.Fatalf("score -full: %v", err)
+	}
+	// A missing warehouse is an error naming it, not an empty warehouse
+	// created in its place.
+	missing := filepath.Join(dir, "no-such-warehouse")
+	if err := cmdScore([]string{"-warehouse", missing, "-model", model}); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("score on a missing warehouse: err = %v, want one naming %s", err, missing)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("score created the missing warehouse directory (stat: %v)", err)
 	}
 	// A non-artifact file must be rejected, not silently mis-scored.
 	if err := cmdScore([]string{"-warehouse", wh, "-model", filepath.Join(wh, "truth", "month=1.tct")}); err == nil {

@@ -289,7 +289,13 @@ func (s *service) buildEngine() (*engine, error) {
 	pipe.SetWorkers(opts.workers)
 
 	days := synth.DefaultConfig().DaysPerMonth
-	wh, whErr := store.Open(opts.warehouse)
+	// A missing warehouse is no warehouse: store.Open would create an empty
+	// one in its place.
+	var wh *store.Warehouse
+	_, whErr := os.Stat(opts.warehouse)
+	if whErr == nil {
+		wh, whErr = store.Open(opts.warehouse)
+	}
 	if whErr == nil {
 		wh.SetSync(opts.fsync)
 	}

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -540,6 +542,9 @@ func TestServesSnapshotWithoutWarehouse(t *testing.T) {
 	body, _ := json.Marshal(scoreRequest{IDs: want.IDs})
 	if status, sr, raw := postScore(t, ts, string(body)); status != http.StatusOK || !sameBits(sr.Scores, want.Scores) {
 		t.Fatalf("snapshot scores = %d %s, want the warehouse frame's bits", status, raw)
+	}
+	if _, err := os.Stat(whDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("boot left the deleted warehouse directory behind (stat: %v)", err)
 	}
 }
 

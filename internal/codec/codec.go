@@ -16,60 +16,125 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // ErrCorrupt is the sentinel wrapped by every structural, checksum or
 // framing failure on the read side.
 var ErrCorrupt = errors.New("codec: corrupt data")
 
+// blockSize is the most the Writer holds before it checksums the pending
+// body bytes and hands magic and body to the underlying writer in one
+// Write. A frame no larger than one block (magic, body and trailer) reaches
+// the underlying writer in exactly one Write, at Close.
+const blockSize = 1 << 16
+
+// crcLen is the size of the trailing CRC32.
+const crcLen = 4
+
+// blocks recycles Writer block buffers, which every frame needs and which
+// are dead the moment Close has written them.
+var blocks = sync.Pool{New: func() any {
+	b := make([]byte, 0, blockSize+crcLen)
+	return &b
+}}
+
+// errClosed is the sticky error of a Writer used after Close.
+var errClosed = errors.New("codec: write after Close")
+
 // Writer frames a binary stream: NewWriter emits the magic (excluded from
 // the checksum), the value methods append the body while feeding the CRC,
-// and Close writes the CRC32 trailer and flushes. Errors are sticky; check
-// the one returned by Close.
+// and Close writes the CRC32 trailer and flushes. The Writer builds each
+// block in its own buffer and checksums it in one pass, not value by
+// value. Errors are sticky; check the one returned by Close.
 type Writer struct {
-	w   *bufio.Writer
-	crc uint32
-	n   int64
-	err error
-	buf [binary.MaxVarintLen64]byte // scratch for the fixed-size encodings
+	w     io.Writer
+	block *[]byte // pooled backing store of buf
+	buf   []byte  // the pending block: the magic (first block only), then body bytes
+	body  int     // buf[body:] is the body part of buf, not yet in crc
+	crc   uint32
+	n     int64
+	err   error
 }
 
 // NewWriter starts a framed stream on w by writing magic verbatim.
 func NewWriter(w io.Writer, magic string) *Writer {
-	cw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := cw.w.WriteString(magic); err != nil {
-		cw.err = err
-	}
-	cw.n += int64(len(magic))
+	block := blocks.Get().(*[]byte)
+	cw := &Writer{w: w, block: block, buf: (*block)[:0]}
+	write(cw, magic)
+	cw.body = len(magic)
 	return cw
 }
 
-// Write appends raw bytes to the body (and the checksum).
-func (cw *Writer) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	if err != nil && cw.err == nil {
+// flush checksums the pending body bytes and hands the block to the
+// underlying writer. After the first error nothing more is written.
+func (cw *Writer) flush() {
+	if cw.err == nil {
+		cw.crc = crc32.Update(cw.crc, crc32.IEEETable, cw.buf[cw.body:])
+		n, err := cw.w.Write(cw.buf)
+		cw.n += int64(n)
+		if err == nil && n < len(cw.buf) {
+			err = io.ErrShortWrite
+		}
 		cw.err = err
 	}
-	return n, err
+	cw.buf, cw.body = cw.buf[:0], 0
+}
+
+// write copies p into the pending block, flushing each block as it fills.
+// After an error (or Close) it drops p.
+func write[T string | []byte](cw *Writer, p T) {
+	for len(p) > 0 && cw.err == nil {
+		if len(cw.buf) >= blockSize {
+			cw.flush()
+		}
+		k := copy(cw.buf[len(cw.buf):blockSize], p)
+		cw.buf, p = cw.buf[:len(cw.buf)+k], p[k:]
+	}
+}
+
+// room reports whether n more bytes fit in the pending block.
+func (cw *Writer) room(n int) bool { return len(cw.buf)+n <= blockSize }
+
+// Write appends raw bytes to the body (and the checksum).
+func (cw *Writer) Write(p []byte) (int, error) {
+	if cw.err != nil {
+		return 0, cw.err
+	}
+	write(cw, p)
+	return len(p), nil
 }
 
 // Uvarint appends an unsigned varint.
 func (cw *Writer) Uvarint(v uint64) {
-	cw.Write(cw.buf[:binary.PutUvarint(cw.buf[:], v)])
+	if cw.room(binary.MaxVarintLen64) {
+		cw.buf = binary.AppendUvarint(cw.buf, v)
+		return
+	}
+	var b [binary.MaxVarintLen64]byte
+	write(cw, b[:binary.PutUvarint(b[:], v)])
 }
 
 // Int appends a signed value (zig-zag varint).
 func (cw *Writer) Int(v int64) {
-	cw.Write(cw.buf[:binary.PutVarint(cw.buf[:], v)])
+	if cw.room(binary.MaxVarintLen64) {
+		cw.buf = binary.AppendVarint(cw.buf, v)
+		return
+	}
+	var b [binary.MaxVarintLen64]byte
+	write(cw, b[:binary.PutVarint(b[:], v)])
 }
 
 // Float appends a float64 as its exact IEEE-754 bits (little endian), so
 // round trips are bit-identical.
 func (cw *Writer) Float(v float64) {
-	binary.LittleEndian.PutUint64(cw.buf[:8], math.Float64bits(v))
-	cw.Write(cw.buf[:8])
+	if cw.room(8) {
+		cw.buf = binary.LittleEndian.AppendUint64(cw.buf, math.Float64bits(v))
+		return
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	write(cw, b[:])
 }
 
 // Floats appends a length-prefixed float64 slice.
@@ -83,7 +148,7 @@ func (cw *Writer) Floats(v []float64) {
 // Str appends a length-prefixed string.
 func (cw *Writer) Str(s string) {
 	cw.Uvarint(uint64(len(s)))
-	cw.Write([]byte(s))
+	write(cw, s)
 }
 
 // Strs appends a length-prefixed string slice.
@@ -98,21 +163,30 @@ func (cw *Writer) Strs(s []string) {
 // framed sub-formats, e.g. a whole forest file inside an artifact).
 func (cw *Writer) Bytes(b []byte) {
 	cw.Uvarint(uint64(len(b)))
-	cw.Write(b)
+	write(cw, b)
 }
 
-// Close writes the CRC32 trailer, flushes, and returns the total bytes
-// written (magic + body + trailer) and the first error encountered.
+// Close writes the last block with the CRC32 trailer and returns the total
+// bytes written (magic + body + trailer) and the first error encountered.
+// The Writer is not usable afterwards.
 func (cw *Writer) Close() (int64, error) {
-	binary.LittleEndian.PutUint32(cw.buf[:4], cw.crc)
-	if _, err := cw.w.Write(cw.buf[:4]); err != nil && cw.err == nil {
-		cw.err = err
+	if cw.err == nil {
+		cw.crc = crc32.Update(cw.crc, crc32.IEEETable, cw.buf[cw.body:])
+		cw.buf = binary.LittleEndian.AppendUint32(cw.buf, cw.crc)
+		cw.body = len(cw.buf) // the trailer is outside its own checksum
+		cw.flush()
 	}
-	cw.n += 4
-	if err := cw.w.Flush(); err != nil && cw.err == nil {
-		cw.err = err
+	n, err := cw.n, cw.err
+	if cw.block != nil {
+		*cw.block = cw.buf[:0]
+		blocks.Put(cw.block)
+		cw.block = nil
 	}
-	return cw.n, cw.err
+	cw.buf, cw.body = nil, 0
+	if cw.err == nil {
+		cw.err = errClosed
+	}
+	return n, err
 }
 
 // Reader decodes a framed stream produced by Writer. NewReader validates
@@ -220,6 +294,56 @@ func (rd *Reader) Int() int64 {
 	return v
 }
 
+// IntsInto reads len(dst) signed varints into dst: the values, the error
+// and the final position are those of len(dst) calls to Int, in one loop
+// with a fast path for one-byte values. After a failure the rest of dst is
+// zero.
+func (rd *Reader) IntsInto(dst []int64) {
+	if rd.err != nil {
+		clear(dst)
+		return
+	}
+	b, pos := rd.b, rd.pos
+	for i := range dst {
+		if pos < len(b) && b[pos] < 0x80 {
+			c := b[pos]
+			dst[i] = int64(c>>1) ^ -int64(c&1)
+			pos++
+			continue
+		}
+		v, n := binary.Varint(b[pos:])
+		if n <= 0 {
+			rd.pos = pos
+			rd.Fail("bad varint")
+			clear(dst[i:])
+			return
+		}
+		dst[i] = v
+		pos += n
+	}
+	rd.pos = pos
+}
+
+// FloatsInto reads len(dst) float64s into dst: the values, the error and
+// the final position are those of len(dst) calls to Float. After a failure
+// the rest of dst is zero.
+func (rd *Reader) FloatsInto(dst []float64) {
+	if rd.err != nil {
+		clear(dst)
+		return
+	}
+	n := min(len(dst), (len(rd.b)-rd.pos)/8)
+	src := rd.b[rd.pos : rd.pos+8*n]
+	for i := range dst[:n] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	rd.pos += 8 * n
+	if n < len(dst) {
+		rd.Fail("truncated float")
+		clear(dst[n:])
+	}
+}
+
 // Float reads a float64.
 func (rd *Reader) Float() float64 {
 	if rd.err != nil {
@@ -241,9 +365,7 @@ func (rd *Reader) Floats() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = rd.Float()
-	}
+	rd.FloatsInto(out)
 	return out
 }
 

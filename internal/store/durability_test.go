@@ -363,3 +363,46 @@ func BenchmarkWritePartition(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReadPartition times one partition read back from disk, file read
+// and column decode, on the call log's shape: 7-digit ids (three-byte
+// varints), small codes and flags (one byte each) and float measurements.
+// With BenchmarkWritePartition it gives the codec layer its before/after.
+func BenchmarkReadPartition(b *testing.B) {
+	tb := table.NewTable(table.MustSchema(
+		table.Field{Name: "imsi", Type: table.Int64},
+		table.Field{Name: "peer", Type: table.Int64},
+		table.Field{Name: "day", Type: table.Int64},
+		table.Field{Name: "kind", Type: table.Int64},
+		table.Field{Name: "success", Type: table.Int64},
+		table.Field{Name: "dropped", Type: table.Int64},
+		table.Field{Name: "dur", Type: table.Float64},
+		table.Field{Name: "mos", Type: table.Float64},
+	))
+	for i := 0; i < 20000; i++ {
+		if err := tb.AppendRow(int64(1_000_000+i*37%5000), int64(1_000_000+i*101%5000), int64(i%30+1),
+			int64(i%4), int64(i%9/8), int64(i%31/30), float64(i%977)*1.5, 3+float64(i%13)/10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wh, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	wh.SetSync(SyncPolicy{Mode: SyncOff})
+	if err := wh.WritePartition("calls", 1, tb); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(wh.Root(), "calls", partName(1, 0, 1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(info.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wh.ReadPartition("calls", 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

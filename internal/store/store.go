@@ -362,14 +362,10 @@ func readTableBody(rd *codec.Reader) *table.Table {
 		switch col.Type {
 		case table.Int64:
 			col.Ints = make([]int64, nrows)
-			for i := range col.Ints {
-				col.Ints[i] = rd.Int()
-			}
+			rd.IntsInto(col.Ints)
 		case table.Float64:
 			col.Floats = make([]float64, nrows)
-			for i := range col.Floats {
-				col.Floats[i] = rd.Float()
-			}
+			rd.FloatsInto(col.Floats)
 		case table.String:
 			col.Strings = make([]string, nrows)
 			for i := range col.Strings {

@@ -3,7 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"telcochurn/internal/table"
 )
@@ -34,7 +34,7 @@ func (w *World) SimulateMonth() *MonthData {
 	for id := range w.customers {
 		ids = append(ids, id)
 	}
-	sortInt64s(ids)
+	slices.Sort(ids)
 
 	churnedThisMonth := make(map[int64]bool)
 	var removed []int64
@@ -397,7 +397,7 @@ func (w *World) emitWeb(md *MonthData, c *customer, activity float64, q experien
 	for day := range seen {
 		activeDays = append(activeDays, day)
 	}
-	sort.Ints(activeDays)
+	slices.Sort(activeDays)
 	for _, day := range activeDays {
 		pages := 1 + w.poisson(28*c.dataAppetite*activity)
 		succRate := clamp(0.97-0.25*q.shock-0.02*w.rng.Float64(), 0.3, 1)
@@ -625,8 +625,8 @@ func (w *World) assignNeighborsForEntrant(nc *customer) {
 			community = append(community, id)
 		}
 	}
-	sortInt64s(all)
-	sortInt64s(community)
+	slices.Sort(all)
+	slices.Sort(community)
 	w.assignNeighbors(nc, community, all)
 }
 
@@ -645,7 +645,7 @@ func (w *World) pruneDeadNeighbors(removed []int64) {
 	for id := range w.customers {
 		ids = append(ids, id)
 	}
-	sortInt64s(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		byCommunity[w.customers[id].community] = append(byCommunity[w.customers[id].community], id)
 	}
@@ -745,8 +745,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func sortInt64s(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 
 	"telcochurn/internal/table"
 )
@@ -246,9 +247,9 @@ func (w *World) wireNeighbors() {
 		all = append(all, id)
 	}
 	// Map iteration order is random; sort for determinism.
-	sortInt64s(all)
+	slices.Sort(all)
 	for _, ids := range byCommunity {
-		sortInt64s(ids)
+		slices.Sort(ids)
 	}
 	for _, id := range all {
 		c := w.customers[id]
