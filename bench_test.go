@@ -98,6 +98,35 @@ func BenchmarkSimulateMonth(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate lands a world at the repository benchmark's sizing
+// (1 500 customers x 4 months, one burn-in month, no fsync), plain and as
+// 8 shards: simulation, typed appends and the concurrent partition writes.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.Customers = 1500
+	cfg.Months = 4
+	cfg.Seed = 1
+	cfg.BurnInMonths = 1
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wh, err := store.Open(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				wh.SetSync(store.SyncPolicy{Mode: store.SyncOff})
+				sw, err := wh.Sharded(shards)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := synth.GenerateToShardedWarehouse(cfg, sw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkStoreWriteRead(b *testing.B) {
 	months := benchWorld(b)
 	wh, err := store.Open(b.TempDir())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -52,13 +53,9 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("empty event batch")
 	}
-	streamable := map[string]bool{}
-	for _, name := range features.StreamableTables {
-		streamable[name] = true
-	}
 	out := map[string]*table.Table{}
 	for i, ev := range events {
-		if !streamable[ev.Table] {
+		if !slices.Contains(features.StreamableTables, ev.Table) {
 			return nil, fmt.Errorf("event %d: table %q does not accept streamed events (streamable: %v)", i, ev.Table, features.StreamableTables)
 		}
 		schema, ok := features.RawSchema(ev.Table)
@@ -74,12 +71,10 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 		if ev.Day <= 0 {
 			return nil, fmt.Errorf("event %d: day must be positive, got %d", i, ev.Day)
 		}
-		known := map[string]bool{"imsi": true, "month": true, "day": true}
-		for _, f := range schema.Fields {
-			known[f.Name] = true
-		}
+		// Every streamable schema has imsi, month and day columns, so the
+		// schema's own index is the set of names a record may carry.
 		for name := range ev.Fields {
-			if !known[name] {
+			if !schema.Has(name) {
 				return nil, fmt.Errorf("event %d: table %q has no column %q", i, ev.Table, name)
 			}
 		}
@@ -88,28 +83,24 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 			t = table.NewTable(schema)
 			out[ev.Table] = t
 		}
-		vals := make([]any, 0, len(schema.Fields))
+		r := t.Append()
 		for _, f := range schema.Fields {
-			var raw any
+			var err error
 			switch f.Name {
 			case "imsi":
-				raw = ev.IMSI
+				r = r.Int(ev.IMSI)
 			case "month":
-				raw = ev.Month
+				r = r.Int(ev.Month)
 			case "day":
-				raw = ev.Day
+				r = r.Int(ev.Day)
 			default:
-				raw = ev.Fields[f.Name]
+				r, err = coerce(r, ev.Fields[f.Name], f.Type)
 			}
-			v, err := coerce(raw, f.Type)
 			if err != nil {
 				return nil, fmt.Errorf("event %d: column %q: %w", i, f.Name, err)
 			}
-			vals = append(vals, v)
 		}
-		if err := t.AppendRow(vals...); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
+		r.Done()
 	}
 	return out, nil
 }
@@ -150,59 +141,59 @@ func EventsFromTables(tables map[string]*table.Table) []Event {
 	return out
 }
 
-// coerce turns a field value (a json.Number from a decoded batch, a
+// coerce appends a field value (a json.Number from a decoded batch, a
 // float64, int64 or string from a batch built in Go, or nil when omitted)
-// into the column's Go type. A JSON number fills an integer column only if
-// it is an integer that fits in 64 bits; a float column parses it as
-// encoding/json would.
-func coerce(raw any, typ table.ColType) (any, error) {
+// to the row's next column, of type typ, as the column's Go type. A JSON
+// number fills an integer column only if it is an integer that fits in 64
+// bits; a float column parses it as encoding/json would.
+func coerce(r table.RowAppender, raw any, typ table.ColType) (table.RowAppender, error) {
 	switch typ {
 	case table.Int64:
 		switch v := raw.(type) {
 		case nil:
-			return int64(0), nil
+			return r.Int(0), nil
 		case json.Number:
 			n, err := strconv.ParseInt(string(v), 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("want a 64-bit integer, got %s", v)
+				return r, fmt.Errorf("want a 64-bit integer, got %s", v)
 			}
-			return n, nil
+			return r.Int(n), nil
 		case int64:
-			return v, nil
+			return r.Int(v), nil
 		case float64:
 			n := int64(v)
 			if float64(n) != v {
-				return nil, fmt.Errorf("want an integer, got %v", v)
+				return r, fmt.Errorf("want an integer, got %v", v)
 			}
-			return n, nil
+			return r.Int(n), nil
 		default:
-			return nil, fmt.Errorf("want an integer, got %T", raw)
+			return r, fmt.Errorf("want an integer, got %T", raw)
 		}
 	case table.Float64:
 		switch v := raw.(type) {
 		case nil:
-			return float64(0), nil
+			return r.Float(0), nil
 		case json.Number:
 			f, err := strconv.ParseFloat(string(v), 64)
 			if err != nil {
-				return nil, fmt.Errorf("want a number, got %s", v)
+				return r, fmt.Errorf("want a number, got %s", v)
 			}
-			return f, nil
+			return r.Float(f), nil
 		case float64:
-			return v, nil
+			return r.Float(v), nil
 		case int64:
-			return float64(v), nil
+			return r.Float(float64(v)), nil
 		default:
-			return nil, fmt.Errorf("want a number, got %T", raw)
+			return r, fmt.Errorf("want a number, got %T", raw)
 		}
 	default:
 		switch v := raw.(type) {
 		case nil:
-			return "", nil
+			return r.String(""), nil
 		case string:
-			return v, nil
+			return r.String(v), nil
 		default:
-			return nil, fmt.Errorf("want a string, got %T", raw)
+			return r, fmt.Errorf("want a string, got %T", raw)
 		}
 	}
 }

@@ -87,45 +87,48 @@ func GenerateEvents(ids []int64, month, daysPerMonth, n int, seed int64) map[str
 			} else {
 				success = 0
 			}
-			get(name, CallsSchema).AppendRow(
-				imsi, int64(1_000_000+rng.Intn(4_000_000)), m, day,
-				dur, int64(rng.Intn(4)), int64(rng.Intn(2)), int64(rng.Intn(3)),
-				success, int64(0), 0.5+rng.Float64()*2,
-				3+rng.Float64()*1.5, 3+rng.Float64()*1.5, 3+rng.Float64()*1.5,
-				int64(0), int64(0), int64(0), int64(rng.Intn(2)),
-				int64(0), int64(rng.Intn(2)), int64(0), int64(0), int64(0),
-			)
+			get(name, CallsSchema).Append().Int(imsi).
+				Int(int64(1_000_000 + rng.Intn(4_000_000))).Int(m).Int(day).
+				Float(dur).Int(int64(rng.Intn(4))).Int(int64(rng.Intn(2))).
+				Int(int64(rng.Intn(3))).Int(success).Int(0).
+				Float(0.5 + rng.Float64()*2).Float(3 + rng.Float64()*1.5).
+				Float(3 + rng.Float64()*1.5).Float(3 + rng.Float64()*1.5).
+				Int(0).Int(0).Int(0).Int(int64(rng.Intn(2))).
+				Int(0).Int(int64(rng.Intn(2))).Int(0).Int(0).Int(0).Done()
 		case TableMessages:
-			get(name, MessagesSchema).AppendRow(
-				imsi, int64(1_000_000+rng.Intn(4_000_000)), m, day,
-				int64(rng.Intn(4)), int64(rng.Intn(2)), int64(0), int64(rng.Intn(3)),
-				int64(0), int64(0),
-			)
+			get(name, MessagesSchema).Append().Int(imsi).
+				Int(int64(1_000_000 + rng.Intn(4_000_000))).Int(m).Int(day).
+				Int(int64(rng.Intn(4))).Int(int64(rng.Intn(2))).Int(0).
+				Int(int64(rng.Intn(3))).Int(0).Int(0).Done()
 		case TableRecharges:
 			amounts := []float64{10, 30, 50, 100}
-			get(name, RechargesSchema).AppendRow(imsi, m, day, amounts[rng.Intn(len(amounts))])
+			get(name, RechargesSchema).Append().Int(imsi).Int(m).Int(day).
+				Float(amounts[rng.Intn(len(amounts))]).Done()
 		case TableWeb:
 			req := int64(1 + rng.Intn(40))
 			succ := req - int64(rng.Intn(3))
 			if succ < 0 {
 				succ = 0
 			}
-			get(name, WebSchema).AppendRow(
-				imsi, m, day, req, succ, 0.5+rng.Float64()*3, succ, 1+rng.Float64()*4,
-				200+rng.Float64()*1800, 50+rng.Float64()*400, rng.Float64()*80,
-				40+rng.Float64()*160, int64(5+rng.Intn(40)), int64(6+rng.Intn(42)),
-				rng.Float64()*10, rng.Float64()*1000, int64(rng.Intn(5)), int64(rng.Intn(5)),
-				20+rng.Float64()*200,
-			)
+			get(name, WebSchema).Append().Int(imsi).Int(m).Int(day).Int(req).
+				Int(succ).Float(0.5 + rng.Float64()*3).Int(succ).
+				Float(1 + rng.Float64()*4).Float(200 + rng.Float64()*1800).
+				Float(50 + rng.Float64()*400).Float(rng.Float64() * 80).
+				Float(40 + rng.Float64()*160).Int(int64(5 + rng.Intn(40))).
+				Int(int64(6 + rng.Intn(42))).Float(rng.Float64() * 10).
+				Float(rng.Float64() * 1000).Int(int64(rng.Intn(5))).
+				Int(int64(rng.Intn(5))).Float(20 + rng.Float64()*200).Done()
 		case TableLocations:
-			get(name, LocationsSchema).AppendRow(
-				imsi, m, day, int64(rng.Intn(3)), int64(rng.Intn(400)), int64(rng.Intn(20)),
-				31+rng.Float64(), 121+rng.Float64(),
-			)
+			get(name, LocationsSchema).Append().Int(imsi).Int(m).Int(day).
+				Int(int64(rng.Intn(3))).Int(int64(rng.Intn(400))).
+				Int(int64(rng.Intn(20))).Float(31 + rng.Float64()).
+				Float(121 + rng.Float64()).Done()
 		case TableComplaints:
-			get(name, ComplaintsSchema).AppendRow(imsi, m, day, complaintTexts[rng.Intn(len(complaintTexts))])
+			get(name, ComplaintsSchema).Append().Int(imsi).Int(m).Int(day).
+				String(complaintTexts[rng.Intn(len(complaintTexts))]).Done()
 		case TableSearch:
-			get(name, SearchSchema).AppendRow(imsi, m, day, searchTexts[rng.Intn(len(searchTexts))])
+			get(name, SearchSchema).Append().Int(imsi).Int(m).Int(day).
+				String(searchTexts[rng.Intn(len(searchTexts))]).Done()
 		}
 	}
 	return out

@@ -3,7 +3,9 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"telcochurn/internal/parallel"
 	"telcochurn/internal/store"
 	"telcochurn/internal/table"
 )
@@ -46,14 +48,37 @@ func GenerateToShardedWarehouse(cfg Config, sw *store.ShardedWarehouse) error {
 	return generateTo(cfg, sw)
 }
 
+// generateTo simulates month after month and lands each before the next is
+// simulated, so one month is resident at a time. A failed write stops the
+// run at that month.
 func generateTo(cfg Config, dst partitionWriter) error {
 	w := NewWorld(cfg)
 	for i := 0; i < w.cfg.Months; i++ {
-		md := w.SimulateMonth()
-		for name, t := range md.Tables() {
-			if err := dst.WritePartition(name, md.Month, t); err != nil {
-				return fmt.Errorf("synth: write %s month %d: %w", name, md.Month, err)
-			}
+		if err := writeMonth(dst, w.SimulateMonth()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeMonth writes a month's partitions concurrently, one table per worker
+// on up to GOMAXPROCS workers; each partition still commits atomically
+// under the warehouse's SyncPolicy. When several writes fail, the error
+// names the first failing table in name order.
+func writeMonth(dst partitionWriter, md *MonthData) error {
+	tables := md.Tables()
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	errs := make([]error, len(names))
+	parallel.ForGrain(0, len(names), 1, func(i int) {
+		errs[i] = dst.WritePartition(names[i], md.Month, tables[names[i]])
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("synth: write %s month %d: %w", names[i], md.Month, err)
 		}
 	}
 	return nil

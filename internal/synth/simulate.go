@@ -14,16 +14,16 @@ func (w *World) SimulateMonth() *MonthData {
 	month := w.month
 	md := &MonthData{
 		Month:      month,
-		Calls:      table.NewTable(CallsSchema),
-		Messages:   table.NewTable(MessagesSchema),
-		Recharges:  table.NewTable(RechargesSchema),
-		Billing:    table.NewTable(BillingSchema),
-		Customers:  table.NewTable(CustomersSchema),
-		Complaints: table.NewTable(ComplaintsSchema),
-		Web:        table.NewTable(WebSchema),
-		Search:     table.NewTable(SearchSchema),
-		Locations:  table.NewTable(LocationsSchema),
-		Truth:      table.NewTable(TruthSchema),
+		Calls:      w.newTable(TableCalls, CallsSchema),
+		Messages:   w.newTable(TableMessages, MessagesSchema),
+		Recharges:  w.newTable(TableRecharges, RechargesSchema),
+		Billing:    w.newTable(TableBilling, BillingSchema),
+		Customers:  w.newTable(TableCustomers, CustomersSchema),
+		Complaints: w.newTable(TableComplaints, ComplaintsSchema),
+		Web:        w.newTable(TableWeb, WebSchema),
+		Search:     w.newTable(TableSearch, SearchSchema),
+		Locations:  w.newTable(TableLocations, LocationsSchema),
+		Truth:      w.newTable(TableTruth, TruthSchema),
 	}
 
 	w.rollCellShocks()
@@ -65,19 +65,37 @@ func (w *World) SimulateMonth() *MonthData {
 	}
 
 	// Remove completed churners, replace with new entrants.
-	for _, id := range removed {
-		delete(w.customers, id)
+	if len(removed) > 0 {
+		for _, id := range removed {
+			delete(w.customers, id)
+		}
+		r := w.newRoster(ids)
+		for range removed {
+			nc := w.newCustomer(w.rng.Intn(w.numCommunities))
+			w.customers[nc.id] = nc
+			w.assignNeighbors(nc, r.byCommunity[nc.community], r.all)
+			r.add(nc)
+		}
+		w.pruneDeadNeighbors(removed, r)
 	}
-	for i := 0; i < len(removed); i++ {
-		nc := w.newCustomer(w.rng.Intn(w.numCommunities))
-		w.customers[nc.id] = nc
-		w.assignNeighborsForEntrant(nc)
-	}
-	w.pruneDeadNeighbors(removed)
 
+	for name, t := range md.Tables() {
+		w.rows[name] = t.NumRows()
+	}
 	w.churnedLast = churnedThisMonth
 	w.month++
 	return md
+}
+
+// newTable returns an empty table with room for last month's row count of
+// the same table and a sixteenth more, so a steady month's appends never
+// regrow its columns.
+func (w *World) newTable(name string, s *table.Schema) *table.Table {
+	t := table.NewTable(s)
+	if n := w.rows[name]; n > 0 {
+		t.Grow(n + n/16)
+	}
+	return t
 }
 
 // Simulate runs the whole configured horizon and returns one MonthData per
@@ -178,22 +196,21 @@ func (w *World) simulateCustomerMonth(md *MonthData, c *customer) {
 	if c.productKind == 2 {
 		giftFlux = 200
 	}
-	md.Billing.AppendRow(
-		c.id, md.Month, c.balance, totalCharge, rechargeValue,
-		safeDiv(rechargeValue, c.balance+1), flux, dataCharge, smsCharge,
-		giftFlux, voiceStats.giftDur, int64(giftSMS),
-	)
-	md.Customers.AppendRow(
-		c.id, md.Month, int64(c.age), int64(c.gender), int64(c.psptType),
-		int64(c.isShanghai), int64(c.townID), int64(c.saleID),
-		int64(c.productID), c.productPrice, int64(c.productKind),
-		c.creditValue, int64(c.innetMonths),
-	)
-	md.Truth.AppendRow(
-		c.id, md.Month, boolToInt64(labeledChurn), boolToInt64(inRecharge),
-		int64(daysToRecharge), boolToInt64(c.phase == phaseChurn),
-		int64(c.bestOffer), c.retainBase,
-	)
+	month := int64(md.Month)
+	md.Billing.Append().Int(c.id).Int(month).Float(c.balance).
+		Float(totalCharge).Float(rechargeValue).
+		Float(safeDiv(rechargeValue, c.balance+1)).Float(flux).
+		Float(dataCharge).Float(smsCharge).Float(giftFlux).
+		Float(voiceStats.giftDur).Int(int64(giftSMS)).Done()
+	md.Customers.Append().Int(c.id).Int(month).Int(int64(c.age)).
+		Int(int64(c.gender)).Int(int64(c.psptType)).Int(int64(c.isShanghai)).
+		Int(int64(c.townID)).Int(int64(c.saleID)).Int(int64(c.productID)).
+		Float(c.productPrice).Int(int64(c.productKind)).Float(c.creditValue).
+		Int(int64(c.innetMonths)).Done()
+	md.Truth.Append().Int(c.id).Int(month).Int(boolToInt64(labeledChurn)).
+		Int(boolToInt64(inRecharge)).Int(int64(daysToRecharge)).
+		Int(boolToInt64(c.phase == phaseChurn)).Int(int64(c.bestOffer)).
+		Float(c.retainBase).Done()
 
 	// Latent dissatisfaction follows experienced quality with persistence.
 	c.dissat = clamp(0.6*c.dissat+0.65*cellQ.shock+0.1*w.communityShock[c.community]+0.05*(w.rng.Float64()-0.4), 0, 1.5)
@@ -286,12 +303,12 @@ func (w *World) emitCalls(md *MonthData, c *customer, activity float64, q experi
 			}
 			charge += dur / 60 * rate
 		}
-		md.Calls.AppendRow(
-			c.id, peer, md.Month, int64(day), dur, int64(kind), int64(mo),
-			int64(peerOp), int64(success), int64(dropped), connDelay,
-			mosUL, mosDL, mosIP, int64(oneway), int64(noise), int64(echo),
-			int64(busy), int64(fest), int64(free), int64(gift), int64(0), int64(0),
-		)
+		md.Calls.Append().Int(c.id).Int(peer).Int(int64(md.Month)).Int(int64(day)).
+			Float(dur).Int(int64(kind)).Int(int64(mo)).Int(int64(peerOp)).
+			Int(int64(success)).Int(int64(dropped)).Float(connDelay).
+			Float(mosUL).Float(mosDL).Float(mosIP).Int(int64(oneway)).
+			Int(int64(noise)).Int(int64(echo)).Int(int64(busy)).Int(int64(fest)).
+			Int(int64(free)).Int(int64(gift)).Int(0).Int(0).Done()
 	}
 	// Service-line calls: rise with dissatisfaction, but noisy and rare
 	// (the paper: most churners do not complain before churning).
@@ -299,12 +316,11 @@ func (w *World) emitCalls(md *MonthData, c *customer, activity float64, q experi
 	for i := 0; i < svcCalls; i++ {
 		day := 1 + w.rng.Intn(w.cfg.DaysPerMonth)
 		manual := boolToInt(w.rng.Float64() < 0.5)
-		md.Calls.AppendRow(
-			c.id, int64(10010), md.Month, int64(day), 60+w.rng.ExpFloat64()*120,
-			int64(CallLocalInner), int64(1), int64(OpSelf), int64(1), int64(0),
-			1.0, 4.0, 4.0, 4.0, int64(0), int64(0), int64(0),
-			int64(0), int64(0), int64(1), int64(0), int64(1), int64(manual),
-		)
+		md.Calls.Append().Int(c.id).Int(10010).Int(int64(md.Month)).Int(int64(day)).
+			Float(60 + w.rng.ExpFloat64()*120).Int(CallLocalInner).Int(1).
+			Int(OpSelf).Int(1).Int(0).Float(1).Float(4).Float(4).Float(4).
+			Int(0).Int(0).Int(0).Int(0).Int(0).Int(1).Int(0).Int(1).
+			Int(int64(manual)).Done()
 	}
 	return charge, stats
 }
@@ -361,20 +377,18 @@ func (w *World) emitMessages(md *MonthData, c *customer, activity float64) (char
 		if mo == 1 && gift == 0 {
 			charge += 0.1
 		}
-		md.Messages.AppendRow(
-			c.id, peer, md.Month, int64(day), int64(MsgP2P), int64(mo),
-			int64(mms), int64(peerOp), int64(roamInt), int64(gift),
-		)
+		md.Messages.Append().Int(c.id).Int(peer).Int(int64(md.Month)).
+			Int(int64(day)).Int(MsgP2P).Int(int64(mo)).Int(int64(mms)).
+			Int(int64(peerOp)).Int(int64(roamInt)).Int(int64(gift)).Done()
 	}
 	// Non-social messages: info-on-demand, billing notices, service SMS.
 	for i, kind := range []int{MsgInfo, MsgBilling, MsgService} {
 		rate := []float64{0.5, 2.0, 1.0}[i]
 		for j := 0; j < w.poisson(rate); j++ {
 			day := 1 + w.rng.Intn(w.cfg.DaysPerMonth)
-			md.Messages.AppendRow(
-				c.id, int64(10000+kind), md.Month, int64(day), int64(kind),
-				int64(0), int64(0), int64(OpSelf), int64(0), int64(0),
-			)
+			md.Messages.Append().Int(c.id).Int(int64(10000 + kind)).
+				Int(int64(md.Month)).Int(int64(day)).Int(int64(kind)).
+				Int(0).Int(0).Int(OpSelf).Int(0).Int(0).Done()
 		}
 	}
 	return charge, giftCnt
@@ -418,12 +432,12 @@ func (w *World) emitWeb(md *MonthData, c *customer, activity float64, q experien
 		streamPkts := streamSize * 700
 		emailCnt := w.poisson(1.2)
 		emailOK := binomialApprox(w, emailCnt, 0.97)
-		md.Web.AppendRow(
-			c.id, md.Month, int64(day), int64(pages), int64(succ), respDelay,
-			int64(browseSucc), browseDelay, dlTP, ulTP, dayFlux, rtt,
-			int64(tcpOK), int64(tcpAtt), streamSize, streamPkts,
-			int64(emailCnt), int64(emailOK), pageSize,
-		)
+		md.Web.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
+			Int(int64(pages)).Int(int64(succ)).Float(respDelay).
+			Int(int64(browseSucc)).Float(browseDelay).Float(dlTP).Float(ulTP).
+			Float(dayFlux).Float(rtt).Int(int64(tcpOK)).Int(int64(tcpAtt)).
+			Float(streamSize).Float(streamPkts).Int(int64(emailCnt)).
+			Int(int64(emailOK)).Float(pageSize).Done()
 		flux += dayFlux
 	}
 	rate := 0.29
@@ -456,7 +470,8 @@ func (w *World) emitSearch(md *MonthData, c *customer, activity float64) {
 	for i := 0; i < n; i++ {
 		day := w.activityDay(c)
 		words := 2 + w.rng.Intn(4)
-		md.Search.AppendRow(c.id, md.Month, int64(day), w.sampleText(searchTopics, mix, words))
+		md.Search.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
+			String(w.sampleText(searchTopics, mix, words)).Done()
 	}
 }
 
@@ -468,7 +483,8 @@ func (w *World) emitComplaints(md *MonthData, c *customer) {
 		day := 1 + w.rng.Intn(w.cfg.DaysPerMonth)
 		mix := []float64{0.4 + 1.5*c.dissat, 0.8, 0.6, 0.5}
 		words := 4 + w.rng.Intn(6)
-		md.Complaints.AppendRow(c.id, md.Month, int64(day), w.sampleText(complaintTopics, mix, words))
+		md.Complaints.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
+			String(w.sampleText(complaintTopics, mix, words)).Done()
 	}
 }
 
@@ -485,10 +501,9 @@ func (w *World) emitLocations(md *MonthData, c *customer, activity float64) {
 			cellIdx = c.altCells[w.rng.Intn(len(c.altCells))]
 		}
 		cl := w.cells[cellIdx]
-		md.Locations.AppendRow(
-			c.id, md.Month, int64(day), int64(slot), int64(cl.id), int64(cl.lac),
-			cl.lat, cl.lon,
-		)
+		md.Locations.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
+			Int(int64(slot)).Int(int64(cl.id)).Int(int64(cl.lac)).
+			Float(cl.lat).Float(cl.lon).Done()
 	}
 }
 
@@ -530,7 +545,8 @@ func (w *World) settleBalance(md *MonthData, c *customer, charge float64) (recha
 		c.balance += amount
 		rechargeValue += amount
 		day := clamp(float64(daysToRecharge), 1, float64(w.cfg.DaysPerMonth))
-		md.Recharges.AppendRow(c.id, md.Month, int64(day), amount)
+		md.Recharges.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
+			Float(amount).Done()
 	}
 	return rechargeValue, inRecharge, daysToRecharge, labeledChurn
 }
@@ -614,48 +630,21 @@ func (w *World) decideChurn(c *customer, churned map[int64]bool) {
 	}
 }
 
-func (w *World) assignNeighborsForEntrant(nc *customer) {
-	var community, all []int64
-	for id, c := range w.customers {
-		if id == nc.id {
-			continue
-		}
-		all = append(all, id)
-		if c.community == nc.community {
-			community = append(community, id)
-		}
-	}
-	slices.Sort(all)
-	slices.Sort(community)
-	w.assignNeighbors(nc, community, all)
-}
-
 // pruneDeadNeighbors replaces departed customers in neighbor lists with
-// random same-community actives, keeping call volumes stable.
-func (w *World) pruneDeadNeighbors(removed []int64) {
-	if len(removed) == 0 {
-		return
-	}
+// random same-community actives, keeping call volumes stable. r is this
+// month's roster, entrants included.
+func (w *World) pruneDeadNeighbors(removed []int64, r *roster) {
 	dead := make(map[int64]bool, len(removed))
 	for _, id := range removed {
 		dead[id] = true
 	}
-	byCommunity := make(map[int][]int64)
-	ids := make([]int64, 0, len(w.customers))
-	for id := range w.customers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		byCommunity[w.customers[id].community] = append(byCommunity[w.customers[id].community], id)
-	}
-	for _, id := range ids {
+	for _, id := range r.all {
 		c := w.customers[id]
 		for i, n := range c.neighbors {
 			if !dead[n] {
 				continue
 			}
-			pool := byCommunity[c.community]
+			pool := r.byCommunity[c.community]
 			if len(pool) > 1 {
 				c.neighbors[i] = pool[w.rng.Intn(len(pool))]
 			}

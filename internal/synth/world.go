@@ -93,6 +93,8 @@ type World struct {
 	numCommunities int
 
 	churnedLast map[int64]bool // customers labeled churners in prior month
+
+	rows map[string]int // last month's row count per table, for presizing
 }
 
 // MonthData bundles everything the simulator emits for one month.
@@ -122,6 +124,7 @@ func NewWorld(cfg Config) *World {
 		month:          1,
 		communityShock: make(map[int]float64),
 		churnedLast:    make(map[int64]bool),
+		rows:           make(map[string]int),
 	}
 	w.buildCells()
 	w.numCommunities = cfg.Customers/cfg.CommunitySize + 1
@@ -240,24 +243,47 @@ func (w *World) deriveBestOffer(c *customer) int {
 // wireNeighbors builds the social graph: call partners concentrated within
 // communities, degree scaled by sociality (hubs exist).
 func (w *World) wireNeighbors() {
-	byCommunity := make(map[int][]int64)
-	var all []int64
-	for id, c := range w.customers {
-		byCommunity[c.community] = append(byCommunity[c.community], id)
-		all = append(all, id)
+	ids := make([]int64, 0, len(w.customers))
+	for id := range w.customers {
+		ids = append(ids, id)
 	}
 	// Map iteration order is random; sort for determinism.
-	slices.Sort(all)
-	for _, ids := range byCommunity {
-		slices.Sort(ids)
-	}
-	for _, id := range all {
+	slices.Sort(ids)
+	r := w.newRoster(ids)
+	for _, id := range r.all {
 		c := w.customers[id]
 		if len(c.neighbors) > 0 {
 			continue
 		}
-		w.assignNeighbors(c, byCommunity[c.community], all)
+		w.assignNeighbors(c, r.byCommunity[c.community], r.all)
 	}
+}
+
+// roster is the population in id order, whole and by community: the
+// candidate lists social wiring draws from. A month builds it once. Entrant
+// ids come from nextID, above every existing id, so adding an entrant at
+// the end keeps every list sorted, and each entrant is wired against the
+// lists a fresh sort of the population would give.
+type roster struct {
+	all         []int64
+	byCommunity map[int][]int64
+}
+
+// newRoster builds the roster of the customers among ids, which are sorted.
+func (w *World) newRoster(ids []int64) *roster {
+	r := &roster{all: make([]int64, 0, len(ids)), byCommunity: make(map[int][]int64, w.numCommunities)}
+	for _, id := range ids {
+		if c, ok := w.customers[id]; ok {
+			r.add(c)
+		}
+	}
+	return r
+}
+
+// add appends c, whose id is above every id on the roster.
+func (r *roster) add(c *customer) {
+	r.all = append(r.all, c.id)
+	r.byCommunity[c.community] = append(r.byCommunity[c.community], c.id)
 }
 
 func (w *World) assignNeighbors(c *customer, community, all []int64) {

@@ -102,19 +102,19 @@ func legacyGroupBy(t *Table, key string, aggs ...Agg) (*Table, error) {
 	out := NewTable(schema)
 	for _, k := range order {
 		rows := groups[k]
-		out.Cols[0].AppendInt(k)
+		out.Cols[0].Ints = append(out.Cols[0].Ints, k)
 		for ai, a := range aggs {
 			dst := out.Cols[ai+1]
 			src := refs[ai]
 			if a.Func == Count {
-				dst.AppendFloat(float64(len(rows)))
+				dst.Floats = append(dst.Floats, float64(len(rows)))
 				continue
 			}
 			s := 0.0
 			for _, r := range rows {
 				s += src.Float(r)
 			}
-			dst.AppendFloat(s)
+			dst.Floats = append(dst.Floats, s)
 		}
 	}
 	return out, nil

@@ -16,9 +16,7 @@ func randomEvents(seed int64, rows, customers int) *Table {
 		Field{Name: "cell", Type: Int64},
 	))
 	for i := 0; i < rows; i++ {
-		t.Cols[0].AppendInt(int64(rng.Intn(customers)) + 1000)
-		t.Cols[1].AppendFloat(rng.Float64() * 100)
-		t.Cols[2].AppendInt(int64(rng.Intn(7)))
+		t.Append().Int(int64(rng.Intn(customers)) + 1000).Float(rng.Float64() * 100).Int(int64(rng.Intn(7))).Done()
 	}
 	return t
 }

@@ -29,15 +29,6 @@ func (c *Column) Len() int {
 	}
 }
 
-// AppendInt appends an int64 value; the column must be Int64.
-func (c *Column) AppendInt(v int64) { c.Ints = append(c.Ints, v) }
-
-// AppendFloat appends a float64 value; the column must be Float64.
-func (c *Column) AppendFloat(v float64) { c.Floats = append(c.Floats, v) }
-
-// AppendString appends a string value; the column must be String.
-func (c *Column) AppendString(v string) { c.Strings = append(c.Strings, v) }
-
 // Float returns row i of the column coerced to float64 (Int64 columns are
 // converted). Calling it on a String column is a programming error — it used
 // to return a silent NaN that poisoned downstream aggregates — so it panics,
@@ -96,45 +87,148 @@ func (t *Table) MustCol(name string) *Column {
 	return c
 }
 
-// AppendRow appends one row given values in schema order. Each value must be
-// int64, float64 or string matching the column type; int values are accepted
-// for Int64 columns and converted.
+// RowAppender appends one row to a table value by value, in schema order,
+// without boxing a value into an interface:
+//
+//	t.Append().Int(id).Float(dur).String(text).Done()
+//
+// Each call checks that its column has the value's type, and Done checks
+// that the row is complete. A wrong type, a short row or a long row is a
+// programming error and panics naming the column, as MustCol does; the
+// columns are then left unequal, which Validate reports.
+type RowAppender struct {
+	t *Table
+	i int // next column
+}
+
+// Append starts a row.
+func (t *Table) Append() RowAppender { return RowAppender{t: t} }
+
+// Int appends v to the next column, which must be Int64.
+func (r RowAppender) Int(v int64) RowAppender {
+	c := r.next(Int64)
+	c.Ints = append(c.Ints, v)
+	r.i++
+	return r
+}
+
+// Float appends v to the next column, which must be Float64.
+func (r RowAppender) Float(v float64) RowAppender {
+	c := r.next(Float64)
+	c.Floats = append(c.Floats, v)
+	r.i++
+	return r
+}
+
+// String appends v to the next column, which must be String.
+func (r RowAppender) String(v string) RowAppender {
+	c := r.next(String)
+	c.Strings = append(c.Strings, v)
+	r.i++
+	return r
+}
+
+// Done ends the row; every column must have received its value.
+func (r RowAppender) Done() {
+	if r.i != len(r.t.Cols) {
+		panic(r.t.rowLenError(r.i).Error())
+	}
+}
+
+// next returns the column the next value goes to, which must have type typ.
+func (r RowAppender) next(typ ColType) *Column {
+	if r.i < len(r.t.Cols) && r.t.Cols[r.i].Type == typ {
+		return r.t.Cols[r.i]
+	}
+	if r.i >= len(r.t.Cols) {
+		panic(r.t.rowLenError(r.i + 1).Error())
+	}
+	panic(r.t.typeError(r.i, goTypes[typ]).Error())
+}
+
+// goTypes names the Go type each column type stores.
+var goTypes = [...]string{Int64: "int64", Float64: "float64", String: "string"}
+
+// rowLenError describes a row of n values, n not the column count.
+func (t *Table) rowLenError(n int) error {
+	if n < len(t.Cols) {
+		return fmt.Errorf("table: row has %d values, schema has %d columns: no value for column %q", n, len(t.Cols), t.Cols[n].Name)
+	}
+	last := ""
+	if len(t.Cols) > 0 {
+		last = t.Cols[len(t.Cols)-1].Name
+	}
+	return fmt.Errorf("table: row has %d values, schema has %d columns: a value past the last column %q", n, len(t.Cols), last)
+}
+
+// typeError describes a value of Go type got offered to column i.
+func (t *Table) typeError(i int, got string) error {
+	return fmt.Errorf("table: column %q wants %s, got %s", t.Cols[i].Name, goTypes[t.Cols[i].Type], got)
+}
+
+// AppendRow appends one row given values in schema order, through the
+// typed appender and with its checks, as an error instead of a panic. Each
+// value must be int64, float64 or string matching the column type; int
+// values are accepted for Int64 columns, int and int64 values for Float64
+// columns. A rejected row leaves the table unchanged. It boxes every value,
+// so the pipeline appends through Append; this is the tests' convenience.
 func (t *Table) AppendRow(values ...any) error {
-	if len(values) != t.Schema.Len() {
-		return fmt.Errorf("table: AppendRow got %d values, schema has %d columns", len(values), t.Schema.Len())
+	if len(values) != len(t.Cols) {
+		return t.rowLenError(len(values))
 	}
 	for i, v := range values {
-		col := t.Cols[i]
-		switch col.Type {
-		case Int64:
-			switch x := v.(type) {
-			case int64:
-				col.AppendInt(x)
-			case int:
-				col.AppendInt(int64(x))
-			default:
-				return fmt.Errorf("table: column %q wants int64, got %T", t.Schema.Fields[i].Name, v)
-			}
-		case Float64:
-			switch x := v.(type) {
-			case float64:
-				col.AppendFloat(x)
-			case int:
-				col.AppendFloat(float64(x))
-			case int64:
-				col.AppendFloat(float64(x))
-			default:
-				return fmt.Errorf("table: column %q wants float64, got %T", t.Schema.Fields[i].Name, v)
-			}
-		case String:
-			x, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("table: column %q wants string, got %T", t.Schema.Fields[i].Name, v)
-			}
-			col.AppendString(x)
+		ok := false
+		switch v.(type) {
+		case int, int64:
+			ok = t.Cols[i].Type != String
+		case float64:
+			ok = t.Cols[i].Type == Float64
+		case string:
+			ok = t.Cols[i].Type == String
+		}
+		if !ok {
+			return t.typeError(i, fmt.Sprintf("%T", v))
 		}
 	}
+	r := t.Append()
+	for _, v := range values {
+		switch x := v.(type) {
+		case int:
+			r = r.number(int64(x))
+		case int64:
+			r = r.number(x)
+		case float64:
+			r = r.Float(x)
+		case string:
+			r = r.String(x)
+		}
+	}
+	r.Done()
 	return nil
+}
+
+// number appends an integer to the next column, converted for a Float64
+// column.
+func (r RowAppender) number(v int64) RowAppender {
+	if r.i < len(r.t.Cols) && r.t.Cols[r.i].Type == Float64 {
+		return r.Float(float64(v))
+	}
+	return r.Int(v)
+}
+
+// Grow makes room for n more rows in every column, so the next n rows
+// append without reallocating.
+func (t *Table) Grow(n int) {
+	for _, c := range t.Cols {
+		switch c.Type {
+		case Int64:
+			c.Ints = slices.Grow(c.Ints, n)
+		case Float64:
+			c.Floats = slices.Grow(c.Floats, n)
+		default:
+			c.Strings = slices.Grow(c.Strings, n)
+		}
+	}
 }
 
 // Validate checks that all columns have equal length and types matching the

@@ -113,7 +113,7 @@ func TestAppendRowTypeErrors(t *testing.T) {
 
 func TestColumnFloatCoercion(t *testing.T) {
 	c := &Column{Type: Int64}
-	c.AppendInt(42)
+	c.Ints = append(c.Ints, 42)
 	if got := c.Float(0); got != 42 {
 		t.Errorf("Float on Int64 = %g", got)
 	}

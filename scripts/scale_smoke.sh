@@ -34,8 +34,11 @@ echo "== scale-smoke: ${CUSTOMERS} customers x ${MONTHS} months, ${SHARDS} shard
 
 go build -o "$WORK/churnctl" ./cmd/churnctl
 
+gen_start=$(date +%s%N)
 "$WORK/churnctl" generate -out "$WORK/wh" \
   -customers "$CUSTOMERS" -months "$MONTHS" -seed 42 -shards "$SHARDS" -burnin 1
+gen_ms=$(( ($(date +%s%N) - gen_start) / 1000000 ))
+echo "== scale-smoke: generate wall ${gen_ms} ms (${CUSTOMERS} customers x ${MONTHS} months, ${SHARDS} shards)"
 
 "$WORK/churnctl" inspect -warehouse "$WORK/wh" | tee "$WORK/inspect.txt"
 grep -q "shards=${SHARDS}" "$WORK/inspect.txt" || {
