@@ -448,7 +448,7 @@ func BenchmarkForestScore(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledScore times the compiled forest walk alone, on the
+// BenchmarkCompiledScore times the forest walk alone, on the
 // serving model's shape (F1-F6 frame, 100 trees, min-leaf 25): `single` is
 // one row through SingleScorer.Score, `batch64` one 64-row ScoreAll — the
 // batch a 64-id score request hands the classifier.

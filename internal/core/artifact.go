@@ -246,17 +246,16 @@ func Load(r io.Reader) (*Pipeline, error) {
 		if n := len(f.FeatureNames()); n != len(p.featNames) {
 			return nil, fmt.Errorf("%w: forest has %d features, schema %d", ErrBadArtifact, n, len(p.featNames))
 		}
-		p.clf = &RFClassifier{forest: f, compiled: f.Compile()}
+		p.clf = &RFClassifier{forest: f}
 	case tagGBDT:
 		g, err := tree.ReadGBDT(bytes.NewReader(rd.Bytes()))
 		if err != nil {
 			return nil, badArtifact(err)
 		}
-		cg := g.Compile()
-		if w := cg.Width(); w > len(p.featNames) {
+		if w := g.Width(); w > len(p.featNames) {
 			return nil, fmt.Errorf("%w: GBDT splits on feature %d of a %d-feature schema", ErrBadArtifact, w-1, len(p.featNames))
 		}
-		p.clf = &GBDTClassifier{model: g, compiled: cg}
+		p.clf = &GBDTClassifier{model: g}
 	case tagLiblinear:
 		c := &LinearClassifier{Buckets: int(rd.Uvarint())}
 		if c.bin, err = linear.DecodeBinarizer(rd); err != nil {
@@ -317,9 +316,9 @@ func (p *Pipeline) SetWorkers(n int) {
 	p.cfg.Workers = n
 	switch c := p.clf.(type) {
 	case *RFClassifier:
-		c.compiled.SetWorkers(n)
+		c.forest.SetWorkers(n)
 	case *GBDTClassifier:
-		c.compiled.SetWorkers(n)
+		c.model.SetWorkers(n)
 	}
 }
 

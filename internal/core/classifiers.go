@@ -20,7 +20,7 @@ type Classifier interface {
 // SingleScorer is the single-row half of Classifier, the path a serving
 // layer scores one customer through. Score must be safe for concurrent use
 // and bit-identical to ScoreAll([][]float64{x})[0]. The tree families (RF,
-// GBDT) score through compiled flat ensembles and allocate nothing; the
+// GBDT) score over flat node arrays and allocate nothing; the
 // binarizing families (LIBLINEAR, LIBFM) allocate one transformed row per
 // call.
 type SingleScorer interface {
@@ -29,9 +29,8 @@ type SingleScorer interface {
 
 // RFClassifier wraps the random forest — the paper's deployed choice.
 type RFClassifier struct {
-	Config   tree.ForestConfig
-	forest   *tree.Forest
-	compiled *tree.CompiledForest // flat SoA ensemble for the serving path
+	Config tree.ForestConfig
+	forest *tree.Forest
 }
 
 // Fit implements Classifier.
@@ -41,29 +40,27 @@ func (c *RFClassifier) Fit(d *dataset.Dataset) error {
 		return err
 	}
 	c.forest = f
-	c.compiled = f.Compile()
 	return nil
 }
 
-// ScoreAll implements Classifier through the compiled ensemble, which Fit
-// and Load always set.
-func (c *RFClassifier) ScoreAll(x [][]float64) []float64 { return c.compiled.ScoreAll(x) }
+// ScoreAll implements Classifier through the forest, which Fit and Load
+// always set.
+func (c *RFClassifier) ScoreAll(x [][]float64) []float64 { return c.forest.ScoreAll(x) }
 
 // Score implements SingleScorer without allocating.
-func (c *RFClassifier) Score(x []float64) float64 { return c.compiled.Score(x) }
+func (c *RFClassifier) Score(x []float64) float64 { return c.forest.Score(x) }
 
 // Name implements Classifier.
 func (c *RFClassifier) Name() string { return "RF" }
 
 // Forest exposes the trained forest for feature importance (Table 4),
-// attribution and persistence; scores come from Score / ScoreAll.
+// attribution and persistence.
 func (c *RFClassifier) Forest() *tree.Forest { return c.forest }
 
 // GBDTClassifier wraps gradient boosted decision trees.
 type GBDTClassifier struct {
-	Config   tree.GBDTConfig
-	model    *tree.GBDT
-	compiled *tree.CompiledGBDT
+	Config tree.GBDTConfig
+	model  *tree.GBDT
 }
 
 // Fit implements Classifier.
@@ -73,15 +70,14 @@ func (c *GBDTClassifier) Fit(d *dataset.Dataset) error {
 		return err
 	}
 	c.model = m
-	c.compiled = m.Compile()
 	return nil
 }
 
-// ScoreAll implements Classifier through the compiled ensemble, like RF.
-func (c *GBDTClassifier) ScoreAll(x [][]float64) []float64 { return c.compiled.ScoreAll(x) }
+// ScoreAll implements Classifier.
+func (c *GBDTClassifier) ScoreAll(x [][]float64) []float64 { return c.model.ScoreAll(x) }
 
 // Score implements SingleScorer without allocating.
-func (c *GBDTClassifier) Score(x []float64) float64 { return c.compiled.Score(x) }
+func (c *GBDTClassifier) Score(x []float64) float64 { return c.model.Score(x) }
 
 // Name implements Classifier.
 func (c *GBDTClassifier) Name() string { return "GBDT" }

@@ -94,7 +94,7 @@ func TestHostileArtifactCountsRejected(t *testing.T) {
 
 // TestHostileSplitFeatureRejected: a split on a feature the scored rows do
 // not have must fail the load with the typed error — not pass, then panic
-// in the compiled walker (feature 7 of 1), or wrap through int32 to
+// in the tree walker (feature 7 of 1), or wrap through int32 to
 // feature 0 and score silently (2^32). The in-range rows are the controls.
 func TestHostileSplitFeatureRejected(t *testing.T) {
 	// Each file is one tree whose root splits on feat at 0.5 into two
@@ -164,14 +164,14 @@ func TestHostileSplitFeatureRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return load(width, &RFClassifier{forest: f, compiled: f.Compile()})
+		return load(width, &RFClassifier{forest: f})
 	}
 	loadGBDT := func(feat uint64, width int) error {
 		g, err := tree.ReadGBDT(bytes.NewReader(gbdtFile(feat)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return load(width, &GBDTClassifier{model: g, compiled: g.Compile()})
+		return load(width, &GBDTClassifier{model: g})
 	}
 	for _, tc := range []struct {
 		name string

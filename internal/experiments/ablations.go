@@ -207,13 +207,12 @@ func (e *Env) runExtendedGraphArm(trainMonth, testMonth, u int) (eval.Report, er
 		}
 	}
 	d = d.Subset(keep)
-	fitted, err := tree.FitForest(d, tree.ForestConfig{
+	forest, err := tree.FitForest(d, tree.ForestConfig{
 		NumTrees: e.Opts.Trees, MinLeafSamples: e.Opts.MinLeaf, Seed: e.Opts.Seed + 73,
 	})
 	if err != nil {
 		return eval.Report{}, err
 	}
-	forest := fitted.Compile()
 
 	testFrame, err := build(testMonth)
 	if err != nil {

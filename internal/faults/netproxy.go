@@ -13,8 +13,8 @@ import (
 
 // Proxy is a deterministic, seeded TCP fault proxy: a listener that
 // forwards every accepted connection to one upstream address while
-// injecting connection resets, accept/read/write latency, mid-stream
-// stalls, partial writes, and bandwidth caps. It extends the Injector's
+// injecting connection resets, read/write latency, mid-stream stalls and
+// partial writes. It extends the Injector's
 // reproducibility contract to the network: every decision is a pure
 // function of (seed, site, connection index, attempt), so the same seed in
 // front of the same client behavior kills the same connections at the same
@@ -49,9 +49,6 @@ type NetConfig struct {
 	Stall float64
 	// StallDuration is how long a firing stall blocks forwarding.
 	StallDuration time.Duration
-	// AcceptLatency is the maximum delay inserted between accepting a
-	// client and dialing upstream; each connection gets a seeded fraction.
-	AcceptLatency time.Duration
 	// ReadLatency is the maximum per-chunk delay on the client→upstream
 	// direction; each chunk gets a seeded fraction. WriteLatency is the
 	// same for upstream→client.
@@ -61,9 +58,6 @@ type NetConfig struct {
 	// written in two halves with a StallDuration/10 pause between them —
 	// exercising short-read handling in the endpoint.
 	PartialWrite float64
-	// Bandwidth caps each direction's throughput in bytes/sec by pacing
-	// forwarded chunks with sleeps. Zero means unlimited.
-	Bandwidth int
 	// Sleep is the latency clock (default time.Sleep; tests inject a fake).
 	Sleep func(time.Duration)
 }
@@ -74,7 +68,7 @@ type NetCounts struct {
 	Resets   uint64 // connections torn down by the reset fault
 	Stalls   uint64 // mid-stream stalls fired
 	Partials uint64 // chunks split by the partial-write fault
-	Delays   uint64 // accept/read/write latency sleeps injected
+	Delays   uint64 // read/write latency sleeps injected
 	BytesIn  uint64 // bytes forwarded client→upstream
 	BytesOut uint64 // bytes forwarded upstream→client
 }
@@ -215,13 +209,6 @@ func (p *Proxy) serve(client net.Conn, idx uint64) {
 	defer p.untrack(client)
 	defer client.Close()
 
-	if p.cfg.AcceptLatency > 0 {
-		d := time.Duration(p.roll("accept-latency", idx, 0) * float64(p.cfg.AcceptLatency))
-		if d > 0 {
-			p.counts.delays.Add(1)
-			p.cfg.Sleep(d)
-		}
-	}
 	server, err := net.DialTimeout("tcp", p.upstream, 10*time.Second)
 	if err != nil {
 		return // upstream down: client sees an immediate close
@@ -297,9 +284,6 @@ func (p *Proxy) pump(st *connState, dir string, src, dst net.Conn, latency time.
 					p.counts.delays.Add(1)
 					p.cfg.Sleep(d)
 				}
-			}
-			if p.cfg.Bandwidth > 0 {
-				p.cfg.Sleep(time.Duration(float64(n) / float64(p.cfg.Bandwidth) * float64(time.Second)))
 			}
 			if p.cfg.PartialWrite > 0 && n > 1 &&
 				p.roll("partial-"+dir, st.idx, chunk) < p.cfg.PartialWrite {

@@ -179,34 +179,6 @@ func TestProxyHTTPUnderLatency(t *testing.T) {
 	}
 }
 
-// TestProxyBandwidthPacing: a capped connection requests sleeps summing to
-// roughly bytes/rate in each direction.
-func TestProxyBandwidthPacing(t *testing.T) {
-	fs := &fakeSleep{}
-	p := newProxy(t, echoServer(t), NetConfig{Seed: 1, Bandwidth: 1000, Sleep: fs.sleep})
-	payload := bytes.Repeat([]byte("z"), 500)
-	if _, ok := exchange(t, p.Addr(), payload); !ok {
-		t.Fatal("exchange failed")
-	}
-	// 500 bytes at 1000 B/s in each direction ≈ 1s total requested sleep.
-	got := time.Duration(fs.total.Load())
-	if got < 900*time.Millisecond || got > 1100*time.Millisecond {
-		t.Fatalf("paced sleep = %v, want ≈1s", got)
-	}
-}
-
-// TestProxyAcceptLatency: accept delay fires before upstream dial.
-func TestProxyAcceptLatency(t *testing.T) {
-	fs := &fakeSleep{}
-	p := newProxy(t, echoServer(t), NetConfig{Seed: 9, AcceptLatency: time.Second, Sleep: fs.sleep})
-	if _, ok := exchange(t, p.Addr(), []byte("hi")); !ok {
-		t.Fatal("exchange failed")
-	}
-	if c := p.Counts(); c.Delays == 0 {
-		t.Fatalf("accept latency never fired: %+v", c)
-	}
-}
-
 // TestProxyCloseUnblocks: Close tears down live connections promptly.
 func TestProxyCloseUnblocks(t *testing.T) {
 	p := newProxy(t, echoServer(t), NetConfig{})

@@ -334,7 +334,7 @@ func (r *Runner) FitOfferClassifier(prev ...*CampaignResult) (*OfferClassifier, 
 	if err != nil {
 		return nil, err
 	}
-	return &OfferClassifier{forest: forest.Compile(), lp: lp, numClasses: synth.NumRetentionClass}, nil
+	return &OfferClassifier{forest: forest, lp: lp, numClasses: synth.NumRetentionClass}, nil
 }
 
 // RunMatchedCampaign runs the next month's campaign with offers chosen by
@@ -373,7 +373,7 @@ func (r *Runner) RunMatchedCampaign(campaignMonth int, clf *OfferClassifier) (*C
 
 // OfferClassifier matches offers to customers.
 type OfferClassifier struct {
-	forest     *tree.CompiledForest
+	forest     *tree.Forest
 	lp         *lpFeatures
 	numClasses int
 }

@@ -1,7 +1,7 @@
 // Package serve is the online scoring layer over a fitted core.Pipeline.
 // There is one scoring path and it runs on the caller's goroutine: resolve
 // each customer's feature vector through the provider (an in-memory lookup),
-// then walk the compiled ensemble — Classifier.Score for one id (zero
+// then walk the flat ensemble — Classifier.Score for one id (zero
 // allocations steady-state), one Classifier.ScoreAll call for several (which
 // itself fans out across cores only for requests above parallel.DefaultGrain
 // rows). Multi-id requests are admitted against one bound on customer scores

@@ -530,7 +530,7 @@ func TestScoreEquivalence(t *testing.T) {
 }
 
 // BenchmarkServeScore reports serving latency in the production churnd
-// configuration — precomputed feature vectors plus compiled forests:
+// configuration — precomputed feature vectors plus flat forests:
 // "single" issues one-customer ScoreOne calls (the 0 allocs/op contract
 // lives here), "batch64" issues 64-customer Score calls. p50-ns/req is read
 // off the latency histogram at the end of each run.

@@ -17,25 +17,22 @@ package tree
 // returned slice is aligned with the training feature order; the identity
 // bias + sum(contrib) == Score(x) holds to floating-point accuracy.
 func (f *Forest) Contributions(x []float64) (bias float64, contrib []float64) {
-	if len(f.trees) == 0 {
+	if len(f.roots) == 0 {
 		return 0, nil
 	}
 	contrib = make([]float64, len(f.features))
-	for _, tr := range f.trees {
-		nd := tr.root
-		bias += nd.probs[1]
-		for !nd.isLeaf() {
-			var next *node
-			if x[nd.feature] <= nd.threshold {
-				next = nd.left
-			} else {
-				next = nd.right
-			}
-			contrib[nd.feature] += next.probs[1] - nd.probs[1]
-			nd = next
+	nc := f.numClasses
+	for _, i := range f.roots {
+		p := f.probs[int(i)*nc+1]
+		bias += p
+		for f.feats[i] >= 0 {
+			next := f.kids[i] + int32(right(x[f.feats[i]], f.thrs[i]))
+			q := f.probs[int(next)*nc+1]
+			contrib[f.feats[i]] += q - p
+			i, p = next, q
 		}
 	}
-	n := float64(len(f.trees))
+	n := float64(len(f.roots))
 	bias /= n
 	for i := range contrib {
 		contrib[i] /= n

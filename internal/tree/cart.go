@@ -7,7 +7,6 @@ package tree
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"telcochurn/internal/dataset"
@@ -44,28 +43,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one tree node; leaves have nil children and a class distribution
-// (classification) or value (regression).
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	probs     []float64 // leaf class distribution, classification trees
-	value     float64   // leaf value, regression trees
-	n         int       // training instances that reached this node
-}
-
-func (nd *node) isLeaf() bool { return nd.left == nil }
-
-// Tree is a trained CART classification tree.
-type Tree struct {
-	root       *node
-	numClasses int
-	numFeat    int
-	importance []float64
-}
-
 // Gini computes the Gini index of Eq. (6), 1 - sum_c p_c^2, from weighted
 // class masses.
 func Gini(classMass []float64) float64 {
@@ -79,16 +56,17 @@ func Gini(classMass []float64) float64 {
 	g := 1.0
 	for _, m := range classMass {
 		p := m / total
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }
 
 // FitTree trains a single CART classification tree on the dataset with the
-// paper's Gini splitting (Eqs. 5-6), honoring per-instance weights. Split
-// search runs on the columnar backend (see columnar.go): exact presorted
-// scans by default, histogram scans when cfg.MaxBins > 0.
-func FitTree(d *dataset.Dataset, cfg Config) (*Tree, error) {
+// paper's Gini splitting (Eqs. 5-6), honoring per-instance weights, and
+// returns it as a one-tree Forest. Split search runs on the columnar
+// backend (see columnar.go): exact presorted scans by default, histogram
+// scans when cfg.MaxBins > 0.
+func FitTree(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,17 +80,12 @@ func FitTree(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	if numClasses < 2 {
 		numClasses = 2
 	}
-	return fitTreeWithClasses(d, cfg, numClasses), nil
-}
-
-// fitTreeWithClasses is FitTree with an externally fixed class count, so a
-// sample that misses a rare class still yields aligned probability vectors.
-func fitTreeWithClasses(d *dataset.Dataset, cfg Config, numClasses int) *Tree {
 	cfg = cfg.withDefaults()
 	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins)
-	g := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg)
-	root := g.grow(0, d.NumInstances(), 0)
-	return &Tree{root: root, numClasses: numClasses, numFeat: d.NumFeatures(), importance: g.importance}
+	f := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
+	f.features = d.FeatureNames
+	f.importance = normalizedSum(f.treeImp, d.NumFeatures())
+	return f, nil
 }
 
 func weightsOf(d *dataset.Dataset) []float64 {
@@ -124,65 +97,6 @@ func weightsOf(d *dataset.Dataset) []float64 {
 		w[i] = 1
 	}
 	return w
-}
-
-// PredictProba returns the class-probability vector for one instance. It is
-// the reference pointer walk the compiled forest is tested against; fitted
-// forests score through Compile.
-func (t *Tree) PredictProba(x []float64) []float64 {
-	nd := t.root
-	for !nd.isLeaf() {
-		if x[nd.feature] <= nd.threshold {
-			nd = nd.left
-		} else {
-			nd = nd.right
-		}
-	}
-	return nd.probs
-}
-
-// NumClasses returns the number of classes the tree was trained with.
-func (t *Tree) NumClasses() int { return t.numClasses }
-
-// Importance returns the tree's raw (unnormalized) Gini importance per
-// feature: the sum over split nodes of weighted impurity decrease (Eq. 7).
-func (t *Tree) Importance() []float64 {
-	return append([]float64(nil), t.importance...)
-}
-
-// NumLeaves counts the tree's leaves.
-func (t *Tree) NumLeaves() int { return countLeaves(t.root) }
-
-func countLeaves(nd *node) int {
-	if nd == nil {
-		return 0
-	}
-	if nd.isLeaf() {
-		return 1
-	}
-	return countLeaves(nd.left) + countLeaves(nd.right)
-}
-
-// MinLeafSize returns the smallest training-population of any leaf, for
-// invariant testing against Config.MinLeafSamples.
-func (t *Tree) MinLeafSize() int {
-	minSize := math.MaxInt
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		if nd.isLeaf() {
-			if nd.n < minSize {
-				minSize = nd.n
-			}
-			return
-		}
-		walk(nd.left)
-		walk(nd.right)
-	}
-	walk(t.root)
-	return minSize
 }
 
 // split is one candidate cut: send x[feature] <= threshold left.
@@ -200,27 +114,26 @@ func giniComplement(parent, left []float64, total float64) float64 {
 	g := 1.0
 	for c := range parent {
 		p := (parent[c] - left[c]) / total
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }
 
-func normalize(mass []float64) []float64 {
+// normalize writes the class distribution of mass into probs.
+func normalize(probs, mass []float64) {
 	total := 0.0
 	for _, m := range mass {
 		total += m
 	}
-	probs := make([]float64, len(mass))
 	if total == 0 {
 		for c := range probs {
 			probs[c] = 1 / float64(len(mass))
 		}
-		return probs
+		return
 	}
 	for c, m := range mass {
 		probs[c] = m / total
 	}
-	return probs
 }
 
 func isPure(mass []float64) bool {
@@ -231,9 +144,4 @@ func isPure(mass []float64) bool {
 		}
 	}
 	return nonZero <= 1
-}
-
-// String summarizes the tree.
-func (t *Tree) String() string {
-	return fmt.Sprintf("Tree(classes=%d leaves=%d)", t.numClasses, t.NumLeaves())
 }

@@ -22,7 +22,8 @@ package tree
 //     multiplicity, over colData's shared columns: nothing is gathered or
 //     re-sorted, each order is the shared presort filtered to the drawn rows.
 //   - colGrower / colRegGrower (regression.go): the recursive CART growth,
-//     operating on [start, end) segments of the layout's arrays.
+//     operating on [start, end) segments of the layout's arrays and
+//     writing each node straight into the flat node arrays (compiled.go).
 //
 // Invariants maintained by the layout:
 //
@@ -201,13 +202,16 @@ func newLayout(cd *colData) *colLayout {
 }
 
 // bootBuffers is the reusable per-tree arena for forest training: the
-// layout's arrays and the flat backing of its order arrays. FitForest keeps
-// them in a sync.Pool so a 500-tree fit allocates them only ~once per
-// worker. Every buffer is sized by the source row count, which bounds any
-// tree's distinct rows, so none is ever reallocated.
+// layout's arrays, the flat backing of its order arrays, and the node
+// arrays a tree grows into before fitTreeBoot copies it out at its exact
+// size. FitForest keeps them in a sync.Pool so a 500-tree fit allocates
+// them only ~once per worker. Every layout buffer is sized by the source
+// row count, which bounds any tree's distinct rows, so none is ever
+// reallocated; the node arrays grow to the largest tree's size.
 type bootBuffers struct {
 	lay     colLayout
 	ordFlat []int32
+	tree    Forest
 }
 
 // newBootstrapLayout lays out the tree grown on the bootstrap draw idx as
@@ -360,12 +364,13 @@ func sampleSplitFeatures(rng *rand.Rand, numFeat, k int) []int {
 	return rng.Perm(numFeat)[:k]
 }
 
-// colGrower grows one CART classification tree over a colLayout. Node
-// splitting allocates nothing beyond the emitted nodes: class masses,
-// histogram accumulators and partition scratch live in per-grower buffers
-// sized once up front.
+// colGrower grows one CART classification tree over a colLayout into a
+// one-tree Forest. Node splitting allocates nothing beyond the node
+// arrays' growth: class masses, histogram accumulators and partition
+// scratch live in per-grower buffers sized once up front.
 type colGrower struct {
 	lay        *colLayout
+	out        *Forest
 	y          []int
 	numClasses int
 	cfg        Config
@@ -418,55 +423,68 @@ func newColGrower(lay *colLayout, y []int, w []float64, numClasses, numFeat int,
 	return g
 }
 
-func (g *colGrower) grow(start, end, depth int) *node {
+// fit grows one tree over the layout's first rows rows into out, which it
+// empties first but for its capacity, and returns out: a one-tree forest
+// with its raw Gini importance.
+func (g *colGrower) fit(rows int, out *Forest) *Forest {
+	out.reset()
+	out.probs, out.numClasses = out.probs[:0], g.numClasses
+	out.roots = append(out.roots, out.alloc(1))
+	g.out = out
+	g.grow(0, 0, rows, 0)
+	out.treeImp = [][]float64{g.importance}
+	return out
+}
+
+// grow writes the node over the layout's rows [start, end) into slot i.
+// A split takes two adjacent slots for its children and grows the left
+// subtree first.
+func (g *colGrower) grow(i int32, start, end, depth int) {
 	mass := g.mass
 	clear(mass)
 	n := end - start // the node's training instances
 	if g.w == nil {
 		n = 0
-		for _, i := range g.lay.rows[start:end] {
-			c := g.cnt[i]
-			mass[g.y[i]] += float64(c)
+		for _, r := range g.lay.rows[start:end] {
+			c := g.cnt[r]
+			mass[g.y[r]] += float64(c)
 			n += int(c)
 		}
 	} else {
-		for _, i := range g.lay.rows[start:end] {
-			mass[g.y[i]] += g.w[i]
+		for _, r := range g.lay.rows[start:end] {
+			mass[g.y[r]] += g.w[r]
 		}
 	}
-	leaf := func() *node {
-		return &node{probs: normalize(mass), n: n}
-	}
+	// Every node keeps its class distribution: a leaf's is its prediction,
+	// and a split's lets decision-path attribution (Contributions) credit
+	// the split's probability shift to the feature it tested. Written
+	// before recursion clobbers the shared mass buffer; the node is a leaf
+	// until a split below replaces it.
+	out, nc := g.out, g.numClasses
+	probs := out.probs[int(i)*nc : int(i+1)*nc]
+	normalize(probs, mass)
+	out.setLeaf(i, probs[1], n)
 	if n < 2*g.cfg.MinLeafSamples || depth == g.cfg.MaxDepth && g.cfg.MaxDepth > 0 {
-		return leaf()
+		return
 	}
 	if isPure(mass) {
-		return leaf()
+		return
 	}
 
 	best := g.bestSplit(start, end, n, mass)
 	if best.feature < 0 {
-		return leaf()
+		return
 	}
 	nPos, nLeft := g.lay.markSplit(start, end, best.feature, best.threshold)
 	if nLeft < g.cfg.MinLeafSamples || n-nLeft < g.cfg.MinLeafSamples {
-		return leaf()
+		return
 	}
 	g.lay.commitSplit(start, end)
 	g.importance[best.feature] += best.improvement
-	nd := &node{
-		feature:   best.feature,
-		threshold: best.threshold,
-		n:         n,
-		// Internal nodes keep their class distribution too, so decision-path
-		// attribution (Contributions) can credit each split's probability
-		// shift to the feature it tested. Normalized before recursion
-		// clobbers the shared mass buffer.
-		probs: normalize(mass),
-	}
-	nd.left = g.grow(start, start+nPos, depth+1)
-	nd.right = g.grow(start+nPos, end, depth+1)
-	return nd
+	c := out.alloc(2)
+	out.setSplit(i, best.feature, best.threshold, c, n)
+	g.grow(c, start, start+nPos, depth+1)
+	g.grow(c+1, start+nPos, end, depth+1)
 }
 
 // bestSplit searches the sampled feature subset for the split with the
@@ -516,7 +534,7 @@ func (g *colGrower) scanExact(f, start, end, n int, parentMass []float64, parent
 			leftTotal := float64(nLeft)
 			q := leftTotal / parentTotal
 			rightGini := giniComplement(parentMass, leftMass, parentTotal-leftTotal)
-			improvement := parentGini - q*Gini(leftMass) - (1-q)*rightGini
+			improvement := parentGini - float64(q*Gini(leftMass)) - float64((1-q)*rightGini)
 			if improvement > best.improvement {
 				*best = split{feature: f, threshold: (cur + next) / 2, improvement: improvement}
 			}
@@ -538,7 +556,7 @@ func (g *colGrower) scanExact(f, start, end, n int, parentMass []float64, parent
 		}
 		q := leftTotal / parentTotal
 		rightGini := giniComplement(parentMass, leftMass, parentTotal-leftTotal)
-		improvement := parentGini - q*Gini(leftMass) - (1-q)*rightGini
+		improvement := parentGini - float64(q*Gini(leftMass)) - float64((1-q)*rightGini)
 		if improvement > best.improvement {
 			*best = split{feature: f, threshold: (cur + next) / 2, improvement: improvement}
 		}
@@ -595,7 +613,7 @@ func (g *colGrower) scanHist(f, start, end, n int, parentMass []float64, parentG
 		}
 		q := leftTotal / parentTotal
 		rightGini := giniComplement(parentMass, leftMass, parentTotal-leftTotal)
-		improvement := parentGini - q*Gini(leftMass) - (1-q)*rightGini
+		improvement := parentGini - float64(q*Gini(leftMass)) - float64((1-q)*rightGini)
 		if improvement > best.improvement {
 			*best = split{feature: f, threshold: upper[b], improvement: improvement}
 		}

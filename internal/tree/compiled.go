@@ -1,21 +1,23 @@
 package tree
 
-// Compiled ensembles: the only way a fitted forest or GBDT scores a row.
+// Flat node storage: the one form every fitted forest and GBDT takes.
 //
-// The pointer-based Tree/Forest nodes are what training naturally produces,
-// and they stay for fitting, attribution and persistence; but walking them
-// on the scoring hot path chases a heap pointer per level — every step is a
-// dependent load into an unpredictable cache line. Compiling flattens each
-// ensemble once (at fit or artifact load) into contiguous
-// structure-of-arrays node storage:
+// The growers write each node straight into contiguous
+// structure-of-arrays storage, ReadForest and ReadGBDT decode into it,
+// WriteTo and attribution walk it, and scoring runs over it:
 //
-//	feats[i]  split feature index, or -1 marking a leaf
-//	thrs[i]   split threshold; a leaf's score payload (the class-1
-//	          probability of a forest leaf, the value of a GBDT leaf)
-//	kids[i]   index of the left child; the right child is always kids[i]+1
-//	          (classification leaves store their probs offset here)
+//	feats[i]   split feature index, or -1 marking a leaf
+//	thrs[i]    split threshold; a leaf's score payload (the class-1
+//	           probability of a forest leaf, the value of a GBDT leaf)
+//	kids[i]    index of the left child; the right child is always kids[i]+1
+//	counts[i]  training instances that reached the node (persisted only)
+//	roots[t]   tree t's root node
 //
-// Children are allocated adjacently, so one branch direction is an add.
+// A forest also keeps every node's class distribution, numClasses wide,
+// at probs[i*numClasses:]: PredictProba averages the leaves', and
+// attribution reads the splits'. Each tree is laid out root first, then a
+// split's two children side by side, left subtree first, so one branch
+// direction is an add.
 //
 // Lockstep lanes. One walk is a chain of dependent loads — node, feature
 // cell, threshold, next node — about seven levels deep, and a core that
@@ -27,29 +29,33 @@ package tree
 // lane's feature index and its step, and the only test per step is "all
 // four lanes at a leaf".
 //
-// Compiled scoring is bit-identical to walking the pointer trees: node
-// order and comparison polarity are preserved (NaN fails `x <= t` and goes
-// right, exactly like Tree.PredictProba), and the lanes change only the
-// order in which leaves are found, never the order they are added: every
-// row sums its leaf payloads one at a time in tree order, so the float
-// sequence — and CompiledForest.PredictProba, the tree-order average of
-// Tree.PredictProba — is the same bit for bit (property tests in
-// compiled_test.go keep this honest). Nothing on the single-row paths
-// allocates, and the kernel's scratch state lives on the stack.
+// The lanes change only the order in which leaves are found, never the
+// order they are added: every row sums its leaf payloads one at a time in
+// tree order, so a score is the same float sequence as walking one tree
+// at a time, one node at a time (NaN fails `x <= t` and goes right), bit
+// for bit; the property tests in compiled_test.go compare the two.
+// Nothing on the single-row paths allocates, and the kernel's scratch
+// state lives on the stack.
 
 import "telcochurn/internal/parallel"
 
 // lanes is how many trees walk4 walks per step.
 const lanes = 4
 
-// nodes is the flat node storage both compiled ensembles share, with the
-// one walker that scores them.
+// nodes is the flat node storage both ensembles share, with the one
+// walker that scores them.
 type nodes struct {
 	feats   []int32   // per node: split feature, or -1 for a leaf
 	thrs    []float64 // per node: split threshold, or leaf payload
 	kids    []int32   // split: left-child index (right = +1)
+	counts  []int32   // per node: training instances that reached it
 	roots   []int32   // per tree: root node index
 	workers int       // ScoreAll's goroutine cap; 0 means GOMAXPROCS
+}
+
+// reset empties the arrays, keeping their capacity.
+func (n *nodes) reset() {
+	n.feats, n.thrs, n.kids, n.counts, n.roots = n.feats[:0], n.thrs[:0], n.kids[:0], n.counts[:0], n.roots[:0]
 }
 
 // alloc appends k consecutive node slots and returns the first index.
@@ -59,15 +65,20 @@ func (n *nodes) alloc(k int) int32 {
 		n.feats = append(n.feats, 0)
 		n.thrs = append(n.thrs, 0)
 		n.kids = append(n.kids, 0)
+		n.counts = append(n.counts, 0)
 	}
 	return i
 }
 
-// reserve empties the node arrays with room for count nodes.
-func (n *nodes) reserve(count int) {
-	n.feats = make([]int32, 0, count)
-	n.thrs = make([]float64, 0, count)
-	n.kids = make([]int32, 0, count)
+// setLeaf makes slot i a leaf with payload v over count instances.
+func (n *nodes) setLeaf(i int32, v float64, count int) {
+	n.feats[i], n.thrs[i], n.kids[i], n.counts[i] = -1, v, 0, int32(count)
+}
+
+// setSplit makes slot i a split sending x[feature] <= threshold to the
+// left child kid and the rest to kid+1.
+func (n *nodes) setSplit(i int32, feature int, threshold float64, kid int32, count int) {
+	n.feats[i], n.thrs[i], n.kids[i], n.counts[i] = int32(feature), threshold, kid, int32(count)
 }
 
 // walk4 walks row x down trees t..t+3 in lockstep until every lane stands
@@ -77,8 +88,7 @@ func (n *nodes) reserve(count int) {
 // m = f>>63, all ones at a leaf: it zeroes the feature index, so a lane at
 // a leaf reads x[0], and it zeroes the step, so the lane holds still. x[0]
 // exists whenever the loop steps at all, because some lane then splits on
-// a cell of x. A leaf's kids entry is a payload offset and is never
-// followed.
+// a cell of x. A leaf's kids entry is never followed.
 func (n *nodes) walk4(t int, x []float64) (int32, int32, int32, int32) {
 	// One length for all three arrays lets the compiler drop the bounds
 	// checks on thrs and kids once feats[i] has passed its own.
@@ -104,8 +114,9 @@ func (n *nodes) walk4(t int, x []float64) (int32, int32, int32, int32) {
 }
 
 // right is 1 when a walk at threshold t goes right for cell v, else 0:
-// !(v <= t), which NaN fails, like the pointer walker's else-branch. The
-// compiler turns it into a flag set rather than a branch.
+// !(v <= t), which NaN fails, so NaN goes right — the same rule the
+// growers partition rows by. The compiler turns it into a flag set rather
+// than a branch.
 func right(v, t float64) int {
 	if !(v <= t) {
 		return 1
@@ -114,22 +125,23 @@ func right(v, t float64) int {
 }
 
 // sum returns acc plus scale times each tree's leaf payload for row x,
-// added one tree at a time in tree order.
+// added one tree at a time in tree order. Each product is rounded before
+// it is added (the float64 conversion), so no host fuses the two.
 func (n *nodes) sum(x []float64, acc, scale float64) float64 {
 	thrs, nt := n.thrs, len(n.roots)
 	t := 0
 	for ; t+lanes <= nt; t += lanes {
 		l0, l1, l2, l3 := n.walk4(t, x)
-		acc += scale * thrs[l0]
-		acc += scale * thrs[l1]
-		acc += scale * thrs[l2]
-		acc += scale * thrs[l3]
+		acc += float64(scale * thrs[l0])
+		acc += float64(scale * thrs[l1])
+		acc += float64(scale * thrs[l2])
+		acc += float64(scale * thrs[l3])
 	}
 	if t < nt {
 		l0, l1, l2, _ := n.walk4(t, x)
 		leaves := [...]int32{l0, l1, l2}
 		for _, l := range leaves[:nt-t] {
-			acc += scale * thrs[l]
+			acc += float64(scale * thrs[l])
 		}
 	}
 	return acc
@@ -143,89 +155,37 @@ func (n *nodes) SetWorkers(w int) { n.workers = w }
 // NumTrees returns the ensemble size (boosting rounds for a GBDT).
 func (n *nodes) NumTrees() int { return len(n.roots) }
 
-// CompiledForest is a Forest flattened for cache-friendly scoring.
-type CompiledForest struct {
-	nodes
-	probs []float64 // leaf class distributions, numClasses stride
+// CompiledForest is the name the benchmark harness in bench/ scores a
+// forest through. It is the Forest itself, kept until that harness names
+// Forest (ROADMAP item 1).
+type CompiledForest = Forest
 
-	numClasses int
-	features   []string
-}
-
-// Compile flattens the forest into contiguous node arrays. The result shares
-// no mutable state with the receiver.
-func (f *Forest) Compile() *CompiledForest {
-	cf := &CompiledForest{
-		numClasses: f.numClasses,
-		features:   f.features,
-	}
-	cf.workers = f.workers
-	cf.roots = make([]int32, len(f.trees))
-	nodes, leaves := 0, 0
-	for _, tr := range f.trees {
-		n, l := countNodesLeaves(tr.root)
-		nodes += n
-		leaves += l
-	}
-	cf.reserve(nodes)
-	cf.probs = make([]float64, 0, leaves*f.numClasses)
-	for t, tr := range f.trees {
-		cf.roots[t] = cf.alloc(1)
-		cf.fillClass(cf.roots[t], tr.root)
-	}
-	return cf
-}
-
-func countNodesLeaves(nd *node) (nodes, leaves int) {
-	if nd == nil {
-		return 0, 0
-	}
-	if nd.isLeaf() {
-		return 1, 1
-	}
-	ln, ll := countNodesLeaves(nd.left)
-	rn, rl := countNodesLeaves(nd.right)
-	return 1 + ln + rn, ll + rl
-}
-
-// fillClass writes nd into slot i, reserving adjacent slots for its children.
-func (cf *CompiledForest) fillClass(i int32, nd *node) {
-	if nd.isLeaf() {
-		cf.feats[i] = -1
-		cf.thrs[i] = nd.probs[1]
-		cf.kids[i] = int32(len(cf.probs))
-		cf.probs = append(cf.probs, nd.probs...)
-		return
-	}
-	c := cf.alloc(2)
-	cf.feats[i] = int32(nd.feature)
-	cf.thrs[i] = nd.threshold
-	cf.kids[i] = c
-	cf.fillClass(c, nd.left)
-	cf.fillClass(c+1, nd.right)
-}
+// Compile returns the forest's scoring view, which is the forest itself:
+// fitting and ReadForest already build the flat form. It is kept for the
+// benchmark harness in bench/ until ROADMAP item 1.
+func (f *Forest) Compile() *CompiledForest { return f }
 
 // PredictProba returns the ensemble-average class distribution (Eq. 4).
-func (cf *CompiledForest) PredictProba(x []float64) []float64 {
-	out := make([]float64, cf.numClasses)
-	cf.PredictProbaInto(x, out)
+func (f *Forest) PredictProba(x []float64) []float64 {
+	out := make([]float64, f.numClasses)
+	f.PredictProbaInto(x, out)
 	return out
 }
 
 // PredictProbaInto is PredictProba into a caller-owned buffer (len must be
 // NumClasses), allocating nothing.
-func (cf *CompiledForest) PredictProbaInto(x []float64, out []float64) {
+func (f *Forest) PredictProbaInto(x []float64, out []float64) {
 	for c := range out {
 		out[c] = 0
 	}
-	nt := len(cf.roots)
+	nt, nc := len(f.roots), f.numClasses
 	for t := 0; t < nt; t += lanes {
-		l0, l1, l2, l3 := cf.walk4(t, x)
+		l0, l1, l2, l3 := f.walk4(t, x)
 		leaves := [...]int32{l0, l1, l2, l3}
 		for _, l := range leaves[:min(lanes, nt-t)] {
-			off := int(cf.kids[l])
+			off := int(l) * nc
 			for c := range out {
-				out[c] += cf.probs[off+c]
+				out[c] += f.probs[off+c]
 			}
 		}
 	}
@@ -238,79 +198,33 @@ func (cf *CompiledForest) PredictProbaInto(x []float64, out []float64) {
 // allocating. It accumulates only the class-1 column (each leaf keeps it in
 // its thrs slot, and 1·p is exactly p), which is the same float sequence
 // as PredictProba(x)[1].
-func (cf *CompiledForest) Score(x []float64) float64 {
-	return cf.sum(x, 0, 1) / float64(len(cf.roots))
+func (f *Forest) Score(x []float64) float64 {
+	return f.sum(x, 0, 1) / float64(len(f.roots))
 }
 
 // ScoreAll scores many instances, returning class-1 likelihoods, each
 // bit-identical to Score. Past 256 rows it fans out across at most the
 // SetWorkers cap.
-func (cf *CompiledForest) ScoreAll(x [][]float64) []float64 {
+func (f *Forest) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
-	parallel.For(cf.workers, len(x), func(i int) {
-		out[i] = cf.Score(x[i])
+	parallel.For(f.workers, len(x), func(i int) {
+		out[i] = f.Score(x[i])
 	})
 	return out
 }
 
-// NumClasses returns the class count.
-func (cf *CompiledForest) NumClasses() int { return cf.numClasses }
-
-// FeatureNames returns the training feature names.
-func (cf *CompiledForest) FeatureNames() []string { return cf.features }
-
-// CompiledGBDT is a GBDT flattened for cache-friendly scoring. Regression
-// leaves keep their value in the threshold slot, so the ensemble needs no
-// separate payload array.
-type CompiledGBDT struct {
-	nodes
-	bias float64
-	lr   float64
-}
-
-// Compile flattens the boosted ensemble for scoring.
-func (g *GBDT) Compile() *CompiledGBDT {
-	cg := &CompiledGBDT{bias: g.bias, lr: g.lr}
-	cg.roots = make([]int32, len(g.trees))
-	nodes := 0
-	for _, tr := range g.trees {
-		n, _ := countNodesLeaves(tr.root)
-		nodes += n
-	}
-	cg.reserve(nodes)
-	for t, tr := range g.trees {
-		cg.roots[t] = cg.alloc(1)
-		cg.fillReg(cg.roots[t], tr.root)
-	}
-	return cg
-}
-
-func (cg *CompiledGBDT) fillReg(i int32, nd *node) {
-	if nd.isLeaf() {
-		cg.feats[i] = -1
-		cg.thrs[i] = nd.value
-		return
-	}
-	c := cg.alloc(2)
-	cg.feats[i] = int32(nd.feature)
-	cg.thrs[i] = nd.threshold
-	cg.kids[i] = c
-	cg.fillReg(c, nd.left)
-	cg.fillReg(c+1, nd.right)
-}
-
 // Score returns the churn likelihood without allocating: the sigmoid of the
 // bias plus lr times each round's leaf value, summed in round order.
-func (cg *CompiledGBDT) Score(x []float64) float64 {
-	return sigmoid(cg.sum(x, cg.bias, cg.lr))
+func (g *GBDT) Score(x []float64) float64 {
+	return sigmoid(g.sum(x, g.bias, g.lr))
 }
 
 // ScoreAll scores many instances, each bit-identical to Score, fanning
-// out past 256 rows like CompiledForest.ScoreAll.
-func (cg *CompiledGBDT) ScoreAll(x [][]float64) []float64 {
+// out past 256 rows like Forest.ScoreAll.
+func (g *GBDT) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
-	parallel.For(cg.workers, len(x), func(i int) {
-		out[i] = cg.Score(x[i])
+	parallel.For(g.workers, len(x), func(i int) {
+		out[i] = g.Score(x[i])
 	})
 	return out
 }
@@ -318,9 +232,9 @@ func (cg *CompiledGBDT) ScoreAll(x [][]float64) []float64 {
 // Width returns the shortest row the ensemble can score: one past its
 // largest split feature (0 when every round is a bare leaf). TCGB stores
 // no feature count, so a loader checks this against its own schema.
-func (cg *CompiledGBDT) Width() int {
+func (g *GBDT) Width() int {
 	w := 0
-	for _, f := range cg.feats {
+	for _, f := range g.feats {
 		w = max(w, int(f)+1)
 	}
 	return w

@@ -53,30 +53,56 @@ func probe(rng *rand.Rand, feats int) []float64 {
 	return x
 }
 
-// treeAverage is the reference the compiled forest is pinned against: each
-// tree's Tree.PredictProba, summed and divided in tree order (Eq. 4).
+// leafOf is the plain walk the lockstep kernel is pinned against: row x
+// down the tree at root, one node at a time, `x <= threshold` going left.
+func leafOf(n *nodes, root int32, x []float64) int32 {
+	i := root
+	for n.feats[i] >= 0 {
+		if x[n.feats[i]] <= n.thrs[i] {
+			i = n.kids[i]
+		} else {
+			i = n.kids[i] + 1
+		}
+	}
+	return i
+}
+
+// treeAverage is the reference forest score: each tree's leaf
+// distribution, found by leafOf, summed and divided in tree order (Eq. 4).
 func treeAverage(f *Forest, x []float64) []float64 {
-	probs := make([]float64, f.numClasses)
-	for _, tr := range f.trees {
-		for c, p := range tr.PredictProba(x) {
-			probs[c] += p
+	nc := f.numClasses
+	probs := make([]float64, nc)
+	for _, r := range f.roots {
+		l := int(leafOf(&f.nodes, r, x))
+		for c := range probs {
+			probs[c] += f.probs[l*nc+c]
 		}
 	}
 	for c := range probs {
-		probs[c] /= float64(len(f.trees))
+		probs[c] /= float64(len(f.roots))
 	}
 	return probs
 }
 
-// roundSum is the reference the compiled GBDT is pinned against: the bias
-// plus lr times each round's RegressionTree.Predict, in round order,
-// through the sigmoid.
+// roundSum is the reference GBDT score: the bias plus lr times each
+// round's leaf value, found by leafOf, in round order, through the
+// sigmoid.
 func roundSum(g *GBDT, x []float64) float64 {
 	f := g.bias
-	for _, tr := range g.trees {
-		f += g.lr * tr.Predict(x)
+	for _, r := range g.roots {
+		f += float64(g.lr * g.thrs[leafOf(&g.nodes, r, x)])
 	}
 	return sigmoid(f)
+}
+
+// addLeafTree appends a tree that is a bare leaf with class-1 probability
+// p to a 2-class forest.
+func addLeafTree(f *Forest, p float64) {
+	r := f.alloc(1)
+	f.probs[2*r], f.probs[2*r+1] = 1-p, p
+	f.setLeaf(r, p, 0)
+	f.roots = append(f.roots, r)
+	f.treeImp = append(f.treeImp, nil)
 }
 
 // argmax is the most probable class, the first on ties.
@@ -90,10 +116,10 @@ func argmax(probs []float64) int {
 	return best
 }
 
-// TestCompiledForestBitIdentical is the tentpole property: across random
+// TestCompiledForestBitIdentical is the kernel's property: across random
 // forests (size, depth, bins, class count) and random probes (including NaN
-// and ±Inf cells), the compiled walker's PredictProba and Score are
-// bit-for-bit the per-tree pointer walks averaged in tree order.
+// and ±Inf cells), the lockstep walker's PredictProba and Score are
+// bit-for-bit the one-node-at-a-time walks averaged in tree order.
 func TestCompiledForestBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -115,8 +141,8 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 			return false
 		}
 		cf := forest.Compile()
-		if cf.NumTrees() != forest.NumTrees() || cf.NumClasses() != forest.NumClasses() {
-			t.Logf("seed %d: shape mismatch", seed)
+		if cf != forest || cf.NumTrees() != cfg.NumTrees {
+			t.Logf("seed %d: Compile is not the %d-tree forest itself", seed, cfg.NumTrees)
 			return false
 		}
 		buf := make([]float64, cf.NumClasses())
@@ -169,14 +195,13 @@ func TestCompiledGBDTBitIdentical(t *testing.T) {
 			t.Logf("seed %d: fit: %v", seed, err)
 			return false
 		}
-		cg := model.Compile()
-		if cg.NumTrees() != model.NumTrees() {
-			t.Logf("seed %d: tree count mismatch", seed)
+		if model.NumTrees() != cfg.NumTrees {
+			t.Logf("seed %d: %d rounds, want %d", seed, model.NumTrees(), cfg.NumTrees)
 			return false
 		}
 		for i := 0; i < 50; i++ {
 			x := probe(rng, feats)
-			if math.Float64bits(cg.Score(x)) != math.Float64bits(roundSum(model, x)) {
+			if math.Float64bits(model.Score(x)) != math.Float64bits(roundSum(model, x)) {
 				t.Logf("seed %d: score mismatch at %v", seed, x)
 				return false
 			}
@@ -188,9 +213,9 @@ func TestCompiledGBDTBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompiledRoundTripPreservesScores: serialize → deserialize → compile
-// must score bit-identically to compiling the original — i.e. the artifact
-// path cannot perturb compiled scoring.
+// TestCompiledRoundTripPreservesScores: serialize → deserialize must score
+// bit-identically to the original — i.e. the artifact path cannot perturb
+// scoring.
 func TestCompiledRoundTripPreservesScores(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,7 +236,6 @@ func TestCompiledRoundTripPreservesScores(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cf, lf := forest.Compile(), loaded.Compile()
 
 		model, err := FitGBDT(d, GBDTConfig{
 			NumTrees: 1 + rng.Intn(10), MaxDepth: 1 + rng.Intn(4),
@@ -228,15 +252,14 @@ func TestCompiledRoundTripPreservesScores(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cg, lg := model.Compile(), gloaded.Compile()
 
 		for i := 0; i < 40; i++ {
 			x := probe(rng, feats)
-			if math.Float64bits(cf.Score(x)) != math.Float64bits(lf.Score(x)) {
+			if math.Float64bits(forest.Score(x)) != math.Float64bits(loaded.Score(x)) {
 				t.Logf("seed %d: forest round-trip score drift at %v", seed, x)
 				return false
 			}
-			if math.Float64bits(cg.Score(x)) != math.Float64bits(lg.Score(x)) {
+			if math.Float64bits(model.Score(x)) != math.Float64bits(gloaded.Score(x)) {
 				t.Logf("seed %d: gbdt round-trip score drift at %v", seed, x)
 				return false
 			}
@@ -257,12 +280,11 @@ func TestCompiledScoreAllMatchesForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := forest.Compile()
 	xs := make([][]float64, 200)
 	for i := range xs {
 		xs[i] = probe(rng, 4)
 	}
-	for i, got := range cf.ScoreAll(xs) {
+	for i, got := range forest.ScoreAll(xs) {
 		if want := treeAverage(forest, xs[i])[1]; math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("ScoreAll[%d] = %v, want %v", i, got, want)
 		}
@@ -272,8 +294,7 @@ func TestCompiledScoreAllMatchesForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := model.Compile()
-	for i, got := range cg.ScoreAll(xs) {
+	for i, got := range model.ScoreAll(xs) {
 		if want := roundSum(model, xs[i]); math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("GBDT ScoreAll[%d] = %v, want %v", i, got, want)
 		}
@@ -289,28 +310,27 @@ func TestCompiledScoreAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := forest.Compile()
 	x := probe(rng, 4)
-	out := make([]float64, cf.NumClasses())
-	if n := testing.AllocsPerRun(200, func() { cf.Score(x) }); n != 0 {
-		t.Errorf("CompiledForest.Score allocates %.1f/op, want 0", n)
+	out := make([]float64, forest.NumClasses())
+	if n := testing.AllocsPerRun(200, func() { forest.Score(x) }); n != 0 {
+		t.Errorf("Forest.Score allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { cf.PredictProbaInto(x, out) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { forest.PredictProbaInto(x, out) }); n != 0 {
 		t.Errorf("PredictProbaInto allocates %.1f/op, want 0", n)
 	}
 	model, err := FitGBDT(d, GBDTConfig{NumTrees: 10, MinLeafSamples: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := model.Compile()
-	if n := testing.AllocsPerRun(200, func() { cg.Score(x) }); n != 0 {
-		t.Errorf("CompiledGBDT.Score allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { model.Score(x) }); n != 0 {
+		t.Errorf("GBDT.Score allocates %.1f/op, want 0", n)
 	}
 }
 
 // laneForest fits a forest of 9 trees and turns every third tree (the
 // 2nd, 5th and 8th) into a bare leaf, so lockstep groups mix walks that
-// end at the root with walks that go deep.
+// end at the root with walks that go deep. The replaced trees' nodes stay
+// in the arrays, unreachable.
 func laneForest(t *testing.T, rng *rand.Rand, feats int) *Forest {
 	t.Helper()
 	d := noisyDataset(rng, 300, feats, 2)
@@ -318,9 +338,11 @@ func laneForest(t *testing.T, rng *rand.Rand, feats int) *Forest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(forest.trees); i += 3 {
-		p := rng.Float64()
-		forest.trees[i] = &Tree{numClasses: 2, numFeat: feats, root: &node{probs: []float64{1 - p, p}}}
+	for i := 1; i < len(forest.roots); i += 3 {
+		addLeafTree(forest, rng.Float64())
+		last := len(forest.roots) - 1
+		forest.roots[i] = forest.roots[last]
+		forest.roots, forest.treeImp = forest.roots[:last], forest.treeImp[:last]
 	}
 	return forest
 }
@@ -342,19 +364,17 @@ func TestCompiledScoreAllLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const feats = 5
 	forest := laneForest(t, rng, feats)
-	cf := forest.Compile()
 	model, err := FitGBDT(noisyDataset(rng, 300, feats, 2), GBDTConfig{NumTrees: 11, MaxDepth: 4, MinLeafSamples: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := model.Compile()
 	all := probes(rng, 300, feats)
 	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 255, 256, 257, 300} {
 		xs := all[:n]
 		for _, w := range []int{1, 2, 8} {
-			cf.SetWorkers(w)
-			cg.SetWorkers(w)
-			fs, gs := cf.ScoreAll(xs), cg.ScoreAll(xs)
+			forest.SetWorkers(w)
+			model.SetWorkers(w)
+			fs, gs := forest.ScoreAll(xs), model.ScoreAll(xs)
 			if len(fs) != n || len(gs) != n {
 				t.Fatalf("rows=%d workers=%d: %d forest and %d GBDT scores", n, w, len(fs), len(gs))
 			}
@@ -378,9 +398,11 @@ func TestCompiledLaneGroups(t *testing.T) {
 	const feats = 4
 	full := laneForest(t, rng, feats)
 	xs := probes(rng, 70, feats)
-	for k := 1; k <= len(full.trees); k++ {
-		forest := &Forest{trees: full.trees[:k], numClasses: 2, features: full.features}
-		cf := forest.Compile()
+	for k := 1; k <= len(full.roots); k++ {
+		sub := *full
+		sub.roots = full.roots[:k]
+		forest := &sub
+		cf := forest
 		batch := cf.ScoreAll(xs)
 		buf := make([]float64, 2)
 		for i, x := range xs {
@@ -402,16 +424,18 @@ func TestCompiledLaneGroups(t *testing.T) {
 }
 
 // TestCompiledAllLeavesReadsNoCell: an ensemble of bare leaves scores an
-// empty row without reading it, as the pointer walkers do — the leaf mask
+// empty row without reading it, as the plain walk does — the leaf mask
 // must not turn "at a leaf" into a read of cell 0.
 func TestCompiledAllLeavesReadsNoCell(t *testing.T) {
 	forest := &Forest{numClasses: 2}
 	model := &GBDT{bias: 0.25, lr: 0.1}
 	for _, p := range []float64{0.2, 0.7, 0.4, 0.9, 0.35} {
-		forest.trees = append(forest.trees, &Tree{numClasses: 2, root: &node{probs: []float64{1 - p, p}}})
-		model.trees = append(model.trees, &RegressionTree{root: &node{value: p - 0.5}})
+		addLeafTree(forest, p)
+		r := model.alloc(1)
+		model.setLeaf(r, p-0.5, 0)
+		model.roots = append(model.roots, r)
 	}
-	cf, cg := forest.Compile(), model.Compile()
+	cf, cg := forest, model
 	empty := []float64{}
 	if got, want := cf.Score(empty), treeAverage(forest, empty)[1]; math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("forest Score = %v, want %v", got, want)

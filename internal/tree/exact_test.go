@@ -1,8 +1,9 @@
 package tree
 
-// Exactness regression tests: the columnar exact path must reproduce the
-// legacy row-major growers (legacy_test.go) node for node — same features,
-// same thresholds, same Gini improvements, same leaf distributions.
+// Exactness regression tests: the columnar exact path, writing flat node
+// arrays, must reproduce the legacy row-major growers' pointer trees
+// (legacy_test.go) node for node — same features, same thresholds, same
+// Gini improvements, same leaf distributions.
 //
 // Bit-identity holds whenever split-scan partial sums are exactly
 // representable regardless of accumulation order: unit weights (integer
@@ -44,10 +45,36 @@ func tiedDataset(n, numFeat int, seed int64) *dataset.Dataset {
 	return d
 }
 
+// pointerOf rebuilds the subtree at node i of flat storage as legacy
+// pointer nodes, so flat and legacy fits compare through one comparator.
+// probs holds the class distributions at stride nc (nc 0: a regression
+// tree, whose leaves keep their value in thrs).
+func pointerOf(n *nodes, probs []float64, nc int, i int32) *legacyNode {
+	nd := &legacyNode{n: int(n.counts[i])}
+	if nc > 0 {
+		nd.probs = probs[int(i)*nc : int(i+1)*nc]
+	}
+	if n.feats[i] < 0 {
+		if nc == 0 {
+			nd.value = n.thrs[i]
+		}
+		return nd
+	}
+	nd.feature, nd.threshold = int(n.feats[i]), n.thrs[i]
+	nd.left = pointerOf(n, probs, nc, n.kids[i])
+	nd.right = pointerOf(n, probs, nc, n.kids[i]+1)
+	return nd
+}
+
+// forestTree is tree t of f as legacy pointer nodes.
+func forestTree(f *Forest, t int) *legacyNode {
+	return pointerOf(&f.nodes, f.probs, f.numClasses, f.roots[t])
+}
+
 // sameNode fails the test unless the two subtrees are identical: structure,
 // split feature/threshold, per-node population, and exact (==) leaf values
 // and probability vectors.
-func sameNode(t *testing.T, got, want *node, path string) {
+func sameNode(t *testing.T, got, want *legacyNode, path string) {
 	t.Helper()
 	if got == nil || want == nil {
 		if got != want {
@@ -104,8 +131,8 @@ func TestColumnarExactMatchesLegacyUnitWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := legacyFitTree(d, cfg, got.numClasses)
-		sameNode(t, got.root, want.root, "root:")
-		sameImportance(t, got.importance, want.importance)
+		sameNode(t, forestTree(got, 0), want.root, "root:")
+		sameImportance(t, got.treeImp[0], want.importance)
 	}
 }
 
@@ -125,8 +152,8 @@ func TestColumnarExactMatchesLegacyDyadicWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := legacyFitTree(d, cfg, got.numClasses)
-	sameNode(t, got.root, want.root, "root:")
-	sameImportance(t, got.importance, want.importance)
+	sameNode(t, forestTree(got, 0), want.root, "root:")
+	sameImportance(t, got.treeImp[0], want.importance)
 }
 
 func TestColumnarRegressionMatchesLegacy(t *testing.T) {
@@ -143,16 +170,13 @@ func TestColumnarRegressionMatchesLegacy(t *testing.T) {
 		weights[i] = 0.5 + rng.Float64()
 	}
 	for _, w := range [][]float64{nil, weights} {
-		for _, cfg := range []RegressionConfig{
+		for _, cfg := range []regConfig{
 			{MinLeafSamples: 10},
 			{MinLeafSamples: 20, MaxDepth: 4, FeaturesPerSplit: -1, Seed: 5},
 		} {
-			got, err := FitRegressionTree(x, targets, w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := fitRegressionTree(x, targets, w, cfg)
 			want := legacyFitRegressionTree(x, targets, w, cfg)
-			sameNode(t, got.root, want.root, "root:")
+			sameNode(t, pointerOf(got, nil, 0, got.roots[0]), want, "root:")
 		}
 	}
 }
@@ -185,8 +209,8 @@ func TestColumnarForestMatchesLegacyPerTreeFits(t *testing.T) {
 			FeaturesPerSplit: cfg.FeaturesPerSplit,
 			Seed:             cfg.Seed + int64(tr)*7_000_003,
 		}, f.numClasses)
-		sameNode(t, f.trees[tr].root, want.root, "root:")
-		sameImportance(t, f.trees[tr].importance, want.importance)
+		sameNode(t, forestTree(f, tr), want.root, "root:")
+		sameImportance(t, f.treeImp[tr], want.importance)
 	}
 }
 
@@ -248,11 +272,10 @@ func TestForestMultiplicityMatchesExpandedBootstrap(t *testing.T) {
 			}
 			tc := Config{MinLeafSamples: cfg.MinLeafSamples, FeaturesPerSplit: cfg.FeaturesPerSplit,
 				MaxBins: maxBins, Seed: cfg.Seed + int64(tr)*7_000_003}
-			g := newColGrower(expandedLayout(cd, idx), y, nil, f.numClasses, d.NumFeatures(), tc)
-			want := g.grow(0, len(idx), 0)
+			want := newColGrower(expandedLayout(cd, idx), y, nil, f.numClasses, d.NumFeatures(), tc).fit(len(idx), &Forest{})
 			path := fmt.Sprintf("bins=%d tree=%d root:", maxBins, tr)
-			sameNode(t, f.trees[tr].root, want, path)
-			sameImportance(t, f.trees[tr].importance, g.importance)
+			sameNode(t, forestTree(f, tr), forestTree(want, 0), path)
+			sameImportance(t, f.treeImp[tr], want.treeImp[0])
 		}
 	}
 }

@@ -50,14 +50,26 @@ func (c ForestConfig) withDefaults() ForestConfig {
 	return c
 }
 
-// Forest is a trained random forest: the pointer trees that fitting grows,
-// attribution walks and WriteTo persists. Scoring goes through Compile.
+// Forest is a trained random forest in the flat node arrays (compiled.go),
+// the one form that fitting writes, WriteTo persists, attribution walks and
+// Score reads. The scoring parallelism carries over from
+// ForestConfig.Workers.
 type Forest struct {
-	trees      []*Tree
+	nodes
+	probs      []float64 // per node: class distribution, numClasses stride
 	numClasses int
-	importance []float64 // normalized Gini importance per feature
+	importance []float64   // normalized Gini importance per feature
+	treeImp    [][]float64 // per tree: raw Gini importance (Eq. 7)
 	features   []string
-	workers    int // scoring parallelism carried over from ForestConfig
+}
+
+// alloc appends k consecutive node slots, class distributions included,
+// and returns the first index.
+func (f *Forest) alloc(k int) int32 {
+	for range k * f.numClasses {
+		f.probs = append(f.probs, 0)
+	}
+	return f.nodes.alloc(k)
 }
 
 // FitForest trains a random forest with bootstrap aggregating over CART
@@ -98,7 +110,7 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 	// (draw counts, filtered orders, partition scratch) cycle through a
 	// pool, so steady state allocates them once per worker rather than once
 	// per tree.
-	trees := make([]*Tree, cfg.NumTrees)
+	trees := make([]*Forest, cfg.NumTrees)
 	pool := sync.Pool{New: func() any { return new(bootBuffers) }}
 	parallel.ForGrain(cfg.Workers, cfg.NumTrees, 1, func(t int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
@@ -110,9 +122,51 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 		pool.Put(b)
 	})
 
-	imp := make([]float64, d.NumFeatures())
+	f := joinTrees(trees, numClasses)
+	f.features = d.FeatureNames
+	f.importance = normalizedSum(f.treeImp, d.NumFeatures())
+	f.workers = cfg.Workers
+	return f, nil
+}
+
+// joinTrees lays one-tree forests end to end in tree order into arrays of
+// the exact size: each tree's node indices shift by the nodes before it.
+func joinTrees(trees []*Forest, numClasses int) *Forest {
+	total := 0
 	for _, tr := range trees {
-		for f, v := range tr.importance {
+		total += len(tr.feats)
+	}
+	f := &Forest{numClasses: numClasses, treeImp: make([][]float64, 0, len(trees))}
+	f.feats = make([]int32, 0, total)
+	f.thrs = make([]float64, 0, total)
+	f.kids = make([]int32, 0, total)
+	f.counts = make([]int32, 0, total)
+	f.probs = make([]float64, 0, total*numClasses)
+	f.roots = make([]int32, len(trees))
+	for t, tr := range trees {
+		base := int32(len(f.feats))
+		f.roots[t] = base + tr.roots[0]
+		for i, k := range tr.kids {
+			if tr.feats[i] >= 0 {
+				k += base
+			}
+			f.kids = append(f.kids, k)
+		}
+		f.feats = append(f.feats, tr.feats...)
+		f.thrs = append(f.thrs, tr.thrs...)
+		f.counts = append(f.counts, tr.counts...)
+		f.probs = append(f.probs, tr.probs...)
+		f.treeImp = append(f.treeImp, tr.treeImp...)
+	}
+	return f
+}
+
+// normalizedSum adds the trees' raw importances per feature and scales
+// the sum to 1 (Eq. 7), or leaves it all zero when no split improved.
+func normalizedSum(treeImp [][]float64, numFeat int) []float64 {
+	imp := make([]float64, numFeat)
+	for _, ti := range treeImp {
+		for f, v := range ti {
 			imp[f] += v
 		}
 	}
@@ -125,18 +179,19 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 			imp[f] /= total
 		}
 	}
-	return &Forest{trees: trees, numClasses: numClasses, importance: imp, features: d.FeatureNames, workers: cfg.Workers}, nil
+	return imp
 }
 
 // fitTreeBoot fits one forest tree on the bootstrap draw idx over the
 // shared columnar view: the tree equals one grown on the resample
 // x[idx[0]], x[idx[1]], …, computed on the distinct rows drawn, with unit
 // weights and the dataset's own labels.
-func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClasses int, b *bootBuffers) *Tree {
+func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClasses int, b *bootBuffers) *Forest {
 	lay := newBootstrapLayout(cd, idx, b)
-	g := newColGrower(lay, d.Y, nil, numClasses, d.NumFeatures(), cfg)
-	root := g.grow(0, len(lay.rows), 0)
-	return &Tree{root: root, numClasses: numClasses, numFeat: d.NumFeatures(), importance: g.importance}
+	tr := newColGrower(lay, d.Y, nil, numClasses, d.NumFeatures(), cfg).fit(len(lay.rows), &b.tree)
+	// The next tree this worker fits reuses b.tree: a join of one copies
+	// the tree out at its exact size.
+	return joinTrees([]*Forest{tr}, numClasses)
 }
 
 // bootstrapIdx draws the per-tree sample's row indices. With instance
@@ -180,9 +235,6 @@ func (f *Forest) Importance() []float64 {
 
 // FeatureNames returns the training feature names.
 func (f *Forest) FeatureNames() []string { return f.features }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
 
 // NumClasses returns the class count.
 func (f *Forest) NumClasses() int { return f.numClasses }

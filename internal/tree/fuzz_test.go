@@ -13,9 +13,9 @@ import (
 
 // FuzzReadModel takes a TCRF or TCGB body and seals it (magic + CRC)
 // itself, so mutations reach the node decoders instead of dying at the
-// checksum. Whatever the bytes: ErrBadModel, or a model that compiles,
-// scores an all-NaN and an all-zero row of its width without panicking,
-// and re-encodes to the same bytes — strictly fewer only when the input
+// checksum. Whatever the bytes: ErrBadModel, or a model that scores an
+// all-NaN and an all-zero row of its width without panicking, and
+// re-encodes to the same bytes — strictly fewer only when the input
 // spelled a varint non-minimally.
 //
 // The seeds are small models, plus the unscorable ones (no trees, NaN or
@@ -54,22 +54,20 @@ func FuzzReadModel(f *testing.F) {
 	}
 
 	// decode reads a sealed model and returns it with its row width and a
-	// function scoring one row through its compiled form.
+	// function scoring one row through it.
 	decode := func(boosted bool, data []byte) (io.WriterTo, int, func([]float64), error) {
 		if boosted {
 			g, err := ReadGBDT(bytes.NewReader(data))
 			if err != nil {
 				return nil, 0, nil, err
 			}
-			cg := g.Compile()
-			return g, cg.Width(), func(x []float64) { cg.Score(x) }, nil
+			return g, g.Width(), func(x []float64) { g.Score(x) }, nil
 		}
 		fo, err := ReadForest(bytes.NewReader(data))
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		cf := fo.Compile()
-		return fo, len(fo.FeatureNames()), func(x []float64) { cf.Score(x); cf.PredictProba(x) }, nil
+		return fo, len(fo.FeatureNames()), func(x []float64) { fo.Score(x); fo.PredictProba(x) }, nil
 	}
 
 	f.Fuzz(func(t *testing.T, boosted bool, body []byte) {

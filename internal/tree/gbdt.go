@@ -44,12 +44,12 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 }
 
 // GBDT is a trained boosted-trees binary classifier producing churn
-// likelihoods via the logistic link. Like Forest it holds the pointer trees
-// for fitting and persistence; Compile gives the scorer.
+// likelihoods via the logistic link: one regression tree per round in the
+// flat node arrays (compiled.go), each leaf's value in its thrs slot.
 type GBDT struct {
-	bias  float64
-	trees []*RegressionTree
-	lr    float64
+	nodes
+	bias float64
+	lr   float64
 }
 
 // FitGBDT trains gradient boosted trees minimizing binomial deviance.
@@ -86,7 +86,7 @@ func FitGBDT(d *dataset.Dataset, cfg GBDTConfig) (*GBDT, error) {
 	// round: only the targets change between rounds, never the feature
 	// geometry, so each round pays a copy of the order arrays instead of a
 	// per-node sort.
-	baseCfg := RegressionConfig{
+	baseCfg := regConfig{
 		MinLeafSamples: cfg.MinLeafSamples,
 		MaxDepth:       cfg.MaxDepth,
 		MaxBins:        clampBins(cfg.MaxBins),
@@ -108,11 +108,11 @@ func FitGBDT(d *dataset.Dataset, cfg GBDTConfig) (*GBDT, error) {
 		rc.LeafValue = func(idx []int) float64 {
 			v := newtonStep(idx, f, residual, w)
 			for _, i := range idx {
-				f[i] += cfg.LearningRate * v
+				f[i] += float64(cfg.LearningRate * v)
 			}
 			return v
 		}
-		model.trees = append(model.trees, fitRegressionTreeOnData(cd, residual, w, rc))
+		fitRegressionTreeOnData(cd, residual, w, rc, &model.nodes)
 	}
 	return model, nil
 }
@@ -138,8 +138,8 @@ func newtonStep(idx []int, f, residual, w []float64) float64 {
 	num, den := 0.0, 0.0
 	for _, i := range idx {
 		p := sigmoid(f[i])
-		num += w[i] * residual[i]
-		den += w[i] * p * (1 - p)
+		num += float64(w[i] * residual[i])
+		den += float64(w[i] * p * (1 - p))
 	}
 	if den < 1e-12 {
 		return 0
@@ -152,9 +152,6 @@ func newtonStep(idx []int, f, residual, w []float64) float64 {
 	}
 	return v
 }
-
-// NumTrees returns the number of boosting rounds fit.
-func (g *GBDT) NumTrees() int { return len(g.trees) }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 

@@ -1,9 +1,10 @@
 package tree
 
-// The pre-columnar growers, kept verbatim (modulo legacy* renames) as test
-// helpers: exact_test.go asserts that the columnar exact path reproduces
-// their trees node for node. They re-sort every sampled feature at every
-// node over the row-major matrix — the O(depth · √F · n log n) behavior the
+// The pre-columnar growers, kept (modulo legacy* renames and their own
+// pointer node type) as test helpers: exact_test.go asserts that the
+// columnar exact path, writing flat node arrays, reproduces their pointer
+// trees node for node. They re-sort every sampled feature at every node
+// over the row-major matrix — the O(depth · √F · n log n) behavior the
 // columnar backend replaced.
 
 import (
@@ -13,6 +14,27 @@ import (
 
 	"telcochurn/internal/dataset"
 )
+
+// legacyNode is one pointer-tree node; leaves have nil children and a
+// class distribution (classification) or value (regression).
+type legacyNode struct {
+	feature   int
+	threshold float64
+	left      *legacyNode
+	right     *legacyNode
+	probs     []float64 // class distribution, classification trees
+	value     float64   // leaf value, regression trees
+	n         int       // training instances that reached this node
+}
+
+func (nd *legacyNode) isLeaf() bool { return nd.left == nil }
+
+// legacyTree is a legacy classification fit: its root and raw Gini
+// importance.
+type legacyTree struct {
+	root       *legacyNode
+	importance []float64
+}
 
 type legacyGrower struct {
 	x          [][]float64
@@ -26,7 +48,7 @@ type legacyGrower struct {
 
 // legacyFitTree mirrors the old fitTreeWithClasses: caller-fixed class
 // count, defaults applied here.
-func legacyFitTree(d *dataset.Dataset, cfg Config, numClasses int) *Tree {
+func legacyFitTree(d *dataset.Dataset, cfg Config, numClasses int) *legacyTree {
 	cfg = cfg.withDefaults()
 	g := &legacyGrower{
 		x:          d.X,
@@ -42,16 +64,22 @@ func legacyFitTree(d *dataset.Dataset, cfg Config, numClasses int) *Tree {
 		idx[i] = i
 	}
 	root := g.grow(idx, 0)
-	return &Tree{root: root, numClasses: numClasses, numFeat: d.NumFeatures(), importance: g.importance}
+	return &legacyTree{root: root, importance: g.importance}
 }
 
-func (g *legacyGrower) grow(idx []int, depth int) *node {
+func legacyNormalize(mass []float64) []float64 {
+	probs := make([]float64, len(mass))
+	normalize(probs, mass)
+	return probs
+}
+
+func (g *legacyGrower) grow(idx []int, depth int) *legacyNode {
 	mass := make([]float64, g.numClasses)
 	for _, i := range idx {
 		mass[g.y[i]] += g.w[i]
 	}
-	leaf := func() *node {
-		return &node{probs: normalize(mass), n: len(idx)}
+	leaf := func() *legacyNode {
+		return &legacyNode{probs: legacyNormalize(mass), n: len(idx)}
 	}
 	if len(idx) < 2*g.cfg.MinLeafSamples || depth == g.cfg.MaxDepth && g.cfg.MaxDepth > 0 {
 		return leaf()
@@ -69,13 +97,13 @@ func (g *legacyGrower) grow(idx []int, depth int) *node {
 		return leaf()
 	}
 	g.importance[best.feature] += best.improvement
-	return &node{
+	return &legacyNode{
 		feature:   best.feature,
 		threshold: best.threshold,
 		left:      g.grow(leftIdx, depth+1),
 		right:     g.grow(rightIdx, depth+1),
 		n:         len(idx),
-		probs:     normalize(mass),
+		probs:     legacyNormalize(mass),
 	}
 }
 
@@ -119,7 +147,7 @@ func (g *legacyGrower) bestSplit(idx []int, parentMass []float64) split {
 			}
 			q := leftTotal / parentTotal
 			rightGini := giniComplement(parentMass, leftMass, parentTotal-leftTotal)
-			improvement := parentGini - q*Gini(leftMass) - (1-q)*rightGini
+			improvement := parentGini - float64(q*Gini(leftMass)) - float64((1-q)*rightGini)
 			if improvement > best.improvement {
 				best = split{feature: f, threshold: (cur + next) / 2, improvement: improvement}
 			}
@@ -162,30 +190,54 @@ type legacyRegGrower struct {
 	x   [][]float64
 	t   []float64
 	w   []float64
-	cfg RegressionConfig
+	cfg regConfig
 	rng *rand.Rand
 }
 
-func legacyFitRegressionTree(x [][]float64, targets, weights []float64, cfg RegressionConfig) *RegressionTree {
+func unitWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+// regDefaults fills in what a regression fit on its own needs: unit
+// weights, a min-leaf of 20 and the weighted mean of targets as the leaf
+// value.
+func regDefaults(targets, weights []float64, cfg regConfig) ([]float64, regConfig) {
 	if cfg.MinLeafSamples == 0 {
 		cfg.MinLeafSamples = 20
 	}
+	cfg.MaxBins = clampBins(cfg.MaxBins)
 	if weights == nil {
-		weights = unitWeights(len(x))
+		weights = unitWeights(len(targets))
 	}
-	if cfg.LeafValue == nil {
-		cfg.LeafValue = func(idx []int) float64 {
-			s, ws := 0.0, 0.0
-			for _, i := range idx {
-				s += targets[i] * weights[i]
-				ws += weights[i]
-			}
-			if ws == 0 {
-				return 0
-			}
-			return s / ws
+	cfg.LeafValue = func(idx []int) float64 {
+		s, ws := 0.0, 0.0
+		for _, i := range idx {
+			s += float64(targets[i] * weights[i])
+			ws += weights[i]
 		}
+		if ws == 0 {
+			return 0
+		}
+		return s / ws
 	}
+	return weights, cfg
+}
+
+// fitRegressionTree grows one regression tree on x with regDefaults, the
+// columnar counterpart of legacyFitRegressionTree.
+func fitRegressionTree(x [][]float64, targets, weights []float64, cfg regConfig) *nodes {
+	weights, cfg = regDefaults(targets, weights, cfg)
+	out := &nodes{}
+	fitRegressionTreeOnData(newColData(x, len(x[0]), cfg.MaxBins), targets, weights, cfg, out)
+	return out
+}
+
+func legacyFitRegressionTree(x [][]float64, targets, weights []float64, cfg regConfig) *legacyNode {
+	weights, cfg = regDefaults(targets, weights, cfg)
 	g := &legacyRegGrower{
 		x:   x,
 		t:   targets,
@@ -197,12 +249,12 @@ func legacyFitRegressionTree(x [][]float64, targets, weights []float64, cfg Regr
 	for i := range idx {
 		idx[i] = i
 	}
-	return &RegressionTree{root: g.grow(idx, 0)}
+	return g.grow(idx, 0)
 }
 
-func (g *legacyRegGrower) grow(idx []int, depth int) *node {
-	leaf := func() *node {
-		return &node{value: g.cfg.LeafValue(idx), n: len(idx)}
+func (g *legacyRegGrower) grow(idx []int, depth int) *legacyNode {
+	leaf := func() *legacyNode {
+		return &legacyNode{value: g.cfg.LeafValue(idx), n: len(idx)}
 	}
 	if len(idx) < 2*g.cfg.MinLeafSamples || (g.cfg.MaxDepth > 0 && depth == g.cfg.MaxDepth) {
 		return leaf()
@@ -215,7 +267,7 @@ func (g *legacyRegGrower) grow(idx []int, depth int) *node {
 	if len(leftIdx) < g.cfg.MinLeafSamples || len(rightIdx) < g.cfg.MinLeafSamples {
 		return leaf()
 	}
-	return &node{
+	return &legacyNode{
 		feature:   best.feature,
 		threshold: best.threshold,
 		left:      g.grow(leftIdx, depth+1),
@@ -230,7 +282,7 @@ func (g *legacyRegGrower) bestSplit(idx []int) split {
 
 	totalSum, totalW := 0.0, 0.0
 	for _, i := range idx {
-		totalSum += g.t[i] * g.w[i]
+		totalSum += float64(g.t[i] * g.w[i])
 		totalW += g.w[i]
 	}
 	baseScore := 0.0
@@ -251,7 +303,7 @@ func (g *legacyRegGrower) bestSplit(idx []int) split {
 		leftSum, leftW := 0.0, 0.0
 		for pos := 0; pos < len(order)-1; pos++ {
 			i := idx[order[pos]]
-			leftSum += g.t[i] * g.w[i]
+			leftSum += float64(g.t[i] * g.w[i])
 			leftW += g.w[i]
 			cur, next := vals[order[pos]], vals[order[pos+1]]
 			if cur == next {

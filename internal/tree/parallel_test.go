@@ -47,8 +47,8 @@ func TestFitForestDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1 := f1.Compile().ScoreAll(d.X)
-	s8 := f8.Compile().ScoreAll(d.X)
+	s1 := f1.ScoreAll(d.X)
+	s8 := f8.ScoreAll(d.X)
 	for i := range s1 {
 		if s1[i] != s8[i] {
 			t.Fatalf("score %d differs across worker counts: %v vs %v", i, s1[i], s8[i])
@@ -81,8 +81,8 @@ func TestFitForestHistogramDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1 := f1.Compile().ScoreAll(d.X)
-	s8 := f8.Compile().ScoreAll(d.X)
+	s1 := f1.ScoreAll(d.X)
+	s8 := f8.ScoreAll(d.X)
 	for i := range s1 {
 		if s1[i] != s8[i] {
 			t.Fatalf("hist score %d differs across worker counts: %v vs %v", i, s1[i], s8[i])
@@ -102,11 +102,10 @@ func TestScoreAllEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := f.Compile()
-	if got := cf.ScoreAll(nil); len(got) != 0 {
+	if got := f.ScoreAll(nil); len(got) != 0 {
 		t.Errorf("ScoreAll(nil) = %v, want empty", got)
 	}
-	one := cf.ScoreAll(d.X[:1])
+	one := f.ScoreAll(d.X[:1])
 	if want := treeAverage(f, d.X[0])[1]; len(one) != 1 || one[0] != want {
 		t.Errorf("single-row ScoreAll = %v, want [%v]", one, want)
 	}
@@ -120,7 +119,7 @@ func TestScoreAllLargeBatchMatchesScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range f.Compile().ScoreAll(d.X) {
+	for i, s := range f.ScoreAll(d.X) {
 		if want := treeAverage(f, d.X[i])[1]; s != want {
 			t.Fatalf("row %d: batch score %v != per-tree score %v", i, s, want)
 		}

@@ -31,42 +31,35 @@ func (f *Forest) WriteTo(w io.Writer) (int64, error) {
 	cw.Uvarint(uint64(f.numClasses))
 	cw.Strs(f.features)
 	cw.Floats(f.importance)
-	cw.Uvarint(uint64(len(f.trees)))
-	for _, tr := range f.trees {
-		cw.Floats(tr.importance)
-		if err := writeClassNode(cw, tr.root); err != nil {
-			return 0, err
-		}
+	cw.Uvarint(uint64(len(f.roots)))
+	for t, r := range f.roots {
+		cw.Floats(f.treeImp[t])
+		f.writeNode(cw, r)
 	}
 	return cw.Close()
 }
 
-// writeClassNode serializes a classification node pre-order: tag (0 leaf,
-// 1 split), then payload.
-func writeClassNode(cw *codec.Writer, nd *node) error {
-	if nd == nil {
-		return errors.New("tree: nil node during serialization")
-	}
-	if nd.isLeaf() {
+// writeNode serializes the subtree at node i pre-order: tag (0 leaf,
+// 1 split), then payload. Every node carries its class distribution, a
+// split's for attribution.
+func (f *Forest) writeNode(cw *codec.Writer, i int32) {
+	leaf := f.feats[i] < 0
+	if leaf {
 		cw.Uvarint(0)
-		cw.Uvarint(uint64(nd.n))
-		for _, p := range nd.probs {
-			cw.Float(p)
-		}
-		return nil
+	} else {
+		cw.Uvarint(1)
+		cw.Uvarint(uint64(f.feats[i]))
+		cw.Float(f.thrs[i])
 	}
-	cw.Uvarint(1)
-	cw.Uvarint(uint64(nd.feature))
-	cw.Float(nd.threshold)
-	cw.Uvarint(uint64(nd.n))
-	// Internal nodes carry their class distribution for attribution.
-	for _, p := range nd.probs {
+	cw.Uvarint(uint64(f.counts[i]))
+	nc := f.numClasses
+	for _, p := range f.probs[int(i)*nc : int(i+1)*nc] {
 		cw.Float(p)
 	}
-	if err := writeClassNode(cw, nd.left); err != nil {
-		return err
+	if !leaf {
+		f.writeNode(cw, f.kids[i])
+		f.writeNode(cw, f.kids[i]+1)
 	}
-	return writeClassNode(cw, nd.right)
 }
 
 // ReadForest deserializes a forest written by WriteTo.
@@ -92,12 +85,12 @@ func ReadForest(r io.Reader) (*Forest, error) {
 		// The forest's score is the average over its trees: 0/0.
 		return nil, fmt.Errorf("%w: forest has no trees", ErrBadModel)
 	}
-	f.trees = make([]*Tree, nTrees)
-	for t := range f.trees {
-		tr := &Tree{numClasses: f.numClasses, numFeat: len(f.features)}
-		tr.importance = rd.Floats()
-		tr.root = readClassNode(rd, f.numClasses, len(f.features), 0)
-		f.trees[t] = tr
+	f.roots = make([]int32, nTrees)
+	f.treeImp = make([][]float64, nTrees)
+	for t := range f.roots {
+		f.treeImp[t] = rd.Floats()
+		f.roots[t] = f.alloc(1)
+		f.readNode(rd, f.roots[t], 0)
 	}
 	if err := rd.Close(); err != nil {
 		return nil, badModel(err)
@@ -108,7 +101,7 @@ func ReadForest(r io.Reader) (*Forest, error) {
 const maxTreeDepth = 64
 
 // readFeature reads a split's feature index and fails on one a row of
-// numFeat features does not have: the compiled walker indexes rows with it
+// numFeat features does not have: the walker indexes rows with it
 // unchecked, as an int32.
 func readFeature(rd *codec.Reader, numFeat int) int {
 	f := rd.Uvarint()
@@ -117,6 +110,17 @@ func readFeature(rd *codec.Reader, numFeat int) int {
 		return 0
 	}
 	return int(f)
+}
+
+// readCount reads a node's training count, which fitting never lets pass
+// 2^31 - 1 (the row limit), so it fits the int32 counts array.
+func readCount(rd *codec.Reader) int {
+	n := rd.Uvarint()
+	if n > math.MaxInt32 {
+		rd.Fail(fmt.Sprintf("node count %d", n))
+		return 0
+	}
+	return int(n)
 }
 
 // readFinite reads a float that scores are summed from and fails on NaN or
@@ -130,36 +134,36 @@ func readFinite(rd *codec.Reader, what string) float64 {
 	return v
 }
 
-func readClassNode(rd *codec.Reader, numClasses, numFeat, depth int) *node {
+// readNode decodes the subtree writeNode wrote into slot i, its children
+// into two fresh adjacent slots, left subtree first.
+func (f *Forest) readNode(rd *codec.Reader, i int32, depth int) {
 	if rd.Err() != nil || depth > maxTreeDepth {
 		rd.Fail("tree too deep or truncated")
-		return &node{probs: make([]float64, numClasses)}
+		return
 	}
 	tag := rd.Uvarint()
-	switch tag {
-	case 0:
-		nd := &node{n: int(rd.Uvarint()), probs: make([]float64, numClasses)}
-		for i := range nd.probs {
-			nd.probs[i] = readFinite(rd, "class probability")
-		}
-		return nd
-	case 1:
-		nd := &node{
-			feature:   readFeature(rd, numFeat),
-			threshold: rd.Float(),
-			probs:     make([]float64, numClasses),
-		}
-		nd.n = int(rd.Uvarint())
-		for i := range nd.probs {
-			nd.probs[i] = readFinite(rd, "class probability")
-		}
-		nd.left = readClassNode(rd, numClasses, numFeat, depth+1)
-		nd.right = readClassNode(rd, numClasses, numFeat, depth+1)
-		return nd
-	default:
+	if tag > 1 {
 		rd.Fail(fmt.Sprintf("bad node tag %d", tag))
-		return &node{probs: make([]float64, numClasses)}
+		return
 	}
+	feature, threshold := -1, 0.0
+	if tag == 1 {
+		feature, threshold = readFeature(rd, len(f.features)), rd.Float()
+	}
+	n := readCount(rd)
+	nc := f.numClasses
+	probs := f.probs[int(i)*nc : int(i+1)*nc]
+	for c := range probs {
+		probs[c] = readFinite(rd, "class probability")
+	}
+	if tag == 0 {
+		f.setLeaf(i, probs[1], n)
+		return
+	}
+	c := f.alloc(2)
+	f.setSplit(i, feature, threshold, c, n)
+	f.readNode(rd, c, depth+1)
+	f.readNode(rd, c+1, depth+1)
 }
 
 // WriteTo serializes the boosted ensemble: bias, learning rate, then each
@@ -168,35 +172,29 @@ func (g *GBDT) WriteTo(w io.Writer) (int64, error) {
 	cw := codec.NewWriter(w, gbdtMagic)
 	cw.Float(g.bias)
 	cw.Float(g.lr)
-	cw.Uvarint(uint64(len(g.trees)))
-	for _, tr := range g.trees {
-		if err := writeRegNode(cw, tr.root); err != nil {
-			return 0, err
-		}
+	cw.Uvarint(uint64(len(g.roots)))
+	for _, r := range g.roots {
+		g.writeNode(cw, r)
 	}
 	return cw.Close()
 }
 
-// writeRegNode serializes a regression node pre-order: tag (0 leaf with its
-// value, 1 split), mirroring writeClassNode without class distributions.
-func writeRegNode(cw *codec.Writer, nd *node) error {
-	if nd == nil {
-		return errors.New("tree: nil node during serialization")
-	}
-	if nd.isLeaf() {
+// writeNode serializes a regression subtree pre-order: tag (0 leaf with
+// its value, 1 split), mirroring Forest.writeNode without class
+// distributions.
+func (g *GBDT) writeNode(cw *codec.Writer, i int32) {
+	if g.feats[i] < 0 {
 		cw.Uvarint(0)
-		cw.Uvarint(uint64(nd.n))
-		cw.Float(nd.value)
-		return nil
+		cw.Uvarint(uint64(g.counts[i]))
+		cw.Float(g.thrs[i])
+		return
 	}
 	cw.Uvarint(1)
-	cw.Uvarint(uint64(nd.feature))
-	cw.Float(nd.threshold)
-	cw.Uvarint(uint64(nd.n))
-	if err := writeRegNode(cw, nd.left); err != nil {
-		return err
-	}
-	return writeRegNode(cw, nd.right)
+	cw.Uvarint(uint64(g.feats[i]))
+	cw.Float(g.thrs[i])
+	cw.Uvarint(uint64(g.counts[i]))
+	g.writeNode(cw, g.kids[i])
+	g.writeNode(cw, g.kids[i]+1)
 }
 
 // ReadGBDT deserializes a boosted ensemble written by (*GBDT).WriteTo.
@@ -210,9 +208,10 @@ func ReadGBDT(r io.Reader) (*GBDT, error) {
 	if err := rd.Err(); err != nil {
 		return nil, badModel(err)
 	}
-	g.trees = make([]*RegressionTree, nTrees)
-	for t := range g.trees {
-		g.trees[t] = &RegressionTree{root: readRegNode(rd, 0)}
+	g.roots = make([]int32, nTrees)
+	for t := range g.roots {
+		g.roots[t] = g.alloc(1)
+		g.readNode(rd, g.roots[t], 0)
 	}
 	if err := rd.Close(); err != nil {
 		return nil, badModel(err)
@@ -220,26 +219,28 @@ func ReadGBDT(r io.Reader) (*GBDT, error) {
 	return g, nil
 }
 
-func readRegNode(rd *codec.Reader, depth int) *node {
+// readNode decodes the subtree GBDT.writeNode wrote into slot i.
+func (g *GBDT) readNode(rd *codec.Reader, i int32, depth int) {
 	if rd.Err() != nil || depth > maxTreeDepth {
 		rd.Fail("tree too deep or truncated")
-		return &node{}
+		return
 	}
 	tag := rd.Uvarint()
 	switch tag {
 	case 0:
-		return &node{n: int(rd.Uvarint()), value: readFinite(rd, "leaf value")}
+		n := readCount(rd)
+		g.setLeaf(i, readFinite(rd, "leaf value"), n)
 	case 1:
 		// TCGB stores no feature count, so only the int32 range is checked
-		// here; the loader holding the schema checks CompiledGBDT.Width.
-		nd := &node{feature: readFeature(rd, math.MaxInt32), threshold: rd.Float()}
-		nd.n = int(rd.Uvarint())
-		nd.left = readRegNode(rd, depth+1)
-		nd.right = readRegNode(rd, depth+1)
-		return nd
+		// here; the loader holding the schema checks GBDT.Width.
+		feature, threshold := readFeature(rd, math.MaxInt32), rd.Float()
+		n := readCount(rd)
+		c := g.alloc(2)
+		g.setSplit(i, feature, threshold, c, n)
+		g.readNode(rd, c, depth+1)
+		g.readNode(rd, c+1, depth+1)
 	default:
 		rd.Fail(fmt.Sprintf("bad node tag %d", tag))
-		return &node{}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"telcochurn/internal/codec"
 )
 
 func TestForestRoundTrip(t *testing.T) {
@@ -186,6 +188,8 @@ type encodedModel struct {
 // unscorableModels encodes models that decode cleanly but cannot score:
 // a forest with no trees (its average is 0/0) and ensembles carrying a
 // NaN or ±Inf payload, which would reach every score that lands there.
+// Last come two one-leaf models whose leaf claims 2^31 training
+// instances, past the row limit and the int32 count a node keeps.
 func unscorableModels(tb testing.TB) []encodedModel {
 	tb.Helper()
 	d := separable(200, 3)
@@ -194,7 +198,7 @@ func unscorableModels(tb testing.TB) []encodedModel {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if f.trees[0].root.isLeaf() {
+		if f.feats[f.roots[0]] < 0 {
 			tb.Fatal("fitted tree is a bare leaf")
 		}
 		return f
@@ -206,11 +210,12 @@ func unscorableModels(tb testing.TB) []encodedModel {
 		}
 		return g
 	}
-	leftmost := func(nd *node) *node {
-		for !nd.isLeaf() {
-			nd = nd.left
+	leftmost := func(n *nodes) int32 {
+		i := n.roots[0]
+		for n.feats[i] >= 0 {
+			i = n.kids[i]
 		}
-		return nd
+		return i
 	}
 	var out []encodedModel
 	add := func(name string, m io.WriterTo) {
@@ -223,15 +228,15 @@ func unscorableModels(tb testing.TB) []encodedModel {
 	}
 
 	f := fit()
-	f.trees = nil
+	f.roots, f.treeImp = nil, nil
 	add("forest without trees", f)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f := fit()
-		leftmost(f.trees[0].root).probs[1] = v
+		f.probs[2*leftmost(&f.nodes)+1] = v
 		add(fmt.Sprintf("forest leaf probability %v", v), f)
 	}
 	f = fit()
-	f.trees[0].root.probs[0] = math.NaN()
+	f.probs[2*f.roots[0]] = math.NaN()
 	add("forest split distribution NaN", f)
 
 	g := boost()
@@ -242,8 +247,34 @@ func unscorableModels(tb testing.TB) []encodedModel {
 	add("gbdt learning rate +Inf", g)
 	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
 		g := boost()
-		leftmost(g.trees[0].root).value = v
+		g.thrs[leftmost(&g.nodes)] = v
 		add(fmt.Sprintf("gbdt leaf value %v", v), g)
+	}
+	for _, boosted := range []bool{false, true} {
+		var buf bytes.Buffer
+		if boosted {
+			w := codec.NewWriter(&buf, gbdtMagic)
+			w.Float(0)   // bias
+			w.Float(0.1) // learning rate
+			w.Uvarint(1) // trees
+			w.Uvarint(0) // leaf: tag, n, value
+			w.Uvarint(1 << 31)
+			w.Float(0.5)
+			w.Close()
+		} else {
+			w := codec.NewWriter(&buf, forestMagic)
+			w.Uvarint(2)  // classes
+			w.Strs(nil)   // features
+			w.Floats(nil) // importance
+			w.Uvarint(1)  // trees
+			w.Floats(nil) // the tree's importance
+			w.Uvarint(0)  // leaf: tag, n, class distribution
+			w.Uvarint(1 << 31)
+			w.Float(0.5)
+			w.Float(0.5)
+			w.Close()
+		}
+		out = append(out, encodedModel{fmt.Sprintf("leaf count 2^31 (boosted %v)", boosted), boosted, buf.Bytes()})
 	}
 	return out
 }

@@ -60,6 +60,29 @@ func TestTreeLearnsSeparableData(t *testing.T) {
 	}
 }
 
+// numLeaves counts a fitted forest's leaves, in all its trees.
+func numLeaves(f *Forest) int {
+	n := 0
+	for _, feat := range f.feats {
+		if feat < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// minLeafSize is the smallest training population of any leaf of a fitted
+// forest, for invariant testing against Config.MinLeafSamples.
+func minLeafSize(f *Forest) int {
+	m := math.MaxInt
+	for i, feat := range f.feats {
+		if feat < 0 {
+			m = min(m, int(f.counts[i]))
+		}
+	}
+	return m
+}
+
 func TestTreeMinLeafInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,7 +96,7 @@ func TestTreeMinLeafInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tr.MinLeafSize() >= minLeaf
+		return minLeafSize(tr) >= minLeaf
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -86,8 +109,8 @@ func TestTreeMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() > 2 {
-		t.Errorf("depth-1 tree has %d leaves", tr.NumLeaves())
+	if n := numLeaves(tr); n > 2 {
+		t.Errorf("depth-1 tree has %d leaves", n)
 	}
 }
 
@@ -100,8 +123,8 @@ func TestTreePureNodeStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
-		t.Errorf("pure data grew %d leaves", tr.NumLeaves())
+	if n := numLeaves(tr); n != 1 {
+		t.Errorf("pure data grew %d leaves", n)
 	}
 	if p := tr.PredictProba([]float64{10}); p[0] != 1 {
 		t.Errorf("pure-class proba = %v", p)
@@ -149,10 +172,9 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, c2 := f1.Compile(), f2.Compile()
 	for i := 0; i < 20; i++ {
 		x := []float64{float64(i) / 20, 0}
-		if c1.Score(x) != c2.Score(x) {
+		if f1.Score(x) != f2.Score(x) {
 			t.Fatal("same-seed forests disagree")
 		}
 	}
@@ -164,11 +186,10 @@ func TestForestBeatsGuessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := f.Compile()
 	test := separable(300, 6)
 	correct := 0
 	for i, x := range test.X {
-		if argmax(cf.PredictProba(x)) == test.Y[i] {
+		if argmax(f.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -213,16 +234,15 @@ func TestForestMultiClass(t *testing.T) {
 	if f.NumClasses() != 3 {
 		t.Fatalf("NumClasses = %d", f.NumClasses())
 	}
-	cf := f.Compile()
 	for _, c := range []struct {
 		x    float64
 		want int
 	}{{0.3, 0}, {1.5, 1}, {2.7, 2}} {
-		if got := argmax(cf.PredictProba([]float64{c.x})); got != c.want {
+		if got := argmax(f.PredictProba([]float64{c.x})); got != c.want {
 			t.Errorf("most probable class at %g = %d, want %d", c.x, got, c.want)
 		}
 	}
-	probs := cf.PredictProba([]float64{1.5})
+	probs := f.PredictProba([]float64{1.5})
 	sum := 0.0
 	for _, p := range probs {
 		sum += p
@@ -238,10 +258,9 @@ func TestForestScoreAllMatchesScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := f.Compile()
-	batch := cf.ScoreAll(d.X[:50])
+	batch := f.ScoreAll(d.X[:50])
 	for i := 0; i < 50; i++ {
-		if batch[i] != cf.Score(d.X[i]) {
+		if batch[i] != f.Score(d.X[i]) {
 			t.Fatal("ScoreAll disagrees with Score")
 		}
 	}
@@ -307,11 +326,10 @@ func TestHistogramForestLearnsAndClampsBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := f.Compile()
 	test := separable(300, 16)
 	correct := 0
 	for i, x := range test.X {
-		if argmax(cf.PredictProba(x)) == test.Y[i] {
+		if argmax(f.PredictProba(x)) == test.Y[i] {
 			correct++
 		}
 	}
@@ -344,12 +362,11 @@ func TestGBDTHistogramMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := g.Compile()
 	test := separable(300, 18)
 	correct := 0
 	for i, x := range test.X {
 		pred := 0
-		if cg.Score(x) > 0.5 {
+		if g.Score(x) > 0.5 {
 			pred = 1
 		}
 		if pred == test.Y[i] {
@@ -375,24 +392,13 @@ func TestRegressionTreeFitsStep(t *testing.T) {
 			targets[i] = -10
 		}
 	}
-	tr, err := FitRegressionTree(x, targets, nil, RegressionConfig{MinLeafSamples: 10})
-	if err != nil {
-		t.Fatal(err)
+	tr := fitRegressionTree(x, targets, nil, regConfig{MinLeafSamples: 10})
+	predict := func(x []float64) float64 { return tr.thrs[leafOf(tr, tr.roots[0], x)] }
+	if got := predict([]float64{0.9}); math.Abs(got-10) > 0.5 {
+		t.Errorf("predict(0.9) = %g, want ~10", got)
 	}
-	if got := tr.Predict([]float64{0.9}); math.Abs(got-10) > 0.5 {
-		t.Errorf("Predict(0.9) = %g, want ~10", got)
-	}
-	if got := tr.Predict([]float64{0.1}); math.Abs(got+10) > 0.5 {
-		t.Errorf("Predict(0.1) = %g, want ~-10", got)
-	}
-}
-
-func TestRegressionTreeErrors(t *testing.T) {
-	if _, err := FitRegressionTree(nil, nil, nil, RegressionConfig{}); err == nil {
-		t.Error("want error for empty data")
-	}
-	if _, err := FitRegressionTree([][]float64{{1}}, []float64{1, 2}, nil, RegressionConfig{}); err == nil {
-		t.Error("want error for length mismatch")
+	if got := predict([]float64{0.1}); math.Abs(got+10) > 0.5 {
+		t.Errorf("predict(0.1) = %g, want ~-10", got)
 	}
 }
 
@@ -408,11 +414,10 @@ func TestGBDTLearnsAndImprovesWithRounds(t *testing.T) {
 	}
 	test := separable(300, 12)
 	acc := func(g *GBDT) float64 {
-		cg := g.Compile()
 		ok := 0
 		for i, x := range test.X {
 			pred := 0
-			if cg.Score(x) > 0.5 {
+			if g.Score(x) > 0.5 {
 				pred = 1
 			}
 			if pred == test.Y[i] {
@@ -436,7 +441,7 @@ func TestGBDTScoresAreProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range g.Compile().ScoreAll(d.X[:100]) {
+	for _, s := range g.ScoreAll(d.X[:100]) {
 		if s < 0 || s > 1 || math.IsNaN(s) {
 			t.Fatalf("score %g out of [0,1]", s)
 		}
@@ -498,14 +503,14 @@ func fitGBDTRowWalk(d *dataset.Dataset, cfg GBDTConfig) *GBDT {
 		for i := range residual {
 			residual[i] = float64(d.Y[i]) - sigmoid(f[i])
 		}
-		tr := fitRegressionTreeOnData(cd, residual, w, RegressionConfig{
+		fitRegressionTreeOnData(cd, residual, w, regConfig{
 			MinLeafSamples: cfg.MinLeafSamples, MaxDepth: cfg.MaxDepth, MaxBins: clampBins(cfg.MaxBins),
 			Seed:      cfg.Seed + int64(t)*2_000_003,
 			LeafValue: func(idx []int) float64 { return newtonStep(idx, f, residual, w) },
-		})
-		g.trees = append(g.trees, tr)
+		}, &g.nodes)
+		root := g.roots[len(g.roots)-1]
 		for i, x := range d.X {
-			f[i] += cfg.LearningRate * tr.Predict(x)
+			f[i] += float64(cfg.LearningRate * g.thrs[leafOf(&g.nodes, root, x)])
 		}
 	}
 	return g
