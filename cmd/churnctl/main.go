@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strings"
 	"time"
 
 	"telcochurn/internal/experiments"
@@ -78,7 +79,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   churnctl generate -out DIR [-customers N] [-months N] [-seed N] [-shards N] [-burnin N]
-  churnctl eval EXPERIMENT|all [-customers N] [-trees N] [-repeats N] [-seed N] [-workers N] [-bins N] [-cpuprofile F] [-memprofile F]
+  churnctl eval EXPERIMENT...|all [-customers N] [-trees N] [-repeats N] [-seed N] [-workers N] [-bins N] [-cpuprofile F] [-memprofile F]
   churnctl inspect -warehouse DIR
   churnctl build -warehouse DIR [-month N] [-groups F1,..] [-shards N] [-workers N] [-rss-limit-mb N] [-checksum]
                                              out-of-core wide-table build with memory reporting
@@ -196,10 +197,15 @@ func generateDaily(cfg synth.Config, wh *store.Warehouse) error {
 }
 
 func cmdEval(args []string) error {
-	if len(args) < 1 {
+	// The ids are every argument before the first flag.
+	n := slices.IndexFunc(args, func(a string) bool { return strings.HasPrefix(a, "-") })
+	if n < 0 {
+		n = len(args)
+	}
+	ids := args[:n]
+	if len(ids) == 0 {
 		return fmt.Errorf("eval: need an experiment id or 'all'")
 	}
-	id := args[0]
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	customers := fs.Int("customers", 4000, "customers per month")
 	trees := fs.Int("trees", 150, "forest/boosting ensemble size")
@@ -210,7 +216,18 @@ func cmdEval(args []string) error {
 	bins := fs.Int("bins", 0, "histogram bins for forest split search (0 = exact splits, max 255)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	fs.Parse(args[1:])
+	fs.Parse(args[n:])
+	if fs.NArg() > 0 {
+		return fmt.Errorf("eval: %q after the flags: experiment ids go before them", fs.Arg(0))
+	}
+	if slices.Contains(ids, "all") {
+		ids = experiments.IDs()
+	}
+	for _, id := range ids {
+		if !slices.Contains(experiments.IDs(), id) {
+			return fmt.Errorf("eval: unknown experiment %q (have %v)", id, experiments.IDs())
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -248,10 +265,6 @@ func cmdEval(args []string) error {
 		Bins:      *bins,
 	}
 
-	ids := []string{id}
-	if id == "all" {
-		ids = experiments.IDs()
-	}
 	for _, xid := range ids {
 		start := time.Now()
 		res, err := experiments.Run(xid, opts)

@@ -331,6 +331,36 @@ func TestEvalRejectsBadExperimentID(t *testing.T) {
 	}
 }
 
+// TestEvalRunsEveryID: every id before the first flag runs, at the flags'
+// settings, and an id left after the flags or an unknown one is refused
+// by name before anything runs.
+func TestEvalRunsEveryID(t *testing.T) {
+	stdout, _ := run(t, cmdEval, "tab1", "fig1", "-customers", "300")
+	for _, header := range []string{"== tab1 (", "== fig1 ("} {
+		if !strings.Contains(stdout, header) {
+			t.Errorf("eval tab1 fig1 printed no %q section:\n%s", header, stdout)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^Month 1 +\d+ +\d+ +300 `).MatchString(stdout) {
+		t.Errorf("tab1 did not run at -customers 300:\n%s", stdout)
+	}
+	for _, c := range []struct {
+		args []string
+		bad  string
+	}{
+		{[]string{"tab1", "-customers", "300", "fig9"}, "fig9"},
+		{[]string{"tab1", "nope", "-customers", "300"}, "nope"},
+	} {
+		stdout, _, err := captureOutput(t, func() error { return cmdEval(c.args) })
+		if err == nil || !strings.Contains(err.Error(), `"`+c.bad+`"`) {
+			t.Errorf("eval %v: err = %v, want one naming %q", c.args, err, c.bad)
+		}
+		if stdout != "" {
+			t.Errorf("eval %v ran experiments before refusing:\n%s", c.args, stdout)
+		}
+	}
+}
+
 // TestScoreAfterMergeReadsWarehouse: after `ingest -merge` folds events
 // into the month a -precompute artifact's snapshot describes, `score -full`
 // prints the merged warehouse's scores — the bits PredictSharded (and

@@ -43,13 +43,13 @@ func TestCooccurrenceEdgeWeights(t *testing.T) {
 	win := MonthWindow(1, 30)
 	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, win, 30, synth.IsCustomerID, 0)[2]
 
-	if got := g.EdgeWeight(a, b); got != 2 {
+	if got := edgeWeight(g, a, b); got != 2 {
 		t.Errorf("w(a,b) = %g, want 2 (two shared cubes, duplicate fix deduped)", got)
 	}
-	if got := g.EdgeWeight(a, c); got != 1 {
+	if got := edgeWeight(g, a, c); got != 1 {
 		t.Errorf("w(a,c) = %g, want 1", got)
 	}
-	if got := g.EdgeWeight(b, c); got != 0 {
+	if got := edgeWeight(g, b, c); got != 0 {
 		t.Errorf("w(b,c) = %g, want 0", got)
 	}
 }
@@ -62,8 +62,8 @@ func TestCooccurrenceExcludesNonCustomers(t *testing.T) {
 		{offnet, 1, 1, 0, 7},
 	})
 	g := BuildGraphs([]Group{F6CooccurrenceGraph}, tbl, MonthWindow(1, 30), 30, synth.IsCustomerID, 0)[2]
-	if g.NumEdges() != 0 {
-		t.Errorf("off-net fix created %d edges", g.NumEdges())
+	if g.NumVertices() != 0 {
+		t.Errorf("off-net fix created %d vertices", g.NumVertices())
 	}
 }
 
@@ -84,7 +84,7 @@ func TestCallGraphEdgeAccumulation(t *testing.T) {
 	add(a, b, 99, 0) // failed attempt: no edge weight
 	tbl := Tables{Calls: calls}
 	g := BuildCallGraph(tbl, MonthWindow(1, 30), 30, synth.IsCustomerID)
-	if got := g.EdgeWeight(a, b); got != 90 {
+	if got := edgeWeight(g, a, b); got != 90 {
 		t.Errorf("w(a,b) = %g, want 90 (mutual calling time, failures excluded)", got)
 	}
 }

@@ -165,6 +165,8 @@ func (f *Frame) Names() []string { return append([]string(nil), f.names...) }
 func (f *Frame) Groups() []Group { return append([]Group(nil), f.group...) }
 
 // AddColumn appends a feature column; customers absent from values get def.
+// The frame builds add dense columns (AddDense); the benchmark harness
+// (bench/layers.go) still calls this one.
 func (f *Frame) AddColumn(g Group, name string, values map[int64]float64, def float64) {
 	f.names = append(f.names, name)
 	f.group = append(f.group, g)

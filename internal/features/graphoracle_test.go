@@ -14,8 +14,8 @@ import (
 
 // The map-based graph accumulator GraphAccumulator replaced, kept verbatim
 // as the reference but for its non-finite call filter: per-directed-edge
-// map sums, min-30 cube sets, edges inserted through graph.AddEdge (so the
-// fold's graph.FromEdges build is checked too). TestGraphFoldMatchesMapOracle
+// map sums, min-30 cube sets, edges built by graph.FromEdges from its own
+// sorted pair list (fromPairs). TestGraphFoldMatchesMapOracle
 // and TestGraphFoldEdgeCases pin the production fold to it bit for bit.
 const mapCubeCap = 30
 
@@ -209,15 +209,13 @@ func (a *mapAccumulator) finalizeDirected(sel func(*mapPartials) map[dirEdge]flo
 		}
 		return pairs[x].to < pairs[y].to
 	})
-	g := graph.New()
-	for _, u := range pairs {
+	return fromPairs(pairs, func(u dirEdge) float64 {
 		w := merged[dirEdge{u.from, u.to}]
 		if u.from != u.to {
 			w += merged[dirEdge{u.to, u.from}]
 		}
-		g.AddEdge(u.from, u.to, w)
-	}
-	return g
+		return w
+	})
 }
 
 func (a *mapAccumulator) finalizeCooccurrence() *graph.Graph {
@@ -247,11 +245,58 @@ func (a *mapAccumulator) finalizeCooccurrence() *graph.Graph {
 		}
 		return pairs[x].to < pairs[y].to
 	})
-	g := graph.New()
-	for _, e := range pairs {
-		g.AddEdge(e.from, e.to, weights[e])
+	return fromPairs(pairs, func(e dirEdge) float64 { return weights[e] })
+}
+
+// fromPairs builds the graph of the undirected edges {from, to}, in the
+// given order, numbering the ids they name by first appearance.
+func fromPairs(pairs []dirEdge, weight func(dirEdge) float64) *graph.Graph {
+	var ids []int64
+	pos := map[int64]int32{}
+	at := func(id int64) int32 {
+		p, ok := pos[id]
+		if !ok {
+			p = int32(len(ids))
+			pos[id] = p
+			ids = append(ids, id)
+		}
+		return p
 	}
-	return g
+	edges := make([]graph.Edge, len(pairs))
+	for k, e := range pairs {
+		edges[k] = graph.Edge{U: at(e.from), V: at(e.to), W: weight(e)}
+	}
+	return graph.FromEdges(ids, edges)
+}
+
+// adjacent returns id's neighbours and edge weights in adjacency order,
+// read through Graph.Adj; nil when id is not a vertex.
+func adjacent(g *graph.Graph, id int64) (to []int64, w []float64) {
+	i := slices.Index(g.IDs(), id)
+	if i < 0 {
+		return nil, nil
+	}
+	nb, w := g.Adj(i)
+	for _, j := range nb {
+		to = append(to, g.IDs()[j])
+	}
+	return to, w
+}
+
+// edgeWeight returns the weight of edge {a, b}, 0 when there is none.
+func edgeWeight(g *graph.Graph, a, b int64) float64 {
+	to, w := adjacent(g, a)
+	if k := slices.Index(to, b); k >= 0 {
+		return w[k]
+	}
+	return 0
+}
+
+// neighbors returns id's neighbour ids in ascending order.
+func neighbors(g *graph.Graph, id int64) []int64 {
+	to, _ := adjacent(g, id)
+	slices.Sort(to)
+	return to
 }
 
 // graphsBitIdentical compares what the feature columns can see of a graph:
@@ -272,27 +317,27 @@ func graphsBitIdentical(t *testing.T, want, got *graph.Graph, seeds map[int64]in
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", context, err)
 	}
-	for _, id := range want.IDs() {
-		wto, ww := want.Adjacent(id)
-		gto, gw := got.Adjacent(id)
+	for i, id := range want.IDs() {
+		wto, ww := want.Adj(i)
+		gto, gw := got.Adj(i)
 		if !slices.Equal(wto, gto) {
 			t.Fatalf("%s: adjacency of %d: %v vs %v", context, id, wto, gto)
 		}
 		for k := range ww {
 			if math.Float64bits(ww[k]) != math.Float64bits(gw[k]) {
-				t.Fatalf("%s: weight %d-%d: %v vs %v", context, id, wto[k], ww[k], gw[k])
+				t.Fatalf("%s: weight %d-%d: %v vs %v", context, id, want.IDs()[wto[k]], ww[k], gw[k])
 			}
 		}
 	}
 	wpr, gpr := want.PageRank(graph.PageRankOptions{}), got.PageRank(graph.PageRankOptions{})
 	wlp := want.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
 	glp := got.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
-	for _, id := range want.IDs() {
-		if math.Float64bits(wpr[id]) != math.Float64bits(gpr[id]) {
-			t.Fatalf("%s: pagerank of %d: %v vs %v", context, id, wpr[id], gpr[id])
+	for i, id := range want.IDs() {
+		if math.Float64bits(wpr[i]) != math.Float64bits(gpr[i]) {
+			t.Fatalf("%s: pagerank of %d: %v vs %v", context, id, wpr[i], gpr[i])
 		}
-		if math.Float64bits(wlp[id][1]) != math.Float64bits(glp[id][1]) {
-			t.Fatalf("%s: label propagation of %d: %v vs %v", context, id, wlp[id][1], glp[id][1])
+		if math.Float64bits(wlp[2*i+1]) != math.Float64bits(glp[2*i+1]) {
+			t.Fatalf("%s: label propagation of %d: %v vs %v", context, id, wlp[2*i+1], glp[2*i+1])
 		}
 	}
 }
@@ -487,67 +532,67 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	feeds := []shardFeed{{0, parts[0]}, {1, parts[1]}, {0, parts[2]}, {2, parts[3]}}
 	acc := foldFeeds(t, 3, feeds, win, 30, isCustomer, map[int64]int{a: 1, c: 0}, "edge cases")
 	cg, mg, og := acc.Finalize()
-	if cg.Has(5_000_001) || cg.EdgeWeight(a, a) != 0 {
+	if slices.Contains(cg.IDs(), 5_000_001) || edgeWeight(cg, a, a) != 0 {
 		t.Error("self-call or off-net peer reached the call graph")
 	}
 	x1, x2, x3, z, y1, y2, q, r1, r2 := 0.1, 0.2, 0.3, 0.01, 0.6, 0.9, 0.1, 0.7, 0.4
-	if got, want := cg.EdgeWeight(a, b), ((x1+x2+x3+z)+(y1+y2)+q)+(r1+r2); got != want {
+	if got, want := edgeWeight(cg, a, b), ((x1+x2+x3+z)+(y1+y2)+q)+(r1+r2); got != want {
 		t.Errorf("w(a,b) = %v, want (shard sums in shard order) forward + reverse = %v", got, want)
 	}
-	if got := cg.EdgeWeight(c, d); got != 12 {
+	if got := edgeWeight(cg, c, d); got != 12 {
 		t.Errorf("w(c,d) = %v, want 12 from the reverse-only rows", got)
 	}
-	if got := cg.EdgeWeight(c, gone); got != 33 {
+	if got := edgeWeight(cg, c, gone); got != 33 {
 		t.Errorf("w(c,previous churner) = %v, want 33", got)
 	}
-	if cg.EdgeWeight(a, d) != 0 {
+	if edgeWeight(cg, a, d) != 0 {
 		t.Error("an infinite call made an edge")
 	}
-	if got := cg.EdgeWeight(-5, -3); got != 4.5 {
+	if got := edgeWeight(cg, -5, -3); got != 4.5 {
 		t.Errorf("w(-5,-3) = %v, want 4.5", got)
 	}
-	for id, pr := range cg.PageRank(graph.PageRankOptions{}) {
+	for i, pr := range cg.PageRank(graph.PageRankOptions{}) {
 		if math.IsNaN(pr) || math.IsInf(pr, 0) {
-			t.Fatalf("call-graph PageRank of %d is %v", id, pr)
+			t.Fatalf("call-graph PageRank of %d is %v", cg.IDs()[i], pr)
 		}
 	}
 	if mg.NumVertices() != 0 {
 		t.Errorf("empty messages table built %d vertices", mg.NumVertices())
 	}
-	if got := og.EdgeWeight(base+100, base+99+cooccurrenceCubeCap); got != 1 {
+	if got := edgeWeight(og, base+100, base+99+cooccurrenceCubeCap); got != 1 {
 		t.Errorf("cooccurrenceCubeCap smallest cube members: w = %v, want 1", got)
 	}
-	if og.Has(base + 100 + cooccurrenceCubeCap) {
+	if slices.Contains(og.IDs(), base+100+cooccurrenceCubeCap) {
 		t.Error("a crowded cube kept more than cooccurrenceCubeCap members")
 	}
-	if got := og.EdgeWeight(a, c); got != 1 {
+	if got := edgeWeight(og, a, c); got != 1 {
 		t.Errorf("repeated fixes: w(a,c) = %v, want 1", got)
 	}
-	if got := og.EdgeWeight(gone, a); got != 1 {
+	if got := edgeWeight(og, gone, a); got != 1 {
 		t.Errorf("previous churner in a cube: w = %v, want 1", got)
 	}
-	if got := og.EdgeWeight(b, d); got != 3 {
+	if got := edgeWeight(og, b, d); got != 3 {
 		t.Errorf("three shared cubes: w(b,d) = %v, want 3", got)
 	}
-	if got := og.EdgeWeight(b, e); got != 1 || len(og.Neighbors(e)) != 1 {
-		t.Errorf("smaller-id co-member only: w(b,e) = %v, neighbours %v", got, og.Neighbors(e))
+	if got := edgeWeight(og, b, e); got != 1 || len(neighbors(og, e)) != 1 {
+		t.Errorf("smaller-id co-member only: w(b,e) = %v, neighbours %v", got, neighbors(og, e))
 	}
-	if og.Has(lone) {
+	if slices.Contains(og.IDs(), lone) {
 		t.Error("a single-member cube made a vertex")
 	}
-	if got := og.EdgeWeight(base+300, base+450); len(og.Neighbors(base+375)) != 2 || got != 0 {
-		t.Errorf("chain: neighbours of a middle link %v, w(ends) = %v", og.Neighbors(base+375), got)
+	if got := edgeWeight(og, base+300, base+450); len(neighbors(og, base+375)) != 2 || got != 0 {
+		t.Errorf("chain: neighbours of a middle link %v, w(ends) = %v", neighbors(og, base+375), got)
 	}
-	if n := len(og.Neighbors(base + 500 + cooccurrenceCubeCap - 1)); n != cooccurrenceCubeCap-1 {
+	if n := len(neighbors(og, base+500+cooccurrenceCubeCap-1)); n != cooccurrenceCubeCap-1 {
 		t.Errorf("a cube of exactly cooccurrenceCubeCap members: last member has %d neighbours", n)
 	}
-	if og.Has(base+600+cooccurrenceCubeCap) || og.EdgeWeight(base+600, base+599+cooccurrenceCubeCap) != 1 {
+	if slices.Contains(og.IDs(), base+600+cooccurrenceCubeCap) || edgeWeight(og, base+600, base+599+cooccurrenceCubeCap) != 1 {
 		t.Error("a cube of cooccurrenceCubeCap+1 members did not drop exactly its largest")
 	}
-	if got := og.EdgeWeight(x, y); got != 2 {
+	if got := edgeWeight(og, x, y); got != 2 {
 		t.Errorf("cubes at the ends of int64: w(x,y) = %v, want 2", got)
 	}
-	if og.EdgeWeight(-9, -8) != 1 || og.EdgeWeight(-9, x) != 1 {
+	if edgeWeight(og, -9, -8) != 1 || edgeWeight(og, -9, x) != 1 {
 		t.Error("negative ids lost their cube")
 	}
 
@@ -558,7 +603,7 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 	ids = slices.Compact(ids)
 	scanned := func(u int64) bool {
 		var above []int64
-		for _, v := range og.Neighbors(u) {
+		for _, v := range neighbors(og, u) {
 			if v > u {
 				above = append(above, v)
 			}
@@ -567,11 +612,11 @@ func TestGraphFoldEdgeCases(t *testing.T) {
 		last, _ := slices.BinarySearch(ids, above[len(above)-1])
 		return denseTally(len(above), last-first+1)
 	}
-	if len(og.Neighbors(dense)) != 9 || !scanned(dense) {
-		t.Errorf("dense customer: neighbours %v, scanned %v", og.Neighbors(dense), scanned(dense))
+	if len(neighbors(og, dense)) != 9 || !scanned(dense) {
+		t.Errorf("dense customer: neighbours %v, scanned %v", neighbors(og, dense), scanned(dense))
 	}
-	if !slices.Equal(og.Neighbors(sparse), []int64{sparse + 1, base + 449}) || scanned(sparse) {
-		t.Errorf("sparse customer: neighbours %v, scanned %v", og.Neighbors(sparse), scanned(sparse))
+	if !slices.Equal(neighbors(og, sparse), []int64{sparse + 1, base + 449}) || scanned(sparse) {
+		t.Errorf("sparse customer: neighbours %v, scanned %v", neighbors(og, sparse), scanned(sparse))
 	}
 
 	// Finalize does not consume the partials.

@@ -75,42 +75,41 @@ func scoreGraphsInto(f *Frame, graphs [3]*graph.Graph, in GraphFeatureInput, wor
 	suffixes := [3]string{"voice", "message", "cooccurrence"}
 	groups := [3]Group{F4CallGraph, F5MessageGraph, F6CooccurrenceGraph}
 	seeds := seedMap(in)
-	type graphCols struct {
-		pr, lp map[int64]float64
-	}
-	var results [3]graphCols
+	var pr, lp [3][]float64
 	parallel.ForGrain(workers, len(graphs), 1, func(i int) {
-		if graphs[i] == nil {
-			return
+		if graphs[i] != nil {
+			pr[i], lp[i] = scoreGraph(f, graphs[i], seeds, workers)
 		}
-		pr, lp := scoreGraph(graphs[i], seeds, workers)
-		results[i] = graphCols{pr: pr, lp: lp}
 	})
 	for i := range graphs {
 		if graphs[i] == nil {
 			continue
 		}
-		f.AddColumn(groups[i], "pagerank_"+suffixes[i], results[i].pr, 0)
-		f.AddColumn(groups[i], "labelpropagation_"+suffixes[i], results[i].lp, 0.5)
+		// Both columns have one value per frame row by construction.
+		_ = f.AddDense(groups[i], "pagerank_"+suffixes[i], pr[i])
+		_ = f.AddDense(groups[i], "labelpropagation_"+suffixes[i], lp[i])
 	}
 }
 
 // scoreGraph runs the two per-graph feature algorithms — PageRank scaled by
 // vertex count (population-size invariant) and 2-round label propagation —
-// returning the per-customer column maps.
-func scoreGraph(g *graph.Graph, seeds map[int64]int, workers int) (prCol, lpCol map[int64]float64) {
-	pr := g.PageRank(graph.PageRankOptions{Workers: workers})
-	prCol = make(map[int64]float64, len(pr))
+// and returns their columns by frame row: a customer outside the graph gets
+// rank 0 and churn probability 0.5.
+func scoreGraph(f *Frame, g *graph.Graph, seeds map[int64]int, workers int) (pr, lp []float64) {
+	ranks := g.PageRank(graph.PageRankOptions{Workers: workers})
+	probs := g.LabelPropagation(seeds, 2, graph.LabelPropOptions{Workers: workers})
+	pr, lp = make([]float64, f.NumRows()), make([]float64, f.NumRows())
+	for r := range lp {
+		lp[r] = 0.5
+	}
 	nv := float64(g.NumVertices())
-	for id, v := range pr {
-		prCol[id] = v * nv
+	for i, id := range g.IDs() {
+		if r, ok := f.index[id]; ok {
+			pr[r] = ranks[i] * nv
+			lp[r] = probs[2*i+1]
+		}
 	}
-	lp := g.LabelPropagation(seeds, 2, graph.LabelPropOptions{Workers: workers})
-	lpCol = make(map[int64]float64, len(lp))
-	for id, probs := range lp {
-		lpCol[id] = probs[1]
-	}
-	return prCol, lpCol
+	return pr, lp
 }
 
 // ChurnersOf extracts the labeled churners of a month from its truth table.

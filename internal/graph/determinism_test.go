@@ -6,19 +6,15 @@ import (
 	"testing"
 )
 
-// randomGraph builds a reproducible scale-ish-free test graph.
+// randomGraph builds a reproducible test graph of random pairs over n
+// ids; ids no pair touches are not vertices.
 func randomGraph(n, edges int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
-	for i := 0; i < n; i++ {
-		g.AddVertex(int64(i))
+	pairs := make([]pair, edges)
+	for e := range pairs {
+		pairs[e] = pair{int64(rng.Intn(n)), int64(rng.Intn(n)), 0.1 + rng.Float64()*10}
 	}
-	for e := 0; e < edges; e++ {
-		a := int64(rng.Intn(n))
-		b := int64(rng.Intn(n))
-		g.AddEdge(a, b, 0.1+rng.Float64()*10)
-	}
-	return g
+	return build(pairs...)
 }
 
 // TestPageRankDeterministicAcrossWorkers asserts the hard guarantee the
@@ -32,9 +28,9 @@ func TestPageRankDeterministicAcrossWorkers(t *testing.T) {
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d ranks, want %d", w, len(got), len(ref))
 		}
-		for id, v := range ref {
-			if got[id] != v {
-				t.Fatalf("workers=%d: rank of %d = %v, want exactly %v", w, id, got[id], v)
+		for i, v := range ref {
+			if got[i] != v {
+				t.Fatalf("workers=%d: rank of %d = %v, want exactly %v", w, g.IDs()[i], got[i], v)
 			}
 		}
 	}
@@ -49,12 +45,10 @@ func TestLabelPropagationDeterministicAcrossWorkers(t *testing.T) {
 	ref := g.LabelPropagation(seeds, 3, LabelPropOptions{Workers: 1})
 	for _, w := range []int{2, 8} {
 		got := g.LabelPropagation(seeds, 3, LabelPropOptions{Workers: w})
-		for id, probs := range ref {
-			for c := range probs {
-				if got[id][c] != probs[c] {
-					t.Fatalf("workers=%d: vertex %d class %d = %v, want exactly %v",
-						w, id, c, got[id][c], probs[c])
-				}
+		for k, p := range ref {
+			if got[k] != p {
+				t.Fatalf("workers=%d: vertex %d class %d = %v, want exactly %v",
+					w, g.IDs()[k/3], k%3, got[k], p)
 			}
 		}
 	}
@@ -80,11 +74,11 @@ func naiveLabelPropagation(g *Graph, seeds map[int64]int, C int) [][]float64 {
 		delta = 0
 		for i := range g.ids {
 			copy(next[i], y[i])
-			if !fixed[i] && len(g.adj[i]) > 0 {
+			if to, w := g.Adj(i); !fixed[i] && len(to) > 0 {
 				clear(next[i])
-				for _, e := range g.adj[i] {
+				for k, j := range to {
 					for c := range next[i] {
-						next[i][c] += e.weight * y[e.to][c]
+						next[i][c] += float64(w[k] * y[j][c])
 					}
 				}
 				sum := 0.0
@@ -109,10 +103,7 @@ func naiveLabelPropagation(g *Graph, seeds map[int64]int, C int) [][]float64 {
 // (churn features) and the general path (retention's outcome classes),
 // with isolated vertices and out-of-range seeds, at several worker counts.
 func TestLabelPropagationMatchesNaiveReference(t *testing.T) {
-	g := randomGraph(1300, 6000, 17)
-	for i := 1300; i < 1310; i++ {
-		g.AddVertex(int64(i)) // isolated, some of them seeds
-	}
+	g := withIsolated(randomGraph(1300, 6000, 17), 1300, 1301, 1302, 1303, 1304, 1305, 1306, 1307, 1308, 1309) // some isolated seeds
 	for _, C := range []int{2, 3} {
 		seeds := map[int64]int{}
 		for i := 0; i < 1310; i += 5 {
@@ -123,10 +114,79 @@ func TestLabelPropagationMatchesNaiveReference(t *testing.T) {
 			got := g.LabelPropagation(seeds, C, LabelPropOptions{Workers: w})
 			for i, id := range g.IDs() {
 				for c, p := range want[i] {
-					if math.Float64bits(got[id][c]) != math.Float64bits(p) {
+					if math.Float64bits(got[i*C+c]) != math.Float64bits(p) {
 						t.Fatalf("C=%d workers=%d: vertex %d class %d = %v, want exactly %v",
-							C, w, id, c, got[id][c], p)
+							C, w, id, c, got[i*C+c], p)
 					}
+				}
+			}
+		}
+	}
+}
+
+// naivePageRank is Eq. (1) written the plain way, with the default damping,
+// 50 sweeps and 1e-9 tolerance: every vertex sums x/deg*w over its
+// adjacency from 0, each degree is summed over the adjacency too, and the
+// dangling mass and the convergence delta fold per 512-vertex chunk as
+// SumChunks folds them. It is the reference the gather must match bit for
+// bit. The float64 conversions keep a host from fusing its sums.
+func naivePageRank(g *Graph) []float64 {
+	n, d := g.NumVertices(), 0.85
+	inv := 1.0 / float64(n)
+	x, deg := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = inv
+		for _, w := range g.w[g.off[i]:g.off[i+1]] {
+			deg[i] += w
+		}
+	}
+	chunked := func(term func(i int) float64) float64 {
+		total, part := 0.0, 0.0
+		for i := range n {
+			part += term(i)
+			if (i+1)%vertexGrain == 0 || i == n-1 {
+				total, part = total+part, 0
+			}
+		}
+		return total
+	}
+	for iter, delta := 0, math.Inf(1); iter < 50 && delta >= 1e-9*float64(n); iter++ {
+		dangling := chunked(func(i int) float64 {
+			if deg[i] == 0 {
+				return x[i]
+			}
+			return 0
+		})
+		next := make([]float64, n)
+		delta = chunked(func(i int) float64 {
+			sum := 0.0
+			for k := g.off[i]; k < g.off[i+1]; k++ {
+				j := g.to[k]
+				sum += float64(x[j] / deg[j] * g.w[k])
+			}
+			next[i] = (1-d)*inv + d*dangling*inv + float64(d*sum)
+			return math.Abs(next[i] - x[i])
+		})
+		x = next
+	}
+	return x
+}
+
+// TestPageRankMatchesNaiveReference compares the gather with the plain
+// sweep bit for bit over random graphs, some with isolated vertices, at
+// several worker counts.
+func TestPageRankMatchesNaiveReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := randomGraph(700*int(seed), 2500*int(seed), seed)
+		if seed%2 == 0 {
+			g = withIsolated(g, -1, -2, -3)
+		}
+		want := naivePageRank(g)
+		for _, w := range []int{1, 2, 8} {
+			got := g.PageRank(PageRankOptions{Workers: w})
+			for i, p := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(p) {
+					t.Fatalf("seed %d workers=%d: rank of %d = %v, want exactly %v", seed, w, g.IDs()[i], got[i], p)
 				}
 			}
 		}

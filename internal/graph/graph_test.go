@@ -3,82 +3,115 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestAddEdgeAccumulatesAndSymmetric(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, 3)
-	g.AddEdge(2, 1, 2) // same undirected edge, reversed
-	if got := g.EdgeWeight(1, 2); got != 5 {
-		t.Errorf("EdgeWeight = %g, want 5", got)
+// pair is one undirected edge of a test graph.
+type pair struct {
+	a, b int64
+	w    float64
+}
+
+// build sums the weights of each unordered vertex pair of pairs, in list
+// order, and builds the graph of the sums with FromEdges: one edge per
+// pair, in the order the pair first appears.
+func build(pairs ...pair) *Graph {
+	var ids []int64
+	pos := map[int64]int32{}
+	at := func(id int64) int32 {
+		p, ok := pos[id]
+		if !ok {
+			p = int32(len(ids))
+			pos[id] = p
+			ids = append(ids, id)
+		}
+		return p
 	}
-	if got := g.EdgeWeight(2, 1); got != 5 {
-		t.Errorf("reverse EdgeWeight = %g, want 5", got)
+	slot := map[[2]int64]int{}
+	var edges []Edge
+	for _, p := range pairs {
+		k := [2]int64{min(p.a, p.b), max(p.a, p.b)}
+		if s, ok := slot[k]; ok {
+			edges[s].W += p.w
+			continue
+		}
+		slot[k] = len(edges)
+		edges = append(edges, Edge{U: at(p.a), V: at(p.b), W: p.w})
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
+	return FromEdges(ids, edges)
+}
+
+// withIsolated appends vertices that no edge touches. FromEdges never
+// makes one, but PageRank (the dangling mass) and LabelPropagation (a
+// uniform row) handle a zero-degree vertex, and this is how tests reach
+// that path.
+func withIsolated(g *Graph, ids ...int64) *Graph {
+	for _, id := range ids {
+		g.ids = append(g.ids, id)
+		g.off = append(g.off, g.off[len(g.off)-1])
+		g.degree = append(g.degree, 0)
+	}
+	return g
+}
+
+// rowOf returns vertex id's class-probability row of a LabelPropagation
+// result over C classes.
+func rowOf(g *Graph, probs []float64, C int, id int64) []float64 {
+	i := slices.Index(g.IDs(), id)
+	return probs[i*C : (i+1)*C]
+}
+
+func TestFromEdgesIgnoresSelfLoopsAndNonPositive(t *testing.T) {
+	ids := []int64{1, 2, 3, 4}
+	bad := []Edge{{U: 0, V: 0, W: 5}, {U: 0, V: 1, W: 0}, {U: 0, V: 1, W: -3},
+		{U: 2, V: 3, W: math.NaN()}, {U: 2, V: 3, W: math.Inf(1)}, {U: 2, V: 3, W: math.Inf(-1)}}
+	if g := FromEdges(ids, bad); g.NumVertices() != 0 {
+		t.Errorf("NumVertices = %d, want 0", g.NumVertices())
+	}
+	g := FromEdges(ids, bad[:3], []Edge{{U: 0, V: 1, W: 2}}, bad[3:])
+	if !slices.Equal(g.IDs(), []int64{1, 2}) {
+		t.Fatalf("IDs = %v, want [1 2]", g.IDs())
+	}
+	if to, w := g.Adj(0); !slices.Equal(to, []int32{1}) || !slices.Equal(w, []float64{2}) {
+		t.Errorf("Adj(0) = %v %v, want [1] [2]", to, w)
 	}
 	if err := g.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
+		t.Error(err)
 	}
 }
 
-func TestAddEdgeIgnoresSelfLoopsAndNonPositive(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 1, 5)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(1, 2, -3)
-	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		g.AddEdge(1, 2, w)
-		g.AddDistinctEdge(3, 4, w)
+func TestAdjacencyInEdgeOrder(t *testing.T) {
+	g := build(pair{1, 3, 2}, pair{1, 2, 1}, pair{3, 1, 4})
+	if !slices.Equal(g.IDs(), []int64{1, 3, 2}) {
+		t.Fatalf("IDs = %v, want first-appearance order [1 3 2]", g.IDs())
 	}
-	if g.NumEdges() != 0 || g.NumVertices() != 0 {
-		t.Errorf("NumEdges = %d, NumVertices = %d, want 0", g.NumEdges(), g.NumVertices())
+	if to, w := g.Adj(0); !slices.Equal(to, []int32{1, 2}) || !slices.Equal(w, []float64{6, 1}) {
+		t.Errorf("Adj(0) = %v %v, want [1 2] [6 1]", to, w)
 	}
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(1, 2, math.NaN())
-	g.AddEdge(1, 2, math.Inf(1))
-	if w := g.EdgeWeight(1, 2); w != 2 {
-		t.Errorf("w(1,2) = %v after non-finite additions, want 2", w)
+	if to, w := g.Adj(2); !slices.Equal(to, []int32{0}) || !slices.Equal(w, []float64{1}) {
+		t.Errorf("Adj(2) = %v %v, want [0] [1]", to, w)
 	}
-}
-
-func TestNeighborsAndDegree(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 3, 2)
-	g.AddEdge(1, 2, 1)
-	nb := g.Neighbors(1)
-	if len(nb) != 2 || nb[0] != 2 || nb[1] != 3 {
-		t.Errorf("Neighbors = %v", nb)
+	if g.degree[0] != 7 {
+		t.Errorf("degree of 1 = %g, want 7", g.degree[0])
 	}
-	if g.Degree(1) != 3 {
-		t.Errorf("Degree(1) = %g, want 3", g.Degree(1))
-	}
-	if g.Degree(99) != 0 || g.Neighbors(99) != nil {
-		t.Error("missing vertex should report zero degree, nil neighbors")
-	}
-	if !g.Has(1) || g.Has(99) {
-		t.Error("Has misreports")
+	if err := g.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New()
 		n := 2 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			g.AddVertex(int64(i))
+		var pairs []pair
+		for range rng.Intn(150) {
+			pairs = append(pairs, pair{int64(rng.Intn(n)), int64(rng.Intn(n)), 1 + rng.Float64()*10})
 		}
-		edges := rng.Intn(150)
-		for i := 0; i < edges; i++ {
-			g.AddEdge(int64(rng.Intn(n)), int64(rng.Intn(n)), 1+rng.Float64()*10)
-		}
-		pr := g.PageRank(PageRankOptions{})
+		g := withIsolated(build(pairs...), int64(n))
 		sum := 0.0
-		for _, v := range pr {
+		for _, v := range g.PageRank(PageRankOptions{}) {
 			if v < 0 {
 				return false
 			}
@@ -92,26 +125,27 @@ func TestPageRankSumsToOne(t *testing.T) {
 }
 
 func TestPageRankUniformOnRing(t *testing.T) {
-	g := New()
 	const n = 10
+	var ring []pair
 	for i := 0; i < n; i++ {
-		g.AddEdge(int64(i), int64((i+1)%n), 1)
+		ring = append(ring, pair{int64(i), int64((i + 1) % n), 1})
 	}
-	pr := g.PageRank(PageRankOptions{})
-	for id, v := range pr {
+	g := build(ring...)
+	for i, v := range g.PageRank(PageRankOptions{}) {
 		if math.Abs(v-1.0/n) > 1e-9 {
-			t.Errorf("ring vertex %d rank %g, want %g", id, v, 1.0/n)
+			t.Errorf("ring vertex %d rank %g, want %g", g.IDs()[i], v, 1.0/n)
 		}
 	}
 }
 
 func TestPageRankHubOutranksLeaves(t *testing.T) {
-	g := New()
+	var star []pair
 	for i := int64(1); i <= 8; i++ {
-		g.AddEdge(0, i, 1)
+		star = append(star, pair{0, i, 1})
 	}
+	g := build(star...)
 	pr := g.PageRank(PageRankOptions{})
-	for i := int64(1); i <= 8; i++ {
+	for i := 1; i <= 8; i++ {
 		if pr[0] <= pr[i] {
 			t.Fatalf("hub rank %g not above leaf %g", pr[0], pr[i])
 		}
@@ -119,65 +153,58 @@ func TestPageRankHubOutranksLeaves(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	if got := New().PageRank(PageRankOptions{}); len(got) != 0 {
+	if got := FromEdges(nil).PageRank(PageRankOptions{}); len(got) != 0 {
 		t.Errorf("empty-graph PageRank = %v", got)
 	}
 }
 
 func TestLabelPropagationSeedsFixed(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
+	g := build(pair{1, 2, 1}, pair{2, 3, 1})
 	seeds := map[int64]int{1: 1, 3: 0}
 	out := g.LabelPropagation(seeds, 2, LabelPropOptions{})
-	if out[1][1] != 1 || out[3][0] != 1 {
-		t.Errorf("seed rows changed: %v %v", out[1], out[3])
+	if rowOf(g, out, 2, 1)[1] != 1 || rowOf(g, out, 2, 3)[0] != 1 {
+		t.Errorf("seed rows changed: %v %v", rowOf(g, out, 2, 1), rowOf(g, out, 2, 3))
 	}
 	// Vertex 2 sits between a churner and a non-churner: close to 0.5.
-	if math.Abs(out[2][1]-0.5) > 1e-6 {
-		t.Errorf("middle vertex churn prob = %g, want 0.5", out[2][1])
+	if p := rowOf(g, out, 2, 2)[1]; math.Abs(p-0.5) > 1e-6 {
+		t.Errorf("middle vertex churn prob = %g, want 0.5", p)
 	}
 }
 
 func TestLabelPropagationTwoClusters(t *testing.T) {
-	g := New()
 	// Cluster A: 0-4 with seed churner 0; cluster B: 10-14 with seed stable 10.
+	var pairs []pair
 	for i := int64(0); i < 4; i++ {
-		g.AddEdge(i, i+1, 5)
+		pairs = append(pairs, pair{i, i + 1, 5}, pair{i + 10, i + 11, 5})
 	}
-	for i := int64(10); i < 14; i++ {
-		g.AddEdge(i, i+1, 5)
-	}
-	g.AddEdge(4, 10, 0.01) // weak bridge
+	pairs = append(pairs, pair{4, 10, 0.01}) // weak bridge
+	g := build(pairs...)
 	out := g.LabelPropagation(map[int64]int{0: 1, 14: 0}, 2, LabelPropOptions{})
-	if out[2][1] < 0.8 {
-		t.Errorf("cluster-A member churn prob %g, want high", out[2][1])
+	if p := rowOf(g, out, 2, 2)[1]; p < 0.8 {
+		t.Errorf("cluster-A member churn prob %g, want high", p)
 	}
-	if out[12][1] > 0.2 {
-		t.Errorf("cluster-B member churn prob %g, want low", out[12][1])
+	if p := rowOf(g, out, 2, 12)[1]; p > 0.2 {
+		t.Errorf("cluster-B member churn prob %g, want low", p)
 	}
 }
 
 func TestLabelPropagationSimplexProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New()
 		n := 3 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			g.AddVertex(int64(i))
+		var pairs []pair
+		for range n * 2 {
+			pairs = append(pairs, pair{int64(rng.Intn(n)), int64(rng.Intn(n)), rng.Float64()*4 + 0.1})
 		}
-		for e := 0; e < n*2; e++ {
-			g.AddEdge(int64(rng.Intn(n)), int64(rng.Intn(n)), rng.Float64()*4+0.1)
-		}
-		seeds := map[int64]int{0: 1}
-		if n > 1 {
-			seeds[1] = 0
-		}
+		g := withIsolated(build(pairs...), int64(n))
 		k := 2 + rng.Intn(3)
-		out := g.LabelPropagation(seeds, k, LabelPropOptions{})
-		for _, probs := range out {
+		out := g.LabelPropagation(map[int64]int{0: 1, 1: 0}, k, LabelPropOptions{})
+		if len(out) != k*g.NumVertices() {
+			return false
+		}
+		for i := range g.IDs() {
 			sum := 0.0
-			for _, p := range probs {
+			for _, p := range out[i*k : (i+1)*k] {
 				if p < -1e-9 || p > 1+1e-9 {
 					return false
 				}
@@ -195,30 +222,58 @@ func TestLabelPropagationSimplexProperty(t *testing.T) {
 }
 
 func TestLabelPropagationIsolatedUniform(t *testing.T) {
-	g := New()
-	g.AddVertex(5)
-	g.AddEdge(1, 2, 1)
+	g := withIsolated(build(pair{1, 2, 1}), 5)
 	out := g.LabelPropagation(map[int64]int{1: 1}, 2, LabelPropOptions{})
-	if math.Abs(out[5][0]-0.5) > 1e-9 {
-		t.Errorf("isolated vertex probs = %v, want uniform", out[5])
+	if row := rowOf(g, out, 2, 5); math.Abs(row[0]-0.5) > 1e-9 {
+		t.Errorf("isolated vertex probs = %v, want uniform", row)
 	}
 }
 
 func TestValidateDetectsBrokenInvariant(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, 1)
+	g := build(pair{1, 2, 1})
 	// Break symmetry by hand.
-	g.adj[0][0].weight = 99
+	g.w[0] = 99
 	if err := g.Validate(); err == nil {
 		t.Error("Validate should catch asymmetric edge")
 	}
 }
 
+// addDistinctEdges is the one-edge-at-a-time build FromEdges replaced: an
+// edge numbers each endpoint it is the first to touch, appends a half edge
+// to both endpoints' lists and adds its weight to both degrees; self-loops
+// and weights that are not finite and positive are skipped.
+func addDistinctEdges(ids []int64, edges []Edge) (order []int64, adj [][]half, degree []float64) {
+	index := map[int64]int{}
+	ensure := func(u int32) int {
+		i, ok := index[ids[u]]
+		if !ok {
+			i = len(order)
+			index[ids[u]] = i
+			order, adj, degree = append(order, ids[u]), append(adj, nil), append(degree, 0)
+		}
+		return i
+	}
+	for _, e := range edges {
+		if e.U == e.V || !(e.W > 0) || math.IsInf(e.W, 1) {
+			continue
+		}
+		a, b := ensure(e.U), ensure(e.V)
+		adj[a], degree[a] = append(adj[a], half{b, e.W}), degree[a]+e.W
+		adj[b], degree[b] = append(adj[b], half{a, e.W}), degree[b]+e.W
+	}
+	return order, adj, degree
+}
+
+type half struct {
+	to int
+	w  float64
+}
+
 // TestFromEdgesMatchesAddDistinctEdge pins the bulk constructor to the
-// one-edge-at-a-time build it replaces: vertex numbering, adjacency order
+// one-edge-at-a-time build it replaced: vertex numbering, adjacency order
 // and degree bits, with the edge list split into runs at arbitrary points,
 // ids no edge uses, and the self-loops and non-positive or non-finite
-// weights AddDistinctEdge ignores.
+// weights both skip.
 func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids := make([]int64, 60)
@@ -233,32 +288,25 @@ func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 			}
 		}
 	}
-	edges = append(edges, Edge{U: 3, V: 4, W: 0}, Edge{U: 5, V: 6, W: -1},
+	edges = append(edges, Edge{U: 3, V: 4, W: 0}, Edge{U: 5, V: 6, W: -1}, Edge{U: 13, V: 13, W: 2},
 		Edge{U: 7, V: 8, W: math.NaN()}, Edge{U: 9, V: 10, W: math.Inf(1)}, Edge{U: 11, V: 12, W: math.Inf(-1)})
-	want := New()
-	for _, e := range edges {
-		want.AddDistinctEdge(ids[e.U], ids[e.V], e.W)
-	}
+	order, adj, degree := addDistinctEdges(ids, edges)
 	got := FromEdges(ids, edges[:10], nil, edges[10:37], edges[37:])
-	if len(got.IDs()) != len(want.IDs()) {
-		t.Fatalf("%d vertices, want %d", len(got.IDs()), len(want.IDs()))
+	if !slices.Equal(got.IDs(), order) {
+		t.Fatalf("vertex order %v, want %v", got.IDs(), order)
 	}
-	for i, id := range want.IDs() {
-		if got.IDs()[i] != id {
-			t.Fatalf("vertex %d is %d, want %d", i, got.IDs()[i], id)
+	for i := range order {
+		to, w := got.Adj(i)
+		if len(to) != len(adj[i]) {
+			t.Fatalf("vertex %d: %d neighbours, want %d", order[i], len(to), len(adj[i]))
 		}
-		wto, ww := want.Adjacent(id)
-		gto, gw := got.Adjacent(id)
-		if len(gto) != len(wto) {
-			t.Fatalf("vertex %d: %d neighbours, want %d", id, len(gto), len(wto))
-		}
-		for k := range wto {
-			if gto[k] != wto[k] || math.Float64bits(gw[k]) != math.Float64bits(ww[k]) {
-				t.Fatalf("vertex %d slot %d: (%d, %v), want (%d, %v)", id, k, gto[k], gw[k], wto[k], ww[k])
+		for k, h := range adj[i] {
+			if int(to[k]) != h.to || math.Float64bits(w[k]) != math.Float64bits(h.w) {
+				t.Fatalf("vertex %d slot %d: (%d, %v), want (%d, %v)", order[i], k, to[k], w[k], h.to, h.w)
 			}
 		}
-		if math.Float64bits(got.Degree(id)) != math.Float64bits(want.Degree(id)) {
-			t.Fatalf("vertex %d: degree %v, want %v", id, got.Degree(id), want.Degree(id))
+		if math.Float64bits(got.degree[i]) != math.Float64bits(degree[i]) {
+			t.Fatalf("vertex %d: degree %v, want %v", order[i], got.degree[i], degree[i])
 		}
 	}
 	if err := got.Validate(); err != nil {

@@ -32,17 +32,17 @@ func (o LabelPropOptions) withDefaults() LabelPropOptions {
 //
 // generalized to C classes. seeds maps vertex ID to class (0..C-1); those
 // rows are fixed to one-hot throughout. Unlabeled vertices start uniform.
-// The result maps every vertex ID to its class-probability vector.
+// The result holds every vertex's class-probability vector by dense index:
+// vertex i's is [i*C, (i+1)*C), in IDs() order.
 //
 // For churn features C=2 with seeds = last month's churners (class 1) plus a
 // sample of stable customers (class 0); for retention features C is the
 // number of campaign outcomes.
-func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts LabelPropOptions) map[int64][]float64 {
+func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts LabelPropOptions) []float64 {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
-	out := make(map[int64][]float64, n)
 	if n == 0 || numClasses == 0 {
-		return out
+		return nil
 	}
 
 	// Row i of y and next is [i*C, (i+1)*C): one flat array each, so the
@@ -67,18 +67,19 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 	// The sweep is already a gather (row i reads y, writes only its row of
 	// next), so rows parallelize freely across the double buffers;
 	// per-chunk deltas merge in chunk order, keeping the result
-	// bit-identical for any Workers.
+	// bit-identical for any Workers. Each product is rounded before it is
+	// added (the float64 conversions), so no host fuses the two.
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		delta := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			dl := 0.0
 			for i := lo; i < hi; i++ {
-				edges := g.adj[i]
+				to, w := g.Adj(i)
 				row, old := next[i*C:(i+1)*C], y[i*C:(i+1)*C]
 				switch {
 				case fixed[i]:
 					copy(row, old)
 					continue
-				case len(edges) == 0:
+				case len(to) == 0:
 					// Isolated unlabeled vertex: stays uniform.
 					for c := range row {
 						row[c] = uniform
@@ -89,18 +90,18 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 					// features' two classes: the same products summed in the
 					// same edge order as the general loop below.
 					r0, r1 := 0.0, 0.0
-					for _, e := range edges {
-						j := 2 * e.to
-						r0 += e.weight * y[j]
-						r1 += e.weight * y[j+1]
+					for k, t := range to {
+						j := 2 * int(t)
+						r0 += float64(w[k] * y[j])
+						r1 += float64(w[k] * y[j+1])
 					}
 					row[0], row[1] = r0, r1
 				default:
 					clear(row)
-					for _, e := range edges {
-						src := y[e.to*C : (e.to+1)*C]
+					for k, t := range to {
+						src := y[int(t)*C : (int(t)+1)*C]
 						for c := range row {
-							row[c] += e.weight * src[c]
+							row[c] += float64(w[k] * src[c])
 						}
 					}
 				}
@@ -134,9 +135,5 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 		}
 	}
 
-	// The returned rows share y's backing array; nothing writes y again.
-	for i, id := range g.ids {
-		out[id] = y[i*C : (i+1)*C : (i+1)*C]
-	}
-	return out
+	return y
 }

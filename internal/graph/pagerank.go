@@ -48,13 +48,15 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // its neighbors from the front buffer and writes only next[m] in the back
 // buffer, so vertices parallelize freely, and each vertex sums its adjacency
 // list in a fixed order — the scores are bit-identical for any Workers.
+// Each product is rounded before it is added (the float64 conversions), so
+// no host fuses the two and every host computes the same bits.
 //
-// Returns a map from vertex ID to rank.
-func (g *Graph) PageRank(opts PageRankOptions) map[int64]float64 {
+// Returns the ranks by dense index, in IDs() order.
+func (g *Graph) PageRank(opts PageRankOptions) []float64 {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	if n == 0 {
-		return map[int64]float64{}
+		return nil
 	}
 	d := opts.Damping
 	inv := 1.0 / float64(n)
@@ -85,11 +87,12 @@ func (g *Graph) PageRank(opts PageRankOptions) map[int64]float64 {
 		delta := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			dl := 0.0
 			for i := lo; i < hi; i++ {
+				to, w := g.Adj(i)
 				sum := 0.0
-				for _, e := range g.adj[i] {
-					sum += share[e.to] * e.weight
+				for k, t := range to {
+					sum += float64(share[t] * w[k])
 				}
-				v := base + spread + d*sum
+				v := base + spread + float64(d*sum)
 				next[i] = v
 				diff := v - x[i]
 				if diff < 0 {
@@ -104,9 +107,5 @@ func (g *Graph) PageRank(opts PageRankOptions) map[int64]float64 {
 			break
 		}
 	}
-	out := make(map[int64]float64, n)
-	for i, id := range g.ids {
-		out[id] = x[i]
-	}
-	return out
+	return x
 }

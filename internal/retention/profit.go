@@ -69,7 +69,7 @@ func (e Economics) Profit(res *CampaignResult) ProfitReport {
 		rep.ContactCost += e.ContactCost
 		if t.Accepted {
 			rep.Accepted++
-			rep.RetainedValue += e.MonthlyARPU * float64(e.RetainedMonths)
+			rep.RetainedValue += float64(e.MonthlyARPU * float64(e.RetainedMonths)) // rounded apart: no host fuses it
 			rep.OfferCost += e.OfferCost[t.Offer]
 		}
 	}

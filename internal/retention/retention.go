@@ -444,7 +444,7 @@ func (r *Runner) campaignLPFeatures(prev *CampaignResult) (*lpFeatures, error) {
 			out.names = append(out.names, fmt.Sprintf("retlp_%s_class%d", name, c))
 		}
 		probs := graphs[gi].LabelPropagation(seeds, C, graph.LabelPropOptions{Workers: workers})
-		for id, p := range probs {
+		for i, id := range graphs[gi].IDs() {
 			row, ok := out.rows[id]
 			if !ok {
 				row = make([]float64, out.width)
@@ -453,7 +453,7 @@ func (r *Runner) campaignLPFeatures(prev *CampaignResult) (*lpFeatures, error) {
 				}
 				out.rows[id] = row
 			}
-			copy(row[gi*C:(gi+1)*C], p)
+			copy(row[gi*C:(gi+1)*C], probs[i*C:(i+1)*C])
 		}
 	}
 	return out, nil
