@@ -296,32 +296,51 @@ func BenchmarkGraphFold(b *testing.B) {
 	}
 }
 
-func BenchmarkPageRank(b *testing.B) {
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// benchGraphs returns the bench world's month-1 call graph, sparse, and
+// its co-occurrence graph, which holds most of the F4-F6 half edges and
+// most of the graph stage's time.
+func benchGraphs(b *testing.B) []namedGraph {
+	b.Helper()
 	months := benchWorld(b)
-	tbl, _ := features.FromMonthData(months[:1])
-	g := features.BuildCallGraph(tbl, features.MonthWindow(1, 30), 30, synth.IsCustomerID)
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g.PageRank(graph.PageRankOptions{Workers: w})
-			}
-		})
+	tbl, err := features.FromMonthData(months[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	gs := features.BuildGraphs([]features.Group{features.F4CallGraph, features.F6CooccurrenceGraph},
+		tbl, features.MonthWindow(1, 30), 30, synth.IsCustomerID, 0)
+	return []namedGraph{{"call", gs[0]}, {"cooccurrence", gs[2]}}
+}
+
+func BenchmarkPageRank(b *testing.B) {
+	for _, k := range benchGraphs(b) {
+		for _, w := range benchWorkerCounts {
+			b.Run(fmt.Sprintf("%s/workers=%d", k.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.g.PageRank(graph.PageRankOptions{Workers: w})
+				}
+			})
+		}
 	}
 }
 
 func BenchmarkLabelPropagation(b *testing.B) {
-	months := benchWorld(b)
-	tbl, _ := features.FromMonthData(months[:1])
-	g := features.BuildCallGraph(tbl, features.MonthWindow(1, 30), 30, synth.IsCustomerID)
-	seeds := map[int64]int{}
-	for i, id := range g.IDs() {
-		if i%10 == 0 {
-			seeds[id] = i % 2
+	for _, k := range benchGraphs(b) {
+		seeds := map[int64]int{}
+		for i, id := range k.g.IDs() {
+			if i%10 == 0 {
+				seeds[id] = i % 2
+			}
 		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.g.LabelPropagation(seeds, 2, graph.LabelPropOptions{})
+			}
+		})
 	}
 }
 

@@ -740,9 +740,10 @@ type scoreResponse struct {
 // buffer and recognized by parseScoreRequest; anything it does not accept
 // takes decodeBody's encoding/json path over the same bytes. The reply is
 // appended into the same buffer. The -request-timeout deadline is checked
-// once, at admission: scoring has no commit point and reads its context
-// only there, so the timer and request clone of a context deadline would
-// buy nothing.
+// once: scoring has no commit point and reads its context only at entry,
+// so the timer and request clone of a context deadline would buy nothing.
+// A batch is checked at admission; a single id by the scorer, after the
+// walk, with the one clock read that also times it (ScoreOneSince).
 func (s *service) handleScore(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -780,13 +781,13 @@ func (s *service) handleScore(w http.ResponseWriter, r *http.Request) {
 		scores []float64
 	)
 	switch {
+	case single:
+		score, err = e.scorer.ScoreOneSince(r.Context(), id, start, s.opts.reqTimeout)
 	case s.opts.reqTimeout > 0 && time.Since(start) >= s.opts.reqTimeout:
 		// Counted as the scorer counts a request whose context is done.
 		s.metrics.Requests.Add(1)
 		s.metrics.Canceled.Add(1)
 		err = context.DeadlineExceeded
-	case single:
-		score, err = e.scorer.ScoreOne(r.Context(), id)
 	default:
 		scores, err = e.scorer.Score(r.Context(), ids)
 	}

@@ -14,7 +14,7 @@ import (
 
 // The map-based graph accumulator GraphAccumulator replaced, kept verbatim
 // as the reference but for its non-finite call filter: per-directed-edge
-// map sums, min-30 cube sets, edges built by graph.FromEdges from its own
+// map sums, min-30 cube sets, edges built by graph.FromUpper from its own
 // sorted pair list (fromPairs). TestGraphFoldMatchesMapOracle
 // and TestGraphFoldEdgeCases pin the production fold to it bit for bit.
 const mapCubeCap = 30
@@ -248,25 +248,30 @@ func (a *mapAccumulator) finalizeCooccurrence() *graph.Graph {
 	return fromPairs(pairs, func(e dirEdge) float64 { return weights[e] })
 }
 
-// fromPairs builds the graph of the undirected edges {from, to}, in the
-// given order, numbering the ids they name by first appearance.
+// fromPairs builds the graph of the undirected edges {from, to}, given in
+// sorted (from, to) order with from <= to, numbering the ids they name by
+// first appearance; a pair with from == to is no edge.
 func fromPairs(pairs []dirEdge, weight func(dirEdge) float64) *graph.Graph {
 	var ids []int64
-	pos := map[int64]int32{}
-	at := func(id int64) int32 {
-		p, ok := pos[id]
-		if !ok {
-			p = int32(len(ids))
-			pos[id] = p
-			ids = append(ids, id)
+	for _, e := range pairs {
+		ids = append(ids, e.from, e.to)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	rank := map[int64]int32{}
+	for r, id := range ids {
+		rank[id] = int32(r)
+	}
+	run := graph.Rows[float64]{Len: make([]int32, len(ids))}
+	for _, e := range pairs {
+		if e.from == e.to {
+			continue
 		}
-		return p
+		run.Len[rank[e.from]]++
+		run.Col = append(run.Col, rank[e.to])
+		run.W = append(run.W, weight(e))
 	}
-	edges := make([]graph.Edge, len(pairs))
-	for k, e := range pairs {
-		edges[k] = graph.Edge{U: at(e.from), V: at(e.to), W: weight(e)}
-	}
-	return graph.FromEdges(ids, edges)
+	return graph.FromUpper(ids, []graph.Rows[float64]{run}, 1)
 }
 
 // adjacent returns id's neighbours and edge weights in adjacency order,

@@ -70,34 +70,40 @@ func seedMap(in GraphFeatureInput) map[int64]int {
 
 // scoreGraphsInto computes the graph feature columns of the built graphs
 // (nil = group not requested) and adds them to f in canonical F4, F5, F6
-// order. The graphs score concurrently; every build path ends here.
+// order; every build path ends here. Each graph's PageRank and label
+// propagation run as tasks of their own, the co-occurrence graph's — most
+// of the half edges — first, so the two cores stay busy to the end.
 func scoreGraphsInto(f *Frame, graphs [3]*graph.Graph, in GraphFeatureInput, workers int) {
 	suffixes := [3]string{"voice", "message", "cooccurrence"}
 	groups := [3]Group{F4CallGraph, F5MessageGraph, F6CooccurrenceGraph}
 	seeds := seedMap(in)
-	var pr, lp [3][]float64
-	parallel.ForGrain(workers, len(graphs), 1, func(i int) {
-		if graphs[i] != nil {
-			pr[i], lp[i] = scoreGraph(f, graphs[i], seeds, workers)
+	var ranks, probs [3][]float64
+	var tasks []func()
+	for i := len(graphs) - 1; i >= 0; i-- {
+		if g := graphs[i]; g != nil {
+			tasks = append(tasks,
+				func() { probs[i] = g.LabelPropagation(seeds, 2, graph.LabelPropOptions{Workers: workers}) },
+				func() { ranks[i] = g.PageRank(graph.PageRankOptions{Workers: workers}) })
 		}
-	})
-	for i := range graphs {
-		if graphs[i] == nil {
+	}
+	parallel.Do(workers, tasks...)
+	for i, g := range graphs {
+		if g == nil {
 			continue
 		}
+		pr, lp := graphColumns(f, g, ranks[i], probs[i])
 		// Both columns have one value per frame row by construction.
-		_ = f.AddDense(groups[i], "pagerank_"+suffixes[i], pr[i])
-		_ = f.AddDense(groups[i], "labelpropagation_"+suffixes[i], lp[i])
+		_ = f.AddDense(groups[i], "pagerank_"+suffixes[i], pr)
+		_ = f.AddDense(groups[i], "labelpropagation_"+suffixes[i], lp)
 	}
 }
 
-// scoreGraph runs the two per-graph feature algorithms — PageRank scaled by
-// vertex count (population-size invariant) and 2-round label propagation —
-// and returns their columns by frame row: a customer outside the graph gets
-// rank 0 and churn probability 0.5.
-func scoreGraph(f *Frame, g *graph.Graph, seeds map[int64]int, workers int) (pr, lp []float64) {
-	ranks := g.PageRank(graph.PageRankOptions{Workers: workers})
-	probs := g.LabelPropagation(seeds, 2, graph.LabelPropOptions{Workers: workers})
+// graphColumns turns one graph's PageRank ranks and two-class label
+// propagation rows (by dense index) into its two feature columns by frame
+// row: PageRank scaled by vertex count (population-size invariant) and the
+// churn-class probability. A customer outside the graph gets rank 0 and
+// churn probability 0.5.
+func graphColumns(f *Frame, g *graph.Graph, ranks, probs []float64) (pr, lp []float64) {
 	pr, lp = make([]float64, f.NumRows()), make([]float64, f.NumRows())
 	for r := range lp {
 		lp[r] = 0.5

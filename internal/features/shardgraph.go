@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"telcochurn/internal/graph"
 	"telcochurn/internal/parallel"
@@ -194,8 +195,9 @@ func (f *cubeFold) union(s cubeSet) {
 }
 
 // reduce counting-sorts the sightings by cube and sorts each cube's own
-// ids, keeping its cooccurrenceCubeCap smallest distinct ones.
-func (f *cubeFold) reduce() cubeSet {
+// ids, keeping its cooccurrenceCubeCap smallest distinct ones; the cubes
+// are capped side by side on up to workers goroutines.
+func (f *cubeFold) reduce(workers int) cubeSet {
 	cubes := f.index.keys
 	n := len(cubes)
 	start := make([]int32, n+1) // cube c's sightings: grouped[start[c]:start[c+1]]
@@ -211,12 +213,16 @@ func (f *cubeFold) reduce() cubeSet {
 		grouped[next[c]] = f.ids[k]
 		next[c]++
 	}
-	// Cap each run and close the gaps behind it.
+	// Cap each run, then close the gaps behind them.
+	size := make([]int32, n)
+	parallel.ForGrain(workers, n, parallel.DefaultGrain, func(c int) {
+		size[c] = int32(len(capRun(grouped[start[c]:start[c+1]])))
+	})
 	kept := 0
 	for c := range n {
-		run := capRun(grouped[start[c]:start[c+1]])
+		from := int(start[c])
 		start[c] = int32(kept)
-		kept += copy(grouped[kept:], run)
+		kept += copy(grouped[kept:], grouped[from:from+int(size[c])])
 	}
 	start[n] = int32(kept)
 	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:kept])}
@@ -309,8 +315,9 @@ type graphPartials struct {
 // tables (any order, one goroutine per shard is safe — partials are
 // per-shard), then Finalize; a whole-window build is one shard.
 type GraphAccumulator struct {
-	// Workers caps the goroutines Finalize spreads the co-occurrence edge
-	// tally over (0 = GOMAXPROCS). The graphs are identical for any value.
+	// Workers caps the goroutines Finalize spreads its work over: the three
+	// graphs, the cube merge, the co-occurrence tally and every graph's
+	// fill (0 = GOMAXPROCS). The graphs are identical for any value.
 	Workers int
 
 	wantCall, wantMsg, wantCooc bool
@@ -404,22 +411,29 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 			}
 			f.add(cube{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}, imsi[i])
 		}
-		p.cooc = f.reduce()
+		p.cooc = f.reduce(1)
 	}
 }
 
 // Finalize materializes the requested graphs (nil for groups not
 // collected). It leaves the partials untouched, so it may be called again.
+// The call and message graphs build beside the co-occurrence graph, whose
+// serial steps (the cube merge, the id ranking) they overlap.
 func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
-	if a.wantCall {
-		call = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.call })
-	}
-	if a.wantMsg {
-		msg = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.msg })
-	}
-	if a.wantCooc {
-		cooc = a.finalizeCooccurrence()
-	}
+	parallel.Do(a.Workers,
+		func() {
+			if a.wantCooc {
+				cooc = a.finalizeCooccurrence()
+			}
+		},
+		func() {
+			if a.wantCall {
+				call = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.call })
+			}
+			if a.wantMsg {
+				msg = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.msg })
+			}
+		})
 	return call, msg, cooc
 }
 
@@ -427,8 +441,8 @@ func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 // weight forward + reverse. Over several shards the sorted partials are
 // walked together, so a directed edge fed through several shards adds its
 // shard sums in shard order; a single shard's partial is already that, and
-// is read as is rather than copied. Endpoints are numbered in edge order,
-// the numbering graph.FromEdges gives its vertices.
+// is read as is rather than copied. Ranking the endpoints turns the sorted
+// list into graph.FromUpper's rows: an edge's row is its lo's rank.
 func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum) *graph.Graph {
 	sums := sel(&a.parts[0])
 	if len(a.parts) > 1 {
@@ -438,12 +452,51 @@ func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum) 
 		}
 		sums = mergeEdgeSums(partials)
 	}
-	number := newKeyIndex(hashID, 0)
-	edges := make([]graph.Edge, len(sums))
-	for i, e := range sums {
-		edges[i] = graph.Edge{U: number.of(e.lo), V: number.of(e.hi), W: e.w[0] + e.w[1]}
+	ends := make([]int64, 0, 2*len(sums))
+	for _, e := range sums {
+		if e.lo != e.hi { // a self-call is no edge
+			ends = append(ends, e.lo, e.hi)
+		}
 	}
-	return graph.FromEdges(number.keys, edges)
+	ids, rank := ranked(ends)
+	m := len(ends) / 2
+	run := graph.Rows[float64]{Len: make([]int32, len(ids)), Col: make([]int32, m), W: make([]float64, m)}
+	i := 0
+	for _, e := range sums {
+		if e.lo != e.hi {
+			run.Len[rank[2*i]]++
+			run.Col[i], run.W[i] = rank[2*i+1], e.w[0]+e.w[1]
+			i++
+		}
+	}
+	return graph.FromUpper(ids, []graph.Rows[float64]{run}, a.Workers)
+}
+
+// ranked returns the distinct values of ids in ascending order and, per
+// entry of ids, its value's rank among them. The values are numbered by
+// first appearance and only the distinct ones are sorted.
+func ranked(ids []int64) (sorted []int64, rank []int32) {
+	number := newKeyIndex(hashID, 0)
+	rank = make([]int32, len(ids)) // the entry's number, then its rank
+	for k, id := range ids {
+		rank[k] = number.of(id)
+	}
+	distinct := number.keys
+	order := make([]int32, len(distinct)) // rank -> number
+	for n := range order {
+		order[n] = int32(n)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(distinct[x], distinct[y]) })
+	rankOf := make([]int32, len(distinct))
+	sorted = make([]int64, len(distinct))
+	for r, n := range order {
+		rankOf[n] = int32(r)
+		sorted[r] = distinct[n]
+	}
+	for k, n := range rank {
+		rank[k] = rankOf[n]
+	}
+	return sorted, rank
 }
 
 // mergedCubes is the union of the shards' co-occurrence partials: a cube's
@@ -457,7 +510,7 @@ func (a *GraphAccumulator) mergedCubes() cubeSet {
 	for i := range a.parts {
 		partials[i] = a.parts[i].cooc
 	}
-	return newCubeFold(0, partials...).reduce()
+	return newCubeFold(0, partials...).reduce(a.Workers)
 }
 
 // denseTally reports whether a customer's co-member counts are emitted by
@@ -466,44 +519,25 @@ func (a *GraphAccumulator) mergedCubes() cubeSet {
 // is the cheaper of the two.
 func denseTally(touched, span int) bool { return touched*8 >= span }
 
-// finalizeCooccurrence emits the co-occurrence edges customer by customer
-// in ascending id, each customer's in ascending co-member id — the sorted
-// (min-id, max-id) list — without sorting the sightings by customer or the
-// pairs at all. The distinct ids are numbered by first appearance and only
-// they are sorted, giving every sighting a dense rank in ascending id
-// order, and a counting sort groups the sightings by rank. A cube's members
-// are sorted, so the co-members ranked above a sighting are the rest of its
-// cube: a customer's are tallied over all their cubes in an array indexed
-// by rank, then read back by scanning the touched span when it is dense
-// (denseTally) or by sorting the touched ranks when it is not. Customers
-// are independent, so chunks of them run across workers and their edge
-// runs concatenate in rank order; the result does not depend on the
-// chunking.
+// finalizeCooccurrence tallies the co-occurrence edges customer by
+// customer in ascending id, each customer's in ascending co-member id —
+// the sorted (min-id, max-id) list — without sorting the sightings by
+// customer or the pairs at all. Ranking the ids gives every sighting a
+// dense rank in ascending id order, and a counting sort groups the
+// sightings by rank. A cube's members are sorted, so the co-members ranked
+// above a sighting are the rest of its cube: a customer's are tallied over
+// all their cubes in an array indexed by rank, then read back by scanning
+// the touched span when it is dense (denseTally) or by sorting the touched
+// ranks when it is not. Customers are independent, so chunks of them run
+// across workers, each recording its rows' co-member ranks and counts, as
+// int32s, in a graph.Rows run; graph.FromUpper fills the graph from the
+// runs side by side. The result does not depend on the chunking.
 func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 	cs := a.mergedCubes()
-
-	number := newKeyIndex(hashID, 0)
-	rank := make([]int32, len(cs.ids)) // per sighting: its id's number, then its rank
-	for k, id := range cs.ids {
-		rank[k] = number.of(id)
-	}
-	ids := number.keys               // by number, then by rank
-	order := make([]int32, len(ids)) // rank -> number
-	for n := range order {
-		order[n] = int32(n)
-	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ids[x], ids[y]) })
-	rankOf := make([]int32, len(ids))
-	sorted := make([]int64, len(ids))
-	for r, n := range order {
-		rankOf[n] = int32(r)
-		sorted[r] = ids[n]
-	}
-	ids = sorted
+	ids, rank := ranked(cs.ids)        // rank: per sighting
 	start := make([]int32, len(ids)+1) // sightings of rank r: byRank[start[r]:start[r+1]]
-	for k, n := range rank {
-		rank[k] = rankOf[n]
-		start[rank[k]+1]++
+	for _, r := range rank {
+		start[r+1]++
 	}
 	for r := range ids {
 		start[r+1] += start[r]
@@ -521,44 +555,61 @@ func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 		}
 	}
 
-	// At most coocChunks chunks (boundaries depend on the id count alone), so
-	// the per-chunk tally arrays cost coocChunks × len(ids) at any scale.
+	// At most coocChunks chunks (boundaries depend on the id count alone).
+	// A chunk tallies into buffers that the chunks after it reuse, at most
+	// one set per worker, and keeps exact-size copies of its run.
+	type tallyBuf struct {
+		count   []int32 // co-member rank -> shared cubes, zero between rows
+		touched []int32 // the row's co-members, first-seen order
+		col, w  []int32 // the chunk's run so far
+	}
+	var bufs sync.Pool
 	grain := max((len(ids)+coocChunks-1)/coocChunks, 64)
-	runs := parallel.MapChunks(a.Workers, len(ids), grain, func(lo, hi int) []graph.Edge {
-		var edges []graph.Edge
-		count := make([]int32, len(ids)) // co-member rank -> shared cubes
-		var touched []int32
+	runs := parallel.MapChunks(a.Workers, len(ids), grain, func(lo, hi int) graph.Rows[int32] {
+		b, _ := bufs.Get().(*tallyBuf)
+		if b == nil {
+			b = &tallyBuf{count: make([]int32, len(ids)), touched: make([]int32, len(ids))}
+		}
+		defer bufs.Put(b)
+		count, touched := b.count, b.touched
+		lens := make([]int32, hi-lo)
+		col, w := b.col[:0], b.w[:0]
 		for r := lo; r < hi; r++ {
-			touched = touched[:0]
+			nt := 0
 			first, last := int32(len(ids)), int32(-1) // the touched span
 			for _, k := range byRank[start[r]:start[r+1]] {
 				for _, o := range rank[k+1 : cubeEnd[k]] {
-					if count[o] == 0 {
-						touched = append(touched, o)
-						first, last = min(first, o), max(last, o)
-					}
-					count[o]++
+					// Branch-free: every co-member is written at the end
+					// of touched, which grows only on its first sighting.
+					c := count[o]
+					touched[nt] = o
+					nt += int(uint32(c-1) >> 31)
+					count[o] = c + 1
+					first, last = min(first, o), max(last, o)
 				}
 			}
-			if len(touched) == 0 {
+			lens[r-lo] = int32(nt)
+			if nt == 0 {
 				continue
 			}
-			if denseTally(len(touched), int(last-first)+1) {
+			if denseTally(nt, int(last-first)+1) {
 				for o := first; o <= last; o++ {
 					if count[o] != 0 {
-						edges = append(edges, graph.Edge{U: int32(r), V: o, W: float64(count[o])})
+						col, w = append(col, o), append(w, count[o])
 						count[o] = 0
 					}
 				}
 				continue
 			}
-			slices.Sort(touched)
-			for _, o := range touched {
-				edges = append(edges, graph.Edge{U: int32(r), V: o, W: float64(count[o])})
+			seen := touched[:nt]
+			slices.Sort(seen)
+			for _, o := range seen {
+				col, w = append(col, o), append(w, count[o])
 				count[o] = 0
 			}
 		}
-		return edges
+		b.col, b.w = col, w
+		return graph.Rows[int32]{Len: lens, Col: slices.Clone(col), W: slices.Clone(w)}
 	})
-	return graph.FromEdges(ids, runs...)
+	return graph.FromUpper(ids, runs, a.Workers)
 }

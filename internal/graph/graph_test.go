@@ -313,3 +313,71 @@ func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFromUpperMatchesFromEdges pins the row-run constructor to the edge
+// list build on all five arrays: random upper-triangular lists over
+// ascending ids, split into runs at arbitrary rows (empty runs and rows
+// without edges among them), with skipped weights, at several worker
+// counts.
+func TestFromUpperMatchesFromEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bad := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := range 40 {
+		n := rng.Intn(80)
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(100 + 3*i)
+		}
+		density := 1 + rng.Intn(8)
+		var edges []Edge
+		lens := make([]int32, n)
+		for r := range n {
+			for c := r + 1; c < n; c++ {
+				if rng.Intn(density*3) != 0 {
+					continue
+				}
+				w := float64(1+rng.Intn(5)) + rng.Float64()
+				if rng.Intn(20) == 0 {
+					w = bad[rng.Intn(len(bad))]
+				}
+				edges = append(edges, Edge{U: int32(r), V: int32(c), W: w})
+				lens[r]++
+			}
+		}
+		// Cut the rows into runs at random points.
+		var runs []Rows[float64]
+		row, k := 0, 0
+		for row < n || len(runs) == 0 {
+			m := min(rng.Intn(12), n-row)
+			e := 0
+			for _, l := range lens[row : row+m] {
+				e += int(l)
+			}
+			run := Rows[float64]{Len: lens[row : row+m], Col: make([]int32, e), W: make([]float64, e)}
+			for j := range e {
+				run.Col[j], run.W[j] = edges[k+j].V, edges[k+j].W
+			}
+			runs = append(runs, run)
+			row, k = row+m, k+e
+		}
+		want := FromEdges(ids, edges)
+		for _, workers := range []int{1, 2, 7} {
+			got := FromUpper(ids, runs, workers)
+			if err := SameArrays(want, got); err != nil {
+				t.Fatalf("trial %d (%d ids, %d edges, %d runs) workers=%d: %v", trial, n, len(edges), len(runs), workers, err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestFromUpperRejectsEdgeBelowDiagonal(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FromUpper accepted an edge below the diagonal")
+		}
+	}()
+	FromUpper([]int64{1, 2}, []Rows[float64]{{Len: []int32{0, 1}, Col: []int32{0}, W: []float64{1}}}, 1)
+}

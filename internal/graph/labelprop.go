@@ -1,6 +1,10 @@
 package graph
 
-import "telcochurn/internal/parallel"
+import (
+	"math"
+
+	"telcochurn/internal/parallel"
+)
 
 // LabelPropOptions configures label propagation.
 type LabelPropOptions struct {
@@ -50,7 +54,6 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 	C := numClasses
 	uniform := 1.0 / float64(C)
 	y := make([]float64, n*C)
-	next := make([]float64, n*C)
 	fixed := make([]bool, n) // seed rows
 	for i, id := range g.ids {
 		row := y[i*C : (i+1)*C]
@@ -63,6 +66,11 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 			}
 		}
 	}
+
+	if C == 2 {
+		return g.twoClass(y, fixed, opts)
+	}
+	next := make([]float64, n*C)
 
 	// The sweep is already a gather (row i reads y, writes only its row of
 	// next), so rows parallelize freely across the double buffers;
@@ -85,24 +93,13 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 						row[c] = uniform
 					}
 					continue
-				case C == 2:
-					// Step 1, Y <- W Y restricted to row i, for the churn
-					// features' two classes: the same products summed in the
-					// same edge order as the general loop below.
-					r0, r1 := 0.0, 0.0
-					for k, t := range to {
-						j := 2 * int(t)
-						r0 += float64(w[k] * y[j])
-						r1 += float64(w[k] * y[j+1])
-					}
-					row[0], row[1] = r0, r1
-				default:
-					clear(row)
-					for k, t := range to {
-						src := y[int(t)*C : (int(t)+1)*C]
-						for c := range row {
-							row[c] += float64(w[k] * src[c])
-						}
+				}
+				// Step 1, Y <- W Y restricted to row i.
+				clear(row)
+				for k, t := range to {
+					src := y[int(t)*C : (int(t)+1)*C]
+					for c := range row {
+						row[c] += float64(w[k] * src[c])
 					}
 				}
 				// Step 2: row-normalize.
@@ -136,4 +133,72 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 	}
 
 	return y
+}
+
+// twoClass runs the sweeps of LabelPropagation for the churn features' two
+// classes from the flat start rows y: the same products, summed in the
+// same edge order, and the same normalization and delta as the general
+// sweep, bit for bit, over rows held as pairs so that each neighbour's row
+// is one load and one bounds check. The rows are copied back flat at the
+// end.
+func (g *Graph) twoClass(flat []float64, fixed []bool, opts LabelPropOptions) []float64 {
+	n := len(fixed)
+	y, next := make([][2]float64, n), make([][2]float64, n)
+	for i := range y {
+		y[i] = [2]float64{flat[2*i], flat[2*i+1]}
+	}
+	off, to, wt := g.off, g.to, g.w
+	for iter := 0; iter < opts.MaxIters; iter++ {
+		cur, nxt := y, next
+		delta := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
+			dl := 0.0
+			for i := lo; i < hi; i++ {
+				old := cur[i]
+				a, b := off[i], off[i+1]
+				switch {
+				case fixed[i]:
+					nxt[i] = old
+					continue
+				case a == b:
+					// Isolated unlabeled vertex: stays uniform.
+					nxt[i] = [2]float64{0.5, 0.5}
+					continue
+				}
+				r0, r1 := gather2(cur, to[a:b], wt[a:b])
+				if sum := r0 + r1; sum > 0 {
+					r0, r1 = r0/sum, r1/sum
+				} else {
+					r0, r1 = 0.5, 0.5
+				}
+				nxt[i] = [2]float64{r0, r1}
+				dl += math.Abs(r0 - old[0])
+				dl += math.Abs(r1 - old[1])
+			}
+			return dl
+		})
+		y, next = next, y
+		if delta < opts.Tolerance*float64(n) {
+			break
+		}
+	}
+	for i, row := range y {
+		flat[2*i], flat[2*i+1] = row[0], row[1]
+	}
+	return flat
+}
+
+// gather2 is step 1, Y <- W Y, for one two-class row: the sums over the
+// adjacency adj, weights w, of each neighbour's row times the edge weight,
+// each product rounded before it is added. It is a function of its own so
+// that the loop keeps its few values in registers.
+//
+//go:noinline
+func gather2(y [][2]float64, adj []int32, w []float64) (r0, r1 float64) {
+	w = w[:len(adj)]
+	for k, t := range adj {
+		p := &y[t]
+		r0 += float64(w[k] * p[0])
+		r1 += float64(w[k] * p[1])
+	}
+	return r0, r1
 }

@@ -86,25 +86,46 @@ func (s *Scorer) Metrics() *Metrics { return s.metrics }
 // Classifier.Score walk — zero allocations for the tree families — and
 // bit-identical to the same customer scored inside a Score call.
 func (s *Scorer) ScoreOne(ctx context.Context, id int64) (float64, error) {
-	start := time.Now()
+	return s.ScoreOneSince(ctx, id, time.Now(), 0)
+}
+
+// ScoreOneSince is ScoreOne for a request that began at start and must be
+// answered within budget of it (0: no budget). It reads the clock once,
+// after the lookup and the walk, both to observe the latency since start
+// and to check the budget: scoring changes nothing, so a request found
+// over budget then fails with context.DeadlineExceeded, counted as
+// canceled, as if it had been refused on arrival.
+func (s *Scorer) ScoreOneSince(ctx context.Context, id int64, start time.Time, budget time.Duration) (float64, error) {
 	s.metrics.Requests.Add(1)
-	if err := ctx.Err(); err != nil {
+	var score float64
+	err := ctx.Err()
+	canceled := err != nil
+	switch {
+	case canceled:
+	case s.closed.Load():
+		err = ErrClosed
+	default:
+		if vec, ok := s.prov.Vector(id); ok {
+			score = s.clf.Score(vec)
+		} else {
+			err = unknownCustomer(id)
+		}
+	}
+	elapsed := time.Since(start)
+	switch {
+	case budget > 0 && elapsed >= budget:
+		canceled, err = true, context.DeadlineExceeded
+	case err == nil:
+		s.metrics.Scored.Add(1)
+		s.metrics.LatencyNs.Observe(uint64(elapsed))
+		return score, nil
+	}
+	if canceled {
 		s.metrics.Canceled.Add(1)
-		return 0, err
-	}
-	if s.closed.Load() {
+	} else {
 		s.metrics.Errors.Add(1)
-		return 0, ErrClosed
 	}
-	vec, ok := s.prov.Vector(id)
-	if !ok {
-		s.metrics.Errors.Add(1)
-		return 0, unknownCustomer(id)
-	}
-	score := s.clf.Score(vec)
-	s.metrics.Scored.Add(1)
-	s.metrics.LatencyNs.Observe(uint64(time.Since(start)))
-	return score, nil
+	return 0, err
 }
 
 // unknownCustomer is split out so ScoreOne's happy case stays free of the

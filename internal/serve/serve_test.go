@@ -125,6 +125,39 @@ func TestScorerContextCancel(t *testing.T) {
 	}
 }
 
+// TestScoreOneSinceBudget: a request found over its budget after the walk
+// fails with context.DeadlineExceeded and counts as canceled, ahead of any
+// other error; one within budget scores as ScoreOne does and is timed.
+func TestScoreOneSinceBudget(t *testing.T) {
+	s := NewScorer(&sumClassifier{}, newMapProvider(10), Config{}, nil)
+	defer s.Close()
+	ctx := context.Background()
+	late := time.Now().Add(-time.Hour)
+	for _, id := range []int64{3, 99} { // known, unknown
+		if _, err := s.ScoreOneSince(ctx, id, late, time.Minute); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("id %d over budget: err = %v, want context.DeadlineExceeded", id, err)
+		}
+	}
+	m := s.Metrics()
+	if m.Requests.Load() != 2 || m.Canceled.Load() != 2 || m.Scored.Load() != 0 || m.Errors.Load() != 0 {
+		t.Fatalf("over budget: requests %d canceled %d scored %d errors %d, want 2 2 0 0",
+			m.Requests.Load(), m.Canceled.Load(), m.Scored.Load(), m.Errors.Load())
+	}
+	want, err := s.ScoreOne(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []time.Duration{0, time.Hour} {
+		got, err := s.ScoreOneSince(ctx, 3, late.Add(30*time.Minute), budget)
+		if err != nil || got != want {
+			t.Fatalf("budget %v: %v, %v; want %v", budget, got, err, want)
+		}
+	}
+	if got := m.LatencyNs.Snapshot()["count"]; got != uint64(3) {
+		t.Errorf("latency observations = %v, want 3", got)
+	}
+}
+
 // TestScorerQueueFull is the admission contract: QueueSize bounds the
 // customer scores in flight, a request past the bound sheds with
 // ErrQueueFull, one that could never fit fails with ErrTooManyIDs, and the

@@ -251,7 +251,7 @@ func writeSegment(w io.Writer, seq uint64, names []string, batch map[string]*tab
 	cw.Uvarint(uint64(len(names)))
 	for _, name := range names {
 		cw.Str(name)
-		writeTableBody(cw, batch[name])
+		writeTableBody(cw, batch[name], nil)
 	}
 	_, err := cw.Close()
 	return err

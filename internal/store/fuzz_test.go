@@ -79,7 +79,7 @@ func checkReencoded(t *testing.T, input, enc []byte) {
 
 func FuzzReadTable(f *testing.F) {
 	for _, tb := range []*table.Table{goldenTable(f), table.NewTable(table.MustSchema(table.Field{Name: "imsi", Type: table.Int64}))} {
-		f.Add(frameBody(f, magic, func(b *bytes.Buffer) error { return writeTable(b, tb) }))
+		f.Add(frameBody(f, magic, func(b *bytes.Buffer) error { return writeTable(b, tb, nil) }))
 	}
 	for _, body := range hostileBodies() {
 		f.Add(body)
@@ -103,7 +103,7 @@ func FuzzReadTable(f *testing.F) {
 			t.Fatalf("decoded an invalid table: %v", err)
 		}
 		var enc bytes.Buffer
-		if err := writeTable(&enc, tb); err != nil {
+		if err := writeTable(&enc, tb, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkReencoded(t, data, enc.Bytes())

@@ -267,6 +267,9 @@ func (sw *ShardedWarehouse) WritePartition(name string, month int, t *table.Tabl
 			return fmt.Errorf("store: sharded write of %q needs a BIGINT %q column", name, shardKey)
 		}
 		idx = make([][]int, sw.shards)
+		for s := range idx {
+			idx[s] = []int{} // an empty shard selects no rows, not all of them
+		}
 		for i, k := range t.Cols[ki].Ints {
 			s := table.ShardOf(k, sw.shards)
 			idx[s] = append(idx[s], i)
@@ -277,14 +280,14 @@ func (sw *ShardedWarehouse) WritePartition(name string, month int, t *table.Tabl
 	}
 	dir := filepath.Join(sw.w.root, name)
 	for s := 0; s < sw.shards; s++ {
-		// One shard slice is materialized at a time, so the write path's
-		// peak memory is the input table plus 1/N of it.
-		part := t
+		// Each shard file encodes its rows straight from t's columns, so
+		// the write path holds no copy of a shard.
+		var rows []int // nil: the plain layout's one file holds every row
 		if idx != nil {
-			part = t.Take(idx[s])
+			rows = idx[s]
 		}
 		dst := filepath.Join(dir, partName(month, s, sw.shards))
-		if _, err := sw.w.commit(OpWritePartition, name, month, dir, dst, true, func(f io.Writer) error { return writeTable(f, part) }); err != nil {
+		if _, err := sw.w.commit(OpWritePartition, name, month, dir, dst, true, func(f io.Writer) error { return writeTable(f, t, rows) }); err != nil {
 			return err
 		}
 	}

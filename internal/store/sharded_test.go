@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -315,5 +317,57 @@ func TestShardReaderConcatenatesMonths(t *testing.T) {
 	}
 	if total != 20 {
 		t.Fatalf("shard readers return %d rows, want 20", total)
+	}
+}
+
+// TestShardedWriteMatchesTakePath pins the copy-free shard write to the
+// bytes of encoding each shard's t.Take copy: every column type, rows in
+// table order, and shards left empty.
+func TestShardedWriteMatchesTakePath(t *testing.T) {
+	tb := table.NewTable(table.MustSchema(
+		table.Field{Name: "imsi", Type: table.Int64},
+		table.Field{Name: "dur", Type: table.Float64},
+		table.Field{Name: "text", Type: table.String},
+	))
+	// Ids drawn from a few customers, so some of the 8 shards stay empty.
+	for i := 0; i < 300; i++ {
+		id := int64(1_000_000 + (i*7)%5)
+		if err := tb.AppendRow(id, float64(i)/3, fmt.Sprintf("q%d", i%11)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const shards = 8
+	wh := openTemp(t)
+	sw, err := wh.Sharded(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WritePartition("search", 1, tb); err != nil {
+		t.Fatal(err)
+	}
+	idx := make([][]int, shards)
+	for i, id := range tb.MustCol("imsi").Ints {
+		s := table.ShardOf(id, shards)
+		idx[s] = append(idx[s], i)
+	}
+	empty := 0
+	for s := range shards {
+		var want bytes.Buffer
+		if err := writeTable(&want, tb.Take(idx[s]), nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(wh.root, "search", partName(1, s, shards)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("shard %d: %d bytes differ from the Take path's %d", s, len(got), want.Len())
+		}
+		if len(idx[s]) == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("fixture left no shard empty")
 	}
 }

@@ -280,37 +280,59 @@ func concat(n int, read func(i int) (*table.Table, error)) (*table.Table, error)
 
 // ---- binary encoding ----
 
-// writeTable frames one table as a .tct file.
-func writeTable(w io.Writer, t *table.Table) error {
+// writeTable frames the rows of t that rows selects (nil: all of them) as
+// a .tct file.
+func writeTable(w io.Writer, t *table.Table, rows []int) error {
 	cw := codec.NewWriter(w, magic)
-	writeTableBody(cw, t)
+	writeTableBody(cw, t, rows)
 	_, err := cw.Close()
 	return err
 }
 
 // writeTableBody encodes the schema block, row count and column blocks —
-// the framing-free middle of a .tct file. Partition files wrap one body in
-// magic + CRC; event-log segments pack several bodies into one frame.
-func writeTableBody(cw *codec.Writer, t *table.Table) {
+// the framing-free middle of a .tct file — of the rows of t that rows
+// selects, in that order (nil: all rows): the bytes of t.Take(rows), with
+// no copy made. Partition files wrap one body in magic + CRC; event-log
+// segments pack several bodies into one frame.
+func writeTableBody(cw *codec.Writer, t *table.Table, rows []int) {
 	cw.Uvarint(uint64(t.Schema.Len()))
 	for _, field := range t.Schema.Fields {
 		cw.Str(field.Name)
 		cw.Uvarint(uint64(field.Type))
 	}
-	cw.Uvarint(uint64(t.NumRows()))
+	n := t.NumRows()
+	if rows != nil {
+		n = len(rows)
+	}
+	cw.Uvarint(uint64(n))
 	for _, col := range t.Cols {
 		switch col.Type {
 		case table.Int64:
-			for _, v := range col.Ints {
-				cw.Int(v)
+			if rows == nil {
+				for _, v := range col.Ints {
+					cw.Int(v)
+				}
+			}
+			for _, i := range rows {
+				cw.Int(col.Ints[i])
 			}
 		case table.Float64:
-			for _, v := range col.Floats {
-				cw.Float(v)
+			if rows == nil {
+				for _, v := range col.Floats {
+					cw.Float(v)
+				}
+			}
+			for _, i := range rows {
+				cw.Float(col.Floats[i])
 			}
 		case table.String:
-			for _, v := range col.Strings {
-				cw.Str(v)
+			if rows == nil {
+				for _, v := range col.Strings {
+					cw.Str(v)
+				}
+			}
+			for _, i := range rows {
+				cw.Str(col.Strings[i])
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func NewWorld(cfg Config) *World {
 		month:          1,
 		communityShock: make(map[int]float64),
 		churnedLast:    make(map[int64]bool),
-		rows:           make(map[string]int),
+		rows:           cfg.firstMonthRows(),
 	}
 	w.buildCells()
 	w.numCommunities = cfg.Customers/cfg.CommunitySize + 1
@@ -143,6 +143,26 @@ func NewWorld(cfg Config) *World {
 	}
 	w.month = 1
 	return w
+}
+
+// firstMonthRows sizes the tables of the first simulated month, a burn-in
+// month unless BurnInMonths is 0, before any month's row counts are known:
+// Customers times each event table's configured per-customer mean, and one
+// row per customer for the monthly snapshots. Appetite and activity scale
+// the means down, so they are upper estimates; the complaint and recharge
+// logs, a fraction of a row per customer, start empty.
+func (c Config) firstMonthRows() map[string]int {
+	n := float64(c.Customers)
+	return map[string]int{
+		TableCalls:     int(n * c.CallsPerMonth),
+		TableMessages:  int(n * c.MessagesPerMonth),
+		TableWeb:       int(n * c.DataDaysPerMonth),
+		TableSearch:    int(n * c.SearchesPerMonth),
+		TableLocations: int(n * c.LocationFixesPerDay * float64(c.DaysPerMonth)),
+		TableBilling:   c.Customers,
+		TableCustomers: c.Customers,
+		TableTruth:     c.Customers,
+	}
 }
 
 func (w *World) buildCells() {
