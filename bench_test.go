@@ -127,6 +127,54 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadWindow times the whole-window load every frame build makes:
+// the nine raw tables of a window read through features.LoadTables at the
+// default worker count, over the benchmark-size world (1 500 customers x 4
+// months) landed plain and 8-shard. A sharded month joins its eight files
+// per table in one table.Concat; a 3-month window joins three months.
+func BenchmarkLoadWindow(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.Customers = 1500
+	cfg.Months = 4
+	cfg.Seed = 1
+	cfg.BurnInMonths = 1
+	days := cfg.DaysPerMonth
+	land := func(b *testing.B, shards int) *store.Warehouse {
+		wh, err := store.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		wh.SetSync(store.SyncPolicy{Mode: store.SyncOff})
+		sw, err := wh.Sharded(shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := synth.GenerateToShardedWarehouse(cfg, sw); err != nil {
+			b.Fatal(err)
+		}
+		return wh
+	}
+	for _, bc := range []struct {
+		name   string
+		shards int
+		win    features.Window
+	}{
+		{"plain-month", 1, features.MonthWindow(4, days)},
+		{"8-shard-month", 8, features.MonthWindow(4, days)},
+		{"plain-3-months", 1, features.Window{FromAbs: features.AbsDay(2, 1, days), ToAbs: features.AbsDay(4, days, days)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			wh := land(b, bc.shards)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := features.LoadTables(wh, bc.win, days, true, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkStoreWriteRead(b *testing.B) {
 	months := benchWorld(b)
 	wh, err := store.Open(b.TempDir())

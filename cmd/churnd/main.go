@@ -347,7 +347,7 @@ func (s *service) buildEngine() (*engine, error) {
 // replay, a maintainer that will not wire (schema drift, F9, a degraded
 // window) or a failed frame leave ingest disabled.
 func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, error) {
-	inc, err := core.LoadIncremental(e.rs.Source, e.win)
+	inc, err := core.LoadIncremental(e.rs.Source, e.win, e.pipe.Config().Workers)
 	if err != nil {
 		return nil, err
 	}

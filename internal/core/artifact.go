@@ -264,6 +264,9 @@ func Load(r io.Reader) (*Pipeline, error) {
 		if c.model, err = linear.DecodeModel(rd); err != nil {
 			return nil, badArtifact(err)
 		}
+		if err := checkBinarized(c.bin, len(c.model.Weights), len(p.featNames)); err != nil {
+			return nil, err
+		}
 		p.clf = c
 	case tagLibFM:
 		c := &FMClassifier{Buckets: int(rd.Uvarint())}
@@ -272,6 +275,9 @@ func Load(r io.Reader) (*Pipeline, error) {
 		}
 		if c.model, err = fm.DecodeModel(rd); err != nil {
 			return nil, badArtifact(err)
+		}
+		if err := checkBinarized(c.bin, len(c.model.W), len(p.featNames)); err != nil {
+			return nil, err
 		}
 		p.clf = c
 	default:
@@ -291,6 +297,20 @@ func Load(r io.Reader) (*Pipeline, error) {
 		return nil, badArtifact(err)
 	}
 	return p, nil
+}
+
+// checkBinarized rejects a binarizing classifier (LIBLINEAR, LIBFM) that
+// could not score the schema's rows: its binarizer must cut every schema
+// feature and no other, and its model must weigh every binarized output
+// and no other. Either mismatch would index past a row at score time.
+func checkBinarized(bin *linear.Binarizer, modelWidth, schemaWidth int) error {
+	if n := bin.NumInputs(); n != schemaWidth {
+		return fmt.Errorf("%w: binarizer cuts %d features, schema has %d", ErrBadArtifact, n, schemaWidth)
+	}
+	if n := bin.NumOutputs(); n != modelWidth {
+		return fmt.Errorf("%w: binarizer makes %d features, model weighs %d", ErrBadArtifact, n, modelWidth)
+	}
+	return nil
 }
 
 // LoadFile reads a pipeline bundle from disk.

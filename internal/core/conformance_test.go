@@ -50,7 +50,7 @@ func retrying(src core.Source) core.Source {
 // in: it answers month 2 from memory and must read what src reads. Loading
 // it fails only without a customer snapshot.
 func overlaid(src core.Source) (core.Source, error) {
-	inc, err := core.LoadIncremental(src, features.MonthWindow(2, src.DaysPerMonth()))
+	inc, err := core.LoadIncremental(src, features.MonthWindow(2, src.DaysPerMonth()), 2)
 	if err != nil {
 		return core.Source{}, err
 	}
@@ -297,7 +297,7 @@ func TestSourceConformanceOverlayCopies(t *testing.T) {
 	for name, tb := range sim[1].Tables() {
 		before[name] = tb.NumRows()
 	}
-	inc, err := core.LoadIncremental(src, win)
+	inc, err := core.LoadIncremental(src, win, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,3 +195,146 @@ func TestHostileSplitFeatureRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestHostileBinarizedArtifactRejected: a LIBFM or LIBLINEAR artifact
+// whose parts do not fit each other or the schema must fail the load with
+// the typed error — not load, then panic at score by indexing past the
+// binarizer's cuts, an FM latent row or the model's weights. Every part is
+// decoded from stream bytes, as a loaded artifact's are; the fitting shapes
+// are the controls, and they score.
+func TestHostileBinarizedArtifactRejected(t *testing.T) {
+	const magic = "TEST"
+	decode := func(write func(*codec.Writer), dec func(*codec.Reader) error) error {
+		var buf bytes.Buffer
+		w := codec.NewWriter(&buf, magic)
+		write(w)
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := codec.NewReaderBytes(buf.Bytes(), magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec(rd)
+	}
+	// writeFM writes an FM of the given weight count and latent row widths.
+	writeFM := func(weights int, widths ...int) func(*codec.Writer) {
+		return func(w *codec.Writer) {
+			w.Float(0.1)
+			w.Floats(make([]float64, weights))
+			w.Uvarint(uint64(len(widths)))
+			for i, k := range widths {
+				row := make([]float64, k)
+				for j := range row {
+					row[j] = 0.1 * float64(i+j+1)
+				}
+				w.Floats(row)
+			}
+		}
+	}
+	// writeBinarizer writes a binarizer with cuts[j] boundaries for source
+	// feature j and the given number of output names.
+	writeBinarizer := func(names int, cuts ...int) func(*codec.Writer) {
+		return func(w *codec.Writer) {
+			w.Uvarint(uint64(len(cuts)))
+			for _, c := range cuts {
+				b := make([]float64, c)
+				for i := range b {
+					b[i] = float64(i)
+				}
+				w.Floats(b)
+			}
+			w.Strs(make([]string, names))
+		}
+	}
+	outputs := func(cuts []int) int {
+		n := 0
+		for _, c := range cuts {
+			n += c + 1
+		}
+		return n
+	}
+	readFM := func(weights int, widths ...int) error {
+		return decode(writeFM(weights, widths...), func(rd *codec.Reader) error { _, err := fm.DecodeModel(rd); return err })
+	}
+	readBinarizer := func(names int, cuts ...int) error {
+		return decode(writeBinarizer(names, cuts...), func(rd *codec.Reader) error { _, err := linear.DecodeBinarizer(rd); return err })
+	}
+	// load bundles clf under a schema of the given width, loads the bundle
+	// back and, if it loads, scores one row of the schema's width.
+	load := func(schema int, clf Classifier) error {
+		var buf bytes.Buffer
+		if _, err := (&Pipeline{featNames: []string{"x", "y", "z"}[:schema], clf: clf}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Load(&buf)
+		if err == nil {
+			p.clf.(SingleScorer).Score(make([]float64, schema))
+		}
+		return err
+	}
+	// binarizer decodes a binarizer that names all of its outputs.
+	binarizer := func(cuts []int) *linear.Binarizer {
+		var bin *linear.Binarizer
+		if err := decode(writeBinarizer(outputs(cuts), cuts...), func(rd *codec.Reader) (err error) {
+			bin, err = linear.DecodeBinarizer(rd)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return bin
+	}
+	loadFM := func(schema, width int, cuts ...int) error {
+		c := &FMClassifier{bin: binarizer(cuts)}
+		widths := make([]int, width)
+		for i := range widths {
+			widths[i] = 2
+		}
+		if err := decode(writeFM(width, widths...), func(rd *codec.Reader) (err error) {
+			c.model, err = fm.DecodeModel(rd)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return load(schema, c)
+	}
+	loadLinear := func(schema, width int, cuts ...int) error {
+		c := &LinearClassifier{bin: binarizer(cuts)}
+		if err := decode(func(w *codec.Writer) { w.Float(0.2); w.Floats(make([]float64, width)) }, func(rd *codec.Reader) (err error) {
+			c.model, err = linear.DecodeModel(rd)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return load(schema, c)
+	}
+	for _, tc := range []struct {
+		name string
+		err  func() error
+		want error
+	}{
+		{"fm.DecodeModel 4 weights, 4 rows of 2", func() error { return readFM(4, 2, 2, 2, 2) }, nil},
+		{"fm.DecodeModel row 3 of width 1", func() error { return readFM(4, 2, 2, 2, 1) }, codec.ErrCorrupt},
+		{"fm.DecodeModel row 1 wider", func() error { return readFM(4, 2, 3, 2, 2) }, codec.ErrCorrupt},
+		{"fm.DecodeModel 4 weights, 3 rows", func() error { return readFM(4, 2, 2, 2) }, codec.ErrCorrupt},
+		{"fm.DecodeModel 3 weights, 4 rows", func() error { return readFM(3, 2, 2, 2, 2) }, codec.ErrCorrupt},
+		{"linear.DecodeBinarizer 5 outputs, 5 names", func() error { return readBinarizer(5, 1, 2) }, nil},
+		{"linear.DecodeBinarizer 5 outputs, 4 names", func() error { return readBinarizer(4, 1, 2) }, codec.ErrCorrupt},
+		{"linear.DecodeBinarizer 5 outputs, 6 names", func() error { return readBinarizer(6, 1, 2) }, codec.ErrCorrupt},
+		{"core.Load LIBFM fitting", func() error { return loadFM(2, 5, 1, 2) }, nil},
+		{"core.Load LIBFM binarizer of 2 features, schema of 3", func() error { return loadFM(3, 5, 1, 2) }, ErrBadArtifact},
+		{"core.Load LIBFM binarizer of 3 features, schema of 2", func() error { return loadFM(2, 7, 1, 2, 1) }, ErrBadArtifact},
+		{"core.Load LIBFM model of 4, binarizer of 5", func() error { return loadFM(2, 4, 1, 2) }, ErrBadArtifact},
+		{"core.Load LIBFM model of 6, binarizer of 5", func() error { return loadFM(2, 6, 1, 2) }, ErrBadArtifact},
+		{"core.Load LIBLINEAR fitting", func() error { return loadLinear(2, 5, 1, 2) }, nil},
+		{"core.Load LIBLINEAR binarizer of 2 features, schema of 1", func() error { return loadLinear(1, 5, 1, 2) }, ErrBadArtifact},
+		{"core.Load LIBLINEAR model of 4, binarizer of 5", func() error { return loadLinear(2, 4, 1, 2) }, ErrBadArtifact},
+		{"core.Load LIBLINEAR model of 6, binarizer of 5", func() error { return loadLinear(2, 6, 1, 2) }, ErrBadArtifact},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.err(); !errors.Is(err, tc.want) {
+				t.Errorf("error = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}

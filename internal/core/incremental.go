@@ -23,10 +23,10 @@ import (
 // for the argument and the property test.
 type Incremental struct {
 	maint *features.Maintainer
-	// missing holds the load error of each window table the source could
-	// not read. The maintainer holds an empty stand-in for it; View answers
-	// it with the error, so it is never read a second time.
-	missing map[string]error
+	// missing names the window tables the source could not read, in
+	// canonical order. The maintainer holds an empty stand-in for each;
+	// View leaves them to the base source, whose error they carry.
+	missing []string
 
 	// Set by Wire.
 	pipe *Pipeline
@@ -43,7 +43,7 @@ type Incremental struct {
 // against the fitted pipeline's serving schema (LoadIncremental, then
 // Wire): every table must be readable.
 func NewIncremental(pipe *Pipeline, src Source, win features.Window) (*Incremental, error) {
-	inc, err := LoadIncremental(src, win)
+	inc, err := LoadIncremental(src, win, pipe.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -54,22 +54,15 @@ func NewIncremental(pipe *Pipeline, src Source, win features.Window) (*Increment
 }
 
 // LoadIncremental reads the window's nine raw tables once, through one
-// reader of src, and indexes them in a maintainer. The load is lenient: a
-// table src cannot produce after whatever retries it performs becomes an
-// empty stand-in and its error is kept for View. Only the customer snapshot
-// is required (features.ErrUniverseUnavailable). The window must be one
-// whole month. src's tables are never written into, so an in-memory source
-// can be loaded directly.
-func LoadIncremental(src Source, win features.Window) (*Incremental, error) {
-	rd := src.open(-1)
-	missing := map[string]error{}
-	tbl, _, err := features.LoadTables(readerFunc(func(name string, months []int) (*table.Table, error) {
-		t, err := rd.ReadMonths(name, months)
-		if err != nil {
-			missing[name] = err
-		}
-		return t, err
-	}), win, src.DaysPerMonth(), false)
+// reader of src and up to workers goroutines (features.LoadTables), and
+// indexes them in a maintainer. The load is lenient: a table src cannot
+// produce after whatever retries it performs becomes an empty stand-in and
+// is named missing. Only the customer snapshot is required
+// (features.ErrUniverseUnavailable). The window must be one whole month.
+// src's tables are never written into, so an in-memory source can be
+// loaded directly.
+func LoadIncremental(src Source, win features.Window, workers int) (*Incremental, error) {
+	tbl, missing, err := features.LoadTables(src.open(-1), win, src.DaysPerMonth(), false, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -177,9 +170,10 @@ func (inc *Incremental) Refresh(id int64, base []float64) ([]float64, error) {
 // snapshot of the maintained tables, taken now: later Ingest calls never
 // reach it, and it copies no row. A shard reader (shard >= 0) takes only
 // the rows whose imsi hashes to its shard (table.ShardOf, the split the
-// sharded writer makes after a merge). A table the load could not read
-// answers with its load error. Every other read — truth, other months — goes
-// to base, so over a retrying source only those retry.
+// sharded writer makes after a merge). Every other read — truth, other
+// months, a table the load could not read (the maintainer holds none of
+// its rows) — goes to base, so over a retrying source only those retry,
+// and a table still down answers with base's own error.
 func (inc *Incremental) View(base Source) Source {
 	v := viewReader{
 		month:   inc.maint.Window().LastMonth(inc.maint.DaysPerMonth()),
@@ -201,43 +195,27 @@ type viewReader struct {
 	shard, shards int
 	month         int
 	tables        map[string]*table.Table
-	missing       map[string]error
+	missing       []string
 }
 
 func (r viewReader) ReadMonths(name string, months []int) (*table.Table, error) {
 	snap := r.tables[name]
-	if snap == nil || !slices.Contains(months, r.month) {
+	if snap == nil || !slices.Contains(months, r.month) || slices.Contains(r.missing, name) {
 		return r.rd.ReadMonths(name, months)
-	}
-	if err := r.missing[name]; err != nil {
-		return nil, err
 	}
 	if r.shard >= 0 {
 		keys := snap.MustCol("imsi").Ints
 		snap = snap.Filter(func(i int) bool { return table.ShardOf(keys[i], r.shards) == r.shard })
 	}
-	if len(months) == 1 {
-		return snap, nil
-	}
-	out := table.NewTable(snap.Schema)
-	for _, m := range months {
-		part := snap
+	parts := make([]*table.Table, len(months))
+	for i, m := range months {
+		parts[i] = snap
 		if m != r.month {
 			var err error
-			if part, err = r.rd.ReadMonths(name, []int{m}); err != nil {
+			if parts[i], err = r.rd.ReadMonths(name, []int{m}); err != nil {
 				return nil, err
 			}
 		}
-		if err := out.AppendTable(part); err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
-}
-
-// readerFunc adapts a function to features.TableReader.
-type readerFunc func(name string, months []int) (*table.Table, error)
-
-func (f readerFunc) ReadMonths(name string, months []int) (*table.Table, error) {
-	return f(name, months)
+	return table.Concat(parts)
 }

@@ -270,8 +270,8 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, shards int, fit b
 		Groups:       want &^ features.GroupSetOf(features.F9SecondOrder),
 		Complaints:   p.complaints,
 		Search:       p.search,
-		Load: func(s int) (features.Tables, []string, error) {
-			return features.LoadTables(reader(s), win, days, !partial)
+		Load: func(s, workers int) (features.Tables, []string, error) {
+			return features.LoadTables(reader(s), win, days, !partial, workers)
 		},
 		LoadCustomers: func(s int) (*table.Table, error) {
 			return reader(s).ReadMonths(synth.TableCustomers, win.Months(days))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +16,17 @@ import (
 )
 
 // flakyReader fails every read a set number of times before succeeding.
+// Its count is locked, as the TableReader contract asks.
 type flakyReader struct {
+	mu       sync.Mutex
 	failures int
 	calls    int
 	err      error
 }
 
 func (r *flakyReader) ReadMonths(name string, months []int) (*table.Table, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.calls++
 	if r.calls <= r.failures {
 		return nil, r.err
@@ -34,8 +39,15 @@ func readerSource(r features.TableReader) Source {
 	return Source{days: 30, open: func(int) features.TableReader { return r }}
 }
 
+// fakeClock records each backoff instead of sleeping it; retries of a
+// window's tables run concurrently, so the record is locked.
 func fakeClock(delays *[]time.Duration) func(time.Duration) {
-	return func(d time.Duration) { *delays = append(*delays, d) }
+	var mu sync.Mutex
+	return func(d time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		*delays = append(*delays, d)
+	}
 }
 
 func TestRetryRecoversAfterTransients(t *testing.T) {
@@ -144,12 +156,18 @@ func TestRetryAbortsOnContextCancel(t *testing.T) {
 // countingReader fails chosen tables a set number of times each.
 type countingReader struct {
 	inner    features.TableReader
+	mu       sync.Mutex
 	failLeft map[string]int
 }
 
 func (r *countingReader) ReadMonths(name string, months []int) (*table.Table, error) {
-	if r.failLeft[name] > 0 {
+	r.mu.Lock()
+	fail := r.failLeft[name] > 0
+	if fail {
 		r.failLeft[name]--
+	}
+	r.mu.Unlock()
+	if fail {
 		return nil, fmt.Errorf("injected outage on %s", name)
 	}
 	return r.inner.ReadMonths(name, months)
@@ -183,7 +201,7 @@ func TestRetrySourcePerTable(t *testing.T) {
 	// A persistent outage exhausts retries, then degrades.
 	flaky.failLeft = map[string]int{synth.TableSearch: 1 << 30}
 	rs = NewRetrySource(readerSource(flaky), RetryConfig{MaxAttempts: 2, Sleep: fakeClock(&delays)})
-	tbl, missing, err := features.LoadTables(rs.ShardReader(-1), win, cfg.DaysPerMonth, false)
+	tbl, missing, err := features.LoadTables(rs.ShardReader(-1), win, cfg.DaysPerMonth, false, 2)
 	if err != nil {
 		t.Fatalf("LoadTables: %v", err)
 	}

@@ -84,42 +84,33 @@ func (w Window) Months(daysPerMonth int) []int {
 
 // LoadTablesFrom reads every raw table overlapping the window through r (a
 // raw warehouse, one shard of it, or a retry/maintained-view/fault-injection
-// wrapper around either), failing on the first unavailable table. For
-// assembly that survives missing feeds, see LoadTables.
+// wrapper around either), one table at a time, failing on the first
+// unavailable table. For concurrent reads and for assembly that survives
+// missing feeds, see LoadTables.
 func LoadTablesFrom(r TableReader, win Window, daysPerMonth int) (Tables, error) {
-	t, _, err := LoadTables(r, win, daysPerMonth, true)
+	t, _, err := LoadTables(r, win, daysPerMonth, true, 1)
 	return t, err
 }
 
 // MonthReader is the TableReader over in-memory simulator output, keyed by
 // month. A single month shares the simulator's table; several months are
-// concatenated into a fresh table, so the simulator output is never
-// mutated.
+// joined into a fresh table by table.Concat, so the simulator output is
+// never mutated. Reads only, so it is safe for concurrent use.
 type MonthReader map[int]*synth.MonthData
 
 // ReadMonths implements TableReader.
 func (r MonthReader) ReadMonths(name string, months []int) (*table.Table, error) {
-	var out *table.Table
-	for _, m := range months {
+	parts := make([]*table.Table, len(months))
+	for i, m := range months {
 		md, ok := r[m]
 		if !ok {
 			return nil, fmt.Errorf("features: %s month %d not in memory", name, m)
 		}
-		t := md.Tables()[name]
-		if t == nil {
+		if parts[i] = md.Tables()[name]; parts[i] == nil {
 			return nil, fmt.Errorf("features: unknown table %q", name)
 		}
-		if len(months) == 1 {
-			return t, nil
-		}
-		if out == nil {
-			out = table.NewTable(t.Schema)
-		}
-		if err := out.AppendTable(t); err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
+	return table.Concat(parts)
 }
 
 // FromMonthData builds Tables directly from in-memory simulator output
@@ -130,7 +121,7 @@ func FromMonthData(months []*synth.MonthData) (Tables, error) {
 	for i, md := range months {
 		r[md.Month], idx[i] = md, md.Month
 	}
-	t, _, err := loadTables(r, idx, true)
+	t, _, err := loadTables(r, idx, true, 1)
 	return t, err
 }
 

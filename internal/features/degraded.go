@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"telcochurn/internal/parallel"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 )
@@ -25,10 +26,15 @@ import (
 var ErrUniverseUnavailable = errors.New("features: customer universe unavailable")
 
 // TableReader reads one raw table's partitions for the given months,
-// concatenated in month order. It is the one read seam: *store.Warehouse
-// and its per-shard readers implement it, a core.Source opens one per
-// load, and the retry, maintained-view (core.Incremental.View) and
-// fault-injection layers each wrap it with a single ReadMonths.
+// joined in month order. It is the one read seam: *store.Warehouse and its
+// per-shard readers implement it, a core.Source opens one per load, and
+// the retry, maintained-view (core.Incremental.View) and fault-injection
+// layers each wrap it with a single ReadMonths.
+//
+// An implementation must be safe for concurrent ReadMonths calls of
+// different tables: LoadTables reads a window's nine tables at once. A
+// returned table may be shared with the reader (an in-memory month, a
+// maintained snapshot); callers read it and never write into it.
 type TableReader interface {
 	ReadMonths(name string, months []int) (*table.Table, error)
 }
@@ -98,34 +104,42 @@ func DegradationOf(missing []string, configured GroupSet) Degradation {
 }
 
 // LoadTables is the one window load: the nine raw tables overlapping the
-// window in canonical order, each a single ReadMonths. Strict fails on the
-// first unavailable table; otherwise a table still unavailable after
-// whatever retries the reader performs becomes an empty schema-correct
-// stand-in and is reported missing, in load order. Only the customer
-// snapshot is required; its failure aborts with ErrUniverseUnavailable.
-// With no tables missing the result is the strict one.
-func LoadTables(r TableReader, win Window, daysPerMonth int, strict bool) (Tables, []string, error) {
-	return loadTables(r, win.Months(daysPerMonth), strict)
+// window, each a single ReadMonths, read by up to workers goroutines (0 =
+// GOMAXPROCS). Every table is read whatever became of the others, and the
+// results are taken in canonical order, so what a load returns — and what
+// a fault injector or retrying reader below it saw — is the same at any
+// worker count. Strict fails on the first unavailable table in that order;
+// otherwise a table still unavailable after whatever retries the reader
+// performs becomes an empty schema-correct stand-in and is reported
+// missing, in canonical order. Only the customer snapshot is required; its
+// failure aborts with ErrUniverseUnavailable. With no tables missing the
+// result is the strict one.
+func LoadTables(r TableReader, win Window, daysPerMonth int, strict bool, workers int) (Tables, []string, error) {
+	return loadTables(r, win.Months(daysPerMonth), strict, workers)
 }
 
-func loadTables(r TableReader, months []int, strict bool) (Tables, []string, error) {
+func loadTables(r TableReader, months []int, strict bool, workers int) (Tables, []string, error) {
 	var t Tables
+	refs := t.refs()
+	errs := make([]error, len(refs))
+	parallel.ForGrain(workers, len(refs), 1, func(i int) {
+		*refs[i].dst, errs[i] = r.ReadMonths(refs[i].name, months)
+	})
 	var missing []string
-	for _, p := range t.refs() {
-		tb, err := r.ReadMonths(p.name, months)
+	for i, p := range refs {
+		err := errs[i]
 		switch {
 		case err == nil:
 		case strict:
-			return t, missing, fmt.Errorf("features: load %s: %w", p.name, err)
+			return Tables{}, nil, fmt.Errorf("features: load %s: %w", p.name, err)
 		case p.name == synth.TableCustomers:
-			return t, missing, fmt.Errorf("%w: %v", ErrUniverseUnavailable, err)
+			return Tables{}, nil, fmt.Errorf("%w: %v", ErrUniverseUnavailable, err)
 		default:
-			if tb, err = EmptyRawTable(p.name); err != nil {
-				return t, missing, err
+			if *p.dst, err = EmptyRawTable(p.name); err != nil {
+				return Tables{}, nil, err
 			}
 			missing = append(missing, p.name)
 		}
-		*p.dst = tb
 	}
 	return t, missing, nil
 }

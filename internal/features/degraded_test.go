@@ -48,7 +48,7 @@ func TestLoadTablesPartialHealthyMatchesStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, missing, err := LoadTables(wh, win, cfg.DaysPerMonth, false)
+	partial, missing, err := LoadTables(wh, win, cfg.DaysPerMonth, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLoadTablesPartialSubstitutesEmpties(t *testing.T) {
 		synth.TableSearch:    true,
 		synth.TableLocations: true,
 	}}
-	tbl, missing, err := LoadTables(r, win, cfg.DaysPerMonth, false)
+	tbl, missing, err := LoadTables(r, win, cfg.DaysPerMonth, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLoadTablesPartialCustomerFloor(t *testing.T) {
 	wh, cfg := genWarehouse(t)
 	win := MonthWindow(1, cfg.DaysPerMonth)
 	r := &failReader{inner: wh, fail: map[string]bool{synth.TableCustomers: true}}
-	_, _, err := LoadTables(r, win, cfg.DaysPerMonth, false)
+	_, _, err := LoadTables(r, win, cfg.DaysPerMonth, false, 2)
 	if !errors.Is(err, ErrUniverseUnavailable) {
 		t.Fatalf("err = %v, want ErrUniverseUnavailable", err)
 	}

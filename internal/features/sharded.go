@@ -23,9 +23,11 @@ type ShardedBuildSpec struct {
 	Shards int
 	// Load returns the raw tables of one shard restricted to the window's
 	// months, plus the names of the tables it replaced by empty stand-ins
-	// (LoadTables; none for a strict load, which fails instead).
+	// (LoadTables; none for a strict load, which fails instead), reading
+	// with up to workers goroutines: the build's Workers at one shard, 1
+	// when shards load concurrently and already fill the workers.
 	// Called once per shard.
-	Load func(shard int) (Tables, []string, error)
+	Load func(shard, workers int) (Tables, []string, error)
 	// LoadCustomers returns one shard's customers table over the window's
 	// months. Called once per shard, before Load, to resolve the customer
 	// universe up front (graph edges need the full universe predicate).
@@ -189,7 +191,7 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 	}
 	var rawRows int64
 	load := func(s int) (Tables, bool) {
-		tbl, miss, err := spec.Load(s)
+		tbl, miss, err := spec.Load(s, innerWorkers)
 		if err != nil {
 			errs[s] = fmt.Errorf("features: load shard %d: %w", s, err)
 			return Tables{}, false

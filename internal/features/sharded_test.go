@@ -75,7 +75,7 @@ func shardedSpec(t *testing.T, tbl Tables, shards, workers int, win Window, days
 	parts := shardTables(t, tbl, shards)
 	return ShardedBuildSpec{
 		Shards:        shards,
-		Load:          func(s int) (Tables, []string, error) { return parts[s], nil, nil },
+		Load:          func(s, _ int) (Tables, []string, error) { return parts[s], nil, nil },
 		LoadCustomers: func(s int) (*table.Table, error) { return parts[s].Customers, nil },
 		Win:           win,
 		DaysPerMonth:  days,

@@ -52,12 +52,21 @@ func (c Config) withDefaults() Config {
 // Model is a trained factorization machine for binary classification:
 //
 //	y = σ( w0 + Σ w_i x_i + Σ_{i<j} ⟨v_i, v_j⟩ x_i x_j )
+//
+// Every product is rounded before it is added (float64(...)), so a host
+// that fuses multiply-adds computes the same bits as one that does not.
 type Model struct {
 	W0 float64
 	W  []float64
-	// V[i] is the K-length latent vector of feature i (Eq. 3).
-	V [][]float64
+	// K is the latent factor dimensionality.
+	K int
+	// V holds the latent vectors of Eq. 3 row by row: v_i is
+	// V[i*K : (i+1)*K], one row per entry of W.
+	V []float64
 }
+
+// row returns v_i, capped at its own K entries.
+func (m *Model) row(i int) []float64 { return m.V[i*m.K : (i+1)*m.K : (i+1)*m.K] }
 
 // Fit trains the FM with SGD on logistic loss. Labels must be 0/1; instance
 // weights scale gradients.
@@ -75,17 +84,11 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 			return nil, errors.New("fm: labels must be 0/1")
 		}
 	}
-	nf := d.NumFeatures()
+	nf, K := d.NumFeatures(), cfg.K
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{
-		W: make([]float64, nf),
-		V: make([][]float64, nf),
-	}
+	m := &Model{W: make([]float64, nf), K: K, V: make([]float64, nf*K)}
 	for i := range m.V {
-		m.V[i] = make([]float64, cfg.K)
-		for k := range m.V[i] {
-			m.V[i][k] = rng.NormFloat64() * cfg.InitStd
-		}
+		m.V[i] = rng.NormFloat64() * cfg.InitStd
 	}
 
 	// AdaGrad per-coordinate steps: instance weights (the Weighted Instance
@@ -96,13 +99,10 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 	const adaEps = 1e-8
 	hW0 := adaEps
 	hW := make([]float64, nf)
-	hV := make([][]float64, nf)
-	for i := range hV {
-		hV[i] = make([]float64, cfg.K)
-	}
+	hV := make([]float64, nf*K) // laid out as V
 
 	order := rng.Perm(n)
-	sum := make([]float64, cfg.K) // Σ_i v_ik x_i, reused per instance
+	sum := make([]float64, K) // Σ_i v_ik x_i, reused per instance
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := cfg.LearningRate
@@ -111,21 +111,23 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 			pred := m.forward(x, sum)
 			g := (sigmoid(pred) - float64(d.Y[i])) * d.Weight(i)
 
-			hW0 += g * g
+			hW0 += float64(g * g)
 			m.W0 -= lr * g / math.Sqrt(hW0)
 			for j, xj := range x {
 				if xj == 0 {
 					continue
 				}
-				gw := clip(g*xj) + cfg.Lambda*m.W[j]
-				hW[j] += gw * gw
+				gw := clip(g*xj) + float64(cfg.Lambda*m.W[j])
+				hW[j] += float64(gw * gw)
 				m.W[j] -= lr * gw / math.Sqrt(hW[j]+adaEps)
-				vj := m.V[j]
-				hj := hV[j]
-				for k := 0; k < cfg.K; k++ {
-					gv := clip(g*xj*(sum[k]-vj[k]*xj)) + cfg.Lambda*vj[k]
-					hj[k] += gv * gv
-					vj[k] -= lr * gv / math.Sqrt(hj[k]+adaEps)
+				// Resliced to one row, so the loop runs without bounds checks.
+				vj := m.row(j)
+				hj := hV[j*K : (j+1)*K]
+				hj, s := hj[:len(vj)], sum[:len(vj)]
+				for k, v := range vj {
+					gv := clip(g*xj*(s[k]-float64(v*xj))) + float64(cfg.Lambda*v)
+					hj[k] += float64(gv * gv)
+					vj[k] = v - lr*gv/math.Sqrt(hj[k]+adaEps)
 				}
 			}
 		}
@@ -138,40 +140,39 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 // sum is scratch of length K and holds Σ_i v_ik x_i on return.
 func (m *Model) forward(x []float64, sum []float64) float64 {
 	pred := m.W0
-	for k := range sum {
-		sum[k] = 0
-	}
+	clear(sum)
 	sumSq := 0.0
 	for j, xj := range x {
 		if xj == 0 {
 			continue
 		}
-		pred += m.W[j] * xj
-		vj := m.V[j]
-		for k := range sum {
-			s := vj[k] * xj
-			sum[k] += s
-			sumSq += s * s
+		pred += float64(m.W[j] * xj)
+		vj := m.row(j)
+		s := sum[:len(vj)]
+		for k, v := range vj {
+			p := float64(v * xj)
+			s[k] += p
+			sumSq += float64(p * p)
 		}
 	}
 	pair := 0.0
-	for k := range sum {
-		pair += sum[k] * sum[k]
+	for _, sk := range sum {
+		pair += float64(sk * sk)
 	}
-	pred += 0.5 * (pair - sumSq)
+	pred += float64(0.5 * (pair - sumSq))
 	return pred
 }
 
 // Score returns P(y=1 | x).
 func (m *Model) Score(x []float64) float64 {
-	sum := make([]float64, len(m.V[0]))
+	sum := make([]float64, m.K)
 	return sigmoid(m.forward(x, sum))
 }
 
 // ScoreAll scores many instances.
 func (m *Model) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
-	sum := make([]float64, len(m.V[0]))
+	sum := make([]float64, m.K)
 	for i, xi := range x {
 		out[i] = sigmoid(m.forward(xi, sum))
 	}
@@ -180,9 +181,11 @@ func (m *Model) ScoreAll(x [][]float64) []float64 {
 
 // PairWeight returns Eq. (3)'s interaction weight ⟨v_i, v_j⟩.
 func (m *Model) PairWeight(i, j int) float64 {
+	vi, vj := m.row(i), m.row(j)
+	vj = vj[:len(vi)]
 	s := 0.0
-	for k := range m.V[i] {
-		s += m.V[i][k] * m.V[j][k]
+	for k, v := range vi {
+		s += float64(v * vj[k])
 	}
 	return s
 }
@@ -197,7 +200,7 @@ type Pair struct {
 // the top K — the paper's selection of the 20 most useful second-order
 // features (Section 4.1.4).
 func (m *Model) TopPairs(k int) []Pair {
-	nf := len(m.V)
+	nf := len(m.W)
 	pairs := make([]Pair, 0, nf*(nf-1)/2)
 	for i := 0; i < nf; i++ {
 		for j := i + 1; j < nf; j++ {

@@ -83,7 +83,7 @@ func TestTopPairsCountAndOrdering(t *testing.T) {
 }
 
 func TestPairWeightMatchesDot(t *testing.T) {
-	m := &Model{V: [][]float64{{1, 2}, {3, -1}}}
+	m := &Model{W: make([]float64, 2), K: 2, V: []float64{1, 2, 3, -1}}
 	if got := m.PairWeight(0, 1); got != 1 {
 		t.Errorf("PairWeight = %g, want 1", got)
 	}

@@ -17,13 +17,13 @@ func TestForwardMatchesBruteForce(t *testing.T) {
 		m := &Model{
 			W0: rng.NormFloat64(),
 			W:  make([]float64, nf),
-			V:  make([][]float64, nf),
+			K:  k,
+			V:  make([]float64, nf*k),
 		}
 		for j := range m.W {
 			m.W[j] = rng.NormFloat64()
-			m.V[j] = make([]float64, k)
-			for kk := range m.V[j] {
-				m.V[j][kk] = rng.NormFloat64()
+			for kk := range m.row(j) {
+				m.V[j*k+kk] = rng.NormFloat64()
 			}
 		}
 		x := make([]float64, nf)

@@ -1,6 +1,8 @@
 package linear
 
 import (
+	"fmt"
+
 	"telcochurn/internal/codec"
 )
 
@@ -26,16 +28,23 @@ func (b *Binarizer) Encode(w *codec.Writer) {
 	w.Strs(b.names)
 }
 
-// DecodeBinarizer reads a binarizer written by (*Binarizer).Encode.
+// DecodeBinarizer reads a binarizer written by (*Binarizer).Encode. It
+// must name every output TransformRow makes, Σ (len(cuts[j]) + 1), and no
+// more; anything else is codec.ErrCorrupt.
 func DecodeBinarizer(r *codec.Reader) (*Binarizer, error) {
 	n := r.Count(1) // a feature's cuts are at least their own length prefix
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	b := &Binarizer{cuts: make([][]float64, n)}
+	outputs := 0
 	for j := range b.cuts {
 		b.cuts[j] = r.Floats()
+		outputs += len(b.cuts[j]) + 1
 	}
 	b.names = r.Strs()
+	if r.Err() == nil && len(b.names) != outputs {
+		r.Fail(fmt.Sprintf("binarizer makes %d outputs but names %d", outputs, len(b.names)))
+	}
 	return b, r.Err()
 }

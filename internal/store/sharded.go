@@ -126,46 +126,87 @@ func sortedMonths(lay map[int][]string) []int {
 	return months
 }
 
-// read loads one month's rows for one shard of a shards-way view, or the
-// whole month when shard < 0, whatever layout is committed on disk. A set
-// at the view's own count is read directly — one file, the out-of-core fast
-// path. Anything else is the month's files concatenated in order (so a
-// sharded month reads shard-major, row order preserved within each shard)
-// and, for a shard read, filtered by hash, which keeps plain warehouses and
+// read loads the given months of a table for one shard of a shards-way
+// view, or whole months when shard < 0, whatever layout is committed on
+// disk. The layout is resolved once for the call, after the first month's
+// hook; every part — each month and each file of a month — is then read and
+// joined by one table.Concat, in month order. A set at the view's own count
+// is read directly — one file per month, the out-of-core fast path.
+// Anything else is the month's files in order (so a sharded month reads
+// shard-major, row order preserved within each shard) and, for a shard
+// read, each file filtered by hash, which keeps plain warehouses and
 // mid-re-shard months readable shard by shard at the cost of a full scan.
-func (w *Warehouse) read(name string, month, shard, shards int) (*table.Table, error) {
+func (w *Warehouse) read(name string, months []int, shard, shards int) (*table.Table, error) {
 	if shard >= shards {
 		return nil, fmt.Errorf("store: shard %d out of range [0,%d)", shard, shards)
 	}
-	if err := w.runHook(OpReadPartition, name, month); err != nil {
-		return nil, err
+	if len(months) == 0 {
+		return nil, ErrNoMonths
 	}
-	lay, err := w.layout(name)
-	files := lay[month]
-	var t *table.Table
+	var (
+		lay   map[int][]string
+		parts []*table.Table
+	)
+	for i, month := range months {
+		if err := w.runHook(OpReadPartition, name, month); err != nil {
+			return nil, err
+		}
+		var err error
+		if i == 0 {
+			lay, err = w.layout(name)
+		}
+		if err == nil {
+			parts, err = w.readMonth(parts, name, month, lay[month], shard, shards)
+		}
+		if err != nil {
+			return nil, readError(name, fmt.Sprintf("month=%d", month), shard, shards, err)
+		}
+	}
+	t, err := table.Concat(parts)
+	if err != nil {
+		return nil, readError(name, fmt.Sprintf("months %v", months), shard, shards, err)
+	}
+	return t, nil
+}
+
+// readMonth appends one month's parts for the shard (shard < 0: the whole
+// month) to parts, reading the month's committed files.
+func (w *Warehouse) readMonth(parts []*table.Table, name string, month int, files []string, shard, shards int) ([]*table.Table, error) {
 	switch {
-	case err != nil:
 	case files == nil:
 		return nil, &fs.PathError{Op: "open", Path: filepath.Join(w.root, name, partName(month, 0, 1)), Err: fs.ErrNotExist}
 	case shard >= 0 && shards > 1 && len(files) == shards:
-		t, err = readTableFile(files[shard])
-	default:
-		t, err = concat(len(files), func(i int) (*table.Table, error) { return readTableFile(files[i]) })
-		if err == nil && shard >= 0 && shards > 1 {
+		files = files[shard : shard+1]
+		shards = 1 // the file is the shard: no filter
+	}
+	for _, f := range files {
+		t, err := readTableFile(f)
+		if err != nil {
+			return nil, err
+		}
+		if shard >= 0 && shards > 1 {
 			col := t.Col(shardKey)
 			if col == nil || col.Type != table.Int64 {
 				return nil, fmt.Errorf("store: table %q has no BIGINT %q column to shard by", name, shardKey)
 			}
 			t = t.Filter(func(i int) bool { return table.ShardOf(col.Ints[i], shards) == shard })
 		}
+		parts = append(parts, t)
 	}
+	return parts, nil
+}
+
+// readError places a read failure: a missing file passes through unwrapped
+// (callers test fs.ErrNotExist and add their own context), anything else is
+// wrapped with the table, the months and, for a shard read, the shard.
+func readError(name, where string, shard, shards int, err error) error {
 	switch {
-	case err == nil || errors.Is(err, fs.ErrNotExist):
-		return t, err
+	case errors.Is(err, fs.ErrNotExist):
+		return err
 	case shard < 0:
-		return nil, fmt.Errorf("store: read %s month=%d: %w", name, month, err)
+		return fmt.Errorf("store: read %s %s: %w", name, where, err)
 	default:
-		return nil, fmt.Errorf("store: read %s month=%d shard=%d/%d: %w", name, month, shard, shards, err)
+		return fmt.Errorf("store: read %s %s shard=%d/%d: %w", name, where, shard, shards, err)
 	}
 }
 
@@ -314,7 +355,7 @@ func (sw *ShardedWarehouse) ReadShard(name string, month, shard int) (*table.Tab
 	if shard < 0 {
 		return nil, fmt.Errorf("store: shard %d out of range [0,%d)", shard, sw.shards)
 	}
-	return sw.w.read(name, month, shard, sw.shards)
+	return sw.w.read(name, []int{month}, shard, sw.shards)
 }
 
 // ShardReader is a features.TableReader over a warehouse: ReadMonths
@@ -334,8 +375,8 @@ func (sw *ShardedWarehouse) ShardReader(shard int) *ShardReader {
 	return &ShardReader{w: sw.w, shard: shard, shards: sw.shards}
 }
 
-// ReadMonths reads the reader's slice of the given partitions, concatenated
-// in month order.
+// ReadMonths reads the reader's slice of the given partitions, joined in
+// month order (see Warehouse.read). It is safe for concurrent use.
 func (r *ShardReader) ReadMonths(name string, months []int) (*table.Table, error) {
-	return concat(len(months), func(i int) (*table.Table, error) { return r.w.read(name, months[i], r.shard, r.shards) })
+	return r.w.read(name, months, r.shard, r.shards)
 }

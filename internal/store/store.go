@@ -213,7 +213,7 @@ func (w *Warehouse) WritePartition(name string, month int, t *table.Table) error
 // concatenated in ascending shard order (see sharded.go for the resolution
 // rule).
 func (w *Warehouse) ReadPartition(name string, month int) (*table.Table, error) {
-	return w.read(name, month, -1, 1)
+	return w.read(name, []int{month}, -1, 1)
 }
 
 // HasPartition reports whether the partition has a committed layout — a
@@ -252,30 +252,12 @@ func (w *Warehouse) Tables() ([]string, error) {
 	return names, nil
 }
 
-// ReadMonths reads and concatenates the given partitions of a table, in the
-// given order. All partitions must share a schema.
+// ReadMonths reads the given partitions of a table and joins them, in the
+// given order, with one table.Concat. All partitions must share a schema.
+// It is safe for concurrent use, as the features.TableReader contract asks
+// (a fault hook, if installed, must be too).
 func (w *Warehouse) ReadMonths(name string, months []int) (*table.Table, error) {
 	return (&ShardReader{w: w, shard: -1, shards: 1}).ReadMonths(name, months)
-}
-
-// concat reads n parts in order and appends them into one table, reusing
-// the first part's storage. It is the only place the store joins tables:
-// months of a window, shard files of a month.
-func concat(n int, read func(i int) (*table.Table, error)) (*table.Table, error) {
-	if n == 0 {
-		return nil, ErrNoMonths
-	}
-	out, err := read(0)
-	for i := 1; i < n && err == nil; i++ {
-		var t *table.Table
-		if t, err = read(i); err == nil {
-			err = out.AppendTable(t)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ---- binary encoding ----

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -296,10 +297,12 @@ func takeRows[I rowIndex](t *Table, idx []I) *Table {
 }
 
 // AppendTable appends all rows of src, whose schema must equal t's, with one
-// typed bulk copy per column.
+// typed bulk copy per column. It grows t's columns, so it suits a table
+// that keeps taking rows (the event log, the maintained serving month); a
+// table assembled from parts known up front is Concat's.
 func (t *Table) AppendTable(src *Table) error {
-	if !t.Schema.Equal(src.Schema) {
-		return fmt.Errorf("table: append schema mismatch: %s vs %s", t.Schema, src.Schema)
+	if err := appendable(t.Schema, src.Schema); err != nil {
+		return err
 	}
 	for c, dst := range t.Cols {
 		s := src.Cols[c]
@@ -313,6 +316,59 @@ func (t *Table) AppendTable(src *Table) error {
 		}
 	}
 	return nil
+}
+
+// appendable is the schema check of every join: the rows of a table with
+// schema src may follow the rows of one with schema dst.
+func appendable(dst, src *Schema) error {
+	if !dst.Equal(src) {
+		return fmt.Errorf("table: append schema mismatch: %s vs %s", dst, src)
+	}
+	return nil
+}
+
+// Concat joins parts into one table, their rows in order. Every part's
+// schema must equal the first's, as AppendTable requires. Each column of
+// the result is allocated once, at the summed row count (cap == len), and
+// filled with one typed copy per part, so a join of n parts moves every
+// row once instead of regrowing the first part n-1 times. One part is
+// returned as it is, sharing its storage; no parts is an error.
+func Concat(parts []*Table) (*Table, error) {
+	if len(parts) == 0 {
+		return nil, errors.New("table: concat of no tables")
+	}
+	first := parts[0]
+	if len(parts) == 1 {
+		return first, nil
+	}
+	n := 0
+	for _, p := range parts {
+		if err := appendable(first.Schema, p.Schema); err != nil {
+			return nil, err
+		}
+		n += p.NumRows()
+	}
+	out := NewTable(first.Schema)
+	for c, col := range out.Cols {
+		switch col.Type {
+		case Int64:
+			col.Ints = concatColumn(parts, c, n, func(c *Column) []int64 { return c.Ints })
+		case Float64:
+			col.Floats = concatColumn(parts, c, n, func(c *Column) []float64 { return c.Floats })
+		default:
+			col.Strings = concatColumn(parts, c, n, func(c *Column) []string { return c.Strings })
+		}
+	}
+	return out, nil
+}
+
+// concatColumn copies column c of every part into one slice of n values.
+func concatColumn[T any](parts []*Table, c, n int, values func(*Column) []T) []T {
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, values(p.Cols[c])...)
+	}
+	return out
 }
 
 // Clip returns a table holding t's current rows without copying them: every

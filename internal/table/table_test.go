@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -182,6 +183,47 @@ func TestAppendTableSchemaMismatch(t *testing.T) {
 	}
 	if a.NumRows() != 10 {
 		t.Errorf("rows after append = %d, want 10", a.NumRows())
+	}
+}
+
+// TestConcat: the parts' rows in part order, every column allocated at
+// exactly the summed row count, an empty part contributing nothing, one
+// part handed back as it is, and a part of another schema or no parts at
+// all rejected.
+func TestConcat(t *testing.T) {
+	a, b := fillCalls(t), fillCalls(t)
+	b.MustCol("imsi").Ints[0] = 9
+	empty := NewTable(a.Schema)
+	got, err := Concat([]*Table{a, empty, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 10 {
+		t.Fatalf("rows = %d, want 10", got.NumRows())
+	}
+	want := fillCalls(t)
+	if err := want.AppendTable(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if !reflect.DeepEqual(got.Row(i), want.Row(i)) {
+			t.Errorf("row %d = %v, want %v", i, got.Row(i), want.Row(i))
+		}
+	}
+	for _, c := range got.Cols {
+		if l, cp := c.Len(), max(cap(c.Ints), cap(c.Floats), cap(c.Strings)); cp != l {
+			t.Errorf("column %q: cap %d, len %d", c.Name, cp, l)
+		}
+	}
+	if one, err := Concat([]*Table{a}); err != nil || one != a {
+		t.Errorf("Concat of one part = %p, %v; want the part itself", one, err)
+	}
+	other := NewTable(MustSchema(Field{Name: "x", Type: Int64}))
+	if _, err := Concat([]*Table{a, other}); err == nil || !strings.Contains(err.Error(), "schema mismatch") {
+		t.Errorf("mismatched schema: err = %v, want a schema mismatch", err)
+	}
+	if _, err := Concat(nil); err == nil {
+		t.Error("Concat of no parts: want an error")
 	}
 }
 

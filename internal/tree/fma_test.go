@@ -16,8 +16,9 @@ var fusedOp = regexp.MustCompile(`\(([^()\s]+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[DS
 
 // fmaFree lists the packages whose float results must not depend on the
 // host: the trees (splits, scores, attribution), the graph features
-// (PageRank, label propagation) and the retention campaign's economics.
-var fmaFree = []string{"telcochurn/internal/tree", "telcochurn/internal/graph", "telcochurn/internal/retention"}
+// (PageRank, label propagation), the retention campaign's economics and
+// the factorization machine (the F9 pair ranking and the LIBFM scores).
+var fmaFree = []string{"telcochurn/internal/tree", "telcochurn/internal/graph", "telcochurn/internal/retention", "telcochurn/internal/fm"}
 
 // TestNoFusedMultiplyAdd cross-compiles the fmaFree packages for arm64 and
 // fails on any fused multiply-add the compiler emits. A fused x*y+z rounds
