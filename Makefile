@@ -62,7 +62,7 @@ bench-profile:
 # then the whole feature / topic / graph packages (the overlapped frame
 # build, chunked co-occurrence finalize and parallel topic fold-in at several
 # shard and worker counts), then a time-boxed run of each decoder fuzz target
-# and of churnd's two request-body targets (their seeds already ran as
+# and of the request-body targets (their seeds already ran as
 # ordinary tests; a failing input lands in the package's testdata/fuzz/).
 chaos:
 	$(GO) test -race -count=1 \
@@ -76,6 +76,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./cmd/churnd/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventsRequest$$' -fuzztime 10s ./cmd/churnd/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventTables$$' -fuzztime 10s ./internal/serve/
 
 # Serving load smoke: train a tiny precomputed artifact, start churnd, drive
 # an open-loop churnload run and self-gate on p99 latency and non-2xx rate.

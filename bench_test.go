@@ -241,6 +241,47 @@ func BenchmarkCustomerFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkCustomerFrames re-folds eight customers' F1-F3 columns, the
+// customers an 8-event post touches at most: in one CustomerFrames pass
+// over the union of their posting lists, and as eight CustomerFrame calls.
+// Each iteration takes the next eight customers.
+func BenchmarkCustomerFrames(b *testing.B) {
+	months := benchWorld(b)
+	tbl, err := features.FromMonthData(months[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := months[0].Customers.MustCol("imsi").Ints
+	groups := []features.Group{features.F1Baseline, features.F2CS, features.F3PS}
+	const k = 8
+	next := func(i int) []int64 {
+		lo := i * k % (len(ids) - k)
+		return ids[lo : lo+k]
+	}
+	b.Run("one-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.CustomerFrames(next(i), groups, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("one-by-one", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, id := range next(i) {
+				if _, err := m.CustomerFrame(id, groups, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkShardedWideTableBuild measures the out-of-core F1-F6 build over
 // an on-disk sharded warehouse across shard counts. SCALE_CUSTOMERS scales
 // the population (default 4000; the scale smoke test runs this path at

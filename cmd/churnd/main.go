@@ -439,21 +439,27 @@ func (s *service) fold(e *engine, src eventSource) (map[int64]struct{}, int, err
 
 // foldLocked folds src into a published engine and installs each touched
 // customer's refreshed serving row, recomputed from the overlay's base row,
-// as an overlay override. Callers hold ingestMu. Returns the event rows
-// applied and customers refreshed.
+// as an overlay override. The touched customers are re-folded in one
+// RefreshAll pass; one that fails is logged and keeps its row. Callers
+// hold ingestMu. Returns the event rows applied and customers refreshed.
 func (s *service) foldLocked(e *engine, src eventSource) (int, int, error) {
 	affected, applied, err := s.fold(e, src)
+	ids := make([]int64, 0, len(affected))
+	bases := make([][]float64, 0, len(affected))
 	for id := range affected {
-		base, ok := e.overlay.Base(id)
-		if !ok {
-			continue
+		if base, ok := e.overlay.Base(id); ok {
+			ids, bases = append(ids, id), append(bases, base)
 		}
-		row, rerr := e.inc.Refresh(id, base)
-		if rerr != nil {
-			log.Printf("churnd: refresh imsi %d: %v", id, rerr)
-			continue
+	}
+	if len(ids) > 0 {
+		rows, errs := e.inc.RefreshAll(ids, bases)
+		for i, id := range ids {
+			if errs[i] != nil {
+				log.Printf("churnd: refresh imsi %d: %v", id, errs[i])
+				continue
+			}
+			e.overlay.Override(id, rows[i])
 		}
-		e.overlay.Override(id, row)
 	}
 	return applied, len(affected), err
 }
@@ -822,22 +828,41 @@ type eventsResponse struct {
 	Month        int `json:"month"`
 }
 
+// handleEvents commits one batch to the event log, then folds it. The body
+// is read into a pooled buffer and decoded straight into typed tables by
+// serve.DecodeEventTables; a body it does not accept takes decodeBody's
+// encoding/json path and serve.BuildEventTables over the same bytes, which
+// answer with the same tables or the error.
 func (s *service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req serve.EventBatch
-	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxEventsBody), maxEventsBody, &req) {
-		s.metrics.EventsRejected.Add(1)
-		return
+	bp := getBuf()
+	defer putBuf(bp)
+	body, err := readBody(w, r, maxEventsBody, *bp)
+	*bp = body
+	var (
+		tables   map[string]*table.Table
+		received int
+		ok       bool
+	)
+	if err == nil {
+		s.bodyRead(w)
+		tables, received, ok = serve.DecodeEventTables(body)
 	}
-	s.bodyRead(w)
-	tables, err := serve.BuildEventTables(req.Events)
-	if err != nil {
-		s.metrics.EventsRejected.Add(uint64(len(req.Events)))
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), false)
-		return
+	if !ok {
+		var req serve.EventBatch
+		if !decodeBody(w, &errAfter{body, err}, maxEventsBody, &req) {
+			s.metrics.EventsRejected.Add(1)
+			return
+		}
+		received = len(req.Events)
+		if tables, err = serve.BuildEventTables(req.Events); err != nil {
+			s.metrics.EventsRejected.Add(uint64(received))
+			writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), false)
+			return
+		}
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -874,7 +899,7 @@ func (s *service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.EventsIngested.Add(uint64(applied))
 	writeJSON(w, http.StatusOK, eventsResponse{
 		Seq:          seq,
-		Received:     len(req.Events),
+		Received:     received,
 		Applied:      applied,
 		Affected:     affected,
 		StaleVectors: e.overlay.Overridden(),

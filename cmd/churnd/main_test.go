@@ -430,6 +430,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"events unknown table", "POST", "/v1/events", `{"events":[{"table":"billing","imsi":1,"month":4,"day":1}]}`, 400, "invalid_request", false},
 		{"events unknown column", "POST", "/v1/events", `{"events":[{"table":"recharges","imsi":1,"month":4,"day":1,"fields":{"amonut":3}}]}`, 400, "invalid_request", false},
 		{"events integer past int64", "POST", "/v1/events", `{"events":[{"table":"calls","imsi":1,"month":4,"day":1,"fields":{"peer":9223372036854775808}}]}`, 400, "invalid_request", false},
+		{"events imsi in fields", "POST", "/v1/events", `{"events":[{"table":"recharges","imsi":5,"month":4,"day":9,"fields":{"imsi":7}}]}`, 400, "invalid_request", false},
+		{"events day in fields", "POST", "/v1/events", `{"events":[{"table":"recharges","imsi":5,"month":4,"day":9,"fields":{"amount":1,"day":3}}]}`, 400, "invalid_request", false},
 		{"refresh wrong method", "GET", "/v1/refresh", ``, 405, "method_not_allowed", false},
 		{"customers wrong method", "POST", "/v1/customers", ``, 405, "method_not_allowed", false},
 		{"customers bad limit", "GET", "/v1/customers?limit=-1", ``, 400, "invalid_request", false},

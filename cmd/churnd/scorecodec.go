@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"telcochurn/internal/serve"
 )
 
 // The /v1/score codec: a recognizer for the two request shapes and an
@@ -18,8 +20,9 @@ import (
 // appender renders exactly what json.Marshal renders for scoreResponse
 // (TestScoreAppenderMatchesMarshal, FuzzScoreRequest).
 
-// bufPool holds request and reply buffers. A buffer that grew past
-// maxPooledBuf (a batch near the -queue bound) is dropped rather than kept.
+// bufPool holds request and reply buffers, /v1/events bodies included. A
+// buffer that grew past maxPooledBuf (a batch near the -queue bound, a
+// large event batch) is dropped rather than kept.
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
@@ -85,99 +88,46 @@ func (e *errAfter) Read(p []byte) (int, error) {
 // encoding/json's path, so the set of accepted bodies and every error text
 // stay encoding/json's.
 func parseScoreRequest(b []byte) (id int64, ids []int64, single, ok bool) {
-	p := scanner{b: b}
-	if !p.lit("{") {
+	p := serve.NewScanner(b)
+	if !p.Lit("{") {
 		return 0, nil, false, false
 	}
 	switch {
-	case p.lit(`"id"`):
+	case p.Key("id"):
 		single = true
-	case p.lit(`"ids"`):
+	case p.Key("ids"):
 	default:
 		return 0, nil, false, false
 	}
-	if !p.lit(":") {
-		return 0, nil, false, false
-	}
 	if single {
-		if id, ok = p.int(); !ok {
+		if id, ok = p.Int(); !ok {
 			return 0, nil, false, false
 		}
 	} else {
-		if !p.lit("[") {
+		if !p.Lit("[") {
 			return 0, nil, false, false
 		}
 		// Sized by the commas ahead, capped so a body of commas cannot ask
 		// for eight times its own size.
-		ids = make([]int64, 0, min(1+bytes.Count(b[p.i:], []byte{','}), 1024))
+		ids = make([]int64, 0, min(1+bytes.Count(p.Rest(), []byte{','}), 1024))
 		for {
-			v, ok := p.int()
+			v, ok := p.Int()
 			if !ok {
 				return 0, nil, false, false
 			}
 			ids = append(ids, v)
-			if !p.lit(",") {
+			if !p.Lit(",") {
 				break
 			}
 		}
-		if !p.lit("]") {
+		if !p.Lit("]") {
 			return 0, nil, false, false
 		}
 	}
-	if !p.lit("}") {
+	if !p.Lit("}") {
 		return 0, nil, false, false
 	}
-	p.space()
-	return id, ids, single, p.i == len(p.b)
-}
-
-// scanner walks a request body for parseScoreRequest.
-type scanner struct {
-	b []byte
-	i int
-}
-
-// space skips JSON whitespace.
-func (p *scanner) space() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// lit skips whitespace, then consumes s if the body continues with it.
-func (p *scanner) lit(s string) bool {
-	p.space()
-	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
-		return false
-	}
-	p.i += len(s)
-	return true
-}
-
-// int skips whitespace and consumes one JSON integer, -?(0|[1-9][0-9]*),
-// that strconv.ParseInt takes as an int64. A fraction or exponent is left
-// unconsumed, so the token after it fails and the body is refused: the
-// accepted numbers are exactly those encoding/json decodes into an int64.
-func (p *scanner) int() (int64, bool) {
-	p.space()
-	start := p.i
-	if p.i < len(p.b) && p.b[p.i] == '-' {
-		p.i++
-	}
-	digits := p.i
-	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
-		p.i++
-	}
-	if p.i == digits || p.b[digits] == '0' && p.i-digits > 1 {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
-	return v, err == nil
+	return id, ids, single, p.End()
 }
 
 // appendScoreResponse appends json.Marshal's rendering of

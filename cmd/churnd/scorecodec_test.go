@@ -219,6 +219,8 @@ func FuzzEventsRequest(f *testing.F) {
 		`{"events":[]}`,
 		`{"events":[{"table":"billing","imsi":1,"month":4,"day":1}]}`,
 		`not json`,
+		`{"events":[{"table":"recharges","imsi":` + imsi + `,"month":4,"day":9,"fields":{"imsi":7}}]}`,
+		`{"events":[{"imsi":` + imsi + `,"table":"recharges","month":4,"day":9,"fields":{"amount":3e1}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -131,39 +131,73 @@ func (inc *Incremental) Ingest(name string, events *table.Table) ([]int64, int, 
 // customer's current snapshot row (len = serving schema), whose graph
 // columns are kept; every per-customer column is recomputed from the
 // maintained tables and F9 is re-derived from the result. base is not
-// mutated. The Incremental must be wired.
+// mutated. The Incremental must be wired. It is RefreshAll's one-id case.
 func (inc *Incremental) Refresh(id int64, base []float64) ([]float64, error) {
+	rows, errs := inc.RefreshAll([]int64{id}, [][]float64{base})
+	return rows[0], errs[0]
+}
+
+// RefreshAll is Refresh for many customers at once: rows[i] or errs[i]
+// answers ids[i] with bases[i] as its base row. Every customer's
+// per-customer columns come from one Maintainer.CustomerFrames build, and
+// the recomputed columns are mapped onto the serving schema once. A
+// customer that cannot be rebuilt — outside the universe, or a base row of
+// the wrong width — fails alone; a build failure fails them all.
+func (inc *Incremental) RefreshAll(ids []int64, bases [][]float64) (rows [][]float64, errs []error) {
+	rows, errs = make([][]float64, len(ids)), make([]error, len(ids))
+	fail := func(err error) ([][]float64, []error) {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+		return rows, errs
+	}
 	if inc.pipe == nil {
-		return nil, fmt.Errorf("core: incremental refresh before Wire")
+		return fail(fmt.Errorf("core: incremental refresh before Wire"))
 	}
-	names := inc.pipe.FeatureNames()
-	if len(base) != len(names) {
-		return nil, fmt.Errorf("core: refresh base row has %d columns, schema has %d", len(base), len(names))
+	width := len(inc.pipe.FeatureNames())
+	for i, base := range bases {
+		if len(base) != width {
+			errs[i] = fmt.Errorf("core: refresh base row has %d columns, schema has %d", len(base), width)
+		}
 	}
-	cf, err := inc.maint.CustomerFrame(id, inc.perCust, inc.pipe.complaints, inc.pipe.search)
+	cf, err := inc.maint.CustomerFrames(ids, inc.perCust, inc.pipe.complaints, inc.pipe.search)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	row := append([]float64(nil), base...)
-	vals, ok := cf.Row(id)
-	if !ok {
-		return nil, fmt.Errorf("core: imsi %d missing from its own recomputed frame", id)
+	names := cf.Names()
+	cols := make([]int, len(names))
+	for j, n := range names {
+		var ok bool
+		if cols[j], ok = inc.colOf[n]; !ok {
+			return fail(fmt.Errorf("core: recomputed column %q not in serving schema", n))
+		}
 	}
-	for j, n := range cf.Names() {
-		i, ok := inc.colOf[n]
+	for i, id := range ids {
+		if errs[i] != nil {
+			continue
+		}
+		vals, ok := cf.Row(id)
 		if !ok {
-			return nil, fmt.Errorf("core: recomputed column %q not in serving schema", n)
+			errs[i] = fmt.Errorf("%w: imsi %d", features.ErrNotInUniverse, id)
+			continue
 		}
-		row[i] = vals[j]
-	}
-	if inc.f9Start >= 0 {
-		f9, err := inc.pipe.so.ApplyRow(row)
-		if err != nil {
-			return nil, err
+		row := slices.Clone(bases[i])
+		for j, c := range cols {
+			row[c] = vals[j]
 		}
-		copy(row[inc.f9Start:], f9)
+		if inc.f9Start >= 0 {
+			f9, err := inc.pipe.so.ApplyRow(row)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			copy(row[inc.f9Start:], f9)
+		}
+		rows[i] = row
 	}
-	return row, nil
+	return rows, errs
 }
 
 // View returns base with the served month's nine tables answered from a

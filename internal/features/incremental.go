@@ -3,6 +3,7 @@ package features
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -170,7 +171,10 @@ func (m *Maintainer) Apply(name string, events *table.Table) ([]int64, int, erro
 	dst := m.tbl[name]
 	months := events.MustCol("month").Ints
 	servingMonth := int64(m.win.LastMonth(m.days))
-	ev := events.Filter(func(i int) bool { return months[i] == servingMonth })
+	ev := events
+	if slices.ContainsFunc(months, func(mo int64) bool { return mo != servingMonth }) {
+		ev = events.Filter(func(i int) bool { return months[i] == servingMonth })
+	}
 	if ev.NumRows() == 0 {
 		return nil, 0, nil
 	}
@@ -208,15 +212,44 @@ func (m *Maintainer) CustomerFrame(id int64, groups []Group, complaints, search 
 	if _, ok := m.universe[id]; !ok {
 		return nil, fmt.Errorf("%w: imsi %d", ErrNotInUniverse, id)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sel := make(selection, len(m.idx))
-	for name, post := range m.idx {
-		sel[name] = post[id]
-	}
-	f, err := perCustomerFrame(m.tables, sel, m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
+	f, err := m.CustomerFrames([]int64{id}, groups, complaints, search)
 	if err != nil {
 		return nil, fmt.Errorf("features: recompute imsi %d: %w", id, err)
 	}
 	return f, nil
+}
+
+// CustomerFrames is CustomerFrame for many customers in one build: one
+// frame with a row for every listed universe customer, each row
+// Float64bits-equal to that customer's own CustomerFrame. The builders
+// visit the union of the customers' posting lists, one customer's rows
+// after another's; every fold is per customer and keeps its customer's row
+// order, which is all a row's values depend on. An id listed twice is
+// built once; an id outside the universe gets no row (and with none
+// inside it, the frame is empty).
+func (m *Maintainer) CustomerFrames(ids []int64, groups []Group, complaints, search *TopicFeaturizer) (*Frame, error) {
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	want = slices.DeleteFunc(slices.Compact(want), func(id int64) bool {
+		_, ok := m.universe[id]
+		return !ok
+	})
+	if len(want) == 0 {
+		return NewFrame(nil), nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sel := make(selection, len(m.idx))
+	for name, post := range m.idx {
+		n := 0
+		for _, id := range want {
+			n += len(post[id])
+		}
+		rows := make([]int, 0, n)
+		for _, id := range want {
+			rows = append(rows, post[id]...)
+		}
+		sel[name] = rows
+	}
+	return perCustomerFrame(m.tables, sel, m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
 }

@@ -27,7 +27,8 @@ type Event struct {
 	Day   int64  `json:"day"`
 	// Fields holds the remaining schema columns by name. Omitted numeric
 	// columns default to zero, text columns to ""; unknown names are
-	// rejected (they are always typos, never extensions).
+	// rejected (they are always typos, never extensions), and so are
+	// imsi, month and day, which only the keys above may carry.
 	Fields map[string]any `json:"fields,omitempty"`
 }
 
@@ -38,7 +39,8 @@ type EventBatch struct {
 
 // UnmarshalJSON decodes a batch keeping every Fields number exact, as a
 // json.Number: decoded through float64, an integer column value above 2^53
-// would be rounded. churnd and churnctl ingest both decode batches here.
+// would be rounded. churnctl ingest decodes batches here, and so does churnd
+// for a body DecodeEventTables declines.
 func (b *EventBatch) UnmarshalJSON(data []byte) error {
 	type plain EventBatch // without this method
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -72,10 +74,14 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 			return nil, fmt.Errorf("event %d: day must be positive, got %d", i, ev.Day)
 		}
 		// Every streamable schema has imsi, month and day columns, so the
-		// schema's own index is the set of names a record may carry.
+		// schema's own index is the set of names a record may carry, less
+		// those three: they fill from the record's own keys.
 		for name := range ev.Fields {
 			if !schema.Has(name) {
 				return nil, fmt.Errorf("event %d: table %q has no column %q", i, ev.Table, name)
+			}
+			if firstClass(name) {
+				return nil, fmt.Errorf("event %d: fields may not carry %q, the record's own key", i, name)
 			}
 		}
 		t := out[ev.Table]
@@ -105,6 +111,12 @@ func BuildEventTables(events []Event) (map[string]*table.Table, error) {
 	return out, nil
 }
 
+// firstClass reports whether a column fills from an Event's own key
+// rather than from its Fields.
+func firstClass(name string) bool {
+	return name == "imsi" || name == "month" || name == "day"
+}
+
 // EventsFromTables flattens typed event tables back into wire records, in
 // table-name order: the inverse of BuildEventTables, which lets generated
 // events feed the direct-append and HTTP paths alike.
@@ -121,8 +133,7 @@ func EventsFromTables(tables map[string]*table.Table) []Event {
 		for i := 0; i < t.NumRows(); i++ {
 			ev := Event{Table: name, IMSI: imsi[i], Month: month[i], Day: day[i], Fields: map[string]any{}}
 			for _, f := range t.Schema.Fields {
-				switch f.Name {
-				case "imsi", "month", "day":
+				if firstClass(f.Name) {
 					continue
 				}
 				col := t.MustCol(f.Name)

@@ -83,7 +83,7 @@ func GenerateEvents(ids []int64, month, daysPerMonth, n int, seed int64) map[str
 			dur := 0.0
 			success := int64(1)
 			if rng.Float64() < 0.9 {
-				dur = 10 + rng.ExpFloat64()*120
+				dur = 10 + float64(rng.ExpFloat64()*120)
 			} else {
 				success = 0
 			}
@@ -91,8 +91,8 @@ func GenerateEvents(ids []int64, month, daysPerMonth, n int, seed int64) map[str
 				Int(int64(1_000_000 + rng.Intn(4_000_000))).Int(m).Int(day).
 				Float(dur).Int(int64(rng.Intn(4))).Int(int64(rng.Intn(2))).
 				Int(int64(rng.Intn(3))).Int(success).Int(0).
-				Float(0.5 + rng.Float64()*2).Float(3 + rng.Float64()*1.5).
-				Float(3 + rng.Float64()*1.5).Float(3 + rng.Float64()*1.5).
+				Float(0.5 + float64(float64(rng.Float64())*2)).Float(3 + float64(rng.Float64()*1.5)).
+				Float(3 + float64(rng.Float64()*1.5)).Float(3 + float64(rng.Float64()*1.5)).
 				Int(0).Int(0).Int(0).Int(int64(rng.Intn(2))).
 				Int(0).Int(int64(rng.Intn(2))).Int(0).Int(0).Int(0).Done()
 		case TableMessages:
@@ -111,18 +111,18 @@ func GenerateEvents(ids []int64, month, daysPerMonth, n int, seed int64) map[str
 				succ = 0
 			}
 			get(name, WebSchema).Append().Int(imsi).Int(m).Int(day).Int(req).
-				Int(succ).Float(0.5 + rng.Float64()*3).Int(succ).
-				Float(1 + rng.Float64()*4).Float(200 + rng.Float64()*1800).
-				Float(50 + rng.Float64()*400).Float(rng.Float64() * 80).
-				Float(40 + rng.Float64()*160).Int(int64(5 + rng.Intn(40))).
+				Int(succ).Float(0.5 + float64(rng.Float64()*3)).Int(succ).
+				Float(1 + float64(rng.Float64()*4)).Float(200 + float64(rng.Float64()*1800)).
+				Float(50 + float64(rng.Float64()*400)).Float(rng.Float64() * 80).
+				Float(40 + float64(rng.Float64()*160)).Int(int64(5 + rng.Intn(40))).
 				Int(int64(6 + rng.Intn(42))).Float(rng.Float64() * 10).
 				Float(rng.Float64() * 1000).Int(int64(rng.Intn(5))).
-				Int(int64(rng.Intn(5))).Float(20 + rng.Float64()*200).Done()
+				Int(int64(rng.Intn(5))).Float(20 + float64(rng.Float64()*200)).Done()
 		case TableLocations:
 			get(name, LocationsSchema).Append().Int(imsi).Int(m).Int(day).
 				Int(int64(rng.Intn(3))).Int(int64(rng.Intn(400))).
-				Int(int64(rng.Intn(20))).Float(31 + rng.Float64()).
-				Float(121 + rng.Float64()).Done()
+				Int(int64(rng.Intn(20))).Float(31 + float64(rng.Float64())).
+				Float(121 + float64(rng.Float64())).Done()
 		case TableComplaints:
 			get(name, ComplaintsSchema).Append().Int(imsi).Int(m).Int(day).
 				String(complaintTexts[rng.Intn(len(complaintTexts))]).Done()

@@ -120,7 +120,7 @@ func ChurnRateSeries(cfg Config, months int) []ChurnRatePoint {
 		points = append(points, ChurnRatePoint{
 			Month:    md.Month,
 			Prepaid:  rate,
-			Postpaid: clamp(0.052+0.008*post.NormFloat64(), 0.03, 0.08),
+			Postpaid: clamp(0.052+float64(0.008*post.NormFloat64()), 0.03, 0.08),
 		})
 	}
 	return points

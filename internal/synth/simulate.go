@@ -112,9 +112,9 @@ func Simulate(cfg Config) []*MonthData {
 func (w *World) rollCellShocks() {
 	for _, cl := range w.cells {
 		// AR(1): shocks persist ~2-3 months; occasionally a cell degrades hard.
-		cl.shock = clamp(0.6*cl.shock+0.25*w.rng.ExpFloat64()*cl.baseQuality, 0, 1)
+		cl.shock = clamp(float64(0.6*cl.shock)+float64(0.25*w.rng.ExpFloat64()*cl.baseQuality), 0, 1)
 		if w.rng.Float64() < 0.02 {
-			cl.shock = clamp(cl.shock+0.5+0.3*w.rng.Float64(), 0, 1)
+			cl.shock = clamp(cl.shock+0.5+float64(0.3*w.rng.Float64()), 0, 1)
 		}
 	}
 }
@@ -163,13 +163,13 @@ func (w *World) activityDay(c *customer) int {
 func (w *World) activityFactor(c *customer) float64 {
 	switch c.phase {
 	case phaseEarly:
-		return 0.65 + 0.08*w.rng.NormFloat64()
+		return 0.65 + float64(0.08*w.rng.NormFloat64())
 	case phaseSignal:
-		return 0.45 + 0.1*w.rng.NormFloat64()
+		return 0.45 + float64(0.1*w.rng.NormFloat64())
 	case phaseChurn:
-		return 0.12 + 0.05*w.rng.NormFloat64()
+		return 0.12 + float64(0.05*w.rng.NormFloat64())
 	default:
-		return clamp(1+0.15*w.rng.NormFloat64(), 0.3, 2.0)
+		return clamp(1+float64(0.15*w.rng.NormFloat64()), 0.3, 2.0)
 	}
 }
 
@@ -213,7 +213,7 @@ func (w *World) simulateCustomerMonth(md *MonthData, c *customer) {
 		Float(c.retainBase).Done()
 
 	// Latent dissatisfaction follows experienced quality with persistence.
-	c.dissat = clamp(0.6*c.dissat+0.65*cellQ.shock+0.1*w.communityShock[c.community]+0.05*(w.rng.Float64()-0.4), 0, 1.5)
+	c.dissat = clamp(float64(0.6*c.dissat)+float64(0.65*cellQ.shock)+float64(0.1*w.communityShock[c.community])+float64(0.05*(float64(w.rng.Float64())-0.4)), 0, 1.5)
 	c.innetMonths++
 
 	// Phase transitions for scripted churners.
@@ -245,9 +245,9 @@ func (w *World) experiencedCell(c *customer) experienced {
 	cl := w.cells[c.homeCell]
 	alt := w.cells[c.altCells[0]]
 	// Mostly home cell, partly an alternate.
-	mix := func(a, b float64) float64 { return 0.8*a + 0.2*b }
+	mix := func(a, b float64) float64 { return float64(0.8*a) + float64(0.2*b) }
 	return experienced{
-		shock:    clamp(mix(cl.shock, alt.shock)+c.qualityBias+0.05*w.rng.NormFloat64(), 0, 1),
+		shock:    clamp(mix(cl.shock, alt.shock)+c.qualityBias+float64(0.05*w.rng.NormFloat64()), 0, 1),
 		baseTP:   mix(cl.baseTP, alt.baseTP),
 		baseMOS:  mix(cl.baseMOS, alt.baseMOS),
 		baseDrop: mix(cl.baseDrop, alt.baseDrop),
@@ -269,20 +269,20 @@ func (w *World) emitCalls(md *MonthData, c *customer, activity float64, q experi
 		kind := w.pickCallKind()
 		mo := boolToInt(w.rng.Float64() < 0.55)
 		success := 1
-		if w.rng.Float64() < 0.02+0.15*q.shock {
+		if w.rng.Float64() < 0.02+float64(0.15*q.shock) {
 			success = 0
 		}
 		dur, dropped := 0.0, 0
-		connDelay := q.delay * (0.8 + 0.4*w.rng.Float64()) * (1 + 2.5*q.shock)
-		mosDL := clamp(q.baseMOS-1.6*q.shock+0.2*w.rng.NormFloat64(), 1, 5)
-		mosUL := clamp(mosDL-0.1+0.2*w.rng.NormFloat64(), 1, 5)
-		mosIP := clamp(mosDL-0.2+0.25*w.rng.NormFloat64(), 1, 5)
-		oneway := boolToInt(w.rng.Float64() < 0.002+0.03*q.shock)
-		noise := boolToInt(w.rng.Float64() < 0.005+0.05*q.shock)
-		echo := boolToInt(w.rng.Float64() < 0.003+0.02*q.shock)
+		connDelay := q.delay * (0.8 + float64(0.4*w.rng.Float64())) * (1 + float64(2.5*q.shock))
+		mosDL := clamp(q.baseMOS-float64(1.6*q.shock)+float64(0.2*w.rng.NormFloat64()), 1, 5)
+		mosUL := clamp(mosDL-0.1+float64(0.2*w.rng.NormFloat64()), 1, 5)
+		mosIP := clamp(mosDL-0.2+float64(0.25*w.rng.NormFloat64()), 1, 5)
+		oneway := boolToInt(w.rng.Float64() < 0.002+float64(0.03*q.shock))
+		noise := boolToInt(w.rng.Float64() < 0.005+float64(0.05*q.shock))
+		echo := boolToInt(w.rng.Float64() < 0.003+float64(0.02*q.shock))
 		if success == 1 {
-			dur = w.rng.ExpFloat64() * 110 * (0.5 + activity/2)
-			if w.rng.Float64() < q.baseDrop*(1+4*q.shock) {
+			dur = w.rng.ExpFloat64() * 110 * (0.5 + float64(activity/2))
+			if w.rng.Float64() < q.baseDrop*(1+float64(4*q.shock)) {
 				dropped = 1
 				dur *= w.rng.Float64()
 			}
@@ -301,7 +301,7 @@ func (w *World) emitCalls(md *MonthData, c *customer, activity float64, q experi
 			} else if kind == CallRoam {
 				rate = 0.6
 			}
-			charge += dur / 60 * rate
+			charge += float64(dur / 60 * rate)
 		}
 		md.Calls.Append().Int(c.id).Int(peer).Int(int64(md.Month)).Int(int64(day)).
 			Float(dur).Int(int64(kind)).Int(int64(mo)).Int(int64(peerOp)).
@@ -312,12 +312,12 @@ func (w *World) emitCalls(md *MonthData, c *customer, activity float64, q experi
 	}
 	// Service-line calls: rise with dissatisfaction, but noisy and rare
 	// (the paper: most churners do not complain before churning).
-	svcCalls := w.poisson(0.1 + 0.8*c.dissat*c.complaintProp)
+	svcCalls := w.poisson(0.1 + float64(0.8*c.dissat*c.complaintProp))
 	for i := 0; i < svcCalls; i++ {
 		day := 1 + w.rng.Intn(w.cfg.DaysPerMonth)
 		manual := boolToInt(w.rng.Float64() < 0.5)
 		md.Calls.Append().Int(c.id).Int(10010).Int(int64(md.Month)).Int(int64(day)).
-			Float(60 + w.rng.ExpFloat64()*120).Int(CallLocalInner).Int(1).
+			Float(60 + float64(w.rng.ExpFloat64()*120)).Int(CallLocalInner).Int(1).
 			Int(OpSelf).Int(1).Int(0).Float(1).Float(4).Float(4).Float(4).
 			Int(0).Int(0).Int(0).Int(0).Int(0).Int(1).Int(0).Int(1).
 			Int(int64(manual)).Done()
@@ -414,20 +414,20 @@ func (w *World) emitWeb(md *MonthData, c *customer, activity float64, q experien
 	slices.Sort(activeDays)
 	for _, day := range activeDays {
 		pages := 1 + w.poisson(28*c.dataAppetite*activity)
-		succRate := clamp(0.97-0.25*q.shock-0.02*w.rng.Float64(), 0.3, 1)
+		succRate := clamp(0.97-float64(0.25*q.shock)-float64(0.02*w.rng.Float64()), 0.3, 1)
 		succ := binomialApprox(w, pages, succRate)
-		respDelay := q.delay * (1 + 2.2*q.shock) * (0.7 + 0.6*w.rng.Float64())
-		browseSucc := binomialApprox(w, succ, clamp(0.98-0.15*q.shock, 0.4, 1))
-		browseDelay := respDelay * (1.5 + 0.5*w.rng.Float64())
+		respDelay := q.delay * (1 + float64(2.2*q.shock)) * (0.7 + float64(0.6*w.rng.Float64()))
+		browseSucc := binomialApprox(w, succ, clamp(0.98-float64(0.15*q.shock), 0.4, 1))
+		browseDelay := respDelay * (1.5 + float64(0.5*w.rng.Float64()))
 		// Throughput shrinks with cell degradation AND with the customer's
 		// own disengagement — the paper's #2 feature.
-		dlTP := q.baseTP * (1 - 0.45*q.shock) * (0.45 + 0.55*clamp(activity, 0, 1.3)) * (0.85 + 0.3*w.rng.Float64())
-		ulTP := dlTP * (0.18 + 0.1*w.rng.Float64())
-		pageSize := 180 + 240*w.rng.Float64() // KB
-		dayFlux := float64(pages)*pageSize/1024 + w.rng.ExpFloat64()*12*c.dataAppetite*activity
+		dlTP := q.baseTP * (1 - float64(0.45*q.shock)) * (0.45 + float64(0.55*clamp(activity, 0, 1.3))) * (0.85 + float64(0.3*w.rng.Float64()))
+		ulTP := dlTP * (0.18 + float64(0.1*w.rng.Float64()))
+		pageSize := 180 + float64(240*w.rng.Float64()) // KB
+		dayFlux := float64(float64(pages)*pageSize/1024) + float64(w.rng.ExpFloat64()*12*c.dataAppetite*activity)
 		tcpAtt := pages + w.poisson(8)
-		tcpOK := binomialApprox(w, tcpAtt, clamp(0.99-0.2*q.shock, 0.5, 1))
-		rtt := (40 + 160*q.shock) * (0.8 + 0.4*w.rng.Float64())
+		tcpOK := binomialApprox(w, tcpAtt, clamp(0.99-float64(0.2*q.shock), 0.5, 1))
+		rtt := (40 + float64(160*q.shock)) * (0.8 + float64(0.4*w.rng.Float64()))
 		streamSize := w.rng.ExpFloat64() * 35 * c.dataAppetite * activity
 		streamPkts := streamSize * 700
 		emailCnt := w.poisson(1.2)
@@ -456,7 +456,7 @@ func (w *World) emitSearch(md *MonthData, c *customer, activity float64) {
 	// Competitor-topic weight: the paper's key F8 signal. It rises with
 	// latent dissatisfaction (weak early signal), community competitor
 	// promotions, and spikes in the signal month.
-	competitor := 0.04 + 1.1*c.dissat + 0.8*w.communityShock[c.community]
+	competitor := 0.04 + float64(1.1*c.dissat) + float64(0.8*w.communityShock[c.community])
 	if c.phase == phaseEarly {
 		competitor += 0.4
 	}
@@ -478,10 +478,10 @@ func (w *World) emitSearch(md *MonthData, c *customer, activity float64) {
 func (w *World) emitComplaints(md *MonthData, c *customer) {
 	// Complaints are rare and only loosely tied to churn: a majority of
 	// churners never complain (paper Section 5.3's F7 result).
-	n := w.poisson(c.complaintProp * (0.2 + 1.5*c.dissat))
+	n := w.poisson(c.complaintProp * (0.2 + float64(1.5*c.dissat)))
 	for i := 0; i < n; i++ {
 		day := 1 + w.rng.Intn(w.cfg.DaysPerMonth)
-		mix := []float64{0.4 + 1.5*c.dissat, 0.8, 0.6, 0.5}
+		mix := []float64{0.4 + float64(1.5*c.dissat), 0.8, 0.6, 0.5}
 		words := 4 + w.rng.Intn(6)
 		md.Complaints.Append().Int(c.id).Int(int64(md.Month)).Int(int64(day)).
 			String(w.sampleText(complaintTopics, mix, words)).Done()
@@ -524,7 +524,7 @@ func (w *World) settleBalance(md *MonthData, c *customer, charge float64) (recha
 		// Stops topping up; balance drains but we keep them just above the
 		// recharge threshold so the labeled churn lands next month.
 		if c.balance < lowWater+2 {
-			c.balance = lowWater + 2 + 3*w.rng.Float64()
+			c.balance = lowWater + 2 + float64(3*w.rng.Float64())
 		}
 		return 0, false, 0, false
 	}
@@ -589,23 +589,23 @@ func (w *World) decideChurn(c *customer, churned map[int64]bool) {
 		shortTenureLowSpend = 1.0
 	}
 	z := w.cfg.BaseChurnHazard +
-		1.4*c.dissat +
-		1.0*lowBalance +
-		0.9*(1-c.loyalty) +
-		0.7*c.priceSens +
-		2.0*neighborChurn +
+		float64(1.4*c.dissat) +
+		float64(1.0*lowBalance) +
+		float64(0.9*(1-c.loyalty)) +
+		float64(0.7*c.priceSens) +
+		float64(2.0*neighborChurn) +
 		herd +
-		0.7*w.communityShock[c.community] +
-		1.2*shortTenureLowSpend -
-		0.35*math.Min(c.sociality, 2) +
-		0.5*w.rng.NormFloat64()
+		float64(0.7*w.communityShock[c.community]) +
+		float64(1.2*shortTenureLowSpend) -
+		float64(0.35*math.Min(c.sociality, 2)) +
+		float64(0.5*w.rng.NormFloat64())
 	pMain := sigmoid(z)
 	// Dedicated quality-victim pathway: churn probability rises steeply
 	// with sustained bad experience, concentrating this churn mode among
 	// the customers whose CS/PS KPIs look worst — the headroom the paper's
 	// F2/F3 groups exploit (Table 2's 12-15% PR-AUC lifts).
-	pQuality := sigmoid(-6.5 + 7.5*c.dissat)
-	p := 1 - (1-pMain)*(1-pQuality)
+	pQuality := sigmoid(-6.5 + float64(7.5*c.dissat))
+	p := 1 - float64((1-pMain)*(1-pQuality))
 	if w.rng.Float64() < p {
 		qualityDriven := w.rng.Float64() < pQuality/p
 		// Abrupt churners skip the behavioral signal month, so baseline BSS
@@ -613,7 +613,7 @@ func (w *World) decideChurn(c *customer, churned map[int64]bool) {
 		// community-driven churn is disproportionately abrupt (a quality
 		// victim or a customer whose neighbor ported out leaves within
 		// weeks), which is what gives the OSS groups F2-F8 their headroom.
-		abrupt := 0.08 + 1.6*neighborChurn + 0.35*w.communityShock[c.community]
+		abrupt := 0.08 + float64(1.6*neighborChurn) + float64(0.35*w.communityShock[c.community])
 		if qualityDriven {
 			abrupt += 0.6
 		}
@@ -660,7 +660,7 @@ func (w *World) poisson(lambda float64) int {
 	}
 	if lambda > 30 {
 		// Normal approximation for large rates keeps generation fast.
-		v := lambda + math.Sqrt(lambda)*w.rng.NormFloat64()
+		v := lambda + float64(math.Sqrt(lambda)*w.rng.NormFloat64())
 		if v < 0 {
 			return 0
 		}
@@ -691,9 +691,9 @@ func binomialApprox(w *World, n int, p float64) int {
 		}
 		return k
 	}
-	mean := float64(n) * p
+	mean := float64(float64(n) * p)
 	sd := math.Sqrt(mean * (1 - p))
-	v := int(mean + sd*w.rng.NormFloat64() + 0.5)
+	v := int(mean + float64(sd*w.rng.NormFloat64()) + 0.5)
 	if v < 0 {
 		v = 0
 	}

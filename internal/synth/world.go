@@ -172,13 +172,13 @@ func (w *World) buildCells() {
 		w.cells[i] = &cell{
 			id:          i,
 			lac:         i / 8,
-			lat:         31.0 + w.rng.Float64()*0.8,
-			lon:         121.0 + w.rng.Float64()*0.9,
+			lat:         31.0 + float64(w.rng.Float64()*0.8),
+			lon:         121.0 + float64(w.rng.Float64()*0.9),
 			baseQuality: quality,
-			baseTP:      2200 + w.rng.Float64()*2600, // kbps
-			baseMOS:     3.6 + w.rng.Float64()*0.9,
-			baseDrop:    0.004 + 0.02*quality,
-			baseDelay:   0.9 + 1.4*quality,
+			baseTP:      2200 + float64(w.rng.Float64()*2600), // kbps
+			baseMOS:     3.6 + float64(w.rng.Float64()*0.9),
+			baseDrop:    0.004 + float64(0.02*quality),
+			baseDelay:   0.9 + float64(1.4*quality),
 		}
 	}
 }
@@ -187,10 +187,10 @@ func (w *World) newCustomer(community int) *customer {
 	r := w.rng
 	home := (community * 3) % len(w.cells) // community members share a home cell
 	alt := []int{r.Intn(len(w.cells)), r.Intn(len(w.cells))}
-	dataApp := clamp(0.15+r.ExpFloat64()*0.6, 0.05, 3.0)
-	voiceApp := clamp(0.2+r.ExpFloat64()*0.55, 0.05, 3.0)
-	loyalty := clamp(r.NormFloat64()*0.2+0.55, 0, 1)
-	priceSens := clamp(r.NormFloat64()*0.22+0.5, 0, 1)
+	dataApp := clamp(0.15+float64(r.ExpFloat64()*0.6), 0.05, 3.0)
+	voiceApp := clamp(0.2+float64(r.ExpFloat64()*0.55), 0.05, 3.0)
+	loyalty := clamp(float64(r.NormFloat64()*0.2)+0.55, 0, 1)
+	priceSens := clamp(float64(r.NormFloat64()*0.22)+0.5, 0, 1)
 	// Price-sensitive customers pick cheaper products, making the latent
 	// trait partially observable through product_price — one of the
 	// persistent baseline signals that keeps earlier-horizon prediction
@@ -216,23 +216,23 @@ func (w *World) newCustomer(community int) *customer {
 		productID:     r.Intn(12),
 		productKind:   r.Intn(3),
 		productPrice:  prices[priceIdx],
-		creditValue:   40 + r.Float64()*60,
+		creditValue:   40 + float64(r.Float64()*60),
 		innetMonths:   0,
 		loyalty:       loyalty,
 		priceSens:     priceSens,
 		voiceAppetite: voiceApp,
 		dataAppetite:  dataApp,
-		smsAppetite:   clamp(0.1+r.ExpFloat64()*0.5, 0.02, 3.0),
-		complaintProp: clamp(0.15+r.ExpFloat64()*0.3, 0, 1.2),
-		sociality:     clamp(0.3+r.ExpFloat64()*0.45, 0.1, 3.0),
+		smsAppetite:   clamp(0.1+float64(r.ExpFloat64()*0.5), 0.02, 3.0),
+		complaintProp: clamp(0.15+float64(r.ExpFloat64()*0.3), 0, 1.2),
+		sociality:     clamp(0.3+float64(r.ExpFloat64()*0.45), 0.1, 3.0),
 		qualityBias:   personalQualityBias(r),
 		dissat:        clamp(r.Float64()*0.15, 0, 1),
-		balance:       20 + r.Float64()*60,
+		balance:       20 + float64(r.Float64()*60),
 		phase:         phaseActive,
 	}
 	w.nextID++
 	c.bestOffer = w.deriveBestOffer(c)
-	c.retainBase = clamp(0.95-0.6*c.dissat-0.35*(1-c.loyalty)+0.25*(r.Float64()-0.5), 0.05, 0.95)
+	c.retainBase = clamp(0.95-float64(0.6*c.dissat)-float64(0.35*(1-c.loyalty))+float64(0.25*(float64(r.Float64())-0.5)), 0.05, 0.95)
 	return c
 }
 
@@ -246,10 +246,10 @@ func (w *World) deriveBestOffer(c *customer) int {
 		score float64
 	}
 	cands := []cand{
-		{OfferFlux500MB, c.dataAppetite*1.1 + 0.1*w.rng.NormFloat64()},
-		{OfferVoice200Min, c.voiceAppetite*1.0 + 0.1*w.rng.NormFloat64()},
-		{OfferCashback100, c.priceSens*1.3 + 0.15*w.rng.NormFloat64()},
-		{OfferCashback50, 0.75 + 0.15*w.rng.NormFloat64()},
+		{OfferFlux500MB, float64(c.dataAppetite*1.1) + float64(0.1*w.rng.NormFloat64())},
+		{OfferVoice200Min, float64(c.voiceAppetite*1.0) + float64(0.1*w.rng.NormFloat64())},
+		{OfferCashback100, float64(c.priceSens*1.3) + float64(0.15*w.rng.NormFloat64())},
+		{OfferCashback50, 0.75 + float64(0.15*w.rng.NormFloat64())},
 	}
 	best := cands[0]
 	for _, cd := range cands[1:] {

@@ -81,7 +81,7 @@ func FitTree(d *dataset.Dataset, cfg Config) (*Forest, error) {
 		numClasses = 2
 	}
 	cfg = cfg.withDefaults()
-	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins)
+	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins, 1)
 	f := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
 	f.features = d.FeatureNames
 	f.importance = normalizedSum(f.treeImp, d.NumFeatures())

@@ -53,6 +53,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"telcochurn/internal/parallel"
 )
 
 // maxBinsLimit caps MaxBins so histogram bin indices fit in a byte.
@@ -79,8 +81,10 @@ type colData struct {
 
 // newColData transposes x to feature-major and presorts (maxBins == 0) or
 // quantile-bins (maxBins > 0) every feature. O(F·n log n) once, against the
-// legacy backend's per-node sorts.
-func newColData(x [][]float64, numFeat, maxBins int) *colData {
+// legacy backend's per-node sorts. Each column is sorted as its own task
+// on up to workers goroutines (0 = GOMAXPROCS); a column's order or bins
+// depend on that column alone, so the result is the same at any count.
+func newColData(x [][]float64, numFeat, maxBins, workers int) *colData {
 	n := len(x)
 	cd := &colData{numRows: n, cols: make([][]float64, numFeat)}
 	flat := make([]float64, numFeat*n)
@@ -93,38 +97,49 @@ func newColData(x [][]float64, numFeat, maxBins int) *colData {
 		}
 	}
 	if maxBins > 0 {
-		cd.bin(maxBins)
+		cd.bin(maxBins, workers)
 	} else {
-		cd.presort()
+		cd.presort(workers)
 	}
 	return cd
 }
 
-func (cd *colData) presort() {
+func (cd *colData) presort(workers int) {
 	n := cd.numRows
 	cd.orders = make([][]int32, len(cd.cols))
 	flat := make([]int32, len(cd.cols)*n)
-	for f, col := range cd.cols {
+	parallel.ForGrain(workers, len(cd.cols), 1, func(f int) {
+		col := cd.cols[f]
 		ord := flat[f*n : (f+1)*n : (f+1)*n]
 		for i := range ord {
 			ord[i] = int32(i)
 		}
 		sort.Slice(ord, func(a, b int) bool { return col[ord[a]] < col[ord[b]] })
 		cd.orders[f] = ord
-	}
+	})
 }
 
-func (cd *colData) bin(maxBins int) {
+func (cd *colData) bin(maxBins, workers int) {
 	maxBins = clampBins(maxBins)
 	n := cd.numRows
 	cd.binUpper = make([][]float64, len(cd.cols))
 	cd.binIdx = make([][]uint8, len(cd.cols))
-	sorted := make([]float64, n)
 	flat := make([]uint8, len(cd.cols)*n)
-	for f, col := range cd.cols {
+	// free holds the sort buffers between columns: at most one per
+	// goroutine ForGrain runs, so the serial case allocates one.
+	free := make(chan []float64, parallel.Workers(workers))
+	parallel.ForGrain(workers, len(cd.cols), 1, func(f int) {
+		var sorted []float64
+		select {
+		case sorted = <-free:
+		default:
+			sorted = make([]float64, n)
+		}
+		col := cd.cols[f]
 		copy(sorted, col)
 		sort.Float64s(sorted)
 		upper := binEdges(sorted, maxBins)
+		free <- sorted
 		cd.binUpper[f] = upper
 		idx := flat[f*n : (f+1)*n : (f+1)*n]
 		if len(upper) > 0 {
@@ -133,7 +148,7 @@ func (cd *colData) bin(maxBins int) {
 			}
 		}
 		cd.binIdx[f] = idx
-	}
+	})
 }
 
 // binEdges picks quantile cut points over the sorted values: a cut is

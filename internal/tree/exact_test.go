@@ -263,7 +263,7 @@ func TestForestMultiplicityMatchesExpandedBootstrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd := newColData(d.X, d.NumFeatures(), maxBins)
+		cd := newColData(d.X, d.NumFeatures(), maxBins, 1)
 		for tr := 0; tr < cfg.NumTrees; tr++ {
 			idx := bootstrapIdx(d, rand.New(rand.NewSource(cfg.Seed+int64(tr)*1_000_003)))
 			y := make([]int, len(idx))

@@ -103,7 +103,7 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 		FeaturesPerSplit: cfg.FeaturesPerSplit,
 		MaxBins:          cfg.MaxBins,
 	}.withDefaults()
-	cd := newColData(d.X, d.NumFeatures(), treeCfg.MaxBins)
+	cd := newColData(d.X, d.NumFeatures(), treeCfg.MaxBins, cfg.Workers)
 
 	// Each tree draws from its own RNG stream keyed by tree index, so the
 	// ensemble is bit-identical for any worker count. The per-tree buffers

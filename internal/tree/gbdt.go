@@ -91,7 +91,7 @@ func FitGBDT(d *dataset.Dataset, cfg GBDTConfig) (*GBDT, error) {
 		MaxDepth:       cfg.MaxDepth,
 		MaxBins:        clampBins(cfg.MaxBins),
 	}
-	cd := newColData(d.X, d.NumFeatures(), baseCfg.MaxBins)
+	cd := newColData(d.X, d.NumFeatures(), baseCfg.MaxBins, 1)
 
 	for t := 0; t < cfg.NumTrees; t++ {
 		// Negative gradient of binomial deviance: y - p.

@@ -232,7 +232,7 @@ func regDefaults(targets, weights []float64, cfg regConfig) ([]float64, regConfi
 func fitRegressionTree(x [][]float64, targets, weights []float64, cfg regConfig) *nodes {
 	weights, cfg = regDefaults(targets, weights, cfg)
 	out := &nodes{}
-	fitRegressionTreeOnData(newColData(x, len(x[0]), cfg.MaxBins), targets, weights, cfg, out)
+	fitRegressionTreeOnData(newColData(x, len(x[0]), cfg.MaxBins, 1), targets, weights, cfg, out)
 	return out
 }
 

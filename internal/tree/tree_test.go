@@ -498,7 +498,7 @@ func fitGBDTRowWalk(d *dataset.Dataset, cfg GBDTConfig) *GBDT {
 	for i := range f {
 		f[i] = g.bias
 	}
-	cd := newColData(d.X, d.NumFeatures(), clampBins(cfg.MaxBins))
+	cd := newColData(d.X, d.NumFeatures(), clampBins(cfg.MaxBins), 1)
 	for t := 0; t < cfg.NumTrees; t++ {
 		for i := range residual {
 			residual[i] = float64(d.Y[i]) - sigmoid(f[i])
