@@ -74,6 +74,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/tree/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./cmd/churnd/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventsRequest$$' -fuzztime 10s ./cmd/churnd/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventTables$$' -fuzztime 10s ./internal/serve/

@@ -70,7 +70,9 @@ func cmdIngest(args []string) error {
 		batch.Events = serve.EventsFromTables(synth.GenerateEvents(ids, m, days, *synthN, *seed))
 	}
 
-	if len(batch.Events) > 0 {
+	// An empty batch still goes through BuildEventTables (or churnd), so it
+	// fails as churnd's 400 does instead of exiting 0 with nothing logged.
+	if *eventsPath != "" || *synthN > 0 {
 		if *addr != "" {
 			if err := postEvents(*addr, batch); err != nil {
 				return err

@@ -361,6 +361,30 @@ func TestEvalRunsEveryID(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsEmptyBatch: `ingest -events` of an empty batch fails
+// with the error churnd answers such a post with (400), and appends
+// nothing, instead of exiting 0.
+func TestIngestRejectsEmptyBatch(t *testing.T) {
+	dir := t.TempDir()
+	wh := filepath.Join(dir, "wh")
+	if err := cmdGenerate([]string{"-out", wh, "-customers", "40", "-months", "2", "-fsync", "off"}); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	events := filepath.Join(dir, "events.json")
+	if err := os.WriteFile(events, []byte(`{"events":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, _, err := captureOutput(t, func() error {
+		return cmdIngest([]string{"-warehouse", wh, "-events", events, "-fsync", "off"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "empty event batch") {
+		t.Fatalf("ingest of an empty batch: err = %v, want the empty event batch error", err)
+	}
+	if stdout != "" {
+		t.Errorf("ingest of an empty batch printed %q", stdout)
+	}
+}
+
 // TestScoreAfterMergeReadsWarehouse: after `ingest -merge` folds events
 // into the month a -precompute artifact's snapshot describes, `score -full`
 // prints the merged warehouse's scores — the bits PredictSharded (and

@@ -2,10 +2,10 @@
 // shared by every on-disk format: an ASCII magic outside the checksum, a
 // varint/float64/string body, and a trailing CRC32 (IEEE) over the body.
 // The tree package's forest format (TCRF) defined the layout; the pipeline
-// artifact (core), topic models, binarizers, boosted ensembles, and the
-// warehouse's .tct partitions and TEV1 event-log segments (store) all
-// write through Writer and decode through Reader, so there is one place
-// where stored bytes become lengths and allocations.
+// artifact (core), topic models, and the warehouse's .tct partitions and
+// TEV1 event-log segments (store) all write through Writer and decode
+// through Reader, so there is one place where stored bytes become lengths
+// and allocations.
 package codec
 
 import (

@@ -6,8 +6,9 @@ package core
 // forest — must survive process restarts and ship between the trainer and
 // the scoring fleet. One bundle carries everything Predict needs: the
 // schema version, the effective Config, the training feature names with
-// their checksum, the fitted topic/second-order feature models, and the
-// serialized classifier. Round trips are bit-identical: every float is
+// their checksum, the fitted topic/second-order feature models, the
+// serialized random forest and, optionally, the serving month's
+// precomputed feature vectors. Round trips are bit-identical: every float is
 // stored as its exact IEEE-754 bits, so a loaded pipeline scores exactly
 // like the in-memory one that was saved.
 //
@@ -25,23 +26,16 @@ import (
 
 	"telcochurn/internal/codec"
 	"telcochurn/internal/features"
-	"telcochurn/internal/fm"
-	"telcochurn/internal/linear"
 	"telcochurn/internal/sampling"
 	"telcochurn/internal/tree"
 )
 
 const artifactMagic = "TCPA"
 
-// ArtifactVersion is the schema version this build writes. Version 2 added
-// an optional precomputed feature-vector section after the classifier;
-// readers accept both 1 and 2 (a v1 bundle simply loads with no vectors)
-// and reject anything else with ErrArtifactVersion rather than guessing at
-// the layout.
-const ArtifactVersion = 2
-
-// artifactVersionMin is the oldest schema version Load still reads.
-const artifactVersionMin = 1
+// ArtifactVersion is the schema version this build writes and the only one
+// it reads: Load answers any other with ErrArtifactVersion rather than
+// guessing at the layout.
+const ArtifactVersion = 3
 
 var (
 	// ErrBadArtifact is returned when a bundle fails structural or checksum
@@ -52,22 +46,26 @@ var (
 	ErrArtifactVersion = errors.New("core: unsupported artifact version")
 )
 
-// classifier tags, stored in the bundle to dispatch deserialization. They
-// deliberately match Classifier.Name for observability.
-const (
-	tagRF        = "RF"
-	tagGBDT      = "GBDT"
-	tagLiblinear = "LIBLINEAR"
-	tagLibFM     = "LIBFM"
-)
+// tagRF is the classifier tag stored in the bundle. It matches
+// RFClassifier.Name, and it is the only one: the forest is the model
+// churnctl train writes and churnd serves, while the other families are
+// fitted and scored in memory only (Fig. 9).
+const tagRF = "RF"
 
 // Save serializes the fitted pipeline as one versioned bundle and returns
-// the number of bytes written. It fails for pipelines whose classifier is a
-// custom Classifier implementation (only the four built-in families have a
-// wire format) and for unfitted frame-builder pipelines.
+// the number of bytes written. It fails for a pipeline whose classifier is
+// not the random forest and for unfitted frame-builder pipelines.
 func (p *Pipeline) Save(w io.Writer) (int64, error) {
 	if p.clf == nil {
 		return 0, errors.New("core: cannot save an unfitted pipeline (NewFrameBuilder pipelines have no classifier)")
+	}
+	rf, ok := p.clf.(*RFClassifier)
+	if !ok {
+		return 0, fmt.Errorf("core: classifier %s (%T) is not persistable: only the random forest is", p.clf.Name(), p.clf)
+	}
+	var forest bytes.Buffer
+	if _, err := rf.Forest().WriteTo(&forest); err != nil {
+		return 0, err
 	}
 	cw := codec.NewWriter(w, artifactMagic+string([]byte{ArtifactVersion}))
 
@@ -98,37 +96,11 @@ func (p *Pipeline) Save(w io.Writer) (int64, error) {
 	encodeOptional(cw, p.search != nil, func() { p.search.Encode(cw) })
 	encodeOptional(cw, p.so != nil, func() { p.so.Encode(cw) })
 
-	// Classifier section, tagged by family.
-	switch c := p.clf.(type) {
-	case *RFClassifier:
-		cw.Str(tagRF)
-		var buf bytes.Buffer
-		if _, err := c.Forest().WriteTo(&buf); err != nil {
-			return 0, err
-		}
-		cw.Bytes(buf.Bytes())
-	case *GBDTClassifier:
-		cw.Str(tagGBDT)
-		var buf bytes.Buffer
-		if _, err := c.model.WriteTo(&buf); err != nil {
-			return 0, err
-		}
-		cw.Bytes(buf.Bytes())
-	case *LinearClassifier:
-		cw.Str(tagLiblinear)
-		cw.Uvarint(uint64(c.Buckets))
-		c.bin.Encode(cw)
-		c.model.Encode(cw)
-	case *FMClassifier:
-		cw.Str(tagLibFM)
-		cw.Uvarint(uint64(c.Buckets))
-		c.bin.Encode(cw)
-		c.model.Encode(cw)
-	default:
-		return 0, fmt.Errorf("core: classifier %T is not persistable", p.clf)
-	}
+	// Classifier section: the tag, then the whole TCRF file.
+	cw.Str(tagRF)
+	cw.Bytes(forest.Bytes())
 
-	// v2: optional precomputed feature-vector snapshot (see vectors.go).
+	// Optional precomputed feature-vector snapshot (see vectors.go).
 	encodeOptional(cw, p.vectors != nil, func() { p.vectors.encode(cw) })
 	return cw.Close()
 }
@@ -171,12 +143,11 @@ func Load(r io.Reader) (*Pipeline, error) {
 	if len(data) < len(artifactMagic)+1 || string(data[:len(artifactMagic)]) != artifactMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadArtifact)
 	}
-	version := data[len(artifactMagic)]
-	if version < artifactVersionMin || version > ArtifactVersion {
-		return nil, fmt.Errorf("%w: bundle is version %d, this build reads versions %d-%d",
-			ErrArtifactVersion, version, artifactVersionMin, ArtifactVersion)
+	if version := data[len(artifactMagic)]; version != ArtifactVersion {
+		return nil, fmt.Errorf("%w: bundle is version %d, this build reads version %d",
+			ErrArtifactVersion, version, ArtifactVersion)
 	}
-	rd, err := codec.NewReaderBytes(data, artifactMagic+string([]byte{version}))
+	rd, err := codec.NewReaderBytes(data, artifactMagic+string([]byte{ArtifactVersion}))
 	if err != nil {
 		return nil, badArtifact(err)
 	}
@@ -231,86 +202,35 @@ func Load(r io.Reader) (*Pipeline, error) {
 		return nil, badArtifact(err)
 	}
 
-	tag := rd.Str()
+	tag, body := rd.Str(), rd.Bytes()
 	if err := rd.Err(); err != nil {
 		return nil, badArtifact(err)
 	}
-	switch tag {
-	case tagRF:
-		f, err := tree.ReadForest(bytes.NewReader(rd.Bytes()))
-		if err != nil {
-			return nil, badArtifact(err)
-		}
-		// ReadForest bounds split features by the forest's own names; the
-		// rows it will score are the schema's.
-		if n := len(f.FeatureNames()); n != len(p.featNames) {
-			return nil, fmt.Errorf("%w: forest has %d features, schema %d", ErrBadArtifact, n, len(p.featNames))
-		}
-		p.clf = &RFClassifier{forest: f}
-	case tagGBDT:
-		g, err := tree.ReadGBDT(bytes.NewReader(rd.Bytes()))
-		if err != nil {
-			return nil, badArtifact(err)
-		}
-		if w := g.Width(); w > len(p.featNames) {
-			return nil, fmt.Errorf("%w: GBDT splits on feature %d of a %d-feature schema", ErrBadArtifact, w-1, len(p.featNames))
-		}
-		p.clf = &GBDTClassifier{model: g}
-	case tagLiblinear:
-		c := &LinearClassifier{Buckets: int(rd.Uvarint())}
-		if c.bin, err = linear.DecodeBinarizer(rd); err != nil {
-			return nil, badArtifact(err)
-		}
-		if c.model, err = linear.DecodeModel(rd); err != nil {
-			return nil, badArtifact(err)
-		}
-		if err := checkBinarized(c.bin, len(c.model.Weights), len(p.featNames)); err != nil {
-			return nil, err
-		}
-		p.clf = c
-	case tagLibFM:
-		c := &FMClassifier{Buckets: int(rd.Uvarint())}
-		if c.bin, err = linear.DecodeBinarizer(rd); err != nil {
-			return nil, badArtifact(err)
-		}
-		if c.model, err = fm.DecodeModel(rd); err != nil {
-			return nil, badArtifact(err)
-		}
-		if err := checkBinarized(c.bin, len(c.model.W), len(p.featNames)); err != nil {
-			return nil, err
-		}
-		p.clf = c
-	default:
+	if tag != tagRF {
 		return nil, fmt.Errorf("%w: unknown classifier tag %q", ErrBadArtifact, tag)
 	}
+	f, err := tree.ReadForest(bytes.NewReader(body))
+	if err != nil {
+		return nil, badArtifact(err)
+	}
+	// ReadForest bounds split features by the forest's own names; the rows
+	// it will score are the schema's.
+	if n := len(f.FeatureNames()); n != len(p.featNames) {
+		return nil, fmt.Errorf("%w: forest has %d features, schema %d", ErrBadArtifact, n, len(p.featNames))
+	}
+	p.clf = &RFClassifier{forest: f}
 
-	if version >= 2 {
-		if err := decodeOptional(rd, func() error {
-			v, err := decodeVectors(rd, len(p.featNames))
-			p.vectors = v
-			return err
-		}); err != nil {
-			return nil, badArtifact(err)
-		}
+	if err := decodeOptional(rd, func() error {
+		v, err := decodeVectors(rd, len(p.featNames))
+		p.vectors = v
+		return err
+	}); err != nil {
+		return nil, badArtifact(err)
 	}
 	if err := rd.Close(); err != nil {
 		return nil, badArtifact(err)
 	}
 	return p, nil
-}
-
-// checkBinarized rejects a binarizing classifier (LIBLINEAR, LIBFM) that
-// could not score the schema's rows: its binarizer must cut every schema
-// feature and no other, and its model must weigh every binarized output
-// and no other. Either mismatch would index past a row at score time.
-func checkBinarized(bin *linear.Binarizer, modelWidth, schemaWidth int) error {
-	if n := bin.NumInputs(); n != schemaWidth {
-		return fmt.Errorf("%w: binarizer cuts %d features, schema has %d", ErrBadArtifact, n, schemaWidth)
-	}
-	if n := bin.NumOutputs(); n != modelWidth {
-		return fmt.Errorf("%w: binarizer makes %d features, model weighs %d", ErrBadArtifact, n, modelWidth)
-	}
-	return nil
 }
 
 // LoadFile reads a pipeline bundle from disk.

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"telcochurn/internal/codec"
 	"telcochurn/internal/features"
-	"telcochurn/internal/fm"
-	"telcochurn/internal/linear"
+	"telcochurn/internal/sampling"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/tree"
 )
@@ -83,20 +85,56 @@ func fitSaveLoadPredict(t *testing.T, src Source, train []WindowSpec, win featur
 }
 
 // TestArtifactRoundTrip checks save -> load -> Predict bit-identity for
-// every built-in classifier family.
+// the forest, the one classifier the artifact persists.
 func TestArtifactRoundTrip(t *testing.T) {
 	src, train, win := artifactWorld(t)
-	forest := tree.ForestConfig{NumTrees: 12, MinLeafSamples: 10, Seed: 1}
-	cases := map[string]Config{
-		"RF":        {Forest: forest, Seed: 1},
-		"GBDT":      {Classifier: &GBDTClassifier{Config: tree.GBDTConfig{NumTrees: 15, MaxDepth: 3, MinLeafSamples: 10, Seed: 1}}, Seed: 1},
-		"LIBLINEAR": {Classifier: &LinearClassifier{Config: linear.Config{Epochs: 5, Seed: 1}}, Seed: 1},
-		"LIBFM":     {Classifier: &FMClassifier{Config: fm.Config{Epochs: 5, Seed: 1}}, Seed: 1},
+	t.Run("RF", func(t *testing.T) {
+		fitSaveLoadPredict(t, src, train, win, Config{Forest: tree.ForestConfig{NumTrees: 12, MinLeafSamples: 10, Seed: 1}, Seed: 1})
+	})
+}
+
+// TestSaveRejectsNonForest: the in-memory families (Fig. 9) have no wire
+// format, so Save fails and names the classifier instead of writing a
+// bundle nothing can load.
+func TestSaveRejectsNonForest(t *testing.T) {
+	for _, clf := range []Classifier{&GBDTClassifier{}, &LinearClassifier{}, &FMClassifier{}} {
+		var buf bytes.Buffer
+		_, err := (&Pipeline{featNames: []string{"x"}, clf: clf}).Save(&buf)
+		if err == nil || !strings.Contains(err.Error(), clf.Name()) || !strings.Contains(err.Error(), "not persistable") {
+			t.Errorf("%s: Save error = %v, want one naming it not persistable", clf.Name(), err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: Save wrote %d bytes before failing", clf.Name(), buf.Len())
+		}
 	}
-	for name, cfg := range cases {
-		t.Run(name, func(t *testing.T) {
-			fitSaveLoadPredict(t, src, train, win, cfg)
-		})
+}
+
+// TestLoadRejectsOtherClassifierTags: a bundle of the current version whose
+// classifier section is tagged anything but RF (here GBDT, a tag earlier
+// versions wrote) is corrupt, not a model to guess at.
+func TestLoadRejectsOtherClassifierTags(t *testing.T) {
+	var buf bytes.Buffer
+	cw := codec.NewWriter(&buf, artifactMagic+string([]byte{ArtifactVersion}))
+	cw.Uvarint(0) // groups
+	cw.Uvarint(uint64(sampling.WeightedInstance))
+	cw.Uvarint(10) // topics
+	cw.Uvarint(20) // second-order pairs
+	cw.Int(1)      // seed
+	cw.Uvarint(10) // stable seed stride
+	cw.Strs(nil)   // feature names and their checksum
+	cw.Uvarint(uint64(schemaChecksum(nil)))
+	for range 3 {
+		cw.Uvarint(0) // no complaint topics, search topics or second order
+	}
+	cw.Str("GBDT")
+	cw.Bytes(nil)
+	cw.Uvarint(0) // no vectors
+	if _, err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if !errors.Is(err, ErrBadArtifact) || !strings.Contains(err.Error(), `classifier tag "GBDT"`) {
+		t.Errorf("GBDT-tagged bundle: err = %v, want ErrBadArtifact naming the tag", err)
 	}
 }
 
@@ -213,14 +251,17 @@ func TestArtifactVersionMismatch(t *testing.T) {
 	if _, err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[len(artifactMagic)] = ArtifactVersion + 9
-	_, err = Load(bytes.NewReader(data))
-	if !errors.Is(err, ErrArtifactVersion) {
-		t.Errorf("future version: err = %v, want ErrArtifactVersion", err)
-	}
-	if errors.Is(err, ErrBadArtifact) {
-		t.Error("version mismatch should be distinguishable from corruption")
+	// Versions 1 and 2 (no reader is kept for them) and a future one.
+	for _, v := range []byte{1, 2, ArtifactVersion + 1, ArtifactVersion + 9} {
+		data := append([]byte(nil), buf.Bytes()...)
+		data[len(artifactMagic)] = v
+		_, err = Load(bytes.NewReader(data))
+		if !errors.Is(err, ErrArtifactVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
+			t.Errorf("version %d: err = %v, want ErrArtifactVersion naming the version", v, err)
+		}
+		if errors.Is(err, ErrBadArtifact) {
+			t.Errorf("version %d: a version mismatch should be distinguishable from corruption", v)
+		}
 	}
 }
 

@@ -4,11 +4,11 @@ package core
 // the full prepaid base from a feature snapshot built once per cycle — so
 // the serving hot path should not rebuild frames per request. Precompute
 // flattens the wide table into one contiguous row-major []float64 plus a
-// sorted customer index; the matrix persists inside the TCPA artifact
-// (schema version 2), so a scorer can serve the snapshot's month with no
-// warehouse at all. ServeMonth is the one rule every scorer picks its month
-// and base by: the warehouse whenever it opens, the snapshot only without
-// one or when the warehouse build fails.
+// sorted customer index; the matrix persists inside the TCPA artifact as
+// its optional last section, so a scorer can serve the snapshot's month
+// with no warehouse at all. ServeMonth is the one rule every scorer picks
+// its month and base by: the warehouse whenever it opens, the snapshot
+// only without one or when the warehouse build fails.
 
 import (
 	"errors"
@@ -116,7 +116,7 @@ func (p *Pipeline) Precompute(src Source, win features.Window, month int) error 
 }
 
 // Vectors returns the precomputed feature matrix, or nil if the pipeline
-// has none (artifact older than v2, or trained without Precompute).
+// has none (trained without Precompute).
 func (p *Pipeline) Vectors() *FeatureVectors { return p.vectors }
 
 // PredictVectors scores every customer of the precomputed snapshot without

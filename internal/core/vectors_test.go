@@ -2,10 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -60,7 +58,7 @@ func TestPredictVectorsMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestVectorsArtifactRoundTrip: a v2 bundle with vectors loads them back
+// TestVectorsArtifactRoundTrip: a bundle with vectors loads them back
 // bit-identically, and serving from the loaded snapshot matches the saved
 // pipeline exactly.
 func TestVectorsArtifactRoundTrip(t *testing.T) {
@@ -139,57 +137,6 @@ func TestArtifactWithoutVectors(t *testing.T) {
 	if _, err := q.PredictVectors(); !errors.Is(err, ErrNoVectors) {
 		t.Fatalf("PredictVectors error = %v, want ErrNoVectors", err)
 	}
-}
-
-// TestLoadV1Artifact: a hand-downgraded v1 bundle (the pre-vectors layout)
-// still loads. The vectors section is the only v2 addition, so a v1 body is
-// byte-identical to a v2 body minus the trailing optional section.
-func TestLoadV1Artifact(t *testing.T) {
-	src, train, win := artifactWorld(t)
-	p, err := Fit(src, train, Config{
-		Forest: tree.ForestConfig{NumTrees: 8, MinLeafSamples: 10, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Predict(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := writeAsV1(t, buf.Bytes())
-	q, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("load v1: %v", err)
-	}
-	got, err := q.Predict(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Scores {
-		if math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
-			t.Fatalf("v1 score %d drifted", i)
-		}
-	}
-}
-
-// writeAsV1 rewrites a vectors-free v2 bundle as version 1: flip the version
-// byte, drop the trailing `0` presence flag, and restamp the CRC. This is
-// exactly the byte stream the previous release wrote.
-func writeAsV1(t *testing.T, v2 []byte) []byte {
-	t.Helper()
-	if len(v2) < 10 {
-		t.Fatal("bundle too short")
-	}
-	body := append([]byte(nil), v2[:len(v2)-5]...) // drop presence flag + CRC32
-	body[len(artifactMagic)] = 1
-	// Restamp the CRC over the body (everything after magic + version).
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body[len(artifactMagic)+1:]))
-	return append(body, tail[:]...)
 }
 
 // TestServeMonth pins the one month-and-base rule every scorer shares: the

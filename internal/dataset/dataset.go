@@ -172,7 +172,7 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 func (d *Dataset) Split(frac float64, rng *rand.Rand) (*Dataset, *Dataset) {
 	n := d.NumInstances()
 	perm := rng.Perm(n)
-	cut := int(frac*float64(n) + 0.5)
+	cut := int(float64(frac*float64(n)) + 0.5)
 	if cut < 0 {
 		cut = 0
 	}
@@ -227,7 +227,7 @@ func (d *Dataset) Standardize() (means, stds []float64) {
 	for _, row := range d.X {
 		for j, v := range row {
 			dv := v - means[j]
-			stds[j] += dv * dv
+			stds[j] += float64(dv * dv)
 		}
 	}
 	for j := range stds {

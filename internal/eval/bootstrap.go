@@ -47,7 +47,7 @@ func BootstrapCI(preds []Prediction, metric func([]Prediction) float64, rounds i
 		return CI{Point: point, Lo: math.NaN(), Hi: math.NaN()}
 	}
 	sort.Float64s(values)
-	alpha := (1 - level) / 2
+	alpha := float64((1 - level) / 2)
 	lo := values[int(alpha*float64(len(values)))]
 	hiIdx := int((1 - alpha) * float64(len(values)))
 	if hiIdx >= len(values) {

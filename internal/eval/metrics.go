@@ -67,7 +67,7 @@ func AUC(preds []Prediction) float64 {
 			j++
 		}
 		// ranks i+1 .. j, average (i+1+j)/2
-		avgRank := float64(i+1+j) / 2.0
+		avgRank := float64(float64(i+1+j) / 2.0)
 		for k := i; k < j; k++ {
 			if sorted[k].Label == 1 {
 				rankSumPos += avgRank
@@ -77,7 +77,7 @@ func AUC(preds []Prediction) float64 {
 	}
 	p := float64(pos)
 	n := float64(neg)
-	return (rankSumPos - p*(p+1)/2) / (p * n)
+	return (rankSumPos - float64(p*(p+1)/2)) / (p * n)
 }
 
 // PRAUC computes the area under the precision-recall curve by interpolating
@@ -118,7 +118,7 @@ func PRAUC(preds []Prediction) float64 {
 			// the block: ties cannot be ordered, so the whole block is
 			// admitted or rejected together.
 			precEnd := (tp + float64(blockPos)) / (seen + blockLen)
-			ap += float64(blockPos) * precEnd
+			ap += float64(float64(blockPos) * precEnd)
 		}
 		tp += float64(blockPos)
 		seen += blockLen
@@ -267,7 +267,7 @@ func TrapezoidAUC(preds []Prediction) float64 {
 	area := 0.0
 	for i := 1; i < len(points); i++ {
 		dx := points[i].FPR - points[i-1].FPR
-		area += dx * (points[i].TPR + points[i-1].TPR) / 2
+		area += float64(dx * (points[i].TPR + points[i-1].TPR) / 2)
 	}
 	return area
 }

@@ -46,10 +46,6 @@ func FitBinarizer(d *dataset.Dataset, buckets int) *Binarizer {
 	return b
 }
 
-// NumInputs returns the source feature count: the width of the rows
-// TransformRow takes.
-func (b *Binarizer) NumInputs() int { return len(b.cuts) }
-
 // NumOutputs returns the binarized feature count.
 func (b *Binarizer) NumOutputs() int { return len(b.names) }
 

@@ -75,7 +75,7 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		// Decaying step size keeps late epochs from oscillating.
-		lr := cfg.LearningRate / (1 + 0.1*float64(epoch))
+		lr := cfg.LearningRate / (1 + float64(0.1*float64(epoch)))
 		for start := 0; start < n; start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > n {
@@ -85,17 +85,17 @@ func Fit(d *dataset.Dataset, cfg Config) (*Model, error) {
 			gradB := 0.0
 			for _, i := range order[start:end] {
 				x := d.X[i]
-				err := (sigmoid(m.Bias+dot(m.Weights, x)) - float64(d.Y[i])) * d.Weight(i)
+				err := float64((sigmoid(m.Bias+dot(m.Weights, x)) - float64(d.Y[i])) * d.Weight(i))
 				for j, v := range x {
-					gradW[j] += err * v
+					gradW[j] += float64(err * v)
 				}
 				gradB += err
 			}
 			scale := lr / float64(end-start)
 			for j := range m.Weights {
-				m.Weights[j] -= scale*gradW[j] + lr*cfg.Lambda*m.Weights[j]
+				m.Weights[j] -= float64(scale*gradW[j]) + float64(lr*cfg.Lambda*m.Weights[j])
 			}
-			m.Bias -= scale * gradB
+			m.Bias -= float64(scale * gradB)
 		}
 	}
 	return m, nil
@@ -118,7 +118,7 @@ func (m *Model) ScoreAll(x [][]float64) []float64 {
 func dot(w, x []float64) float64 {
 	s := 0.0
 	for i, v := range w {
-		s += v * x[i]
+		s += float64(v * x[i])
 	}
 	return s
 }

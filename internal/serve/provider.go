@@ -53,8 +53,8 @@ type Snapshot struct {
 }
 
 // NewVectorsProvider serves the artifact's precomputed vectors; it fails
-// with core.ErrNoVectors when the artifact carries none (pre-v2, or trained
-// without -precompute).
+// with core.ErrNoVectors when the artifact carries none (trained without
+// -precompute).
 func NewVectorsProvider(p *core.Pipeline) (*Snapshot, error) {
 	v := p.Vectors()
 	if v == nil {

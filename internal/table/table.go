@@ -41,8 +41,17 @@ func (c *Column) Float(i int) float64 {
 	case Float64:
 		return c.Floats[i]
 	default:
-		panic(fmt.Sprintf("table: Float on STRING column %q", c.Name))
+		c.floatOnString()
+		return 0
 	}
+}
+
+// floatOnString is Float's panic, kept out of line so Float stays
+// inlinable.
+//
+//go:noinline
+func (c *Column) floatOnString() {
+	panic(fmt.Sprintf("table: Float on STRING column %q", c.Name))
 }
 
 // Table is a columnar table: a schema plus one column vector per field, all

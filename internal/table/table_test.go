@@ -273,3 +273,15 @@ func TestFilterPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFloatOnStringPanics: Float on a STRING column is a programming error
+// and panics naming the column.
+func TestFloatOnStringPanics(t *testing.T) {
+	c := &Column{Name: "handset", Type: String, Strings: []string{"x"}}
+	defer func() {
+		if r := recover(); r != `table: Float on STRING column "handset"` {
+			t.Errorf("panic = %v", r)
+		}
+	}()
+	c.Float(0)
+}

@@ -82,9 +82,9 @@ func FitTree(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	}
 	cfg = cfg.withDefaults()
 	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins, 1)
-	f := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
+	f, imp := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
 	f.features = d.FeatureNames
-	f.importance = normalizedSum(f.treeImp, d.NumFeatures())
+	f.importance = normalizedSum([][]float64{imp}, d.NumFeatures())
 	return f, nil
 }
 

@@ -439,16 +439,15 @@ func newColGrower(lay *colLayout, y []int, w []float64, numClasses, numFeat int,
 }
 
 // fit grows one tree over the layout's first rows rows into out, which it
-// empties first but for its capacity, and returns out: a one-tree forest
-// with its raw Gini importance.
-func (g *colGrower) fit(rows int, out *Forest) *Forest {
+// empties first but for its capacity, and returns out, a one-tree forest,
+// with the tree's raw Gini importance.
+func (g *colGrower) fit(rows int, out *Forest) (*Forest, []float64) {
 	out.reset()
 	out.probs, out.numClasses = out.probs[:0], g.numClasses
 	out.roots = append(out.roots, out.alloc(1))
 	g.out = out
 	g.grow(0, 0, rows, 0)
-	out.treeImp = [][]float64{g.importance}
-	return out
+	return out, g.importance
 }
 
 // grow writes the node over the layout's rows [start, end) into slot i.

@@ -3,7 +3,7 @@ package tree
 // Flat node storage: the one form every fitted forest and GBDT takes.
 //
 // The growers write each node straight into contiguous
-// structure-of-arrays storage, ReadForest and ReadGBDT decode into it,
+// structure-of-arrays storage, ReadForest decodes a forest into it,
 // WriteTo and attribution walk it, and scoring runs over it:
 //
 //	feats[i]   split feature index, or -1 marking a leaf
@@ -227,15 +227,4 @@ func (g *GBDT) ScoreAll(x [][]float64) []float64 {
 		out[i] = g.Score(x[i])
 	})
 	return out
-}
-
-// Width returns the shortest row the ensemble can score: one past its
-// largest split feature (0 when every round is a bare leaf). TCGB stores
-// no feature count, so a loader checks this against its own schema.
-func (g *GBDT) Width() int {
-	w := 0
-	for _, f := range g.feats {
-		w = max(w, int(f)+1)
-	}
-	return w
 }

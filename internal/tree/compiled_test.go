@@ -102,7 +102,6 @@ func addLeafTree(f *Forest, p float64) {
 	f.probs[2*r], f.probs[2*r+1] = 1-p, p
 	f.setLeaf(r, p, 0)
 	f.roots = append(f.roots, r)
-	f.treeImp = append(f.treeImp, nil)
 }
 
 // argmax is the most probable class, the first on ties.
@@ -236,31 +235,10 @@ func TestCompiledRoundTripPreservesScores(t *testing.T) {
 		if err != nil {
 			return false
 		}
-
-		model, err := FitGBDT(d, GBDTConfig{
-			NumTrees: 1 + rng.Intn(10), MaxDepth: 1 + rng.Intn(4),
-			MinLeafSamples: 2 + rng.Intn(15), Seed: seed,
-		})
-		if err != nil {
-			return false
-		}
-		var gbuf bytes.Buffer
-		if _, err := model.WriteTo(&gbuf); err != nil {
-			return false
-		}
-		gloaded, err := ReadGBDT(&gbuf)
-		if err != nil {
-			return false
-		}
-
 		for i := 0; i < 40; i++ {
 			x := probe(rng, feats)
 			if math.Float64bits(forest.Score(x)) != math.Float64bits(loaded.Score(x)) {
 				t.Logf("seed %d: forest round-trip score drift at %v", seed, x)
-				return false
-			}
-			if math.Float64bits(model.Score(x)) != math.Float64bits(gloaded.Score(x)) {
-				t.Logf("seed %d: gbdt round-trip score drift at %v", seed, x)
 				return false
 			}
 		}
@@ -342,7 +320,7 @@ func laneForest(t *testing.T, rng *rand.Rand, feats int) *Forest {
 		addLeafTree(forest, rng.Float64())
 		last := len(forest.roots) - 1
 		forest.roots[i] = forest.roots[last]
-		forest.roots, forest.treeImp = forest.roots[:last], forest.treeImp[:last]
+		forest.roots = forest.roots[:last]
 	}
 	return forest
 }

@@ -132,7 +132,7 @@ func TestColumnarExactMatchesLegacyUnitWeights(t *testing.T) {
 		}
 		want := legacyFitTree(d, cfg, got.numClasses)
 		sameNode(t, forestTree(got, 0), want.root, "root:")
-		sameImportance(t, got.treeImp[0], want.importance)
+		sameImportance(t, got.importance, normalizedSum([][]float64{want.importance}, d.NumFeatures()))
 	}
 }
 
@@ -153,7 +153,7 @@ func TestColumnarExactMatchesLegacyDyadicWeights(t *testing.T) {
 	}
 	want := legacyFitTree(d, cfg, got.numClasses)
 	sameNode(t, forestTree(got, 0), want.root, "root:")
-	sameImportance(t, got.treeImp[0], want.importance)
+	sameImportance(t, got.importance, normalizedSum([][]float64{want.importance}, d.NumFeatures()))
 }
 
 func TestColumnarRegressionMatchesLegacy(t *testing.T) {
@@ -184,7 +184,9 @@ func TestColumnarRegressionMatchesLegacy(t *testing.T) {
 // TestColumnarForestMatchesLegacyPerTreeFits replays FitForest's per-tree
 // seed derivation through the legacy grower: each forest tree must equal a
 // legacy fit of the same bootstrap (weighted draw included — the resample
-// then trains with unit weights, where bit-identity is guaranteed).
+// then trains with unit weights, where bit-identity is guaranteed), and
+// the forest's importance the legacy trees' raw importances summed in
+// tree order.
 func TestColumnarForestMatchesLegacyPerTreeFits(t *testing.T) {
 	d := tiedDataset(500, 4, 41)
 	d.W = make([]float64, d.NumInstances())
@@ -200,6 +202,7 @@ func TestColumnarForestMatchesLegacyPerTreeFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var imps [][]float64
 	for tr := 0; tr < cfg.NumTrees; tr++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(tr)*1_000_003))
 		boot := d.Subset(bootstrapIdx(d, rng))
@@ -210,8 +213,9 @@ func TestColumnarForestMatchesLegacyPerTreeFits(t *testing.T) {
 			Seed:             cfg.Seed + int64(tr)*7_000_003,
 		}, f.numClasses)
 		sameNode(t, forestTree(f, tr), want.root, "root:")
-		sameImportance(t, f.treeImp[tr], want.importance)
+		imps = append(imps, want.importance)
 	}
+	sameImportance(t, f.importance, normalizedSum(imps, d.NumFeatures()))
 }
 
 // expandedLayout lays out the resample x[idx[0]], x[idx[1]], … with one
@@ -264,6 +268,7 @@ func TestForestMultiplicityMatchesExpandedBootstrap(t *testing.T) {
 			t.Fatal(err)
 		}
 		cd := newColData(d.X, d.NumFeatures(), maxBins, 1)
+		var imps [][]float64
 		for tr := 0; tr < cfg.NumTrees; tr++ {
 			idx := bootstrapIdx(d, rand.New(rand.NewSource(cfg.Seed+int64(tr)*1_000_003)))
 			y := make([]int, len(idx))
@@ -272,10 +277,11 @@ func TestForestMultiplicityMatchesExpandedBootstrap(t *testing.T) {
 			}
 			tc := Config{MinLeafSamples: cfg.MinLeafSamples, FeaturesPerSplit: cfg.FeaturesPerSplit,
 				MaxBins: maxBins, Seed: cfg.Seed + int64(tr)*7_000_003}
-			want := newColGrower(expandedLayout(cd, idx), y, nil, f.numClasses, d.NumFeatures(), tc).fit(len(idx), &Forest{})
+			want, imp := newColGrower(expandedLayout(cd, idx), y, nil, f.numClasses, d.NumFeatures(), tc).fit(len(idx), &Forest{})
 			path := fmt.Sprintf("bins=%d tree=%d root:", maxBins, tr)
 			sameNode(t, forestTree(f, tr), forestTree(want, 0), path)
-			sameImportance(t, f.treeImp[tr], want.treeImp[0])
+			imps = append(imps, imp)
 		}
+		sameImportance(t, f.importance, normalizedSum(imps, d.NumFeatures()))
 	}
 }

@@ -17,9 +17,16 @@ var fusedOp = regexp.MustCompile(`\(([^()\s]+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[DS
 // fmaFree lists the packages whose float results must not depend on the
 // host: the trees (splits, scores, attribution), the graph features
 // (PageRank, label propagation), the retention campaign's economics, the
-// factorization machine (the F9 pair ranking and the LIBFM scores) and
-// the simulator every experiment and benchmark draws its data from.
-var fmaFree = []string{"telcochurn/internal/tree", "telcochurn/internal/graph", "telcochurn/internal/retention", "telcochurn/internal/fm", "telcochurn/internal/synth"}
+// factorization machine (the F9 pair ranking and the LIBFM scores), the
+// logistic regression (the LIBLINEAR scores), the metrics every
+// experiment reports (AUC, PR-AUC, bootstrap intervals), the dataset's
+// split and standardization, and the simulator every experiment and
+// benchmark draws its data from.
+var fmaFree = []string{
+	"telcochurn/internal/tree", "telcochurn/internal/graph", "telcochurn/internal/retention",
+	"telcochurn/internal/fm", "telcochurn/internal/linear", "telcochurn/internal/eval",
+	"telcochurn/internal/dataset", "telcochurn/internal/synth",
+}
 
 // TestNoFusedMultiplyAdd cross-compiles the fmaFree packages for arm64 and
 // fails on any fused multiply-add the compiler emits. A fused x*y+z rounds

@@ -58,8 +58,7 @@ type Forest struct {
 	nodes
 	probs      []float64 // per node: class distribution, numClasses stride
 	numClasses int
-	importance []float64   // normalized Gini importance per feature
-	treeImp    [][]float64 // per tree: raw Gini importance (Eq. 7)
+	importance []float64 // normalized Gini importance per feature (Eq. 7)
 	features   []string
 }
 
@@ -111,6 +110,7 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 	// pool, so steady state allocates them once per worker rather than once
 	// per tree.
 	trees := make([]*Forest, cfg.NumTrees)
+	imps := make([][]float64, cfg.NumTrees)
 	pool := sync.Pool{New: func() any { return new(bootBuffers) }}
 	parallel.ForGrain(cfg.Workers, cfg.NumTrees, 1, func(t int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
@@ -118,13 +118,13 @@ func FitForest(d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 		tc := treeCfg
 		tc.Seed = cfg.Seed + int64(t)*7_000_003
 		b := pool.Get().(*bootBuffers)
-		trees[t] = fitTreeBoot(cd, d, idx, tc, numClasses, b)
+		trees[t], imps[t] = fitTreeBoot(cd, d, idx, tc, numClasses, b)
 		pool.Put(b)
 	})
 
 	f := joinTrees(trees, numClasses)
 	f.features = d.FeatureNames
-	f.importance = normalizedSum(f.treeImp, d.NumFeatures())
+	f.importance = normalizedSum(imps, d.NumFeatures())
 	f.workers = cfg.Workers
 	return f, nil
 }
@@ -136,7 +136,7 @@ func joinTrees(trees []*Forest, numClasses int) *Forest {
 	for _, tr := range trees {
 		total += len(tr.feats)
 	}
-	f := &Forest{numClasses: numClasses, treeImp: make([][]float64, 0, len(trees))}
+	f := &Forest{numClasses: numClasses}
 	f.feats = make([]int32, 0, total)
 	f.thrs = make([]float64, 0, total)
 	f.kids = make([]int32, 0, total)
@@ -156,13 +156,13 @@ func joinTrees(trees []*Forest, numClasses int) *Forest {
 		f.thrs = append(f.thrs, tr.thrs...)
 		f.counts = append(f.counts, tr.counts...)
 		f.probs = append(f.probs, tr.probs...)
-		f.treeImp = append(f.treeImp, tr.treeImp...)
 	}
 	return f
 }
 
-// normalizedSum adds the trees' raw importances per feature and scales
-// the sum to 1 (Eq. 7), or leaves it all zero when no split improved.
+// normalizedSum adds the trees' raw importances per feature in tree order
+// and scales the sum to 1 (Eq. 7), or leaves it all zero when no split
+// improved.
 func normalizedSum(treeImp [][]float64, numFeat int) []float64 {
 	imp := make([]float64, numFeat)
 	for _, ti := range treeImp {
@@ -185,13 +185,14 @@ func normalizedSum(treeImp [][]float64, numFeat int) []float64 {
 // fitTreeBoot fits one forest tree on the bootstrap draw idx over the
 // shared columnar view: the tree equals one grown on the resample
 // x[idx[0]], x[idx[1]], …, computed on the distinct rows drawn, with unit
-// weights and the dataset's own labels.
-func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClasses int, b *bootBuffers) *Forest {
+// weights and the dataset's own labels. It returns the tree with its raw
+// Gini importance.
+func fitTreeBoot(cd *colData, d *dataset.Dataset, idx []int, cfg Config, numClasses int, b *bootBuffers) (*Forest, []float64) {
 	lay := newBootstrapLayout(cd, idx, b)
-	tr := newColGrower(lay, d.Y, nil, numClasses, d.NumFeatures(), cfg).fit(len(lay.rows), &b.tree)
+	tr, imp := newColGrower(lay, d.Y, nil, numClasses, d.NumFeatures(), cfg).fit(len(lay.rows), &b.tree)
 	// The next tree this worker fits reuses b.tree: a join of one copies
 	// the tree out at its exact size.
-	return joinTrees([]*Forest{tr}, numClasses)
+	return joinTrees([]*Forest{tr}, numClasses), imp
 }
 
 // bootstrapIdx draws the per-tree sample's row indices. With instance

@@ -5,41 +5,32 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// FuzzReadModel takes a TCRF or TCGB body and seals it (magic + CRC)
-// itself, so mutations reach the node decoders instead of dying at the
-// checksum. Whatever the bytes: ErrBadModel, or a model that scores an
-// all-NaN and an all-zero row of its width without panicking, and
-// re-encodes to the same bytes — strictly fewer only when the input
-// spelled a varint non-minimally.
+// FuzzReadModel takes a TCRF body and seals it (magic + CRC) itself, so
+// mutations reach the node decoder instead of dying at the checksum.
+// Whatever the bytes: ErrBadModel, or a forest that scores an all-NaN and
+// an all-zero row of its width without panicking, and re-encodes to the
+// same bytes — strictly fewer only when the input spelled a varint
+// non-minimally.
 //
-// The seeds are small models, plus the unscorable ones (no trees, NaN or
-// ±Inf payloads) that must come back ErrBadModel. Bodies over 256 bytes
-// are skipped: a structural flaw shows in a one-tree model, and minimizing
-// each new input costs time quadratic in its length, which a 10 s run
-// cannot spare.
+// The seeds are small forests — one to three trees, exact and binned
+// splits, two and three classes — plus the unscorable ones (no trees, NaN
+// or ±Inf payloads, a bad count, class count, tag or split feature) that
+// must come back ErrBadModel. Bodies over 256 bytes are skipped: a
+// structural flaw shows in a small forest, and minimizing each new input
+// costs time quadratic in its length, which a 10 s run cannot spare.
 func FuzzReadModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range []struct {
-		boosted               bool
-		depth, feats, classes int
-	}{
-		{false, 1, 1, 2}, {false, 1, 1, 2}, {false, 1, 1, 2}, {false, 2, 2, 2}, {false, 1, 3, 3},
-		{true, 1, 1, 2}, {true, 2, 2, 2},
+	for _, s := range []struct{ trees, depth, feats, classes, bins int }{
+		{1, 1, 1, 2, 0}, {1, 1, 1, 2, 0}, {1, 1, 1, 2, 0}, {1, 2, 2, 2, 0}, {1, 1, 3, 3, 0},
+		{2, 1, 1, 2, 0}, {3, 1, 2, 2, 0}, {1, 2, 2, 2, 4}, {2, 1, 2, 3, 0},
 	} {
 		d := noisyDataset(rng, 200, s.feats, s.classes)
-		var m io.WriterTo
-		var err error
-		if s.boosted {
-			m, err = FitGBDT(d, GBDTConfig{NumTrees: 1, MaxDepth: s.depth, MinLeafSamples: 10, Seed: 1})
-		} else {
-			m, err = FitForest(d, ForestConfig{NumTrees: 1, MaxDepth: s.depth, MinLeafSamples: 10, Seed: 1})
-		}
+		m, err := FitForest(d, ForestConfig{NumTrees: s.trees, MaxDepth: s.depth, MinLeafSamples: 10, Seed: 1, MaxBins: s.bins})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -47,55 +38,31 @@ func FuzzReadModel(f *testing.F) {
 		if _, err := m.WriteTo(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(s.boosted, buf.Bytes()[len(forestMagic):buf.Len()-4])
+		f.Add(buf.Bytes()[len(forestMagic) : buf.Len()-4])
 	}
 	for _, m := range unscorableModels(f) {
-		f.Add(m.boosted, m.data[len(forestMagic):len(m.data)-4])
+		f.Add(m.data[len(forestMagic) : len(m.data)-4])
 	}
 
-	// decode reads a sealed model and returns it with its row width and a
-	// function scoring one row through it.
-	decode := func(boosted bool, data []byte) (io.WriterTo, int, func([]float64), error) {
-		if boosted {
-			g, err := ReadGBDT(bytes.NewReader(data))
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			return g, g.Width(), func(x []float64) { g.Score(x) }, nil
-		}
-		fo, err := ReadForest(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return fo, len(fo.FeatureNames()), func(x []float64) { fo.Score(x); fo.PredictProba(x) }, nil
-	}
-
-	f.Fuzz(func(t *testing.T, boosted bool, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 256 {
 			return
 		}
-		magic := forestMagic
-		if boosted {
-			magic = gbdtMagic
-		}
-		data := binary.LittleEndian.AppendUint32(append([]byte(magic), body...), crc32.ChecksumIEEE(body))
-		m, width, score, err := decode(boosted, data)
+		data := binary.LittleEndian.AppendUint32(append([]byte(forestMagic), body...), crc32.ChecksumIEEE(body))
+		m, err := ReadForest(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadModel) {
 				t.Fatalf("%v is not ErrBadModel", err)
 			}
 			return
 		}
-		// A TCGB split feature may be any int32, and a probe that wide is
-		// an allocation the input does not pay for; the walk is the same.
-		if width <= 1<<16 {
-			for _, v := range []float64{math.NaN(), 0} {
-				x := make([]float64, width)
-				for i := range x {
-					x[i] = v
-				}
-				score(x)
+		for _, v := range []float64{math.NaN(), 0} {
+			x := make([]float64, len(m.FeatureNames()))
+			for i := range x {
+				x[i] = v
 			}
+			m.Score(x)
+			m.PredictProba(x)
 		}
 		var enc bytes.Buffer
 		if _, err := m.WriteTo(&enc); err != nil {

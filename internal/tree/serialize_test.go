@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,77 +118,19 @@ func TestReadForestRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestGBDTRoundTrip(t *testing.T) {
-	d := separable(400, 34)
-	g, err := FitGBDT(d, GBDTConfig{NumTrees: 25, MinLeafSamples: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := g.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(buf.Len()) != n {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadGBDT(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumTrees() != g.NumTrees() {
-		t.Fatalf("tree count %d, want %d", got.NumTrees(), g.NumTrees())
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.Float64(), rng.NormFloat64()}
-		if roundSum(got, x) != roundSum(g, x) {
-			t.Fatalf("score mismatch at %v", x)
-		}
-	}
-}
-
-func TestReadGBDTRejectsCorruption(t *testing.T) {
-	d := separable(300, 35)
-	g, err := FitGBDT(d, GBDTConfig{NumTrees: 5, MinLeafSamples: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0x55
-	if _, err := ReadGBDT(bytes.NewReader(data)); !errors.Is(err, ErrBadModel) {
-		t.Errorf("corrupted model error = %v, want ErrBadModel", err)
-	}
-	// A forest file is not a GBDT file.
-	f, err := FitForest(d, ForestConfig{NumTrees: 3, MinLeafSamples: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fbuf bytes.Buffer
-	if _, err := f.WriteTo(&fbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadGBDT(&fbuf); !errors.Is(err, ErrBadModel) {
-		t.Errorf("cross-format error = %v, want ErrBadModel", err)
-	}
-}
-
-// encodedModel is one sealed TCRF (boosted false) or TCGB model file.
+// encodedModel is one sealed TCRF model file.
 type encodedModel struct {
-	name    string
-	boosted bool
-	data    []byte
+	name string
+	data []byte
 }
 
-// unscorableModels encodes models that decode cleanly but cannot score:
-// a forest with no trees (its average is 0/0) and ensembles carrying a
-// NaN or ±Inf payload, which would reach every score that lands there.
-// Last come two one-leaf models whose leaf claims 2^31 training
-// instances, past the row limit and the int32 count a node keeps.
+// unscorableModels encodes forests that decode cleanly but cannot score:
+// one with no trees (its average is 0/0) and ones carrying a NaN or ±Inf
+// class probability, which would reach every score that lands there.
+// Then come hand-encoded one-tree forests that fail on their own bytes: a
+// leaf claiming 2^31 training instances (past the row limit and the int32
+// count a node keeps), one class, an unknown node tag, and a split on a
+// feature the forest does not name.
 func unscorableModels(tb testing.TB) []encodedModel {
 	tb.Helper()
 	d := separable(200, 3)
@@ -203,79 +144,66 @@ func unscorableModels(tb testing.TB) []encodedModel {
 		}
 		return f
 	}
-	boost := func() *GBDT {
-		g, err := FitGBDT(d, GBDTConfig{NumTrees: 1, MaxDepth: 2, MinLeafSamples: 10, Seed: 1})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
-	}
-	leftmost := func(n *nodes) int32 {
-		i := n.roots[0]
-		for n.feats[i] >= 0 {
-			i = n.kids[i]
-		}
-		return i
-	}
 	var out []encodedModel
-	add := func(name string, m io.WriterTo) {
+	add := func(name string, f *Forest) {
 		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
+		if _, err := f.WriteTo(&buf); err != nil {
 			tb.Fatal(err)
 		}
-		_, boosted := m.(*GBDT)
-		out = append(out, encodedModel{name, boosted, buf.Bytes()})
+		out = append(out, encodedModel{name, buf.Bytes()})
 	}
 
 	f := fit()
-	f.roots, f.treeImp = nil, nil
+	f.roots = nil
 	add("forest without trees", f)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f := fit()
-		f.probs[2*leftmost(&f.nodes)+1] = v
+		i := f.roots[0]
+		for f.feats[i] >= 0 {
+			i = f.kids[i]
+		}
+		f.probs[2*i+1] = v
 		add(fmt.Sprintf("forest leaf probability %v", v), f)
 	}
 	f = fit()
 	f.probs[2*f.roots[0]] = math.NaN()
 	add("forest split distribution NaN", f)
 
-	g := boost()
-	g.bias = math.NaN()
-	add("gbdt bias NaN", g)
-	g = boost()
-	g.lr = math.Inf(1)
-	add("gbdt learning rate +Inf", g)
-	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
-		g := boost()
-		g.thrs[leftmost(&g.nodes)] = v
-		add(fmt.Sprintf("gbdt leaf value %v", v), g)
-	}
-	for _, boosted := range []bool{false, true} {
+	// hand encodes a one-tree forest of the given class count over one
+	// feature, "x", whose tree node writes.
+	hand := func(name string, classes uint64, node func(w *codec.Writer)) {
 		var buf bytes.Buffer
-		if boosted {
-			w := codec.NewWriter(&buf, gbdtMagic)
-			w.Float(0)   // bias
-			w.Float(0.1) // learning rate
-			w.Uvarint(1) // trees
-			w.Uvarint(0) // leaf: tag, n, value
-			w.Uvarint(1 << 31)
-			w.Float(0.5)
-			w.Close()
-		} else {
-			w := codec.NewWriter(&buf, forestMagic)
-			w.Uvarint(2)  // classes
-			w.Strs(nil)   // features
-			w.Floats(nil) // importance
-			w.Uvarint(1)  // trees
-			w.Floats(nil) // the tree's importance
-			w.Uvarint(0)  // leaf: tag, n, class distribution
-			w.Uvarint(1 << 31)
-			w.Float(0.5)
-			w.Float(0.5)
-			w.Close()
-		}
-		out = append(out, encodedModel{fmt.Sprintf("leaf count 2^31 (boosted %v)", boosted), boosted, buf.Bytes()})
+		w := codec.NewWriter(&buf, forestMagic)
+		w.Uvarint(classes)
+		w.Strs([]string{"x"})
+		w.Floats([]float64{1}) // importance
+		w.Uvarint(1)           // trees
+		node(w)
+		w.Close()
+		out = append(out, encodedModel{name, buf.Bytes()})
 	}
+	// leaf writes a leaf over n instances: tag, n, class distribution.
+	leaf := func(n uint64) func(w *codec.Writer) {
+		return func(w *codec.Writer) {
+			w.Uvarint(0)
+			w.Uvarint(n)
+			w.Float(0.5)
+			w.Float(0.5)
+		}
+	}
+	hand("leaf count 2^31", 2, leaf(1<<31))
+	hand("one class", 1, leaf(1))
+	hand("node tag 2", 2, func(w *codec.Writer) { w.Uvarint(2) })
+	hand("split feature 1 of 1", 2, func(w *codec.Writer) {
+		w.Uvarint(1) // split: tag, feature, threshold, n, class distribution
+		w.Uvarint(1)
+		w.Float(0.5)
+		w.Uvarint(2)
+		w.Float(0.5)
+		w.Float(0.5)
+		leaf(1)(w)
+		leaf(1)(w)
+	})
 	return out
 }
 
@@ -284,13 +212,7 @@ func unscorableModels(tb testing.TB) []encodedModel {
 // serves NaN.
 func TestReadModelRejectsUnscorable(t *testing.T) {
 	for _, m := range unscorableModels(t) {
-		var err error
-		if m.boosted {
-			_, err = ReadGBDT(bytes.NewReader(m.data))
-		} else {
-			_, err = ReadForest(bytes.NewReader(m.data))
-		}
-		if !errors.Is(err, ErrBadModel) {
+		if _, err := ReadForest(bytes.NewReader(m.data)); !errors.Is(err, ErrBadModel) {
 			t.Errorf("%s: error = %v, want ErrBadModel", m.name, err)
 		}
 	}
