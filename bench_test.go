@@ -88,6 +88,23 @@ func benchWorld(b *testing.B) []*synth.MonthData {
 	return synth.Simulate(cfg)
 }
 
+// benchTables loads the months through features.MonthReader, the reader
+// core.NewMemorySource serves simulator output with.
+func benchTables(b *testing.B, months []*synth.MonthData) features.Tables {
+	b.Helper()
+	r, days := features.MonthReader{}, synth.DefaultConfig().DaysPerMonth
+	for _, md := range months {
+		r[md.Month] = md
+	}
+	first, last := months[0].Month, months[len(months)-1].Month
+	win := features.Window{FromAbs: features.AbsDay(first, 1, days), ToAbs: features.AbsDay(last, days, days)}
+	tbl, err := features.LoadTablesFrom(r, win, days)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tbl
+}
+
 func BenchmarkSimulateMonth(b *testing.B) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers = 2000
@@ -200,10 +217,7 @@ var benchWorkerCounts = []int{1, 2, 4, 8}
 
 func BenchmarkWideTableBuild(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months[:1])
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months[:1])
 	win := features.MonthWindow(1, 30)
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -222,10 +236,7 @@ func BenchmarkWideTableBuild(b *testing.B) {
 // touches. Customers rotate so each iteration folds a different row set.
 func BenchmarkCustomerFrame(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months[:1])
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months[:1])
 	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
 	if err != nil {
 		b.Fatal(err)
@@ -247,10 +258,7 @@ func BenchmarkCustomerFrame(b *testing.B) {
 // Each iteration takes the next eight customers.
 func BenchmarkCustomerFrames(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months[:1])
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months[:1])
 	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
 	if err != nil {
 		b.Fatal(err)
@@ -344,10 +352,7 @@ func BenchmarkShardedWideTableBuild(b *testing.B) {
 // the cross-shard merge.
 func BenchmarkGraphFold(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months[:1])
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months[:1])
 	win := features.MonthWindow(1, 30)
 	kinds := []struct {
 		name  string
@@ -358,17 +363,13 @@ func BenchmarkGraphFold(b *testing.B) {
 		{"cooccurrence", features.F6CooccurrenceGraph},
 	}
 	for _, shards := range []int{1, 8} {
-		split := func(t *table.Table) []*table.Table {
-			ps, err := table.PartitionByHash(t, "imsi", shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return ps
-		}
-		calls, msgs, locs := split(tbl.Calls), split(tbl.Messages), split(tbl.Locations)
 		parts := make([]features.Tables, shards)
 		for s := range parts {
-			parts[s] = features.Tables{Calls: calls[s], Messages: msgs[s], Locations: locs[s]}
+			split := func(t *table.Table) *table.Table {
+				keys := t.MustCol("imsi").Ints
+				return t.Filter(func(i int) bool { return table.ShardOf(keys[i], shards) == s })
+			}
+			parts[s] = features.Tables{Calls: split(tbl.Calls), Messages: split(tbl.Messages), Locations: split(tbl.Locations)}
 		}
 		for _, k := range kinds {
 			b.Run(fmt.Sprintf("%s/shards=%d", k.name, shards), func(b *testing.B) {
@@ -396,10 +397,7 @@ type namedGraph struct {
 func benchGraphs(b *testing.B) []namedGraph {
 	b.Helper()
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months[:1])
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months[:1])
 	gs := features.BuildGraphs([]features.Group{features.F4CallGraph, features.F6CooccurrenceGraph},
 		tbl, features.MonthWindow(1, 30), 30, synth.IsCustomerID, 0)
 	return []namedGraph{{"call", gs[0]}, {"cooccurrence", gs[2]}}
@@ -450,10 +448,7 @@ func benchSearchTopics(b *testing.B, tbl features.Tables, days int) *features.To
 // aggregation and tokenizing included) and the belief-propagation sweeps.
 func BenchmarkLDAFit(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months)
 	days := synth.DefaultConfig().DaysPerMonth
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -466,10 +461,7 @@ func BenchmarkLDAFit(b *testing.B) {
 // fitted model on one goroutine: the F8 half of Predict's topic columns.
 func BenchmarkTopicFoldIn(b *testing.B) {
 	months := benchWorld(b)
-	tbl, err := features.FromMonthData(months)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := benchTables(b, months)
 	days := synth.DefaultConfig().DaysPerMonth
 	tf := benchSearchTopics(b, tbl, days)
 	win := features.MonthWindow(4, days)
@@ -502,19 +494,6 @@ func benchForestData() *dataset.Dataset {
 		d.Y = append(d.Y, y)
 	}
 	return d
-}
-
-// BenchmarkTreeFit measures one deep CART tree (all features per split) over
-// the columnar backend — the per-tree cost without forest-level sharing.
-func BenchmarkTreeFit(b *testing.B) {
-	d := benchForestData()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.FitTree(d, tree.Config{MinLeafSamples: 25, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRandomForestFit sweeps split-search modes: bins=0 is the exact

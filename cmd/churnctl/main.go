@@ -271,7 +271,9 @@ func cmdEval(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", xid, err)
 		}
-		fmt.Printf("== %s (%v) ==\n", xid, time.Since(start).Round(time.Millisecond))
+		// The run time goes to stderr, so stdout depends only on the flags.
+		fmt.Fprintf(os.Stderr, "%s took %v\n", xid, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("== %s ==\n", xid)
 		res.Render(os.Stdout)
 		fmt.Println()
 	}

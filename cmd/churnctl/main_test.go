@@ -336,7 +336,7 @@ func TestEvalRejectsBadExperimentID(t *testing.T) {
 // by name before anything runs.
 func TestEvalRunsEveryID(t *testing.T) {
 	stdout, _ := run(t, cmdEval, "tab1", "fig1", "-customers", "300")
-	for _, header := range []string{"== tab1 (", "== fig1 ("} {
+	for _, header := range []string{"== tab1 ==\n", "== fig1 ==\n"} {
 		if !strings.Contains(stdout, header) {
 			t.Errorf("eval tab1 fig1 printed no %q section:\n%s", header, stdout)
 		}

@@ -273,7 +273,7 @@ func (r *run) eventBody(rng *rand.Rand, body []byte) []byte {
 	body = append(body, `,"day":`...)
 	body = strconv.AppendInt(body, int64(rng.Intn(28)+1), 10)
 	body = append(body, `,"fields":{"amount":`...)
-	body = strconv.AppendFloat(body, 5+rng.Float64()*95, 'f', 2, 64)
+	body = strconv.AppendFloat(body, 5+float64(rng.Float64()*95), 'f', 2, 64)
 	body = append(body, `}}]}`...)
 	return body
 }

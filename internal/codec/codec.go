@@ -249,19 +249,24 @@ func (rd *Reader) Fail(msg string) {
 // Err returns the first recorded error, or nil.
 func (rd *Reader) Err() error { return rd.err }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding of a value
+// is accepted, the one Writer writes.
 func (rd *Reader) Uvarint() uint64 {
 	if rd.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(rd.b[rd.pos:])
-	if n <= 0 {
+	if n <= 0 || !minimal(rd.b[rd.pos:], n) {
 		rd.Fail("bad uvarint")
 		return 0
 	}
 	rd.pos += n
 	return v
 }
+
+// minimal reports whether the n-byte varint at the start of b is the
+// shortest encoding of its value: a longer one ends in a zero byte.
+func minimal(b []byte, n int) bool { return n == 1 || b[n-1] != 0 }
 
 // Count reads the stored number of items that each occupy at least perItem
 // bytes and fails on one the remaining input cannot hold. Every stored
@@ -280,13 +285,13 @@ func (rd *Reader) Count(perItem int) int {
 // Len reads a byte length: a count of one-byte items.
 func (rd *Reader) Len() int { return rd.Count(1) }
 
-// Int reads a signed (zig-zag) varint.
+// Int reads a signed (zig-zag) varint, in its shortest encoding only.
 func (rd *Reader) Int() int64 {
 	if rd.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(rd.b[rd.pos:])
-	if n <= 0 {
+	if n <= 0 || !minimal(rd.b[rd.pos:], n) {
 		rd.Fail("bad varint")
 		return 0
 	}
@@ -311,14 +316,16 @@ func (rd *Reader) IntsInto(dst []int64) {
 			pos++
 			continue
 		}
-		v, n := binary.Varint(b[pos:])
-		if n <= 0 {
+		// binary.Uvarint inlines where Varint does not; the zig-zag step is
+		// Varint's.
+		ux, n := binary.Uvarint(b[pos:])
+		if n <= 0 || !minimal(b[pos:], n) {
 			rd.pos = pos
 			rd.Fail("bad varint")
 			clear(dst[i:])
 			return
 		}
-		dst[i] = v
+		dst[i] = int64(ux>>1) ^ -int64(ux&1)
 		pos += n
 	}
 	rd.pos = pos

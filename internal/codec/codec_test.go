@@ -121,6 +121,33 @@ func TestReaderFailures(t *testing.T) {
 	if err := r2.Close(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing bytes: err = %v", err)
 	}
+
+	// Writer spells every varint in its shortest form, so a longer spelling
+	// of the same value is corrupt in each varint reader.
+	for _, tc := range []struct {
+		name string
+		read func(*Reader)
+		body []byte
+	}{
+		{"Uvarint", func(r *Reader) { r.Uvarint() }, []byte{0x80, 0x00}},
+		{"Int", func(r *Reader) { r.Int() }, []byte{0x81, 0x00}},
+		{"IntsInto", func(r *Reader) { r.IntsInto(make([]int64, 2)) }, []byte{0x02, 0x82, 0x80, 0x00}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, "M")
+		w.Write(tc.body)
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReaderBytes(buf.Bytes(), "M")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.read(r)
+		if err := r.Close(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("non-minimal %s %x: err = %v, want ErrCorrupt", tc.name, tc.body, err)
+		}
+	}
 }
 
 // frameOps appends random values through w and, independently, their

@@ -169,14 +169,18 @@ func Load(r io.Reader) (*Pipeline, error) {
 	p.cfg.SecondOrderPairs = int(rd.Uvarint())
 	p.cfg.Seed = rd.Int()
 	p.cfg.StableSeedStride = int(rd.Uvarint())
-	p.cfg = p.cfg.WithDefaults()
+	// Save writes the effective config, which has no field left at zero.
+	if rd.Err() == nil && (nGroups == 0 || p.cfg.Imbalance == 0 || p.cfg.TopicK == 0 ||
+		p.cfg.SecondOrderPairs == 0 || p.cfg.StableSeedStride == 0) {
+		return nil, fmt.Errorf("%w: config has a field Save never leaves at zero", ErrBadArtifact)
+	}
 
 	p.featNames = rd.Strs()
-	wantSum := uint32(rd.Uvarint())
+	wantSum := rd.Uvarint()
 	if err := rd.Err(); err != nil {
 		return nil, badArtifact(err)
 	}
-	if got := schemaChecksum(p.featNames); got != wantSum {
+	if got := schemaChecksum(p.featNames); uint64(got) != wantSum {
 		return nil, fmt.Errorf("%w: feature-name checksum %08x, bundle says %08x", ErrBadArtifact, got, wantSum)
 	}
 

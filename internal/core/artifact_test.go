@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,7 +118,8 @@ func TestSaveRejectsNonForest(t *testing.T) {
 func TestLoadRejectsOtherClassifierTags(t *testing.T) {
 	var buf bytes.Buffer
 	cw := codec.NewWriter(&buf, artifactMagic+string([]byte{ArtifactVersion}))
-	cw.Uvarint(0) // groups
+	cw.Uvarint(1) // groups: F1
+	cw.Uvarint(uint64(features.F1Baseline))
 	cw.Uvarint(uint64(sampling.WeightedInstance))
 	cw.Uvarint(10) // topics
 	cw.Uvarint(20) // second-order pairs
@@ -239,6 +243,46 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	if _, err := Load(&fbuf); !errors.Is(err, ErrBadArtifact) {
 		t.Errorf("forest file: err = %v, want ErrBadArtifact", err)
 	}
+
+	// Bodies under a valid checksum that Save could not have written: Load
+	// takes only what Save writes. The config opens the body with one byte
+	// per field (group count, group, imbalance, TopicK = 10, pairs, seed,
+	// stride); the schema checksum follows the names.
+	const topicK = 3
+	if body := good[len(artifactMagic)+1:]; body[topicK] != 10 {
+		t.Fatalf("fixture: body byte %d is %d, not TopicK", topicK, body[topicK])
+	}
+	var names bytes.Buffer
+	nw := codec.NewWriter(&names, "")
+	nw.Strs(p.FeatureNames())
+	if _, err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sumAt := 7 + names.Len() - 4
+	for _, tc := range []struct {
+		name string
+		edit func(body []byte) []byte
+	}{
+		{"TopicK left at zero", func(b []byte) []byte { b[topicK] = 0; return b }},
+		{"TopicK in two bytes", func(b []byte) []byte { return slices.Concat(b[:topicK], []byte{0x8a, 0}, b[topicK+1:]) }},
+		{"33-bit schema checksum", func(b []byte) []byte {
+			sum, n := binary.Uvarint(b[sumAt:])
+			return slices.Concat(b[:sumAt], binary.AppendUvarint(nil, sum|1<<32), b[sumAt+n:])
+		}},
+	} {
+		if _, err := Load(bytes.NewReader(resealed(good, tc.edit))); !errors.Is(err, ErrBadArtifact) {
+			t.Errorf("%s: err = %v, want ErrBadArtifact", tc.name, err)
+		}
+	}
+}
+
+// resealed returns the artifact with its body rewritten by edit under a
+// recomputed trailing checksum, the bytes a writer that meant them would
+// have produced.
+func resealed(data []byte, edit func(body []byte) []byte) []byte {
+	head := len(artifactMagic) + 1
+	body := edit(slices.Clone(data[head : len(data)-4]))
+	return binary.LittleEndian.AppendUint32(slices.Concat(data[:head], body), crc32.ChecksumIEEE(body))
 }
 
 func TestArtifactVersionMismatch(t *testing.T) {

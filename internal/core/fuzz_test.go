@@ -17,8 +17,10 @@ import (
 //
 // The seeds are saved forest pipelines: F1 alone and every group with
 // topics and second-order features, each with and without a precomputed
-// vector snapshot. Mutations mostly end at the trailing checksum, as a
-// torn or bit-flipped file does; the forest body's hostile shapes are
+// vector snapshot. The target reseals the trailing checksum over whatever
+// body it is given, so mutations reach the config, featurizer and vector
+// decoders instead of ending at the checksum (a torn or bit-flipped file is
+// TestArtifactRejectsCorruption's); the forest body's hostile shapes are
 // FuzzReadModel's. The seeds run to kilobytes, and minimizing each new
 // input for the default 60 s would stall a short run, so make chaos caps
 // minimization at 1 s.
@@ -55,6 +57,9 @@ func FuzzLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= len(artifactMagic)+1+4 {
+			data = resealed(data, func(body []byte) []byte { return body })
+		}
 		p, err := Load(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadArtifact) && !errors.Is(err, ErrArtifactVersion) {

@@ -125,7 +125,7 @@ func TestHostileSplitFeatureRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		p := &Pipeline{featNames: []string{"x", "y", "z"}[:width], clf: &RFClassifier{forest: f}}
+		p := &Pipeline{cfg: Config{}.WithDefaults(), featNames: []string{"x", "y", "z"}[:width], clf: &RFClassifier{forest: f}}
 		if _, err := p.Save(&buf); err != nil {
 			t.Fatal(err)
 		}

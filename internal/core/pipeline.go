@@ -49,10 +49,11 @@ type Config struct {
 
 // WithDefaults returns the config with every zero field replaced by the
 // paper's default (F1-only groups, Weighted Instance imbalance, K=10
-// topics, 20 second-order pairs, seed stride 10). Fit, NewFrameBuilder and
-// Load all apply it, so callers may leave fields zero — but code that needs
-// to know the effective values (persistence, serving, logging) should call
-// it explicitly rather than re-deriving the defaults.
+// topics, 20 second-order pairs, seed stride 10). Fit and NewFrameBuilder
+// apply it, so callers may leave fields zero, and Save persists the result
+// — but code that needs to know the effective values (persistence,
+// serving, logging) should call it explicitly rather than re-deriving the
+// defaults.
 func (c Config) WithDefaults() Config {
 	if len(c.Groups) == 0 {
 		c.Groups = []features.Group{features.F1Baseline}

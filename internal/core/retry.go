@@ -97,7 +97,6 @@ type RetrySource struct {
 	cfg   RetryConfig
 	ctx   context.Context
 
-	retries   *atomic.Uint64
 	exhausted *atomic.Uint64
 }
 
@@ -106,7 +105,6 @@ func NewRetrySource(inner Source, cfg RetryConfig) *RetrySource {
 	return (&RetrySource{
 		inner:     inner,
 		cfg:       cfg.withDefaults(),
-		retries:   &atomic.Uint64{},
 		exhausted: &atomic.Uint64{},
 	}).WithContext(context.Background())
 }
@@ -123,9 +121,6 @@ func (r *RetrySource) WithContext(ctx context.Context) *RetrySource {
 	})
 	return &cp
 }
-
-// Retries returns the total number of backed-off retries performed.
-func (r *RetrySource) Retries() uint64 { return r.retries.Load() }
 
 // Exhausted returns how many operations failed even after their last
 // attempt (each of these surfaced an error or a degraded table upstream).
@@ -164,7 +159,6 @@ func (r *RetrySource) do(op string, deadline time.Time, f func() error) error {
 		if r.cfg.OnRetry != nil {
 			r.cfg.OnRetry(op, attempt, delay, err)
 		}
-		r.retries.Add(1)
 		if !r.sleep(delay) {
 			r.exhausted.Add(1)
 			return fmt.Errorf("core: retry of %s aborted: %w", op, context.Cause(r.ctx))

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,16 +54,17 @@ func fakeClock(delays *[]time.Duration) func(time.Duration) {
 func TestRetryRecoversAfterTransients(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		var delays []time.Duration
+		var retries atomic.Int64
 		src := &flakyReader{failures: 2, err: errors.New("transient blip")}
-		rs := NewRetrySource(readerSource(src), RetryConfig{Seed: seed, Sleep: fakeClock(&delays)})
+		rs := NewRetrySource(readerSource(src), RetryConfig{Seed: seed, Sleep: fakeClock(&delays), OnRetry: func(string, int, time.Duration, error) { retries.Add(1) }})
 		if _, err := rs.Truth(1); err != nil {
 			t.Fatalf("Truth after transients: %v", err)
 		}
 		if src.calls != 3 {
 			t.Errorf("calls = %d, want 3", src.calls)
 		}
-		if rs.Retries() != 2 || rs.Exhausted() != 0 {
-			t.Errorf("retries=%d exhausted=%d, want 2/0", rs.Retries(), rs.Exhausted())
+		if retries.Load() != 2 || rs.Exhausted() != 0 {
+			t.Errorf("retries=%d exhausted=%d, want 2/0", retries.Load(), rs.Exhausted())
 		}
 		return delays
 	}
@@ -89,14 +91,15 @@ func TestRetryRecoversAfterTransients(t *testing.T) {
 
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	var delays []time.Duration
+	var retries atomic.Int64
 	boom := errors.New("hard down")
 	src := &flakyReader{failures: 100, err: boom}
-	rs := NewRetrySource(readerSource(src), RetryConfig{MaxAttempts: 3, Sleep: fakeClock(&delays)})
+	rs := NewRetrySource(readerSource(src), RetryConfig{MaxAttempts: 3, Sleep: fakeClock(&delays), OnRetry: func(string, int, time.Duration, error) { retries.Add(1) }})
 	if _, err := rs.Truth(1); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped inner error", err)
 	}
-	if src.calls != 3 || rs.Retries() != 2 || rs.Exhausted() != 1 {
-		t.Errorf("calls=%d retries=%d exhausted=%d, want 3/2/1", src.calls, rs.Retries(), rs.Exhausted())
+	if src.calls != 3 || retries.Load() != 2 || rs.Exhausted() != 1 {
+		t.Errorf("calls=%d retries=%d exhausted=%d, want 3/2/1", src.calls, retries.Load(), rs.Exhausted())
 	}
 }
 
@@ -135,8 +138,9 @@ func TestRetryRespectsWindowBudget(t *testing.T) {
 
 func TestRetryAbortsOnContextCancel(t *testing.T) {
 	var delays []time.Duration
+	var retries atomic.Int64
 	src := &flakyReader{failures: 100, err: errors.New("outage")}
-	rs := NewRetrySource(readerSource(src), RetryConfig{Sleep: fakeClock(&delays)})
+	rs := NewRetrySource(readerSource(src), RetryConfig{Sleep: fakeClock(&delays), OnRetry: func(string, int, time.Duration, error) { retries.Add(1) }})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := rs.WithContext(ctx).Truth(1)
@@ -146,10 +150,10 @@ func TestRetryAbortsOnContextCancel(t *testing.T) {
 	if src.calls != 1 {
 		t.Errorf("calls = %d, want 1 (no retries against a dead context)", src.calls)
 	}
-	if rs.Retries() != 1 {
-		// The retry was counted before the aborted sleep; the parent's
-		// counters are shared with the context view.
-		t.Errorf("retries = %d, want 1", rs.Retries())
+	if retries.Load() != 1 {
+		// The retry was observed before the aborted sleep; the context view
+		// shares the parent's config.
+		t.Errorf("retries = %d, want 1", retries.Load())
 	}
 }
 
@@ -181,14 +185,15 @@ func TestRetrySourcePerTable(t *testing.T) {
 	win := features.MonthWindow(1, cfg.DaysPerMonth)
 
 	var delays []time.Duration
+	var retries atomic.Int64
 	flaky := &countingReader{inner: wh, failLeft: map[string]int{synth.TableWeb: 2}}
-	rs := NewRetrySource(readerSource(flaky), RetryConfig{Sleep: fakeClock(&delays)})
+	rs := NewRetrySource(readerSource(flaky), RetryConfig{Sleep: fakeClock(&delays), OnRetry: func(string, int, time.Duration, error) { retries.Add(1) }})
 	tbl, err := rs.Tables(win)
 	if err != nil {
 		t.Fatalf("Tables with transient web outage: %v", err)
 	}
-	if rs.Retries() != 2 {
-		t.Errorf("retries = %d, want 2 (only web retried)", rs.Retries())
+	if retries.Load() != 2 {
+		t.Errorf("retries = %d, want 2 (only web retried)", retries.Load())
 	}
 	want, err := src.Tables(win)
 	if err != nil {

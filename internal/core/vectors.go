@@ -88,9 +88,6 @@ func (v *FeatureVectors) IDs() []int64 { return v.ids }
 // NumRows returns the number of customers in the snapshot.
 func (v *FeatureVectors) NumRows() int { return len(v.ids) }
 
-// Width returns the feature count per row.
-func (v *FeatureVectors) Width() int { return v.width }
-
 // Month returns the feature month the snapshot was built from.
 func (v *FeatureVectors) Month() int { return v.month }
 

@@ -53,8 +53,8 @@ func TestPredictVectorsMatchesPredict(t *testing.T) {
 			t.Fatalf("score for %d not bit-identical: %v vs %v", want.IDs[i], got.Scores[i], want.Scores[i])
 		}
 	}
-	if v := p.Vectors(); v.Month() != 3 || v.NumRows() != len(want.IDs) || v.Width() != len(p.FeatureNames()) {
-		t.Fatalf("vectors shape month=%d rows=%d width=%d", v.Month(), v.NumRows(), v.Width())
+	if v := p.Vectors(); v.Month() != 3 || v.NumRows() != len(want.IDs) || v.width != len(p.FeatureNames()) {
+		t.Fatalf("vectors shape month=%d rows=%d width=%d", v.Month(), v.NumRows(), v.width)
 	}
 }
 

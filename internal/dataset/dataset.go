@@ -87,15 +87,6 @@ func (d *Dataset) NumClasses() int {
 	return maxY + 1
 }
 
-// ClassCounts returns the number of instances per class label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses())
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // Subset returns a new dataset containing the rows at the given indices. The
 // feature-name slice is shared; rows are shared (not copied) since training
 // code never mutates feature vectors.
@@ -167,21 +158,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// Split partitions the dataset into two parts, the first containing
-// round(frac*n) rows. The receiver is not modified.
-func (d *Dataset) Split(frac float64, rng *rand.Rand) (*Dataset, *Dataset) {
-	n := d.NumInstances()
-	perm := rng.Perm(n)
-	cut := int(float64(frac*float64(n)) + 0.5)
-	if cut < 0 {
-		cut = 0
-	}
-	if cut > n {
-		cut = n
-	}
-	return d.Subset(perm[:cut]), d.Subset(perm[cut:])
-}
-
 // Column returns a copy of feature column j.
 func (d *Dataset) Column(j int) []float64 {
 	col := make([]float64, len(d.X))
@@ -189,16 +165,6 @@ func (d *Dataset) Column(j int) []float64 {
 		col[i] = row[j]
 	}
 	return col
-}
-
-// FeatureIndex returns the column index of the named feature, or -1.
-func (d *Dataset) FeatureIndex(name string) int {
-	for i, n := range d.FeatureNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Standardize scales every column to zero mean and unit variance in place,

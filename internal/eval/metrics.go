@@ -223,84 +223,3 @@ func MeanReport(reports []Report) Report {
 	m.NumNeg /= len(reports)
 	return m
 }
-
-// ROCPoint is one (FPR, TPR) point of the ROC curve.
-type ROCPoint struct{ FPR, TPR float64 }
-
-// ROCCurve returns the ROC curve points at every distinct threshold,
-// beginning at (0,0) and ending at (1,1).
-func ROCCurve(preds []Prediction) []ROCPoint {
-	pos, neg := Counts(preds)
-	if pos == 0 || neg == 0 {
-		return nil
-	}
-	sorted := make([]Prediction, len(preds))
-	copy(sorted, preds)
-	ByScoreDesc(sorted)
-	points := []ROCPoint{{0, 0}}
-	tp, fp := 0, 0
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j].Score == sorted[i].Score {
-			if sorted[j].Label == 1 {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		points = append(points, ROCPoint{float64(fp) / float64(neg), float64(tp) / float64(pos)})
-		i = j
-	}
-	return points
-}
-
-// TrapezoidAUC integrates the ROC curve with the trapezoid rule. It must
-// agree with AUC (rank formula) up to floating-point error; the property test
-// in metrics_test.go checks this identity.
-func TrapezoidAUC(preds []Prediction) float64 {
-	points := ROCCurve(preds)
-	if points == nil {
-		return math.NaN()
-	}
-	area := 0.0
-	for i := 1; i < len(points); i++ {
-		dx := points[i].FPR - points[i-1].FPR
-		area += float64(dx * (points[i].TPR + points[i-1].TPR) / 2)
-	}
-	return area
-}
-
-// PRPoint is one (recall, precision) point of the PR curve.
-type PRPoint struct{ Recall, Precision float64 }
-
-// PRCurve returns the precision-recall curve at every distinct threshold.
-func PRCurve(preds []Prediction) []PRPoint {
-	pos, _ := Counts(preds)
-	if pos == 0 {
-		return nil
-	}
-	sorted := make([]Prediction, len(preds))
-	copy(sorted, preds)
-	ByScoreDesc(sorted)
-	var points []PRPoint
-	tp, seen := 0, 0
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j].Score == sorted[i].Score {
-			if sorted[j].Label == 1 {
-				tp++
-			}
-			seen++
-			j++
-		}
-		points = append(points, PRPoint{
-			Recall:    float64(tp) / float64(pos),
-			Precision: float64(tp) / float64(seen),
-		})
-		i = j
-	}
-	return points
-}

@@ -72,7 +72,7 @@ func TestAUCMatchesTrapezoid(t *testing.T) {
 		if !pos || !neg {
 			return true
 		}
-		return math.Abs(AUC(p)-TrapezoidAUC(p)) < 1e-9
+		return math.Abs(AUC(p)-trapezoidAUC(p)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -194,26 +194,13 @@ func TestMeanReport(t *testing.T) {
 
 func TestROCCurveEndpoints(t *testing.T) {
 	p := preds([]float64{0.9, 0.5, 0.1}, []int{1, 0, 1})
-	pts := ROCCurve(p)
-	if pts[0] != (ROCPoint{0, 0}) {
+	pts := rocCurve(p)
+	if pts[0] != (rocPoint{0, 0}) {
 		t.Errorf("first ROC point = %+v", pts[0])
 	}
 	last := pts[len(pts)-1]
 	if last.FPR != 1 || last.TPR != 1 {
 		t.Errorf("last ROC point = %+v", last)
-	}
-}
-
-func TestPRCurveMonotoneRecall(t *testing.T) {
-	p := preds([]float64{0.9, 0.7, 0.5, 0.3}, []int{1, 0, 1, 0})
-	pts := PRCurve(p)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Recall < pts[i-1].Recall {
-			t.Fatalf("recall not monotone: %+v", pts)
-		}
-	}
-	if pts[len(pts)-1].Recall != 1 {
-		t.Errorf("final recall = %g, want 1", pts[len(pts)-1].Recall)
 	}
 }
 
@@ -223,4 +210,51 @@ func TestByScoreDescDeterministicTies(t *testing.T) {
 	if p[0].ID != 2 || p[1].ID != 1 || p[2].ID != 3 {
 		t.Errorf("tie order: %+v", p)
 	}
+}
+
+// rocPoint is one (FPR, TPR) point of the ROC curve.
+type rocPoint struct{ FPR, TPR float64 }
+
+// rocCurve returns the ROC curve points at every distinct threshold,
+// beginning at (0,0) and ending at (1,1).
+func rocCurve(preds []Prediction) []rocPoint {
+	pos, neg := Counts(preds)
+	if pos == 0 || neg == 0 {
+		return nil
+	}
+	sorted := make([]Prediction, len(preds))
+	copy(sorted, preds)
+	ByScoreDesc(sorted)
+	points := []rocPoint{{0, 0}}
+	tp, fp := 0, 0
+	i := 0
+	for i < len(sorted) {
+		j := i
+		for j < len(sorted) && sorted[j].Score == sorted[i].Score {
+			if sorted[j].Label == 1 {
+				tp++
+			} else {
+				fp++
+			}
+			j++
+		}
+		points = append(points, rocPoint{float64(fp) / float64(neg), float64(tp) / float64(pos)})
+		i = j
+	}
+	return points
+}
+
+// trapezoidAUC integrates the ROC curve with the trapezoid rule: the
+// reference AUC's rank formula must agree with up to floating-point error.
+func trapezoidAUC(preds []Prediction) float64 {
+	points := rocCurve(preds)
+	if points == nil {
+		return math.NaN()
+	}
+	area := 0.0
+	for i := 1; i < len(points); i++ {
+		dx := points[i].FPR - points[i-1].FPR
+		area += float64(dx * (points[i].TPR + points[i-1].TPR) / 2)
+	}
+	return area
 }

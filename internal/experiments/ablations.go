@@ -13,16 +13,12 @@ import (
 
 // AblationResult is a generic one-axis ablation table.
 type AblationResult struct {
-	Id      string
 	Title   string
 	Axis    string
 	Labels  []string
 	Reports []eval.Report
 	U       int
 }
-
-// ID implements Result.
-func (r *AblationResult) ID() string { return r.Id }
 
 // Render implements Result.
 func (r *AblationResult) Render(w io.Writer) {
@@ -47,7 +43,6 @@ func AblTrees(opts Options) (*AblationResult, error) {
 	days := env.Days()
 	u := opts.scaleU(200000)
 	res := &AblationResult{
-		Id:    "abl-trees",
 		Title: "Ablation: RF ensemble size (paper fixes 500; gains saturate far earlier)",
 		Axis:  "Trees",
 		U:     u,
@@ -82,7 +77,6 @@ func AblMinLeaf(opts Options) (*AblationResult, error) {
 	days := env.Days()
 	u := opts.scaleU(200000)
 	res := &AblationResult{
-		Id:    "abl-minleaf",
 		Title: "Ablation: minimum samples per leaf (the paper's over-fitting guard)",
 		Axis:  "MinLeaf",
 		U:     u,
@@ -119,7 +113,6 @@ func AblGraphWindow(opts Options) (*AblationResult, error) {
 	days := env.Days()
 	u := opts.scaleU(200000)
 	res := &AblationResult{
-		Id:    "abl-graphwin",
 		Title: "Ablation: graph construction window for F4/F6 label propagation",
 		Axis:  "Window",
 		U:     u,

@@ -19,9 +19,6 @@ type Fig9Result struct {
 	U       int
 }
 
-// ID implements Result.
-func (r *Fig9Result) ID() string { return "fig9" }
-
 // Render implements Result.
 func (r *Fig9Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 9: classifier comparison (U=%d; paper: RF best by <3%%, features matter more)\n", r.U)

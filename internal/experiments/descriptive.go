@@ -13,9 +13,6 @@ type Fig1Result struct {
 	Points []synth.ChurnRatePoint
 }
 
-// ID implements Result.
-func (r *Fig1Result) ID() string { return "fig1" }
-
 // Render implements Result.
 func (r *Fig1Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 1: churn rates over 12 months (paper: prepaid avg 9.4%, postpaid avg 5.2%)")
@@ -46,9 +43,6 @@ type Tab1Result struct {
 	Churner    []int
 	NonChurner []int
 }
-
-// ID implements Result.
-func (r *Tab1Result) ID() string { return "tab1" }
 
 // Render implements Result.
 func (r *Tab1Result) Render(w io.Writer) {
@@ -91,9 +85,6 @@ type Fig5Result struct {
 	// Counts[d] = customers who recharged after d days (d=0: never).
 	Counts []int
 }
-
-// ID implements Result.
-func (r *Fig5Result) ID() string { return "fig5" }
 
 // Render implements Result.
 func (r *Fig5Result) Render(w io.Writer) {

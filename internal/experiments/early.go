@@ -16,9 +16,6 @@ type Fig8Result struct {
 	U        int
 }
 
-// ID implements Result.
-func (r *Fig8Result) ID() string { return "fig8" }
-
 // Render implements Result.
 func (r *Fig8Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 8: earlier features -> worse prediction (U=%d; paper: ~20%% PR-AUC drop per month)\n", r.U)

@@ -114,8 +114,6 @@ func (e *Env) Days() int { return e.days }
 // Result is the common interface of experiment outputs: a table renderable
 // to text in the paper's layout.
 type Result interface {
-	// ID is the experiment identifier (fig1, tab2, ...).
-	ID() string
 	// Render writes the paper-style table.
 	Render(w io.Writer)
 }

@@ -37,9 +37,6 @@ func TestFig1(t *testing.T) {
 	if !strings.Contains(sb.String(), "Prepaid") {
 		t.Error("render missing header")
 	}
-	if res.ID() != "fig1" {
-		t.Errorf("ID = %q", res.ID())
-	}
 }
 
 func TestTab1AndFig5ShareEnv(t *testing.T) {

@@ -17,9 +17,6 @@ type Tab7Result struct {
 	U       int
 }
 
-// ID implements Result.
-func (r *Tab7Result) ID() string { return "tab7" }
-
 // Render implements Result.
 func (r *Tab7Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 7: class-imbalance methods (U=%d; paper: Weighted Instance wins by ~10%% PR-AUC)\n", r.U)

@@ -24,9 +24,6 @@ type Tab3Result struct {
 	Importance *Tab4Result
 }
 
-// ID implements Result.
-func (r *Tab3Result) ID() string { return "tab3" }
-
 // Render implements Result.
 func (r *Tab3Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Table 3: overall performance, all 150 features, 4-month volume")
@@ -52,9 +49,6 @@ type Tab4Result struct {
 	TopN       int
 }
 
-// ID implements Result.
-func (r *Tab4Result) ID() string { return "tab4" }
-
 // Render implements Result.
 func (r *Tab4Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Table 4: feature importance ranking (paper: balance #1, page_download_throughput #2)")
@@ -69,16 +63,6 @@ func (r *Tab4Result) Render(w io.Writer) {
 		})
 	}
 	renderRows(w, []string{"Rank", "Feature", "Category", "Importance"}, rows)
-}
-
-// Rank returns the 1-based rank of the named feature (0 if absent).
-func (r *Tab4Result) Rank(name string) int {
-	for i, n := range r.Names {
-		if n == name {
-			return i + 1
-		}
-	}
-	return 0
 }
 
 // Tab3Overall runs the deployed configuration: all feature groups, 4 months

@@ -18,9 +18,6 @@ type Tab6Result struct {
 	SecondProfit  retention.ProfitReport
 }
 
-// ID implements Result.
-func (r *Tab6Result) ID() string { return "tab6" }
-
 // Render implements Result.
 func (r *Tab6Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Table 6: business value — A/B recharge rates")

@@ -17,9 +17,6 @@ type Tab2Result struct {
 	U       int
 }
 
-// ID implements Result.
-func (r *Tab2Result) ID() string { return "tab2" }
-
 // Render implements Result.
 func (r *Tab2Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 2: variety — feature groups added to the F1 baseline (U=%d)\n", r.U)

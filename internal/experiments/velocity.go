@@ -16,9 +16,6 @@ type Tab5Result struct {
 	U           int
 }
 
-// ID implements Result.
-func (r *Tab5Result) ID() string { return "tab5" }
-
 // Render implements Result.
 func (r *Tab5Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 5: velocity — update cadence vs accuracy (U=%d; paper: <0.7%% PR-AUC spread)\n", r.U)

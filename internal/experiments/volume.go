@@ -20,9 +20,6 @@ type Fig7Result struct {
 	Reports [][]eval.Report
 }
 
-// ID implements Result.
-func (r *Fig7Result) ID() string { return "fig7" }
-
 // Render implements Result.
 func (r *Fig7Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7: more training months -> better prediction, with diminishing returns")

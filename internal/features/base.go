@@ -113,18 +113,6 @@ func (r MonthReader) ReadMonths(name string, months []int) (*table.Table, error)
 	return table.Concat(parts)
 }
 
-// FromMonthData builds Tables directly from in-memory simulator output
-// (concatenating the given months), bypassing the warehouse.
-func FromMonthData(months []*synth.MonthData) (Tables, error) {
-	r := make(MonthReader, len(months))
-	idx := make([]int, len(months))
-	for i, md := range months {
-		r[md.Month], idx[i] = md, md.Month
-	}
-	t, _, err := loadTables(r, idx, true, 1)
-	return t, err
-}
-
 // inWindow returns a row predicate filtering an event table (with month and
 // day columns) to the window.
 func inWindow(t *table.Table, win Window, daysPerMonth int) func(int) bool {

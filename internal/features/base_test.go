@@ -175,10 +175,7 @@ func oracleWorld(t *testing.T) (Tables, int, bentCustomers) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers, cfg.Months, cfg.Seed = 60, 3, 11
 	months := synth.Simulate(cfg)
-	tbl, err := FromMonthData(months) // several months: fresh concatenated copies
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months) // several months: fresh concatenated copies
 	ids := slices.Clone(months[1].Customers.MustCol("imsi").Ints)
 	slices.Sort(ids)
 	c := bentCustomers{absent: ids[0], zeros: ids[1], dup: ids[2], order: ids[3]}
@@ -312,10 +309,7 @@ func b2f(b bool) float64 {
 func TestOneCustomerBaseBuildAllocs(t *testing.T) {
 	months, cfg := simOnce(t)
 	win := MonthWindow(2, cfg.DaysPerMonth)
-	tbl, err := FromMonthData(months[1:2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months[1:2])
 	m, err := NewMaintainer(tbl, win, cfg.DaysPerMonth)
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,7 @@ func TestCustomerFramesMatchOneByOne(t *testing.T) {
 	months, cfg := simOnce(t)
 	const month = 2
 	win := MonthWindow(month, cfg.DaysPerMonth)
-	base, err := FromMonthData(months[month-1 : month])
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := monthTables(t, months[month-1:month])
 	comp, err := FitTopicFeaturizer(base.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,7 @@ func simOnce(t *testing.T) ([]*synth.MonthData, synth.Config) {
 func baseFrame(t *testing.T, month int) (*Frame, Tables, Window, int) {
 	t.Helper()
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(month, cfg.DaysPerMonth)
 	frame, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 1)
 	if err != nil {
@@ -106,6 +103,16 @@ func TestWindowMath(t *testing.T) {
 	}
 }
 
+// value returns the named column of customer id's row.
+func value(f *Frame, id int64, name string) (float64, bool) {
+	row, ok := f.Row(id)
+	j := slices.Index(f.names, name)
+	if !ok || j < 0 {
+		return 0, false
+	}
+	return row[j], true
+}
+
 func TestFrameOperations(t *testing.T) {
 	f := NewFrame([]int64{3, 1, 2, 2})
 	if f.NumRows() != 3 {
@@ -115,10 +122,10 @@ func TestFrameOperations(t *testing.T) {
 		t.Errorf("IDs not sorted: %v", ids)
 	}
 	f.AddColumn(F1Baseline, "a", map[int64]float64{1: 10, 3: 30}, -1)
-	if v, _ := f.Value(2, "a"); v != -1 {
+	if v, _ := value(f, 2, "a"); v != -1 {
 		t.Errorf("default fill = %g, want -1", v)
 	}
-	if v, ok := f.Value(3, "a"); !ok || v != 30 {
+	if v, ok := value(f, 3, "a"); !ok || v != 30 {
 		t.Errorf("Value(3,a) = %g,%v", v, ok)
 	}
 	if err := f.AddDense(F2CS, "b", []float64{1, 2, 3}); err != nil {
@@ -134,12 +141,6 @@ func TestFrameOperations(t *testing.T) {
 	d := f.ToDataset(map[int64]int{1: 1, 2: 0}, -1)
 	if d.Y[0] != 1 || d.Y[1] != 0 || d.Y[2] != -1 {
 		t.Errorf("labels = %v", d.Y)
-	}
-	clone := f.CloneRows()
-	row, _ := f.Row(1)
-	row[0] = 999
-	if cr, _ := clone.Row(1); cr[0] == 999 {
-		t.Error("CloneRows shares storage")
 	}
 }
 
@@ -159,7 +160,7 @@ func TestBaseFeatureValuesAgainstRawTables(t *testing.T) {
 	checked := 0
 	for _, id := range frame.IDs() {
 		if w, ok := want[id]; ok {
-			got, _ := frame.Value(id, "voice_dur")
+			got, _ := value(frame, id, "voice_dur")
 			if diff := got - w; diff > 1e-6 || diff < -1e-6 {
 				t.Fatalf("voice_dur(%d) = %g, want %g", id, got, w)
 			}
@@ -284,7 +285,7 @@ func TestTopicApplyWorkerInvariant(t *testing.T) {
 	docs := aggregateTexts(search, rowSet{all: true}, win, days)
 	ids := append(sortedKeys(docs), silent)
 
-	k := tf.K()
+	k := tf.model.K()
 	uniform := make([]float64, k)
 	for j := range uniform {
 		uniform[j] = 1 / float64(k)
@@ -303,7 +304,7 @@ func TestTopicApplyWorkerInvariant(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		f := NewFrame(ids)
-		tf.ApplyWorkers(f, search, win, days, workers)
+		tf.apply(f, search, rowSet{all: true}, win, days, workers)
 		for _, id := range ids {
 			row, _ := f.Row(id)
 			for j := range row {
@@ -343,7 +344,7 @@ func TestDecodedTopicApplyMatchesFitted(t *testing.T) {
 	ids := tbl.Customers.MustCol("imsi").Ints
 	want, got := NewFrame(ids), NewFrame(ids)
 	tf.Apply(want, tbl.Search, win, days)
-	decoded.ApplyWorkers(got, tbl.Search, win, days, 8)
+	decoded.apply(got, tbl.Search, rowSet{all: true}, win, days, 8)
 	framesBitIdentical(t, want, got, "decoded featurizer at 8 workers")
 }
 
@@ -361,8 +362,8 @@ func TestSecondOrderSelectorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Pairs()) != 5 {
-		t.Fatalf("pairs = %d, want 5", len(sel.Pairs()))
+	if len(sel.pairs) != 5 {
+		t.Fatalf("pairs = %d, want 5", len(sel.pairs))
 	}
 	before := frame.NumColumns()
 	if err := sel.Apply(frame); err != nil {
@@ -394,10 +395,7 @@ func TestDeclineFeaturesSeparateChurners(t *testing.T) {
 	// Signal-phase customers front-load usage; their call_dur_decline should
 	// be lower on average than stable customers'.
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	frame, err := BuildBaseFeatures(tbl, win, cfg.DaysPerMonth, 1)
 	if err != nil {
@@ -407,7 +405,7 @@ func TestDeclineFeaturesSeparateChurners(t *testing.T) {
 	churnNext := ChurnersOf(months[2].Truth)
 	var churnSum, churnN, stableSum, stableN float64
 	for _, id := range frame.IDs() {
-		v, ok := frame.Value(id, "last_active_day")
+		v, ok := value(frame, id, "last_active_day")
 		if !ok {
 			continue
 		}

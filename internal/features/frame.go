@@ -202,20 +202,6 @@ func (f *Frame) Row(id int64) ([]float64, bool) {
 	return f.x[i], true
 }
 
-// Value returns the named feature for a customer (testing helper).
-func (f *Frame) Value(id int64, name string) (float64, bool) {
-	i, ok := f.index[id]
-	if !ok {
-		return 0, false
-	}
-	for j, n := range f.names {
-		if n == name {
-			return f.x[i][j], true
-		}
-	}
-	return 0, false
-}
-
 // SelectGroups returns a new frame containing only columns whose group is in
 // keep (row universe shared).
 func (f *Frame) SelectGroups(keep ...Group) *Frame {
@@ -257,20 +243,4 @@ func (f *Frame) ToDataset(labels map[int64]int, def int) *dataset.Dataset {
 		d.Y[i] = y
 	}
 	return d
-}
-
-// CloneRows deep-copies the feature matrix (use before standardizing when
-// the frame will be reused).
-func (f *Frame) CloneRows() *Frame {
-	nf := &Frame{
-		ids:   f.ids,
-		index: f.index,
-		names: append([]string(nil), f.names...),
-		group: append([]Group(nil), f.group...),
-		x:     make([][]float64, len(f.x)),
-	}
-	for i, row := range f.x {
-		nf.x[i] = append([]float64(nil), row...)
-	}
-	return nf
 }

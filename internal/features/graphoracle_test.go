@@ -392,10 +392,7 @@ func foldFeeds(t *testing.T, shards int, feeds []shardFeed, win Window, days int
 
 func TestGraphFoldMatchesMapOracle(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	days := cfg.DaysPerMonth
 	seeds := seedMap(GraphFeatureInput{
 		PrevChurners: ChurnersOf(months[1].Truth),
@@ -403,7 +400,7 @@ func TestGraphFoldMatchesMapOracle(t *testing.T) {
 	})
 	for _, win := range []Window{MonthWindow(2, days), {FromAbs: 1, ToAbs: 2 * days}} {
 		for _, shards := range []int{1, 4, 16} {
-			foldBoth(t, shardTables(t, tbl, shards), win, days, synth.IsCustomerID, seeds,
+			foldBoth(t, shardTables(tbl, shards), win, days, synth.IsCustomerID, seeds,
 				fmt.Sprintf("window %d-%d shards=%d", win.FromAbs, win.ToAbs, shards))
 		}
 	}

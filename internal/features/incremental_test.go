@@ -38,10 +38,7 @@ func TestMaintainerMatchesShardedRebuild(t *testing.T) {
 	months, cfg := simOnce(t)
 	const month = 2
 	win := MonthWindow(month, cfg.DaysPerMonth)
-	base, err := FromMonthData(months[month-1 : month])
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := monthTables(t, months[month-1:month])
 
 	// Featurizers are fitted once on the pre-event corpus, exactly as a
 	// trained artifact's featurizers predate streamed events.
@@ -174,10 +171,7 @@ func TestMaintainerMatchesShardedRebuild(t *testing.T) {
 
 func TestMaintainerRejections(t *testing.T) {
 	months, cfg := simOnce(t)
-	base, err := FromMonthData(months[0:1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := monthTables(t, months[0:1])
 	win := MonthWindow(1, cfg.DaysPerMonth)
 
 	// Multi-month and partial windows are not maintainable.

@@ -101,11 +101,6 @@ func FitSecondOrder(f *Frame, labels map[int64]int, cfg SecondOrderConfig) (*Sec
 	}, nil
 }
 
-// Pairs returns the selected feature pairs with their FM weights.
-func (s *SecondOrderSelector) Pairs() []fm.Pair {
-	return append([]fm.Pair(nil), s.pairs...)
-}
-
 // PairName returns the wide-table column name of the k-th selected pair,
 // e.g. "innet_dura_x_total_charge".
 func (s *SecondOrderSelector) PairName(k int) string {

@@ -8,39 +8,38 @@ import (
 	"testing"
 	"time"
 
+	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
 	"telcochurn/internal/topic"
 )
 
-// shardTables hash-partitions every raw table by customer key, standing in
-// for per-shard warehouse reads.
-func shardTables(t *testing.T, tbl Tables, shards int) []Tables {
-	t.Helper()
-	split := func(src *table.Table) []*table.Table {
-		parts, err := table.PartitionByHash(src, "imsi", shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return parts
-	}
-	calls := split(tbl.Calls)
-	msgs := split(tbl.Messages)
-	rech := split(tbl.Recharges)
-	bill := split(tbl.Billing)
-	cust := split(tbl.Customers)
-	comp := split(tbl.Complaints)
-	web := split(tbl.Web)
-	search := split(tbl.Search)
-	loc := split(tbl.Locations)
+// shardTables splits every raw table by table.ShardOf over the customer
+// key, the split per-shard warehouse reads return.
+func shardTables(tbl Tables, shards int) []Tables {
 	out := make([]Tables, shards)
-	for s := 0; s < shards; s++ {
-		out[s] = Tables{
-			Calls: calls[s], Messages: msgs[s], Recharges: rech[s],
-			Billing: bill[s], Customers: cust[s], Complaints: comp[s],
-			Web: web[s], Search: search[s], Locations: loc[s],
+	for s := range out {
+		dst := out[s].refs()
+		for i, r := range tbl.refs() {
+			keys := (*r.dst).MustCol("imsi").Ints
+			*dst[i].dst = (*r.dst).Filter(func(j int) bool { return table.ShardOf(keys[j], shards) == s })
 		}
 	}
 	return out
+}
+
+// monthTables loads the months through MonthReader, the reader
+// core.NewMemorySource serves simulator output with.
+func monthTables(t *testing.T, months []*synth.MonthData) Tables {
+	t.Helper()
+	r, idx := MonthReader{}, make([]int, len(months))
+	for i, md := range months {
+		r[md.Month], idx[i] = md, md.Month
+	}
+	tbl, _, err := loadTables(r, idx, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 func framesBitIdentical(t *testing.T, a, b *Frame, context string) {
@@ -72,7 +71,7 @@ func framesBitIdentical(t *testing.T, a, b *Frame, context string) {
 
 func shardedSpec(t *testing.T, tbl Tables, shards, workers int, win Window, days int, groups []Group) ShardedBuildSpec {
 	t.Helper()
-	parts := shardTables(t, tbl, shards)
+	parts := shardTables(tbl, shards)
 	return ShardedBuildSpec{
 		Shards:        shards,
 		Load:          func(s, _ int) (Tables, []string, error) { return parts[s], nil, nil },
@@ -86,10 +85,7 @@ func shardedSpec(t *testing.T, tbl Tables, shards, workers int, win Window, days
 
 func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	in := GraphFeatureInput{
 		PrevChurners: ChurnersOf(months[1].Truth),
@@ -134,10 +130,7 @@ func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
 // and worker counts; under -race it is the check on those goroutines.
 func TestBuildShardedFrameOverlapF4toF8(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	comp, err := FitTopicFeaturizer(tbl.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
 	if err != nil {
@@ -175,10 +168,7 @@ func TestBuildShardedFrameOverlapF4toF8(t *testing.T) {
 
 func TestBuildShardedFrameGraphColumnsPopulated(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	spec := shardedSpec(t, tbl, 4, 2, win, cfg.DaysPerMonth, []Group{F4CallGraph})
 	spec.GraphIn = GraphFeatureInput{
@@ -207,10 +197,7 @@ func TestBuildShardedFrameGraphColumnsPopulated(t *testing.T) {
 
 func TestBuildShardedFrameRejectsF9AndMissingFeaturizer(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	spec := shardedSpec(t, tbl, 2, 1, win, cfg.DaysPerMonth, []Group{F1Baseline, F9SecondOrder})
 	if _, _, err := BuildShardedFrame(spec); err == nil {
@@ -235,10 +222,7 @@ func TestBuildShardedFrameRejectsF9AndMissingFeaturizer(t *testing.T) {
 // columns fails it.
 func TestBuildShardedFrameFitTopicsMatchesSequential(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	days := cfg.DaysPerMonth
 	win := MonthWindow(2, days)
 	in := GraphFeatureInput{
@@ -310,10 +294,7 @@ func TestBuildShardedFrameFitTopicsMatchesSequential(t *testing.T) {
 // count, with the concurrent frame build joined rather than left running.
 func TestBuildShardedFrameFitTopicsError(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	days := cfg.DaysPerMonth
 	win := MonthWindow(2, days)
 	tbl.Search = tbl.Search.Filter(func(int) bool { return false })

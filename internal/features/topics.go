@@ -71,21 +71,16 @@ func FitTopicFeaturizer(t *table.Table, win Window, daysPerMonth int, group Grou
 }
 
 // Apply adds K topic-proportion columns for the window's documents to the
-// frame, folding documents in on the caller's goroutine (ApplyWorkers with
-// one worker). Customers with no text get the uniform distribution.
+// frame, folding documents in on the caller's goroutine. Customers with no
+// text get the uniform distribution.
 func (tf *TopicFeaturizer) Apply(f *Frame, t *table.Table, win Window, daysPerMonth int) {
-	tf.ApplyWorkers(f, t, win, daysPerMonth, 1)
+	tf.apply(f, t, rowSet{all: true}, win, daysPerMonth, 1)
 }
 
-// ApplyWorkers is Apply with the per-document fold-ins spread over
-// `workers` goroutines (0 = GOMAXPROCS). Each document's theta lands in its
-// own slot and the rows fill serially, so the frame is bit-identical for
-// any worker count.
-func (tf *TopicFeaturizer) ApplyWorkers(f *Frame, t *table.Table, win Window, daysPerMonth, workers int) {
-	tf.apply(f, t, rowSet{all: true}, win, daysPerMonth, workers)
-}
-
-// apply is ApplyWorkers over the documents of the rows rs of t.
+// apply is Apply over the documents of the rows rs of t, with the
+// per-document fold-ins spread over workers goroutines (0 = GOMAXPROCS).
+// Each document's theta lands in its own slot and the rows fill serially,
+// so the frame is bit-identical for any worker count.
 func (tf *TopicFeaturizer) apply(f *Frame, t *table.Table, rs rowSet, win Window, daysPerMonth, workers int) {
 	docs := aggregateTexts(t, rs, win, daysPerMonth)
 	ids := sortedKeys(docs)
@@ -115,9 +110,6 @@ func (tf *TopicFeaturizer) apply(f *Frame, t *table.Table, rs rowSet, win Window
 		f.x[r] = append(f.x[r], theta...)
 	}
 }
-
-// K returns the topic count.
-func (tf *TopicFeaturizer) K() int { return tf.model.K() }
 
 func sortedKeys(m map[int64]string) []int64 {
 	ids := make([]int64, 0, len(m))

@@ -9,10 +9,7 @@ import (
 // prior month's snapshots (the Table 5 machinery).
 func TestVelocityWindowFiltersEvents(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	days := cfg.DaysPerMonth
 	// Window: day 16 of month 2 through day 15 of month 3.
 	win := Window{FromAbs: AbsDay(2, 16, days), ToAbs: AbsDay(3, 15, days)}
@@ -43,7 +40,7 @@ func TestVelocityWindowFiltersEvents(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got, _ := frame.Value(id, "voice_dur")
+		got, _ := value(frame, id, "voice_dur")
 		if diff := got - w; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("voice_dur(%d) = %g, want %g", id, got, w)
 		}
@@ -62,7 +59,7 @@ func TestVelocityWindowFiltersEvents(t *testing.T) {
 		snapBalance[id] = billing2.MustCol("balance").Floats[i]
 	}
 	for _, id := range frame.IDs()[:20] {
-		got, _ := frame.Value(id, "balance")
+		got, _ := value(frame, id, "balance")
 		if want, ok := snapBalance[id]; ok && got != want {
 			t.Fatalf("balance(%d) = %g, want month-2 snapshot %g", id, got, want)
 		}
@@ -73,10 +70,7 @@ func TestVelocityWindowFiltersEvents(t *testing.T) {
 // window, not the calendar month.
 func TestDeclineFeatureUsesWindowMidpoint(t *testing.T) {
 	months, cfg := simOnce(t)
-	tbl, err := FromMonthData(months)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := monthTables(t, months)
 	days := cfg.DaysPerMonth
 	aligned := MonthWindow(2, days)
 	shifted := Window{FromAbs: aligned.FromAbs + 10, ToAbs: aligned.ToAbs + 10}
@@ -93,8 +87,8 @@ func TestDeclineFeatureUsesWindowMidpoint(t *testing.T) {
 	// have different decline values.
 	diff := 0
 	for _, id := range fa.IDs() {
-		va, _ := fa.Value(id, "call_dur_decline")
-		vb, ok := fs.Value(id, "call_dur_decline")
+		va, _ := value(fa, id, "call_dur_decline")
+		vb, ok := value(fs, id, "call_dur_decline")
 		if ok && va != vb {
 			diff++
 		}

@@ -65,7 +65,11 @@ func TestCooccurrenceCSRMatchesEdgeList(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Customers, cfg.Months, cfg.BurnInMonths, cfg.Seed = 400, 2, 1, 5
 	months := synth.Simulate(cfg)
-	tbl, err := features.FromMonthData(months)
+	r := features.MonthReader{}
+	for _, md := range months {
+		r[md.Month] = md
+	}
+	tbl, err := features.LoadTablesFrom(r, features.Window{FromAbs: 1, ToAbs: 2 * cfg.DaysPerMonth}, cfg.DaysPerMonth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +87,12 @@ func TestCooccurrenceCSRMatchesEdgeList(t *testing.T) {
 	win := features.MonthWindow(month, cfg.DaysPerMonth)
 	for _, shards := range []int{1, 3, 8} {
 		fed := max(shards-1, 1) // the last of several shards stays empty
-		parts, err := table.PartitionByHash(tbl.Locations, "imsi", fed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		keys := tbl.Locations.MustCol("imsi").Ints
 		acc := features.NewGraphAccumulator(shards, []features.Group{features.F6CooccurrenceGraph})
 		for s := range shards {
 			loc := table.NewTable(synth.LocationsSchema)
 			if s < fed {
-				loc = parts[s]
+				loc = tbl.Locations.Filter(func(i int) bool { return table.ShardOf(keys[i], fed) == s })
 			}
 			acc.Feed(s, features.Tables{Locations: loc}, win, cfg.DaysPerMonth, synth.IsCustomerID)
 		}

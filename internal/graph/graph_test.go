@@ -43,19 +43,6 @@ func build(pairs ...pair) *Graph {
 	return FromEdges(ids, edges)
 }
 
-// withIsolated appends vertices that no edge touches. FromEdges never
-// makes one, but PageRank (the dangling mass) and LabelPropagation (a
-// uniform row) handle a zero-degree vertex, and this is how tests reach
-// that path.
-func withIsolated(g *Graph, ids ...int64) *Graph {
-	for _, id := range ids {
-		g.ids = append(g.ids, id)
-		g.off = append(g.off, g.off[len(g.off)-1])
-		g.degree = append(g.degree, 0)
-	}
-	return g
-}
-
 // rowOf returns vertex id's class-probability row of a LabelPropagation
 // result over C classes.
 func rowOf(g *Graph, probs []float64, C int, id int64) []float64 {
@@ -109,7 +96,10 @@ func TestPageRankSumsToOne(t *testing.T) {
 		for range rng.Intn(150) {
 			pairs = append(pairs, pair{int64(rng.Intn(n)), int64(rng.Intn(n)), 1 + rng.Float64()*10})
 		}
-		g := withIsolated(build(pairs...), int64(n))
+		g := build(pairs...)
+		if g.NumVertices() == 0 {
+			return true // no usable edge, so no vertex to rank
+		}
 		sum := 0.0
 		for _, v := range g.PageRank(PageRankOptions{}) {
 			if v < 0 {
@@ -196,7 +186,7 @@ func TestLabelPropagationSimplexProperty(t *testing.T) {
 		for range n * 2 {
 			pairs = append(pairs, pair{int64(rng.Intn(n)), int64(rng.Intn(n)), rng.Float64()*4 + 0.1})
 		}
-		g := withIsolated(build(pairs...), int64(n))
+		g := build(pairs...)
 		k := 2 + rng.Intn(3)
 		out := g.LabelPropagation(map[int64]int{0: 1, 1: 0}, k, LabelPropOptions{})
 		if len(out) != k*g.NumVertices() {
@@ -218,14 +208,6 @@ func TestLabelPropagationSimplexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLabelPropagationIsolatedUniform(t *testing.T) {
-	g := withIsolated(build(pair{1, 2, 1}), 5)
-	out := g.LabelPropagation(map[int64]int{1: 1}, 2, LabelPropOptions{})
-	if row := rowOf(g, out, 2, 5); math.Abs(row[0]-0.5) > 1e-9 {
-		t.Errorf("isolated vertex probs = %v, want uniform", row)
 	}
 }
 
@@ -318,7 +300,8 @@ func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 // list build on all five arrays: random upper-triangular lists over
 // ascending ids, split into runs at arbitrary rows (empty runs and rows
 // without edges among them), with skipped weights, at several worker
-// counts.
+// counts. Every vertex it makes has a neighbour and a positive degree, the
+// contract PageRank and label propagation rely on.
 func TestFromUpperMatchesFromEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bad := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -368,6 +351,11 @@ func TestFromUpperMatchesFromEdges(t *testing.T) {
 			}
 			if err := got.Validate(); err != nil {
 				t.Fatal(err)
+			}
+			for v := range got.NumVertices() {
+				if to, _ := got.Adj(v); len(to) == 0 || !(got.degree[v] > 0) {
+					t.Fatalf("trial %d: vertex %d has %d neighbours and degree %v", trial, got.ids[v], len(to), got.degree[v])
+				}
 			}
 		}
 	}

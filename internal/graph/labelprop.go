@@ -83,15 +83,8 @@ func (g *Graph) LabelPropagation(seeds map[int64]int, numClasses int, opts Label
 			for i := lo; i < hi; i++ {
 				to, w := g.Adj(i)
 				row, old := next[i*C:(i+1)*C], y[i*C:(i+1)*C]
-				switch {
-				case fixed[i]:
+				if fixed[i] {
 					copy(row, old)
-					continue
-				case len(to) == 0:
-					// Isolated unlabeled vertex: stays uniform.
-					for c := range row {
-						row[c] = uniform
-					}
 					continue
 				}
 				// Step 1, Y <- W Y restricted to row i.
@@ -154,16 +147,11 @@ func (g *Graph) twoClass(flat []float64, fixed []bool, opts LabelPropOptions) []
 			dl := 0.0
 			for i := lo; i < hi; i++ {
 				old := cur[i]
-				a, b := off[i], off[i+1]
-				switch {
-				case fixed[i]:
+				if fixed[i] {
 					nxt[i] = old
 					continue
-				case a == b:
-					// Isolated unlabeled vertex: stays uniform.
-					nxt[i] = [2]float64{0.5, 0.5}
-					continue
 				}
+				a, b := off[i], off[i+1]
 				r0, r1 := gather2(cur, to[a:b], wt[a:b])
 				if sum := r0 + r1; sum > 0 {
 					r0, r1 = r0/sum, r1/sum

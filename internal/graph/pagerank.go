@@ -3,8 +3,8 @@ package graph
 import "telcochurn/internal/parallel"
 
 // vertexGrain is the chunk size for per-vertex parallel sweeps. Chunk
-// boundaries depend only on the vertex count, so chunked reductions (dangling
-// mass, convergence delta) merge in the same order for any worker count.
+// boundaries depend only on the vertex count, so chunked reductions (the
+// convergence delta) merge in the same order for any worker count.
 const vertexGrain = 512
 
 // PageRankOptions configures the weighted PageRank iteration of Eq. (1).
@@ -41,8 +41,9 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // on the undirected graph, where deg(n) is n's weighted degree. The initial
 // value is 1/N for every vertex (the paper initializes to 1; the fixed point
 // is identical up to normalization, and we keep sum(x) = 1 so ranks are
-// comparable across graphs of different sizes). Isolated vertices receive
-// the teleport mass (1-d)/N plus their share of dangling redistribution.
+// comparable across graphs of different sizes). FromUpper makes a vertex
+// only of an id some usable edge touches, so every degree is positive and
+// there is no dangling mass to redistribute.
 //
 // Each sweep is a gather: vertex m reads the previous iteration's scores of
 // its neighbors from the front buffer and writes only next[m] in the back
@@ -68,22 +69,15 @@ func (g *Graph) PageRank(opts PageRankOptions) []float64 {
 	}
 	base := (1 - d) * inv
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		// Mass from dangling (isolated) vertices is redistributed uniformly,
-		// preserving sum(x)=1. The same pass forms each vertex's share
-		// x/deg; share*w in the gather is x/deg*w evaluated left to right,
+		// Form each vertex's share x/deg (a chunked sweep with nothing to
+		// sum); share*w in the gather is x/deg*w evaluated left to right,
 		// bit for bit.
-		dangling := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
-			s := 0.0
+		parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			for i := lo; i < hi; i++ {
-				if g.degree[i] == 0 {
-					s += x[i]
-				} else {
-					share[i] = x[i] / g.degree[i]
-				}
+				share[i] = x[i] / g.degree[i]
 			}
-			return s
+			return 0
 		})
-		spread := d * dangling * inv
 		delta := parallel.SumChunks(opts.Workers, n, vertexGrain, func(lo, hi int) float64 {
 			dl := 0.0
 			for i := lo; i < hi; i++ {
@@ -92,7 +86,7 @@ func (g *Graph) PageRank(opts PageRankOptions) []float64 {
 				for k, t := range to {
 					sum += float64(share[t] * w[k])
 				}
-				v := base + spread + float64(d*sum)
+				v := base + float64(d*sum)
 				next[i] = v
 				diff := v - x[i]
 				if diff < 0 {

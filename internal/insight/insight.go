@@ -170,8 +170,8 @@ func weightedCorr(cells []CellReport) float64 {
 	for _, c := range cells {
 		w := float64(c.Customers)
 		wSum += w
-		qMean += w * c.AvgQuality
-		cMean += w * c.ChurnRate
+		qMean += float64(w * c.AvgQuality)
+		cMean += float64(w * c.ChurnRate)
 	}
 	if wSum == 0 {
 		return 0
@@ -183,9 +183,9 @@ func weightedCorr(cells []CellReport) float64 {
 		w := float64(c.Customers)
 		dq := c.AvgQuality - qMean
 		dc := c.ChurnRate - cMean
-		cov += w * dq * dc
-		qVar += w * dq * dq
-		cVar += w * dc * dc
+		cov += float64(w * dq * dc)
+		qVar += float64(w * dq * dq)
+		cVar += float64(w * dc * dc)
 	}
 	if qVar == 0 || cVar == 0 {
 		return 0

@@ -49,9 +49,6 @@ func FitBinarizer(d *dataset.Dataset, buckets int) *Binarizer {
 // NumOutputs returns the binarized feature count.
 func (b *Binarizer) NumOutputs() int { return len(b.names) }
 
-// Names returns the binarized feature names.
-func (b *Binarizer) Names() []string { return b.names }
-
 // TransformRow maps one source row to its indicator representation.
 func (b *Binarizer) TransformRow(x []float64) []float64 {
 	out := make([]float64, 0, b.NumOutputs())

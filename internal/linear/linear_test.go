@@ -183,8 +183,8 @@ func TestBinarizerNamesAligned(t *testing.T) {
 		d.Add([]float64{float64(i % 10)}, 0)
 	}
 	bin := FitBinarizer(d, 3)
-	if len(bin.Names()) != bin.NumOutputs() {
-		t.Errorf("names %d != outputs %d", len(bin.Names()), bin.NumOutputs())
+	if len(bin.names) != bin.NumOutputs() {
+		t.Errorf("names %d != outputs %d", len(bin.names), bin.NumOutputs())
 	}
 	out := bin.Transform(d)
 	if len(out.FeatureNames) != out.NumFeatures() {

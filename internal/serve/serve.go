@@ -66,9 +66,9 @@ type Scorer struct {
 	pending atomic.Int64
 }
 
-// NewScorer wires a classifier to a vector provider. metrics may be nil (a
-// private one is created); retrieve it with Metrics for the /metrics
-// endpoint.
+// NewScorer wires a classifier to a vector provider and records into m, the
+// metrics the /metrics endpoint reports; m may be nil (a private one is
+// created).
 func NewScorer(clf core.Classifier, prov Provider, cfg Config, m *Metrics) *Scorer {
 	if m == nil {
 		m = &Metrics{}
@@ -78,9 +78,6 @@ func NewScorer(clf core.Classifier, prov Provider, cfg Config, m *Metrics) *Scor
 	}
 	return &Scorer{clf: clf, prov: prov, queueSize: int64(cfg.QueueSize), metrics: m}
 }
-
-// Metrics returns the scorer's instrumentation.
-func (s *Scorer) Metrics() *Metrics { return s.metrics }
 
 // ScoreOne scores a single customer: a vector lookup plus one
 // Classifier.Score walk — zero allocations for the tree families — and

@@ -90,7 +90,7 @@ func TestScorerUnknownCustomer(t *testing.T) {
 	if _, err := s.Score(context.Background(), []int64{0, 99}); err == nil {
 		t.Fatal("want error for unknown customer")
 	}
-	if got := s.Metrics().Errors.Load(); got != 1 {
+	if got := s.metrics.Errors.Load(); got != 1 {
 		t.Errorf("errors = %d, want 1", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestScorerContextCancel(t *testing.T) {
 	if _, err := s.ScoreOne(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ScoreOne err = %v, want context.Canceled", err)
 	}
-	m := s.Metrics()
+	m := s.metrics
 	if got := m.Canceled.Load(); got != 2 {
 		t.Errorf("canceled = %d, want 2", got)
 	}
@@ -138,7 +138,7 @@ func TestScoreOneSinceBudget(t *testing.T) {
 			t.Fatalf("id %d over budget: err = %v, want context.DeadlineExceeded", id, err)
 		}
 	}
-	m := s.Metrics()
+	m := s.metrics
 	if m.Requests.Load() != 2 || m.Canceled.Load() != 2 || m.Scored.Load() != 0 || m.Errors.Load() != 0 {
 		t.Fatalf("over budget: requests %d canceled %d scored %d errors %d, want 2 2 0 0",
 			m.Requests.Load(), m.Canceled.Load(), m.Scored.Load(), m.Errors.Load())
@@ -214,7 +214,7 @@ func TestScorerQueueFull(t *testing.T) {
 	if got := s.pending.Load(); got != 0 {
 		t.Errorf("pending = %d after ErrClosed, want 0", got)
 	}
-	if got := s.Metrics().QueueFull.Load(); got != 1 {
+	if got := s.metrics.QueueFull.Load(); got != 1 {
 		t.Errorf("queue_full = %d, want 1 (only the shed request counts)", got)
 	}
 }
@@ -550,7 +550,7 @@ func TestScoreEquivalence(t *testing.T) {
 	}
 	scored += queue * 2
 
-	m := s.Metrics()
+	m := s.metrics
 	if got := m.Scored.Load(); got != uint64(scored) {
 		t.Errorf("scored = %d, want %d", got, scored)
 	}
@@ -583,7 +583,7 @@ func BenchmarkServeScore(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(s.Metrics().LatencyNs.Quantile(0.5), "p50-ns/req")
+		b.ReportMetric(s.metrics.LatencyNs.Quantile(0.5), "p50-ns/req")
 		b.ReportMetric(1, "req-size")
 	})
 	b.Run("batch64", func(b *testing.B) {
@@ -602,7 +602,7 @@ func BenchmarkServeScore(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(s.Metrics().LatencyNs.Quantile(0.5), "p50-ns/req")
+		b.ReportMetric(s.metrics.LatencyNs.Quantile(0.5), "p50-ns/req")
 		b.ReportMetric(64, "req-size")
 	})
 }

@@ -88,9 +88,6 @@ type syncState struct {
 // concurrent use, like SetHook; the zero-value warehouse syncs always.
 func (w *Warehouse) SetSync(p SyncPolicy) { w.sync = p }
 
-// Sync returns the warehouse's durability policy.
-func (w *Warehouse) Sync() SyncPolicy { return w.sync }
-
 // commitSync runs the policy's post-rename work for one committed file:
 // fsync the parent directory (always), or remember the pair for the next
 // flush (interval). The file itself was already fsynced before its rename

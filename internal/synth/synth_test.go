@@ -222,18 +222,22 @@ func TestIsCustomerID(t *testing.T) {
 	}
 }
 
+// TestVocabulariesDisjointFromTopicsStructure: the complaint and search
+// topics draw from vocabularies large enough for LDA to tell them apart.
 func TestVocabulariesDisjointFromTopicsStructure(t *testing.T) {
-	cv := ComplaintVocabulary()
-	sv := SearchVocabulary()
-	if len(cv) < 50 || len(sv) < 80 {
-		t.Errorf("vocab sizes %d/%d too small", len(cv), len(sv))
-	}
-	seen := map[string]bool{}
-	for _, w := range cv {
-		if seen[w] {
-			t.Fatalf("duplicate complaint word %q", w)
+	for _, v := range []struct {
+		topics []topic
+		min    int
+	}{{complaintTopics, 50}, {searchTopics, 80}} {
+		words := map[string]bool{}
+		for _, tp := range v.topics {
+			for _, w := range tp.words {
+				words[w] = true
+			}
 		}
-		seen[w] = true
+		if len(words) < v.min {
+			t.Errorf("%d distinct words, want at least %d", len(words), v.min)
+		}
 	}
 }
 

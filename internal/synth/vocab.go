@@ -75,31 +75,6 @@ var searchTopics = []topic{
 	}},
 }
 
-// ComplaintVocabulary returns the full complaint vocabulary (all topic words,
-// deduplicated, sorted by topic then position). The paper's complaint
-// vocabulary has 2 408 words; ours is proportionally small but has the same
-// mixture structure.
-func ComplaintVocabulary() []string { return vocabOf(complaintTopics) }
-
-// SearchVocabulary returns the full search-query vocabulary. The paper's has
-// 15 974 words.
-func SearchVocabulary() []string { return vocabOf(searchTopics) }
-
-func vocabOf(topics []topic) []string {
-	seen := make(map[string]struct{})
-	var words []string
-	for _, t := range topics {
-		for _, w := range t.words {
-			if _, dup := seen[w]; dup {
-				continue
-			}
-			seen[w] = struct{}{}
-			words = append(words, w)
-		}
-	}
-	return words
-}
-
 // sampleText draws n words from a mixture over topics, where mix[i] is the
 // unnormalized weight of topics[i], and joins them with spaces.
 func (w *World) sampleText(topics []topic, mix []float64, n int) string {

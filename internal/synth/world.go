@@ -332,9 +332,3 @@ func (w *World) assignNeighbors(c *customer, community, all []int64) {
 		}
 	}
 }
-
-// Month returns the next month number that SimulateMonth will produce.
-func (w *World) Month() int { return w.month }
-
-// Config returns the effective (defaulted) configuration.
-func (w *World) Config() Config { return w.cfg }

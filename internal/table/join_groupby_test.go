@@ -52,7 +52,7 @@ func TestHashJoinInner(t *testing.T) {
 		t.Fatalf("inner join rows = %d, want 3", out.NumRows())
 	}
 	if !out.Schema.Has("dur_r") {
-		t.Errorf("collision column not suffixed: %v", out.Schema.Names())
+		t.Errorf("collision column not suffixed: %v", out.Schema.Fields)
 	}
 	ages := out.MustCol("age").Ints
 	for _, a := range ages {

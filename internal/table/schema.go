@@ -92,15 +92,6 @@ func (s *Schema) Has(name string) bool { return s.Index(name) >= 0 }
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.Fields) }
 
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	names := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		names[i] = f.Name
-	}
-	return names
-}
-
 // Equal reports whether two schemas have identical fields in order.
 func (s *Schema) Equal(o *Schema) bool {
 	if s.Len() != o.Len() {

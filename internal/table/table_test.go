@@ -45,9 +45,9 @@ func TestSchemaIndexAndNames(t *testing.T) {
 		t.Error("Has misreports membership")
 	}
 	want := []string{"imsi", "dur", "text"}
-	for i, n := range s.Names() {
-		if n != want[i] {
-			t.Errorf("Names()[%d] = %q, want %q", i, n, want[i])
+	for i, f := range s.Fields {
+		if f.Name != want[i] {
+			t.Errorf("Fields[%d].Name = %q, want %q", i, f.Name, want[i])
 		}
 	}
 }

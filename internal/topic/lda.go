@@ -17,7 +17,6 @@ type Corpus struct {
 	vocab []string
 	index map[string]int
 	docs  []doc
-	ids   []int64
 }
 
 type doc struct {
@@ -30,9 +29,10 @@ func NewCorpus() *Corpus {
 	return &Corpus{index: make(map[string]int)}
 }
 
-// AddDoc adds a document (e.g. one customer-month of search text) under the
-// given ID; text is whitespace-tokenized. Repeated AddDoc calls with the
-// same ID create separate documents — callers should aggregate first.
+// AddDoc adds a document (e.g. one customer-month of search text); text is
+// whitespace-tokenized. Documents keep insertion order, the order of the
+// fitted Theta rows. The corpus does not keep id: repeated AddDoc calls with
+// the same ID create separate documents — callers should aggregate first.
 func (c *Corpus) AddDoc(id int64, text string) {
 	tokens := strings.Fields(text)
 	counts := make(map[int]float64)
@@ -56,7 +56,6 @@ func (c *Corpus) AddDoc(id int64, text string) {
 		d.counts = append(d.counts, counts[w])
 	}
 	c.docs = append(c.docs, d)
-	c.ids = append(c.ids, id)
 }
 
 // NumDocs returns the document count.
@@ -64,12 +63,6 @@ func (c *Corpus) NumDocs() int { return len(c.docs) }
 
 // VocabSize returns the vocabulary size.
 func (c *Corpus) VocabSize() int { return len(c.vocab) }
-
-// IDs returns the document IDs in insertion order (shared slice).
-func (c *Corpus) IDs() []int64 { return c.ids }
-
-// Vocab returns the vocabulary (shared slice).
-func (c *Corpus) Vocab() []string { return c.vocab }
 
 // Config holds LDA hyperparameters. The paper uses K=10 topics with fixed
 // symmetric Dirichlet priors.
@@ -149,7 +142,7 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 			msg := mu[(off[d]+j)*K : (off[d]+j+1)*K]
 			total := 0.0
 			for k := range msg {
-				msg[k] = 0.5 + rng.Float64()
+				msg[k] = 0.5 + float64(rng.Float64())
 				total += msg[k]
 			}
 			for k := range msg {
@@ -158,15 +151,15 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 			cnt := dd.counts[j]
 			nww := nw[w*K : (w+1)*K]
 			for k := range msg {
-				ndd[k] += cnt * msg[k]
-				nww[k] += cnt * msg[k]
-				nk[k] += cnt * msg[k]
+				ndd[k] += float64(cnt * msg[k])
+				nww[k] += float64(cnt * msg[k])
+				nk[k] += float64(cnt * msg[k])
 			}
 		}
 	}
 
 	alpha, beta := cfg.Alpha, cfg.Beta
-	wBeta := float64(W) * beta
+	wBeta := float64(float64(W) * beta)
 	newMsg := make([]float64, K)
 	for iter := 0; iter < cfg.Iters; iter++ {
 		for d := range c.docs {
@@ -179,9 +172,9 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 				// Exclude this entry's own mass (the "-wd" terms).
 				total := 0.0
 				for k := 0; k < K; k++ {
-					ndk := ndd[k] - cnt*old[k]
-					nwk := nww[k] - cnt*old[k]
-					nkk := nk[k] - cnt*old[k]
+					ndk := ndd[k] - float64(cnt*old[k])
+					nwk := nww[k] - float64(cnt*old[k])
+					nkk := nk[k] - float64(cnt*old[k])
 					if ndk < 0 {
 						ndk = 0
 					}
@@ -197,7 +190,7 @@ func Fit(c *Corpus, cfg Config) (*Model, error) {
 				}
 				for k := 0; k < K; k++ {
 					nm := newMsg[k] / total
-					delta := cnt * (nm - old[k])
+					delta := float64(cnt * (nm - old[k]))
 					ndd[k] += delta
 					nww[k] += delta
 					nk[k] += delta
@@ -305,44 +298,22 @@ func (m *Model) FoldIn(text string, iters int) []float64 {
 			phi := m.phiT[w*K : (w+1)*K]
 			total := 0.0
 			for k := 0; k < K; k++ {
-				ndk := nd[k] - cnt*old[k]
+				ndk := nd[k] - float64(cnt*old[k])
 				if ndk < 0 {
 					ndk = 0
 				}
-				v := (ndk + alpha) * phi[k]
+				v := float64((ndk + alpha) * phi[k])
 				msg[k] = v
 				total += v
 			}
 			for k := 0; k < K; k++ {
 				nm := msg[k] / total
-				nd[k] += cnt * (nm - old[k])
+				nd[k] += float64(cnt * (nm - old[k]))
 				old[k] = nm
 			}
 		}
 	}
 	return distWithPrior(nd, alpha)
-}
-
-// TopWords returns the n highest-probability words of topic k, for
-// inspection and tests.
-func (m *Model) TopWords(c *Corpus, k, n int) []string {
-	type wp struct {
-		w int
-		p float64
-	}
-	ws := make([]wp, len(m.Phi[k]))
-	for w, p := range m.Phi[k] {
-		ws[w] = wp{w, p}
-	}
-	sort.Slice(ws, func(a, b int) bool { return ws[a].p > ws[b].p })
-	if n > len(ws) {
-		n = len(ws)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.vocab[ws[i].w]
-	}
-	return out
 }
 
 // K returns the trained topic count.

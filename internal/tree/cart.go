@@ -6,9 +6,6 @@
 package tree
 
 import (
-	"errors"
-	"math"
-
 	"telcochurn/internal/dataset"
 )
 
@@ -59,33 +56,6 @@ func Gini(classMass []float64) float64 {
 		g -= float64(p * p)
 	}
 	return g
-}
-
-// FitTree trains a single CART classification tree on the dataset with the
-// paper's Gini splitting (Eqs. 5-6), honoring per-instance weights, and
-// returns it as a one-tree Forest. Split search runs on the columnar
-// backend (see columnar.go): exact presorted scans by default, histogram
-// scans when cfg.MaxBins > 0.
-func FitTree(d *dataset.Dataset, cfg Config) (*Forest, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.NumInstances() == 0 {
-		return nil, errors.New("tree: empty dataset")
-	}
-	if d.NumInstances() > math.MaxInt32 {
-		return nil, errors.New("tree: dataset exceeds 2^31 rows")
-	}
-	numClasses := d.NumClasses()
-	if numClasses < 2 {
-		numClasses = 2
-	}
-	cfg = cfg.withDefaults()
-	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins, 1)
-	f, imp := newColGrower(newLayout(cd), d.Y, weightsOf(d), numClasses, d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
-	f.features = d.FeatureNames
-	f.importance = normalizedSum([][]float64{imp}, d.NumFeatures())
-	return f, nil
 }
 
 func weightsOf(d *dataset.Dataset) []float64 {

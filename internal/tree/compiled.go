@@ -152,9 +152,6 @@ func (n *nodes) sum(x []float64, acc, scale float64) float64 {
 // scoring: the owner sets it before handing the ensemble out.
 func (n *nodes) SetWorkers(w int) { n.workers = w }
 
-// NumTrees returns the ensemble size (boosting rounds for a GBDT).
-func (n *nodes) NumTrees() int { return len(n.roots) }
-
 // CompiledForest is the name the benchmark harness in bench/ scores a
 // forest through. It is the Forest itself, kept until that harness names
 // Forest (ROADMAP item 1).

@@ -140,11 +140,11 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 			return false
 		}
 		cf := forest.Compile()
-		if cf != forest || cf.NumTrees() != cfg.NumTrees {
+		if cf != forest || len(cf.roots) != cfg.NumTrees {
 			t.Logf("seed %d: Compile is not the %d-tree forest itself", seed, cfg.NumTrees)
 			return false
 		}
-		buf := make([]float64, cf.NumClasses())
+		buf := make([]float64, cf.numClasses)
 		for i := 0; i < 50; i++ {
 			x := probe(rng, feats)
 			want := treeAverage(forest, x)
@@ -194,8 +194,8 @@ func TestCompiledGBDTBitIdentical(t *testing.T) {
 			t.Logf("seed %d: fit: %v", seed, err)
 			return false
 		}
-		if model.NumTrees() != cfg.NumTrees {
-			t.Logf("seed %d: %d rounds, want %d", seed, model.NumTrees(), cfg.NumTrees)
+		if len(model.roots) != cfg.NumTrees {
+			t.Logf("seed %d: %d rounds, want %d", seed, len(model.roots), cfg.NumTrees)
 			return false
 		}
 		for i := 0; i < 50; i++ {
@@ -289,7 +289,7 @@ func TestCompiledScoreAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := probe(rng, 4)
-	out := make([]float64, forest.NumClasses())
+	out := make([]float64, forest.numClasses)
 	if n := testing.AllocsPerRun(200, func() { forest.Score(x) }); n != 0 {
 		t.Errorf("Forest.Score allocates %.1f/op, want 0", n)
 	}

@@ -126,10 +126,7 @@ func TestColumnarExactMatchesLegacyUnitWeights(t *testing.T) {
 		{MinLeafSamples: 25, FeaturesPerSplit: -1, Seed: 3},
 		{MinLeafSamples: 10, FeaturesPerSplit: 2, MaxDepth: 5, Seed: 11},
 	} {
-		got, err := FitTree(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := fitTree(d, cfg)
 		want := legacyFitTree(d, cfg, got.numClasses)
 		sameNode(t, forestTree(got, 0), want.root, "root:")
 		sameImportance(t, got.importance, normalizedSum([][]float64{want.importance}, d.NumFeatures()))
@@ -147,10 +144,7 @@ func TestColumnarExactMatchesLegacyDyadicWeights(t *testing.T) {
 		d.W[i] = pow2[rng.Intn(len(pow2))]
 	}
 	cfg := Config{MinLeafSamples: 15, FeaturesPerSplit: 2, Seed: 7}
-	got, err := FitTree(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := fitTree(d, cfg)
 	want := legacyFitTree(d, cfg, got.numClasses)
 	sameNode(t, forestTree(got, 0), want.root, "root:")
 	sameImportance(t, got.importance, normalizedSum([][]float64{want.importance}, d.NumFeatures()))

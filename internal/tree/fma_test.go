@@ -20,12 +20,17 @@ var fusedOp = regexp.MustCompile(`\(([^()\s]+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[DS
 // factorization machine (the F9 pair ranking and the LIBFM scores), the
 // logistic regression (the LIBLINEAR scores), the metrics every
 // experiment reports (AUC, PR-AUC, bootstrap intervals), the dataset's
-// split and standardization, and the simulator every experiment and
-// benchmark draws its data from.
+// split and standardization, the simulator every experiment and benchmark
+// draws its data from, the topic models (F7, F8), the frame build, the
+// pipeline and its artifact, serving, the insight and root-cause reports,
+// the experiments themselves and the load generator's event bodies.
 var fmaFree = []string{
 	"telcochurn/internal/tree", "telcochurn/internal/graph", "telcochurn/internal/retention",
 	"telcochurn/internal/fm", "telcochurn/internal/linear", "telcochurn/internal/eval",
-	"telcochurn/internal/dataset", "telcochurn/internal/synth",
+	"telcochurn/internal/dataset", "telcochurn/internal/synth", "telcochurn/internal/topic",
+	"telcochurn/internal/features", "telcochurn/internal/core", "telcochurn/internal/serve",
+	"telcochurn/internal/insight", "telcochurn/internal/rootcause", "telcochurn/internal/experiments",
+	"telcochurn/cmd/churnload",
 }
 
 // TestNoFusedMultiplyAdd cross-compiles the fmaFree packages for arm64 and
@@ -33,9 +38,9 @@ var fmaFree = []string{
 // once where amd64 rounds the product and the sum apart, so a host that
 // fuses would pick other splits and compute other bits; every such site
 // carries an explicit float64(...) conversion, which forbids the fusion.
-// arm64 fuses every site that ppc64le and s390x do. A cold build cache
-// costs about 12 s (the packages' dependencies for arm64); a warm one
-// replays the listing in about 0.4 s.
+// arm64 fuses every site that ppc64le and s390x do. On 2 vCPU a cold build
+// cache costs about 21 s (the packages and their dependencies for arm64); a
+// warm one replays the listing in about 1 s.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {

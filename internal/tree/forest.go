@@ -236,6 +236,3 @@ func (f *Forest) Importance() []float64 {
 
 // FeatureNames returns the training feature names.
 func (f *Forest) FeatureNames() []string { return f.features }
-
-// NumClasses returns the class count.
-func (f *Forest) NumClasses() int { return f.numClasses }

@@ -30,9 +30,9 @@ func TestForestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumTrees() != f.NumTrees() || got.NumClasses() != f.NumClasses() {
+	if len(got.roots) != len(f.roots) || got.numClasses != f.numClasses {
 		t.Fatalf("shape mismatch: %d/%d trees, %d/%d classes",
-			got.NumTrees(), f.NumTrees(), got.NumClasses(), f.NumClasses())
+			len(got.roots), len(f.roots), got.numClasses, f.numClasses)
 	}
 	// Identical predictions and attributions everywhere we probe.
 	rng := rand.New(rand.NewSource(2))

@@ -42,12 +42,32 @@ func separable(n int, seed int64) *dataset.Dataset {
 	return d
 }
 
+// fitTree trains one CART classification tree on the whole dataset with
+// the grower FitForest runs per tree (Gini splitting, Eqs. 5-6,
+// per-instance weights), and returns it as a one-tree Forest.
+func fitTree(d *dataset.Dataset, cfg Config) *Forest {
+	cfg = cfg.withDefaults()
+	cd := newColData(d.X, d.NumFeatures(), cfg.MaxBins, 1)
+	f, imp := newColGrower(newLayout(cd), d.Y, weightsOf(d), max(d.NumClasses(), 2), d.NumFeatures(), cfg).fit(d.NumInstances(), &Forest{})
+	f.features = d.FeatureNames
+	f.importance = normalizedSum([][]float64{imp}, d.NumFeatures())
+	return f
+}
+
+// BenchmarkTreeFit measures one deep CART tree (all features per split) over
+// the columnar backend — the per-tree cost without forest-level sharing.
+func BenchmarkTreeFit(b *testing.B) {
+	d := synthDataset(3000, 40, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fitTree(d, Config{MinLeafSamples: 25, Seed: 1})
+	}
+}
+
 func TestTreeLearnsSeparableData(t *testing.T) {
 	d := separable(500, 1)
-	tr, err := FitTree(d, Config{MinLeafSamples: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fitTree(d, Config{MinLeafSamples: 10})
 	correct := 0
 	test := separable(200, 2)
 	for i, x := range test.X {
@@ -92,11 +112,7 @@ func TestTreeMinLeafInvariant(t *testing.T) {
 			d.Add([]float64{rng.NormFloat64(), rng.NormFloat64(), rng.Float64()}, rng.Intn(2))
 		}
 		minLeaf := 5 + rng.Intn(30)
-		tr, err := FitTree(d, Config{MinLeafSamples: minLeaf, Seed: seed})
-		if err != nil {
-			return false
-		}
-		return minLeafSize(tr) >= minLeaf
+		return minLeafSize(fitTree(d, Config{MinLeafSamples: minLeaf, Seed: seed})) >= minLeaf
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -105,10 +121,7 @@ func TestTreeMinLeafInvariant(t *testing.T) {
 
 func TestTreeMaxDepth(t *testing.T) {
 	d := separable(400, 3)
-	tr, err := FitTree(d, Config{MinLeafSamples: 2, MaxDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fitTree(d, Config{MinLeafSamples: 2, MaxDepth: 1})
 	if n := numLeaves(tr); n > 2 {
 		t.Errorf("depth-1 tree has %d leaves", n)
 	}
@@ -119,10 +132,7 @@ func TestTreePureNodeStops(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.Add([]float64{float64(i)}, 0)
 	}
-	tr, err := FitTree(d, Config{MinLeafSamples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fitTree(d, Config{MinLeafSamples: 5})
 	if n := numLeaves(tr); n != 1 {
 		t.Errorf("pure data grew %d leaves", n)
 	}
@@ -132,7 +142,7 @@ func TestTreePureNodeStops(t *testing.T) {
 }
 
 func TestTreeEmptyDataset(t *testing.T) {
-	if _, err := FitTree(dataset.New([]string{"x"}), Config{}); err == nil {
+	if _, err := FitForest(dataset.New([]string{"x"}), ForestConfig{}); err == nil {
 		t.Error("want error for empty dataset")
 	}
 }
@@ -151,10 +161,7 @@ func TestWeightedInstancesShiftLeafProbs(t *testing.T) {
 			d.W[i] = 1
 		}
 	}
-	tr, err := FitTree(d, Config{MinLeafSamples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fitTree(d, Config{MinLeafSamples: 5})
 	p := tr.PredictProba([]float64{1})
 	if math.Abs(p[1]-0.75) > 1e-12 {
 		t.Errorf("weighted leaf prob = %g, want 0.75", p[1])
@@ -231,8 +238,8 @@ func TestForestMultiClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumClasses() != 3 {
-		t.Fatalf("NumClasses = %d", f.NumClasses())
+	if f.numClasses != 3 {
+		t.Fatalf("NumClasses = %d", f.numClasses)
 	}
 	for _, c := range []struct {
 		x    float64
@@ -303,10 +310,7 @@ func TestWeightedBootstrapOversamplesMinority(t *testing.T) {
 
 func TestHistogramTreeLearnsSeparableData(t *testing.T) {
 	d := separable(500, 1)
-	tr, err := FitTree(d, Config{MinLeafSamples: 10, MaxBins: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fitTree(d, Config{MinLeafSamples: 10, MaxBins: 32})
 	correct := 0
 	test := separable(200, 2)
 	for i, x := range test.X {
