@@ -1,13 +1,9 @@
-// Package telcochurn's root benchmark harness regenerates every table and
-// figure of the paper's evaluation (one Benchmark per artifact — run with
-// `go test -bench=. -benchmem`) and micro-benchmarks the substrates the
-// pipeline is built on (store, frame build, graph algorithms, LDA, random
-// forest).
-//
-// The experiment benchmarks print their paper-style table once per run via
-// b.Logf-free stdout so `-bench` output doubles as the reproduction record;
-// absolute numbers are population-scaled (see DESIGN.md §2), the shape is
-// what reproduces.
+// Package telcochurn's root benchmark harness micro-benchmarks the
+// substrates the pipeline is built on (store, frame build, graph
+// algorithms, LDA, random forest, scoring); run it with `go test -bench=.
+// -benchmem`. The paper's tables and figures are not timed here: `make
+// experiments-check` regenerates them and compares them byte for byte with
+// experiments_output.txt.
 package telcochurn
 
 import (
@@ -15,13 +11,10 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	"telcochurn/internal/core"
 	"telcochurn/internal/dataset"
-	"telcochurn/internal/experiments"
 	"telcochurn/internal/features"
 	"telcochurn/internal/graph"
 	"telcochurn/internal/procstat"
@@ -31,54 +24,6 @@ import (
 	"telcochurn/internal/topic"
 	"telcochurn/internal/tree"
 )
-
-// benchOpts keeps each experiment benchmark to a few seconds per iteration
-// while preserving the qualitative shape.
-func benchOpts() experiments.Options {
-	return experiments.Options{Customers: 1500, Seed: 3, Trees: 60, MinLeaf: 15, Repeats: 1}
-}
-
-var (
-	printedMu sync.Mutex
-	printed   = map[string]bool{}
-)
-
-// runExperiment executes an experiment id once per b.N iteration, printing
-// its table the first time.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchOpts())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		printedMu.Lock()
-		if !printed[id] {
-			printed[id] = true
-			var sb strings.Builder
-			res.Render(&sb)
-			fmt.Fprintf(os.Stderr, "\n%s\n", sb.String())
-		}
-		printedMu.Unlock()
-	}
-}
-
-// ---- one benchmark per paper table/figure ----
-
-func BenchmarkFig1ChurnRates(b *testing.B)     { runExperiment(b, "fig1") }
-func BenchmarkTab1DatasetStats(b *testing.B)   { runExperiment(b, "tab1") }
-func BenchmarkFig5RechargePeriod(b *testing.B) { runExperiment(b, "fig5") }
-func BenchmarkFig7Volume(b *testing.B)         { runExperiment(b, "fig7") }
-func BenchmarkTab2Variety(b *testing.B)        { runExperiment(b, "tab2") }
-func BenchmarkTab3Overall(b *testing.B)        { runExperiment(b, "tab3") }
-func BenchmarkTab4Importance(b *testing.B)     { runExperiment(b, "tab4") }
-func BenchmarkTab5Velocity(b *testing.B)       { runExperiment(b, "tab5") }
-func BenchmarkTab6BusinessValue(b *testing.B)  { runExperiment(b, "tab6") }
-func BenchmarkTab7Imbalance(b *testing.B)      { runExperiment(b, "tab7") }
-func BenchmarkFig8EarlySignals(b *testing.B)   { runExperiment(b, "fig8") }
-func BenchmarkFig9Classifiers(b *testing.B)    { runExperiment(b, "fig9") }
-
-// ---- substrate micro-benchmarks ----
 
 func benchWorld(b *testing.B) []*synth.MonthData {
 	b.Helper()

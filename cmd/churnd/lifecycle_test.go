@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"telcochurn/internal/core"
-	"telcochurn/internal/faults"
 )
 
 // childEnv, set to 1, makes the test binary run churnd's main instead of
@@ -317,154 +316,6 @@ func burstBatch(ids []int64) string {
 		}
 	}
 	return `{"events":[` + strings.Join(evs, ",") + `]}`
-}
-
-// TestProxiedLoadServesExactScores: churnd behind the seeded TCP fault
-// proxy. First, event posts through a proxy that resets about half its
-// connections: a post whose reply was cut may or may not have committed,
-// and churnd serves exactly what its log holds either way. Then a mixed
-// score and event load through per-chunk latency both ways, requests and
-// replies split by partial writes and a mid-stream stall on every
-// connection. Faults cost time, never correctness: every reply is 2xx
-// within 2 s, and every score has the bits churnd serves unproxied.
-func TestProxiedLoadServesExactScores(t *testing.T) {
-	whDir, artifact, want := makeWorld(t)
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	// F1 is per customer, so events for the second half leave the first
-	// half's scores at the batch scores.
-	half := len(want.IDs) / 2
-
-	// One connection per post, each condemned or not by its index; a
-	// condemned one dies at a seeded offset in its first 2 KiB: before
-	// churnd has the whole request, or in the reply, after the commit.
-	resetter, err := faults.NewProxy("127.0.0.1:0", ts.Listener.Addr().String(), faults.NetConfig{
-		Seed:        7,
-		Site:        "churnd-reset",
-		Reset:       0.5,
-		ResetWindow: 2 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resetter.Close()
-	oneShot := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 30 * time.Second}
-	const posts = 16
-	answered := 0
-	for i := 0; i < posts; i++ {
-		resp, err := oneShot.Post("http://"+resetter.Addr()+"/v1/events", "application/json",
-			strings.NewReader(burstBatch([]int64{want.IDs[half+i]})))
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post %d through the resetting proxy: status %d", i, resp.StatusCode)
-		}
-		answered++
-	}
-	if c := resetter.Counts(); c.Resets == 0 || answered == 0 || answered+int(c.Resets) != posts {
-		t.Fatalf("%d of %d posts answered, %d reset: want some of each and nothing else lost", answered, posts, c.Resets)
-	}
-	// burstBatch posts 6 events per id.
-	if _, metrics, _ := getJSON(t, ts.URL+"/metrics"); metrics["events_ingested"].(float64) <= float64(6*answered) {
-		t.Fatalf("events_ingested = %v after %d answered posts: no reset cut a reply after its commit", metrics["events_ingested"], answered)
-	}
-
-	proxy, err := faults.NewProxy("127.0.0.1:0", ts.Listener.Addr().String(), faults.NetConfig{
-		Seed:          7,
-		Site:          "churnd",
-		ReadLatency:   5 * time.Millisecond,
-		WriteLatency:  5 * time.Millisecond,
-		PartialWrite:  0.2,
-		Stall:         1,
-		StallDuration: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	const workers = 4
-	client := &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: workers},
-		Timeout:   30 * time.Second,
-	}
-	defer client.CloseIdleConnections()
-	url := "http://" + proxy.Addr()
-	batch, _ := json.Marshal(scoreRequest{IDs: want.IDs[:half]})
-	post := func(path, body string) (int, []byte) {
-		start := time.Now()
-		defer func() {
-			if d := time.Since(start); d > 2*time.Second {
-				t.Errorf("%s through the proxy took %v", path, d)
-			}
-		}()
-		resp, err := client.Post(url+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Errorf("%s through the proxy: %v", path, err)
-			return 0, nil
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Errorf("%s reply through the proxy: %v", path, err)
-		}
-		return resp.StatusCode, b
-	}
-	var wg sync.WaitGroup
-	end := time.Now().Add(2 * time.Second)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(end); i += workers {
-				var status int
-				var body []byte
-				switch i % 5 {
-				case 0:
-					status, body = post("/v1/events", rechargeBatch([]int64{want.IDs[half+i%half]}))
-				case 1:
-					status, body = post("/v1/score", string(batch))
-				default:
-					status, body = post("/v1/score", `{"id":`+int64String(want.IDs[i%half])+`}`)
-				}
-				if status/100 != 2 {
-					t.Errorf("request %d: status %d %s", i, status, body)
-					return
-				}
-				var sr scoreResponse
-				json.Unmarshal(body, &sr)
-				switch {
-				case sr.Score != nil && math.Float64bits(*sr.Score) != math.Float64bits(want.Scores[i%half]):
-					t.Errorf("imsi %d: proxied %v, batch %v", want.IDs[i%half], *sr.Score, want.Scores[i%half])
-				case sr.Scores != nil && !sameBits(sr.Scores, want.Scores[:half]):
-					t.Errorf("proxied batch scores differ from the batch path")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	all, _ := json.Marshal(scoreRequest{IDs: want.IDs})
-	_, proxied := post("/v1/score", string(all))
-	_, direct, _ := doRequest(t, ts, "POST", "/v1/score", string(all))
-	if !bytes.Equal(proxied, direct) {
-		t.Error("scores through the proxy differ from churnd's unproxied scores")
-	}
-	if c := proxy.Counts(); c.Delays == 0 || c.Partials == 0 || c.Stalls == 0 {
-		t.Errorf("faults did not fire: %+v", c)
-	}
-	sameVectors(t, "merged rebuild", want.IDs, servedVectors(t, svc, want.IDs), mergedRebuild(t, whDir, artifact, false, want.IDs))
 }
 
 // sameBits reports whether a and b hold the same float64 bits.

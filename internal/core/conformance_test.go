@@ -19,9 +19,10 @@ import (
 
 // The source-conformance matrix: a source is a reader factory and a
 // decorator is one ReadMonths, so every decorator — alone or stacked, in
-// either order — over every base must read exactly what the base reads
-// when it has nothing to add, and must pass a failing table through to the
-// loaders unchanged in kind.
+// either order — over every base must keep the base's shape and pass a
+// failing table through to the loaders unchanged in kind. That a decorator
+// with nothing to add reads exactly what its base reads is
+// FuzzPipelineIdentity's.
 
 func conformanceCfg() synth.Config {
 	cfg := synth.DefaultConfig()
@@ -72,59 +73,15 @@ func (r failingReader) ReadMonths(name string, months []int) (*table.Table, erro
 	return r.TableReader.ReadMonths(name, months)
 }
 
+// dead is the error an unreadable table's reads fail with.
+var dead = fmt.Errorf("feed down: %w", fs.ErrNotExist)
+
 // failing makes one table of src unreadable at the reader, below whatever
 // decorators are stacked on the result.
 func failing(src core.Source, name string, err error) core.Source {
 	return src.With(func(_, _ int, r features.TableReader) features.TableReader {
 		return failingReader{TableReader: r, name: name, err: err}
 	})
-}
-
-func sameTable(t *testing.T, what string, got, want *table.Table) {
-	t.Helper()
-	if !got.Schema.Equal(want.Schema) {
-		t.Fatalf("%s: schema %s, want %s", what, got.Schema, want.Schema)
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
-	}
-	for c, wc := range want.Cols {
-		gc, name := got.Cols[c], want.Schema.Fields[c].Name
-		for i := 0; i < want.NumRows(); i++ {
-			var same bool
-			switch wc.Type {
-			case table.Int64:
-				same = gc.Ints[i] == wc.Ints[i]
-			case table.Float64:
-				same = math.Float64bits(gc.Floats[i]) == math.Float64bits(wc.Floats[i])
-			default:
-				same = gc.Strings[i] == wc.Strings[i]
-			}
-			if !same {
-				t.Fatalf("%s: column %q row %d differs", what, name, i)
-			}
-		}
-	}
-}
-
-func sameTables(t *testing.T, what string, got, want features.Tables) {
-	t.Helper()
-	for _, p := range []struct {
-		name      string
-		got, want *table.Table
-	}{
-		{synth.TableCalls, got.Calls, want.Calls},
-		{synth.TableMessages, got.Messages, want.Messages},
-		{synth.TableRecharges, got.Recharges, want.Recharges},
-		{synth.TableBilling, got.Billing, want.Billing},
-		{synth.TableCustomers, got.Customers, want.Customers},
-		{synth.TableComplaints, got.Complaints, want.Complaints},
-		{synth.TableWeb, got.Web, want.Web},
-		{synth.TableSearch, got.Search, want.Search},
-		{synth.TableLocations, got.Locations, want.Locations},
-	} {
-		sameTable(t, what+" "+p.name, p.got, p.want)
-	}
 }
 
 func TestSourceConformance(t *testing.T) {
@@ -165,19 +122,9 @@ func TestSourceConformance(t *testing.T) {
 	}
 	// Two months, so every read also concatenates.
 	win := features.Window{FromAbs: 1, ToAbs: 2 * days}
-	months := win.Months(days)
 	graph := core.NewFrameBuilder(core.Config{Groups: []features.Group{features.F1Baseline, features.F4CallGraph}})
-	down := fmt.Errorf("feed down: %w", fs.ErrNotExist)
 
 	for _, b := range bases {
-		want, err := b.src.Tables(win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTruth, err := b.src.Truth(2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, w := range wraps {
 			t.Run(b.name+"/"+w.name, func(t *testing.T) {
 				wrap := func(s core.Source) core.Source {
@@ -195,42 +142,16 @@ func TestSourceConformance(t *testing.T) {
 				if _, ok := core.AsSharded(src); ok != (b.src.NumShards() > 0) {
 					t.Fatalf("AsSharded = %v over %d shards", ok, b.src.NumShards())
 				}
-				got, err := src.Tables(win)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTables(t, "Tables", got, want)
 				healthy, _, deg, err := graph.BuildFrameDegraded(src, win)
 				if err != nil || !deg.Empty() {
 					t.Fatalf("degraded build with nothing down: mask %s, err %v", deg, err)
-				}
-				truth, err := src.Truth(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTable(t, "Truth", truth, wantTruth)
-				rows := 0
-				for s := 0; s < src.NumShards(); s++ {
-					gs, err := src.ShardReader(s).ReadMonths(synth.TableCalls, months)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ws, err := b.src.ShardReader(s).ReadMonths(synth.TableCalls, months)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameTable(t, fmt.Sprintf("shard %d calls", s), gs, ws)
-					rows += gs.NumRows()
-				}
-				if src.NumShards() > 0 && rows != want.Calls.NumRows() {
-					t.Fatalf("shard readers hold %d calls rows, whole months %d", rows, want.Calls.NumRows())
 				}
 
 				// One table down at the reader: strict fails with the
 				// reader's error, a degraded build flags exactly the groups
 				// that table backs and leaves the rest (the call graph's
 				// columns) as the healthy build has them.
-				src = wrap(failing(b.src, synth.TableWeb, down))
+				src = wrap(failing(b.src, synth.TableWeb, dead))
 				if _, err := src.Tables(win); !errors.Is(err, fs.ErrNotExist) {
 					t.Fatalf("strict load with web down: %v, want ErrNotExist", err)
 				}
@@ -255,7 +176,7 @@ func TestSourceConformance(t *testing.T) {
 				}
 				// Without a customer snapshot the maintained view cannot load;
 				// either way the refusal is the typed one.
-				src, err = w.wrap(failing(b.src, synth.TableCustomers, down))
+				src, err = w.wrap(failing(b.src, synth.TableCustomers, dead))
 				if err == nil {
 					_, _, _, err = graph.BuildFrameDegraded(src, win)
 				}
@@ -265,7 +186,7 @@ func TestSourceConformance(t *testing.T) {
 
 				// The truth feed down: strict builds fail on it, degraded
 				// builds flag the graph groups it seeds and nothing else.
-				src = wrap(failing(b.src, synth.TableTruth, down))
+				src = wrap(failing(b.src, synth.TableTruth, dead))
 				if _, err := src.Truth(2); !errors.Is(err, fs.ErrNotExist) {
 					t.Fatalf("Truth with the feed down: %v, want ErrNotExist", err)
 				}

@@ -20,7 +20,7 @@ import (
 // them — graph groups included — reads no raw partition and replays no log.
 // Every value either path produces is Float64bits-identical to a
 // from-scratch rebuild over the merged data; see features/incremental.go
-// for the argument and the property test.
+// for the argument, and FuzzPipelineIdentity for the check.
 type Incremental struct {
 	maint *features.Maintainer
 	// missing names the window tables the source could not read, in

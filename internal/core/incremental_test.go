@@ -8,120 +8,6 @@ import (
 	"telcochurn/internal/synth"
 )
 
-// TestIncrementalRefreshMatchesOverlayAndMerge is the pipeline-level
-// bit-identity chain for streaming ingest: events folded through
-// core.Incremental produce serving rows Float64bits-identical to a full
-// rebuild over its View (the maintained tables laid over the warehouse),
-// shard by shard and whole-window, which in turn is bit-identical to a
-// rebuild after store.EventLog.MergeInto folds the log into the
-// partitions. Config has no graph groups, so every column — F9 included —
-// must match exactly.
-func TestIncrementalRefreshMatchesOverlayAndMerge(t *testing.T) {
-	cfg := shardWorldCfg()
-	wh, sw := shardedWorldIn(t, cfg, 4)
-	src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
-	p, err := Fit(src, []WindowSpec{MonthSpec(1, cfg.DaysPerMonth)}, Config{
-		Groups: []features.Group{
-			features.F1Baseline, features.F2CS, features.F3PS,
-			features.F7ComplaintTopics, features.F8SearchTopics, features.F9SecondOrder,
-		},
-		Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := features.MonthWindow(2, cfg.DaysPerMonth)
-	base, _, err := p.BuildFrameSharded(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Land a batch of streamed events in the durable log.
-	log, err := wh.EventLog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := append([]int64(nil), base.IDs()[:25]...)
-	events := synth.GenerateEvents(targets, 2, cfg.DaysPerMonth, 200, 9)
-	if _, err := log.Append(events); err != nil {
-		t.Fatal(err)
-	}
-
-	// Incremental path: the same events through the maintainer.
-	inc, err := NewIncremental(p, src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	affected := map[int64]bool{}
-	for _, name := range features.StreamableTables {
-		ev := events[name]
-		if ev == nil {
-			continue
-		}
-		ids, n, err := inc.Ingest(name, ev)
-		if err != nil {
-			t.Fatalf("ingest %s: %v", name, err)
-		}
-		if n != ev.NumRows() {
-			t.Fatalf("ingest %s applied %d of %d rows", name, n, ev.NumRows())
-		}
-		for _, id := range ids {
-			affected[id] = true
-		}
-	}
-	if len(affected) == 0 {
-		t.Fatal("no customers affected")
-	}
-
-	// Control path: full 4-shard rebuild over the maintained tables.
-	view := inc.View(src)
-	sharded, ok := AsSharded(view)
-	if !ok || sharded.NumShards() != 4 {
-		t.Fatalf("view over a 4-shard source: sharded=%v, %d shards", ok, sharded.NumShards())
-	}
-	rebuilt, _, err := p.BuildFrameSharded(sharded, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := p.BuildFrame(view, win, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreFramesBitIdentical(t, whole, rebuilt, "whole-window vs 4-shard build over the view")
-
-	names := rebuilt.Names()
-	for _, id := range base.IDs() {
-		row, _ := base.Row(id)
-		if affected[id] {
-			if row, err = inc.Refresh(id, row); err != nil {
-				t.Fatalf("refresh %d: %v", id, err)
-			}
-		}
-		wrow, ok := rebuilt.Row(id)
-		if !ok {
-			t.Fatalf("imsi %d missing from rebuilt frame", id)
-		}
-		for j := range names {
-			if math.Float64bits(row[j]) != math.Float64bits(wrow[j]) {
-				t.Fatalf("imsi %d (affected=%v) col %q: incremental %v vs rebuild %v",
-					id, affected[id], names[j], row[j], wrow[j])
-			}
-		}
-	}
-
-	// Merging the log into the partitions and rebuilding from scratch must
-	// reproduce the view's frame exactly — the maintained tables ARE the
-	// merge layout, just not yet committed.
-	if _, err := log.MergeInto(); err != nil {
-		t.Fatal(err)
-	}
-	merged, _, err := p.BuildFrameSharded(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreFramesBitIdentical(t, rebuilt, merged, "view vs post-merge rebuild")
-}
-
 // TestIncrementalRefreshKeepsGraphSnapshot pins the stale-columns contract:
 // with graph groups configured, a refreshed row recomputes its per-customer
 // columns (bit-equal to the rebuild over View) while the cross-customer graph

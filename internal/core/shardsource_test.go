@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"telcochurn/internal/features"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
-	"telcochurn/internal/tree"
 )
 
 func shardWorldCfg() synth.Config {
@@ -70,197 +68,6 @@ func coreFramesBitIdentical(t *testing.T, a, b *features.Frame, context string) 
 		for j := range ra {
 			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
 				t.Fatalf("%s: id %d col %q: %v vs %v (not bit-identical)", context, id, an[j], ra[j], rb[j])
-			}
-		}
-	}
-}
-
-func TestBuildFrameShardedInvariantAcrossLayoutsAndWorkers(t *testing.T) {
-	cfg := shardWorldCfg()
-	pcfg := Config{Groups: []features.Group{
-		features.F1Baseline, features.F2CS, features.F3PS,
-		features.F4CallGraph, features.F5MessageGraph, features.F6CooccurrenceGraph,
-	}}
-	win := features.MonthWindow(2, cfg.DaysPerMonth)
-	var ref *features.Frame
-	for _, shards := range []int{1, 4, 16} {
-		sw := shardedWorld(t, cfg, shards)
-		src := NewShardedWarehouseSource(sw, cfg.DaysPerMonth)
-		for _, workers := range []int{1, 8} {
-			c := pcfg
-			c.Workers = workers
-			frame, stats, err := NewFrameBuilder(c).BuildFrameSharded(src, win)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if stats.Shards != shards || stats.RawRows == 0 {
-				t.Fatalf("shards=%d: stats = %+v", shards, stats)
-			}
-			if ref == nil {
-				ref = frame
-				continue
-			}
-			coreFramesBitIdentical(t, ref, frame, "layout/worker variation")
-		}
-	}
-}
-
-// TestFrameIdenticalAcrossBuildPathsAndLandings is the determinism contract
-// in one table: one world landed four ways, built whole-window on every
-// landing and shard by shard on the warehouse ones, at two worker counts,
-// strict and degraded — every F1-F9 cell of every customer has the same
-// bits, a degraded build with nothing down is the strict build, and with a
-// feed down the imputed frame and its mask do not depend on the path
-// either. Scores and the streaming refresh are rows of the same table.
-func TestFrameIdenticalAcrossBuildPathsAndLandings(t *testing.T) {
-	cfg := shardWorldCfg()
-	days := cfg.DaysPerMonth
-	memory := NewMemorySource(synth.Simulate(cfg), days)
-	p, err := Fit(memory, []WindowSpec{MonthSpec(1, days)}, Config{
-		Groups: features.AllGroups(),
-		Forest: tree.ForestConfig{NumTrees: 2},
-		Seed:   5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type landing struct {
-		name string
-		src  Source
-	}
-	landings := []landing{{"memory", memory}}
-	worlds := map[int]*store.ShardedWarehouse{}
-	whs := map[int]*store.Warehouse{}
-	for _, shards := range []int{1, 4, 16} {
-		whs[shards], worlds[shards] = shardedWorldIn(t, cfg, shards)
-		src := NewShardedWarehouseSource(worlds[shards], days)
-		landings = append(landings, landing{fmt.Sprintf("warehouse%d", shards), src})
-	}
-	modes := []struct {
-		name    string
-		down    string // table made unreadable, "" = none
-		partial bool
-		mask    string
-		ref     int // mode whose first frame is the reference
-	}{
-		{"strict", "", false, "none", 0},
-		{"degraded healthy", "", true, "none", 0},
-		{"degraded web down", synth.TableWeb, true, "F1,F3,F9", 2},
-		{"degraded truth down", synth.TableTruth, true, "F4,F5,F6,F9", 3},
-	}
-	win := features.MonthWindow(2, days)
-	refs := make([]*features.Frame, len(modes))
-	for _, l := range landings {
-		// Whole-window always, shard by shard where the landing can.
-		paths := []int{0}
-		if n := l.src.NumShards(); n > 0 {
-			paths = append(paths, n)
-		}
-		for _, workers := range []int{1, 8} {
-			p.SetWorkers(workers)
-			for _, m := range modes {
-				src := l.src
-				if m.down != "" {
-					src = without(src, m.down)
-				}
-				for _, shards := range paths {
-					context := fmt.Sprintf("%s workers=%d %s shards=%d", l.name, workers, m.name, shards)
-					frame, stats, deg, err := p.buildFrame(src, win, shards, false, nil, m.partial)
-					if err != nil {
-						t.Fatalf("%s: %v", context, err)
-					}
-					if deg.String() != m.mask || stats.Shards != max(shards, 1) || stats.RawRows == 0 {
-						t.Fatalf("%s: mask %s (want %s), stats %+v", context, deg, m.mask, stats)
-					}
-					if refs[m.ref] == nil {
-						refs[m.ref] = frame
-					}
-					coreFramesBitIdentical(t, refs[m.ref], frame, context)
-				}
-			}
-		}
-	}
-	ref := refs[0]
-	if n := len(ref.Groups()); n == 0 || ref.Groups()[n-1] != features.F9SecondOrder {
-		t.Fatalf("frame does not reach F9: %d columns", n)
-	}
-
-	// Scores: the sharded entry points, strict and degraded, against the
-	// whole-window ones on the memory landing.
-	want, err := p.Predict(memory, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDown, _, err := p.PredictDegraded(without(memory, synth.TableWeb), win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{4, 16} {
-		src := NewShardedWarehouseSource(worlds[shards], days)
-		got, stats, err := p.PredictSharded(src, win)
-		if err != nil || stats.Shards != shards {
-			t.Fatalf("PredictSharded over %d shards: stats %+v, err %v", shards, stats, err)
-		}
-		samePredictions(t, want, got)
-		got, stats, err = p.PredictDegraded(without(src, synth.TableWeb), win)
-		if err != nil || stats.Shards != shards || got.Degraded != wantDown.Degraded {
-			t.Fatalf("PredictDegraded over %d shards: mask %s, stats %+v, err %v", shards, got.Degraded, stats, err)
-		}
-		samePredictions(t, wantDown, got)
-	}
-
-	// Streaming: events refreshed into the reference frame's rows give the
-	// per-customer columns of a rebuild after the log is merged into the
-	// partitions (graph columns wait for that rebuild, and F9 multiplies
-	// them in). Last, because the merge rewrites the landing.
-	src := NewShardedWarehouseSource(worlds[4], days)
-	log, err := whs[4].EventLog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := synth.GenerateEvents(ref.IDs()[:25], 2, days, 200, 9)
-	if _, err := log.Append(events); err != nil {
-		t.Fatal(err)
-	}
-	inc, err := NewIncremental(p, src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	affected := map[int64]bool{}
-	for _, name := range features.StreamableTables {
-		if events[name] == nil {
-			continue
-		}
-		ids, _, err := inc.Ingest(name, events[name])
-		if err != nil {
-			t.Fatalf("ingest %s: %v", name, err)
-		}
-		for _, id := range ids {
-			affected[id] = true
-		}
-	}
-	if len(affected) == 0 {
-		t.Fatal("no customers affected")
-	}
-	if _, err := log.MergeInto(); err != nil {
-		t.Fatal(err)
-	}
-	merged, _, err := p.BuildFrameSharded(src, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, groups := merged.Names(), merged.Groups()
-	for _, id := range ref.IDs() {
-		row, _ := ref.Row(id)
-		if affected[id] {
-			if row, err = inc.Refresh(id, row); err != nil {
-				t.Fatalf("refresh %d: %v", id, err)
-			}
-		}
-		wrow, _ := merged.Row(id)
-		for j, g := range groups {
-			if (features.BaseGroups | features.TopicGroups).Has(g) && math.Float64bits(row[j]) != math.Float64bits(wrow[j]) {
-				t.Fatalf("imsi %d (affected=%v) col %q: refreshed %v vs merged rebuild %v", id, affected[id], names[j], row[j], wrow[j])
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"telcochurn/internal/features"
-	"telcochurn/internal/store"
-	"telcochurn/internal/synth"
 	"telcochurn/internal/tree"
 )
 
@@ -46,54 +44,6 @@ func TestMonthSpec(t *testing.T) {
 	}
 	if spec.Features.FromAbs != 91 || spec.Features.ToAbs != 120 {
 		t.Errorf("Features = %+v", spec.Features)
-	}
-}
-
-// TestWarehouseSourceMatchesMemory: the same experiment through the on-disk
-// warehouse path must reproduce the in-memory path exactly.
-func TestWarehouseSourceMatchesMemory(t *testing.T) {
-	cfg := synth.DefaultConfig()
-	cfg.Customers = 800
-	cfg.Months = 4
-	months := synth.Simulate(cfg)
-	mem := NewMemorySource(months, cfg.DaysPerMonth)
-
-	wh, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, md := range months {
-		for name, tb := range md.Tables() {
-			if err := wh.WritePartition(name, md.Month, tb); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	disk := NewWarehouseSource(wh, cfg.DaysPerMonth)
-
-	pcfg := Config{Forest: tree.ForestConfig{NumTrees: 25, MinLeafSamples: 15, Seed: 3}, Seed: 3}
-	train := []WindowSpec{MonthSpec(2, cfg.DaysPerMonth)}
-	test := MonthSpec(3, cfg.DaysPerMonth)
-	u := 30
-
-	pm, err := Fit(mem, train, pcfg)
-	if err != nil {
-		t.Fatalf("memory fit: %v", err)
-	}
-	_, rm, err := pm.Evaluate(mem, test, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := Fit(disk, train, pcfg)
-	if err != nil {
-		t.Fatalf("warehouse fit: %v", err)
-	}
-	_, rd, err := pd.Evaluate(disk, test, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.AUC != rd.AUC || rm.PRAUC != rd.PRAUC {
-		t.Errorf("warehouse path diverges: mem %v vs disk %v", rm, rd)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Dataset is a dense labeled sample matrix. Rows are instances (customers in
@@ -145,17 +144,6 @@ func (d *Dataset) Append(other *Dataset) error {
 		return errors.New("dataset: append with mismatched weight presence")
 	}
 	return nil
-}
-
-// Shuffle permutes the rows in place using the given RNG.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.X), func(i, j int) {
-		d.X[i], d.X[j] = d.X[j], d.X[i]
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-		if d.W != nil {
-			d.W[i], d.W[j] = d.W[j], d.W[i]
-		}
-	})
 }
 
 // Column returns a copy of feature column j.

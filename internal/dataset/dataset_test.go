@@ -115,28 +115,6 @@ func TestWeightDefaults(t *testing.T) {
 	}
 }
 
-func TestShuffleDeterministicAndPermutes(t *testing.T) {
-	a := sample(t)
-	b := sample(t)
-	a.Shuffle(rand.New(rand.NewSource(5)))
-	b.Shuffle(rand.New(rand.NewSource(5)))
-	for i := range a.Y {
-		if a.Y[i] != b.Y[i] || a.X[i][0] != b.X[i][0] {
-			t.Fatal("same-seed shuffles differ")
-		}
-	}
-	// Label still aligned with its row.
-	for i := range a.Y {
-		wantY := 0
-		if a.X[i][0] == 3 || a.X[i][0] == 7 {
-			wantY = 1
-		}
-		if a.Y[i] != wantY {
-			t.Fatalf("shuffle broke row/label alignment at %d", i)
-		}
-	}
-}
-
 func TestColumnAndFeatureIndex(t *testing.T) {
 	d := sample(t)
 	col := d.Column(1)

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,34 +141,6 @@ func TestChaosScheduleReproducible(t *testing.T) {
 				t.Fatalf("seed %d: replayed score[%d] differs", seed, i)
 			}
 		}
-	}
-}
-
-// TestChaosZeroRateBitIdentical: a zero-rate injector plus the full retry
-// stack changes nothing — scores are bit-identical to the plain pipeline
-// and no fault counter moves.
-func TestChaosZeroRateBitIdentical(t *testing.T) {
-	_, src, p, win, clean := chaosWorld(t)
-	inj := New(Config{Seed: 123})
-	var retries atomic.Int64
-	rs := core.NewRetrySource(Wrap(src, inj), core.RetryConfig{Seed: 123, Sleep: noSleep, OnRetry: func(string, int, time.Duration, error) { retries.Add(1) }})
-	preds, _, err := p.PredictDegraded(rs.Source, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !preds.Degraded.Empty() {
-		t.Errorf("zero-rate mask = %s, want none", preds.Degraded)
-	}
-	for i := range preds.Scores {
-		if preds.IDs[i] != clean.IDs[i] || math.Float64bits(preds.Scores[i]) != math.Float64bits(clean.Scores[i]) {
-			t.Fatalf("zero-rate run differs from clean run at row %d", i)
-		}
-	}
-	if c := inj.Counts(); c != (Counts{}) {
-		t.Errorf("zero-rate injector fired faults: %+v", c)
-	}
-	if retries.Load() != 0 {
-		t.Errorf("zero-rate run performed %d retries", retries.Load())
 	}
 }
 

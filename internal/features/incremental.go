@@ -26,8 +26,8 @@ import (
 // data (where the merge likewise appends events after each partition's
 // existing rows — store.EventLog.MergeInto). That identity is what lets a
 // streamed event update a served score in milliseconds while remaining
-// exactly reproducible by the monthly batch path; the property test in
-// incremental_test.go pins it against BuildShardedFrame.
+// exactly reproducible by the monthly batch path; core's
+// FuzzPipelineIdentity pins it against the rebuild after a merge.
 //
 // The Maintainer holds the serving window's raw tables in memory, appends
 // accepted events to them, and keeps a per-table imsi → row-index posting

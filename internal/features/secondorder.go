@@ -116,12 +116,10 @@ func (s *SecondOrderSelector) Apply(f *Frame) error {
 			return fmt.Errorf("features: second-order source column %d mismatch (%q)", i, name)
 		}
 	}
-	for k, p := range s.pairs {
+	for k := range s.pairs {
 		vals := make([]float64, len(f.ids))
-		for i := range f.x {
-			xi := clipZ((f.x[i][p.I] - s.means[p.I]) / s.stds[p.I])
-			xj := clipZ((f.x[i][p.J] - s.means[p.J]) / s.stds[p.J])
-			vals[i] = xi * xj
+		for i, row := range f.x {
+			vals[i] = s.pairValue(k, row)
 		}
 		if err := f.AddDense(F9SecondOrder, s.PairName(k), vals); err != nil {
 			return err
@@ -132,21 +130,27 @@ func (s *SecondOrderSelector) Apply(f *Frame) error {
 
 // ApplyRow computes the F9 values for one assembled feature row whose
 // leading columns match the fitted source names — the incremental
-// maintenance path's per-customer counterpart of Apply, arithmetic
-// identical term for term (same standardize, clip and multiply on the same
-// float64 inputs), so a row refreshed through it is bit-identical to the
-// same row in a full Apply.
+// maintenance path's per-customer counterpart of Apply. Both compute each
+// value with pairValue, so a row refreshed through it is bit-identical to
+// the same row in a full Apply.
 func (s *SecondOrderSelector) ApplyRow(row []float64) ([]float64, error) {
 	if len(row) < len(s.sourceNames) {
 		return nil, fmt.Errorf("features: second-order row has %d columns, selector needs %d sources", len(row), len(s.sourceNames))
 	}
 	vals := make([]float64, len(s.pairs))
-	for k, p := range s.pairs {
-		xi := clipZ((row[p.I] - s.means[p.I]) / s.stds[p.I])
-		xj := clipZ((row[p.J] - s.means[p.J]) / s.stds[p.J])
-		vals[k] = xi * xj
+	for k := range s.pairs {
+		vals[k] = s.pairValue(k, row)
 	}
 	return vals, nil
+}
+
+// pairValue is the k-th F9 value of one row: both sources standardized,
+// clipped, then multiplied.
+func (s *SecondOrderSelector) pairValue(k int, row []float64) float64 {
+	p := s.pairs[k]
+	xi := clipZ((row[p.I] - s.means[p.I]) / s.stds[p.I])
+	xj := clipZ((row[p.J] - s.means[p.J]) / s.stds[p.J])
+	return xi * xj
 }
 
 // NumPairs returns how many F9 columns the selector emits.

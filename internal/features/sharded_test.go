@@ -83,47 +83,6 @@ func shardedSpec(t *testing.T, tbl Tables, shards, workers int, win Window, days
 	}
 }
 
-func TestBuildShardedFrameInvariantAcrossShardsAndWorkers(t *testing.T) {
-	months, cfg := simOnce(t)
-	tbl := monthTables(t, months)
-	win := MonthWindow(2, cfg.DaysPerMonth)
-	in := GraphFeatureInput{
-		PrevChurners: ChurnersOf(months[1].Truth),
-		StableSample: StableOf(months[1].Truth, 10),
-	}
-	comp, err := FitTopicFeaturizer(tbl.Complaints, win, cfg.DaysPerMonth, F7ComplaintTopics, "complaint", topic.Config{K: 5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	search, err := FitTopicFeaturizer(tbl.Search, win, cfg.DaysPerMonth, F8SearchTopics, "search", topic.Config{K: 5, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := AllGroups()[:8] // F9 is applied to the merged frame by core
-	var ref *Frame
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 8} {
-			spec := shardedSpec(t, tbl, shards, workers, win, cfg.DaysPerMonth, groups)
-			spec.GraphIn, spec.Complaints, spec.Search = in, comp, search
-			got, stats, err := BuildShardedFrame(spec)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if stats.Shards != shards || stats.RawRows == 0 {
-				t.Fatalf("shards=%d: stats = %+v", shards, stats)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			framesBitIdentical(t, ref, got, "shards/workers variation")
-		}
-	}
-	if n := ref.NumColumns(); n != 70+9+25+6+5+5 {
-		t.Fatalf("sharded frame has %d columns, want 120", n)
-	}
-}
-
 // TestBuildShardedFrameOverlapF4toF8 runs the graph fold beside the
 // per-customer columns (the overlapped shard body, the chunked
 // co-occurrence finalize and the parallel topic fold-in) at several shard
