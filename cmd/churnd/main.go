@@ -12,9 +12,10 @@
 //	POST /v1/score      {"id":N} or {"ids":[N,...]} -> churn scores
 //	POST /v1/events     append raw BSS/OSS event records; affected customers'
 //	                    serving vectors refresh incrementally within the call
-//	POST /v1/refresh    rebuild the serving frame from the warehouse month
-//	                    plus every logged event and hot-swap it atomically
-//	                    under the overlay (graph/topic groups catch up)
+//	POST /v1/refresh    rebuild the serving frame from the kept per-customer
+//	                    columns and graph fold of the month plus every logged
+//	                    event, reading no raw row, and hot-swap it atomically
+//	                    under the overlay (graph groups catch up)
 //	GET  /v1/customers  scorable customer ids (?limit=N caps the list)
 //	GET  /healthz       liveness + model identity (200 while the process is up)
 //	GET  /readyz        readiness (503 + Retry-After until scores are servable)
@@ -52,9 +53,10 @@
 // is recomputed (per-customer groups exactly, graph groups at their
 // snapshot values) and installed as an overlay override, so the next
 // score reflects the event within the same second. POST /v1/refresh
-// rebuilds the whole frame (graph groups included) from a snapshot of the
-// maintainer's tables — no raw partition read, no log replay — and swaps
-// it under the overlay without dropping requests; `churnctl ingest -merge`
+// rebuilds the whole frame (graph groups included) from the maintainer's
+// live state — the kept per-customer columns and the F4–F6 fold, reduced
+// under the ingest lock; no raw row read, no per-customer re-fold, no log
+// replay — and swaps it under the overlay without dropping requests; `churnctl ingest -merge`
 // folds the log into the monthly partitions for the batch path.
 //
 // Resilience: source reads retry with seeded-jitter backoff (-retries);
@@ -345,7 +347,9 @@ func (s *service) buildEngine() (*engine, error) {
 // resumes exactly where the log left off. The engine keeps the maintainer
 // and the log only if it can take writes: a log that will not open or
 // replay, a maintainer that will not wire (schema drift, F9, a degraded
-// window) or a failed frame leave ingest disabled.
+// window) or a failed frame leave ingest disabled. An engine that takes
+// writes builds the frame from its maintainer's live state, as every
+// refresh does; one that does not builds it over a view of the tables.
 func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, error) {
 	inc, err := core.LoadIncremental(e.rs.Source, e.win, e.pipe.Config().Workers)
 	if err != nil {
@@ -361,11 +365,32 @@ func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, er
 		log.Printf("churnd: incremental maintenance unavailable, ingest disabled: %v", err)
 		e.log = nil
 	}
-	frameProv, err := s.newFrame(e, inc.View(e.rs.Source))
+	var frameProv *serve.Snapshot
+	if e.log != nil {
+		var seeds core.GraphSeeds
+		var captured *core.Captured
+		if seeds, err = inc.ReadSeeds(e.rs.Source, s.opts.degraded); err == nil {
+			if captured, err = inc.Capture(seeds); err == nil {
+				frameProv, err = liveFrame(captured)
+			}
+		}
+	} else {
+		frameProv, err = s.newFrame(e, inc.View(e.rs.Source))
+	}
 	if err != nil || e.log == nil {
 		e.inc, e.log = nil, nil
 	}
 	return frameProv, err
+}
+
+// liveFrame builds the serving frame from a capture of an engine's live
+// state; it reads nothing.
+func liveFrame(captured *core.Captured) (*serve.Snapshot, error) {
+	frame, deg, err := captured.Frame()
+	if err != nil {
+		return nil, err
+	}
+	return serve.FrameSnapshot(frame, deg), nil
 }
 
 // newFrame builds the serving frame over src, imputing around unavailable
@@ -914,14 +939,22 @@ type refreshResponse struct {
 	StaleVectors int    `json:"stale_vectors"`
 	Degraded     string `json:"degraded,omitempty"`
 	TookMs       int64  `json:"took_ms"`
+	// LockedUs is how long the refresh held the ingest lock, which posts
+	// wait on: the pending fold and the capture, then the swap.
+	LockedUs int64 `json:"locked_us"`
 }
 
-// handleRefresh rebuilds the serving frame from the maintainer's tables —
-// the served month with every logged event folded in, so the full build
-// (graph and topic groups included) reads no raw partition and replays no
-// log — and swaps it under the overlay atomically. The tables are
-// snapshotted under ingestMu and the build runs without locks (scoring and
-// ingest continue); only the final swap serializes with ingest.
+// handleRefresh rebuilds the serving frame from the maintainer's live
+// state — the served month with every logged event folded in: its kept
+// per-customer columns and graph fold, so the build reads no raw row,
+// re-folds no customer and replays no log — and swaps it under the overlay
+// atomically. The truth that seeds label propagation is read first,
+// without locks. Under ingestMu the pending log is folded and the state
+// captured: the graph fold reduced to the build's customers. Finalizing
+// the graphs, PageRank, label propagation and the assembly run without
+// locks (scoring and ingest continue); only the final swap serializes with
+// ingest again. Every refresh does all of it, whether or not events
+// arrived since the last.
 func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost)
@@ -945,21 +978,32 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	defer s.refreshing.Store(false)
 	start := time.Now()
 
-	// Fold anything pending, then snapshot the maintained tables.
+	// Read the label-propagation seeds, then fold anything pending and
+	// capture the live state.
+	exhausted := e.rs.Exhausted()
+	seeds, err := e.inc.ReadSeeds(e.rs.Source, s.opts.degraded)
+	s.metrics.RetriesExhausted.Add(e.rs.Exhausted() - exhausted)
+	if err != nil {
+		s.metrics.RefreshFailures.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "unavailable", "rebuild serving frame: "+err.Error(), true)
+		return
+	}
 	s.ingestMu.Lock()
+	locked := time.Now()
 	if _, _, err := s.foldLocked(e, e.fromLog()); err != nil {
 		s.ingestMu.Unlock()
 		s.metrics.RefreshFailures.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "pre-refresh fold: "+err.Error(), true)
 		return
 	}
-	view := e.inc.View(e.rs.Source)
+	captured, err := e.inc.Capture(seeds)
 	snapSeq := e.appliedSeq
+	held := time.Since(locked)
 	s.ingestMu.Unlock()
-
-	exhausted := e.rs.Exhausted()
-	newFrame, err := s.newFrame(e, view)
-	s.metrics.RetriesExhausted.Add(e.rs.Exhausted() - exhausted)
+	var newFrame *serve.Snapshot
+	if err == nil {
+		newFrame, err = liveFrame(captured)
+	}
 	if err != nil {
 		s.metrics.RefreshFailures.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "unavailable", "rebuild serving frame: "+err.Error(), true)
@@ -976,6 +1020,7 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	locked = time.Now()
 	if s.cur.Load() != e {
 		// A SIGHUP reload swapped engines mid-build; its frame is at least
 		// as fresh as ours, so this refresh simply yields.
@@ -1006,6 +1051,7 @@ func (s *service) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		Rows:         info.Rows,
 		StaleVectors: e.overlay.Overridden(),
 		TookMs:       time.Since(start).Milliseconds(),
+		LockedUs:     (held + time.Since(locked)).Microseconds(),
 	}
 	if !info.Degradation.Empty() {
 		resp.Degraded = info.Degradation.String()

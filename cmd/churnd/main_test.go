@@ -1368,3 +1368,47 @@ func BenchmarkEventIngest(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefresh times one POST /v1/refresh over loopback HTTP on a
+// default-groups (F1–F6) world after 64 posts of 8 generated events: the
+// capture under the ingest lock, the graph finalize, PageRank and label
+// propagation, the assembly and the swap. The log is not fsynced.
+func BenchmarkRefresh(b *testing.B) {
+	whDir, artifact, want := makeWorldPrecomputed(b, true, features.F1Baseline, features.F2CS, features.F3PS,
+		features.F4CallGraph, features.F5MessageGraph, features.F6CooccurrenceGraph)
+	svc, err := buildService(serviceOpts{
+		artifact:  artifact,
+		warehouse: whDir,
+		fsync:     store.SyncPolicy{Mode: store.SyncOff},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		events := synth.GenerateEvents(want.IDs, 4, synth.DefaultConfig().DaysPerMonth, 8, int64(i+1))
+		body, err := json.Marshal(serve.EventBatch{Events: serve.EventsFromTables(events)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		post("/v1/events", body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post("/v1/refresh", nil)
+	}
+}

@@ -331,6 +331,7 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 	if len(events) == 0 {
 		return
 	}
+	linkEvents(events, targets)
 	log, err := wh.EventLog()
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +395,46 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 		return merged
 	}
 
+	// capture takes inc's live state, seeded from src's truth; build builds
+	// the serving frame from a capture.
+	capture := func() *core.Captured {
+		t.Helper()
+		seeds, err := inc.ReadSeeds(src, false)
+		if err != nil {
+			t.Fatalf("%v: read seeds: %v", c, err)
+		}
+		cp, err := inc.Capture(seeds)
+		if err != nil {
+			t.Fatalf("%v: capture: %v", c, err)
+		}
+		return cp
+	}
+	build := func(what string, cp *core.Captured) *features.Frame {
+		t.Helper()
+		frame, deg, err := cp.Frame()
+		if err != nil || deg != 0 {
+			t.Fatalf("%v: frame from the %s capture: mask %s, %v", c, what, deg, err)
+		}
+		return frame
+	}
+
+	// The first batch is refreshed the way churnd's post refreshes it:
+	// one RefreshAll over the touched customers, which installs their kept
+	// columns. The second is not, so its capture re-folds them itself.
 	stream(0)
-	early := inc.View(src)
+	var touched []int64
+	var touchedBases [][]float64
+	for id := range affected {
+		row, _ := base.Row(id)
+		touched, touchedBases = append(touched, id), append(touchedBases, row)
+	}
+	if _, errs := inc.RefreshAll(touched, touchedBases); len(errs) > 0 && errors.Join(errs...) != nil {
+		t.Fatalf("%v: RefreshAll after the first batch: %v", c, errors.Join(errs...))
+	}
+	early, earlyCap := inc.View(src), capture()
 	first := merge("first batch's", early)
+	sameFrame(t, fmt.Sprintf("%v: first batch's capture vs rebuild after merge", c), build("first batch's", earlyCap), first)
+	sameFrame(t, fmt.Sprintf("%v: a second capture with no event between", c), build("repeated", capture()), first)
 	stream(1)
 	if affected[outside] || inc.Maintainer().Applied() != applied {
 		t.Fatalf("%v: outside customer affected %v, %d rows applied, want %d", c, affected[outside], inc.Maintainer().Applied(), applied)
@@ -406,7 +444,10 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 		t.Fatalf("%v: build over the first batch's view: %v", c, err)
 	}
 	sameFrame(t, fmt.Sprintf("%v: first batch's view after the second batch", c), again, first)
+	sameFrame(t, fmt.Sprintf("%v: first batch's capture after the second batch", c), build("first batch's", earlyCap), first)
+	lateCap := capture()
 	merged := merge("second batch's", inc.View(src))
+	sameFrame(t, fmt.Sprintf("%v: second batch's capture vs rebuild after merge", c), build("second batch's", lateCap), merged)
 
 	// Every customer at once, one of them twice and one outside the
 	// universe; then each affected customer on its own.
@@ -459,6 +500,45 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 			case !sameBits(rows[i][j], want[j]):
 				t.Fatalf("%v: imsi %d (affected=%v) column %q: refreshed %v, merged rebuild %v", c, id, affected[id], names[j], rows[i][j], want[j])
 			}
+		}
+	}
+}
+
+// linkEvents points the generated calls and messages at the event
+// customers and puts their sightings in a few shared cubes, so the events
+// move the graphs: GenerateEvents draws peers and cells uniformly, and its
+// rows would almost never reach another customer. Every fourth call and
+// message comes from the last target — with one outside the universe, that
+// is its edge to a customer, which a full fold counts — and every second
+// message is peer to peer, the kind the message graph counts.
+func linkEvents(events map[string]*table.Table, targets []int64) {
+	last := targets[len(targets)-1]
+	for _, name := range []string{synth.TableCalls, synth.TableMessages} {
+		t := events[name]
+		if t == nil {
+			continue
+		}
+		imsi, peer := t.MustCol("imsi").Ints, t.MustCol("peer").Ints
+		for i := range peer {
+			if i%4 == 0 {
+				imsi[i] = last
+			}
+			peer[i] = targets[(7*i+1)%len(targets)]
+			if peer[i] == imsi[i] {
+				peer[i] = targets[(7*i+2)%len(targets)]
+			}
+		}
+		if name == synth.TableMessages {
+			kind := t.MustCol("kind").Ints
+			for i := 0; i < len(kind); i += 2 {
+				kind[i] = 0
+			}
+		}
+	}
+	if t := events[synth.TableLocations]; t != nil {
+		day, slot, cell := t.MustCol("day").Ints, t.MustCol("slot").Ints, t.MustCol("cell").Ints
+		for i := range day {
+			day[i], slot[i], cell[i] = 1+int64(i%3), 0, 0
 		}
 	}
 }

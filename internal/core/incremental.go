@@ -10,17 +10,22 @@ import (
 
 // Incremental holds one serving month between batch rebuilds: a
 // features.Maintainer over the month's raw tables with every folded event
-// appended, in the row layout store.EventLog.MergeInto commits. It answers
-// two questions from those tables. Refresh reassembles one customer's full
-// wide-table row in the fitted serving schema after an event — per-customer
-// groups (F1–F3, F7, F8) recomputed, graph columns (F4–F6) carried over from
-// the snapshot row (they are cross-customer and wait for the next refresh),
-// and F9 re-derived from the updated row through the fitted second-order
-// selector. View presents the tables as a Source, so a full frame build over
-// them — graph groups included — reads no raw partition and replays no log.
-// Every value either path produces is Float64bits-identical to a
-// from-scratch rebuild over the merged data; see features/incremental.go
-// for the argument, and FuzzPipelineIdentity for the check.
+// appended, in the row layout store.EventLog.MergeInto commits, and — once
+// wired — the maintainer's live state over them (Maintainer.Keep): every
+// customer's per-customer columns and the F4–F6 graph fold. It answers
+// three questions. Refresh reassembles one customer's full wide-table row
+// in the fitted serving schema after an event — per-customer groups (F1–F3,
+// F7, F8) re-folded, graph columns (F4–F6) carried over from the snapshot
+// row (they are cross-customer and wait for the next refresh), and F9
+// re-derived from the updated row through the fitted second-order
+// selector. ReadSeeds, Capture and Captured.Frame build the whole serving
+// frame from the live state, reading no raw row and re-folding no
+// customer. View
+// presents the tables as a Source, for a build that cannot wire (a
+// degraded window). Every value any path produces is Float64bits-identical
+// to a from-scratch rebuild over the merged data; see features/incremental.go
+// and features/live.go for the argument, and FuzzPipelineIdentity for the
+// check.
 type Incremental struct {
 	maint *features.Maintainer
 	// missing names the window tables the source could not read, in
@@ -30,9 +35,6 @@ type Incremental struct {
 
 	// Set by Wire.
 	pipe *Pipeline
-	// perCust is the subset of the configured groups that refresh per
-	// customer, in canonical order.
-	perCust []features.Group
 	// colOf maps each per-customer column name to its serving-schema index.
 	colOf map[string]int
 	// f9Start is the index of the first F9 column, -1 when F9 is off.
@@ -73,10 +75,12 @@ func LoadIncremental(src Source, win features.Window, workers int) (*Incremental
 	return &Incremental{maint: maint, missing: missing}, nil
 }
 
-// Wire resolves the pipeline's serving schema for Refresh. It fails on an
-// unfitted pipeline, on schema drift between the recomputed columns and the
-// serving schema, and on a degraded window: a table the load could not read
-// maintains nothing, so such a window takes no events.
+// Wire resolves the pipeline's serving schema for Refresh and starts the
+// maintainer's live state for it (Maintainer.Keep) over the tables as they
+// stand. It fails on an unfitted pipeline, on schema drift between the
+// recomputed columns and the serving schema, and on a degraded window: a
+// table the load could not read maintains nothing, so such a window takes
+// no events.
 func (inc *Incremental) Wire(pipe *Pipeline) error {
 	names := pipe.FeatureNames()
 	if len(names) == 0 {
@@ -114,7 +118,10 @@ func (inc *Incremental) Wire(pipe *Pipeline) error {
 			return fmt.Errorf("core: serving schema shorter than F9 block")
 		}
 	}
-	inc.pipe, inc.perCust, inc.colOf, inc.f9Start = pipe, perCust, colOf, f9Start
+	if err := inc.maint.Keep(want, pipe.complaints, pipe.search, pipe.cfg.Workers); err != nil {
+		return err
+	}
+	inc.pipe, inc.colOf, inc.f9Start = pipe, colOf, f9Start
 	return nil
 }
 
@@ -139,10 +146,11 @@ func (inc *Incremental) Refresh(id int64, base []float64) ([]float64, error) {
 
 // RefreshAll is Refresh for many customers at once: rows[i] or errs[i]
 // answers ids[i] with bases[i] as its base row. Every customer's
-// per-customer columns come from one Maintainer.CustomerFrames build, and
-// the recomputed columns are mapped onto the serving schema once. A
-// customer that cannot be rebuilt — outside the universe, or a base row of
-// the wrong width — fails alone; a build failure fails them all.
+// per-customer columns come from one Maintainer.Refold build, which also
+// installs them as the customers' kept columns, and the recomputed columns
+// are mapped onto the serving schema once. A customer that cannot be
+// rebuilt — outside the universe, or a base row of the wrong width — fails
+// alone; a build failure fails them all.
 func (inc *Incremental) RefreshAll(ids []int64, bases [][]float64) (rows [][]float64, errs []error) {
 	rows, errs = make([][]float64, len(ids)), make([]error, len(ids))
 	fail := func(err error) ([][]float64, []error) {
@@ -162,7 +170,7 @@ func (inc *Incremental) RefreshAll(ids []int64, bases [][]float64) (rows [][]flo
 			errs[i] = fmt.Errorf("core: refresh base row has %d columns, schema has %d", len(base), width)
 		}
 	}
-	cf, err := inc.maint.CustomerFrames(ids, inc.perCust, inc.pipe.complaints, inc.pipe.search)
+	cf, err := inc.maint.Refold(ids)
 	if err != nil {
 		return fail(err)
 	}
@@ -198,6 +206,69 @@ func (inc *Incremental) RefreshAll(ids []int64, bases [][]float64) (rows [][]flo
 		rows[i] = row
 	}
 	return rows, errs
+}
+
+// GraphSeeds is what a serving-frame build seeds label propagation from:
+// the window's previous churners and stable sample, read from the truth of
+// its snapshot month, and the groups a truth read that failed degrades.
+type GraphSeeds struct {
+	in  features.GraphFeatureInput
+	deg features.Degradation
+}
+
+// ReadSeeds reads the label-propagation seeds from src's truth of the
+// window's snapshot month, as every build does; with no graph group
+// configured it reads nothing. With partial a truth read that fails is no
+// error: the seeds are empty and flag the graph groups, as
+// BuildFrameDegraded does. It reads no raw table and needs no lock. The
+// Incremental must be wired.
+func (inc *Incremental) ReadSeeds(src Source, partial bool) (GraphSeeds, error) {
+	if inc.pipe == nil {
+		return GraphSeeds{}, fmt.Errorf("core: incremental seeds before Wire")
+	}
+	in, deg, err := inc.pipe.graphSeeds(src, inc.maint.Window(), partial)
+	return GraphSeeds{in: in, deg: deg}, err
+}
+
+// Captured is the serving state one Capture took.
+type Captured struct {
+	pipe  *Pipeline
+	deg   features.Degradation
+	state *features.Captured
+}
+
+// Capture takes what a serving-frame build needs from the live state
+// (Maintainer.Capture): the kept per-customer columns, re-folding any
+// customer ingested but not yet refreshed, and the graph fold reduced to
+// the universe and the seeds' previous churners. Callers serialize it with
+// Ingest and RefreshAll — churnd holds its ingest lock — so a capture sees
+// every post whole; building from it needs no lock. The Incremental must
+// be wired.
+func (inc *Incremental) Capture(seeds GraphSeeds) (*Captured, error) {
+	if inc.pipe == nil {
+		return nil, fmt.Errorf("core: incremental capture before Wire")
+	}
+	state, err := inc.maint.Capture(seeds.in, inc.pipe.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Captured{pipe: inc.pipe, deg: seeds.deg, state: state}, nil
+}
+
+// Frame builds the serving frame from the capture: the graph groups
+// finalized and scored (PageRank, label propagation) over the reduced
+// fold, laid with the kept columns into one frame, and F9 applied last. It
+// reads no raw table. The frame is Float64bits-equal to BuildFrame over
+// the maintained tables merged into the source the seeds were read from,
+// or, over partial seeds, to BuildFrameDegraded, and so is its mask. Later
+// Ingest and RefreshAll calls never reach a capture.
+func (c *Captured) Frame() (*features.Frame, features.Degradation, error) {
+	frame := c.state.Frame(c.pipe.cfg.Workers)
+	deg, err := c.pipe.applySecondOrder(frame, c.deg)
+	if err != nil {
+		return nil, 0, err
+	}
+	return frame, deg, nil
 }
 
 // View returns base with the served month's nine tables answered from a

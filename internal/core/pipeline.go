@@ -278,34 +278,9 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, shards int, fit b
 			return reader(s).ReadMonths(synth.TableCustomers, win.Months(days))
 		},
 	}
-	if graphs := want & features.GraphGroups; graphs != 0 {
-		// Label-propagation seeds are "the churners in the previous month"
-		// (Section 4.1.2) — previous relative to the predicted month, i.e.
-		// the feature month itself. Its churn outcomes are known by the
-		// time the prediction for the next month is made, so this does not
-		// leak labels. The graphs themselves are built over the feature
-		// window — the paper's "accumulated mutual calling time ... in a
-		// fixed period (e.g., a month)". Extending the window back a month
-		// sounds tempting (a churner's final-month CDRs are sparse) but
-		// measurably dilutes label propagation with stale edges; see the
-		// abl-graphwin experiment.
-		seedMonth := win.SnapshotMonth(days)
-		truth, err := src.Truth(seedMonth)
-		switch {
-		case err == nil:
-			spec.GraphIn = features.GraphFeatureInput{
-				PrevChurners: features.ChurnersOf(truth),
-				StableSample: features.StableOf(truth, p.cfg.StableSeedStride),
-			}
-		case partial:
-			// No label-propagation seeds: the graph columns still build (over
-			// whatever tables are present) but every propagated probability
-			// sits at its uninformative prior, so the graph groups are
-			// imputed in all but name — flag them.
-			deg = graphs
-		default:
-			return nil, stats, 0, fmt.Errorf("core: graph features need truth of month %d: %w", seedMonth, err)
-		}
+	var err error
+	if spec.GraphIn, deg, err = p.graphSeeds(src, win, partial); err != nil {
+		return nil, stats, 0, err
 	}
 	if fit && want&features.TopicGroups != 0 {
 		spec.FitTopics = func(tbl features.Tables) (*features.TopicFeaturizer, *features.TopicFeaturizer, error) {
@@ -327,29 +302,73 @@ func (p *Pipeline) buildFrame(src Source, win features.Window, shards int, fit b
 	}
 	deg |= features.DegradationOf(stats.Missing, want)
 
-	if want.Has(features.F9SecondOrder) {
-		if fit {
-			if trainLabels == nil {
-				return nil, stats, 0, errors.New("core: second-order selection needs training labels")
-			}
-			p.so, err = features.FitSecondOrder(frame, trainLabels, features.SecondOrderConfig{
-				NumPairs: p.cfg.SecondOrderPairs,
-				FM:       fm.Config{Seed: p.cfg.Seed + 7},
-			})
-			if err != nil {
-				return nil, stats, 0, err
-			}
+	if fit && want.Has(features.F9SecondOrder) {
+		if trainLabels == nil {
+			return nil, stats, 0, errors.New("core: second-order selection needs training labels")
 		}
-		if err := p.so.Apply(frame); err != nil {
+		p.so, err = features.FitSecondOrder(frame, trainLabels, features.SecondOrderConfig{
+			NumPairs: p.cfg.SecondOrderPairs,
+			FM:       fm.Config{Seed: p.cfg.Seed + 7},
+		})
+		if err != nil {
 			return nil, stats, 0, err
 		}
-		// Second-order features are products of base columns, so any
-		// imputed upstream group degrades them too.
-		if !deg.Empty() {
-			deg.Add(features.F9SecondOrder)
-		}
+	}
+	if deg, err = p.applySecondOrder(frame, deg); err != nil {
+		return nil, stats, 0, err
 	}
 	return frame, stats, deg, nil
+}
+
+// graphSeeds reads the label-propagation seeds of the window's graph
+// groups (none configured: none read). Label-propagation seeds are "the
+// churners in the previous month" (Section 4.1.2) — previous relative to
+// the predicted month, i.e. the feature month itself. Its churn outcomes
+// are known by the time the prediction for the next month is made, so this
+// does not leak labels. The graphs themselves are built over the feature
+// window — the paper's "accumulated mutual calling time ... in a fixed
+// period (e.g., a month)". Extending the window back a month sounds
+// tempting (a churner's final-month CDRs are sparse) but measurably
+// dilutes label propagation with stale edges; see the abl-graphwin
+// experiment. With partial, a truth feed that is down is no error: the
+// graph columns still build, but every propagated probability sits at its
+// uninformative prior, so the graph groups are imputed in all but name and
+// come back flagged.
+func (p *Pipeline) graphSeeds(src Source, win features.Window, partial bool) (features.GraphFeatureInput, features.Degradation, error) {
+	graphs := p.cfg.groupSet() & features.GraphGroups
+	if graphs == 0 {
+		return features.GraphFeatureInput{}, 0, nil
+	}
+	seedMonth := win.SnapshotMonth(src.DaysPerMonth())
+	truth, err := src.Truth(seedMonth)
+	switch {
+	case err == nil:
+		return features.GraphFeatureInput{
+			PrevChurners: features.ChurnersOf(truth),
+			StableSample: features.StableOf(truth, p.cfg.StableSeedStride),
+		}, 0, nil
+	case partial:
+		return features.GraphFeatureInput{}, graphs, nil
+	default:
+		return features.GraphFeatureInput{}, 0, fmt.Errorf("core: graph features need truth of month %d: %w", seedMonth, err)
+	}
+}
+
+// applySecondOrder appends the fitted F9 products to frame when F9 is
+// configured and returns deg with F9 added when any upstream group is
+// degraded: second-order features are products of base columns, so an
+// imputed upstream group degrades them too.
+func (p *Pipeline) applySecondOrder(frame *features.Frame, deg features.Degradation) (features.Degradation, error) {
+	if !p.cfg.groupSet().Has(features.F9SecondOrder) {
+		return deg, nil
+	}
+	if err := p.so.Apply(frame); err != nil {
+		return 0, err
+	}
+	if !deg.Empty() {
+		deg.Add(features.F9SecondOrder)
+	}
+	return deg, nil
 }
 
 // Predictions holds scored customers for one window.

@@ -72,6 +72,8 @@ type Maintainer struct {
 	// build over merged data would see. Costs one int per raw row.
 	idx     map[string]map[int64][]int
 	applied int
+	// live is the state Keep starts, nil before.
+	live *liveState
 }
 
 // NewMaintainer indexes the serving window's nine tables; it never writes
@@ -191,6 +193,14 @@ func (m *Maintainer) Apply(name string, events *table.Table) ([]int64, int, erro
 		}
 	}
 	m.applied += ev.NumRows()
+	if l := m.live; l != nil {
+		if l.graphs != nil {
+			l.graphs.feed(name, ev)
+		}
+		for id := range affected {
+			l.stale[id] = struct{}{}
+		}
+	}
 	ids := make([]int64, 0, len(affected))
 	for id := range affected {
 		ids = append(ids, id)
@@ -228,6 +238,13 @@ func (m *Maintainer) CustomerFrame(id int64, groups []Group, complaints, search 
 // built once; an id outside the universe gets no row (and with none
 // inside it, the frame is empty).
 func (m *Maintainer) CustomerFrames(ids []int64, groups []Group, complaints, search *TopicFeaturizer) (*Frame, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.customerFrames(ids, GroupSetOf(groups...), complaints, search)
+}
+
+// customerFrames is CustomerFrames with mu held.
+func (m *Maintainer) customerFrames(ids []int64, groups GroupSet, complaints, search *TopicFeaturizer) (*Frame, error) {
 	want := slices.Clone(ids)
 	slices.Sort(want)
 	want = slices.DeleteFunc(slices.Compact(want), func(id int64) bool {
@@ -237,8 +254,6 @@ func (m *Maintainer) CustomerFrames(ids []int64, groups []Group, complaints, sea
 	if len(want) == 0 {
 		return NewFrame(nil), nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	sel := make(selection, len(m.idx))
 	for name, post := range m.idx {
 		n := 0
@@ -251,5 +266,5 @@ func (m *Maintainer) CustomerFrames(ids []int64, groups []Group, complaints, sea
 		}
 		sel[name] = rows
 	}
-	return perCustomerFrame(m.tables, sel, m.win, m.days, 1, GroupSetOf(groups...), complaints, search)
+	return perCustomerFrame(m.tables, sel, m.win, m.days, 1, groups, complaints, search)
 }

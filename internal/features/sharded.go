@@ -225,51 +225,15 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		parallel.Do(innerWorkers, feed, build)
 	}
 
-	// Merge. Shard universes are disjoint, so every merged row comes from
-	// exactly one shard row. A shard frame holds [base | topic] columns;
-	// they copy row by row around the graph columns into the canonical
-	// order [F1 F2 F3] graphs [F7 F8].
 	merge := func() {
-		var ref *Frame
-		nb, ncols := 0, 0 // base columns lead every shard frame
-		for _, sf := range shardFrames {
-			if sf != nil {
-				ref, ncols = sf, len(sf.names)
-				for nb < ncols && BaseGroups.Has(sf.group[nb]) {
-					nb++
-				}
-				break
-			}
-		}
-		copyColumns := func(from, to int) {
-			if from == to {
-				return
-			}
-			uni.names = append(uni.names, ref.names[from:to]...)
-			uni.group = append(uni.group, ref.group[from:to]...)
-			for _, sf := range shardFrames {
-				if sf == nil {
-					continue
-				}
-				for r, id := range sf.ids {
-					if i, ok := uni.index[id]; ok {
-						uni.x[i] = append(uni.x[i], sf.x[r][from:to]...)
-					}
-				}
-			}
-			// A universe customer no shard frame holds keeps zeros.
-			for i := range uni.x {
-				for len(uni.x[i]) < len(uni.names) {
-					uni.x[i] = append(uni.x[i], 0)
-				}
-			}
-		}
-		copyColumns(0, nb)
+		var graphs func()
 		if wantGraph {
-			call, msg, cooc := acc.Finalize()
-			scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, spec.GraphIn, spec.Workers)
+			graphs = func() {
+				call, msg, cooc := acc.Finalize()
+				scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, spec.GraphIn, spec.Workers)
+			}
 		}
-		copyColumns(nb, ncols)
+		assemble(uni, shardFrames, graphs)
 	}
 
 	if spec.FitTopics == nil {
@@ -326,4 +290,53 @@ func BuildShardedFrame(spec ShardedBuildSpec) (*Frame, ShardStats, error) {
 		}
 	}
 	return uni, stats, nil
+}
+
+// assemble lays the per-customer columns of parts and the graph columns
+// graphs adds to uni (nil: none) into uni, in the canonical column order
+// [F1 F2 F3] graphs [F7 F8]. The parts are frames over disjoint customers,
+// each holding [base | topic] columns (nil parts hold none); every merged
+// row comes from exactly one part's row, copied around the graph columns,
+// and a universe customer no part holds keeps zeros. It is the one
+// assembly step: BuildShardedFrame merges its shard frames through it, and
+// Captured.Frame a maintainer's kept columns.
+func assemble(uni *Frame, parts []*Frame, graphs func()) {
+	var ref *Frame
+	nb, ncols := 0, 0 // base columns lead every part
+	for _, sf := range parts {
+		if sf != nil {
+			ref, ncols = sf, len(sf.names)
+			for nb < ncols && BaseGroups.Has(sf.group[nb]) {
+				nb++
+			}
+			break
+		}
+	}
+	copyColumns := func(from, to int) {
+		if from == to {
+			return
+		}
+		uni.names = append(uni.names, ref.names[from:to]...)
+		uni.group = append(uni.group, ref.group[from:to]...)
+		for _, sf := range parts {
+			if sf == nil {
+				continue
+			}
+			for r, id := range sf.ids {
+				if i, ok := uni.index[id]; ok {
+					uni.x[i] = append(uni.x[i], sf.x[r][from:to]...)
+				}
+			}
+		}
+		for i := range uni.x {
+			for len(uni.x[i]) < len(uni.names) {
+				uni.x[i] = append(uni.x[i], 0)
+			}
+		}
+	}
+	copyColumns(0, nb)
+	if graphs != nil {
+		graphs()
+	}
+	copyColumns(nb, ncols)
 }

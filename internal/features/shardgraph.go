@@ -9,6 +9,7 @@ import (
 
 	"telcochurn/internal/graph"
 	"telcochurn/internal/parallel"
+	"telcochurn/internal/table"
 )
 
 // The one graph fold: GraphAccumulator turns raw call, message and location
@@ -100,13 +101,18 @@ func (f *edgeFold) reduce() []edgeSum {
 	for i, k := range f.index.keys {
 		out[i] = edgeSum{lo: k[0], hi: k[1], w: f.w[i]}
 	}
-	slices.SortFunc(out, func(x, y edgeSum) int {
+	sortEdgeSums(out)
+	return out
+}
+
+// sortEdgeSums sorts sums by (lo, hi).
+func sortEdgeSums(sums []edgeSum) {
+	slices.SortFunc(sums, func(x, y edgeSum) int {
 		if x.lo != y.lo {
 			return cmp.Compare(x.lo, y.lo)
 		}
 		return cmp.Compare(x.hi, y.hi)
 	})
-	return out
 }
 
 // mergeEdgeSums merges sorted partials into one sorted list, walking them
@@ -194,38 +200,54 @@ func (f *cubeFold) union(s cubeSet) {
 	}
 }
 
-// reduce counting-sorts the sightings by cube and sorts each cube's own
-// ids, keeping its cooccurrenceCubeCap smallest distinct ones; the cubes
-// are capped side by side on up to workers goroutines.
-func (f *cubeFold) reduce(workers int) cubeSet {
+// reduce counting-sorts the sightings of the customers keep admits (nil:
+// every one) by cube and sorts each cube's own ids, keeping its
+// cooccurrenceCubeCap smallest distinct ones; the cubes are capped side by
+// side on up to workers goroutines. A cube whose sightings keep rejects
+// stays, with no members. The fold itself is only read.
+func (f *cubeFold) reduce(workers int, keep func(int64) bool) cubeSet {
 	cubes := f.index.keys
 	n := len(cubes)
+	var dropped []uint64 // per sighting, one bit: keep rejects it
+	if keep != nil {
+		dropped = make([]uint64, (len(f.ids)+63)/64)
+		for k, id := range f.ids {
+			if !keep(id) {
+				dropped[k/64] |= 1 << (k % 64)
+			}
+		}
+	}
+	kept := func(k int) bool { return dropped == nil || dropped[k/64]&(1<<(k%64)) == 0 }
 	start := make([]int32, n+1) // cube c's sightings: grouped[start[c]:start[c+1]]
-	for _, c := range f.of {
-		start[c+1]++
+	for k, c := range f.of {
+		if kept(k) {
+			start[c+1]++
+		}
 	}
 	for c := range n {
 		start[c+1] += start[c]
 	}
-	grouped := make([]int64, len(f.ids))
+	grouped := make([]int64, start[n])
 	next := slices.Clone(start[:n])
 	for k, c := range f.of {
-		grouped[next[c]] = f.ids[k]
-		next[c]++
+		if kept(k) {
+			grouped[next[c]] = f.ids[k]
+			next[c]++
+		}
 	}
 	// Cap each run, then close the gaps behind them.
 	size := make([]int32, n)
 	parallel.ForGrain(workers, n, parallel.DefaultGrain, func(c int) {
 		size[c] = int32(len(capRun(grouped[start[c]:start[c+1]])))
 	})
-	kept := 0
+	total := 0
 	for c := range n {
 		from := int(start[c])
-		start[c] = int32(kept)
-		kept += copy(grouped[kept:], grouped[from:from+int(size[c])])
+		start[c] = int32(total)
+		total += copy(grouped[total:], grouped[from:from+int(size[c])])
 	}
-	start[n] = int32(kept)
-	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:kept])}
+	start[n] = int32(total)
+	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:total])}
 }
 
 // capRun sorts one cube's ids in place and returns its cooccurrenceCubeCap
@@ -269,6 +291,20 @@ func (x *keyIndex[K]) rehash(size int) {
 			i = (i + 1) & mask
 		}
 		x.slots[i] = int32(p + 1)
+	}
+}
+
+// has reports whether k is in the index.
+func (x *keyIndex[K]) has(k K) bool {
+	mask := len(x.slots) - 1
+	for i := int(x.hash(k) >> x.shift); ; i = (i + 1) & mask {
+		p := x.slots[i]
+		if p == 0 {
+			return false
+		}
+		if x.keys[p-1] == k {
+			return true
+		}
 	}
 }
 
@@ -352,66 +388,80 @@ func NewGraphAccumulator(shards int, groups []Group) *GraphAccumulator {
 func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth int, isCustomer func(int64) bool) {
 	p := &a.parts[shard]
 	if a.wantCall {
-		// Call graph: edge weight = accumulated mutual calling seconds.
-		calls := tbl.Calls
-		inWin := inWindow(calls, win, daysPerMonth)
-		imsi := calls.MustCol("imsi").Ints
-		peer := calls.MustCol("peer").Ints
-		dur := calls.MustCol("dur").Floats
-		success := calls.MustCol("success").Ints
-		svc := calls.MustCol("svc").Ints
 		f := newEdgeFold(p.call)
-		for i := 0; i < calls.NumRows(); i++ {
-			// A duration that is not finite and positive (NaN, +Inf) is no
-			// call: one would turn every sum it reaches, and PageRank over
-			// the whole graph, into NaN.
-			if !inWin(i) || success[i] != 1 || svc[i] == 1 || !(dur[i] > 0 && dur[i] <= math.MaxFloat64) {
-				continue
-			}
-			if !isCustomer(peer[i]) {
-				continue
-			}
-			f.observe(imsi[i], peer[i], dur[i])
-		}
+		feedCalls(f, tbl.Calls, win, daysPerMonth, isCustomer)
 		p.call = f.reduce()
 	}
 	if a.wantMsg {
-		// Message graph: edge weight = number of P2P messages.
-		msgs := tbl.Messages
-		inWin := inWindow(msgs, win, daysPerMonth)
-		imsi := msgs.MustCol("imsi").Ints
-		peer := msgs.MustCol("peer").Ints
-		kind := msgs.MustCol("kind").Ints
 		f := newEdgeFold(p.msg)
-		for i := 0; i < msgs.NumRows(); i++ {
-			if !inWin(i) || kind[i] != 0 {
-				continue
-			}
-			if !isCustomer(peer[i]) {
-				continue
-			}
-			f.observe(imsi[i], peer[i], 1)
-		}
+		feedMessages(f, tbl.Messages, win, daysPerMonth, isCustomer)
 		p.msg = f.reduce()
 	}
 	if a.wantCooc {
-		// Co-occurrence graph: edge weight = number of cubes two customers
-		// share in the window.
-		loc := tbl.Locations
-		inWin := inWindow(loc, win, daysPerMonth)
-		imsi := loc.MustCol("imsi").Ints
-		day := loc.MustCol("day").Ints
-		month := loc.MustCol("month").Ints
-		slot := loc.MustCol("slot").Ints
-		cell := loc.MustCol("cell").Ints
-		f := newCubeFold(loc.NumRows(), p.cooc)
-		for i := 0; i < loc.NumRows(); i++ {
-			if !inWin(i) || !isCustomer(imsi[i]) {
-				continue
-			}
-			f.add(cube{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}, imsi[i])
+		f := newCubeFold(tbl.Locations.NumRows(), p.cooc)
+		feedLocations(f, tbl.Locations, win, daysPerMonth, isCustomer)
+		p.cooc = f.reduce(1, nil)
+	}
+}
+
+// feedCalls observes the call graph's rows of calls into f: edge weight =
+// accumulated mutual calling seconds, over answered non-service calls in
+// the window whose peer isCustomer admits (nil admits every peer).
+func feedCalls(f *edgeFold, calls *table.Table, win Window, daysPerMonth int, isCustomer func(int64) bool) {
+	inWin := inWindow(calls, win, daysPerMonth)
+	imsi := calls.MustCol("imsi").Ints
+	peer := calls.MustCol("peer").Ints
+	dur := calls.MustCol("dur").Floats
+	success := calls.MustCol("success").Ints
+	svc := calls.MustCol("svc").Ints
+	for i := 0; i < calls.NumRows(); i++ {
+		// A duration that is not finite and positive (NaN, +Inf) is no
+		// call: one would turn every sum it reaches, and PageRank over
+		// the whole graph, into NaN.
+		if !inWin(i) || success[i] != 1 || svc[i] == 1 || !(dur[i] > 0 && dur[i] <= math.MaxFloat64) {
+			continue
 		}
-		p.cooc = f.reduce(1)
+		if isCustomer != nil && !isCustomer(peer[i]) {
+			continue
+		}
+		f.observe(imsi[i], peer[i], dur[i])
+	}
+}
+
+// feedMessages observes the message graph's rows of msgs into f: edge
+// weight = number of P2P messages in the window to a peer isCustomer
+// admits (nil admits every peer).
+func feedMessages(f *edgeFold, msgs *table.Table, win Window, daysPerMonth int, isCustomer func(int64) bool) {
+	inWin := inWindow(msgs, win, daysPerMonth)
+	imsi := msgs.MustCol("imsi").Ints
+	peer := msgs.MustCol("peer").Ints
+	kind := msgs.MustCol("kind").Ints
+	for i := 0; i < msgs.NumRows(); i++ {
+		if !inWin(i) || kind[i] != 0 {
+			continue
+		}
+		if isCustomer != nil && !isCustomer(peer[i]) {
+			continue
+		}
+		f.observe(imsi[i], peer[i], 1)
+	}
+}
+
+// feedLocations adds the co-occurrence graph's sightings in loc to f: edge
+// weight = number of cubes two customers share in the window, over the
+// sightings of customers isCustomer admits (nil admits every one).
+func feedLocations(f interface{ add(cube, int64) }, loc *table.Table, win Window, daysPerMonth int, isCustomer func(int64) bool) {
+	inWin := inWindow(loc, win, daysPerMonth)
+	imsi := loc.MustCol("imsi").Ints
+	day := loc.MustCol("day").Ints
+	month := loc.MustCol("month").Ints
+	slot := loc.MustCol("slot").Ints
+	cell := loc.MustCol("cell").Ints
+	for i := 0; i < loc.NumRows(); i++ {
+		if !inWin(i) || isCustomer != nil && !isCustomer(imsi[i]) {
+			continue
+		}
+		f.add(cube{abs: month[i]*64 + day[i], slot: slot[i], cell: cell[i]}, imsi[i])
 	}
 }
 
@@ -501,16 +551,53 @@ func ranked(ids []int64) (sorted []int64, rank []int32) {
 
 // mergedCubes is the union of the shards' co-occurrence partials: a cube's
 // members are the capped union of its shards' runs. A single shard's
-// partial is already that, and is read as is rather than copied.
+// partial is already that, and is read as is rather than copied. Over
+// several shards the cubes are partitioned by hash, one part per worker:
+// each part merges its own cubes, and the parts are laid end to end. A
+// cube's members are a min-k union and the tally counts in integers, so
+// the graph does not depend on the cube order this gives.
 func (a *GraphAccumulator) mergedCubes() cubeSet {
 	if len(a.parts) == 1 {
 		return a.parts[0].cooc
 	}
-	partials := make([]cubeSet, len(a.parts))
+	nparts := parallel.Workers(a.Workers)
+	rows, cubes := 0, 0
 	for i := range a.parts {
-		partials[i] = a.parts[i].cooc
+		rows += len(a.parts[i].cooc.ids)
+		cubes = max(cubes, len(a.parts[i].cooc.cubes))
 	}
-	return newCubeFold(0, partials...).reduce(a.Workers)
+	sets := make([]cubeSet, nparts)
+	parallel.ForGrain(nparts, nparts, 1, func(part int) {
+		f := &cubeFold{index: newKeyIndex(hashCube, cubes/nparts), of: make([]int32, 0, rows/nparts), ids: make([]int64, 0, rows/nparts)}
+		for i := range a.parts {
+			s := &a.parts[i].cooc
+			for c, k := range s.cubes {
+				if hashCube(k)%uint64(nparts) != uint64(part) {
+					continue
+				}
+				at := f.index.of(k)
+				for _, id := range s.members(c) {
+					f.of = append(f.of, at)
+					f.ids = append(f.ids, id)
+				}
+			}
+		}
+		sets[part] = f.reduce(1, nil)
+	})
+	if nparts == 1 {
+		return sets[0]
+	}
+	var out cubeSet
+	out.start = []int32{0}
+	for _, s := range sets {
+		base := int32(len(out.ids))
+		out.cubes = append(out.cubes, s.cubes...)
+		for _, e := range s.start[1:] {
+			out.start = append(out.start, base+e)
+		}
+		out.ids = append(out.ids, s.ids...)
+	}
+	return out
 }
 
 // denseTally reports whether a customer's co-member counts are emitted by

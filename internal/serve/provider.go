@@ -71,7 +71,7 @@ func NewFrameProvider(p *core.Pipeline, src core.Source, win features.Window) (*
 	if err != nil {
 		return nil, err
 	}
-	return frameSnapshot(frame, 0), nil
+	return FrameSnapshot(frame, 0), nil
 }
 
 // NewFrameProviderDegraded builds the window's frame in degraded mode:
@@ -83,12 +83,13 @@ func NewFrameProviderDegraded(p *core.Pipeline, src core.Source, win features.Wi
 	if err != nil {
 		return nil, err
 	}
-	return frameSnapshot(frame, deg), nil
+	return FrameSnapshot(frame, deg), nil
 }
 
-// frameSnapshot flattens a built frame. The matrix records no month: the
-// window, not a snapshot month, names what a frame build served.
-func frameSnapshot(frame *features.Frame, deg features.Degradation) *Snapshot {
+// FrameSnapshot serves a built frame under its degradation mask, flattened
+// into one matrix. The matrix records no month: the window, not a snapshot
+// month, names what a frame build served.
+func FrameSnapshot(frame *features.Frame, deg features.Degradation) *Snapshot {
 	return &Snapshot{
 		vecs:  core.VectorsFromFrame(frame, 0),
 		names: frame.Names(),
