@@ -14,21 +14,21 @@ import (
 // sightings and twice in a row.
 func TestLiveCubesMatchFilteredFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	inUniverse := func(id int64) bool { return id < 1000 }
+	inUniverse := func(id int64) bool { return id%2 == 0 } // outsiders interleave
 	live := &liveCubes{index: newKeyIndex(hashCube, 0), universe: inUniverse}
 	all := newCubeFold(0)
 	for batch := range 8 {
 		for range 400 {
 			k := cube{abs: int64(rng.Intn(3)), slot: 0, cell: int64(rng.Intn(2))}
-			id := int64(rng.Intn(90)) // the universe: 0..89
+			id := 2 * int64(rng.Intn(90))
 			if rng.Intn(4) == 0 {
-				id = 1000 + int64(rng.Intn(40)) // an outsider
+				id = 2*int64(rng.Intn(40)) + 1
 			}
 			live.add(k, id)
 			all.add(k, id)
 		}
 		churned := map[int64]bool{}
-		for id := int64(1000); id < 1040; id++ {
+		for id := int64(1); id < 80; id += 2 {
 			if rng.Intn(3) == batch%3 {
 				churned[id] = true
 			}
