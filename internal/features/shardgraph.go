@@ -200,54 +200,38 @@ func (f *cubeFold) union(s cubeSet) {
 	}
 }
 
-// reduce counting-sorts the sightings of the customers keep admits (nil:
-// every one) by cube and sorts each cube's own ids, keeping its
-// cooccurrenceCubeCap smallest distinct ones; the cubes are capped side by
-// side on up to workers goroutines. A cube whose sightings keep rejects
-// stays, with no members. The fold itself is only read.
-func (f *cubeFold) reduce(workers int, keep func(int64) bool) cubeSet {
+// reduce counting-sorts the sightings by cube and sorts each cube's own
+// ids, keeping its cooccurrenceCubeCap smallest distinct ones; the cubes
+// are capped side by side on up to workers goroutines.
+func (f *cubeFold) reduce(workers int) cubeSet {
 	cubes := f.index.keys
 	n := len(cubes)
-	var dropped []uint64 // per sighting, one bit: keep rejects it
-	if keep != nil {
-		dropped = make([]uint64, (len(f.ids)+63)/64)
-		for k, id := range f.ids {
-			if !keep(id) {
-				dropped[k/64] |= 1 << (k % 64)
-			}
-		}
-	}
-	kept := func(k int) bool { return dropped == nil || dropped[k/64]&(1<<(k%64)) == 0 }
 	start := make([]int32, n+1) // cube c's sightings: grouped[start[c]:start[c+1]]
-	for k, c := range f.of {
-		if kept(k) {
-			start[c+1]++
-		}
+	for _, c := range f.of {
+		start[c+1]++
 	}
 	for c := range n {
 		start[c+1] += start[c]
 	}
-	grouped := make([]int64, start[n])
+	grouped := make([]int64, len(f.ids))
 	next := slices.Clone(start[:n])
 	for k, c := range f.of {
-		if kept(k) {
-			grouped[next[c]] = f.ids[k]
-			next[c]++
-		}
+		grouped[next[c]] = f.ids[k]
+		next[c]++
 	}
 	// Cap each run, then close the gaps behind them.
 	size := make([]int32, n)
 	parallel.ForGrain(workers, n, parallel.DefaultGrain, func(c int) {
 		size[c] = int32(len(capRun(grouped[start[c]:start[c+1]])))
 	})
-	total := 0
+	kept := 0
 	for c := range n {
 		from := int(start[c])
-		start[c] = int32(total)
-		total += copy(grouped[total:], grouped[from:from+int(size[c])])
+		start[c] = int32(kept)
+		kept += copy(grouped[kept:], grouped[from:from+int(size[c])])
 	}
-	start[n] = int32(total)
-	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:total])}
+	start[n] = int32(kept)
+	return cubeSet{cubes: slices.Clone(cubes), start: start, ids: slices.Clone(grouped[:kept])}
 }
 
 // capRun sorts one cube's ids in place and returns its cooccurrenceCubeCap
@@ -400,7 +384,7 @@ func (a *GraphAccumulator) Feed(shard int, tbl Tables, win Window, daysPerMonth 
 	if a.wantCooc {
 		f := newCubeFold(tbl.Locations.NumRows(), p.cooc)
 		feedLocations(f, tbl.Locations, win, daysPerMonth, isCustomer)
-		p.cooc = f.reduce(1, nil)
+		p.cooc = f.reduce(1)
 	}
 }
 
@@ -551,53 +535,16 @@ func ranked(ids []int64) (sorted []int64, rank []int32) {
 
 // mergedCubes is the union of the shards' co-occurrence partials: a cube's
 // members are the capped union of its shards' runs. A single shard's
-// partial is already that, and is read as is rather than copied. Over
-// several shards the cubes are partitioned by hash, one part per worker:
-// each part merges its own cubes, and the parts are laid end to end. A
-// cube's members are a min-k union and the tally counts in integers, so
-// the graph does not depend on the cube order this gives.
+// partial is already that, and is read as is rather than copied.
 func (a *GraphAccumulator) mergedCubes() cubeSet {
 	if len(a.parts) == 1 {
 		return a.parts[0].cooc
 	}
-	nparts := parallel.Workers(a.Workers)
-	rows, cubes := 0, 0
+	partials := make([]cubeSet, len(a.parts))
 	for i := range a.parts {
-		rows += len(a.parts[i].cooc.ids)
-		cubes = max(cubes, len(a.parts[i].cooc.cubes))
+		partials[i] = a.parts[i].cooc
 	}
-	sets := make([]cubeSet, nparts)
-	parallel.ForGrain(nparts, nparts, 1, func(part int) {
-		f := &cubeFold{index: newKeyIndex(hashCube, cubes/nparts), of: make([]int32, 0, rows/nparts), ids: make([]int64, 0, rows/nparts)}
-		for i := range a.parts {
-			s := &a.parts[i].cooc
-			for c, k := range s.cubes {
-				if hashCube(k)%uint64(nparts) != uint64(part) {
-					continue
-				}
-				at := f.index.of(k)
-				for _, id := range s.members(c) {
-					f.of = append(f.of, at)
-					f.ids = append(f.ids, id)
-				}
-			}
-		}
-		sets[part] = f.reduce(1, nil)
-	})
-	if nparts == 1 {
-		return sets[0]
-	}
-	var out cubeSet
-	out.start = []int32{0}
-	for _, s := range sets {
-		base := int32(len(out.ids))
-		out.cubes = append(out.cubes, s.cubes...)
-		for _, e := range s.start[1:] {
-			out.start = append(out.start, base+e)
-		}
-		out.ids = append(out.ids, s.ids...)
-	}
-	return out
+	return newCubeFold(0, partials...).reduce(a.Workers)
 }
 
 // denseTally reports whether a customer's co-member counts are emitted by
