@@ -333,6 +333,8 @@ func (s *service) buildEngine() (*engine, error) {
 	if fallback != nil {
 		log.Printf("churnd: serving the precomputed snapshot alone: %v", fallback)
 		base, _ = serve.NewVectorsProvider(pipe) // a fallback implies the snapshot
+	} else {
+		pipe.ReleaseVectors() // the frame serves; a reload reads the artifact again
 	}
 	e.month, e.win = month, features.MonthWindow(month, days)
 	e.overlay = serve.NewOverlay(base, s.metrics)

@@ -116,6 +116,12 @@ func (p *Pipeline) Precompute(src Source, win features.Window, month int) error 
 // has none (trained without Precompute).
 func (p *Pipeline) Vectors() *FeatureVectors { return p.vectors }
 
+// ReleaseVectors drops the precomputed feature matrix from the pipeline. A
+// scorer that serves a warehouse frame calls it once the frame is built:
+// it falls back to the snapshot only at boot, and would keep the matrix
+// resident for nothing.
+func (p *Pipeline) ReleaseVectors() { p.vectors = nil }
+
 // PredictVectors scores every customer of the precomputed snapshot without
 // touching the warehouse. Scores are bit-identical to Predict over the same
 // window: the rows are the frame's own rows and the classifier sees them in

@@ -3,6 +3,7 @@ package features
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -69,8 +70,8 @@ type Maintainer struct {
 	universe map[int64]struct{}
 	// idx posts each table's rows by imsi, in row order — base rows first,
 	// appended event rows after, preserving the fold order a from-scratch
-	// build over merged data would see. Costs one int per raw row.
-	idx     map[string]map[int64][]int
+	// build over merged data would see. Costs one int32 per raw row.
+	idx     map[string]map[int64][]int32
 	applied int
 	// live is the state Keep starts, nil before.
 	live *liveState
@@ -85,7 +86,7 @@ func NewMaintainer(tbl Tables, win Window, daysPerMonth int) (*Maintainer, error
 	if months := win.Months(daysPerMonth); len(months) != 1 || win != MonthWindow(months[0], daysPerMonth) {
 		return nil, fmt.Errorf("features: maintainer window %+v must be one whole month", win)
 	}
-	m := &Maintainer{win: win, days: daysPerMonth, idx: map[string]map[int64][]int{}}
+	m := &Maintainer{win: win, days: daysPerMonth, idx: map[string]map[int64][]int32{}}
 	snap := snapshotMonth(tbl.Customers, win, daysPerMonth)
 	if snap.NumRows() == 0 {
 		return nil, ErrUniverseUnavailable
@@ -97,6 +98,9 @@ func NewMaintainer(tbl Tables, win Window, daysPerMonth int) (*Maintainer, error
 	m.tables = tbl
 	m.tbl = map[string]*table.Table{}
 	for _, r := range m.tables.refs() {
+		if (*r.dst).NumRows() > math.MaxInt32 {
+			return nil, fmt.Errorf("features: maintainer table %s has more rows than its index counts", r.name)
+		}
 		*r.dst = (*r.dst).Clip()
 		m.tbl[r.name] = *r.dst
 		m.idx[r.name] = postByIMSI(*r.dst)
@@ -118,10 +122,10 @@ func (m *Maintainer) Snapshot() map[string]*table.Table {
 	return out
 }
 
-func postByIMSI(t *table.Table) map[int64][]int {
-	post := map[int64][]int{}
+func postByIMSI(t *table.Table) map[int64][]int32 {
+	post := map[int64][]int32{}
 	for i, id := range t.MustCol("imsi").Ints {
-		post[id] = append(post[id], i)
+		post[id] = append(post[id], int32(i))
 	}
 	return post
 }
@@ -181,13 +185,19 @@ func (m *Maintainer) Apply(name string, events *table.Table) ([]int64, int, erro
 		return nil, 0, nil
 	}
 	base := dst.NumRows()
+	if base+ev.NumRows() > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("features: apply %s events: more rows than the index counts", name)
+	}
+	// A sixteenth of spare rows, not append's quarter: the tables are most
+	// of the maintainer's memory and grow by a trickle of events.
+	dst.Reserve(ev.NumRows(), base/16)
 	if err := dst.AppendTable(ev); err != nil {
 		return nil, 0, fmt.Errorf("features: apply %s events: %w", name, err)
 	}
 	post := m.idx[name]
 	affected := map[int64]struct{}{}
 	for i, id := range ev.MustCol("imsi").Ints {
-		post[id] = append(post[id], base+i)
+		post[id] = append(post[id], int32(base+i))
 		if _, ok := m.universe[id]; ok {
 			affected[id] = struct{}{}
 		}
@@ -262,7 +272,9 @@ func (m *Maintainer) customerFrames(ids []int64, groups GroupSet, complaints, se
 		}
 		rows := make([]int, 0, n)
 		for _, id := range want {
-			rows = append(rows, post[id]...)
+			for _, r := range post[id] {
+				rows = append(rows, int(r))
+			}
 		}
 		sel[name] = rows
 	}

@@ -241,6 +241,30 @@ func (t *Table) Grow(n int) {
 	}
 }
 
+// Reserve makes room for n more rows in every column, like Grow, but a
+// column short of that room is reallocated with room for exactly n+spare
+// rows rather than by append's growth factor, so a caller appending a
+// trickle of rows to a large table picks its own slack.
+func (t *Table) Reserve(n, spare int) {
+	rows := t.NumRows()
+	for _, c := range t.Cols {
+		switch c.Type {
+		case Int64:
+			if cap(c.Ints)-rows < n {
+				c.Ints = append(make([]int64, 0, rows+n+spare), c.Ints...)
+			}
+		case Float64:
+			if cap(c.Floats)-rows < n {
+				c.Floats = append(make([]float64, 0, rows+n+spare), c.Floats...)
+			}
+		default:
+			if cap(c.Strings)-rows < n {
+				c.Strings = append(make([]string, 0, rows+n+spare), c.Strings...)
+			}
+		}
+	}
+}
+
 // Validate checks that all columns have equal length and types matching the
 // schema.
 func (t *Table) Validate() error {
