@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -1025,6 +1026,83 @@ func TestRefreshCountsExhaustedRetries(t *testing.T) {
 	}
 	if _, metrics, _ := getJSON(t, ts.URL+"/metrics"); metrics["retries_exhausted"].(float64) < 1 {
 		t.Errorf("retries_exhausted = %v after a failed refresh read, want >= 1", metrics["retries_exhausted"])
+	}
+}
+
+// TestEventsFoldAfterCommitDespiteCancel: the request deadline is honored
+// only before the durable append. A request whose context is canceled while
+// its batch is being appended (a hook on the log's warehouse cancels it) is
+// still folded within the call, exactly as the same batch posted by a
+// request that stays live: the served vectors and the next score are that
+// twin's, and events_ingested counts the batch.
+func TestEventsFoldAfterCommitDespiteCancel(t *testing.T) {
+	whDir, artifact, want := makeWorld(t)
+	twinDir := filepath.Join(t.TempDir(), "wh")
+	copyDir(t, whDir, twinDir)
+	boot := func(dir string) *service {
+		svc, err := buildService(serviceOpts{artifact: artifact, warehouse: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		return svc
+	}
+	svc, twin := boot(whDir), boot(twinDir)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wh, err := store.Open(whDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh.SetHook(func(op store.Op, name string, month int) error {
+		if op == store.OpAppendEvents {
+			cancel()
+		}
+		return nil
+	})
+	if svc.cur.Load().log, err = wh.EventLog(); err != nil {
+		t.Fatal(err)
+	}
+
+	id := want.IDs[3]
+	batch := rechargeBatch([]int64{id, want.IDs[7]})
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", strings.NewReader(batch)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if ctx.Err() == nil {
+		t.Fatal("the append hook never ran")
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest canceled mid-append: %d %s, want 200", rec.Code, rec.Body)
+	}
+	twinTS := httptest.NewServer(twin.Handler())
+	defer twinTS.Close()
+	if status, body, _ := doRequest(t, twinTS, "POST", "/v1/events", batch); status != http.StatusOK {
+		t.Fatalf("twin ingest: %d %s", status, body)
+	}
+
+	sameVectors(t, "canceled post vs live twin", want.IDs, servedVectors(t, svc, want.IDs), servedVectors(t, twin, want.IDs))
+	e := svc.cur.Load()
+	served, _ := e.overlay.Vector(id)
+	base, _ := e.overlay.Base(id)
+	moved := false
+	for i := range served {
+		moved = moved || served[i] != base[i]
+	}
+	if !moved {
+		t.Fatal("the canceled post did not move the served vector")
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body := `{"id":` + int64String(id) + `}`
+	_, got, raw := postScore(t, ts, body)
+	_, wantScore, twinRaw := postScore(t, twinTS, body)
+	if got.Score == nil || wantScore.Score == nil || *got.Score != *wantScore.Score {
+		t.Fatalf("score after the canceled post %s, twin %s", raw, twinRaw)
+	}
+	if _, metrics, _ := getJSON(t, ts.URL+"/metrics"); metrics["events_ingested"].(float64) != 2 {
+		t.Errorf("events_ingested = %v after the canceled post, want 2", metrics["events_ingested"])
 	}
 }
 
