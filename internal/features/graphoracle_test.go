@@ -271,7 +271,7 @@ func fromPairs(pairs []dirEdge, weight func(dirEdge) float64) *graph.Graph {
 		run.Col = append(run.Col, rank[e.to])
 		run.W = append(run.W, weight(e))
 	}
-	return graph.FromUpper(ids, []graph.Rows[float64]{run}, 1)
+	return graph.FromUpper(ids, []graph.Rows[float64]{run}, 1, nil)
 }
 
 // adjacent returns id's neighbours and edge weights in adjacency order,

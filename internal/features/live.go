@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"telcochurn/internal/graph"
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
@@ -51,6 +50,9 @@ type liveState struct {
 	stale map[int64]struct{}
 	// graphs is the F4–F6 fold, nil when no graph group is kept.
 	graphs *graphFold
+	// mem is what the last capture's graphs were built in, for the next
+	// capture to build in; a capture being built holds it instead.
+	mem graphMemory
 }
 
 // Keep starts the maintainer's live state for a serving schema: groups'
@@ -128,13 +130,20 @@ type Captured struct {
 	kept *Frame
 	in   GraphFeatureInput
 	acc  *GraphAccumulator // nil when no graph group is kept
+	// mem is the memory the graphs build in, taken from the live state
+	// and handed back once the graphs are scored: m's live state l.
+	mem graphMemory
+	m   *Maintainer
+	l   *liveState
 }
 
 // Capture re-folds any stale customer, then takes the kept columns (the
 // row slices, not the values) and reduces the graph fold to the partials
 // a Feed over the maintained tables would leave with the universe and in's
 // previous churners as its customers, on up to workers goroutines. The
-// fold itself is left as it was. It fails before Keep.
+// fold itself is left as it was. The capture also takes the memory the
+// last capture's graphs were built in, so its own build reuses it. It
+// fails before Keep.
 func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -152,7 +161,9 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 		}
 	}
 	k := l.kept
-	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in}
+	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in,
+		mem: l.mem, m: m, l: l}
+	l.mem = graphMemory{}
 	if l.graphs != nil {
 		customers := newKeyIndex(hashID, len(k.ids)+len(in.PrevChurners))
 		for _, id := range k.ids {
@@ -171,15 +182,21 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 // input, then laid with the kept columns into one frame by the assembly
 // step BuildShardedFrame merges through, on up to workers goroutines. It
 // is Float64bits-equal to BuildShardedFrame over the maintained tables
-// with the kept groups and the graph groups.
+// with the kept groups and the graph groups. The graphs are built in the
+// memory the capture took, which goes back to the live state once they
+// are scored, for the next capture.
 func (c *Captured) Frame(workers int) *Frame {
 	uni := NewFrame(c.kept.ids)
 	var graphs func()
 	if c.acc != nil {
 		graphs = func() {
 			c.acc.Workers = workers
-			call, msg, cooc := c.acc.Finalize()
-			scoreGraphsInto(uni, [3]*graph.Graph{call, msg, cooc}, c.in, workers)
+			g, mem := c.acc.finalize(c.mem)
+			c.mem = graphMemory{} // a second Frame builds fresh
+			scoreGraphsInto(uni, g, c.in, workers)
+			c.m.mu.Lock()
+			c.l.mem = mem
+			c.m.mu.Unlock()
 		}
 	}
 	assemble(uni, []*Frame{c.kept}, graphs)

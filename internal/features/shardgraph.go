@@ -454,21 +454,41 @@ func feedLocations(f interface{ add(cube, int64) }, loc *table.Table, win Window
 // The call and message graphs build beside the co-occurrence graph, whose
 // serial steps (the cube merge, the id ranking) they overlap.
 func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
+	g, _ := a.finalize(graphMemory{})
+	return g[0], g[1], g[2]
+}
+
+// graphMemory is what one Finalize built in: the call, message and
+// co-occurrence graphs (their arrays) and the co-occurrence tally
+// buffers. A later build handed it writes into those pages where they
+// have room instead of faulting in fresh ones; it must be done with the
+// graphs by then.
+type graphMemory struct {
+	graphs [3]*graph.Graph
+	tally  []*tallyBuf
+}
+
+// finalize is Finalize building in mem. It returns the graphs (call,
+// message, co-occurrence) and the memory they were built in, for a later
+// finalize once they are no longer read.
+func (a *GraphAccumulator) finalize(mem graphMemory) ([3]*graph.Graph, graphMemory) {
+	var g [3]*graph.Graph
+	tally := mem.tally
 	parallel.Do(a.Workers,
 		func() {
 			if a.wantCooc {
-				cooc = a.finalizeCooccurrence()
+				g[2], tally = a.finalizeCooccurrence(mem.graphs[2], tally)
 			}
 		},
 		func() {
 			if a.wantCall {
-				call = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.call })
+				g[0] = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.call }, mem.graphs[0])
 			}
 			if a.wantMsg {
-				msg = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.msg })
+				g[1] = a.finalizeDirected(func(p *graphPartials) []edgeSum { return p.msg }, mem.graphs[1])
 			}
 		})
-	return call, msg, cooc
+	return g, graphMemory{graphs: g, tally: tally}
 }
 
 // finalizeDirected builds the graph of every edge, in (lo, hi) order, with
@@ -476,8 +496,9 @@ func (a *GraphAccumulator) Finalize() (call, msg, cooc *graph.Graph) {
 // walked together, so a directed edge fed through several shards adds its
 // shard sums in shard order; a single shard's partial is already that, and
 // is read as is rather than copied. Ranking the endpoints turns the sorted
-// list into graph.FromUpper's rows: an edge's row is its lo's rank.
-func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum) *graph.Graph {
+// list into graph.FromUpper's rows: an edge's row is its lo's rank. The
+// graph is built in in's arrays (nil: fresh ones).
+func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum, in *graph.Graph) *graph.Graph {
 	sums := sel(&a.parts[0])
 	if len(a.parts) > 1 {
 		partials := make([][]edgeSum, len(a.parts))
@@ -503,7 +524,7 @@ func (a *GraphAccumulator) finalizeDirected(sel func(*graphPartials) []edgeSum) 
 			i++
 		}
 	}
-	return graph.FromUpper(ids, []graph.Rows[float64]{run}, a.Workers)
+	return graph.FromUpper(ids, []graph.Rows[float64]{run}, a.Workers, in)
 }
 
 // ranked returns the distinct values of ids in ascending order and, per
@@ -565,8 +586,10 @@ func denseTally(touched, span int) bool { return touched*8 >= span }
 // ranks when it is not. Customers are independent, so chunks of them run
 // across workers, each recording its rows' co-member ranks and counts, as
 // int32s, in a graph.Rows run; graph.FromUpper fills the graph from the
-// runs side by side. The result does not depend on the chunking.
-func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
+// runs side by side. The result does not depend on the chunking. The
+// graph is built in in's arrays (nil: fresh ones), and the chunks tally in
+// the given buffers before making new ones; it returns the buffers used.
+func (a *GraphAccumulator) finalizeCooccurrence(in *graph.Graph, tally []*tallyBuf) (*graph.Graph, []*tallyBuf) {
 	cs := a.mergedCubes()
 	ids, rank := ranked(cs.ids)        // rank: per sighting
 	start := make([]int32, len(ids)+1) // sightings of rank r: byRank[start[r]:start[r+1]]
@@ -592,19 +615,29 @@ func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 	// At most coocChunks chunks (boundaries depend on the id count alone).
 	// A chunk tallies into buffers that the chunks after it reuse, at most
 	// one set per worker, and keeps exact-size copies of its run.
-	type tallyBuf struct {
-		count   []int32 // co-member rank -> shared cubes, zero between rows
-		touched []int32 // the row's co-members, first-seen order
-		col, w  []int32 // the chunk's run so far
+	var mu sync.Mutex
+	free := tally[:0:0]
+	for _, b := range tally {
+		if len(b.count) >= len(ids) { // count is zero past the ids, and touched as long
+			free = append(free, b)
+		}
 	}
-	var bufs sync.Pool
 	grain := max((len(ids)+coocChunks-1)/coocChunks, 64)
 	runs := parallel.MapChunks(a.Workers, len(ids), grain, func(lo, hi int) graph.Rows[int32] {
-		b, _ := bufs.Get().(*tallyBuf)
+		mu.Lock()
+		var b *tallyBuf
+		if n := len(free); n > 0 {
+			b, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
 		if b == nil {
 			b = &tallyBuf{count: make([]int32, len(ids)), touched: make([]int32, len(ids))}
 		}
-		defer bufs.Put(b)
+		defer func() {
+			mu.Lock()
+			free = append(free, b)
+			mu.Unlock()
+		}()
 		count, touched := b.count, b.touched
 		lens := make([]int32, hi-lo)
 		col, w := b.col[:0], b.w[:0]
@@ -645,5 +678,12 @@ func (a *GraphAccumulator) finalizeCooccurrence() *graph.Graph {
 		b.col, b.w = col, w
 		return graph.Rows[int32]{Len: lens, Col: slices.Clone(col), W: slices.Clone(w)}
 	})
-	return graph.FromUpper(ids, runs, a.Workers)
+	return graph.FromUpper(ids, runs, a.Workers, in), free
+}
+
+// tallyBuf is one worker's co-occurrence tally scratch.
+type tallyBuf struct {
+	count   []int32 // co-member rank -> shared cubes, zero between rows
+	touched []int32 // the row's co-members, first-seen order
+	col, w  []int32 // the chunk's run so far
 }

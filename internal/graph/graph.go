@@ -74,7 +74,15 @@ type Rows[W Weight] struct {
 // row writes its own edges and where each run writes the transposed ones.
 // The runs then fill the arrays side by side on up to workers goroutines
 // (0 = GOMAXPROCS), and the graph does not depend on workers.
-func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int) *Graph {
+//
+// The graph is built in in's arrays where they have room (in nil: in
+// fresh ones), so a caller that builds a graph of about the same size
+// again, such as a serving refresh, writes into pages it has already
+// touched instead of faulting in new ones. in must not be read again.
+func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int, in *Graph) *Graph {
+	if in == nil {
+		in = &Graph{}
+	}
 	n := len(ids)
 	first := make([]int, len(runs)+1) // run i holds rows first[i]:first[i+1]
 	for i, run := range runs {
@@ -139,7 +147,7 @@ func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int) *Graph {
 	// Place: vertex v's half edges are the transposed ones run by run, then
 	// its own row's. below[i][r] and own[r] become where they start.
 	nv := len(rowOf)
-	g := &Graph{ids: make([]int64, nv), off: make([]int32, nv+1)}
+	g := &Graph{ids: reuse(in.ids, nv), off: reuse(in.off, nv+1)} // off[0] is 0 in any graph
 	halves := 0
 	for v, r := range rowOf {
 		g.ids[v] = ids[r]
@@ -159,7 +167,7 @@ func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int) *Graph {
 
 	// Fill: each run writes its rows' own half edges and, at the next free
 	// slot of its share of each endpoint's lower half, the transposed ones.
-	to, wt := make([]int32, halves), make([]float64, halves)
+	to, wt := reuse(in.to, halves), reuse(in.w, halves)
 	parallel.ForGrain(workers, len(runs), 1, func(i int) {
 		at := below[i]
 		eachRow(i, func(r int, col []int32, w []W) {
@@ -177,7 +185,7 @@ func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int) *Graph {
 			}
 		})
 	})
-	off, degree := g.off, make([]float64, nv)
+	off, degree := g.off, reuse(in.degree, nv)
 	parallel.ForGrain(workers, nv, vertexGrain, func(v int) {
 		d := 0.0
 		for _, w := range wt[off[v]:off[v+1]] {
@@ -187,6 +195,15 @@ func FromUpper[W Weight](ids []int64, runs []Rows[W], workers int) *Graph {
 	})
 	g.to, g.w, g.degree = to, wt, degree
 	return g
+}
+
+// reuse returns s resliced to n elements when it has the room, else a
+// fresh slice of n zeros. The caller overwrites every element.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Validate checks structural invariants: symmetric adjacency, positive

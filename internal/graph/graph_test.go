@@ -300,11 +300,13 @@ func TestFromEdgesMatchesAddDistinctEdge(t *testing.T) {
 // list build on all five arrays: random upper-triangular lists over
 // ascending ids, split into runs at arbitrary rows (empty runs and rows
 // without edges among them), with skipped weights, at several worker
-// counts. Every vertex it makes has a neighbour and a positive degree, the
+// counts, every build but the first in the arrays of the one before it
+// (larger or smaller than it needs). Every vertex it makes has a neighbour and a positive degree, the
 // contract PageRank and label propagation rely on.
 func TestFromUpperMatchesFromEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bad := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	var last *Graph // every build after the first reuses the one before it
 	for trial := range 40 {
 		n := rng.Intn(80)
 		ids := make([]int64, n)
@@ -345,7 +347,8 @@ func TestFromUpperMatchesFromEdges(t *testing.T) {
 		}
 		want := FromEdges(ids, edges)
 		for _, workers := range []int{1, 2, 7} {
-			got := FromUpper(ids, runs, workers)
+			got := FromUpper(ids, runs, workers, last)
+			last = got
 			if err := SameArrays(want, got); err != nil {
 				t.Fatalf("trial %d (%d ids, %d edges, %d runs) workers=%d: %v", trial, n, len(edges), len(runs), workers, err)
 			}
@@ -367,5 +370,5 @@ func TestFromUpperRejectsEdgeBelowDiagonal(t *testing.T) {
 			t.Error("FromUpper accepted an edge below the diagonal")
 		}
 	}()
-	FromUpper([]int64{1, 2}, []Rows[float64]{{Len: []int32{0, 1}, Col: []int32{0}, W: []float64{1}}}, 1)
+	FromUpper([]int64{1, 2}, []Rows[float64]{{Len: []int32{0, 1}, Col: []int32{0}, W: []float64{1}}}, 1, nil)
 }
