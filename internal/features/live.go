@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/synth"
@@ -50,9 +51,12 @@ type liveState struct {
 	stale map[int64]struct{}
 	// graphs is the F4–F6 fold, nil when no graph group is kept.
 	graphs *graphFold
-	// mem is what the last capture's graphs were built in, for the next
-	// capture to build in; a capture being built holds it instead.
-	mem graphMemory
+	// spare holds what the last capture's graphs were built in
+	// (*graphMemory), for the next capture to build in. A pool, not a
+	// field: memory held by a daemon that serves reads and takes no
+	// refresh would be live heap for nothing, and the collector drops a
+	// pooled one after two cycles with no capture between.
+	spare sync.Pool
 }
 
 // Keep starts the maintainer's live state for a serving schema: groups'
@@ -131,9 +135,8 @@ type Captured struct {
 	in   GraphFeatureInput
 	acc  *GraphAccumulator // nil when no graph group is kept
 	// mem is the memory the graphs build in, taken from the live state
-	// and handed back once the graphs are scored: m's live state l.
+	// l and handed back to it once the graphs are scored.
 	mem graphMemory
-	m   *Maintainer
 	l   *liveState
 }
 
@@ -142,8 +145,8 @@ type Captured struct {
 // a Feed over the maintained tables would leave with the universe and in's
 // previous churners as its customers, on up to workers goroutines. The
 // fold itself is left as it was. The capture also takes the memory the
-// last capture's graphs were built in, so its own build reuses it. It
-// fails before Keep.
+// last capture's graphs were built in, if the collector has not dropped
+// it, so its own build reuses it. It fails before Keep.
 func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -161,9 +164,10 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 		}
 	}
 	k := l.kept
-	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in,
-		mem: l.mem, m: m, l: l}
-	l.mem = graphMemory{}
+	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in, l: l}
+	if mem, ok := l.spare.Get().(*graphMemory); ok {
+		c.mem = *mem
+	}
 	if l.graphs != nil {
 		customers := newKeyIndex(hashID, len(k.ids)+len(in.PrevChurners))
 		for _, id := range k.ids {
@@ -194,9 +198,7 @@ func (c *Captured) Frame(workers int) *Frame {
 			g, mem := c.acc.finalize(c.mem)
 			c.mem = graphMemory{} // a second Frame builds fresh
 			scoreGraphsInto(uni, g, c.in, workers)
-			c.m.mu.Lock()
-			c.l.mem = mem
-			c.m.mu.Unlock()
+			c.l.spare.Put(&mem)
 		}
 	}
 	assemble(uni, []*Frame{c.kept}, graphs)
