@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"telcochurn/internal/parallel"
 	"telcochurn/internal/synth"
@@ -51,12 +50,13 @@ type liveState struct {
 	stale map[int64]struct{}
 	// graphs is the F4–F6 fold, nil when no graph group is kept.
 	graphs *graphFold
-	// spare holds what the last capture's graphs were built in
-	// (*graphMemory), for the next capture to build in. A pool, not a
-	// field: memory held by a daemon that serves reads and takes no
-	// refresh would be live heap for nothing, and the collector drops a
-	// pooled one after two cycles with no capture between.
-	spare sync.Pool
+	// mem is what the last capture's graphs were built in, for the next
+	// capture to build in; a capture being built holds it instead. The
+	// first capture after Keep, the one a serving boot builds from,
+	// hands nothing back: a daemon that serves reads and never refreshes
+	// would keep it resident for nothing. captured is set by that one.
+	mem      graphMemory
+	captured bool
 }
 
 // Keep starts the maintainer's live state for a serving schema: groups'
@@ -134,10 +134,11 @@ type Captured struct {
 	kept *Frame
 	in   GraphFeatureInput
 	acc  *GraphAccumulator // nil when no graph group is kept
-	// mem is the memory the graphs build in, taken from the live state
-	// l and handed back to it once the graphs are scored.
-	mem graphMemory
-	l   *liveState
+	// mem is the memory the graphs build in, taken from the live state;
+	// back is where it goes once the graphs are scored (nil: nowhere).
+	mem  graphMemory
+	m    *Maintainer
+	back *liveState
 }
 
 // Capture re-folds any stale customer, then takes the kept columns (the
@@ -145,8 +146,8 @@ type Captured struct {
 // a Feed over the maintained tables would leave with the universe and in's
 // previous churners as its customers, on up to workers goroutines. The
 // fold itself is left as it was. The capture also takes the memory the
-// last capture's graphs were built in, if the collector has not dropped
-// it, so its own build reuses it. It fails before Keep.
+// last capture's graphs were built in, so its own build reuses it. It
+// fails before Keep.
 func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -164,10 +165,13 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 		}
 	}
 	k := l.kept
-	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in, l: l}
-	if mem, ok := l.spare.Get().(*graphMemory); ok {
-		c.mem = *mem
+	c := &Captured{kept: &Frame{ids: k.ids, index: k.index, names: k.names, group: k.group, x: slices.Clone(k.x)}, in: in,
+		mem: l.mem, m: m}
+	l.mem = graphMemory{}
+	if l.captured {
+		c.back = l
 	}
+	l.captured = true
 	if l.graphs != nil {
 		customers := newKeyIndex(hashID, len(k.ids)+len(in.PrevChurners))
 		for _, id := range k.ids {
@@ -188,7 +192,8 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 // is Float64bits-equal to BuildShardedFrame over the maintained tables
 // with the kept groups and the graph groups. The graphs are built in the
 // memory the capture took, which goes back to the live state once they
-// are scored, for the next capture.
+// are scored, for the next capture (unless this was the first capture
+// after Keep).
 func (c *Captured) Frame(workers int) *Frame {
 	uni := NewFrame(c.kept.ids)
 	var graphs func()
@@ -198,7 +203,11 @@ func (c *Captured) Frame(workers int) *Frame {
 			g, mem := c.acc.finalize(c.mem)
 			c.mem = graphMemory{} // a second Frame builds fresh
 			scoreGraphsInto(uni, g, c.in, workers)
-			c.l.spare.Put(&mem)
+			if c.back != nil {
+				c.m.mu.Lock()
+				c.back.mem = mem
+				c.m.mu.Unlock()
+			}
 		}
 	}
 	assemble(uni, []*Frame{c.kept}, graphs)
