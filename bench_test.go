@@ -182,7 +182,7 @@ func BenchmarkWideTableBuild(b *testing.B) {
 func BenchmarkCustomerFrame(b *testing.B) {
 	months := benchWorld(b)
 	tbl := benchTables(b, months[:1])
-	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
+	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30, 0, nil, nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func BenchmarkCustomerFrame(b *testing.B) {
 func BenchmarkCustomerFrames(b *testing.B) {
 	months := benchWorld(b)
 	tbl := benchTables(b, months[:1])
-	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30)
+	m, err := features.NewMaintainer(tbl, features.MonthWindow(1, 30), 30, 0, nil, nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -81,6 +81,7 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -345,17 +346,21 @@ func (s *service) buildEngine() (*engine, error) {
 }
 
 // bootFrame reads the served month once, folds the unmerged event log into
-// it once and builds the serving frame from those tables, so a restart
-// resumes exactly where the log left off. The engine keeps the maintainer
-// and the log only if it can take writes: a log that will not open or
-// replay, a maintainer that will not wire (schema drift, F9, a degraded
-// window) or a failed frame leave ingest disabled. An engine that takes
-// writes builds the frame from its maintainer's live state, as every
-// refresh does; one that does not builds it over a view of the tables.
+// it once and builds the serving frame from the maintainer's live state, as
+// every refresh does, so a restart resumes exactly where the log left off.
+// Without -degraded a table the load could not read refuses the month;
+// with it the table's groups are imputed and its logged events wait for
+// the next build. The engine keeps the maintainer and the log only if it
+// can take writes: a log that will not open or replay, a missing table or
+// a failed frame leave ingest disabled.
 func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, error) {
-	inc, err := core.LoadIncremental(e.rs.Source, e.win, e.pipe.Config().Workers)
+	inc, err := core.NewIncremental(e.pipe, e.rs.Source, e.win)
 	if err != nil {
 		return nil, err
+	}
+	missing := inc.Missing()
+	if len(missing) > 0 && !s.opts.degraded {
+		return nil, fmt.Errorf("tables unavailable: %s", strings.Join(missing, ", "))
 	}
 	e.inc = inc
 	if e.log, err = wh.EventLog(); err != nil {
@@ -363,26 +368,22 @@ func (s *service) bootFrame(e *engine, wh *store.Warehouse) (*serve.Snapshot, er
 	} else if _, _, err = s.fold(e, e.fromLog()); err != nil {
 		log.Printf("churnd: event log replay failed, ingest disabled: %v", err)
 		e.log = nil
-	} else if err = inc.Wire(e.pipe); err != nil {
-		log.Printf("churnd: incremental maintenance unavailable, ingest disabled: %v", err)
+	} else if len(missing) > 0 {
+		log.Printf("churnd: tables unavailable (%s), ingest disabled", strings.Join(missing, ", "))
 		e.log = nil
 	}
-	var frameProv *serve.Snapshot
-	if e.log != nil {
-		var seeds core.GraphSeeds
+	var frame *serve.Snapshot
+	seeds, err := inc.ReadSeeds(e.rs.Source, s.opts.degraded)
+	if err == nil {
 		var captured *core.Captured
-		if seeds, err = inc.ReadSeeds(e.rs.Source, s.opts.degraded); err == nil {
-			if captured, err = inc.Capture(seeds); err == nil {
-				frameProv, err = liveFrame(captured)
-			}
+		if captured, err = inc.Capture(seeds); err == nil {
+			frame, err = liveFrame(captured)
 		}
-	} else {
-		frameProv, err = s.newFrame(e, inc.View(e.rs.Source))
 	}
 	if err != nil || e.log == nil {
 		e.inc, e.log = nil, nil
 	}
-	return frameProv, err
+	return frame, err
 }
 
 // liveFrame builds the serving frame from a capture of an engine's live
@@ -393,15 +394,6 @@ func liveFrame(captured *core.Captured) (*serve.Snapshot, error) {
 		return nil, err
 	}
 	return serve.FrameSnapshot(frame, deg), nil
-}
-
-// newFrame builds the serving frame over src, imputing around unavailable
-// tables under -degraded.
-func (s *service) newFrame(e *engine, src core.Source) (*serve.Snapshot, error) {
-	if s.opts.degraded {
-		return serve.NewFrameProviderDegraded(e.pipe, src, e.win)
-	}
-	return serve.NewFrameProvider(e.pipe, src, e.win)
 }
 
 // errIngestUnavailable marks an engine that cannot take writes (no

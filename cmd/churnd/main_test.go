@@ -23,6 +23,7 @@ import (
 	"telcochurn/internal/serve"
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
+	"telcochurn/internal/table"
 	"telcochurn/internal/tree"
 )
 
@@ -1109,40 +1110,57 @@ func TestEventsFoldAfterCommitDespiteCancel(t *testing.T) {
 // TestDegradedBootWithEventLog: a -degraded boot over a warehouse missing a
 // raw table folds the unmerged log into the tables it has. It serves what a
 // degraded rebuild gives after the log is merged, and takes no events.
+// Logged events for the missing table change nothing it serves: its
+// columns are imputed, as the degraded rebuild imputes them.
 func TestDegradedBootWithEventLog(t *testing.T) {
 	whDir, artifact, want := makeWorld(t)
 	if err := os.RemoveAll(filepath.Join(whDir, synth.TableWeb)); err != nil {
 		t.Fatal(err)
 	}
-	wh, err := store.Open(whDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elog, err := wh.EventLog()
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := synth.GenerateEvents(want.IDs[:20], 4, synth.DefaultConfig().DaysPerMonth, 200, 3)
-	for name := range events {
-		if name != synth.TableRecharges {
-			delete(events, name)
+	if events[synth.TableWeb] == nil {
+		t.Fatal("no web events generated")
+	}
+	// A twin warehouse whose log also holds web events.
+	twinDir := filepath.Join(t.TempDir(), "wh")
+	copyDir(t, whDir, twinDir)
+	appendEvents := func(dir string, names ...string) {
+		t.Helper()
+		wh, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elog, err := wh.EventLog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := map[string]*table.Table{}
+		for _, name := range names {
+			batch[name] = events[name]
+		}
+		if _, err := elog.Append(batch); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := elog.Append(events); err != nil {
-		t.Fatal(err)
-	}
+	appendEvents(whDir, synth.TableRecharges)
+	appendEvents(twinDir, synth.TableRecharges, synth.TableWeb)
 
-	svc, err := buildService(serviceOpts{artifact: artifact, warehouse: whDir, degraded: true})
-	if err != nil {
-		t.Fatal(err)
+	boot := func(dir string) [][]float64 {
+		t.Helper()
+		svc, err := buildService(serviceOpts{artifact: artifact, warehouse: dir, degraded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		ts := httptest.NewServer(svc.Handler())
+		defer ts.Close()
+		if status, ready, _ := getJSON(t, ts.URL+"/readyz"); status != http.StatusOK || ready["ingest"] != false || ready["degraded"] != "F1" {
+			t.Fatalf("readyz = %d %v, want 200, ingest false, degraded F1", status, ready)
+		}
+		return servedVectors(t, svc, want.IDs)
 	}
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	if status, ready, _ := getJSON(t, ts.URL+"/readyz"); status != http.StatusOK || ready["ingest"] != false || ready["degraded"] != "F1" {
-		t.Fatalf("readyz = %d %v, want 200, ingest false, degraded F1", status, ready)
-	}
-	served := servedVectors(t, svc, want.IDs)
+	served := boot(whDir)
+	sameVectors(t, "degraded boot with web events logged", want.IDs, boot(twinDir), served)
 	sameVectors(t, "degraded boot vs merged degraded rebuild", want.IDs, served,
 		mergedRebuild(t, whDir, artifact, true, want.IDs))
 }

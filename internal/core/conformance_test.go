@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,14 +16,17 @@ import (
 	"telcochurn/internal/store"
 	"telcochurn/internal/synth"
 	"telcochurn/internal/table"
+	"telcochurn/internal/tree"
 )
 
 // The source-conformance matrix: a source is a reader factory and a
 // decorator is one ReadMonths, so every decorator — alone or stacked, in
 // either order — over every base must keep the base's shape and pass a
-// failing table through to the loaders unchanged in kind. That a decorator
-// with nothing to add reads exactly what its base reads is
-// FuzzPipelineIdentity's.
+// failing table through to the loaders unchanged in kind. The maintained
+// month (core.Incremental) loaded over a base, bare or retrying, must
+// build the frame and mask a degraded build over it builds, failing table
+// or not. That a decorator with nothing to add reads exactly what its base
+// reads is FuzzPipelineIdentity's.
 
 func conformanceCfg() synth.Config {
 	cfg := synth.DefaultConfig()
@@ -46,17 +50,6 @@ func noSleep(time.Duration) {}
 
 func retrying(src core.Source) core.Source {
 	return core.NewRetrySource(src, core.RetryConfig{Sleep: noSleep}).Source
-}
-
-// overlaid is the maintained view of src's month 2 with no events folded
-// in: it answers month 2 from memory and must read what src reads. Loading
-// it fails only without a customer snapshot.
-func overlaid(src core.Source) (core.Source, error) {
-	inc, err := core.LoadIncremental(src, features.MonthWindow(2, src.DaysPerMonth()), 2)
-	if err != nil {
-		return core.Source{}, err
-	}
-	return inc.View(src), nil
 }
 
 // failingReader fails every read of one table with a fixed error.
@@ -106,34 +99,36 @@ func TestSourceConformance(t *testing.T) {
 		{"warehouse", core.NewWarehouseSource(plain, days)},
 		{"sharded4", core.NewShardedWarehouseSource(sw, days)},
 	}
+	// A live entry loads the maintained month over the wrapped base
+	// instead of checking the wrapped source itself.
 	wraps := []struct {
 		name string
-		wrap func(core.Source) (core.Source, error)
+		wrap func(core.Source) core.Source
+		live bool
 	}{
-		{"none", func(s core.Source) (core.Source, error) { return s, nil }},
-		{"retry", func(s core.Source) (core.Source, error) { return retrying(s), nil }},
-		{"overlay", overlaid},
-		{"faults", func(s core.Source) (core.Source, error) { return faults.Wrap(s, faults.New(faults.Config{})), nil }},
-		{"retry(overlay)", func(s core.Source) (core.Source, error) {
-			o, err := overlaid(s)
-			return retrying(o), err
-		}},
-		{"overlay(retry)", func(s core.Source) (core.Source, error) { return overlaid(retrying(s)) }},
+		{"none", func(s core.Source) core.Source { return s }, false},
+		{"retry", retrying, false},
+		{"overlay", func(s core.Source) core.Source { return s }, true},
+		{"faults", func(s core.Source) core.Source { return faults.Wrap(s, faults.New(faults.Config{})) }, false},
+		{"overlay(retry)", retrying, true},
 	}
 	// Two months, so every read also concatenates.
 	win := features.Window{FromAbs: 1, ToAbs: 2 * days}
 	graph := core.NewFrameBuilder(core.Config{Groups: []features.Group{features.F1Baseline, features.F4CallGraph}})
+	fitted := conformancePipeline(t, bases[0].src)
 
 	for _, b := range bases {
 		for _, w := range wraps {
 			t.Run(b.name+"/"+w.name, func(t *testing.T) {
-				wrap := func(s core.Source) core.Source {
-					t.Helper()
-					src, err := w.wrap(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return src
+				wrap := w.wrap
+				if w.live {
+					checkLiveConformance(t, fitted, func(down string) core.Source {
+						if down == "" {
+							return wrap(b.src)
+						}
+						return wrap(failing(b.src, down, dead))
+					}, features.MonthWindow(2, days))
+					return
 				}
 				src := wrap(b.src)
 				if src.DaysPerMonth() != days || src.NumShards() != b.src.NumShards() {
@@ -174,13 +169,9 @@ func TestSourceConformance(t *testing.T) {
 						}
 					}
 				}
-				// Without a customer snapshot the maintained view cannot load;
-				// either way the refusal is the typed one.
-				src, err = w.wrap(failing(b.src, synth.TableCustomers, dead))
-				if err == nil {
-					_, _, _, err = graph.BuildFrameDegraded(src, win)
-				}
-				if !errors.Is(err, features.ErrUniverseUnavailable) {
+				// Without a customer snapshot the refusal is the typed one.
+				src = wrap(failing(b.src, synth.TableCustomers, dead))
+				if _, _, _, err = graph.BuildFrameDegraded(src, win); !errors.Is(err, features.ErrUniverseUnavailable) {
 					t.Fatalf("degraded build with customers down: %v, want ErrUniverseUnavailable", err)
 				}
 
@@ -205,49 +196,145 @@ func TestSourceConformance(t *testing.T) {
 	}
 }
 
-// TestSourceConformanceOverlayCopies: the maintained view may be loaded from
-// tables it does not own — a memory source shares the simulator's — and a
-// view is a snapshot. Ingest never grows the simulator's tables, and a view
-// taken before an ingest never sees it.
+// checkLiveConformance holds the maintained month of win over src (down
+// names a table src makes unreadable, "" none) to the degraded build over
+// the same source, frame and mask: with nothing down, with web down (its
+// events refused) and with the truth feed down (strict seeds failing with
+// the reader's error). Without a customer snapshot the load refuses with
+// the typed error.
+func checkLiveConformance(t *testing.T, p *core.Pipeline, src func(down string) core.Source, win features.Window) {
+	t.Helper()
+	masks := map[string]features.Degradation{
+		"":               0,
+		synth.TableWeb:   features.GroupSetOf(features.F1Baseline),
+		synth.TableTruth: features.GroupSetOf(features.F4CallGraph),
+	}
+	for _, down := range []string{"", synth.TableWeb, synth.TableTruth} {
+		s := src(down)
+		inc, err := core.NewIncremental(p, s, win)
+		if err != nil {
+			t.Fatalf("%q down: load: %v", down, err)
+		}
+		var missing []string
+		if down == synth.TableWeb {
+			missing = []string{down}
+		}
+		if !slices.Equal(inc.Missing(), missing) {
+			t.Fatalf("%q down: missing %v, want %v", down, inc.Missing(), missing)
+		}
+		if _, err := inc.ReadSeeds(s, false); (down == synth.TableTruth) != errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%q down: strict seeds: %v", down, err)
+		}
+		seeds, err := inc.ReadSeeds(s, true)
+		if err != nil {
+			t.Fatalf("%q down: partial seeds: %v", down, err)
+		}
+		captured, err := inc.Capture(seeds)
+		if err != nil {
+			t.Fatalf("%q down: capture: %v", down, err)
+		}
+		got, deg, err := captured.Frame()
+		if err != nil || deg != masks[down] {
+			t.Fatalf("%q down: capture's frame: mask %s, want %s, err %v", down, deg, masks[down], err)
+		}
+		want, _, _, err := p.BuildFrameDegraded(s, win)
+		if err != nil {
+			t.Fatalf("%q down: degraded build: %v", down, err)
+		}
+		sameFrame(t, fmt.Sprintf("%q down: capture vs degraded build", down), got, want)
+		if _, _, err := inc.Ingest(synth.TableWeb, table.NewTable(synth.WebSchema)); (down == synth.TableWeb) != (err != nil) {
+			t.Fatalf("%q down: web events: %v", down, err)
+		}
+	}
+	if _, err := core.NewIncremental(p, src(synth.TableCustomers), win); !errors.Is(err, features.ErrUniverseUnavailable) {
+		t.Fatalf("load with customers down: %v, want ErrUniverseUnavailable", err)
+	}
+}
+
+// conformancePipeline fits the F1 + call-graph pipeline the maintained
+// month is checked with, on month 1 of src.
+func conformancePipeline(t *testing.T, src core.Source) *core.Pipeline {
+	t.Helper()
+	p, err := core.Fit(src, []core.WindowSpec{core.MonthSpec(1, src.DaysPerMonth())}, core.Config{
+		Groups: []features.Group{features.F1Baseline, features.F4CallGraph},
+		Forest: tree.ForestConfig{NumTrees: 2, MinLeafSamples: 10},
+		Seed:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSourceConformanceOverlayCopies: the maintained month may be loaded
+// from tables it does not own — a memory source shares the simulator's —
+// and a capture is a snapshot. Ingest never grows the simulator's tables; a
+// capture builds the frame of the month with the events ingested before
+// it merged in, and only those, however often it is built.
 func TestSourceConformanceOverlayCopies(t *testing.T) {
 	cfg := conformanceCfg()
 	days := cfg.DaysPerMonth
 	sim := synth.Simulate(cfg)
 	src := core.NewMemorySource(sim, days)
+	p := conformancePipeline(t, src)
 	win := features.MonthWindow(2, days)
 	before := map[string]int{}
 	for name, tb := range sim[1].Tables() {
 		before[name] = tb.NumRows()
 	}
-	inc, err := core.LoadIncremental(src, win, 2)
+	inc, err := core.NewIncremental(p, src, win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest := func(seed int64) int {
+	var events []*table.Table
+	ingest := func(seed int64) {
 		ev := synth.GenerateEvents(sim[1].Customers.MustCol("imsi").Ints[:20], 2, days, 120, seed)[synth.TableRecharges]
 		if _, _, err := inc.Ingest(synth.TableRecharges, ev); err != nil {
 			t.Fatal(err)
 		}
-		return ev.NumRows()
+		events = append(events, ev)
 	}
-	recharges := func(view core.Source) int {
-		tbl, err := view.Tables(win)
+	capture := func() *core.Captured {
+		seeds, err := inc.ReadSeeds(src, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tbl.Recharges.NumRows()
+		c, err := inc.Capture(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	first := ingest(3)
-	early := inc.View(src)
-	second := ingest(4)
-	late := inc.View(src)
+	// merged builds month 2 with the events so far appended to its
+	// recharges, as a merge lays them.
+	merged := func() *features.Frame {
+		months := slices.Clone(sim)
+		md := *sim[1]
+		var err error
+		if md.Recharges, err = table.Concat(append([]*table.Table{sim[1].Recharges}, events...)); err != nil {
+			t.Fatal(err)
+		}
+		months[1] = &md
+		frame, err := p.BuildFrame(core.NewMemorySource(months, days), win, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	build := func(c *core.Captured) *features.Frame {
+		frame, _, err := c.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	ingest(3)
+	early, first := capture(), merged()
+	ingest(4)
+	late, second := capture(), merged()
 	for pass := 0; pass < 2; pass++ {
-		if got, want := recharges(early), before[synth.TableRecharges]+first; got != want {
-			t.Fatalf("pass %d: early view recharges = %d rows, want %d", pass, got, want)
-		}
-		if got, want := recharges(late), before[synth.TableRecharges]+first+second; got != want {
-			t.Fatalf("pass %d: late view recharges = %d rows, want %d", pass, got, want)
-		}
+		sameFrame(t, fmt.Sprintf("pass %d: early capture", pass), build(early), first)
+		sameFrame(t, fmt.Sprintf("pass %d: late capture", pass), build(late), second)
 	}
 	for name, tb := range sim[1].Tables() {
 		if tb.NumRows() != before[name] {

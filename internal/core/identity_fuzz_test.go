@@ -37,13 +37,14 @@ import (
 // RetrySource; Predict, PredictSharded, PredictDegraded, and PredictVectors
 // after a Save/Load round trip. With a table down, every strict path fails
 // with the reader's error and every degraded path imputes the same frame
-// under the same mask. With nothing down and a one-month window, streamed
-// events go through the sharded landing's event log and an Incremental in
-// two batches: Refresh and RefreshAll rows, and builds over
-// Incremental.View, equal the rebuild after each EventLog.MergeInto —
-// graph columns excepted in refreshed rows, which keep their snapshot
-// values until the next full build — and a view taken after the first
-// batch still reads as that batch's merge after the second.
+// under the same mask — with a one-month window, the frame a capture of an
+// Incremental over the landing builds too. With nothing down and a
+// one-month window, streamed events go through the sharded landing's event
+// log and an Incremental in two batches: Refresh and RefreshAll rows, and
+// the frames captures build, equal the rebuild after each
+// EventLog.MergeInto — graph columns excepted in refreshed rows, which keep
+// their snapshot values until the next full build — and a capture taken
+// after the first batch still builds that batch's merge after the second.
 //
 // The corpus under testdata/fuzz runs in tier-1; make chaos fuzzes for 60 s.
 func FuzzPipelineIdentity(f *testing.F) {
@@ -253,8 +254,9 @@ func (c identityCase) check(t *testing.T) {
 
 // checkDown holds the paths to one contract with c.down unreadable: strict
 // builds fail with the reader's error wherever the table is read, degraded
-// builds impute the reference's frame under its mask, and without a
-// customer snapshot every path fails with ErrUniverseUnavailable.
+// builds — and, over a one-month window, a capture of the maintained month
+// over partial seeds — impute the reference's frame under its mask, and
+// without a customer snapshot every path fails with ErrUniverseUnavailable.
 func (c identityCase) checkDown(t *testing.T, ref, p *core.Pipeline, memory core.Source, landings []landing, win features.Window) {
 	want, _, wantMask, err := ref.BuildFrameDegraded(memory, win)
 	if c.down == synth.TableCustomers {
@@ -298,26 +300,53 @@ func (c identityCase) checkDown(t *testing.T, ref, p *core.Pipeline, memory core
 
 		got, _, deg, err := p.BuildFrameDegraded(l.src, win)
 		preds, _, errPreds := p.PredictDegraded(l.src, win)
+		var live *features.Frame
+		liveDeg, errLive := deg, error(nil)
+		if c.span == 1 {
+			live, liveDeg, errLive = captureFrame(p, l.src, win)
+		}
 		if c.down == synth.TableCustomers {
-			if !errors.Is(err, features.ErrUniverseUnavailable) || !errors.Is(errPreds, features.ErrUniverseUnavailable) {
-				t.Fatalf("%s: degraded paths without customers: %v, %v", what, err, errPreds)
+			if !errors.Is(err, features.ErrUniverseUnavailable) || !errors.Is(errPreds, features.ErrUniverseUnavailable) ||
+				c.span == 1 && !errors.Is(errLive, features.ErrUniverseUnavailable) {
+				t.Fatalf("%s: degraded paths without customers: %v, %v, %v", what, err, errPreds, errLive)
 			}
 			continue
 		}
-		if err != nil || errPreds != nil {
-			t.Fatalf("%s: degraded paths: %v, %v", what, err, errPreds)
+		if err != nil || errPreds != nil || errLive != nil {
+			t.Fatalf("%s: degraded paths: %v, %v, %v", what, err, errPreds, errLive)
 		}
-		if deg != wantMask {
-			t.Fatalf("%s: BuildFrameDegraded mask %s, want %s", what, deg, wantMask)
+		if deg != wantMask || liveDeg != wantMask {
+			t.Fatalf("%s: BuildFrameDegraded mask %s, capture's %s, want %s", what, deg, liveDeg, wantMask)
 		}
 		sameFrame(t, what+" BuildFrameDegraded", got, want)
 		samePreds(t, what+" PredictDegraded", preds, wantPreds)
+		if live != nil {
+			sameFrame(t, what+" capture", live, want)
+		}
 	}
+}
+
+// captureFrame loads the maintained month of win over src and builds the
+// serving frame from a capture of it, over partial seeds.
+func captureFrame(p *core.Pipeline, src core.Source, win features.Window) (*features.Frame, features.Degradation, error) {
+	inc, err := core.NewIncremental(p, src, win)
+	if err != nil {
+		return nil, 0, err
+	}
+	seeds, err := inc.ReadSeeds(src, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	captured, err := inc.Capture(seeds)
+	if err != nil {
+		return nil, 0, err
+	}
+	return captured.Frame()
 }
 
 // checkStream streams the case's events into the sharded landing's log and
 // an Incremental over it in two batches, each merged into the partitions
-// after it is folded, and holds builds over Incremental.View, Refresh and
+// after it is folded, and holds the frames captures build, Refresh and
 // RefreshAll rows to the rebuild after each merge. base is the window's
 // frame before the events. It runs last: the merges rewrite the landing.
 func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features.Frame, wh *store.Warehouse, src core.Source, win features.Window) {
@@ -371,19 +400,9 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 			}
 		}
 	}
-	// merge commits the log and rebuilds; the rebuild must be the build
-	// over view, whole-window and shard by shard.
-	merge := func(what string, view core.Source) *features.Frame {
+	// merge commits the log and rebuilds.
+	merge := func() *features.Frame {
 		t.Helper()
-		viewSharded, _, err := p.BuildFrameSharded(view, win)
-		if err != nil {
-			t.Fatalf("%v: sharded build over the %s view: %v", c, what, err)
-		}
-		viewWhole, err := p.BuildFrame(view, win, false, nil)
-		if err != nil {
-			t.Fatalf("%v: build over the %s view: %v", c, what, err)
-		}
-		sameFrame(t, fmt.Sprintf("%v: whole-window vs sharded build over the %s view", c, what), viewWhole, viewSharded)
 		if _, err := log.MergeInto(); err != nil {
 			t.Fatalf("%v: merge: %v", c, err)
 		}
@@ -391,7 +410,6 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 		if err != nil {
 			t.Fatalf("%v: rebuild after merge: %v", c, err)
 		}
-		sameFrame(t, fmt.Sprintf("%v: %s view vs rebuild after merge", c, what), viewSharded, merged)
 		return merged
 	}
 
@@ -431,22 +449,17 @@ func (c identityCase) checkStream(t *testing.T, p *core.Pipeline, base *features
 	if _, errs := inc.RefreshAll(touched, touchedBases); len(errs) > 0 && errors.Join(errs...) != nil {
 		t.Fatalf("%v: RefreshAll after the first batch: %v", c, errors.Join(errs...))
 	}
-	early, earlyCap := inc.View(src), capture()
-	first := merge("first batch's", early)
+	earlyCap := capture()
+	first := merge()
 	sameFrame(t, fmt.Sprintf("%v: first batch's capture vs rebuild after merge", c), build("first batch's", earlyCap), first)
 	sameFrame(t, fmt.Sprintf("%v: a second capture with no event between", c), build("repeated", capture()), first)
 	stream(1)
 	if affected[outside] || inc.Maintainer().Applied() != applied {
 		t.Fatalf("%v: outside customer affected %v, %d rows applied, want %d", c, affected[outside], inc.Maintainer().Applied(), applied)
 	}
-	again, err := p.BuildFrame(early, win, false, nil)
-	if err != nil {
-		t.Fatalf("%v: build over the first batch's view: %v", c, err)
-	}
-	sameFrame(t, fmt.Sprintf("%v: first batch's view after the second batch", c), again, first)
 	sameFrame(t, fmt.Sprintf("%v: first batch's capture after the second batch", c), build("first batch's", earlyCap), first)
 	lateCap := capture()
-	merged := merge("second batch's", inc.View(src))
+	merged := merge()
 	sameFrame(t, fmt.Sprintf("%v: second batch's capture vs rebuild after merge", c), build("second batch's", lateCap), merged)
 
 	// Every customer at once, one of them twice and one outside the

@@ -10,127 +10,97 @@ import (
 
 // Incremental holds one serving month between batch rebuilds: a
 // features.Maintainer over the month's raw tables with every folded event
-// appended, in the row layout store.EventLog.MergeInto commits, and — once
-// wired — the maintainer's live state over them (Maintainer.Keep): every
-// customer's per-customer columns and the F4–F6 graph fold. It answers
-// three questions. Refresh reassembles one customer's full wide-table row
-// in the fitted serving schema after an event — per-customer groups (F1–F3,
-// F7, F8) re-folded, graph columns (F4–F6) carried over from the snapshot
-// row (they are cross-customer and wait for the next refresh), and F9
-// re-derived from the updated row through the fitted second-order
-// selector. ReadSeeds, Capture and Captured.Frame build the whole serving
-// frame from the live state, reading no raw row and re-folding no
-// customer. View
-// presents the tables as a Source, for a build that cannot wire (a
-// degraded window). Every value any path produces is Float64bits-identical
-// to a from-scratch rebuild over the merged data; see features/incremental.go
-// and features/live.go for the argument, and FuzzPipelineIdentity for the
-// check.
+// appended, in the row layout store.EventLog.MergeInto commits, and the
+// maintainer's live state over them: every customer's per-customer columns
+// and the F4–F6 graph fold. It answers two questions. Refresh reassembles
+// one customer's full wide-table row in the fitted serving schema after an
+// event — per-customer groups (F1–F3, F7, F8) re-folded, graph columns
+// (F4–F6) carried over from the snapshot row (they are cross-customer and
+// wait for the next refresh), and F9 re-derived from the updated row
+// through the fitted second-order selector. ReadSeeds, Capture and
+// Captured.Frame build the whole serving frame from the live state,
+// reading no raw row and re-folding no customer. Every value either path
+// produces is Float64bits-identical to a from-scratch rebuild over the
+// merged data (BuildFrameDegraded's, with a table the load could not
+// read); see features/incremental.go and features/live.go for the
+// argument, and FuzzPipelineIdentity for the check.
 type Incremental struct {
 	maint *features.Maintainer
-	// missing names the window tables the source could not read, in
-	// canonical order. The maintainer holds an empty stand-in for each;
-	// View leaves them to the base source, whose error they carry.
+	pipe  *Pipeline
+	// missing names the window tables the load could not read, in
+	// canonical order. The maintainer holds an empty stand-in for each,
+	// takes none of its events and imputes its columns, as a degraded
+	// build does.
 	missing []string
-
-	// Set by Wire.
-	pipe *Pipeline
 	// colOf maps each per-customer column name to its serving-schema index.
 	colOf map[string]int
 	// f9Start is the index of the first F9 column, -1 when F9 is off.
 	f9Start int
 }
 
-// NewIncremental loads the window's raw tables from src and wires them
-// against the fitted pipeline's serving schema (LoadIncremental, then
-// Wire): every table must be readable.
+// NewIncremental reads the window's nine raw tables once, through one
+// reader of src and up to the pipeline's worker count of goroutines
+// (features.LoadTables), and keeps them in a maintainer live for the
+// fitted pipeline's serving schema. The load is lenient: a table src
+// cannot produce after whatever retries it performs becomes an empty
+// stand-in and is named by Missing. Only the customer snapshot is
+// required (features.ErrUniverseUnavailable). The window must be one
+// whole month. It fails on an unfitted pipeline and on schema drift
+// between the kept columns and the serving schema. src's tables are never
+// written into, so an in-memory source can be loaded directly.
 func NewIncremental(pipe *Pipeline, src Source, win features.Window) (*Incremental, error) {
-	inc, err := LoadIncremental(src, win, pipe.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := inc.Wire(pipe); err != nil {
-		return nil, err
-	}
-	return inc, nil
-}
-
-// LoadIncremental reads the window's nine raw tables once, through one
-// reader of src and up to workers goroutines (features.LoadTables), and
-// indexes them in a maintainer. The load is lenient: a table src cannot
-// produce after whatever retries it performs becomes an empty stand-in and
-// is named missing. Only the customer snapshot is required
-// (features.ErrUniverseUnavailable). The window must be one whole month.
-// src's tables are never written into, so an in-memory source can be
-// loaded directly.
-func LoadIncremental(src Source, win features.Window, workers int) (*Incremental, error) {
-	tbl, missing, err := features.LoadTables(src.open(-1), win, src.DaysPerMonth(), false, workers)
-	if err != nil {
-		return nil, err
-	}
-	maint, err := features.NewMaintainer(tbl, win, src.DaysPerMonth())
-	if err != nil {
-		return nil, err
-	}
-	return &Incremental{maint: maint, missing: missing}, nil
-}
-
-// Wire resolves the pipeline's serving schema for Refresh and starts the
-// maintainer's live state for it (Maintainer.Keep) over the tables as they
-// stand. It fails on an unfitted pipeline, on schema drift between the
-// recomputed columns and the serving schema, and on a degraded window: a
-// table the load could not read maintains nothing, so such a window takes
-// no events.
-func (inc *Incremental) Wire(pipe *Pipeline) error {
 	names := pipe.FeatureNames()
 	if len(names) == 0 {
-		return fmt.Errorf("core: incremental maintenance needs a fitted pipeline")
-	}
-	if len(inc.missing) > 0 {
-		return fmt.Errorf("core: %d of the window's tables are unavailable; a degraded window takes no events", len(inc.missing))
+		return nil, fmt.Errorf("core: incremental maintenance needs a fitted pipeline")
 	}
 	want := pipe.cfg.groupSet()
-	perCust := (want & (features.BaseGroups | features.TopicGroups)).Groups()
+	f9Start := -1
+	if want.Has(features.F9SecondOrder) {
+		if pipe.so == nil {
+			return nil, fmt.Errorf("core: F9 configured but no fitted second-order selector")
+		}
+		if f9Start = len(names) - pipe.so.NumPairs(); f9Start < 0 {
+			return nil, fmt.Errorf("core: serving schema shorter than F9 block")
+		}
+	}
+	tbl, missing, err := features.LoadTables(src.open(-1), win, src.DaysPerMonth(), false, pipe.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	maint, err := features.NewMaintainer(tbl, win, src.DaysPerMonth(), want, pipe.complaints, pipe.search, pipe.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	idxOf := make(map[string]int, len(names))
 	for i, n := range names {
 		idxOf[n] = i
 	}
-	// Probe one customer to resolve (and validate) the recompute columns'
-	// schema positions up front, so wiring fails fast on drift.
-	probe, err := inc.maint.CustomerFrame(inc.maint.AnyCustomer(), perCust, pipe.complaints, pipe.search)
-	if err != nil {
-		return err
-	}
 	colOf := map[string]int{}
-	for _, n := range probe.Names() {
+	for _, n := range maint.KeptNames() {
 		i, ok := idxOf[n]
 		if !ok {
-			return fmt.Errorf("core: recomputed column %q not in serving schema", n)
+			return nil, fmt.Errorf("core: recomputed column %q not in serving schema", n)
 		}
 		colOf[n] = i
 	}
-	f9Start := -1
-	if want.Has(features.F9SecondOrder) {
-		if pipe.so == nil {
-			return fmt.Errorf("core: F9 configured but no fitted second-order selector")
-		}
-		if f9Start = len(names) - pipe.so.NumPairs(); f9Start < 0 {
-			return fmt.Errorf("core: serving schema shorter than F9 block")
-		}
-	}
-	if err := inc.maint.Keep(want, pipe.complaints, pipe.search, pipe.cfg.Workers); err != nil {
-		return err
-	}
-	inc.pipe, inc.colOf, inc.f9Start = pipe, colOf, f9Start
-	return nil
+	return &Incremental{maint: maint, pipe: pipe, missing: missing, colOf: colOf, f9Start: f9Start}, nil
 }
+
+// Missing names the window tables the load could not read, in canonical
+// order.
+func (inc *Incremental) Missing() []string { return inc.missing }
 
 // Maintainer exposes the underlying feature maintainer.
 func (inc *Incremental) Maintainer() *features.Maintainer { return inc.maint }
 
 // Ingest folds one table's event rows into the maintained state, returning
-// the affected universe customers and the number of rows applied.
+// the affected universe customers and the number of rows applied. It
+// refuses the rows of a table the load could not read: its columns are
+// imputed, as a degraded build over the merged data imputes them.
 func (inc *Incremental) Ingest(name string, events *table.Table) ([]int64, int, error) {
+	if slices.Contains(inc.missing, name) {
+		return nil, 0, fmt.Errorf("core: table %s was unreadable at load; its events wait for the next build", name)
+	}
 	return inc.maint.Apply(name, events)
 }
 
@@ -138,7 +108,7 @@ func (inc *Incremental) Ingest(name string, events *table.Table) ([]int64, int, 
 // customer's current snapshot row (len = serving schema), whose graph
 // columns are kept; every per-customer column is recomputed from the
 // maintained tables and F9 is re-derived from the result. base is not
-// mutated. The Incremental must be wired. It is RefreshAll's one-id case.
+// mutated. It is RefreshAll's one-id case.
 func (inc *Incremental) Refresh(id int64, base []float64) ([]float64, error) {
 	rows, errs := inc.RefreshAll([]int64{id}, [][]float64{base})
 	return rows[0], errs[0]
@@ -160,9 +130,6 @@ func (inc *Incremental) RefreshAll(ids []int64, bases [][]float64) (rows [][]flo
 			}
 		}
 		return rows, errs
-	}
-	if inc.pipe == nil {
-		return fail(fmt.Errorf("core: incremental refresh before Wire"))
 	}
 	width := len(inc.pipe.FeatureNames())
 	for i, base := range bases {
@@ -220,12 +187,8 @@ type GraphSeeds struct {
 // window's snapshot month, as every build does; with no graph group
 // configured it reads nothing. With partial a truth read that fails is no
 // error: the seeds are empty and flag the graph groups, as
-// BuildFrameDegraded does. It reads no raw table and needs no lock. The
-// Incremental must be wired.
+// BuildFrameDegraded does. It reads no raw table and needs no lock.
 func (inc *Incremental) ReadSeeds(src Source, partial bool) (GraphSeeds, error) {
-	if inc.pipe == nil {
-		return GraphSeeds{}, fmt.Errorf("core: incremental seeds before Wire")
-	}
 	in, deg, err := inc.pipe.graphSeeds(src, inc.maint.Window(), partial)
 	return GraphSeeds{in: in, deg: deg}, err
 }
@@ -240,27 +203,25 @@ type Captured struct {
 // Capture takes what a serving-frame build needs from the live state
 // (Maintainer.Capture): the kept per-customer columns, re-folding any
 // customer ingested but not yet refreshed, and the graph fold reduced to
-// the universe and the seeds' previous churners. Callers serialize it with
-// Ingest and RefreshAll — churnd holds its ingest lock — so a capture sees
-// every post whole; building from it needs no lock. The Incremental must
-// be wired.
+// the universe and the seeds' previous churners. Its mask is the seeds'
+// and the groups of the tables the load could not read. Callers serialize
+// it with Ingest and RefreshAll — churnd holds its ingest lock — so a
+// capture sees every post whole; building from it needs no lock.
 func (inc *Incremental) Capture(seeds GraphSeeds) (*Captured, error) {
-	if inc.pipe == nil {
-		return nil, fmt.Errorf("core: incremental capture before Wire")
-	}
 	state, err := inc.maint.Capture(seeds.in, inc.pipe.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Captured{pipe: inc.pipe, deg: seeds.deg, state: state}, nil
+	deg := seeds.deg | features.DegradationOf(inc.missing, inc.pipe.cfg.groupSet())
+	return &Captured{pipe: inc.pipe, deg: deg, state: state}, nil
 }
 
 // Frame builds the serving frame from the capture: the graph groups
 // finalized and scored (PageRank, label propagation) over the reduced
 // fold, laid with the kept columns into one frame, and F9 applied last. It
-// reads no raw table. The frame is Float64bits-equal to BuildFrame over
-// the maintained tables merged into the source the seeds were read from,
-// or, over partial seeds, to BuildFrameDegraded, and so is its mask. Later
+// reads no raw table. The frame and its mask are Float64bits-equal to
+// BuildFrameDegraded's over the maintained tables merged into the source
+// the seeds were read from (BuildFrame's, with nothing missing). Later
 // Ingest and RefreshAll calls never reach a capture.
 func (c *Captured) Frame() (*features.Frame, features.Degradation, error) {
 	frame := c.state.Frame(c.pipe.cfg.Workers)
@@ -269,58 +230,4 @@ func (c *Captured) Frame() (*features.Frame, features.Degradation, error) {
 		return nil, 0, err
 	}
 	return frame, deg, nil
-}
-
-// View returns base with the served month's nine tables answered from a
-// snapshot of the maintained tables, taken now: later Ingest calls never
-// reach it, and it copies no row. A shard reader (shard >= 0) takes only
-// the rows whose imsi hashes to its shard (table.ShardOf, the split the
-// sharded writer makes after a merge). Every other read — truth, other
-// months, a table the load could not read (the maintainer holds none of
-// its rows) — goes to base, so over a retrying source only those retry,
-// and a table still down answers with base's own error.
-func (inc *Incremental) View(base Source) Source {
-	v := viewReader{
-		month:   inc.maint.Window().LastMonth(inc.maint.DaysPerMonth()),
-		tables:  inc.maint.Snapshot(),
-		missing: inc.missing,
-	}
-	return base.With(func(shard, shards int, rd features.TableReader) features.TableReader {
-		r := v
-		r.rd, r.shard, r.shards = rd, shard, shards
-		return r
-	})
-}
-
-// viewReader answers reads that cover the served month from the snapshot,
-// month by month, so the served month's rows sit where a merged partition
-// would put them.
-type viewReader struct {
-	rd            features.TableReader
-	shard, shards int
-	month         int
-	tables        map[string]*table.Table
-	missing       []string
-}
-
-func (r viewReader) ReadMonths(name string, months []int) (*table.Table, error) {
-	snap := r.tables[name]
-	if snap == nil || !slices.Contains(months, r.month) || slices.Contains(r.missing, name) {
-		return r.rd.ReadMonths(name, months)
-	}
-	if r.shard >= 0 {
-		keys := snap.MustCol("imsi").Ints
-		snap = snap.Filter(func(i int) bool { return table.ShardOf(keys[i], r.shards) == r.shard })
-	}
-	parts := make([]*table.Table, len(months))
-	for i, m := range months {
-		parts[i] = snap
-		if m != r.month {
-			var err error
-			if parts[i], err = r.rd.ReadMonths(name, []int{m}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return table.Concat(parts)
 }

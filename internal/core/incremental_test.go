@@ -10,8 +10,9 @@ import (
 
 // TestIncrementalRefreshKeepsGraphSnapshot pins the stale-columns contract:
 // with graph groups configured, a refreshed row recomputes its per-customer
-// columns (bit-equal to the rebuild over View) while the cross-customer graph
-// columns keep their snapshot values until the next full refresh.
+// columns (bit-equal to the frame a capture of the maintained state builds)
+// while the cross-customer graph columns keep their snapshot values until
+// the next full refresh.
 func TestIncrementalRefreshKeepsGraphSnapshot(t *testing.T) {
 	cfg := shardWorldCfg()
 	src := NewShardedWarehouseSource(shardedWorld(t, cfg, 2), cfg.DaysPerMonth)
@@ -48,7 +49,15 @@ func TestIncrementalRefreshKeepsGraphSnapshot(t *testing.T) {
 		}
 	}
 
-	rebuilt, _, err := p.BuildFrameSharded(inc.View(src), win)
+	seeds, err := inc.ReadSeeds(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, err := inc.Capture(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, _, err := captured.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}

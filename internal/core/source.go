@@ -15,9 +15,8 @@ import (
 // Source is a reader factory: every raw-table read of the pipeline — a
 // window's nine tables, strict or degraded, a month's truth table, one
 // shard's slice of either — goes through a features.TableReader the source
-// opens. Retry, the served month's maintained tables (Incremental.View) and
-// fault injection interpose through With, so a decorator is one ReadMonths
-// and composes in any order over any base. The zero Source is not usable; construct one with NewMemorySource,
+// opens. Retry and fault injection interpose through With, so a decorator
+// is one ReadMonths and composes in any order over any base. The zero Source is not usable; construct one with NewMemorySource,
 // NewWarehouseSource or NewShardedWarehouseSource.
 type Source struct {
 	days   int

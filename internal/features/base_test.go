@@ -310,7 +310,7 @@ func TestOneCustomerBaseBuildAllocs(t *testing.T) {
 	months, cfg := simOnce(t)
 	win := MonthWindow(2, cfg.DaysPerMonth)
 	tbl := monthTables(t, months[1:2])
-	m, err := NewMaintainer(tbl, win, cfg.DaysPerMonth)
+	m, err := NewMaintainer(tbl, win, cfg.DaysPerMonth, 0, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,13 @@ var ErrUniverseUnavailable = errors.New("features: customer universe unavailable
 // TableReader reads one raw table's partitions for the given months,
 // joined in month order. It is the one read seam: *store.Warehouse and its
 // per-shard readers implement it, a core.Source opens one per load, and
-// the retry, maintained-view (core.Incremental.View) and fault-injection
-// layers each wrap it with a single ReadMonths.
+// the retry and fault-injection layers each wrap it with a single
+// ReadMonths.
 //
 // An implementation must be safe for concurrent ReadMonths calls of
 // different tables: LoadTables reads a window's nine tables at once. A
-// returned table may be shared with the reader (an in-memory month, a
-// maintained snapshot); callers read it and never write into it.
+// returned table may be shared with the reader (an in-memory month);
+// callers read it and never write into it.
 type TableReader interface {
 	ReadMonths(name string, months []int) (*table.Table, error)
 }

@@ -73,16 +73,20 @@ type Maintainer struct {
 	// build over merged data would see. Costs one int32 per raw row.
 	idx     map[string]map[int64][]int32
 	applied int
-	// live is the state Keep starts, nil before.
+	// live is the kept serving state NewMaintainer starts (live.go).
 	live *liveState
 }
 
-// NewMaintainer indexes the serving window's nine tables; it never writes
-// into them (see Maintainer.tables). The window must be a single whole month (the serving shape): merging an event into its month
-// partition appends it after that month's rows, which coincides with
-// appending at the end of the loaded table only when the window holds
-// exactly that one month — the bit-identity argument above needs that.
-func NewMaintainer(tbl Tables, win Window, daysPerMonth int) (*Maintainer, error) {
+// NewMaintainer indexes the serving window's nine tables and starts the
+// live state for a serving schema over them: groups' per-customer columns
+// (complaints and search must be fitted for F7 / F8) and graph fold, built
+// on up to workers goroutines (live.go). It never writes into the tables
+// (see Maintainer.tables). The window must be a single whole month (the
+// serving shape): merging an event into its month partition appends it
+// after that month's rows, which coincides with appending at the end of
+// the loaded table only when the window holds exactly that one month — the
+// bit-identity argument above needs that.
+func NewMaintainer(tbl Tables, win Window, daysPerMonth int, groups GroupSet, complaints, search *TopicFeaturizer, workers int) (*Maintainer, error) {
 	if months := win.Months(daysPerMonth); len(months) != 1 || win != MonthWindow(months[0], daysPerMonth) {
 		return nil, fmt.Errorf("features: maintainer window %+v must be one whole month", win)
 	}
@@ -105,21 +109,10 @@ func NewMaintainer(tbl Tables, win Window, daysPerMonth int) (*Maintainer, error
 		m.tbl[r.name] = *r.dst
 		m.idx[r.name] = postByIMSI(*r.dst)
 	}
-	return m, nil
-}
-
-// Snapshot returns the maintained tables as they stand, by raw table name:
-// the window's rows followed by every event applied so far, in the layout
-// store.EventLog.MergeInto would commit. Each is a table.Clip, so it copies
-// nothing and later Apply calls never reach it.
-func (m *Maintainer) Snapshot() map[string]*table.Table {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]*table.Table, len(m.tbl))
-	for name, t := range m.tbl {
-		out[name] = t.Clip()
+	if err := m.startLive(groups, complaints, search, workers); err != nil {
+		return nil, err
 	}
-	return out
+	return m, nil
 }
 
 func postByIMSI(t *table.Table) map[int64][]int32 {
@@ -132,19 +125,6 @@ func postByIMSI(t *table.Table) map[int64][]int32 {
 
 // Window returns the maintained serving window.
 func (m *Maintainer) Window() Window { return m.win }
-
-// DaysPerMonth returns the configured month length.
-func (m *Maintainer) DaysPerMonth() int { return m.days }
-
-// AnyCustomer returns an arbitrary universe customer — a probe id for
-// schema validation at wiring time. The universe is never empty
-// (NewMaintainer fails on an empty snapshot).
-func (m *Maintainer) AnyCustomer() int64 {
-	for id := range m.universe {
-		return id
-	}
-	return 0
-}
 
 // Applied returns the number of event rows folded in so far.
 func (m *Maintainer) Applied() int {
@@ -203,13 +183,11 @@ func (m *Maintainer) Apply(name string, events *table.Table) ([]int64, int, erro
 		}
 	}
 	m.applied += ev.NumRows()
-	if l := m.live; l != nil {
-		if l.graphs != nil {
-			l.graphs.feed(name, ev)
-		}
-		for id := range affected {
-			l.stale[id] = struct{}{}
-		}
+	if m.live.graphs != nil {
+		m.live.graphs.feed(name, ev)
+	}
+	for id := range affected {
+		m.live.stale[id] = struct{}{}
 	}
 	ids := make([]int64, 0, len(affected))
 	for id := range affected {

@@ -13,14 +13,14 @@ func TestMaintainerRejections(t *testing.T) {
 	win := MonthWindow(1, cfg.DaysPerMonth)
 
 	// Multi-month and partial windows are not maintainable.
-	if _, err := NewMaintainer(base, Window{FromAbs: 1, ToAbs: 2 * cfg.DaysPerMonth}, cfg.DaysPerMonth); err == nil {
+	if _, err := NewMaintainer(base, Window{FromAbs: 1, ToAbs: 2 * cfg.DaysPerMonth}, cfg.DaysPerMonth, 0, nil, nil, 1); err == nil {
 		t.Error("multi-month window accepted")
 	}
-	if _, err := NewMaintainer(base, Window{FromAbs: 2, ToAbs: cfg.DaysPerMonth}, cfg.DaysPerMonth); err == nil {
+	if _, err := NewMaintainer(base, Window{FromAbs: 2, ToAbs: cfg.DaysPerMonth}, cfg.DaysPerMonth, 0, nil, nil, 1); err == nil {
 		t.Error("partial-month window accepted")
 	}
 
-	maint, err := NewMaintainer(base, win, cfg.DaysPerMonth)
+	maint, err := NewMaintainer(base, win, cfg.DaysPerMonth, 0, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 	"telcochurn/internal/table"
 )
 
-// The maintainer's live state (Maintainer.Keep) is what a serving-frame
-// build over the maintained tables would otherwise recompute from every
-// raw row: every universe customer's per-customer columns and the F4–F6
-// graph fold. Both are filled once over the tables and kept current as
-// events are applied, so a build from a Capture reads no raw row and
-// re-folds no customer; only the cross-customer work is left to it.
+// The maintainer's live state (NewMaintainer starts it) is what a
+// serving-frame build over the maintained tables would otherwise recompute
+// from every raw row: every universe customer's per-customer columns and
+// the F4–F6 graph fold. Both are filled once over the tables and kept
+// current as events are applied, so a build from a Capture reads no raw
+// row and re-folds no customer; only the cross-customer work is left to
+// it.
 //
 // Why a Capture's frame is the rebuild's, bit for bit:
 //
@@ -35,7 +36,7 @@ import (
 //     cooccurrenceCubeCap smallest: the fold drops those as it goes
 //     (liveCubes), and with them any other customer above that bound.
 
-// liveState is the state Keep starts. Guarded by the maintainer's mu.
+// liveState is the state startLive starts. Guarded by the maintainer's mu.
 type liveState struct {
 	// groups are the kept per-customer groups; complaints and search their
 	// fitted topic featurizers.
@@ -52,24 +53,22 @@ type liveState struct {
 	graphs *graphFold
 	// mem is what the last capture's graphs were built in, for the next
 	// capture to build in; a capture being built holds it instead. The
-	// first capture after Keep, the one a serving boot builds from,
+	// first capture, the one a serving boot builds from,
 	// hands nothing back: a daemon that serves reads and never refreshes
 	// would keep it resident for nothing. captured is set by that one.
 	mem      graphMemory
 	captured bool
 }
 
-// Keep starts the maintainer's live state for a serving schema: groups'
-// per-customer columns (F1–F3, F7, F8; complaints and search must be
-// fitted for F7 / F8) over every universe customer, and the fold of its
+// startLive starts the maintainer's live state for a serving schema:
+// groups' per-customer columns (F1–F3, F7, F8; complaints and search must
+// be fitted for F7 / F8) over every universe customer, and the fold of its
 // graph groups (F4–F6) over the tables as they stand, the two built side
 // by side on up to workers goroutines. From then on Apply feeds the fold
 // each event row it appends and marks the customers it touches stale until
 // Refold re-folds them. F9 in groups is ignored: it is applied to the
-// assembled frame. Keeping again starts over.
-func (m *Maintainer) Keep(groups GroupSet, complaints, search *TopicFeaturizer, workers int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// assembled frame.
+func (m *Maintainer) startLive(groups GroupSet, complaints, search *TopicFeaturizer, workers int) error {
 	l := &liveState{groups: groups & (BaseGroups | TopicGroups), complaints: complaints, search: search, stale: map[int64]struct{}{}}
 	var err error
 	parallel.Do(workers,
@@ -98,16 +97,17 @@ func (m *Maintainer) Keep(groups GroupSet, complaints, search *TopicFeaturizer, 
 	return nil
 }
 
+// KeptNames returns the names of the kept per-customer columns, in the
+// order Refold's frames hold them.
+func (m *Maintainer) KeptNames() []string { return m.live.kept.Names() }
+
 // Refold rebuilds the listed customers' kept columns from the maintained
 // tables and installs them: one frame with a row per listed universe
 // customer (CustomerFrames over the kept groups), each row then also the
-// customer's kept row. It fails before Keep.
+// customer's kept row.
 func (m *Maintainer) Refold(ids []int64) (*Frame, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.live == nil {
-		return nil, fmt.Errorf("features: refold before Keep")
-	}
 	return m.refold(ids)
 }
 
@@ -146,15 +146,11 @@ type Captured struct {
 // a Feed over the maintained tables would leave with the universe and in's
 // previous churners as its customers, on up to workers goroutines. The
 // fold itself is left as it was. The capture also takes the memory the
-// last capture's graphs were built in, so its own build reuses it. It
-// fails before Keep.
+// last capture's graphs were built in, so its own build reuses it.
 func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l := m.live
-	if l == nil {
-		return nil, fmt.Errorf("features: capture before Keep")
-	}
 	if len(l.stale) > 0 {
 		ids := make([]int64, 0, len(l.stale))
 		for id := range l.stale {
@@ -193,7 +189,7 @@ func (m *Maintainer) Capture(in GraphFeatureInput, workers int) (*Captured, erro
 // with the kept groups and the graph groups. The graphs are built in the
 // memory the capture took, which goes back to the live state once they
 // are scored, for the next capture (unless this was the first capture
-// after Keep).
+// of the maintainer).
 func (c *Captured) Frame(workers int) *Frame {
 	uni := NewFrame(c.kept.ids)
 	var graphs func()

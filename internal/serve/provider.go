@@ -74,18 +74,6 @@ func NewFrameProvider(p *core.Pipeline, src core.Source, win features.Window) (*
 	return FrameSnapshot(frame, 0), nil
 }
 
-// NewFrameProviderDegraded builds the window's frame in degraded mode:
-// unavailable raw tables are imputed around instead of failing the build,
-// and Info reports the degradation mask. With everything available the
-// snapshot is bit-identical to NewFrameProvider's.
-func NewFrameProviderDegraded(p *core.Pipeline, src core.Source, win features.Window) (*Snapshot, error) {
-	frame, _, deg, err := p.BuildFrameDegraded(src, win)
-	if err != nil {
-		return nil, err
-	}
-	return FrameSnapshot(frame, deg), nil
-}
-
 // FrameSnapshot serves a built frame under its degradation mask, flattened
 // into one matrix. The matrix records no month: the window, not a snapshot
 // month, names what a frame build served.
